@@ -97,7 +97,7 @@ impl AdaptationReport {
 }
 
 /// The driver-side adaptation loop: telemetry in, engine hooks out.
-pub(crate) struct AdaptationState {
+struct AdaptationState {
     pipeline: Adaptation,
     /// Fallback estimates for workers the telemetry has not observed.
     fallback: Vec<f64>,
@@ -452,14 +452,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Shared per-round bookkeeping of the training, timing and pipelined
-/// loops: the ONE place where engine rounds become records, metrics and
-/// curve points.
-pub(crate) struct RoundLog {
+/// The ONE place where engine rounds become records, metrics and curve
+/// points.
+struct RoundLog {
     label: String,
     /// Job tag stamped on every record ([`DriverConfig::job_id`]).
     job_id: Option<String>,
-    pub(crate) records: Vec<RoundRecord>,
+    records: Vec<RoundRecord>,
     metrics: RunMetrics,
     points: Vec<(f64, f64)>,
     clock: f64,
@@ -468,7 +467,7 @@ pub(crate) struct RoundLog {
 }
 
 impl RoundLog {
-    pub(crate) fn tagged(label: String, job_id: Option<String>) -> Self {
+    fn tagged(label: String, job_id: Option<String>) -> Self {
         RoundLog {
             label,
             job_id,
@@ -481,12 +480,12 @@ impl RoundLog {
         }
     }
 
-    pub(crate) fn failed_round(&mut self) {
+    fn failed_round(&mut self) {
         self.metrics.record_failure();
         self.stalled = true;
     }
 
-    pub(crate) fn completed_round(
+    fn completed_round(
         &mut self,
         round: usize,
         er: &EngineRound,
@@ -526,11 +525,7 @@ impl RoundLog {
         });
     }
 
-    pub(crate) fn finish(
-        self,
-        params: Vec<f64>,
-        adaptation: Option<AdaptationState>,
-    ) -> TrainOutcome {
+    fn finish(self, params: Vec<f64>, adaptation: Option<AdaptationState>) -> TrainOutcome {
         TrainOutcome {
             curve: LossCurve {
                 label: self.label.clone(),
@@ -585,10 +580,9 @@ impl RoundLog {
 /// # }
 /// ```
 pub struct TrainDriver<'a, M: Model + ?Sized, O: Optimizer> {
-    model: &'a M,
-    data: &'a Dataset,
-    optimizer: O,
-    cfg: DriverConfig,
+    /// Model, data and optimizer; `None` only in [`drive_timing_with`].
+    training: Option<(&'a M, &'a Dataset, O)>,
+    pub(crate) cfg: DriverConfig,
     record_writer: Option<&'a mut dyn std::io::Write>,
     observer: Option<RunObserver>,
 }
@@ -596,7 +590,7 @@ pub struct TrainDriver<'a, M: Model + ?Sized, O: Optimizer> {
 impl<M: Model + ?Sized, O: Optimizer + std::fmt::Debug> std::fmt::Debug for TrainDriver<'_, M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrainDriver")
-            .field("optimizer", &self.optimizer)
+            .field("optimizer", &self.training.as_ref().map(|t| &t.2))
             .field("cfg", &self.cfg)
             .field("streams_records", &self.record_writer.is_some())
             .field("observed", &self.observer.is_some())
@@ -609,9 +603,7 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// [`DriverConfig`].
     pub fn new(model: &'a M, data: &'a Dataset, optimizer: O) -> Self {
         TrainDriver {
-            model,
-            data,
-            optimizer,
+            training: Some((model, data, optimizer)),
             cfg: DriverConfig::default(),
             record_writer: None,
             observer: None,
@@ -656,16 +648,35 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// # Errors
     ///
     /// Propagates engine errors (configuration, infrastructure, and — for
-    /// the threaded engine — undecodable rounds), and write errors of the
+    /// the cluster engines — undecodable rounds), and write errors of the
     /// streaming record writer.
     pub fn run<E: RoundEngine + ?Sized>(
-        mut self,
+        self,
         engine: &mut E,
         rounds: usize,
         rng: &mut dyn RngCore,
     ) -> Result<TrainOutcome, BoxError> {
-        let n = self.data.len() as f64;
-        let mut params = self.model.init_params(rng);
+        self.run_with(engine, rounds, rng, |engine, round, params, rng| {
+            engine.round(round, params, rng)
+        })
+    }
+
+    /// The one round loop. `fetch(engine, round, params, rng)` produces
+    /// each round — in sequence here, dispatched one ahead in
+    /// `PipelinedDriver` — and the body does everything the master owes
+    /// it: step scaling → optimizer → `after_step` → loss → observer →
+    /// log → record writer → adaptation.
+    pub(crate) fn run_with<E: RoundEngine + ?Sized>(
+        mut self,
+        engine: &mut E,
+        rounds: usize,
+        rng: &mut dyn RngCore,
+        mut fetch: impl FnMut(&mut E, usize, &[f64], &mut dyn RngCore) -> Result<EngineRound, BoxError>,
+    ) -> Result<TrainOutcome, BoxError> {
+        let mut params = match &self.training {
+            Some((model, ..)) => model.init_params(rng),
+            None => Vec::new(),
+        };
         let mut log = RoundLog::tagged(engine.label().to_owned(), self.cfg.job_id.clone());
         let eval_every = self.cfg.eval_every.max(1);
         let mut adaptation = self
@@ -673,12 +684,13 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
             .adaptation
             .as_ref()
             .map(|cfg| AdaptationState::new(engine, cfg));
-        if let Some(rec) = self.observer.as_ref().and_then(|o| o.recorder()) {
+        let recorder = self.observer.as_ref().and_then(|o| o.recorder());
+        if let Some(rec) = recorder {
             engine.attach_recorder(rec.clone());
         }
 
         for round in 1..=rounds {
-            let er = engine.round(round, &params, rng)?;
+            let er = fetch(engine, round, &params, rng)?;
             let Some(elapsed) = er.elapsed else {
                 if let Some(obs) = &self.observer {
                     obs.observe_failed_round();
@@ -689,32 +701,32 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
                 }
                 continue;
             };
-            let step_span = self
-                .observer
-                .as_ref()
-                .and_then(|o| o.recorder())
-                .map(|r| r.span(Phase::Step));
+            let step_span = recorder.map(|r| r.span(Phase::Step));
             let mut step_scale = 1.0;
-            if let Some(gradient) = er.gradient.as_ref() {
-                if self.cfg.residual_step_scaling {
-                    let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
-                    // Lossy wire traffic gates the step exactly like an
-                    // approximate decode; lossless rounds reduce to the
-                    // plain residual scaling bitwise.
-                    step_scale = combined_step_scale(
-                        er.residual,
-                        er.error_bound,
-                        er.wire_error,
-                        norm,
-                        engine.partitions(),
-                    );
+            let mut loss = None;
+            if let Some((model, data, optimizer)) = self.training.as_mut() {
+                let n = data.len() as f64;
+                if let Some(gradient) = er.gradient.as_ref() {
+                    if self.cfg.residual_step_scaling {
+                        let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
+                        // Lossy wire traffic gates the step exactly like an
+                        // approximate decode; lossless rounds reduce to the
+                        // plain residual scaling bitwise.
+                        step_scale = combined_step_scale(
+                            er.residual,
+                            er.error_bound,
+                            er.wire_error,
+                            norm,
+                            engine.partitions(),
+                        );
+                    }
+                    let step: Vec<f64> = gradient.iter().map(|x| step_scale * x / n).collect();
+                    optimizer.step(&mut params, &step);
+                    engine.after_step(&params);
                 }
-                let step: Vec<f64> = gradient.iter().map(|x| step_scale * x / n).collect();
-                self.optimizer.step(&mut params, &step);
-                engine.after_step(&params);
+                loss = (round.is_multiple_of(eval_every) || round == rounds)
+                    .then(|| model.loss(&params, data, (0, data.len())) / n);
             }
-            let loss = (round % eval_every == 0 || round == rounds)
-                .then(|| self.model.loss(&params, self.data, (0, self.data.len())) / n);
             drop(step_span);
             if let Some(obs) = &self.observer {
                 obs.observe_round(elapsed, er.residual, er.bytes_sent, er.bytes_received);
@@ -776,29 +788,14 @@ pub fn drive_timing_with<E: RoundEngine + ?Sized>(
     rng: &mut dyn RngCore,
     cfg: &DriverConfig,
 ) -> Result<TrainOutcome, BoxError> {
-    let mut log = RoundLog::tagged(engine.label().to_owned(), cfg.job_id.clone());
-    let mut adaptation = cfg
-        .adaptation
-        .as_ref()
-        .map(|cfg| AdaptationState::new(engine, cfg));
-    for round in 1..=rounds {
-        let er = engine.round(round, &[], rng)?;
-        let Some(elapsed) = er.elapsed else {
-            log.failed_round();
-            if er.stop {
-                break;
-            }
-            continue;
-        };
-        log.completed_round(round, &er, elapsed, None, 1.0, engine.workers());
-        if let Some(ad) = adaptation.as_mut() {
-            ad.after_round(round, &er, elapsed, engine, rng)?;
-        }
-        if er.stop {
-            break;
-        }
-    }
-    Ok(log.finish(Vec::new(), adaptation))
+    // No model: the type parameters only name the absent training half.
+    let driver = TrainDriver::<hetgc_ml::LinearRegression, hetgc_ml::Sgd> {
+        training: None,
+        cfg: cfg.clone(),
+        record_writer: None,
+        observer: None,
+    };
+    driver.run(engine, rounds, rng)
 }
 
 #[cfg(test)]

@@ -14,8 +14,10 @@
 //!   coded bounded-asynchrony rounds with real codec decoding
 //!   ([`SimSspEngine::coded`]), where an intact group or an approximate
 //!   fallback completes a round before every worker reports;
-//! * [`ThreadedEngine`] — the real multi-threaded runtime, one OS thread
-//!   per worker, driven through `hetgc_runtime::ThreadedCluster`.
+//! * [`ClusterEngine`] — the wall-clock master (`hetgc_runtime::Master`)
+//!   over whichever transport its cluster runs on: [`ThreadedEngine`] is
+//!   one OS thread per worker (`hetgc_runtime::ThreadedCluster`),
+//!   `hetgc-net`'s `SocketEngine` is TCP worker processes.
 //!
 //! All three hand the *same* decision to the *same* code when an exact
 //! decode does not materialize: the
@@ -25,6 +27,7 @@
 //! [`TrainDriver`]: crate::TrainDriver
 //! [`TrainOutcome`]: crate::TrainOutcome
 
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use hetgc_cluster::{PartitionAssignment, StragglerModel};
@@ -34,7 +37,9 @@ use hetgc_coding::{
 };
 use hetgc_ml::{partial_gradients_into, Dataset, Model};
 use hetgc_obs::{Phase, Recorder};
-use hetgc_runtime::{RuntimeConfig, RuntimeError, ThreadedCluster};
+use hetgc_runtime::{
+    ClusterRound, Master, RuntimeConfig, RuntimeError, ThreadedCluster, Transport,
+};
 use hetgc_sim::{
     simulate_bsp_iteration_in, BspIterationConfig, NetworkModel, RateDrift, SspEngine,
 };
@@ -151,7 +156,7 @@ pub trait RoundEngine {
     ///
     /// Configuration and infrastructure errors only — an *undecodable*
     /// round is not an error; report it via [`EngineRound::failed`]
-    /// (except in the threaded runtime, whose contract is to error).
+    /// (except on the wall-clock master, whose contract is to error).
     fn round(
         &mut self,
         round: usize,
@@ -196,7 +201,7 @@ pub trait RoundEngine {
 
     /// The throughput estimates the engine's current code was built from,
     /// used as the fallback for workers the telemetry has not observed
-    /// yet. `None` when unknown (the threaded runtime).
+    /// yet. `None` when unknown (the wall-clock master).
     fn initial_estimates(&self) -> Option<Vec<f64>> {
         None
     }
@@ -219,7 +224,7 @@ pub trait RoundEngine {
 /// optimizer/loss work that a sequential driver would put on the critical
 /// path.
 ///
-/// Implemented by [`ThreadedEngine`] (real threads genuinely overlap);
+/// Implemented by [`ClusterEngine`] (real workers genuinely overlap);
 /// the discrete-event simulators have no wall-clock to overlap and do not
 /// implement it.
 pub trait PipelinedEngine: RoundEngine {
@@ -1020,39 +1025,44 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
     }
 }
 
-// ------------------------------------------------------------- threaded
+// ------------------------------------------------- real clusters (master)
 
-/// The real multi-threaded runtime as a [`RoundEngine`]: each round
-/// broadcasts the parameters to one OS thread per worker, collects coded
-/// results over channels, and decodes (or escalates) through the same
-/// ladder as the simulated engines.
+/// A running [`Master`] — behind whichever cluster type `C` derefs to it —
+/// as a [`RoundEngine`] and [`PipelinedEngine`]: each round broadcasts
+/// the parameters to the cluster's workers, collects coded results, and
+/// decodes (or escalates) through the same ladder as the simulated
+/// engines. [`ThreadedEngine`] is this over `ThreadedCluster`;
+/// `hetgc-net`'s `SocketEngine` wraps it over `SocketCluster`.
 ///
 /// Telemetry comes from real wall-clock timings: each round's
 /// [`RoundSample`]s carry the per-worker compute durations the workers
-/// reported. With [`ThreadedEngine::with_recoding`], confirmed drift
-/// rebuilds the scheme from fresh estimates and hot-swaps the worker
-/// pool (`ThreadedCluster::recode`) between rounds; a learned deadline
-/// ([`RoundEngine::set_deadline`]) becomes the cluster's round timeout
+/// reported, with the transport's measured arrival time where it stamps
+/// one. With [`ClusterEngine::with_recoding`], confirmed drift rebuilds
+/// the scheme from the live workers' fresh estimates and hot-swaps it in
+/// (`Master::recode`) between rounds; a learned deadline
+/// ([`RoundEngine::set_deadline`]) becomes the master's round timeout
 /// whenever the escalation ladder can actually fire.
 ///
 /// Unlike the simulated engines, an undecodable round is an **error**
 /// (`RuntimeError::Undecodable`), matching the runtime's contract.
 #[derive(Debug)]
-pub struct ThreadedEngine<M> {
-    cluster: ThreadedCluster<M>,
+pub struct ClusterEngine<C> {
+    cluster: C,
     label: String,
     recode_spec: Option<(SchemeKind, usize)>,
     recodes: usize,
-    /// Flight recorder, when the driver attached one (the cluster holds
-    /// its own clone for the dispatch/collect/decode spans).
-    recorder: Option<Recorder>,
 }
+
+/// The real multi-threaded runtime as an engine: one OS thread per
+/// worker, coded results over channels.
+pub type ThreadedEngine<M> = ClusterEngine<ThreadedCluster<M>>;
 
 impl<M> ThreadedEngine<M>
 where
     M: Model + Send + Sync + 'static,
 {
-    /// Spawns the worker threads (see `ThreadedCluster::start`).
+    /// Spawns the worker threads (see `ThreadedCluster::start`); label
+    /// `"threaded"`.
     ///
     /// # Errors
     ///
@@ -1063,16 +1073,23 @@ where
         data: Arc<Dataset>,
         config: &RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
-        Ok(ThreadedEngine {
-            cluster: ThreadedCluster::start(code, model, data, config)?,
-            label: "threaded".to_owned(),
+        let cluster = ThreadedCluster::start(code, model, data, config)?;
+        Ok(ClusterEngine::over(cluster, "threaded"))
+    }
+}
+
+impl<C> ClusterEngine<C> {
+    /// Wraps a started cluster under the given curve label.
+    pub fn over(cluster: C, label: impl Into<String>) -> Self {
+        ClusterEngine {
+            cluster,
+            label: label.into(),
             recode_spec: None,
             recodes: 0,
-            recorder: None,
-        })
+        }
     }
 
-    /// Overrides the curve label (default `"threaded"`).
+    /// Overrides the curve label.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self
@@ -1080,85 +1097,96 @@ where
 
     /// Enables live re-coding: on [`RoundEngine::recode`] the engine
     /// rebuilds a `kind` scheme tolerating `stragglers` stragglers from
-    /// the fresh estimates and respawns the worker pool around it.
+    /// the fresh estimates of the workers that can still reply and
+    /// re-rows the cluster around it.
     pub fn with_recoding(mut self, kind: SchemeKind, stragglers: usize) -> Self {
         self.recode_spec = Some((kind, stragglers));
         self
     }
 
     /// The underlying cluster.
-    pub fn cluster(&self) -> &ThreadedCluster<M> {
+    pub fn cluster(&self) -> &C {
         &self.cluster
+    }
+
+    /// The underlying cluster, mutably — for pre-run wiring
+    /// (`Master::attach_codec_metrics`, timeouts).
+    pub fn cluster_mut(&mut self) -> &mut C {
+        &mut self.cluster
     }
 
     /// How many times [`RoundEngine::recode`] installed a rebuilt code.
     pub fn recodes(&self) -> usize {
         self.recodes
     }
+}
 
-    /// Converts a completed [`hetgc_runtime::ClusterRound`] into the
-    /// driver's [`EngineRound`] — shared by the sequential
-    /// [`RoundEngine::round`] and the split
-    /// [`PipelinedEngine::collect`] paths.
-    fn engine_round(&self, r: hetgc_runtime::ClusterRound) -> EngineRound {
-        // Real wall-clock telemetry: work units are the samples each
-        // worker owns; a worker with zero reported compute never replied
-        // in time this round.
-        let k = self.cluster.partitions();
-        let samples_per_partition = self.cluster.data().len() as f64 / k as f64;
-        let elapsed = r.elapsed.as_secs_f64();
-        let codec = self.cluster.codec();
-        let samples = r
-            .busy
-            .iter()
-            .enumerate()
-            .map(|(w, &compute)| {
-                let work = codec.load_of(w) as f64 * samples_per_partition;
-                if compute > 0.0 {
-                    // Arrival ≈ compute end: channel latency is the only
-                    // gap the master cannot observe.
-                    RoundSample::completed(w, work, compute, compute)
-                } else if r.late_busy.get(w).copied().unwrap_or(0.0) > 0.0 {
-                    // A consistent straggler whose replies land after
-                    // each decode: no gradient weight, but its timing is
-                    // exactly the observation drift detection needs.
-                    let late = r.late_busy[w];
-                    RoundSample::completed(w, work, late, late).late()
-                } else {
-                    RoundSample::failed(w, work)
-                }
-            })
-            .collect::<Vec<RoundSample>>();
-        if let Some(rec) = &self.recorder {
-            for s in samples.iter().filter(|s| !s.failed) {
-                rec.instant(Phase::Arrival, (s.worker + 1) as u64);
+/// Converts a completed [`ClusterRound`] into the driver's [`EngineRound`]
+/// — shared by the sequential [`RoundEngine::round`] and the split
+/// [`PipelinedEngine::collect`] paths.
+fn engine_round<M: Model, T: Transport>(cluster: &Master<M, T>, r: ClusterRound) -> EngineRound {
+    // Real wall-clock telemetry: work units are the samples each
+    // worker owns; a worker with zero reported compute never replied
+    // in time this round.
+    let k = cluster.partitions();
+    let samples_per_partition = cluster.data().len() as f64 / k as f64;
+    let codec = cluster.codec();
+    let samples = r
+        .busy
+        .iter()
+        .enumerate()
+        .map(|(w, &compute)| {
+            let work = codec.load_of(w) as f64 * samples_per_partition;
+            let in_time = compute > 0.0;
+            let (compute, arrival) = if in_time {
+                // The transport's measured arrival (serialization
+                // and wire time included) when it stamps one; else
+                // arrival ≈ compute end, channel latency being the
+                // only gap the master cannot observe.
+                let stamped = r.arrivals[w];
+                (compute, if stamped > 0.0 { stamped } else { compute })
+            } else if r.late_busy[w] > 0.0 {
+                // A consistent straggler whose replies land after
+                // each decode: no gradient weight, but its timing is
+                // exactly the observation drift detection needs.
+                (r.late_busy[w], r.late_busy[w])
+            } else {
+                return RoundSample::failed(w, work);
+            };
+            let sample = RoundSample::completed(w, work, compute, arrival);
+            if in_time {
+                sample
+            } else {
+                sample.late()
             }
-        }
-        EngineRound {
-            elapsed: Some(elapsed),
-            at: None,
-            gradient: Some(r.gradient),
-            residual: r.residual,
-            // The master only sees coded results; per-partition norms are
-            // unavailable, so the driver scales by residual/√k.
-            error_bound: None,
-            results_used: r.results_used,
-            busy: r.busy,
-            samples,
-            alloc_bytes: r.alloc_bytes,
-            pool_hits: r.pool_hits,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
-        }
+        })
+        .collect();
+    EngineRound {
+        elapsed: Some(r.elapsed.as_secs_f64()),
+        at: None,
+        gradient: Some(r.gradient),
+        residual: r.residual,
+        // The master only sees coded results; per-partition norms are
+        // unavailable, so the driver scales by residual/√k.
+        error_bound: None,
+        results_used: r.results_used,
+        busy: r.busy,
+        samples,
+        alloc_bytes: r.alloc_bytes,
+        pool_hits: r.pool_hits,
+        bytes_sent: r.bytes_sent,
+        bytes_received: r.bytes_received,
+        wire_error: r.wire_error,
+        bytes_saved: r.bytes_saved,
+        stop: false,
     }
 }
 
-impl<M> RoundEngine for ThreadedEngine<M>
+impl<C, M, T> RoundEngine for ClusterEngine<C>
 where
-    M: Model + Send + Sync + 'static,
+    C: DerefMut<Target = Master<M, T>>,
+    M: Model,
+    T: Transport,
 {
     fn workers(&self) -> usize {
         self.cluster.workers()
@@ -1179,12 +1207,11 @@ where
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
         let r = self.cluster.round(round, params)?;
-        Ok(self.engine_round(r))
+        Ok(engine_round(&self.cluster, r))
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.cluster.attach_recorder(recorder.clone());
-        self.recorder = Some(recorder);
+        self.cluster.attach_recorder(recorder);
     }
 
     fn set_deadline(&mut self, deadline: f64) {
@@ -1205,7 +1232,21 @@ where
         let Some((kind, stragglers)) = self.recode_spec else {
             return Ok(false);
         };
-        let Ok(scheme) = scheme_from_estimates(kind, estimates, stragglers, None, rng) else {
+        // Rebuild around the workers that can still reply: a dead one
+        // contributes no estimate and gets no row. Fewer than two cannot
+        // carry a coded scheme — decline and keep limping.
+        let live = self.cluster.live_rows();
+        if live.len() < 2 {
+            return Ok(false);
+        }
+        let survivors: Vec<f64> = live
+            .iter()
+            .filter_map(|&j| estimates.get(j).copied())
+            .collect();
+        if survivors.len() != live.len() {
+            return Ok(false);
+        }
+        let Ok(scheme) = scheme_from_estimates(kind, &survivors, stragglers, None, rng) else {
             return Ok(false); // infeasible estimates: keep the old code
         };
         match self.cluster.recode(scheme.code) {
@@ -1214,8 +1255,8 @@ where
                 Ok(true)
             }
             // An unbuildable/unpartitionable rebuild declines (the old
-            // pool keeps running, by `ThreadedCluster::recode`'s
-            // contract); only infrastructure failures abort the run.
+            // regime keeps running, by `Master::recode`'s contract); only
+            // infrastructure failures abort the run.
             Err(RuntimeError::InvalidConfig { .. }) => Ok(false),
             Err(e) => Err(e.into()),
         }
@@ -1227,9 +1268,11 @@ where
     }
 }
 
-impl<M> PipelinedEngine for ThreadedEngine<M>
+impl<C, M, T> PipelinedEngine for ClusterEngine<C>
 where
-    M: Model + Send + Sync + 'static,
+    C: DerefMut<Target = Master<M, T>>,
+    M: Model,
+    T: Transport,
 {
     fn dispatch(&mut self, _round: usize, params: &[f64]) -> Result<(), BoxError> {
         self.cluster.dispatch(params).map_err(Into::into)
@@ -1237,7 +1280,7 @@ where
 
     fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
         let r = self.cluster.collect(round)?;
-        Ok(self.engine_round(r))
+        Ok(engine_round(&self.cluster, r))
     }
 }
 

@@ -67,8 +67,8 @@ pub use driver::{
     TrainOutcome,
 };
 pub use engine::{
-    combined_step_scale, residual_step_scale, EngineRound, PipelinedEngine, RoundEngine,
-    SimBspEngine, SimSspEngine, ThreadedEngine,
+    combined_step_scale, residual_step_scale, ClusterEngine, EngineRound, PipelinedEngine,
+    RoundEngine, SimBspEngine, SimSspEngine, ThreadedEngine,
 };
 pub use pipeline::PipelinedDriver;
 pub use report::{parse_round_records, JsonlRecordSink};

@@ -35,11 +35,11 @@
 //! halves of that trade.
 
 use hetgc_ml::{Dataset, Model, Optimizer};
-use hetgc_obs::{Phase, RunObserver};
+use hetgc_obs::RunObserver;
 use rand::RngCore;
 
-use crate::driver::{DriverConfig, RoundLog, TrainOutcome};
-use crate::engine::{combined_step_scale, PipelinedEngine};
+use crate::driver::{DriverConfig, TrainDriver, TrainOutcome};
+use crate::engine::PipelinedEngine;
 use crate::scheme::BoxError;
 
 /// The double-buffered twin of [`TrainDriver`](crate::TrainDriver): same
@@ -69,23 +69,13 @@ use crate::scheme::BoxError;
 /// # Ok(())
 /// # }
 /// ```
-pub struct PipelinedDriver<'a, M: Model + ?Sized, O: Optimizer> {
-    model: &'a M,
-    data: &'a Dataset,
-    optimizer: O,
-    cfg: DriverConfig,
-    observer: Option<RunObserver>,
-}
+pub struct PipelinedDriver<'a, M: Model + ?Sized, O: Optimizer>(TrainDriver<'a, M, O>);
 
 impl<M: Model + ?Sized, O: Optimizer + std::fmt::Debug> std::fmt::Debug
     for PipelinedDriver<'_, M, O>
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelinedDriver")
-            .field("optimizer", &self.optimizer)
-            .field("cfg", &self.cfg)
-            .field("observed", &self.observer.is_some())
-            .finish_non_exhaustive()
+        f.debug_tuple("PipelinedDriver").field(&self.0).finish()
     }
 }
 
@@ -93,31 +83,23 @@ impl<'a, M: Model + ?Sized, O: Optimizer> PipelinedDriver<'a, M, O> {
     /// A pipelined driver training `model` on `data` with `optimizer` and
     /// default [`DriverConfig`].
     pub fn new(model: &'a M, data: &'a Dataset, optimizer: O) -> Self {
-        PipelinedDriver {
-            model,
-            data,
-            optimizer,
-            cfg: DriverConfig::default(),
-            observer: None,
-        }
+        PipelinedDriver(TrainDriver::new(model, data, optimizer))
     }
 
     /// Replaces the loop configuration. [`DriverConfig::adaptation`] is
     /// not supported here (the adaptation hooks re-code and re-deadline
     /// between rounds, which would race the in-flight dispatch) —
     /// [`PipelinedDriver::run`] rejects a config that sets it.
-    pub fn with_config(mut self, cfg: DriverConfig) -> Self {
-        self.cfg = cfg;
-        self
+    pub fn with_config(self, cfg: DriverConfig) -> Self {
+        PipelinedDriver(self.0.with_config(cfg))
     }
 
     /// Reports every round into `observer` exactly like
     /// `TrainDriver::with_observer` does — round counters, latency and
     /// arrival histograms, wire bytes, and (with a recorder) the
-    /// [`Phase::Step`] span around the overlapped master work.
-    pub fn with_observer(mut self, observer: RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
+    /// `Phase::Step` span around the overlapped master work.
+    pub fn with_observer(self, observer: RunObserver) -> Self {
+        PipelinedDriver(self.0.with_observer(observer))
     }
 
     /// Runs `rounds` double-buffered collect rounds of `engine`: round
@@ -134,88 +116,31 @@ impl<'a, M: Model + ?Sized, O: Optimizer> PipelinedDriver<'a, M, O> {
     /// Propagates engine errors, and rejects configurations with
     /// [`DriverConfig::adaptation`] set.
     pub fn run<E: PipelinedEngine + ?Sized>(
-        mut self,
+        self,
         engine: &mut E,
         rounds: usize,
         rng: &mut dyn RngCore,
     ) -> Result<TrainOutcome, BoxError> {
-        if self.cfg.adaptation.is_some() {
+        if self.0.cfg.adaptation.is_some() {
             return Err(
                 "the pipelined driver does not support the adaptation loop; \
                         use TrainDriver for adaptive runs"
                     .into(),
             );
         }
-        let n = self.data.len() as f64;
-        let mut params = self.model.init_params(rng);
-        let mut log = RoundLog::tagged(engine.label().to_owned(), self.cfg.job_id.clone());
-        let eval_every = self.cfg.eval_every.max(1);
-        if rounds == 0 {
-            return Ok(log.finish(params, None));
-        }
-        if let Some(rec) = self.observer.as_ref().and_then(|o| o.recorder()) {
-            engine.attach_recorder(rec.clone());
-        }
-
-        engine.dispatch(1, &params)?;
-        for round in 1..=rounds {
-            let er = engine.collect(round)?;
-            // The pipeline: round t+1 starts computing NOW, at the
-            // parameters of step t−1 (one round of staleness), while the
-            // master finishes round t below.
-            if round < rounds && !er.stop {
-                engine.dispatch(round + 1, &params)?;
-            }
-            let Some(elapsed) = er.elapsed else {
-                if let Some(obs) = &self.observer {
-                    obs.observe_failed_round();
+        self.0
+            .run_with(engine, rounds, rng, |engine, round, params, _| {
+                if round == 1 {
+                    engine.dispatch(1, params)?;
                 }
-                log.failed_round();
-                if er.stop {
-                    break;
+                let er = engine.collect(round)?;
+                // The pipeline: round t+1 starts computing NOW, at the
+                // parameters of step t−1 (one round of staleness), while the
+                // master finishes round t in the loop body.
+                if round < rounds && !er.stop {
+                    engine.dispatch(round + 1, params)?;
                 }
-                continue;
-            };
-            let step_span = self
-                .observer
-                .as_ref()
-                .and_then(|o| o.recorder())
-                .map(|r| r.span(Phase::Step));
-            let mut step_scale = 1.0;
-            if let Some(gradient) = er.gradient.as_ref() {
-                if self.cfg.residual_step_scaling {
-                    let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
-                    step_scale = combined_step_scale(
-                        er.residual,
-                        er.error_bound,
-                        er.wire_error,
-                        norm,
-                        engine.partitions(),
-                    );
-                }
-                let step: Vec<f64> = gradient.iter().map(|x| step_scale * x / n).collect();
-                self.optimizer.step(&mut params, &step);
-                engine.after_step(&params);
-            }
-            let loss = (round % eval_every == 0 || round == rounds)
-                .then(|| self.model.loss(&params, self.data, (0, self.data.len())) / n);
-            drop(step_span);
-            if let Some(obs) = &self.observer {
-                obs.observe_round(elapsed, er.residual, er.bytes_sent, er.bytes_received);
-                if er.bytes_saved > 0 || er.wire_error > 0.0 {
-                    obs.observe_wire(er.bytes_saved, er.wire_error);
-                }
-                for s in &er.samples {
-                    if let Some(arrival) = s.arrival_seconds {
-                        obs.observe_arrival(s.worker, arrival);
-                    }
-                }
-            }
-            log.completed_round(round, &er, elapsed, loss, step_scale, engine.workers());
-            if er.stop {
-                break;
-            }
-        }
-        Ok(log.finish(params, None))
+                Ok(er)
+            })
     }
 }

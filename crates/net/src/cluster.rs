@@ -1,30 +1,29 @@
-//! The socket master: [`SocketCluster`] is `ThreadedCluster`'s shape —
-//! dispatch / collect / decode-or-escalate / recode — executed over real
-//! TCP connections to `hetgc-worker` processes instead of channels to
-//! threads.
+//! The socket worker pool: [`SocketCluster`] is a
+//! [`hetgc_runtime::Master`] whose transport is real TCP connections to
+//! `hetgc-worker` processes.
 //!
 //! One reader thread per worker link reassembles chunked gradient frames
-//! and forwards completed replies into a single crossbeam channel, so the
-//! master's collect loop is line-for-line the threaded one: a
-//! `recv_timeout` race between arrivals and the escalation deadline, with
-//! stale-round replies demoted to late-timing telemetry. The differences
-//! are exactly the ones a real network forces: a dead peer is detected
-//! (broken write / EOF) rather than impossible, a round's traffic is
-//! metered in real bytes, and re-coding talks to the *surviving*
-//! connections instead of respawning threads.
+//! and forwards completed replies into the single channel the master's
+//! collect loop waits on. What [`TcpTransport`] adds is exactly what a
+//! real network forces: a dead peer is detected (broken write / EOF) and
+//! routed around rather than fatal, a round's traffic is metered in real
+//! bytes, arrivals are stamped when their last frame lands, and re-coding
+//! talks to the *surviving* connections instead of respawning anything.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetgc_cluster::PartitionAssignment;
-use hetgc_coding::{CodingMatrix, DecodePlan, EscalatingCodec, GradientCodec};
+use hetgc_coding::{CodingMatrix, GradientCodec};
 use hetgc_comm::{AnyWireCodec, PayloadEncoding, WireCodec};
 use hetgc_ml::{Dataset, Model};
-use hetgc_obs::{MetricsRegistry, Phase, Recorder};
-use hetgc_runtime::{build_codec, RuntimeConfig};
+use hetgc_obs::MetricsRegistry;
+use hetgc_runtime::{
+    build_codec, row_shards, Master, Reply, RowShard, RuntimeConfig, RuntimeError, Transport,
+};
 
 use crate::conn::Connection;
 use crate::error::NetError;
@@ -39,49 +38,6 @@ pub const DEFAULT_CHUNK_LEN: usize = 8192;
 
 /// How long [`SocketCluster::start`] waits for all workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
-
-/// One completed collect round of a [`SocketCluster`] — the threaded
-/// `ClusterRound` plus real network observations.
-#[derive(Debug, Clone)]
-pub struct SocketRound {
-    /// The decoded aggregated gradient `Σ_w a_w · g̃_w`, un-normalized.
-    pub gradient: Vec<f64>,
-    /// Decode residual (0.0 exact, positive when escalation rescued it).
-    pub residual: f64,
-    /// How many worker results carried decode weight.
-    pub results_used: usize,
-    /// Wall-clock duration of the round (dispatch → decoded gradient).
-    pub elapsed: Duration,
-    /// Per-worker (logical row) compute seconds reported this round.
-    pub busy: Vec<f64>,
-    /// Per-worker compute seconds of late (previous-round) replies,
-    /// reported exactly once — same contract as the threaded cluster.
-    pub late_busy: Vec<f64>,
-    /// Per-worker arrival offset in seconds from the dispatch — a *real*
-    /// master-side observation (the threaded runtime can only approximate
-    /// arrival by compute end). `0.0` for workers that never replied.
-    pub arrivals: Vec<f64>,
-    /// Bytes of reassembled coded-gradient payload this round consumed.
-    pub alloc_bytes: u64,
-    /// Decode-session buffer-pool hits this round.
-    pub pool_hits: u64,
-    /// Real bytes written to worker sockets during this round.
-    pub bytes_sent: u64,
-    /// Real bytes read from worker sockets during this round.
-    pub bytes_received: u64,
-    /// Per physical link `(sent, received)` byte deltas of this round —
-    /// the link-resolved breakdown of `bytes_sent` / `bytes_received`,
-    /// indexed by accept order (not logical row; `row_of` maps).
-    pub link_bytes: Vec<(u64, u64)>,
-    /// Combined L2 quantization error of this round's lossy wire traffic
-    /// (`sqrt(Σ_w err_w²)` over the replies absorbed this round), as
-    /// measured worker-side from the encode round trips. `0.0` when
-    /// every link ships full-width `f64`.
-    pub wire_error: f64,
-    /// Payload bytes the negotiated wire encodings saved this round
-    /// versus shipping every reply as full-width `f64`.
-    pub bytes_saved: u64,
-}
 
 /// Cloneable per-link traffic handles: the byte counters shared with the
 /// link's writer and reader halves, plus master-side frame counters.
@@ -157,23 +113,6 @@ pub fn export_link_metrics(registry: &MetricsRegistry, links: &[LinkStats]) {
     }
 }
 
-/// A completed worker reply, reassembled by a reader thread.
-#[derive(Debug)]
-struct Reply {
-    worker: usize,
-    seq: u64,
-    coded: Vec<f64>,
-    compute_seconds: f64,
-    /// Worker-measured L2 quantization error of this reply (0.0 on
-    /// lossless links).
-    wire_error: f64,
-    /// Gradient payload bytes this reply occupied on the wire (codec
-    /// output for encoded links, `8 · num_params` for `f64`).
-    payload_bytes: u64,
-    /// When the final frame of the reply hit the master.
-    arrived: Instant,
-}
-
 /// A bound-but-not-yet-accepting master endpoint: bind first, learn the
 /// port, hand the address to the worker processes, then accept.
 #[derive(Debug)]
@@ -200,21 +139,17 @@ impl SocketListener {
     }
 }
 
-/// A running socket worker pool: the master ends of `m` TCP links, one
-/// reader thread per link, and the same escalation-wrapped decode state
-/// the threaded cluster keeps. Built by [`SocketCluster::start`] after
-/// the worker processes have been pointed at a [`SocketListener`].
+/// The TCP [`Transport`]: the master ends of the worker links (writer
+/// half here, reader half on one thread per link) and their traffic
+/// counters.
 ///
 /// Logical coding-matrix rows and physical connections start out
-/// identical; [`SocketCluster::recode`] may shrink the logical side to
-/// the surviving connections, with `row_of` carrying the mapping.
+/// identical; a re-row shrinks the logical side to the surviving
+/// connections, with `row_of` carrying the mapping. Dropping the
+/// transport sends best-effort `Shutdown` frames, closes the links and
+/// joins the reader threads.
 #[derive(Debug)]
-pub struct SocketCluster<M> {
-    codec: EscalatingCodec,
-    model: Arc<M>,
-    data: Arc<Dataset>,
-    config: RuntimeConfig,
-    timeout: Option<Duration>,
+pub struct TcpTransport {
     /// Writer side of each physical link, in accept order.
     conns: Vec<Connection>,
     /// Liveness per physical link — cleared by its reader thread on
@@ -222,34 +157,143 @@ pub struct SocketCluster<M> {
     alive: Vec<Arc<AtomicBool>>,
     /// Logical row → physical connection index (identity at start).
     row_of: Vec<usize>,
-    reply_rx: Receiver<Reply>,
+    reply_rx: Receiver<Reply<Vec<f64>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    session: hetgc_coding::CodecSession,
-    /// Per-logical-row arrival slots, reused round over round.
-    received: Vec<Option<Vec<f64>>>,
-    inflight: Option<(u64, Instant)>,
-    compute_seconds: Vec<f64>,
-    late_compute_seconds: Vec<f64>,
-    arrival_seconds: Vec<f64>,
-    round_seq: u64,
-    chunk_len: usize,
     /// Per physical link traffic counters (writer + reader halves of link
     /// `c` share `links[c]`'s byte cells); aggregates are sums over this.
     links: Vec<LinkStats>,
     /// Per physical link negotiated payload encoding (accept order).
     encodings: Vec<PayloadEncoding>,
-    /// Per-logical-row quantization error of the current round's replies.
-    wire_errors: Vec<f64>,
-    /// Per-logical-row gradient payload bytes of the current round's
-    /// replies (0 = no reply this round).
-    payload_bytes: Vec<u64>,
-    /// Per-link `(sent, received)` totals snapshotted at the last
-    /// dispatch, for per-round deltas.
-    bytes_mark: Vec<(u64, u64)>,
-    /// Flight recorder for the master's hot phases; `None` until
-    /// attached.
-    recorder: Option<Recorder>,
+    /// [`TcpTransport::traffic`] at the last `send_round`, for per-round
+    /// deltas.
+    bytes_mark: (u64, u64),
 }
+
+impl TcpTransport {
+    /// Total real `(sent, received)` bytes over every link since start.
+    fn traffic(&self) -> (u64, u64) {
+        self.links.iter().fold((0, 0), |(sent, received), link| {
+            (sent + link.sent_bytes(), received + link.received_bytes())
+        })
+    }
+}
+
+impl Transport for TcpTransport {
+    type Payload = Vec<f64>;
+
+    /// Encoded once and fanned out byte-identically to each live link. A
+    /// failed send is **not** fatal: a real network must survive peer
+    /// loss, so the link is marked dead (its worker simply never replies
+    /// and the escalation ladder absorbs it) and the round proceeds. Only
+    /// a fully dead fleet errors.
+    fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError> {
+        let encoded = Frame::Round {
+            seq,
+            params: params.to_vec(),
+        }
+        .encode();
+        self.bytes_mark = self.traffic();
+        let mut live = 0usize;
+        let mut first_dead = 0usize;
+        for &c in &self.row_of {
+            if !self.alive[c].load(Ordering::Relaxed) {
+                first_dead = c;
+                continue;
+            }
+            match self.conns[c].send_encoded(&encoded) {
+                Ok(()) => {
+                    live += 1;
+                    self.links[c].frames_sent.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    // Broken pipe: the peer is gone.
+                    self.alive[c].store(false, Ordering::Relaxed);
+                    first_dead = c;
+                }
+            }
+        }
+        if live == 0 {
+            return Err(RuntimeError::WorkerLost { worker: first_dead });
+        }
+        Ok(())
+    }
+
+    fn replies(&self) -> &Receiver<Reply<Vec<f64>>> {
+        &self.reply_rx
+    }
+
+    /// Re-rows the **surviving** connections: there must be exactly one
+    /// shard per live link, and each survivor receives a
+    /// [`Frame::Recode`] carrying its new row, sample ranges and
+    /// coefficients. TCP ordering makes an acknowledgement unnecessary: a
+    /// worker applies the recode before any round dispatched after it,
+    /// and replies to older rounds are already filtered by sequence
+    /// number. Nothing is respawned — the processes keep their dataset
+    /// and behaviour, so behaviour schedules stay pinned to the physical
+    /// process, not the logical row.
+    fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError> {
+        let live: Vec<usize> = (0..self.alive.len())
+            .filter(|&c| self.alive[c].load(Ordering::Relaxed))
+            .collect();
+        if shards.len() != live.len() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "recode matrix has {} rows but {} live connections",
+                    shards.len(),
+                    live.len()
+                ),
+            });
+        }
+        for (j, (&c, (ranges, coefficients))) in live.iter().zip(shards).enumerate() {
+            let frame = Frame::Recode {
+                row: j as u32,
+                ranges: wire_ranges(&ranges),
+                coefficients,
+            };
+            if self.conns[c].send(&frame).is_err() {
+                self.alive[c].store(false, Ordering::Relaxed);
+                return Err(RuntimeError::WorkerLost { worker: c });
+            }
+            self.links[c].frames_sent.fetch_add(1, Ordering::Relaxed);
+        }
+        self.row_of = live;
+        Ok(())
+    }
+
+    fn live_rows(&self) -> Vec<usize> {
+        (0..self.row_of.len())
+            .filter(|&j| self.alive[self.row_of[j]].load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn round_traffic(&self) -> (u64, u64) {
+        let (sent, received) = self.traffic();
+        (sent - self.bytes_mark.0, received - self.bytes_mark.1)
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        let goodbye = Frame::Shutdown.encode();
+        for conn in &mut self.conns {
+            let _ = conn.send_encoded(&goodbye);
+            // Closing our end unblocks the reader thread on the cloned fd.
+            let _ = conn.stream().shutdown(std::net::Shutdown::Both);
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A running socket worker pool: a [`Master`] (which it derefs to — that
+/// is where `round`, `dispatch`/`collect`, `recode`, `live_rows` and the
+/// deadline/observability hooks live) over a [`TcpTransport`]. Built by
+/// [`SocketCluster::start`] after the worker processes have been pointed
+/// at a [`SocketListener`]; this type adds only the TCP constructors and
+/// link accessors.
+#[derive(Debug)]
+pub struct SocketCluster<M>(Master<M, TcpTransport>);
 
 impl<M> SocketCluster<M>
 where
@@ -265,7 +309,7 @@ where
     ///
     /// # Errors
     ///
-    /// [`NetError::InvalidConfig`] on codec/partitioning/spec problems,
+    /// [`NetError::Runtime`] on codec/partitioning/spec problems,
     /// [`NetError::Handshake`] when workers fail to connect (30 s accept
     /// deadline) or speak a different protocol version.
     pub fn start(
@@ -330,15 +374,16 @@ where
     ) -> Result<Self, NetError> {
         let codec = build_codec(code, config)?;
         if spec.build().num_params() != model.num_params() {
-            return Err(NetError::InvalidConfig {
+            return Err(RuntimeError::InvalidConfig {
                 reason: "model spec does not match the master's model".into(),
-            });
+            }
+            .into());
         }
         let m = codec.workers();
         let chunk_len = chunk_len.max(1);
-        let assignment = even_assignment(data.len(), codec.partitions())?;
+        let shards = row_shards(&codec, data.len())?;
         let dataset_spec = DatasetSpec::from_dataset(&data);
-        let (reply_tx, reply_rx) = unbounded::<Reply>();
+        let (reply_tx, reply_rx) = unbounded();
 
         let mut conns = Vec::with_capacity(m);
         let mut alive = Vec::with_capacity(m);
@@ -347,7 +392,7 @@ where
         let mut encodings = Vec::with_capacity(m);
         listener.listener.set_nonblocking(true)?;
         let accept_started = Instant::now();
-        for row in 0..m {
+        for (row, (ranges, coefficients)) in shards.into_iter().enumerate() {
             let link = LinkStats::default();
             let stream = accept_one(&listener.listener, accept_started)?;
             let mut conn = Connection::with_counters(
@@ -380,12 +425,11 @@ where
                 }
                 Err(e) => return Err(NetError::Handshake(format!("hello not received: {e}"))),
             };
-            let (ranges, coefficients) = row_assignment(&codec, &assignment, row)?;
             conn.send(&Frame::Handshake(Handshake {
                 worker: row as u32,
                 num_params: model.num_params() as u32,
                 chunk_len: chunk_len as u32,
-                ranges,
+                ranges: wire_ranges(&ranges),
                 coefficients,
                 behavior: BehaviorSpec::from(&config.behavior_of(row)),
                 model: spec,
@@ -412,88 +456,31 @@ where
             links.push(link);
             encodings.push(negotiated);
         }
-        drop(reply_tx); // master keeps only the receiver
-        let session = codec.session();
-        Ok(SocketCluster {
-            model,
-            data,
-            config: config.clone(),
-            timeout: config.effective_timeout(),
+        // `reply_tx` drops here: the master keeps only the receiver.
+        let transport = TcpTransport {
             conns,
             alive,
             row_of: (0..m).collect(),
             reply_rx,
             handles,
-            session,
-            received: vec![None; m],
-            inflight: None,
-            compute_seconds: vec![0.0; m],
-            late_compute_seconds: vec![0.0; m],
-            arrival_seconds: vec![0.0; m],
-            round_seq: 0,
-            chunk_len,
             links,
             encodings,
-            wire_errors: vec![0.0; m],
-            payload_bytes: vec![0; m],
-            bytes_mark: vec![(0, 0); m],
-            recorder: None,
-            codec,
-        })
-    }
-
-    /// Number of (logical) workers in the current code.
-    pub fn workers(&self) -> usize {
-        self.codec.workers()
-    }
-
-    /// Number of data partitions.
-    pub fn partitions(&self) -> usize {
-        self.codec.partitions()
-    }
-
-    /// The escalation-wrapped codec the master decodes with.
-    pub fn codec(&self) -> &EscalatingCodec {
-        &self.codec
-    }
-
-    /// The model the workers compute gradients of.
-    pub fn model(&self) -> &Arc<M> {
-        &self.model
-    }
-
-    /// The training data.
-    pub fn data(&self) -> &Arc<Dataset> {
-        &self.data
-    }
-
-    /// Replaces the round deadline in place (learned-deadline hook).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = Some(timeout);
-    }
-
-    /// The gradient chunk granularity the workers were handshaken with
-    /// (`f64`s per [`Frame::GradientChunk`]).
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
-    }
-
-    /// Logical rows whose physical connection is still live.
-    pub fn live_rows(&self) -> Vec<usize> {
-        (0..self.codec.workers())
-            .filter(|&j| self.alive[self.row_of[j]].load(Ordering::Relaxed))
-            .collect()
+            bytes_mark: (0, 0),
+        };
+        Ok(SocketCluster(Master::new(
+            codec, model, data, config, transport,
+        )))
     }
 
     /// Total real bytes written to worker sockets since start (the sum
     /// of every link's counter).
     pub fn bytes_sent(&self) -> u64 {
-        self.links.iter().map(LinkStats::sent_bytes).sum()
+        self.transport().traffic().0
     }
 
     /// Total real bytes read from worker sockets since start.
     pub fn bytes_received(&self) -> u64 {
-        self.links.iter().map(LinkStats::received_bytes).sum()
+        self.transport().traffic().1
     }
 
     /// Per physical link negotiated payload encoding, in accept order —
@@ -502,7 +489,7 @@ where
     /// requested or because its worker did not advertise the requested
     /// encoding.
     pub fn link_encodings(&self) -> &[PayloadEncoding] {
-        &self.encodings
+        &self.transport().encodings
     }
 
     /// Per physical link traffic handles (accept order). Clones share
@@ -510,375 +497,30 @@ where
     /// [`export_link_metrics`]) to publish per-link traffic without
     /// borrowing the cluster.
     pub fn link_stats(&self) -> Vec<LinkStats> {
-        self.links.clone()
-    }
-
-    /// Installs a flight recorder: every subsequent round emits
-    /// dispatch/collect/decode spans, per-arrival instants (on the real
-    /// arrival clock), and recode spans on hot swaps.
-    pub fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Attaches cache/solve metric handles to the decode codec (fanned
-    /// out through the whole escalation ladder). As with the threaded
-    /// cluster, [`SocketCluster::recode`] builds a fresh codec —
-    /// re-attach after hot swaps if continuity matters.
-    pub fn attach_codec_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.codec.attach_metrics(metrics);
-    }
-
-    /// Runs one collect round: broadcast, gather, decode or escalate.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SocketCluster::dispatch`] and [`SocketCluster::collect`].
-    pub fn round(&mut self, iteration: usize, params: &[f64]) -> Result<SocketRound, NetError> {
-        self.dispatch(params)?;
-        self.collect(iteration)
-    }
-
-    /// Broadcasts `params` to every live worker and returns immediately —
-    /// the first half of the split round cycle, encoded once and fanned
-    /// out byte-identically to each link.
-    ///
-    /// Unlike the threaded dispatch, a failed send is **not** fatal: a
-    /// real network must survive peer loss, so the link is marked dead
-    /// (its worker simply never replies and the escalation ladder absorbs
-    /// it) and the round proceeds. Only a fully dead fleet errors.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::InvalidConfig`] when a round is already in flight.
-    /// * [`NetError::WorkerLost`] when no live connection remains.
-    pub fn dispatch(&mut self, params: &[f64]) -> Result<(), NetError> {
-        if self.inflight.is_some() {
-            return Err(NetError::InvalidConfig {
-                reason: "dispatch while a round is in flight (collect it first)".into(),
-            });
-        }
-        let _dispatch_span = self.recorder.as_ref().map(|r| r.span(Phase::Dispatch));
-        self.round_seq += 1;
-        let seq = self.round_seq;
-        let encoded = Frame::Round {
-            seq,
-            params: params.to_vec(),
-        }
-        .encode();
-        for (link, mark) in self.links.iter().zip(self.bytes_mark.iter_mut()) {
-            *mark = (link.sent_bytes(), link.received_bytes());
-        }
-        let mut live = 0usize;
-        let mut first_dead = 0usize;
-        for j in 0..self.codec.workers() {
-            let c = self.row_of[j];
-            if !self.alive[c].load(Ordering::Relaxed) {
-                first_dead = c;
-                continue;
-            }
-            match self.conns[c].send_encoded(&encoded) {
-                Ok(()) => {
-                    live += 1;
-                    self.links[c].frames_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // Broken pipe: the peer is gone. Demote the link and
-                    // let the escalation ladder handle the missing reply.
-                    self.alive[c].store(false, Ordering::Relaxed);
-                    first_dead = c;
-                }
-            }
-        }
-        if live == 0 {
-            return Err(NetError::WorkerLost { worker: first_dead });
-        }
-        self.inflight = Some((seq, Instant::now()));
-        Ok(())
-    }
-
-    /// Collects the round started by the last [`SocketCluster::dispatch`]
-    /// — the threaded collect loop verbatim, fed by the reader threads'
-    /// shared reply channel. The escalation deadline runs from the
-    /// dispatch; stale replies are demoted to late-timing telemetry; at
-    /// the deadline the queue is drained (an exact decode may already be
-    /// waiting) before the survivor set goes to the escalation ladder.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::InvalidConfig`] when no round is in flight.
-    /// * [`NetError::Undecodable`] when the round cannot decode within
-    ///   the deadline and the ladder declines.
-    pub fn collect(&mut self, iteration: usize) -> Result<SocketRound, NetError> {
-        let (tag, started) = self
-            .inflight
-            .take()
-            .ok_or_else(|| NetError::InvalidConfig {
-                reason: "collect without a dispatched round".into(),
-            })?;
-
-        // Clone the recorder so the span guard borrows a local, not
-        // `self` (absorb below needs `&mut self`).
-        let recorder = self.recorder.clone();
-        let collect_span = recorder.as_ref().map(|r| r.span(Phase::Collect));
-        self.session.reset();
-        let pool_hits_before = self.session.pool().hits();
-        self.received.iter_mut().for_each(|slot| *slot = None);
-        self.compute_seconds.iter_mut().for_each(|c| *c = 0.0);
-        self.arrival_seconds.iter_mut().for_each(|a| *a = 0.0);
-        self.wire_errors.iter_mut().for_each(|e| *e = 0.0);
-        self.payload_bytes.iter_mut().for_each(|b| *b = 0);
-        let mut fallback: Option<DecodePlan> = None;
-        loop {
-            let recv_result = match self.timeout {
-                Some(t) => match t.checked_sub(started.elapsed()) {
-                    Some(remaining) => self.reply_rx.recv_timeout(remaining).map_err(|_| ()),
-                    None => Err(()), // deadline already passed
-                },
-                None => self.reply_rx.recv().map_err(|_| ()),
-            };
-            let reply = match recv_result {
-                Ok(reply) => reply,
-                Err(()) => {
-                    // Deadline reached (or every reader thread exited)
-                    // without an exact decode: drain the queue first,
-                    // then consult the escalation ladder.
-                    let mut drained = false;
-                    while let Ok(reply) = self.reply_rx.try_recv() {
-                        if self.absorb(tag, started, reply)? {
-                            drained = true;
-                            break;
-                        }
-                    }
-                    if drained {
-                        break;
-                    }
-                    let survivors: Vec<usize> = self
-                        .received
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(w, slot)| slot.is_some().then_some(w))
-                        .collect();
-                    if let Some(plan) = self.codec.fallback_plan(&survivors) {
-                        fallback = Some(plan);
-                        break;
-                    }
-                    return Err(NetError::Undecodable {
-                        iteration,
-                        received: survivors.len(),
-                    });
-                }
-            };
-            if self.absorb(tag, started, reply)? {
-                break;
-            }
-        }
-        drop(collect_span);
-        let plan = match fallback.as_ref() {
-            Some(plan) => plan,
-            None => self
-                .session
-                .decoded_plan()
-                .expect("collect loop broke on a decode"),
-        };
-
-        let decode_span = self.recorder.as_ref().map(|r| r.span(Phase::Decode));
-        let mut gradient = vec![0.0; self.model.num_params()];
-        plan.apply_rows_into(|w| self.received[w].as_deref(), &mut gradient)?;
-        drop(decode_span);
-        let used = plan.len();
-        let residual = plan.residual();
-        let alloc_bytes = self
-            .received
-            .iter()
-            .flatten()
-            .map(|coded| std::mem::size_of_val(&coded[..]) as u64)
-            .sum();
-        let mut late_busy = vec![0.0; self.late_compute_seconds.len()];
-        for (w, late) in self.late_compute_seconds.iter_mut().enumerate() {
-            if self.compute_seconds[w] == 0.0 {
-                late_busy[w] = *late;
-            }
-            *late = 0.0;
-        }
-        let link_bytes: Vec<(u64, u64)> = self
-            .links
-            .iter()
-            .zip(&self.bytes_mark)
-            .map(|(link, &(sent0, recv0))| {
-                (link.sent_bytes() - sent0, link.received_bytes() - recv0)
-            })
-            .collect();
-        // Quantization errors combine in quadrature (independent lossy
-        // links); savings compare each reply's payload to the f64 width
-        // it displaced.
-        let wire_error = self.wire_errors.iter().map(|e| e * e).sum::<f64>().sqrt();
-        let full_width = (self.model.num_params() * 8) as u64;
-        let bytes_saved = self
-            .payload_bytes
-            .iter()
-            .filter(|&&b| b > 0)
-            .map(|&b| full_width.saturating_sub(b))
-            .sum();
-        Ok(SocketRound {
-            gradient,
-            residual,
-            results_used: used,
-            elapsed: started.elapsed(),
-            busy: self.compute_seconds.clone(),
-            late_busy,
-            arrivals: self.arrival_seconds.clone(),
-            alloc_bytes,
-            pool_hits: self.session.pool().hits() - pool_hits_before,
-            bytes_sent: link_bytes.iter().map(|&(s, _)| s).sum(),
-            bytes_received: link_bytes.iter().map(|&(_, r)| r).sum(),
-            link_bytes,
-            wire_error,
-            bytes_saved,
-        })
-    }
-
-    /// Feeds one reply into the round state; `Ok(true)` when it completed
-    /// an exact decode. Stale-round replies become late-timing telemetry
-    /// (out-of-range rows from a pre-recode regime are dropped).
-    fn absorb(&mut self, tag: u64, started: Instant, reply: Reply) -> Result<bool, NetError> {
-        let worker = reply.worker;
-        if reply.seq != tag {
-            if let Some(slot) = self.late_compute_seconds.get_mut(worker) {
-                *slot = reply.compute_seconds;
-            }
-            return Ok(false);
-        }
-        if worker >= self.received.len() {
-            return Ok(false);
-        }
-        self.compute_seconds[worker] = reply.compute_seconds;
-        self.wire_errors[worker] = reply.wire_error;
-        self.payload_bytes[worker] = reply.payload_bytes;
-        self.arrival_seconds[worker] = reply
-            .arrived
-            .saturating_duration_since(started)
-            .as_secs_f64();
-        if let Some(rec) = &self.recorder {
-            // The instant is stamped at absorb time; the true arrival
-            // clock (reader-thread receipt) rides in the round sample.
-            rec.instant(Phase::Arrival, (worker + 1) as u64);
-        }
-        self.received[worker] = Some(reply.coded);
-        Ok(self.session.push_arrival(worker)?)
-    }
-
-    /// Hot-swaps a rebuilt coding strategy onto the **surviving**
-    /// connections: the new matrix (which must have exactly one row per
-    /// live link) is compiled into the configured backend + escalation
-    /// policy, and each survivor receives a [`Frame::Recode`] carrying
-    /// its new row, sample ranges and coefficients. TCP ordering makes an
-    /// acknowledgement unnecessary: a worker applies the recode before
-    /// any round dispatched after it, and replies to older rounds are
-    /// already filtered by sequence number.
-    ///
-    /// Unlike the threaded hot-swap, nothing is respawned — the processes
-    /// keep their dataset and behaviour; only row/shard/coefficients
-    /// change. Behaviour schedules therefore stay pinned to the physical
-    /// process, not the logical row.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] when the matrix does not match the
-    /// live-connection count or cannot be compiled/partitioned — the old
-    /// regime keeps running in that case. A send failure to a survivor
-    /// surfaces as [`NetError::WorkerLost`].
-    pub fn recode(&mut self, code: CodingMatrix) -> Result<(), NetError> {
-        if self.inflight.is_some() {
-            return Err(NetError::InvalidConfig {
-                reason: "recode while a round is in flight (collect it first)".into(),
-            });
-        }
-        let live: Vec<usize> = (0..self.alive.len())
-            .filter(|&c| self.alive[c].load(Ordering::Relaxed))
-            .collect();
-        if code.workers() != live.len() {
-            return Err(NetError::InvalidConfig {
-                reason: format!(
-                    "recode matrix has {} rows but {} live connections",
-                    code.workers(),
-                    live.len()
-                ),
-            });
-        }
-        let _recode_span = self.recorder.as_ref().map(|r| r.span(Phase::Recode));
-        let codec = build_codec(code, &self.config)?;
-        let assignment = even_assignment(self.data.len(), codec.partitions())?;
-        for (j, &c) in live.iter().enumerate() {
-            let (ranges, coefficients) = row_assignment(&codec, &assignment, j)?;
-            let frame = Frame::Recode {
-                row: j as u32,
-                ranges,
-                coefficients,
-            };
-            if self.conns[c].send(&frame).is_err() {
-                self.alive[c].store(false, Ordering::Relaxed);
-                return Err(NetError::WorkerLost { worker: c });
-            }
-            self.links[c].frames_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        let m = codec.workers();
-        self.session = codec.session();
-        self.received = vec![None; m];
-        self.compute_seconds = vec![0.0; m];
-        self.late_compute_seconds = vec![0.0; m];
-        self.arrival_seconds = vec![0.0; m];
-        self.wire_errors = vec![0.0; m];
-        self.payload_bytes = vec![0; m];
-        self.row_of = live;
-        self.codec = codec;
-        Ok(())
-    }
-
-    /// Shuts the worker processes down (best-effort `Shutdown` frames),
-    /// closes the links and joins the reader threads. Equivalent to
-    /// dropping the cluster, but explicit.
-    pub fn shutdown(self) {}
-}
-
-impl<M> Drop for SocketCluster<M> {
-    fn drop(&mut self) {
-        let goodbye = Frame::Shutdown.encode();
-        for conn in &mut self.conns {
-            let _ = conn.send_encoded(&goodbye);
-            // Closing our end unblocks the reader thread on the cloned fd.
-            let _ = conn.stream().shutdown(std::net::Shutdown::Both);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.transport().links.clone()
     }
 }
 
-/// `PartitionAssignment::even` with the runtime's error shape.
-fn even_assignment(samples: usize, partitions: usize) -> Result<PartitionAssignment, NetError> {
-    PartitionAssignment::even(samples, partitions).map_err(|e| NetError::InvalidConfig {
-        reason: format!("partitioning failed: {e}"),
-    })
+impl<M> Deref for SocketCluster<M> {
+    type Target = Master<M, TcpTransport>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
-/// A row's marching orders in wire form: sample ranges (from the codec's
-/// precompiled CSR support) and the aligned coefficients.
-type RowAssignment = (Vec<(u32, u32)>, Vec<f64>);
-
-fn row_assignment(
-    codec: &EscalatingCodec,
-    assignment: &PartitionAssignment,
-    row: usize,
-) -> Result<RowAssignment, NetError> {
-    let compiled = codec.base().as_compiled();
-    let mut ranges = Vec::new();
-    for &p in compiled.support_of(row) {
-        let (lo, hi) = assignment.range(p).map_err(|e| NetError::InvalidConfig {
-            reason: format!("partition {p} outside the assignment: {e}"),
-        })?;
-        ranges.push((lo as u32, hi as u32));
+impl<M> DerefMut for SocketCluster<M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
-    Ok((ranges, compiled.coefficients_of(row).to_vec()))
+}
+
+/// Sample ranges in wire form.
+fn wire_ranges(ranges: &[(usize, usize)]) -> Vec<(u32, u32)> {
+    ranges
+        .iter()
+        .map(|&(lo, hi)| (lo as u32, hi as u32))
+        .collect()
 }
 
 /// Polls a nonblocking accept until a connection arrives or the accept
@@ -924,7 +566,7 @@ fn spawn_reader(
     mut conn: Connection,
     num_params: usize,
     encoding: PayloadEncoding,
-    replies: Sender<Reply>,
+    replies: Sender<Reply<Vec<f64>>>,
     alive: Arc<AtomicBool>,
     frames_received: Arc<AtomicU64>,
 ) -> std::thread::JoinHandle<()> {
@@ -1035,7 +677,7 @@ fn spawn_reader(
                         compute_seconds,
                         wire_error: wire_error.unwrap_or(0.0),
                         payload_bytes: done.payload_bytes,
-                        arrived: Instant::now(),
+                        arrived: Some(Instant::now()),
                     };
                     if replies.send(reply).is_err() {
                         break; // master gone

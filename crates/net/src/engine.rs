@@ -1,223 +1,117 @@
-//! [`SocketEngine`]: the socket cluster behind the same `RoundEngine` +
-//! `PipelinedEngine` traits the threaded runtime implements, so
-//! `hetgc::TrainDriver` and `hetgc::PipelinedDriver` run over real TCP
-//! with **no call-site changes** — swap the engine, keep the loop.
+//! [`SocketEngine`]: a [`SocketCluster`] behind `hetgc`'s one cluster
+//! engine, so `hetgc::TrainDriver` and `hetgc::PipelinedDriver` run over
+//! real TCP with **no call-site changes** — swap the engine, keep the
+//! loop.
 //!
-//! Two telemetry upgrades over the threaded engine fall out of the real
-//! transport: each [`RoundSample`] carries the *measured* master-side
-//! arrival time (the threaded engine can only approximate arrival by
-//! compute end), and each round reports the real `bytes_sent` /
-//! `bytes_received` moved over the wire.
+//! Two telemetry upgrades fall out of the real transport: each
+//! `RoundSample` carries the *measured* master-side arrival time (an
+//! in-process transport can only approximate arrival by compute end), and
+//! each round reports the real `bytes_sent` / `bytes_received` moved over
+//! the wire.
 
-use hetgc::{
-    scheme_from_estimates, EngineRound, PipelinedEngine, RoundEngine, RoundSample, SchemeKind,
-};
-use hetgc_coding::GradientCodec;
+use std::ops::{Deref, DerefMut};
+
+use hetgc::{ClusterEngine, EngineRound, PipelinedEngine, RoundEngine, SchemeKind};
 use hetgc_ml::Model;
 use hetgc_obs::Recorder;
 use rand::RngCore;
 
-use crate::cluster::{SocketCluster, SocketRound};
-use crate::error::NetError;
+use crate::cluster::SocketCluster;
 
 /// The driver traits' error type (structurally `hetgc`'s `BoxError`,
 /// which is not re-exported).
 type BoxError = Box<dyn std::error::Error + Send + Sync>;
 
 /// The TCP data plane as a driver engine. Construct a
-/// [`SocketCluster`], wrap it, hand it to the driver.
+/// [`SocketCluster`], wrap it, hand it to the driver. Everything but the
+/// constructor lives on the [`ClusterEngine`] this derefs and forwards
+/// to.
 #[derive(Debug)]
-pub struct SocketEngine<M> {
-    cluster: SocketCluster<M>,
-    label: String,
-    recode_spec: Option<(SchemeKind, usize)>,
-    recodes: usize,
-}
+pub struct SocketEngine<M>(ClusterEngine<SocketCluster<M>>);
 
-impl<M> SocketEngine<M>
-where
-    M: Model + Send + Sync + 'static,
-{
+impl<M> SocketEngine<M> {
     /// Wraps a started cluster (label `"socket"`).
     pub fn new(cluster: SocketCluster<M>) -> Self {
-        SocketEngine {
-            cluster,
-            label: "socket".to_owned(),
-            recode_spec: None,
-            recodes: 0,
-        }
+        SocketEngine(ClusterEngine::over(cluster, "socket"))
     }
 
     /// Overrides the curve label (default `"socket"`).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
+    pub fn with_label(self, label: impl Into<String>) -> Self {
+        SocketEngine(self.0.with_label(label))
     }
 
     /// Enables live re-coding: on [`RoundEngine::recode`] the engine
     /// rebuilds a `kind` scheme tolerating `stragglers` stragglers from
     /// the fresh estimates of the **surviving** workers and re-rows the
     /// live connections around it.
-    pub fn with_recoding(mut self, kind: SchemeKind, stragglers: usize) -> Self {
-        self.recode_spec = Some((kind, stragglers));
-        self
-    }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &SocketCluster<M> {
-        &self.cluster
-    }
-
-    /// The underlying cluster, mutably — for pre-run observability
-    /// wiring ([`SocketCluster::attach_codec_metrics`],
-    /// [`SocketCluster::link_stats`], timeouts).
-    pub fn cluster_mut(&mut self) -> &mut SocketCluster<M> {
-        &mut self.cluster
-    }
-
-    /// How many times [`RoundEngine::recode`] installed a rebuilt code.
-    pub fn recodes(&self) -> usize {
-        self.recodes
-    }
-
-    /// Converts a completed [`SocketRound`] into the driver's
-    /// [`EngineRound`] — shared by the sequential and pipelined paths.
-    fn engine_round(&self, r: SocketRound) -> EngineRound {
-        let k = self.cluster.partitions();
-        let samples_per_partition = self.cluster.data().len() as f64 / k as f64;
-        let elapsed = r.elapsed.as_secs_f64();
-        let codec = self.cluster.codec();
-        let samples = r
-            .busy
-            .iter()
-            .enumerate()
-            .map(|(w, &compute)| {
-                let work = codec.load_of(w) as f64 * samples_per_partition;
-                if compute > 0.0 {
-                    // Real arrival: when the reply's final frame reached
-                    // the master, offset from the dispatch — includes
-                    // serialization and wire time, not just compute.
-                    let arrival = if r.arrivals[w] > 0.0 {
-                        r.arrivals[w]
-                    } else {
-                        compute
-                    };
-                    RoundSample::completed(w, work, compute, arrival)
-                } else if r.late_busy.get(w).copied().unwrap_or(0.0) > 0.0 {
-                    let late = r.late_busy[w];
-                    RoundSample::completed(w, work, late, late).late()
-                } else {
-                    RoundSample::failed(w, work)
-                }
-            })
-            .collect();
-        EngineRound {
-            elapsed: Some(elapsed),
-            at: None,
-            gradient: Some(r.gradient),
-            residual: r.residual,
-            error_bound: None,
-            results_used: r.results_used,
-            busy: r.busy,
-            samples,
-            alloc_bytes: r.alloc_bytes,
-            pool_hits: r.pool_hits,
-            bytes_sent: r.bytes_sent,
-            bytes_received: r.bytes_received,
-            wire_error: r.wire_error,
-            bytes_saved: r.bytes_saved,
-            stop: false,
-        }
+    pub fn with_recoding(self, kind: SchemeKind, stragglers: usize) -> Self {
+        SocketEngine(self.0.with_recoding(kind, stragglers))
     }
 }
 
-impl<M> RoundEngine for SocketEngine<M>
-where
-    M: Model + Send + Sync + 'static,
-{
+impl<M> Deref for SocketEngine<M> {
+    type Target = ClusterEngine<SocketCluster<M>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<M> DerefMut for SocketEngine<M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<M: Model> RoundEngine for SocketEngine<M> {
     fn workers(&self) -> usize {
-        self.cluster.workers()
+        self.0.workers()
     }
 
     fn partitions(&self) -> usize {
-        self.cluster.partitions()
+        self.0.partitions()
     }
 
     fn label(&self) -> &str {
-        &self.label
+        self.0.label()
     }
 
     fn round(
         &mut self,
         round: usize,
         params: &[f64],
-        _rng: &mut dyn RngCore,
+        rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.round(round, params)?;
-        Ok(self.engine_round(r))
+        self.0.round(round, params, rng)
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.cluster.attach_recorder(recorder);
+        self.0.attach_recorder(recorder);
     }
 
     fn set_deadline(&mut self, deadline: f64) {
-        // Same gating as the threaded engine: a deadline the escalation
-        // ladder cannot act on would turn slow rounds into hard errors.
-        if deadline.is_finite() && deadline > 0.0 && self.cluster.codec().can_escalate() {
-            self.cluster
-                .set_timeout(std::time::Duration::from_secs_f64(deadline));
-        }
+        self.0.set_deadline(deadline);
     }
 
     fn supports_recode(&self) -> bool {
-        self.recode_spec.is_some()
+        self.0.supports_recode()
     }
 
     fn recode(&mut self, estimates: &[f64], rng: &mut dyn RngCore) -> Result<bool, BoxError> {
-        let Some((kind, stragglers)) = self.recode_spec else {
-            return Ok(false);
-        };
-        // Rebuild around the survivors only: a dead link contributes no
-        // estimate and gets no row. Fewer than two survivors cannot
-        // carry a coded scheme — decline and keep limping.
-        let live = self.cluster.live_rows();
-        if live.len() < 2 {
-            return Ok(false);
-        }
-        let survivors: Vec<f64> = live
-            .iter()
-            .filter_map(|&j| estimates.get(j).copied())
-            .collect();
-        if survivors.len() != live.len() {
-            return Ok(false);
-        }
-        let Ok(scheme) = scheme_from_estimates(kind, &survivors, stragglers, None, rng) else {
-            return Ok(false); // infeasible estimates: keep the old code
-        };
-        match self.cluster.recode(scheme.code) {
-            Ok(()) => {
-                self.recodes += 1;
-                Ok(true)
-            }
-            // An unbuildable rebuild declines (the old regime keeps
-            // running); only infrastructure failures abort the run.
-            Err(NetError::InvalidConfig { .. }) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
+        self.0.recode(estimates, rng)
+    }
+
+    fn worker_loads(&self) -> Option<Vec<usize>> {
+        self.0.worker_loads()
     }
 }
 
-impl<M> PipelinedEngine for SocketEngine<M>
-where
-    M: Model + Send + Sync + 'static,
-{
-    fn dispatch(&mut self, _round: usize, params: &[f64]) -> Result<(), BoxError> {
-        self.cluster.dispatch(params).map_err(Into::into)
+impl<M: Model> PipelinedEngine for SocketEngine<M> {
+    fn dispatch(&mut self, round: usize, params: &[f64]) -> Result<(), BoxError> {
+        self.0.dispatch(round, params)
     }
 
     fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.collect(round)?;
-        Ok(self.engine_round(r))
+        self.0.collect(round)
     }
 }

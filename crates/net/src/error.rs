@@ -2,10 +2,11 @@
 //!
 //! Two layers: [`WireError`] is the pure protocol layer (a malformed byte
 //! sequence — no I/O involved), [`NetError`] wraps it together with
-//! transport failures and the master-side round outcomes that mirror
-//! `hetgc_runtime::RuntimeError`'s contract (`Undecodable`,
-//! `WorkerLost`), so `SocketCluster` rounds surface exactly the error
-//! shapes `ThreadedCluster` rounds do.
+//! transport and set-up failures. Rounds themselves run on
+//! `hetgc_runtime::Master` and fail with its `RuntimeError`
+//! (`Undecodable`, `WorkerLost`, …) on every transport;
+//! [`NetError::Runtime`] carries one across a `NetError` boundary
+//! (cluster start-up).
 
 use std::error::Error;
 use std::fmt;
@@ -81,30 +82,9 @@ pub enum NetError {
     Closed,
     /// The handshake phase failed (wrong first frame, accept timeout, …).
     Handshake(String),
-    /// Configuration inconsistent with the coding matrix, dataset or
-    /// cluster membership — mirrors `RuntimeError::InvalidConfig`.
-    InvalidConfig {
-        /// Human-readable description.
-        reason: String,
-    },
-    /// A round could not be decoded within the deadline and the
-    /// escalation ladder declined — mirrors `RuntimeError::Undecodable`.
-    Undecodable {
-        /// The 1-based round that failed.
-        iteration: usize,
-        /// How many results arrived before the master gave up.
-        received: usize,
-    },
-    /// Every worker connection is gone.
-    WorkerLost {
-        /// A worker whose connection closed (the first observed).
-        worker: usize,
-    },
-    /// The coding layer failed (propagated message).
-    Coding {
-        /// Underlying message.
-        message: String,
-    },
+    /// The master rejected the cluster's configuration (codec backend,
+    /// partitioning, model spec).
+    Runtime(hetgc_runtime::RuntimeError),
     /// The wire codec (quantize/dequantize) failed on a payload.
     Payload(hetgc_comm::CommError),
 }
@@ -117,16 +97,7 @@ impl fmt::Display for NetError {
             NetError::Timeout => write!(f, "receive deadline passed"),
             NetError::Closed => write!(f, "connection closed by peer"),
             NetError::Handshake(reason) => write!(f, "handshake failed: {reason}"),
-            NetError::InvalidConfig { reason } => write!(f, "invalid net config: {reason}"),
-            NetError::Undecodable {
-                iteration,
-                received,
-            } => write!(
-                f,
-                "round {iteration} undecodable after {received} results (too many stragglers)"
-            ),
-            NetError::WorkerLost { worker } => write!(f, "worker {worker} connection lost"),
-            NetError::Coding { message } => write!(f, "coding failure: {message}"),
+            NetError::Runtime(e) => write!(f, "{e}"),
             NetError::Payload(e) => write!(f, "wire codec failure: {e}"),
         }
     }
@@ -158,30 +129,9 @@ impl From<hetgc_comm::CommError> for NetError {
     }
 }
 
-impl From<hetgc_coding::CodingError> for NetError {
-    fn from(e: hetgc_coding::CodingError) -> Self {
-        NetError::Coding {
-            message: e.to_string(),
-        }
-    }
-}
-
 impl From<hetgc_runtime::RuntimeError> for NetError {
     fn from(e: hetgc_runtime::RuntimeError) -> Self {
-        match e {
-            hetgc_runtime::RuntimeError::InvalidConfig { reason } => {
-                NetError::InvalidConfig { reason }
-            }
-            hetgc_runtime::RuntimeError::Undecodable {
-                iteration,
-                received,
-            } => NetError::Undecodable {
-                iteration,
-                received,
-            },
-            hetgc_runtime::RuntimeError::WorkerLost { worker } => NetError::WorkerLost { worker },
-            hetgc_runtime::RuntimeError::Coding { message } => NetError::Coding { message },
-        }
+        NetError::Runtime(e)
     }
 }
 
@@ -190,6 +140,7 @@ impl Error for NetError {
         match self {
             NetError::Wire(e) => Some(e),
             NetError::Io(e) => Some(e),
+            NetError::Runtime(e) => Some(e),
             NetError::Payload(e) => Some(e),
             _ => None,
         }

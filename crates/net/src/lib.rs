@@ -1,6 +1,6 @@
 //! `hetgc-net`: the real TCP data plane for heterogeneity-aware gradient
-//! coding — the same master round loop the threaded runtime runs, over
-//! sockets and worker *processes* instead of channels and threads.
+//! coding — `hetgc_runtime`'s one master round loop over sockets and
+//! worker *processes* instead of channels and threads.
 //!
 //! Layers, bottom up:
 //!
@@ -16,12 +16,15 @@
 //!   newest-round fast-forward, the *identical* coded-gradient
 //!   arithmetic as the in-process worker thread, chunked streaming
 //!   replies.
-//! * [`cluster`] — [`SocketCluster`]: the master. Dispatch/collect
-//!   split, escalation deadlines, live re-coding onto surviving
-//!   connections, real per-round byte metering.
-//! * [`engine`] — [`SocketEngine`]: `RoundEngine` + `PipelinedEngine`,
-//!   so `hetgc::TrainDriver` and `hetgc::PipelinedDriver` drive TCP
-//!   workers with no call-site changes.
+//! * [`cluster`] — [`TcpTransport`], the master's TCP transport (per-link
+//!   reader threads, peer-loss demotion, re-rowing the surviving
+//!   connections, real per-round byte metering), and [`SocketCluster`],
+//!   a `hetgc_runtime::Master` over it plus the accept/handshake
+//!   constructors and link accessors.
+//! * [`engine`] — [`SocketEngine`]: `hetgc::ClusterEngine` over a
+//!   `SocketCluster`, so `hetgc::TrainDriver` and
+//!   `hetgc::PipelinedDriver` drive TCP workers with no call-site
+//!   changes.
 //! * [`spawn`] — [`WorkerFleet`]: process lifecycle for tests and fault
 //!   drills (spawn n workers, kill one mid-run, reap on drop).
 //!
@@ -43,7 +46,7 @@ pub mod spec;
 pub mod worker;
 
 pub use cluster::{
-    export_link_metrics, LinkStats, SocketCluster, SocketListener, SocketRound, DEFAULT_CHUNK_LEN,
+    export_link_metrics, LinkStats, SocketCluster, SocketListener, TcpTransport, DEFAULT_CHUNK_LEN,
 };
 pub use conn::Connection;
 pub use engine::SocketEngine;

@@ -8,6 +8,7 @@
 //! socket run decodes to **bitwise** the same gradients as a threaded
 //! run — the loopback equivalence tests pin exactly that.
 
+use std::io::ErrorKind;
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
 
@@ -212,7 +213,7 @@ fn serve(
             m.rounds.inc();
             m.compute.observe(started.elapsed().as_secs_f64());
         }
-        match &mut lossy {
+        let replied = match &mut lossy {
             Some(link) => stream_encoded_reply(
                 &mut conn,
                 &assignment,
@@ -221,8 +222,25 @@ fn serve(
                 chunk_len,
                 started,
                 link,
-            )?,
-            None => stream_reply(&mut conn, &assignment, seq, &coded, chunk_len, started)?,
+            ),
+            None => stream_reply(&mut conn, &assignment, seq, &coded, chunk_len, started),
+        };
+        // A write into a link the master already closed is the same
+        // hang-up a read reports as `Closed`: a clean exit.
+        let replied = replied.map_err(|e| match e {
+            NetError::Io(io)
+                if matches!(
+                    io.kind(),
+                    ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+                ) =>
+            {
+                NetError::Closed
+            }
+            e => e,
+        });
+        match replied {
+            Err(NetError::Closed) => return Ok(()),
+            other => other?,
         }
     }
 }

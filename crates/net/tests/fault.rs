@@ -191,3 +191,45 @@ fn all_workers_dead_is_a_typed_error_not_a_hang() {
         "unexpected error: {msg}"
     );
 }
+
+#[test]
+fn master_hang_up_mid_reply_is_a_clean_worker_exit() {
+    // Both workers are inside their injected delay when the cluster
+    // drops; they wake up and stream a many-chunk reply into links the
+    // master has already closed. `run_worker` promises `Ok(())` for a
+    // master hang-up, wherever in the round it lands.
+    const DELAY: Duration = Duration::from_millis(200);
+    let mut rng = StdRng::seed_from_u64(13);
+    let data = Arc::new(synthetic::linear_regression(40, 64, 0.05, &mut rng));
+    let model = Arc::new(LinearRegression::new(64));
+    let code = hetgc::naive(2).expect("scheme");
+    let slow = hetgc::WorkerBehavior::nominal().with_delay(DELAY);
+    let config = RuntimeConfig::nominal(2)
+        .set_behavior(0, slow.clone())
+        .set_behavior(1, slow);
+
+    let listener = SocketListener::bind().expect("bind loopback");
+    let addr = listener.addr();
+    let workers: Vec<_> = (0..2)
+        .map(|_| std::thread::spawn(move || hetgc_net::run_worker(addr)))
+        .collect();
+    let mut cluster = SocketCluster::start_with(
+        listener,
+        code,
+        model,
+        ModelSpec::Linear { dim: 64 },
+        data,
+        &config,
+        1, // one f64 per chunk: the reply is 65 chunk writes plus RoundDone
+    )
+    .expect("socket cluster start");
+    cluster.dispatch(&[0.0; 65]).expect("dispatch");
+    std::thread::sleep(DELAY / 4);
+    drop(cluster);
+    for worker in workers {
+        worker
+            .join()
+            .expect("worker thread panicked")
+            .expect("a master hang-up is a clean worker exit");
+    }
+}

@@ -12,7 +12,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hetgc::{naive, synthetic, LinearRegression, RuntimeConfig, Sgd, TrainDriver};
+use hetgc::{
+    heter_aware, naive, synthetic, LinearRegression, RuntimeConfig, Sgd, ThreadedEngine,
+    TrainDriver,
+};
 use hetgc_coding::SharedPlanCache;
 use hetgc_net::{
     export_link_metrics, LinkStats, ModelSpec, SocketEngine, SocketListener, WorkerFleet,
@@ -64,6 +67,31 @@ fn histogram_count(snap: &hetgc_obs::MetricsSnapshot, name: &str, labels: &[(&st
     match snap.get(name, labels) {
         Some(MetricValue::Histogram(h)) => h.count,
         other => panic!("{name}{labels:?}: expected a histogram, got {other:?}"),
+    }
+}
+
+/// Arrivals are stamped where the master absorbs them — inside the
+/// collect loop — on every transport.
+fn assert_arrivals_inside_collect(recorder: &Recorder) {
+    let events = recorder.events();
+    let collects: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.phase == Phase::Collect)
+        .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
+        .collect();
+    let arrivals: Vec<u64> = events
+        .iter()
+        .filter(|e| e.phase == Phase::Arrival)
+        .map(|e| e.start_ns)
+        .collect();
+    assert!(!arrivals.is_empty(), "the run recorded no arrival instants");
+    for at in arrivals {
+        assert!(
+            collects
+                .iter()
+                .any(|&(start, end)| start <= at && at <= end),
+            "arrival instant at {at} ns lies outside every collect span {collects:?}"
+        );
     }
 }
 
@@ -235,8 +263,32 @@ fn socket_training_exposes_live_metrics_and_trace() {
             "phase {phase} missing from trace (saw {distinct:?})"
         );
     }
+    assert_arrivals_inside_collect(&recorder);
 
     server.stop();
+}
+
+#[test]
+fn threaded_arrival_instants_lie_inside_collect_spans() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let model = Arc::new(LinearRegression::new(DIM));
+    let data = Arc::new(synthetic::linear_regression(SAMPLES, DIM, 0.05, &mut rng));
+    let code = heter_aware(&[1.0; WORKERS], WORKERS, 1, &mut rng).expect("scheme");
+    let recorder = Recorder::new(4096);
+    let observer = RunObserver::new(&MetricsRegistry::new(), "threaded", WORKERS)
+        .with_recorder(recorder.clone());
+    let mut engine = ThreadedEngine::new(
+        code,
+        Arc::clone(&model),
+        Arc::clone(&data),
+        &RuntimeConfig::nominal(WORKERS),
+    )
+    .expect("threaded engine");
+    TrainDriver::new(model.as_ref(), data.as_ref(), Sgd::new(0.1))
+        .with_observer(observer)
+        .run(&mut engine, 8, &mut rng)
+        .expect("train");
+    assert_arrivals_inside_collect(&recorder);
 }
 
 #[test]

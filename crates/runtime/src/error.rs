@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the threaded runtime.
+/// Errors produced by the master, on any transport.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
     /// Configuration inconsistent with the coding matrix or dataset.
@@ -17,9 +17,10 @@ pub enum RuntimeError {
         /// How many results arrived before the master gave up.
         received: usize,
     },
-    /// A worker thread disconnected unexpectedly (panic in worker code).
+    /// A round could not be sent: a worker thread disconnected (panic in
+    /// worker code), or every worker connection is gone.
     WorkerLost {
-        /// The worker whose channel closed.
+        /// A worker whose channel or connection closed.
         worker: usize,
     },
     /// The coding layer failed (propagated message).

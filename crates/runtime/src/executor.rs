@@ -1,198 +1,140 @@
-//! The master: broadcast → collect → decode at the earliest decodable set
-//! → optimize, iterated.
-//!
-//! One layer: [`ThreadedCluster`] — the collect-round engine. It owns
-//! the worker threads, channels and one reusable decode session, and
-//! exposes [`ThreadedCluster::round`] (broadcast params, gather results,
-//! decode or escalate, combine the gradient). This is what the unified
-//! `hetgc::TrainDriver` loop drives through its `ThreadedEngine`.
-//!
-//! The timeout → approximate fallback decision is **not** implemented
-//! here: the cluster holds an `hetgc_coding::EscalatingCodec`, so the
-//! escalation code is the same one the discrete-event simulator consults
-//! at its round end — one ladder, two execution paths.
+//! The threaded worker pool: [`ThreadedCluster`] is a [`Master`] whose
+//! transport is one OS thread per worker, connected by `crossbeam`
+//! channels. This is what the unified `hetgc::TrainDriver` loop drives
+//! through its `ThreadedEngine`.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetgc_cluster::PartitionAssignment;
-use hetgc_coding::{
-    AnyCodec, ApproxCodec, CodecBackend, CodecSession, CodingMatrix, CompiledCodec, DecodePlan,
-    EscalatingCodec, GradientCodec, GroupCodec,
-};
+use hetgc_coding::CodingMatrix;
 use hetgc_ml::{Dataset, Model};
-use hetgc_obs::{Phase, Recorder};
 
 use crate::config::RuntimeConfig;
 use crate::error::RuntimeError;
+use crate::master::{build_codec, row_shards, Master, RowShard, Transport};
 use crate::message::{FromWorker, ToWorker};
 use crate::worker::{worker_main, WorkerContext};
 
-/// One completed collect round of a [`ThreadedCluster`].
-#[derive(Debug, Clone)]
-pub struct ClusterRound {
-    /// The decoded aggregated gradient `Σ_w a_w · g̃_w`, un-normalized
-    /// (the caller divides by the dataset size).
-    pub gradient: Vec<f64>,
-    /// Decode residual of the round: `0.0` for exact decodes, positive
-    /// when the escalation ladder's approximate stage rescued it.
-    pub residual: f64,
-    /// How many worker results carried decode weight.
-    pub results_used: usize,
-    /// Wall-clock duration of the round (broadcast → decoded gradient).
-    pub elapsed: Duration,
-    /// Per-worker compute seconds reported this round (0 for workers
-    /// whose result never arrived).
-    pub busy: Vec<f64>,
-    /// Per-worker compute seconds of *late* results — replies from an
-    /// earlier round that reached the master only after it had decoded
-    /// (0 when none). Late results carry no gradient weight, but their
-    /// timings are real observations: without them a consistent
-    /// within-budget straggler would be invisible to throughput
-    /// telemetry. Each late timing is reported exactly once.
-    pub late_busy: Vec<f64>,
-    /// Bytes of coded-gradient payload allocated for this round (one
-    /// `Arc<[f64]>` per reply the master consumed — the data plane's only
-    /// steady-state allocation). Surfaced as `RoundRecord.alloc_bytes`.
-    pub alloc_bytes: u64,
-    /// Decode-session buffer-pool hits this round (recycled elimination
-    /// buffers). Surfaced as `RoundRecord.pool_hits`.
-    pub pool_hits: u64,
-}
-
-/// A running coded worker pool: one OS thread per worker, channels to the
-/// master, and a reusable decode session. Spawned by
-/// [`ThreadedCluster::start`]; each [`ThreadedCluster::round`] runs one
-/// broadcast → collect → decode/escalate → combine cycle. Threads are
-/// shut down and joined on drop (or explicitly via
-/// [`ThreadedCluster::shutdown`]).
+/// The in-process [`Transport`]: parameters and coded gradients move as
+/// `Arc`s over channels, nothing is serialized, and every spawned worker
+/// stays reachable for the pool's whole life — so a failed send is a
+/// crashed worker thread, fatal to the round. Threads are shut down and
+/// joined on drop.
 #[derive(Debug)]
-pub struct ThreadedCluster<M> {
-    codec: EscalatingCodec,
+pub struct ChannelTransport<M> {
     model: Arc<M>,
     data: Arc<Dataset>,
     config: RuntimeConfig,
-    timeout: Option<Duration>,
     to_workers: Vec<Sender<ToWorker>>,
-    from_rx: Option<Receiver<FromWorker>>,
+    from_rx: Receiver<FromWorker>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    session: CodecSession,
-    /// The master's per-worker recycle ring: one arrival slot per worker,
-    /// reused round over round. An arriving payload *moves* into its slot
-    /// (no clone); the previous round's payloads are released when the
-    /// next collect rearms the slots.
-    received: Vec<Option<Arc<[f64]>>>,
-    /// The dispatched-but-not-yet-collected round (tag + dispatch time),
-    /// for the split [`ThreadedCluster::dispatch`] /
-    /// [`ThreadedCluster::collect`] cycle.
-    inflight: Option<(usize, Instant)>,
-    compute_seconds: Vec<f64>,
-    /// Compute seconds from stale (previous-round) replies observed
-    /// while waiting on the current round, per worker — surfaced once
-    /// through [`ClusterRound::late_busy`].
-    late_compute_seconds: Vec<f64>,
-    /// Internal round tag, strictly increasing across [`ThreadedCluster::round`]
-    /// calls — workers echo it back, so stale results from ANY earlier
-    /// round (including a previous driver run over the same cluster) are
-    /// filtered out regardless of the caller's numbering.
-    round_seq: usize,
-    /// Flight recorder for the master's hot phases (dispatch, collect,
-    /// decode, recode); `None` until attached.
-    recorder: Option<Recorder>,
 }
 
-/// Spawns one worker thread per codec row, returning the channel ends
-/// and join handles — shared by [`ThreadedCluster::start`] and the
-/// live-re-code respawn path.
-type WorkerPool = (
-    Vec<Sender<ToWorker>>,
-    Receiver<FromWorker>,
-    Vec<std::thread::JoinHandle<()>>,
-);
-
-fn spawn_workers<M>(
-    codec: &EscalatingCodec,
-    model: &Arc<M>,
-    data: &Arc<Dataset>,
-    config: &RuntimeConfig,
-) -> Result<WorkerPool, RuntimeError>
+impl<M> ChannelTransport<M>
 where
     M: Model + Send + Sync + 'static,
 {
-    let assignment = PartitionAssignment::even(data.len(), codec.partitions()).map_err(|e| {
-        RuntimeError::InvalidConfig {
-            reason: format!("partitioning failed: {e}"),
+    /// Spawns one worker thread per shard.
+    fn spawn(
+        shards: Vec<RowShard>,
+        model: Arc<M>,
+        data: Arc<Dataset>,
+        config: &RuntimeConfig,
+    ) -> Self {
+        let (from_tx, from_rx) = unbounded();
+        let mut to_workers = Vec::with_capacity(shards.len());
+        let mut handles = Vec::with_capacity(shards.len());
+        for (w, (ranges, coefficients)) in shards.into_iter().enumerate() {
+            let (to_tx, to_rx) = unbounded::<ToWorker>();
+            to_workers.push(to_tx);
+            let ctx = WorkerContext {
+                index: w,
+                model: Arc::clone(&model),
+                data: Arc::clone(&data),
+                ranges,
+                coefficients,
+                behavior: config.behavior_of(w),
+                inbox: to_rx,
+                outbox: from_tx.clone(),
+            };
+            handles.push(std::thread::spawn(move || worker_main(ctx)));
         }
-    })?;
-    let m = codec.workers();
-    let (from_tx, from_rx) = unbounded::<FromWorker>();
-    let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for w in 0..m {
-        let (to_tx, to_rx) = unbounded::<ToWorker>();
-        to_workers.push(to_tx);
-        // The codec's precompiled CSR row is exactly the worker's
-        // marching orders: which partitions, with which coefficients.
-        let compiled = codec.base().as_compiled();
-        let ranges: Vec<(usize, usize)> = compiled
-            .support_of(w)
-            .iter()
-            .map(|&p| assignment.range(p).expect("support within k"))
-            .collect();
-        let coefficients: Vec<f64> = compiled.coefficients_of(w).to_vec();
-        let ctx = WorkerContext {
-            index: w,
-            model: Arc::clone(model),
-            data: Arc::clone(data),
-            ranges,
-            coefficients,
-            behavior: config.behavior_of(w),
-            inbox: to_rx,
-            outbox: from_tx.clone(),
-        };
-        handles.push(std::thread::spawn(move || worker_main(ctx)));
+        // `from_tx` drops here: the master keeps only the receiver.
+        ChannelTransport {
+            model,
+            data,
+            config: config.clone(),
+            to_workers,
+            from_rx,
+            handles,
+        }
     }
-    drop(from_tx); // master keeps only the receiver
-    Ok((to_workers, from_rx, handles))
 }
 
-/// Compiles `code` into the backend named by `config.backend`, then wires
-/// the escalation policy on top.
-/// Compiles `code` into the backend named by [`RuntimeConfig::backend`]
-/// and wires [`RuntimeConfig::escalation`] on top — the one codec
-/// construction every master (threaded or socket) shares.
-///
-/// # Errors
-///
-/// [`RuntimeError::InvalidConfig`] when the requested backend cannot be
-/// built from this matrix.
-pub fn build_codec(
-    code: CodingMatrix,
-    config: &RuntimeConfig,
-) -> Result<EscalatingCodec, RuntimeError> {
-    let base = match config.backend {
-        // Auto: derive groups from the support structure; when the
-        // matrix admits none (or can't be analysed) the group codec
-        // is pure overhead, so degrade to the plain exact backend.
-        CodecBackend::Auto => match GroupCodec::from_code(code.clone()) {
-            Ok(grouped) if !grouped.groups().is_empty() => AnyCodec::Group(grouped),
-            _ => AnyCodec::Exact(CompiledCodec::new(code)),
-        },
-        CodecBackend::Exact => AnyCodec::Exact(CompiledCodec::new(code)),
-        CodecBackend::Group => AnyCodec::Group(GroupCodec::from_code(code).map_err(|e| {
-            RuntimeError::InvalidConfig {
-                reason: format!("group backend construction failed: {e}"),
-            }
-        })?),
-        CodecBackend::Approx => AnyCodec::Approx(ApproxCodec::new(code)),
-    };
-    let mut codec = EscalatingCodec::new(base, config.effective_escalation());
-    if let Some(shared) = &config.shared_plans {
-        codec.attach_shared_plans(Arc::clone(shared));
+impl<M> Transport for ChannelTransport<M>
+where
+    M: Model + Send + Sync + 'static,
+{
+    type Payload = Arc<[f64]>;
+
+    fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError> {
+        let shared = Arc::new(params.to_vec());
+        for (w, tx) in self.to_workers.iter().enumerate() {
+            tx.send(ToWorker::Round {
+                // Also what the workers' fail-stop behaviours count.
+                iteration: seq as usize,
+                params: Arc::clone(&shared),
+            })
+            .map_err(|_| RuntimeError::WorkerLost { worker: w })?;
+        }
+        Ok(())
     }
-    Ok(codec)
+
+    fn replies(&self) -> &Receiver<FromWorker> {
+        &self.from_rx
+    }
+
+    /// Respawns the pool around the new shards. The data movement a new
+    /// allocation implies is local (the dataset is shared memory), so the
+    /// dominant cost is thread respawn — microseconds to milliseconds
+    /// against round times of tens of milliseconds.
+    fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError> {
+        let (model, data) = (Arc::clone(&self.model), Arc::clone(&self.data));
+        // The old pool is shut down and joined as the replaced value drops.
+        *self = Self::spawn(shards, model, data, &self.config);
+        Ok(())
+    }
+
+    fn live_rows(&self) -> Vec<usize> {
+        (0..self.to_workers.len()).collect()
+    }
+
+    fn round_traffic(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
+
+impl<M> Drop for ChannelTransport<M> {
+    fn drop(&mut self) {
+        for tx in &self.to_workers {
+            let _ = tx.send(ToWorker::Shutdown);
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A running coded worker pool: one OS thread per worker under a
+/// [`Master`], which it derefs to — [`Master::round`] runs one broadcast
+/// → collect → decode/escalate → combine cycle. Spawned by
+/// [`ThreadedCluster::start`]; threads are shut down and joined on drop
+/// (or explicitly via [`ThreadedCluster::shutdown`]).
+#[derive(Debug)]
+pub struct ThreadedCluster<M>(Master<M, ChannelTransport<M>>)
+where
+    M: Model + Send + Sync + 'static;
 
 impl<M> ThreadedCluster<M>
 where
@@ -214,354 +156,12 @@ where
         config: &RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
         let codec = build_codec(code, config)?;
-        Self::with_codec(codec, model, data, config)
-    }
-
-    /// [`ThreadedCluster::start`] over an already-compiled codec.
-    fn with_codec(
-        codec: EscalatingCodec,
-        model: Arc<M>,
-        data: Arc<Dataset>,
-        config: &RuntimeConfig,
-    ) -> Result<Self, RuntimeError> {
-        let (to_workers, from_rx, handles) = spawn_workers(&codec, &model, &data, config)?;
-        let m = codec.workers();
-        let session = codec.session();
-        Ok(ThreadedCluster {
-            codec,
-            model,
-            data,
-            config: config.clone(),
-            timeout: config.effective_timeout(),
-            to_workers,
-            from_rx: Some(from_rx),
-            handles,
-            session,
-            received: vec![None; m],
-            inflight: None,
-            compute_seconds: vec![0.0; m],
-            late_compute_seconds: vec![0.0; m],
-            round_seq: 0,
-            recorder: None,
-        })
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.codec.workers()
-    }
-
-    /// Number of data partitions.
-    pub fn partitions(&self) -> usize {
-        self.codec.partitions()
-    }
-
-    /// The escalation-wrapped codec the master decodes with.
-    pub fn codec(&self) -> &EscalatingCodec {
-        &self.codec
-    }
-
-    /// The model the workers compute gradients of.
-    pub fn model(&self) -> &Arc<M> {
-        &self.model
-    }
-
-    /// The training data.
-    pub fn data(&self) -> &Arc<Dataset> {
-        &self.data
-    }
-
-    /// Snapshot of the decode session's buffer-pool counters — what a
-    /// multi-job scheduler merges across tenants into a fleet-wide
-    /// data-plane report ([`hetgc_coding::PoolStats::merge`]).
-    pub fn pool_stats(&self) -> hetgc_coding::PoolStats {
-        self.session.pool().stats()
-    }
-
-    /// Replaces the round deadline in place — the hook a learned
-    /// escalation deadline feeds, superseding whatever the configuration
-    /// carried.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = Some(timeout);
-    }
-
-    /// Installs a flight recorder: every subsequent round emits
-    /// dispatch/collect/decode spans (and recode spans on hot swaps)
-    /// into it.
-    pub fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Attaches cache/solve metric handles to the decode codec (fanned
-    /// out through the whole escalation ladder). Note a
-    /// [`ThreadedCluster::recode`] builds a fresh codec — re-attach
-    /// after hot swaps if continuity matters.
-    pub fn attach_codec_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.codec.attach_metrics(metrics);
-    }
-
-    /// Hot-swaps a rebuilt coding strategy into the running cluster: the
-    /// new matrix is compiled into the configured backend + escalation
-    /// policy, the old worker threads are shut down and joined, and a
-    /// fresh pool is spawned around the new partition assignment — all
-    /// between rounds, preserving the internal round sequencing (workers'
-    /// fail-stop/throttle-step schedules keep counting where they were).
-    ///
-    /// This is the threaded half of adaptive re-coding: the data movement
-    /// a new allocation implies is local (the dataset is shared memory),
-    /// so the dominant cost is thread respawn — microseconds to
-    /// milliseconds against round times of tens of milliseconds.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] when the new matrix cannot be
-    /// compiled or partitioned; the old pool keeps running in that case.
-    pub fn recode(&mut self, code: CodingMatrix) -> Result<(), RuntimeError> {
-        let _recode_span = self.recorder.as_ref().map(|r| r.span(Phase::Recode));
-        let codec = build_codec(code, &self.config)?;
-        // Validate the new partitioning BEFORE tearing the old pool down.
-        let (to_workers, from_rx, handles) =
-            spawn_workers(&codec, &self.model, &self.data, &self.config)?;
-        // Retire the old pool.
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        self.from_rx = None; // old workers see the hang-up
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        self.to_workers = to_workers;
-        self.from_rx = Some(from_rx);
-        self.handles = handles;
-        self.session = codec.session();
-        self.compute_seconds = vec![0.0; codec.workers()];
-        self.late_compute_seconds = vec![0.0; codec.workers()];
-        self.received = vec![None; codec.workers()];
-        self.inflight = None;
-        self.codec = codec;
-        Ok(())
-    }
-
-    /// Runs one collect round: broadcasts `params`, streams results into
-    /// the decode session, escalates through the policy ladder at the
-    /// deadline, and combines the decoded gradient.
-    ///
-    /// Rounds are tagged with an internal strictly-increasing sequence
-    /// (which is also what workers' fail-stop behaviours count), so stale
-    /// results from any earlier round — including a previous driver run
-    /// over the same cluster — can never contaminate this one. The
-    /// caller's `iteration` (1-based) is used for error reporting.
-    ///
-    /// The deadline (`EscalationPolicy::with_deadline`, or the legacy
-    /// [`RuntimeConfig::iteration_timeout`]) is measured from the start
-    /// of the round, matching the simulator's `fallback_deadline`. One
-    /// substrate difference remains by design: wall-clock masters cannot
-    /// tell a straggler from a dead worker, so when the ladder declines
-    /// at the deadline the round errors instead of waiting forever.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::Undecodable`] when the round cannot decode
-    ///   within the deadline and the escalation ladder declines.
-    /// * [`RuntimeError::WorkerLost`] when a worker thread is gone.
-    pub fn round(
-        &mut self,
-        iteration: usize,
-        params: &[f64],
-    ) -> Result<ClusterRound, RuntimeError> {
-        self.dispatch(params)?;
-        self.collect(iteration)
-    }
-
-    /// Broadcasts `params` to the workers and returns immediately — the
-    /// first half of the split round cycle. Workers begin computing while
-    /// the master is free to do other work (decode bookkeeping, the
-    /// optimizer step, loss evaluation); [`ThreadedCluster::collect`]
-    /// finishes the round. This is what `PipelinedDriver` builds on: while
-    /// the workers fill round `t+1`'s gradient block, the master is still
-    /// consuming round `t`'s.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::InvalidConfig`] when a round is already in
-    ///   flight (collect it first).
-    /// * [`RuntimeError::WorkerLost`] when a worker thread is gone.
-    pub fn dispatch(&mut self, params: &[f64]) -> Result<(), RuntimeError> {
-        if self.inflight.is_some() {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "dispatch while a round is in flight (collect it first)".into(),
-            });
-        }
-        let _dispatch_span = self.recorder.as_ref().map(|r| r.span(Phase::Dispatch));
-        self.round_seq += 1;
-        let tag = self.round_seq;
-        let shared = Arc::new(params.to_vec());
-        for (w, tx) in self.to_workers.iter().enumerate() {
-            tx.send(ToWorker::Round {
-                iteration: tag,
-                params: Arc::clone(&shared),
-            })
-            .map_err(|_| RuntimeError::WorkerLost { worker: w })?;
-        }
-        self.inflight = Some((tag, Instant::now()));
-        Ok(())
-    }
-
-    /// Collects the round started by the last [`ThreadedCluster::dispatch`]:
-    /// streams results into the decode session, escalates through the
-    /// policy ladder at the deadline (measured from the dispatch), and
-    /// combines the decoded gradient. `iteration` is the caller's 1-based
-    /// round number, used for error reporting only.
-    ///
-    /// Deadline semantics under pipelining: the escalation window runs
-    /// from the *dispatch* — the moment the workers started computing —
-    /// not from when the master begins collecting. A master that arrives
-    /// late (e.g. after the overlapped step/loss work of a pipelined
-    /// round) first drains every reply already queued in the channel, so
-    /// workers keep their full window regardless of master-side delay;
-    /// only escalation itself fires "late", at collect entry instead of
-    /// exactly at the deadline. Size the timeout to the worker window, as
-    /// with the sequential round.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::InvalidConfig`] when no round is in flight.
-    /// * [`RuntimeError::Undecodable`] / [`RuntimeError::WorkerLost`] as
-    ///   for [`ThreadedCluster::round`].
-    pub fn collect(&mut self, iteration: usize) -> Result<ClusterRound, RuntimeError> {
-        let (tag, started) = self
-            .inflight
-            .take()
-            .ok_or_else(|| RuntimeError::InvalidConfig {
-                reason: "collect without a dispatched round".into(),
-            })?;
-
-        let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
-        self.session.reset();
-        let pool_hits_before = self.session.pool().hits();
-        // Rearm the per-worker slots: releasing the previous round's
-        // payloads here is the ring's recycle point.
-        self.received.iter_mut().for_each(|slot| *slot = None);
-        self.compute_seconds.iter_mut().for_each(|c| *c = 0.0);
-        let from_rx = self.from_rx.as_ref().expect("receiver lives until drop");
-        // `None` = the session decoded (the plan is borrowed from its
-        // reusable slot); `Some` = the escalation ladder produced an owned
-        // fallback plan.
-        let mut fallback: Option<DecodePlan> = None;
-        loop {
-            // The deadline is round-relative (measured from the dispatch):
-            // stale or slow arrivals never extend the window.
-            let recv_result = match self.timeout {
-                Some(t) => match t.checked_sub(started.elapsed()) {
-                    Some(remaining) => from_rx.recv_timeout(remaining).map_err(|_| ()),
-                    None => Err(()), // deadline already passed
-                },
-                None => from_rx.recv().map_err(|_| ()),
-            };
-            let msg = match recv_result {
-                Ok(msg) => msg,
-                Err(()) => {
-                    // Deadline reached (or every worker hung up) without
-                    // an exact decode. Results already sitting in the
-                    // channel arrived in time — drain them first (an
-                    // exact decode may be waiting in the queue), then
-                    // hand the survivor set to the shared escalation
-                    // ladder. Exact ceilings decline and the round
-                    // surfaces as undecodable.
-                    let mut drained = false;
-                    while let Ok(msg) = from_rx.try_recv() {
-                        if msg.iteration != tag {
-                            // A late reply to an earlier round: no
-                            // gradient weight, but the timing is a real
-                            // throughput observation.
-                            self.late_compute_seconds[msg.worker] = msg.compute_seconds;
-                            continue;
-                        }
-                        let worker = msg.worker;
-                        self.compute_seconds[worker] = msg.compute_seconds;
-                        self.received[worker] = Some(msg.coded);
-                        if self.session.push_arrival(worker)? {
-                            drained = true;
-                            break;
-                        }
-                    }
-                    if drained {
-                        break;
-                    }
-                    let survivors: Vec<usize> = self
-                        .received
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(w, slot)| slot.is_some().then_some(w))
-                        .collect();
-                    if let Some(plan) = self.codec.fallback_plan(&survivors) {
-                        fallback = Some(plan);
-                        break;
-                    }
-                    return Err(RuntimeError::Undecodable {
-                        iteration,
-                        received: survivors.len(),
-                    });
-                }
-            };
-            if msg.iteration != tag {
-                // Stale result from an earlier round: keep its timing
-                // for telemetry, discard its payload.
-                self.late_compute_seconds[msg.worker] = msg.compute_seconds;
-                continue;
-            }
-            let worker = msg.worker;
-            self.compute_seconds[worker] = msg.compute_seconds;
-            self.received[worker] = Some(msg.coded);
-            if self.session.push_arrival(worker)? {
-                break;
-            }
-        }
-        drop(collect_span);
-        let plan = match fallback.as_ref() {
-            Some(plan) => plan,
-            None => self
-                .session
-                .decoded_plan()
-                .expect("collect loop broke on a decode"),
-        };
-
-        // g = Σ a_w · g̃_w (un-normalized), applied straight over the
-        // per-worker arrival slots — no clone of any coded payload — in
-        // one whole-round pass through the blocked decode kernel.
-        let decode_span = self.recorder.as_ref().map(|r| r.span(Phase::Decode));
-        let mut gradient = vec![0.0; self.model.num_params()];
-        plan.apply_rows_into(|w| self.received[w].as_deref(), &mut gradient)?;
-        drop(decode_span);
-        let used = plan.len();
-        let residual = plan.residual();
-        // Every consumed reply cost exactly one worker-side payload
-        // allocation: that is the round's data-plane allocation bill.
-        let alloc_bytes = self
-            .received
-            .iter()
-            .flatten()
-            .map(|coded| std::mem::size_of_val(&coded[..]) as u64)
-            .sum();
-        // Late timings are reported exactly once, and only for workers
-        // that did not also reply in time this round.
-        let mut late_busy = vec![0.0; self.late_compute_seconds.len()];
-        for (w, late) in self.late_compute_seconds.iter_mut().enumerate() {
-            if self.compute_seconds[w] == 0.0 {
-                late_busy[w] = *late;
-            }
-            *late = 0.0;
-        }
-        Ok(ClusterRound {
-            gradient,
-            residual,
-            results_used: used,
-            elapsed: started.elapsed(),
-            busy: self.compute_seconds.clone(),
-            late_busy,
-            alloc_bytes,
-            pool_hits: self.session.pool().hits() - pool_hits_before,
-        })
+        let shards = row_shards(&codec, data.len())?;
+        let transport =
+            ChannelTransport::spawn(shards, Arc::clone(&model), Arc::clone(&data), config);
+        Ok(ThreadedCluster(Master::new(
+            codec, model, data, config, transport,
+        )))
     }
 
     /// Shuts the worker threads down and joins them. Equivalent to
@@ -569,16 +169,23 @@ where
     pub fn shutdown(self) {}
 }
 
-impl<M> Drop for ThreadedCluster<M> {
-    fn drop(&mut self) {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        // Drop the receiver first so blocked workers see the hang-up.
-        self.from_rx = None;
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+impl<M> Deref for ThreadedCluster<M>
+where
+    M: Model + Send + Sync + 'static,
+{
+    type Target = Master<M, ChannelTransport<M>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<M> DerefMut for ThreadedCluster<M>
+where
+    M: Model + Send + Sync + 'static,
+{
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
@@ -590,6 +197,7 @@ mod tests {
     use hetgc_ml::{synthetic, LinearRegression, SoftmaxRegression};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
 
     /// Outcome of [`train`] — the slim stand-in for the removed legacy
     /// all-in-one trainer's report.
@@ -812,6 +420,31 @@ mod tests {
             );
         }
         cluster.shutdown();
+    }
+
+    #[test]
+    fn recode_with_a_round_in_flight_is_rejected() {
+        // A recode between dispatch and collect used to drop the round on
+        // the floor; it must be refused, and the round must still collect.
+        let mut rng = StdRng::seed_from_u64(34);
+        let code = heter_aware(&[1.0, 1.0, 2.0], 4, 1, &mut rng).unwrap();
+        let model = Arc::new(LinearRegression::new(3));
+        let data = Arc::new(quick_data(34));
+        let mut cluster = ThreadedCluster::start(
+            code.clone(),
+            Arc::clone(&model),
+            Arc::clone(&data),
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
+        let params = model.init_params(&mut rng);
+        cluster.dispatch(&params).unwrap();
+        assert!(matches!(
+            cluster.recode(code),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+        let round = cluster.collect(1).unwrap();
+        assert_eq!(round.residual, 0.0);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! # hetgc-runtime
 //!
-//! A real multi-threaded master/worker runtime executing coded distributed
-//! gradient descent — the wall-clock counterpart of the `hetgc-sim`
-//! discrete-event simulator. Workers are OS threads connected to the
-//! master by `crossbeam` channels; heterogeneity is emulated by rate
-//! throttling and straggler injection by per-worker delays and fail-stop
-//! at a configured iteration.
+//! The wall-clock master of coded distributed gradient descent — the
+//! real-time counterpart of the `hetgc-sim` discrete-event simulator.
 //!
-//! This is the piece that demonstrates the schemes end-to-end outside of
-//! simulated time: the master compiles its strategy into a
-//! `hetgc_coding::CompiledCodec`, streams arrivals through one reusable
-//! `CodecSession` (reset per round) to decode at the earliest decodable
-//! set, applies the exact aggregated gradient, and keeps iterating even
-//! while injected workers are dead — the paper's fault-tolerance claim
-//! made concrete.
+//! * [`Master`] is the one round loop: broadcast → stream arrivals
+//!   through a reusable `CodecSession` (reset per round) → decode at the
+//!   earliest decodable set → at the deadline, escalate through the
+//!   `hetgc_coding::EscalatingCodec` ladder → combine the gradient. It
+//!   keeps iterating while injected workers are dead — the paper's
+//!   fault-tolerance claim made concrete — and hot-swaps rebuilt codes
+//!   between rounds.
+//! * [`Transport`] is what differs between worker pools: how a round is
+//!   sent, where [`Reply`]s arrive, how workers move to a new code, which
+//!   rows can still reply, what a round cost on the wire.
+//! * [`ThreadedCluster`] is the in-process pool: workers are OS threads
+//!   connected to the master by `crossbeam` channels
+//!   ([`ChannelTransport`]); heterogeneity is emulated by rate
+//!   throttling, stragglers by per-worker delays and fail-stop at a
+//!   configured iteration. `hetgc-net`'s `SocketCluster` puts the same
+//!   master over TCP.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -47,10 +52,12 @@
 mod config;
 mod error;
 mod executor;
+mod master;
 mod message;
 mod worker;
 
 pub use config::{RuntimeConfig, WorkerBehavior};
 pub use error::RuntimeError;
-pub use executor::{build_codec, ClusterRound, ThreadedCluster};
-pub use message::{FromWorker, ToWorker};
+pub use executor::{ChannelTransport, ThreadedCluster};
+pub use master::{build_codec, row_shards, ClusterRound, Master, RowShard, Transport};
+pub use message::{Reply, ToWorker};

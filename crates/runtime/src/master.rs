@@ -1,0 +1,812 @@
+//! The master: broadcast → collect → decode at the earliest decodable set
+//! → escalate at the deadline, once, for every transport.
+//!
+//! [`Master`] owns everything a coded round has in common — the
+//! escalation-wrapped codec, the reusable decode session, the per-worker
+//! arrival slots, the in-flight tag and its round-relative deadline, the
+//! compute/late/arrival timings and the flight-recorder spans. A
+//! [`Transport`] supplies only what genuinely differs between worker
+//! pools. `ThreadedCluster` (threads + channels) and `hetgc-net`'s
+//! `SocketCluster` (TCP links + reader threads) are two transports under
+//! this one loop.
+//!
+//! The timeout → approximate fallback decision is **not** implemented
+//! here: the master holds an [`EscalatingCodec`], so the escalation code
+//! is the same one the discrete-event simulator consults at its round end
+//! — one ladder, every execution path.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::Receiver;
+use hetgc_cluster::PartitionAssignment;
+use hetgc_coding::{
+    AnyCodec, ApproxCodec, CodecBackend, CodecSession, CodingMatrix, CompiledCodec,
+    EscalatingCodec, GradientCodec, GroupCodec,
+};
+use hetgc_ml::{Dataset, Model};
+use hetgc_obs::{Phase, Recorder};
+
+use crate::config::RuntimeConfig;
+use crate::error::RuntimeError;
+use crate::message::Reply;
+
+/// One completed collect round of a [`Master`].
+#[derive(Debug, Clone)]
+pub struct ClusterRound {
+    /// The decoded aggregated gradient `Σ_w a_w · g̃_w`, un-normalized
+    /// (the caller divides by the dataset size).
+    pub gradient: Vec<f64>,
+    /// Decode residual of the round: `0.0` for exact decodes, positive
+    /// when the escalation ladder's approximate stage rescued it.
+    pub residual: f64,
+    /// How many worker results carried decode weight.
+    pub results_used: usize,
+    /// Wall-clock duration of the round (dispatch → decoded gradient).
+    pub elapsed: Duration,
+    /// Per-worker (logical row) compute seconds reported this round (0
+    /// for workers whose result never arrived).
+    pub busy: Vec<f64>,
+    /// Per-worker compute seconds of *late* results — replies from an
+    /// earlier round that reached the master only after it had decoded
+    /// (0 when none). Late results carry no gradient weight, but their
+    /// timings are real observations: without them a consistent
+    /// within-budget straggler would be invisible to throughput
+    /// telemetry. Each late timing is reported exactly once.
+    pub late_busy: Vec<f64>,
+    /// Per-worker arrival offset in seconds from the dispatch, where the
+    /// transport stamped one ([`Reply::arrived`]); `0.0` otherwise —
+    /// approximate arrival by compute end then.
+    pub arrivals: Vec<f64>,
+    /// Bytes of coded-gradient payload this round consumed (one payload
+    /// per reply — the data plane's only steady-state allocation).
+    pub alloc_bytes: u64,
+    /// Decode-session buffer-pool hits this round.
+    pub pool_hits: u64,
+    /// Real bytes written to worker links this round (`0` in-process).
+    pub bytes_sent: u64,
+    /// Real bytes read from worker links this round.
+    pub bytes_received: u64,
+    /// Combined L2 quantization error of this round's lossy wire traffic
+    /// (`sqrt(Σ_w err_w²)` over the replies absorbed), as measured
+    /// worker-side. `0.0` when every reply was lossless.
+    pub wire_error: f64,
+    /// Payload bytes the wire encodings saved this round versus shipping
+    /// every serialized reply as full-width `f64`.
+    pub bytes_saved: u64,
+}
+
+/// One row's marching orders: the sample ranges of the partitions it
+/// holds, and the aligned coefficients of its row of `B`.
+pub type RowShard = (Vec<(usize, usize)>, Vec<f64>);
+
+/// What differs between worker pools, as the [`Master`] sees it.
+pub trait Transport {
+    /// The handle a coded gradient arrives in; the master moves it into
+    /// the worker's arrival slot and decodes straight out of it.
+    type Payload: AsRef<[f64]> + Send + Sync;
+
+    /// Sends round `seq` at `params` to every worker that can still be
+    /// reached.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerLost`] when the round cannot run at all.
+    fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError>;
+
+    /// Where completed replies arrive.
+    fn replies(&self) -> &Receiver<Reply<Self::Payload>>;
+
+    /// Moves the workers onto a new code, one shard per row. On error the
+    /// old rows keep running.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when the workers cannot carry that
+    /// many rows, [`RuntimeError::WorkerLost`] when one is lost mid-swap.
+    fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError>;
+
+    /// Logical rows whose worker can still reply.
+    fn live_rows(&self) -> Vec<usize>;
+
+    /// `(sent, received)` wire bytes since the last
+    /// [`Transport::send_round`].
+    fn round_traffic(&self) -> (u64, u64);
+}
+
+/// Compiles `code` into the backend named by [`RuntimeConfig::backend`]
+/// and wires [`RuntimeConfig::escalation`] on top — the one codec
+/// construction every master shares.
+///
+/// # Errors
+///
+/// [`RuntimeError::InvalidConfig`] when the requested backend cannot be
+/// built from this matrix.
+pub fn build_codec(
+    code: CodingMatrix,
+    config: &RuntimeConfig,
+) -> Result<EscalatingCodec, RuntimeError> {
+    let base = match config.backend {
+        // Auto: derive groups from the support structure; when the
+        // matrix admits none (or can't be analysed) the group codec
+        // is pure overhead, so degrade to the plain exact backend.
+        CodecBackend::Auto => match GroupCodec::from_code(code.clone()) {
+            Ok(grouped) if !grouped.groups().is_empty() => AnyCodec::Group(grouped),
+            _ => AnyCodec::Exact(CompiledCodec::new(code)),
+        },
+        CodecBackend::Exact => AnyCodec::Exact(CompiledCodec::new(code)),
+        CodecBackend::Group => AnyCodec::Group(GroupCodec::from_code(code).map_err(|e| {
+            RuntimeError::InvalidConfig {
+                reason: format!("group backend construction failed: {e}"),
+            }
+        })?),
+        CodecBackend::Approx => AnyCodec::Approx(ApproxCodec::new(code)),
+    };
+    let mut codec = EscalatingCodec::new(base, config.effective_escalation());
+    if let Some(shared) = &config.shared_plans {
+        codec.attach_shared_plans(Arc::clone(shared));
+    }
+    Ok(codec)
+}
+
+/// Every row's [`RowShard`] under `codec` over an even partitioning of
+/// `samples` samples — the codec's precompiled CSR rows are exactly the
+/// workers' marching orders.
+///
+/// # Errors
+///
+/// [`RuntimeError::InvalidConfig`] when the samples cannot be split into
+/// the codec's partitions.
+pub fn row_shards(codec: &EscalatingCodec, samples: usize) -> Result<Vec<RowShard>, RuntimeError> {
+    let assignment = PartitionAssignment::even(samples, codec.partitions()).map_err(|e| {
+        RuntimeError::InvalidConfig {
+            reason: format!("partitioning failed: {e}"),
+        }
+    })?;
+    let compiled = codec.base().as_compiled();
+    Ok((0..codec.workers())
+        .map(|w| {
+            let ranges = compiled
+                .support_of(w)
+                .iter()
+                .map(|&p| assignment.range(p).expect("support within k"))
+                .collect();
+            (ranges, compiled.coefficients_of(w).to_vec())
+        })
+        .collect())
+}
+
+/// Per-row state of the round being collected, reused round over round.
+#[derive(Debug)]
+struct Slots<P> {
+    /// The recycle ring: an arriving payload *moves* into its worker's
+    /// slot (no clone); the previous round's payloads are released when
+    /// the next collect rearms the slots.
+    received: Vec<Option<P>>,
+    compute_seconds: Vec<f64>,
+    /// Compute seconds from stale (earlier-round) replies observed while
+    /// waiting on the current round — surfaced once through
+    /// [`ClusterRound::late_busy`].
+    late_compute_seconds: Vec<f64>,
+    arrival_seconds: Vec<f64>,
+    wire_errors: Vec<f64>,
+    /// Wire bytes of each reply's payload (0 = none this round).
+    payload_bytes: Vec<u64>,
+}
+
+impl<P> Slots<P> {
+    fn new(m: usize) -> Self {
+        Slots {
+            received: (0..m).map(|_| None).collect(),
+            compute_seconds: vec![0.0; m],
+            late_compute_seconds: vec![0.0; m],
+            arrival_seconds: vec![0.0; m],
+            wire_errors: vec![0.0; m],
+            payload_bytes: vec![0; m],
+        }
+    }
+
+    /// Releases the previous round's payloads and timings (late timings
+    /// persist until reported).
+    fn rearm(&mut self) {
+        self.received.iter_mut().for_each(|slot| *slot = None);
+        self.compute_seconds.fill(0.0);
+        self.arrival_seconds.fill(0.0);
+        self.wire_errors.fill(0.0);
+        self.payload_bytes.fill(0);
+    }
+
+    /// Feeds one reply into the round tagged `tag`; `Ok(true)` when it
+    /// completed an exact decode. A stale reply keeps its timing (a real
+    /// throughput observation) and loses its payload; a row outside the
+    /// current code — a reply from before a shrinking re-row — is dropped.
+    fn absorb(
+        &mut self,
+        session: &mut CodecSession,
+        recorder: Option<&Recorder>,
+        tag: u64,
+        started: Instant,
+        reply: Reply<P>,
+    ) -> Result<bool, RuntimeError> {
+        let worker = reply.worker;
+        if worker >= self.received.len() {
+            return Ok(false);
+        }
+        if reply.seq != tag {
+            self.late_compute_seconds[worker] = reply.compute_seconds;
+            return Ok(false);
+        }
+        self.compute_seconds[worker] = reply.compute_seconds;
+        self.wire_errors[worker] = reply.wire_error;
+        self.payload_bytes[worker] = reply.payload_bytes;
+        if let Some(arrived) = reply.arrived {
+            self.arrival_seconds[worker] = arrived.saturating_duration_since(started).as_secs_f64();
+        }
+        if let Some(rec) = recorder {
+            // Stamped at absorb time, inside the collect span; the
+            // transport's own arrival clock rides in `arrival_seconds`.
+            rec.instant(Phase::Arrival, (worker + 1) as u64);
+        }
+        self.received[worker] = Some(reply.coded);
+        Ok(session.push_arrival(worker)?)
+    }
+}
+
+/// A running coded worker pool behind a [`Transport`]: each
+/// [`Master::round`] runs one broadcast → collect → decode/escalate →
+/// combine cycle.
+#[derive(Debug)]
+pub struct Master<M, T: Transport> {
+    codec: EscalatingCodec,
+    model: Arc<M>,
+    data: Arc<Dataset>,
+    config: RuntimeConfig,
+    timeout: Option<Duration>,
+    transport: T,
+    session: CodecSession,
+    slots: Slots<T::Payload>,
+    /// The dispatched-but-not-yet-collected round (tag + dispatch time).
+    inflight: Option<(u64, Instant)>,
+    /// Round tag, strictly increasing across rounds — workers echo it
+    /// back, so stale results from ANY earlier round (including a
+    /// previous driver run over the same master) are filtered out
+    /// regardless of the caller's numbering.
+    round_seq: u64,
+    /// Flight recorder for the master's hot phases; `None` until attached.
+    recorder: Option<Recorder>,
+}
+
+impl<M: Model, T: Transport> Master<M, T> {
+    /// A master decoding with `codec` over workers already running its
+    /// rows behind `transport`. `config` supplies the round deadline and
+    /// what [`Master::recode`] rebuilds codecs with.
+    pub fn new(
+        codec: EscalatingCodec,
+        model: Arc<M>,
+        data: Arc<Dataset>,
+        config: &RuntimeConfig,
+        transport: T,
+    ) -> Self {
+        Master {
+            session: codec.session(),
+            slots: Slots::new(codec.workers()),
+            codec,
+            model,
+            data,
+            config: config.clone(),
+            timeout: config.effective_timeout(),
+            transport,
+            inflight: None,
+            round_seq: 0,
+            recorder: None,
+        }
+    }
+
+    /// Number of (logical) workers in the current code.
+    pub fn workers(&self) -> usize {
+        self.codec.workers()
+    }
+
+    /// Number of data partitions.
+    pub fn partitions(&self) -> usize {
+        self.codec.partitions()
+    }
+
+    /// The escalation-wrapped codec the master decodes with.
+    pub fn codec(&self) -> &EscalatingCodec {
+        &self.codec
+    }
+
+    /// The model the workers compute gradients of.
+    pub fn model(&self) -> &Arc<M> {
+        &self.model
+    }
+
+    /// The training data.
+    pub fn data(&self) -> &Arc<Dataset> {
+        &self.data
+    }
+
+    /// The worker pool's transport.
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
+    /// Logical rows whose worker can still reply.
+    pub fn live_rows(&self) -> Vec<usize> {
+        self.transport.live_rows()
+    }
+
+    /// Snapshot of the decode session's buffer-pool counters — what a
+    /// multi-job scheduler merges across tenants into a fleet-wide
+    /// data-plane report ([`hetgc_coding::PoolStats::merge`]).
+    pub fn pool_stats(&self) -> hetgc_coding::PoolStats {
+        self.session.pool().stats()
+    }
+
+    /// Replaces the round deadline in place — the hook a learned
+    /// escalation deadline feeds, superseding whatever the configuration
+    /// carried.
+    pub fn set_timeout(&mut self, timeout: Duration) {
+        self.timeout = Some(timeout);
+    }
+
+    /// Installs a flight recorder: every subsequent round emits
+    /// dispatch/collect/decode spans and per-arrival instants (and recode
+    /// spans on hot swaps) into it.
+    pub fn attach_recorder(&mut self, recorder: Recorder) {
+        self.recorder = Some(recorder);
+    }
+
+    /// Attaches cache/solve metric handles to the decode codec (fanned
+    /// out through the whole escalation ladder). Note a
+    /// [`Master::recode`] builds a fresh codec — re-attach after hot
+    /// swaps if continuity matters.
+    pub fn attach_codec_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
+        self.codec.attach_metrics(metrics);
+    }
+
+    /// Hot-swaps a rebuilt coding strategy into the running pool, between
+    /// rounds: the new matrix is compiled into the configured backend +
+    /// escalation policy and partitioned, then the transport re-rows its
+    /// workers around it. Round sequencing is preserved (workers'
+    /// fail-stop/throttle-step schedules keep counting where they were).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when a round is in flight (collect
+    /// it first), or when the new matrix cannot be compiled, partitioned
+    /// or carried by the live workers — the old regime keeps running in
+    /// that case. [`RuntimeError::WorkerLost`] when a worker is lost
+    /// mid-swap.
+    pub fn recode(&mut self, code: CodingMatrix) -> Result<(), RuntimeError> {
+        if self.inflight.is_some() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: "recode while a round is in flight (collect it first)".into(),
+            });
+        }
+        let _recode_span = self.recorder.as_ref().map(|r| r.span(Phase::Recode));
+        let codec = build_codec(code, &self.config)?;
+        self.transport.rerow(row_shards(&codec, self.data.len())?)?;
+        self.session = codec.session();
+        self.slots = Slots::new(codec.workers());
+        self.codec = codec;
+        Ok(())
+    }
+
+    /// Runs one collect round: [`Master::dispatch`] then
+    /// [`Master::collect`]. The caller's `iteration` (1-based) is used
+    /// for error reporting.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::Undecodable`] when the round cannot decode
+    ///   within the deadline and the escalation ladder declines: a
+    ///   wall-clock master cannot tell a straggler from a dead worker, so
+    ///   it errors instead of waiting forever.
+    /// * [`RuntimeError::WorkerLost`] when the round cannot be sent.
+    pub fn round(
+        &mut self,
+        iteration: usize,
+        params: &[f64],
+    ) -> Result<ClusterRound, RuntimeError> {
+        self.dispatch(params)?;
+        self.collect(iteration)
+    }
+
+    /// Broadcasts `params` to the workers and returns immediately — the
+    /// first half of the split round cycle. Workers begin computing while
+    /// the master is free to do other work (the optimizer step, loss
+    /// evaluation); [`Master::collect`] finishes the round. This is what
+    /// `PipelinedDriver` builds on.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::InvalidConfig`] when a round is already in
+    ///   flight (collect it first).
+    /// * [`RuntimeError::WorkerLost`] when the transport cannot send it.
+    pub fn dispatch(&mut self, params: &[f64]) -> Result<(), RuntimeError> {
+        if self.inflight.is_some() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: "dispatch while a round is in flight (collect it first)".into(),
+            });
+        }
+        let _dispatch_span = self.recorder.as_ref().map(|r| r.span(Phase::Dispatch));
+        self.round_seq += 1;
+        self.transport.send_round(self.round_seq, params)?;
+        self.inflight = Some((self.round_seq, Instant::now()));
+        Ok(())
+    }
+
+    /// Collects the round started by the last [`Master::dispatch`]:
+    /// streams replies into the decode session, escalates through the
+    /// policy ladder at the deadline, and combines the decoded gradient.
+    ///
+    /// The deadline (`EscalationPolicy::with_deadline`, or the legacy
+    /// [`RuntimeConfig::iteration_timeout`]) runs from the *dispatch* —
+    /// the moment the workers started computing, matching the simulator's
+    /// `fallback_deadline` — and stale or slow arrivals never extend it.
+    /// A master that arrives late (e.g. after the overlapped step/loss
+    /// work of a pipelined round) first drains every reply already queued
+    /// — an exact decode may be waiting there — so workers keep their
+    /// full window regardless of master-side delay; only escalation
+    /// itself fires "late", at collect entry.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::InvalidConfig`] when no round is in flight.
+    /// * [`RuntimeError::Undecodable`] as for [`Master::round`].
+    pub fn collect(&mut self, iteration: usize) -> Result<ClusterRound, RuntimeError> {
+        let (tag, started) = self
+            .inflight
+            .take()
+            .ok_or_else(|| RuntimeError::InvalidConfig {
+                reason: "collect without a dispatched round".into(),
+            })?;
+
+        let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
+        self.session.reset();
+        let pool_hits_before = self.session.pool().hits();
+        self.slots.rearm();
+        let replies = self.transport.replies();
+        // Once the deadline has passed (or every sender hung up) the loop
+        // only drains what is already queued, then escalates.
+        let mut expired = false;
+        // `None` = the session decoded (the plan is borrowed from its
+        // reusable slot); `Some` = the escalation ladder produced an owned
+        // fallback plan.
+        let fallback = loop {
+            let next = if expired {
+                replies.try_recv().ok()
+            } else {
+                match self.timeout {
+                    Some(t) => t
+                        .checked_sub(started.elapsed())
+                        .and_then(|remaining| replies.recv_timeout(remaining).ok()),
+                    None => replies.recv().ok(),
+                }
+            };
+            let Some(reply) = next else {
+                if !expired {
+                    expired = true;
+                    continue;
+                }
+                // Exact ceilings decline and the round surfaces as
+                // undecodable.
+                let received = &self.slots.received;
+                let survivors: Vec<usize> = (0..received.len())
+                    .filter(|&w| received[w].is_some())
+                    .collect();
+                match self.codec.fallback_plan(&survivors) {
+                    Some(plan) => break Some(plan),
+                    None => {
+                        return Err(RuntimeError::Undecodable {
+                            iteration,
+                            received: survivors.len(),
+                        })
+                    }
+                }
+            };
+            let recorder = self.recorder.as_ref();
+            if self
+                .slots
+                .absorb(&mut self.session, recorder, tag, started, reply)?
+            {
+                break None;
+            }
+        };
+        drop(collect_span);
+        let plan = match fallback.as_ref() {
+            Some(plan) => plan,
+            None => self
+                .session
+                .decoded_plan()
+                .expect("collect loop broke on a decode"),
+        };
+
+        // g = Σ a_w · g̃_w (un-normalized), applied straight over the
+        // per-worker arrival slots — no clone of any coded payload — in
+        // one whole-round pass through the blocked decode kernel.
+        let decode_span = self.recorder.as_ref().map(|r| r.span(Phase::Decode));
+        let slots = &mut self.slots;
+        let mut gradient = vec![0.0; self.model.num_params()];
+        plan.apply_rows_into(
+            |w| slots.received[w].as_ref().map(AsRef::as_ref),
+            &mut gradient,
+        )?;
+        drop(decode_span);
+        let received = slots.received.iter().flatten();
+        let alloc_bytes = received
+            .map(|coded| std::mem::size_of_val(coded.as_ref()) as u64)
+            .sum();
+        // Late timings are reported exactly once, and only for workers
+        // that did not also reply in time this round.
+        let mut late_busy = vec![0.0; slots.late_compute_seconds.len()];
+        for (w, late) in slots.late_compute_seconds.iter_mut().enumerate() {
+            if slots.compute_seconds[w] == 0.0 {
+                late_busy[w] = *late;
+            }
+            *late = 0.0;
+        }
+        let (bytes_sent, bytes_received) = self.transport.round_traffic();
+        // Quantization errors combine in quadrature (independent lossy
+        // links); savings compare each serialized reply's payload to the
+        // f64 width it displaced.
+        let full_width = (gradient.len() * 8) as u64;
+        let serialized = slots.payload_bytes.iter().filter(|&&b| b > 0);
+        Ok(ClusterRound {
+            gradient,
+            residual: plan.residual(),
+            results_used: plan.len(),
+            elapsed: started.elapsed(),
+            busy: slots.compute_seconds.clone(),
+            late_busy,
+            arrivals: slots.arrival_seconds.clone(),
+            alloc_bytes,
+            pool_hits: self.session.pool().hits() - pool_hits_before,
+            bytes_sent,
+            bytes_received,
+            wire_error: slots.wire_errors.iter().map(|e| e * e).sum::<f64>().sqrt(),
+            bytes_saved: serialized.map(|&b| full_width.saturating_sub(b)).sum(),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::{unbounded, Sender};
+    use hetgc_coding::{heter_aware, EscalationPolicy};
+    use hetgc_ml::{synthetic, LinearRegression};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A scripted in-memory transport: no threads, no sockets. Rounds
+    /// "sent" go nowhere; the test queues the replies by hand.
+    struct Scripted {
+        replies: Receiver<Reply<Vec<f64>>>,
+        rows: usize,
+    }
+
+    impl Transport for Scripted {
+        type Payload = Vec<f64>;
+
+        fn send_round(&mut self, _seq: u64, _params: &[f64]) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+
+        fn replies(&self) -> &Receiver<Reply<Vec<f64>>> {
+            &self.replies
+        }
+
+        fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError> {
+            self.rows = shards.len();
+            Ok(())
+        }
+
+        fn live_rows(&self) -> Vec<usize> {
+            (0..self.rows).collect()
+        }
+
+        fn round_traffic(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
+    struct Rig {
+        master: Master<LinearRegression, Scripted>,
+        queue: Sender<Reply<Vec<f64>>>,
+        params: Vec<f64>,
+        /// The full-batch gradient an exact decode must reproduce.
+        direct: Vec<f64>,
+    }
+
+    impl Rig {
+        /// A master over `workers` equal-rate rows (`s = 1`, exact
+        /// backend) with the given escalation policy.
+        fn new(workers: usize, policy: EscalationPolicy) -> Self {
+            let mut rng = StdRng::seed_from_u64(7);
+            let code = heter_aware(&vec![1.0; workers], workers, 1, &mut rng).unwrap();
+            let config = RuntimeConfig::nominal(workers)
+                .with_backend(CodecBackend::Exact)
+                .with_escalation(policy);
+            let model = Arc::new(LinearRegression::new(3));
+            let data = Arc::new(synthetic::linear_regression(60, 3, 0.01, &mut rng));
+            let params = model.init_params(&mut rng);
+            let direct = model.gradient(&params, &data, (0, data.len()));
+            let (queue, replies) = unbounded();
+            let transport = Scripted {
+                replies,
+                rows: workers,
+            };
+            let codec = build_codec(code, &config).unwrap();
+            Rig {
+                master: Master::new(codec, model, data, &config, transport),
+                queue,
+                params,
+                direct,
+            }
+        }
+
+        /// Queues row `worker`'s true coded gradient as a reply to round
+        /// `seq`.
+        fn reply(&self, worker: usize, seq: u64, compute_seconds: f64) {
+            let m = &self.master;
+            let mut coded = vec![0.0; self.direct.len()];
+            if worker < m.workers() {
+                let shards = row_shards(m.codec(), m.data().len()).unwrap();
+                let (ranges, coefficients) = &shards[worker];
+                for (&range, &c) in ranges.iter().zip(coefficients) {
+                    let g = m.model().gradient(&self.params, m.data(), range);
+                    coded.iter_mut().zip(&g).for_each(|(o, gi)| *o += c * gi);
+                }
+            }
+            self.queue
+                .send(Reply {
+                    worker,
+                    seq,
+                    coded,
+                    compute_seconds,
+                    arrived: None,
+                    wire_error: 0.0,
+                    payload_bytes: 0,
+                })
+                .unwrap();
+        }
+
+        fn assert_exact(&self, round: &ClusterRound) {
+            assert_eq!(round.residual, 0.0);
+            for (g, d) in round.gradient.iter().zip(&self.direct) {
+                assert!((g - d).abs() < 1e-9 * (1.0 + d.abs()), "{g} vs {d}");
+            }
+        }
+    }
+
+    fn deadline(ms: u64, ceiling: CodecBackend) -> EscalationPolicy {
+        EscalationPolicy::escalate_to(ceiling)
+            .with_deadline(Duration::from_millis(ms))
+            .with_max_residual(100.0)
+    }
+
+    #[test]
+    fn expired_deadline_drains_a_queued_decodable_set() {
+        let mut rig = Rig::new(4, deadline(1, CodecBackend::Approx));
+        rig.master.dispatch(&rig.params).unwrap();
+        for w in 1..4 {
+            rig.reply(w, 1, 0.01);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        // The deadline passed before collect entry, yet the queued set
+        // decodes exactly: the ladder is not consulted.
+        let round = rig.master.collect(1).unwrap();
+        rig.assert_exact(&round);
+        assert_eq!(round.busy[0], 0.0);
+        assert!(round.results_used >= 2);
+        assert_eq!((round.bytes_sent, round.bytes_saved), (0, 0));
+    }
+
+    #[test]
+    fn expired_deadline_escalates_to_the_ceiling() {
+        // Two of five rows cannot decode an s = 1 code.
+        let mut exact = Rig::new(5, deadline(1, CodecBackend::Exact));
+        exact.master.dispatch(&exact.params).unwrap();
+        exact.reply(0, 1, 0.01);
+        exact.reply(1, 1, 0.01);
+        assert_eq!(
+            exact.master.collect(7).unwrap_err(),
+            RuntimeError::Undecodable {
+                iteration: 7,
+                received: 2
+            }
+        );
+
+        let mut approx = Rig::new(5, deadline(1, CodecBackend::Approx));
+        approx.master.dispatch(&approx.params).unwrap();
+        approx.reply(0, 1, 0.01);
+        approx.reply(1, 1, 0.01);
+        let round = approx.master.collect(7).unwrap();
+        assert!(round.residual > 0.0);
+        assert!(round.results_used <= 2);
+    }
+
+    #[test]
+    fn stale_replies_surface_as_late_timings_exactly_once() {
+        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        // Round 1 decodes without row 0, whose reply lands afterwards.
+        rig.master.dispatch(&rig.params).unwrap();
+        for w in 1..4 {
+            rig.reply(w, 1, 0.01);
+        }
+        let r1 = rig.master.collect(1).unwrap();
+        assert_eq!(r1.late_busy, vec![0.0; 4]);
+        rig.reply(0, 1, 0.25);
+
+        rig.master.dispatch(&rig.params).unwrap();
+        for w in 1..4 {
+            rig.reply(w, 2, 0.01);
+        }
+        let r2 = rig.master.collect(2).unwrap();
+        assert_eq!((r2.busy[0], r2.late_busy[0]), (0.0, 0.25));
+
+        // Row 1's stale reply is followed by its in-time one: the late
+        // timing is superseded, and row 0's was already reported.
+        rig.master.dispatch(&rig.params).unwrap();
+        rig.reply(1, 2, 0.5);
+        for w in 1..4 {
+            rig.reply(w, 3, 0.01);
+        }
+        let r3 = rig.master.collect(3).unwrap();
+        rig.assert_exact(&r3);
+        assert_eq!((r3.late_busy[0], r3.late_busy[1]), (0.0, 0.0));
+        assert_eq!(r3.busy[1], 0.01);
+
+        rig.master.dispatch(&rig.params).unwrap();
+        for w in 1..4 {
+            rig.reply(w, 4, 0.01);
+        }
+        let r4 = rig.master.collect(4).unwrap();
+        assert_eq!(r4.late_busy[1], 0.0);
+    }
+
+    #[test]
+    fn rows_outside_a_shrunk_code_are_ignored() {
+        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        let smaller = heter_aware(&[1.0; 3], 3, 1, &mut StdRng::seed_from_u64(8)).unwrap();
+        rig.master.recode(smaller).unwrap();
+        assert_eq!(rig.master.live_rows(), vec![0, 1, 2]);
+        rig.master.dispatch(&rig.params).unwrap();
+        // Row 3 no longer exists: neither its stale nor its current-tag
+        // reply may be indexed.
+        rig.reply(3, 0, 0.3);
+        rig.reply(3, 1, 0.3);
+        for w in 0..3 {
+            rig.reply(w, 1, 0.01);
+        }
+        let round = rig.master.collect(1).unwrap();
+        rig.assert_exact(&round);
+        assert_eq!(round.busy.len(), 3);
+        assert_eq!(round.late_busy, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn misordered_calls_are_typed_errors() {
+        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        let invalid = |r: Result<(), RuntimeError>| {
+            assert!(
+                matches!(r, Err(RuntimeError::InvalidConfig { .. })),
+                "{r:?}"
+            );
+        };
+        invalid(rig.master.collect(1).map(drop));
+        rig.master.dispatch(&rig.params).unwrap();
+        invalid(rig.master.dispatch(&rig.params));
+        // A recode must not discard the round in flight.
+        let code = heter_aware(&[1.0; 4], 4, 1, &mut StdRng::seed_from_u64(9)).unwrap();
+        invalid(rig.master.recode(code));
+        for w in 0..4 {
+            rig.reply(w, 1, 0.01);
+        }
+        let round = rig.master.collect(1).unwrap();
+        rig.assert_exact(&round);
+    }
+}

@@ -6,6 +6,7 @@
 //! mirroring the zero-copy broadcast of a real transport.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Master → worker messages.
 #[derive(Debug, Clone)]
@@ -21,25 +22,40 @@ pub enum ToWorker {
     Shutdown,
 }
 
-/// Worker → master result message.
+/// One completed worker reply, as the master's collect loop consumes it —
+/// the same shape on every transport. `P` is the transport's payload
+/// handle: the threaded workers freeze their scratch into an `Arc<[f64]>`
+/// once per round (the master moves the handle into its arrival slot, no
+/// clone anywhere), a socket reader hands over its reassembled `Vec<f64>`.
 #[derive(Debug, Clone)]
-pub struct FromWorker {
-    /// The sending worker's index.
+pub struct Reply<P> {
+    /// The sending worker's logical row in the current code.
     pub worker: usize,
-    /// Which iteration this result belongs to (stale results are dropped).
-    pub iteration: usize,
-    /// The coded gradient `g̃_w = Σ_j b_wj·g_j`, shared rather than owned:
-    /// the worker allocates it exactly once per round (freezing its
-    /// reusable scratch buffer into the `Arc`) and the master moves the
-    /// handle into its per-worker arrival slot — no master-side clone, no
-    /// second copy anywhere on the wire.
-    pub coded: Arc<[f64]>,
+    /// The round tag the worker echoes back (stale replies carry no
+    /// gradient weight).
+    pub seq: u64,
+    /// The coded gradient `g̃_w = Σ_j b_wj·g_j`.
+    pub coded: P,
     /// Effective compute duration from round receipt to reply — native
     /// gradient time stretched by throttle emulation and injected delay.
     /// This is what a master can actually observe, so resource metrics
     /// and throughput telemetry both see the worker's *emulated* speed.
     pub compute_seconds: f64,
+    /// When the reply's last byte reached the master, if the transport
+    /// has a reader that can stamp it (`None` in-process: arrival is then
+    /// approximated by compute end).
+    pub arrived: Option<Instant>,
+    /// Worker-measured L2 quantization error of this reply (`0.0` on
+    /// lossless transports).
+    pub wire_error: f64,
+    /// Gradient payload bytes this reply occupied on the wire (`0` when
+    /// nothing was serialized).
+    pub payload_bytes: u64,
 }
+
+/// What a worker thread sends back: its coded gradient frozen into a
+/// shared payload.
+pub(crate) type FromWorker = Reply<Arc<[f64]>>;
 
 #[cfg(test)]
 mod tests {
@@ -69,12 +85,15 @@ mod tests {
     fn from_worker_fields() {
         let m = FromWorker {
             worker: 2,
-            iteration: 5,
+            seq: 5,
             coded: Arc::from([0.5].as_slice()),
             compute_seconds: 0.1,
+            arrived: None,
+            wire_error: 0.0,
+            payload_bytes: 0,
         };
         assert_eq!(m.worker, 2);
-        assert_eq!(m.iteration, 5);
+        assert_eq!(m.seq, 5);
         assert_eq!(&m.coded[..], &[0.5]);
         // Cloning the message shares the payload, it does not copy it.
         let copy = m.clone();

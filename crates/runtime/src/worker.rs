@@ -83,7 +83,7 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
         }
         let reply = FromWorker {
             worker: ctx.index,
-            iteration,
+            seq: iteration as u64,
             // The round's one data-plane allocation: freeze the scratch
             // into a shared payload (the scratch itself is reused).
             coded: Arc::from(coded.as_slice()),
@@ -92,6 +92,10 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
             // master's telemetry observes the worker's emulated speed,
             // exactly what a real master would measure.
             compute_seconds: started.elapsed().as_secs_f64(),
+            // No reader to stamp arrival, nothing serialized.
+            arrived: None,
+            wire_error: 0.0,
+            payload_bytes: 0,
         };
         if ctx.outbox.send(reply).is_err() {
             return; // master gone
@@ -145,7 +149,7 @@ mod tests {
         .unwrap();
         let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(reply.worker, 0);
-        assert_eq!(reply.iteration, 1);
+        assert_eq!(reply.seq, 1);
         assert_eq!(reply.coded.len(), 3);
         // coefficient 2 on both halves = 2 × full gradient.
         let mut rng = StdRng::seed_from_u64(3);
