@@ -7,6 +7,11 @@
 //! arrivals stream in a fixed order and the round ends at the earliest
 //! decodable prefix — exactly what `train_bsp_sim`, the experiment
 //! drivers and the threaded runtime do once per training iteration.
+//!
+//! The last arm is the per-arrival path at the paper's largest shape —
+//! Cluster-D, `m = 58`, `k = 162`, `s = 3`, three random stragglers a
+//! round so nearly every survivor set is new — the micro row next to the
+//! ledger's `sim-bsp-miss` workload (`benchmark/`).
 
 #![allow(deprecated)] // the point of this bench is to measure the old path
 
@@ -16,6 +21,7 @@ use hetgc::{
     OnlineDecoder,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Cluster-A's throughput shape (Table II: 2+2+3+1 nodes, 2–12 vCPUs),
@@ -120,10 +126,49 @@ fn bench_group_fast_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// One streamed round on Cluster-D: 55 of the 58 workers arrive in a
+/// random order (a different straggler triple and order each iteration,
+/// cycling through a fixed deck), one reused session, the zero-allocation
+/// `push_arrival` / `decoded_plan` pair. Every push is a real elimination
+/// step — there is no plan cache in front of a session.
+fn bench_cluster_d_random_stragglers(c: &mut Criterion) {
+    const STRAGGLERS: usize = 3;
+    let rates = ClusterSpec::cluster_d().throughputs();
+    let mut rng = StdRng::seed_from_u64(2019);
+    let codec =
+        CompiledCodec::new(heter_aware(&rates, 162, STRAGGLERS, &mut rng).expect("construct"));
+    let m = codec.workers();
+    let deck: Vec<Vec<usize>> = (0..64)
+        .map(|_| {
+            let mut order: Vec<usize> = (0..m).collect();
+            order.shuffle(&mut rng);
+            order.truncate(m - STRAGGLERS);
+            order
+        })
+        .collect();
+    let mut group = c.benchmark_group("codec_session/cluster_d_random_stragglers");
+    group.bench_with_input(BenchmarkId::from_parameter(m), &codec, |b, codec| {
+        let mut session = codec.session();
+        let mut rounds = deck.iter().cycle();
+        b.iter(|| {
+            session.reset();
+            let order = rounds.next().expect("cycle");
+            for &w in order {
+                if session.push_arrival(w).expect("valid push") {
+                    return session.decoded_plan().expect("decoded").len();
+                }
+            }
+            panic!("m - s survivors never decoded");
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fresh_decoder_per_iteration,
     bench_reused_session,
-    bench_group_fast_path
+    bench_group_fast_path,
+    bench_cluster_d_random_stragglers
 );
 criterion_main!(benches);

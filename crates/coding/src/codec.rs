@@ -57,6 +57,7 @@
 //! # }
 //! ```
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -432,18 +433,48 @@ pub trait GradientCodec {
 
 /// The dense rows of `B` shared (via `Arc`) between a codec and its
 /// sessions, so spawning a session copies nothing.
+///
+/// **Distinct-column invariant:** only one representative of each
+/// bit-identical column of `B` is kept (first occurrence, original order),
+/// so rows have length `k′ ≤ k`. `a·B = 1` holds on every copy of a column
+/// or on none, so a decode vector found over the `k′` kept columns is a
+/// decode vector over all `k` — and allocations that give partitions with
+/// the same owner set the same column (Eq. 6's cyclic assignment does)
+/// eliminate over a fraction of `k`.
 #[derive(Debug)]
 pub(crate) struct RowStore {
+    /// Worker rows restricted to the distinct columns (`m × k′`).
     rows: Vec<Vec<f64>>,
+    /// The full partition count `k` of the code.
     partitions: usize,
 }
 
 impl RowStore {
+    /// One `O(mk)` pass at compile time: hash each column's bit pattern,
+    /// keep the first of every class.
     fn from_code(code: &CodingMatrix) -> Self {
+        let (m, k) = (code.workers(), code.partitions());
+        let mut seen = HashSet::with_capacity(k);
+        let kept: Vec<usize> = (0..k)
+            .filter(|&j| {
+                seen.insert(
+                    (0..m)
+                        .map(|w| code.row(w)[j].to_bits())
+                        .collect::<Vec<u64>>(),
+                )
+            })
+            .collect();
         RowStore {
-            rows: (0..code.workers()).map(|w| code.row(w).to_vec()).collect(),
-            partitions: code.partitions(),
+            rows: (0..m)
+                .map(|w| kept.iter().map(|&j| code.row(w)[j]).collect())
+                .collect(),
+            partitions: k,
         }
+    }
+
+    /// Number of distinct columns `k′` — the length of every session row.
+    fn distinct_columns(&self) -> usize {
+        self.rows.first().map_or(0, Vec::len)
     }
 }
 
@@ -451,9 +482,18 @@ impl RowStore {
 /// completion order; a [`DecodePlan`] pops out at the *earliest* decodable
 /// prefix.
 ///
-/// Internally maintains a reduced row-echelon basis of the received rows
-/// together with the combinations that produced them, so each
-/// [`CodecSession::push`] costs `O(k·r)` (`r` = current rank). All
+/// Internally maintains a *forward-only* echelon basis of the received
+/// rows, the arrival combinations that produced them, and a running
+/// reduction of `1` against that basis — all over the `k′ ≤ k` *distinct*
+/// columns of `B`: bit-identical columns are kept once, since `a·B = 1`
+/// holds on every copy of a column or on none (Eq. 6's cyclic assignment
+/// gives partitions with the same owner set the same column, so `k′` can
+/// be a fraction of `k`). One arrival costs one `O(r·(k′ + a))` sweep
+/// (`r` = current rank, `a` = arrivals so far): the new row is reduced
+/// against the basis in insertion order and its pivot normalised to
+/// exactly `1.0` — earlier basis rows are never touched again — and the
+/// one new basis row then updates the running reduction, so the
+/// decodability test is an `O(k′)` norm with no re-reduction. All
 /// working buffers come from an internal [`BufferPool`]:
 /// [`CodecSession::reset`] recycles them, so a session reused across
 /// training iterations reaches a steady state with **zero** per-round
@@ -464,9 +504,12 @@ impl RowStore {
 #[derive(Debug, Clone)]
 pub struct CodecSession {
     store: Arc<RowStore>,
-    /// RREF basis rows over partition space.
+    /// Echelon basis rows over the distinct columns, in insertion order:
+    /// row `i` is exactly `1.0` at `pivots[i]` and exactly `0.0` at every
+    /// earlier pivot (later pivots are *not* eliminated from it).
     basis: Vec<Vec<f64>>,
-    /// `combos[i][j]`: coefficient of the j-th arrival in basis row i.
+    /// `combos[i][j]`: coefficient of the j-th arrival in basis row i;
+    /// its length is fixed at the row's own arrival index + 1.
     combos: Vec<Vec<f64>>,
     /// Pivot column of each basis row.
     pivots: Vec<usize>,
@@ -476,9 +519,11 @@ pub struct CodecSession {
     pushed: Vec<bool>,
     /// Recycled row/combination buffers from previous rounds' bases.
     pool: BufferPool,
-    /// Scratch for the per-push decodability check.
+    /// The running reduction of `1_{1×k′}` against `basis`: the round
+    /// decodes once its max-norm falls to [`DEFAULT_TOLERANCE`].
     scratch_target: Vec<f64>,
-    /// Scratch for the per-push combination accumulation.
+    /// The arrival combination accumulated by that reduction:
+    /// `1 − scratch_target = Σ_j scratch_combo[j] · b_{arrivals[j]}`.
     scratch_combo: Vec<f64>,
     /// Scratch for densifying the decode vector into the plan slot.
     scratch_dense: Vec<f64>,
@@ -503,7 +548,7 @@ pub struct CodecSession {
 impl CodecSession {
     fn new(store: Arc<RowStore>) -> Self {
         let m = store.rows.len();
-        let partitions = store.partitions;
+        let distinct = store.distinct_columns();
         CodecSession {
             store,
             basis: Vec::new(),
@@ -511,8 +556,8 @@ impl CodecSession {
             pivots: Vec::new(),
             arrivals: Vec::new(),
             pushed: vec![false; m],
-            pool: BufferPool::new(partitions),
-            scratch_target: Vec::new(),
+            pool: BufferPool::new(distinct),
+            scratch_target: vec![1.0; distinct],
             scratch_combo: Vec::new(),
             scratch_dense: Vec::new(),
             plan_slot: DecodePlan::from_dense(&[]),
@@ -581,6 +626,8 @@ impl CodecSession {
         self.pivots.clear();
         self.arrivals.clear();
         self.pushed.iter_mut().for_each(|p| *p = false);
+        self.scratch_target.fill(1.0);
+        self.scratch_combo.clear();
         self.has_plan = false;
         if let Some(tracker) = &mut self.groups {
             tracker.reset();
@@ -669,38 +716,39 @@ impl CodecSession {
             }
         }
 
-        // Reduce the new row against the basis, tracking the combination.
+        // Reduce the new row against the basis in insertion order,
+        // tracking the combination. Each basis row is `1.0` at its pivot
+        // and `0.0` at the earlier ones, so the sweep leaves exact zeros
+        // at every pivot.
         let store = Arc::clone(&self.store);
         let src_row = &store.rows[worker];
         let mut row = self.pool.checkout_copied(src_row);
-        let mut combo = self.pool.checkout_with_len(self.arrivals.len());
+        let mut combo = self.pool.checkout_with_len(arrival_idx + 1);
         combo[arrival_idx] = 1.0;
-        for combo_row in &mut self.combos {
-            combo_row.push(0.0); // widen existing combos to the new arrival
-        }
-        for (i, basis_row) in self.basis.iter().enumerate() {
-            let p = self.pivots[i];
+        for ((basis_row, basis_combo), &p) in self.basis.iter().zip(&self.combos).zip(&self.pivots)
+        {
             let factor = row[p];
             if factor != 0.0 {
                 vec_ops::axpy(-factor, basis_row, &mut row);
-                vec_ops::axpy(-factor, &self.combos[i], &mut combo);
+                vec_ops::axpy(-factor, basis_combo, &mut combo[..basis_combo.len()]);
             }
         }
         // Numerical zero test relative to the source row's magnitude.
         let scale = vec_ops::norm_inf(src_row).max(1.0);
         if let Some(p) = pivot_of(&row, DEFAULT_TOLERANCE * scale) {
-            // Normalize and back-eliminate to keep the basis reduced. The
-            // new row is disjoint from `self.basis`/`self.combos`, so no
-            // copies are needed.
+            // Normalize the pivot to exactly 1 — no back-elimination: the
+            // earlier basis rows stay as they are.
             let inv = 1.0 / row[p];
             vec_ops::scale(inv, &mut row);
             vec_ops::scale(inv, &mut combo);
-            for i in 0..self.basis.len() {
-                let factor = self.basis[i][p];
-                if factor != 0.0 {
-                    vec_ops::axpy(-factor, &row, &mut self.basis[i]);
-                    vec_ops::axpy(-factor, &combo, &mut self.combos[i]);
-                }
+            row[p] = 1.0;
+            // The one new basis row is all the running reduction of `1`
+            // has not seen yet.
+            let factor = self.scratch_target[p];
+            if factor != 0.0 {
+                vec_ops::axpy(-factor, &row, &mut self.scratch_target);
+                self.scratch_combo.resize(arrival_idx + 1, 0.0);
+                vec_ops::axpy(factor, &combo, &mut self.scratch_combo);
             }
             self.basis.push(row);
             self.combos.push(combo);
@@ -711,16 +759,12 @@ impl CodecSession {
             self.pool.recycle(combo);
         }
 
-        // Decodability check through the pooled scratch buffers.
-        let mut target = std::mem::take(&mut self.scratch_target);
-        let mut acc = std::mem::take(&mut self.scratch_combo);
-        let spanned = self.reduce_ones(&mut target, &mut acc);
+        let spanned = self.spans_ones();
         if spanned {
-            let m = self.pushed.len();
             self.scratch_dense.clear();
-            self.scratch_dense.resize(m, 0.0);
-            for (j, &w) in self.arrivals.iter().enumerate() {
-                self.scratch_dense[w] += acc[j];
+            self.scratch_dense.resize(self.pushed.len(), 0.0);
+            for (&w, &coef) in self.arrivals.iter().zip(&self.scratch_combo) {
+                self.scratch_dense[w] += coef;
             }
             self.plan_slot.assign_dense(&self.scratch_dense, 0.0);
             self.has_plan = true;
@@ -740,8 +784,6 @@ impl CodecSession {
                 self.shared = Some((cache, fingerprint));
             }
         }
-        self.scratch_target = target;
-        self.scratch_combo = acc;
         Ok(spanned)
     }
 
@@ -761,35 +803,21 @@ impl CodecSession {
         self.try_decode_dense().map(|a| DecodePlan::from_dense(&a))
     }
 
-    /// Reduces `1_{1×k}` against the basis into `target`, accumulating the
-    /// arrival combination in `combo`. Returns `true` when `1` is spanned.
-    fn reduce_ones(&self, target: &mut Vec<f64>, combo: &mut Vec<f64>) -> bool {
-        target.clear();
-        target.resize(self.store.partitions, 1.0);
-        combo.clear();
-        combo.resize(self.arrivals.len(), 0.0);
-        for (i, basis_row) in self.basis.iter().enumerate() {
-            let p = self.pivots[i];
-            let factor = target[p];
-            if factor != 0.0 {
-                vec_ops::axpy(-factor, basis_row, target);
-                vec_ops::axpy(factor, &self.combos[i], combo);
-            }
-        }
-        vec_ops::norm_inf(target) <= DEFAULT_TOLERANCE
+    /// Whether `1` lies in the span of the received rows: the running
+    /// reduction has nothing left.
+    fn spans_ones(&self) -> bool {
+        vec_ops::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
     }
 
     /// Dense variant of [`CodecSession::try_decode`] (kept for the
     /// deprecated `OnlineDecoder` shim, which promises a dense vector).
     pub(crate) fn try_decode_dense(&self) -> Option<Vec<f64>> {
-        let mut target = Vec::new();
-        let mut combo = Vec::new();
-        if !self.reduce_ones(&mut target, &mut combo) {
+        if !self.spans_ones() {
             return None;
         }
         let mut a = vec![0.0; self.pushed.len()];
-        for (j, &w) in self.arrivals.iter().enumerate() {
-            a[w] += combo[j];
+        for (&w, &coef) in self.arrivals.iter().zip(&self.scratch_combo) {
+            a[w] += coef;
         }
         Some(a)
     }
@@ -868,14 +896,21 @@ impl PlanCache {
     }
 
     pub(crate) fn lookup(&mut self, key: &[usize]) -> Option<DecodePlan> {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| k == key) {
-            self.hits += 1;
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry); // refresh LRU position
-            return Some(self.entries.last().expect("just pushed").1.clone());
+        let found = self.peek(key);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.misses += 1;
-        None
+        found
+    }
+
+    /// [`PlanCache::lookup`] without the hit/miss bookkeeping: for
+    /// re-probes of a request that was already counted.
+    fn peek(&mut self, key: &[usize]) -> Option<DecodePlan> {
+        let pos = self.entries.iter().position(|(k, _)| k == key)?;
+        let entry = self.entries.remove(pos);
+        self.entries.push(entry); // refresh LRU position
+        Some(self.entries.last().expect("just pushed").1.clone())
     }
 
     pub(crate) fn insert(&mut self, key: Vec<usize>, plan: DecodePlan) {
@@ -898,7 +933,10 @@ impl PlanCache {
 /// each ran their own full solve. The gate tracks the patterns currently
 /// being solved: the first thread to miss becomes the leader and solves;
 /// the rest block on the condvar, then re-probe the cache the leader
-/// populated.
+/// populated. So does a thread that missed before the leader's insert
+/// but reaches the gate after the leader left it: the re-probe happens
+/// under the gate's lock, before leading, so a solved pattern never gets
+/// a second leader.
 ///
 /// If the leader fails (e.g. [`CodingError::NotDecodable`]) or panics,
 /// the key is removed (panic-safely, via a drop guard) and one waiter
@@ -1144,20 +1182,22 @@ impl CompiledCodec {
             return Ok(plan);
         }
         loop {
-            let flights = self.gate.inflight.lock().expect("gate poisoned");
+            let mut flights = self.gate.inflight.lock().expect("gate poisoned");
             if flights.contains(&key) {
                 // Someone is already solving this pattern: wait for the
-                // leader to finish, then re-probe the cache it populated.
-                let _woken = self.gate.done.wait(flights).expect("gate poisoned");
-                drop(_woken);
-                if let Some(plan) = self.cache.lock().expect("cache poisoned").lookup(&key) {
-                    return Ok(plan);
-                }
-                // Leader failed (or the plan was already evicted): retry,
-                // possibly becoming the new leader.
+                // leader to finish, then look again.
+                drop(self.gate.done.wait(flights).expect("gate poisoned"));
                 continue;
             }
-            let mut flights = flights;
+            // Nobody is solving it *now* — but a leader may have finished
+            // between this thread's cache miss and its arrival here (or
+            // just woken it). Re-probe under the `inflight` lock, which a
+            // finishing leader takes only after its insert: whoever gets
+            // past this point is the pattern's one leader. A miss here
+            // means the leader failed or the plan was already evicted.
+            if let Some(plan) = self.cache.lock().expect("cache poisoned").peek(&key) {
+                return Ok(plan);
+            }
             flights.push(key.clone());
             break;
         }
@@ -1685,6 +1725,38 @@ mod tests {
         assert_eq!(replay, first_round);
     }
 
+    /// The distinct-column invariant: bit-identical columns of `B` are
+    /// eliminated over once (`k′ < k`), a code without any keeps all of
+    /// them (`k′ = k`), and the plan found over `k′` columns decodes all
+    /// `k` partitions.
+    #[test]
+    fn sessions_eliminate_over_distinct_columns_only() {
+        use hetgc_linalg::Matrix;
+        // Columns 0, 2 and 3 are identical (one owner set, one `C⁻¹·1`).
+        let dup = Matrix::from_rows(&[
+            &[1.0, 0.0, 1.0, 1.0, 2.0],
+            &[0.5, 1.0, 0.5, 0.5, 0.0],
+            &[0.0, 3.0, 0.0, 0.0, 1.0],
+        ])
+        .unwrap();
+        let code = CodingMatrix::from_matrix(dup, 0).unwrap();
+        let store = RowStore::from_code(&code);
+        assert_eq!((store.partitions, store.distinct_columns()), (5, 3));
+        assert_eq!(store.rows[0], [1.0, 0.0, 2.0]);
+        assert_eq!(store.rows[2], [0.0, 3.0, 1.0]);
+        let mut session = GradientCodec::session(&code);
+        assert_eq!((session.partitions(), session.pool().dim()), (5, 3));
+        assert!(session.push(2).unwrap().is_none());
+        assert!(session.push(0).unwrap().is_none());
+        let plan = session.push(1).unwrap().expect("full rank decodes");
+        check_decode(&code, &plan);
+
+        // `-0.0 == 0.0` but the bits differ: not a duplicate.
+        let plain = Matrix::from_rows(&[&[1.0, 0.0, -0.0], &[0.0, 1.0, 1.0]]).unwrap();
+        let code = CodingMatrix::from_matrix(plain, 0).unwrap();
+        assert_eq!(RowStore::from_code(&code).distinct_columns(), 3);
+    }
+
     #[test]
     fn session_rejects_duplicates_and_out_of_range() {
         let codec = CompiledCodec::new(code());
@@ -1858,22 +1930,18 @@ mod tests {
         assert_eq!(codec.encode(1, &[Vec::new(), Vec::new()]).unwrap(), vec![]);
     }
 
-    /// The singleflight gate: threads racing a cache miss on the *same*
-    /// survivor pattern share one dense solve.
-    #[test]
-    fn concurrent_decode_plan_misses_solve_once() {
-        let b = code();
-        let codec = std::sync::Arc::new(CompiledCodec::new(b));
+    /// Eight threads racing a cache miss on the *same* survivor pattern
+    /// of a fresh codec; returns the codec for the caller's assertions.
+    fn race_same_pattern_misses() -> Arc<CompiledCodec> {
+        let codec = Arc::new(CompiledCodec::new(code()));
         const THREADS: usize = 8;
         // A barrier maximizes the chance every thread misses before any
         // leader finishes; correctness doesn't depend on the interleaving.
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+        let barrier = std::sync::Barrier::new(THREADS);
         let plans: Vec<DecodePlan> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    let codec = std::sync::Arc::clone(&codec);
-                    let barrier = std::sync::Arc::clone(&barrier);
-                    scope.spawn(move || {
+                    scope.spawn(|| {
                         barrier.wait();
                         codec.decode_plan(&[0, 1, 3, 4]).unwrap()
                     })
@@ -1886,6 +1954,14 @@ mod tests {
         }
         assert_eq!(codec.plan_solves(), 1, "racing misses must share one solve");
         assert_eq!(codec.cached_plans(), 1);
+        codec
+    }
+
+    /// The singleflight gate: threads racing a cache miss on the *same*
+    /// survivor pattern share one dense solve.
+    #[test]
+    fn concurrent_decode_plan_misses_solve_once() {
+        let codec = race_same_pattern_misses();
         // Undecodable patterns keep erroring deterministically through the
         // gate (and count their solve attempts).
         assert!(matches!(
@@ -1897,6 +1973,18 @@ mod tests {
             Err(CodingError::NotDecodable { .. })
         ));
         assert_eq!(codec.plan_solves(), 3, "failed solves are not cached");
+    }
+
+    /// Regression for a ~1-in-45 flake of the test above: a thread that
+    /// missed the cache before the leader's insert, and reached the gate
+    /// after the leader had left it, became a second leader. The race
+    /// needs that exact interleaving, so hammer it.
+    #[test]
+    #[ignore = "slow: 300 eight-thread races, run by the nightly slow-suite job"]
+    fn concurrent_decode_plan_misses_solve_once_looped() {
+        for _ in 0..300 {
+            race_same_pattern_misses();
+        }
     }
 
     /// The blocked `apply_rows_into`/`apply_block_into` decode paths are

@@ -12,7 +12,7 @@
 //!   plan — no `O(mk²)` solve, no plan-cache lock;
 //! * [`GradientCodec::session`] tracks per-group missing-worker counters:
 //!   the push that completes a group returns its indicator plan
-//!   immediately, skipping both the `O(k·r)` row elimination and the
+//!   immediately, skipping both the `O(r·(k′ + a))` row elimination and the
 //!   spanning check for that arrival;
 //! * the returned plan is the *cheapest* exact decode — `|G|` unit
 //!   coefficients instead of up to `m−s` generic ones — so the downstream

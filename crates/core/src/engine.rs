@@ -929,7 +929,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                 let mut samples: Vec<RoundSample> = Vec::with_capacity(live.len());
                 let live_count = live.len();
                 let mut reported_count = 0;
-                let (plan, at) = loop {
+                // `Some` when the escalation ladder decoded the round;
+                // otherwise the plan is borrowed from the session's slot.
+                let (fallback, at) = loop {
                     let Some(event) = self.engine.next_event() else {
                         return Ok(EngineRound::failed(true));
                     };
@@ -948,8 +950,8 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                         iter_times[event.worker],
                         event.time - round_start,
                     ));
-                    if let Some(plan) = session.push(w)? {
-                        break (plan, event.time);
+                    if session.push_arrival(w)? {
+                        break (None, event.time);
                     }
                     if reported_count == live_count {
                         // Every live worker has reported and no exact
@@ -958,7 +960,7 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                         let survivors: Vec<usize> =
                             (0..codec.workers()).filter(|&x| reported[x]).collect();
                         match codec.fallback_plan(&survivors) {
-                            Some(plan) => break (plan, event.time),
+                            Some(plan) => break (Some(plan), event.time),
                             None => {
                                 session.reset();
                                 reported.iter_mut().for_each(|r| *r = false);
@@ -968,9 +970,13 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     }
                 };
 
+                let plan = match &fallback {
+                    Some(plan) => plan,
+                    None => session.decoded_plan().expect("push_arrival decoded"),
+                };
                 let (gradient, error_bound) = gradient_from_plan(
                     codec,
-                    &plan,
+                    plan,
                     self.model,
                     params,
                     self.data,
@@ -979,6 +985,7 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     arrivals,
                     self.recorder.as_ref(),
                 )?;
+                let (residual, results_used) = (plan.residual(), plan.len());
                 let elapsed = at - self.last_time;
                 self.last_time = at;
                 session.reset();
@@ -988,9 +995,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     elapsed: Some(elapsed),
                     at: Some(at),
                     gradient: Some(gradient),
-                    residual: plan.residual(),
+                    residual,
                     error_bound,
-                    results_used: plan.len(),
+                    results_used,
                     busy: Vec::new(),
                     samples,
                     alloc_bytes,

@@ -310,8 +310,9 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
             }
         }
         pushed.push(arr.worker);
-        if let Some(plan) = session.push(arr.worker)? {
+        if session.push_arrival(arr.worker)? {
             completion = Some(arr.arrive);
+            let plan = session.decoded_plan().expect("push_arrival decoded");
             decode_vector = plan.to_dense();
             break;
         }
