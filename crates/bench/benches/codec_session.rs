@@ -1,11 +1,12 @@
-//! Per-iteration decoder setup cost: constructing a fresh `OnlineDecoder`
-//! every round (the pre-codec idiom of every trainer in this workspace)
-//! versus resetting one reusable `CodecSession`.
+//! Per-iteration decoder setup cost: spawning a fresh `CodecSession` from
+//! the uncompiled `CodingMatrix` every round (row store rebuilt, empty
+//! buffer pool) versus resetting one reusable session of a
+//! `CompiledCodec`.
 //!
 //! The workload is one full master collect round on Cluster-A-sized codes
 //! (m = 8, the paper's Table II Cluster-A, plus larger powers of two):
 //! arrivals stream in a fixed order and the round ends at the earliest
-//! decodable prefix — exactly what `train_bsp_sim`, the experiment
+//! decodable prefix — exactly what the simulated engines, the experiment
 //! drivers and the threaded runtime do once per training iteration.
 //!
 //! The last arm is the per-arrival path at the paper's largest shape —
@@ -13,12 +14,9 @@
 //! round so nearly every survivor set is new — the micro row next to the
 //! ledger's `sim-bsp-miss` workload (`benchmark/`).
 
-#![allow(deprecated)] // the point of this bench is to measure the old path
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetgc::{
     group_based, heter_aware, ClusterSpec, CodingMatrix, CompiledCodec, GradientCodec, GroupCodec,
-    OnlineDecoder,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,17 +32,17 @@ fn cluster_a_like(m: usize) -> CodingMatrix {
 }
 
 fn run_round_fresh(code: &CodingMatrix, order: &[usize]) {
-    let mut dec = OnlineDecoder::new(code);
+    let mut session = code.session();
     for &w in order {
-        if dec.push(w).expect("valid push").is_some() {
+        if session.push(w).expect("valid push").is_some() {
             return;
         }
     }
     panic!("never decoded");
 }
 
-fn bench_fresh_decoder_per_iteration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec_session/fresh_online_decoder");
+fn bench_fresh_session_per_iteration(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec_session/fresh_session");
     for m in [8usize, 16, 32] {
         let code = cluster_a_like(m);
         let order: Vec<usize> = (0..m).collect();
@@ -166,7 +164,7 @@ fn bench_cluster_d_random_stragglers(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fresh_decoder_per_iteration,
+    bench_fresh_session_per_iteration,
     bench_reused_session,
     bench_group_fast_path,
     bench_cluster_d_random_stragglers

@@ -1,20 +1,19 @@
 //! The gradient data plane, measured three ways:
 //!
-//! * `data_plane/encode`  — allocating `encode` vs pooled `encode_into`
-//!   over a flat `GradientBlock`;
+//! * `data_plane/encode`  — the dense reference `CodingMatrix::encode`
+//!   (row scan, fresh `Vec`) vs pooled CSR `encode_into` over a flat
+//!   `GradientBlock`;
 //! * `data_plane/decode`  — allocating `DecodePlan::apply_into` (HashMap of
 //!   owned vectors) vs `apply_into` straight over the arrival block;
 //! * `data_plane/decode_large` — whole-round decode at d = 65 536:
 //!   per-row scalar combine vs the cache-blocked plan-matrix product;
-//! * `data_plane/round`   — a full master collect round: legacy `push`
+//! * `data_plane/round`   — a full master collect round: cloning `push`
 //!   (fresh plan per round) vs zero-alloc `push_arrival`/`decoded_plan`;
 //! * `data_plane/driver`  — sequential `TrainDriver` vs double-buffered
 //!   `PipelinedDriver` on the real threaded runtime.
 //!
 //! The CI `bench-smoke` job runs this bench with `--test` on every PR and
 //! surfaces the comparison numbers in the job log.
-
-#![allow(deprecated)] // the allocating arms are the baseline under test
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,10 +46,10 @@ fn bench_encode(c: &mut Criterion) {
     let (codec, rows, block) = fixture();
     let m = codec.workers();
     let mut group = c.benchmark_group("data_plane/encode");
-    group.bench_function("allocating", |b| {
+    group.bench_function("dense_reference", |b| {
         b.iter(|| {
             for w in 0..m {
-                black_box(codec.encode(w, &rows).unwrap());
+                black_box(codec.code().encode(w, &rows).unwrap());
             }
         })
     });
@@ -167,12 +166,12 @@ fn bench_round(c: &mut Criterion) {
     let m = codec.workers();
     let order: Vec<usize> = (1..m).collect(); // worker 0 straggles
     let mut group = c.benchmark_group("data_plane/round");
-    let mut legacy = codec.session();
+    let mut cloning = codec.session();
     group.bench_function("push_allocating_plan", |b| {
         b.iter(|| {
-            legacy.reset();
+            cloning.reset();
             for &w in &order {
-                if let Some(plan) = legacy.push(w).unwrap() {
+                if let Some(plan) = cloning.push(w).unwrap() {
                     return black_box(plan.len());
                 }
             }

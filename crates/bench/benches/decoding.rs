@@ -16,7 +16,7 @@ fn build(m: usize, s: usize) -> CodingMatrix {
 }
 
 fn bench_one_shot_decode(c: &mut Criterion) {
-    // The uncompiled path: every call re-solves (the old `decode_vector`).
+    // The uncompiled path: every call re-solves.
     let mut group = c.benchmark_group("decode/one_shot_uncached");
     for m in [8usize, 16, 32] {
         let code = build(m, 1);

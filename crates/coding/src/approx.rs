@@ -149,18 +149,6 @@ pub fn under_replicated<R: Rng + ?Sized>(
     heter_aware_from_support(&support, rng)
 }
 
-/// A per-partition gradient-error scale for an approximate decode:
-/// `residual · max_j ‖g_j‖₂`. This is the right *order of magnitude* for
-/// the error (and exact when a single `e_j` dominates), but **not** a
-/// worst-case bound — the measured error can exceed it by up to `√k`.
-#[deprecated(
-    since = "0.2.0",
-    note = "not a rigorous bound (can under-report by √k); use gradient_error_bound_l2"
-)]
-pub fn gradient_error_bound(residual: f64, max_partial_norm: f64) -> f64 {
-    residual * max_partial_norm
-}
-
 /// The rigorous worst-case gradient-error bound of an approximate decode.
 ///
 /// With `e = aᵀB_I − 1` the decode error is `ĝ − g = Σ_j e_j g_j`, so by
@@ -294,10 +282,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn error_bound_formula() {
-        assert_eq!(gradient_error_bound(0.5, 4.0), 2.0);
-        assert_eq!(gradient_error_bound(0.0, 100.0), 0.0);
+        assert_eq!(gradient_error_bound_l2(0.0, &[100.0]), 0.0);
         assert_eq!(gradient_error_bound_l2(2.0, &[3.0, 4.0]), 10.0);
     }
 }

@@ -155,10 +155,6 @@ impl GradientCodec for AnyCodec {
         self.as_compiled().load_of(worker)
     }
 
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError> {
-        self.as_compiled().encode(worker, partials)
-    }
-
     fn encode_into<E: hetgc_linalg::Element>(
         &self,
         worker: usize,
@@ -219,10 +215,10 @@ mod tests {
         assert_eq!(exact.stragglers(), 1);
         assert_eq!(exact.load_of(0), b.load_of(0));
         let partials: Vec<Vec<f64>> = (0..7).map(|j| vec![j as f64, 1.0]).collect();
-        assert_eq!(
-            exact.encode(2, &partials).unwrap(),
-            b.encode(2, &partials).unwrap()
-        );
+        let block = GradientBlock::from_rows(&partials).unwrap();
+        let mut coded = [f64::NAN; 2];
+        exact.encode_into(2, &block, &mut coded).unwrap();
+        assert_eq!(coded.as_slice(), b.encode(2, &partials).unwrap());
         let plan = exact.decode_plan(&[0, 1, 3, 4]).unwrap();
         assert_eq!(
             plan,

@@ -75,8 +75,8 @@ impl<E: Element> GradientBlock<E> {
         }
     }
 
-    /// Builds a block from equal-length rows (the legacy `Vec<Vec<f64>>`
-    /// layout), copying each row into the flat storage.
+    /// Builds a block from equal-length rows (one `Vec` per row), copying
+    /// each row into the flat storage.
     ///
     /// # Errors
     ///
@@ -150,9 +150,9 @@ impl<E: Element> GradientBlock<E> {
         self.data.resize(rows * dim, E::ZERO);
     }
 
-    /// Copies the block out as the legacy `Vec<Vec<f64>>` layout — the
-    /// bridge for the deprecated allocating entry points; avoid it on hot
-    /// paths.
+    /// Copies the block out as one `Vec` per row — the layout the dense
+    /// reference [`CodingMatrix::encode`](crate::CodingMatrix::encode)
+    /// takes; avoid it on hot paths.
     pub fn to_rows(&self) -> Vec<Vec<E>> {
         (0..self.rows).map(|i| self.row(i).to_vec()).collect()
     }

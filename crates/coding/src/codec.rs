@@ -6,7 +6,7 @@
 //!
 //! | Type | Paper object |
 //! |------|--------------|
-//! | [`GradientCodec::encode`] | `g̃_w = b_w · [g_1 … g_k]ᵀ` (Eq. 1), restricted to `supp(b_w)` |
+//! | [`GradientCodec::encode_into`] | `g̃_w = b_w · [g_1 … g_k]ᵀ` (Eq. 1), restricted to `supp(b_w)` |
 //! | [`DecodePlan`] | one row `a_i` of the decoding matrix `A` (Eq. 2), stored sparsely |
 //! | [`GradientCodec::decode_plan`] | the realtime `O(mk²)` decode-vector solve of §III-B |
 //! | [`CodecSession`] | the master's earliest-decodable-prefix loop (`T(B, S)` of §III-C) |
@@ -347,29 +347,15 @@ pub trait GradientCodec {
     /// `‖b_w‖₀`: how many partitions worker `w` computes.
     fn load_of(&self, worker: usize) -> usize;
 
-    /// Encodes worker `w`'s result: `g̃_w = Σ_{j ∈ supp(b_w)} b_wj · g_j`.
+    /// Encodes worker `w`'s result, `g̃_w = Σ_{j ∈ supp(b_w)} b_wj · g_j`,
+    /// into a caller-owned buffer. `partials` is the `k × d` block of
+    /// per-partition gradients (row `j` = partition `j`); `out` must have
+    /// length `d` and is fully overwritten. Generic over the element type
+    /// (`f64` and `f32`); coding coefficients stay `f64` and convert at
+    /// the kernel boundary.
     ///
-    /// `partials[j]` is the partial gradient of partition `j`; partitions
-    /// outside `supp(b_w)` may be empty placeholders.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParameter`] if a needed partial is missing or
-    /// dimensions disagree.
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError>;
-
-    /// Encodes worker `w`'s result into a caller-owned buffer — the
-    /// zero-allocation primary encode entry point of the data plane.
-    /// `partials` is the `k × d` block of per-partition gradients
-    /// (row `j` = partition `j`); `out` must have length `d` and is fully
-    /// overwritten. Generic over the element type (`f64` and `f32`);
-    /// coding coefficients stay `f64` and convert at the kernel boundary.
-    ///
-    /// The default implementation routes through the allocating
-    /// [`GradientCodec::encode`] in `f64` (identity conversions when
-    /// `E = f64`, so results are unchanged bitwise); the compiled backends
-    /// override it with a direct CSR accumulation through the chunked
-    /// kernels that allocates nothing.
+    /// The compiled backends accumulate straight from their CSR arrays
+    /// through the chunked kernels and allocate nothing.
     ///
     /// # Errors
     ///
@@ -380,21 +366,7 @@ pub trait GradientCodec {
         worker: usize,
         partials: &GradientBlock<E>,
         out: &mut [E],
-    ) -> Result<(), CodingError> {
-        let rows: Vec<Vec<f64>> = (0..partials.rows())
-            .map(|j| partials.row(j).iter().map(|v| v.to_f64()).collect())
-            .collect();
-        let coded = self.encode(worker, &rows)?;
-        if coded.len() != out.len() {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("out has dim {}, expected {}", out.len(), coded.len()),
-            });
-        }
-        for (o, &v) in out.iter_mut().zip(&coded) {
-            *o = E::from_f64(v);
-        }
-        Ok(())
-    }
+    ) -> Result<(), CodingError>;
 
     /// A decode plan supported on the given survivors (order-insensitive:
     /// the survivor set is canonicalized before solving, so equal sets
@@ -644,8 +616,8 @@ impl CodecSession {
     /// Feeds the result of `worker`; returns a decode plan if the received
     /// set is now decodable, `None` otherwise.
     ///
-    /// This is the allocating compatibility entry point (the returned plan
-    /// is a fresh clone); steady-state hot paths use the zero-allocation
+    /// A convenience over [`CodecSession::push_arrival`] that clones the
+    /// plan out; steady-state hot paths use the zero-allocation
     /// [`CodecSession::push_arrival`] + [`CodecSession::decoded_plan`]
     /// pair instead.
     ///
@@ -800,18 +772,6 @@ impl CodecSession {
         if let Some(plan) = self.groups.as_ref().and_then(|t| t.intact_plan()) {
             return Some(plan.clone());
         }
-        self.try_decode_dense().map(|a| DecodePlan::from_dense(&a))
-    }
-
-    /// Whether `1` lies in the span of the received rows: the running
-    /// reduction has nothing left.
-    fn spans_ones(&self) -> bool {
-        vec_ops::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
-    }
-
-    /// Dense variant of [`CodecSession::try_decode`] (kept for the
-    /// deprecated `OnlineDecoder` shim, which promises a dense vector).
-    pub(crate) fn try_decode_dense(&self) -> Option<Vec<f64>> {
         if !self.spans_ones() {
             return None;
         }
@@ -819,7 +779,13 @@ impl CodecSession {
         for (&w, &coef) in self.arrivals.iter().zip(&self.scratch_combo) {
             a[w] += coef;
         }
-        Some(a)
+        Some(DecodePlan::from_dense(&a))
+    }
+
+    /// Whether `1` lies in the span of the received rows: the running
+    /// reduction has nothing left.
+    fn spans_ones(&self) -> bool {
+        vec_ops::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
     }
 }
 
@@ -1239,7 +1205,8 @@ impl CompiledCodec {
     ///
     /// # Errors
     ///
-    /// Same contract as [`GradientCodec::decode_plan`].
+    /// Same contract as [`GradientCodec::decode_plan`], with
+    /// [`CodingError::InvalidParameter`] for a straggler index `>= m`.
     pub fn decode_plan_for_stragglers(
         &self,
         stragglers: &[usize],
@@ -1247,80 +1214,15 @@ impl CompiledCodec {
         let mut dead = stragglers.to_vec();
         dead.sort_unstable();
         dead.dedup();
+        if let Some(&w) = dead.last().filter(|&&w| w >= self.workers()) {
+            return Err(CodingError::InvalidParameter {
+                reason: format!("straggler index {w} >= m={}", self.workers()),
+            });
+        }
         let survivors: Vec<usize> = (0..self.workers())
             .filter(|w| dead.binary_search(w).is_err())
             .collect();
         self.decode_plan(&survivors)
-    }
-
-    /// Encodes from the legacy `Vec<Vec<f64>>` partial layout into a
-    /// caller-owned buffer.
-    ///
-    /// Deprecated: the data plane now flows through flat
-    /// [`GradientBlock`]s — use [`GradientCodec::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GradientCodec::encode`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use GradientCodec::encode_into with a GradientBlock"
-    )]
-    pub fn encode_partials_into(
-        &self,
-        worker: usize,
-        partials: &[Vec<f64>],
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodingError> {
-        self.encode_ragged(worker, partials, out)
-    }
-
-    /// The `Vec<Vec<f64>>` encode body shared by [`GradientCodec::encode`]
-    /// and the deprecated wrapper. Tolerates ragged placeholders outside
-    /// `supp(b_w)` — which a flat [`GradientBlock`] cannot represent, and
-    /// the block-based paths do not need.
-    fn encode_ragged(
-        &self,
-        worker: usize,
-        partials: &[Vec<f64>],
-        out: &mut Vec<f64>,
-    ) -> Result<(), CodingError> {
-        if partials.len() != self.partitions() {
-            return Err(CodingError::InvalidParameter {
-                reason: format!(
-                    "expected {} partials, got {}",
-                    self.partitions(),
-                    partials.len()
-                ),
-            });
-        }
-        let support = self.support_of(worker);
-        let coeffs = self.coefficients_of(worker);
-        // The coded vector's dimension comes from the partials the worker
-        // actually combines; a worker with an *empty* support must still
-        // emit a d-length zero vector (not a 0-length one — downstream
-        // treats that as a dim mismatch), so fall back to the first
-        // non-empty partial in the block.
-        let dim = match support.first() {
-            Some(&j) => partials[j].len(),
-            None => partials.iter().find(|p| !p.is_empty()).map_or(0, Vec::len),
-        };
-        out.clear();
-        out.resize(dim, 0.0);
-        for (&j, &coef) in support.iter().zip(coeffs) {
-            if partials[j].len() != dim {
-                return Err(CodingError::InvalidParameter {
-                    reason: format!(
-                        "partial {} has dim {}, expected {}",
-                        j,
-                        partials[j].len(),
-                        dim
-                    ),
-                });
-            }
-            vec_ops::axpy(coef, &partials[j], out);
-        }
-        Ok(())
     }
 }
 
@@ -1339,12 +1241,6 @@ impl GradientCodec for CompiledCodec {
 
     fn load_of(&self, worker: usize) -> usize {
         self.row_ptr[worker + 1] - self.row_ptr[worker]
-    }
-
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError> {
-        let mut out = Vec::new();
-        self.encode_ragged(worker, partials, &mut out)?;
-        Ok(out)
     }
 
     fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
@@ -1456,8 +1352,26 @@ impl GradientCodec for CodingMatrix {
         CodingMatrix::load_of(self, worker)
     }
 
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError> {
-        CodingMatrix::encode(self, worker, partials)
+    /// Converts the block to `f64` rows, runs the dense
+    /// [`CodingMatrix::encode`] and converts back (identity conversions
+    /// for `E = f64`).
+    fn encode_into<E: Element>(
+        &self,
+        worker: usize,
+        partials: &GradientBlock<E>,
+        out: &mut [E],
+    ) -> Result<(), CodingError> {
+        let rows = partials.convert::<f64>().to_rows();
+        let coded = CodingMatrix::encode(self, worker, &rows)?;
+        if coded.len() != out.len() {
+            return Err(CodingError::InvalidParameter {
+                reason: format!("out has dim {}, expected {}", out.len(), coded.len()),
+            });
+        }
+        for (o, &v) in out.iter_mut().zip(&coded) {
+            *o = E::from_f64(v);
+        }
+        Ok(())
     }
 
     fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
@@ -1581,24 +1495,25 @@ mod tests {
         let partials: Vec<Vec<f64>> = (0..7)
             .map(|j| vec![j as f64, 2.0 * j as f64 + 0.5])
             .collect();
+        let block = GradientBlock::from_rows(&partials).unwrap();
+        let mut out = vec![f64::NAN; 2];
         for w in 0..5 {
-            assert_eq!(
-                codec.encode(w, &partials).unwrap(),
-                b.encode(w, &partials).unwrap(),
-                "worker {w}"
-            );
+            codec.encode_into(w, &block, &mut out).unwrap();
+            assert_eq!(out, b.encode(w, &partials).unwrap(), "worker {w}");
         }
     }
 
     #[test]
     fn encode_validates_inputs() {
+        // The dense reference takes ragged rows, so it has two checks a
+        // flat block cannot fail.
         let codec = CompiledCodec::new(code());
         let partials = vec![vec![1.0]; 3]; // wrong count
-        assert!(codec.encode(0, &partials).is_err());
+        assert!(codec.code().encode(0, &partials).is_err());
         let mut partials = vec![vec![1.0, 2.0]; 7];
         partials[6] = vec![1.0]; // dim mismatch on a used partition
         let needs_6 = (0..5).find(|&w| codec.support_of(w).contains(&6)).unwrap();
-        assert!(codec.encode(needs_6, &partials).is_err());
+        assert!(codec.code().encode(needs_6, &partials).is_err());
     }
 
     #[test]
@@ -1670,6 +1585,15 @@ mod tests {
         // Unsorted, duplicated straggler list canonicalizes.
         let messy = codec.decode_plan_for_stragglers(&[2, 2]).unwrap();
         assert_eq!(messy, by_survivors);
+        // An index no worker has is an error, not a silently ignored entry.
+        assert!(matches!(
+            codec.decode_plan_for_stragglers(&[99]),
+            Err(CodingError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            codec.decode_plan_for_stragglers(&[2, 5]),
+            Err(CodingError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
@@ -1831,11 +1755,11 @@ mod tests {
         let mut out = vec![f64::NAN; 2];
         for w in 0..5 {
             codec.encode_into(w, &block, &mut out).unwrap();
-            assert_eq!(out, codec.encode(w, &rows).unwrap(), "worker {w}");
-            // The uncompiled default implementation agrees too.
+            assert_eq!(out, b.encode(w, &rows).unwrap(), "worker {w}");
+            // The uncompiled codec agrees too.
             let mut slow = vec![f64::NAN; 2];
             GradientCodec::encode_into(&b, w, &block, &mut slow).unwrap();
-            assert_eq!(slow, out, "worker {w} (default impl)");
+            assert_eq!(slow, out, "worker {w} (uncompiled)");
         }
     }
 
@@ -1915,19 +1839,18 @@ mod tests {
         let codec = CompiledCodec::new(code.clone());
         let partials = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
 
-        assert_eq!(codec.encode(1, &partials).unwrap(), vec![0.0; 3]);
-        assert_eq!(code.encode(1, &partials).unwrap(), vec![0.0; 3]);
-        // Ragged placeholders elsewhere don't confuse the fallback.
-        let ragged = vec![Vec::new(), vec![4.0, 5.0, 6.0]];
-        assert_eq!(codec.encode(1, &ragged).unwrap(), vec![0.0; 3]);
-        // The block path agrees.
         let block = GradientBlock::from_rows(&partials).unwrap();
         let mut out = [f64::NAN; 3];
         codec.encode_into(1, &block, &mut out).unwrap();
         assert_eq!(out, [0.0; 3]);
+        // The dense reference agrees.
+        assert_eq!(code.encode(1, &partials).unwrap(), vec![0.0; 3]);
+        // Ragged placeholders elsewhere don't confuse its fallback.
+        let ragged = vec![Vec::new(), vec![4.0, 5.0, 6.0]];
+        assert_eq!(code.encode(1, &ragged).unwrap(), vec![0.0; 3]);
         // All-empty partials still yield an empty vector (nothing to size
         // against) rather than panicking.
-        assert_eq!(codec.encode(1, &[Vec::new(), Vec::new()]).unwrap(), vec![]);
+        assert_eq!(code.encode(1, &[Vec::new(), Vec::new()]).unwrap(), vec![]);
     }
 
     /// Eight threads racing a cache miss on the *same* survivor pattern

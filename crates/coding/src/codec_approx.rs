@@ -245,10 +245,6 @@ impl GradientCodec for ApproxCodec {
         self.inner.load_of(worker)
     }
 
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError> {
-        self.inner.encode(worker, partials)
-    }
-
     fn encode_into<E: hetgc_linalg::Element>(
         &self,
         worker: usize,

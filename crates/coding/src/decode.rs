@@ -1,123 +1,11 @@
-//! Legacy decoding entry points, kept as thin shims over the unified
-//! [`codec`](crate::codec) module.
-//!
-//! New code should go through [`GradientCodec`](crate::GradientCodec):
-//!
-//! * [`decode_vector`] → [`GradientCodec::decode_plan`](crate::GradientCodec::decode_plan)
-//! * [`OnlineDecoder`] → [`CodecSession`](crate::CodecSession) (reusable across rounds)
-//! * [`DecodeCache`] → [`CompiledCodec`](crate::CompiledCodec)'s built-in plan cache
-//!
-//! [`DecodingMatrix`] — the fully-materialized `A` of Eq. 2 — remains a
-//! first-class analysis type here.
+//! [`DecodingMatrix`] — the fully-materialized decoding matrix `A` of
+//! Eq. 2, one decode row per straggler pattern — as an analysis type.
+//! Iterative callers decode through
+//! [`GradientCodec`](crate::GradientCodec) instead.
 
-use crate::codec::{canonical_survivors, solve_decode_dense, CodecSession, CompiledCodec};
+use crate::codec::solve_decode_dense;
 use crate::error::CodingError;
 use crate::strategy::{enumerate_subsets, CodingMatrix};
-
-/// Computes a decode vector `a ∈ R^m` with `a·B = 1_{1×k}` and
-/// `supp(a) ⊆ survivors`.
-///
-/// # Errors
-///
-/// * [`CodingError::InvalidParameter`] on out-of-range survivor indices or
-///   duplicates.
-/// * [`CodingError::NotDecodable`] if the survivors' rows do not span the
-///   all-ones vector (more than `s` stragglers, or an invalid `B`).
-///
-/// # Example
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use hetgc_coding::{decode_vector, heter_aware};
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), hetgc_coding::CodingError> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng)?;
-/// // Worker 2 straggles; decode from the rest.
-/// let a = decode_vector(&b, &[0, 1, 3, 4])?;
-/// assert_eq!(a.len(), 5);
-/// assert_eq!(a[2], 0.0); // straggler gets zero weight
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `GradientCodec::decode_plan` on a `CompiledCodec` (or the `CodingMatrix` itself) instead"
-)]
-pub fn decode_vector(code: &CodingMatrix, survivors: &[usize]) -> Result<Vec<f64>, CodingError> {
-    canonical_survivors(code, survivors)?;
-    solve_decode_dense(code, survivors)
-}
-
-/// Incremental decoder: feed worker results in completion order; decode as
-/// soon as the received rows span `1_{1×k}`.
-///
-/// This shim constructs a fresh [`CodecSession`] per instance; prefer
-/// holding one session and calling [`CodecSession::reset`] between rounds.
-///
-/// # Example
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use hetgc_coding::{heter_aware, OnlineDecoder};
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), hetgc_coding::CodingError> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let b = heter_aware(&[1.0, 1.0, 2.0], 4, 1, &mut rng)?;
-/// let mut dec = OnlineDecoder::new(&b);
-/// assert!(dec.push(0)?.is_none()); // one worker is never enough here
-/// let a = dec.push(2)?.expect("two workers suffice for s=1, m=3");
-/// assert_eq!(a.len(), 3);
-/// assert_eq!(a[1], 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `GradientCodec::session` (a reusable `CodecSession`) instead"
-)]
-#[derive(Debug, Clone)]
-pub struct OnlineDecoder {
-    session: CodecSession,
-}
-
-#[allow(deprecated)]
-impl OnlineDecoder {
-    /// Creates a decoder for the given strategy.
-    pub fn new(code: &CodingMatrix) -> Self {
-        OnlineDecoder {
-            session: crate::codec::GradientCodec::session(code),
-        }
-    }
-
-    /// Number of results received so far.
-    pub fn received(&self) -> usize {
-        self.session.received()
-    }
-
-    /// Current rank of the received rows.
-    pub fn rank(&self) -> usize {
-        self.session.rank()
-    }
-
-    /// Feeds the result of `worker`; returns a decode vector over all `m`
-    /// workers if the received set is now decodable, `None` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParameter`] on out-of-range or duplicate
-    /// worker indices.
-    pub fn push(&mut self, worker: usize) -> Result<Option<Vec<f64>>, CodingError> {
-        Ok(self.session.push(worker)?.map(|plan| plan.to_dense()))
-    }
-
-    /// Attempts to decode with the results received so far.
-    pub fn try_decode(&self) -> Option<Vec<f64>> {
-        self.session.try_decode_dense()
-    }
-}
 
 /// The offline decoding matrix `A ∈ R^{S×m}` of Eq. 2: one row per
 /// straggler pattern of size exactly `s`, `S = C(m, s)` rows total.
@@ -125,7 +13,7 @@ impl OnlineDecoder {
 /// The paper notes `A` can be partially stored for "regular" stragglers and
 /// solved in realtime otherwise; this type is the fully-materialized
 /// variant used for analysis and tests. (The realtime/cached hybrid lives
-/// in [`CompiledCodec`].)
+/// in [`CompiledCodec`](crate::CompiledCodec).)
 #[derive(Debug, Clone)]
 pub struct DecodingMatrix {
     rows: Vec<(Vec<usize>, Vec<f64>)>,
@@ -186,72 +74,10 @@ impl DecodingMatrix {
     }
 }
 
-/// A decode-vector cache keyed by straggler pattern — the paper's hybrid
-/// storage strategy (§III-B).
-///
-/// This shim wraps [`CompiledCodec`]'s survivor-keyed plan cache and
-/// preserves the old straggler-keyed, dense-vector API.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CompiledCodec` — its decode-plan cache subsumes `DecodeCache`"
-)]
-#[derive(Debug, Clone)]
-pub struct DecodeCache {
-    codec: CompiledCodec,
-}
-
-#[allow(deprecated)]
-impl DecodeCache {
-    /// A cache over `code` remembering up to `capacity` straggler patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(code: CodingMatrix, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        DecodeCache {
-            codec: CompiledCodec::with_cache_capacity(code, capacity),
-        }
-    }
-
-    /// The decode row for the given straggler pattern, cached or solved.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::NotDecodable`] if the pattern exceeds the code's
-    /// tolerance; [`CodingError::InvalidParameter`] on bad indices.
-    pub fn decode_for(&mut self, stragglers: &[usize]) -> Result<Vec<f64>, CodingError> {
-        Ok(self
-            .codec
-            .decode_plan_for_stragglers(stragglers)?
-            .to_dense())
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.codec.cache_hits()
-    }
-
-    /// Cache misses (realtime solves) so far.
-    pub fn misses(&self) -> u64 {
-        self.codec.cache_misses()
-    }
-
-    /// Number of cached patterns.
-    pub fn len(&self) -> usize {
-        self.codec.cached_plans()
-    }
-
-    /// Returns `true` if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.codec.cached_plans() == 0
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::codec::{CodecSession, CompiledCodec, GradientCodec};
     use crate::heter_aware::heter_aware;
     use hetgc_linalg::Matrix;
     use rand::rngs::StdRng;
@@ -269,12 +95,28 @@ mod tests {
         }
     }
 
+    /// The dense decode vector of the uncompiled codec path.
+    fn dense_plan(code: &CodingMatrix, survivors: &[usize]) -> Result<Vec<f64>, CodingError> {
+        Ok(code.decode_plan(survivors)?.to_dense())
+    }
+
+    /// Streams `worker` into `session`; the dense decode vector once the
+    /// received set spans `1`.
+    fn push(session: &mut CodecSession, worker: usize) -> Result<Option<Vec<f64>>, CodingError> {
+        Ok(session.push(worker)?.map(|plan| plan.to_dense()))
+    }
+
+    /// The dense decode row for a straggler pattern, through the plan cache.
+    fn decode_for(codec: &CompiledCodec, stragglers: &[usize]) -> Result<Vec<f64>, CodingError> {
+        Ok(codec.decode_plan_for_stragglers(stragglers)?.to_dense())
+    }
+
     #[test]
     fn decode_vector_every_single_straggler() {
         let b = code();
         for straggler in 0..5 {
             let survivors: Vec<usize> = (0..5).filter(|&w| w != straggler).collect();
-            let a = decode_vector(&b, &survivors).unwrap();
+            let a = dense_plan(&b, &survivors).unwrap();
             assert_eq!(a[straggler], 0.0);
             check_decode(&b, &a);
         }
@@ -283,7 +125,7 @@ mod tests {
     #[test]
     fn decode_vector_all_workers() {
         let b = code();
-        let a = decode_vector(&b, &[0, 1, 2, 3, 4]).unwrap();
+        let a = dense_plan(&b, &[0, 1, 2, 3, 4]).unwrap();
         check_decode(&b, &a);
     }
 
@@ -291,11 +133,11 @@ mod tests {
     fn decode_vector_rejects_bad_survivors() {
         let b = code();
         assert!(matches!(
-            decode_vector(&b, &[0, 9]),
+            dense_plan(&b, &[0, 9]),
             Err(CodingError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            decode_vector(&b, &[0, 0]),
+            dense_plan(&b, &[0, 0]),
             Err(CodingError::InvalidParameter { .. })
         ));
     }
@@ -305,21 +147,23 @@ mod tests {
         let b = code();
         // Two stragglers when s = 1: workers {0,1,2} generally cannot span
         // all 7 partitions (loads 1+2+3 = 6 < 7).
-        let err = decode_vector(&b, &[0, 1, 2]).unwrap_err();
+        let err = dense_plan(&b, &[0, 1, 2]).unwrap_err();
         assert!(matches!(err, CodingError::NotDecodable { .. }));
     }
 
     #[test]
     fn online_decoder_decodes_at_m_minus_s() {
         let b = code();
-        let mut dec = OnlineDecoder::new(&b);
+        let mut dec = b.session();
         // Lemma 2: decoding from Alg.1's B needs m−s = 4 workers. Coverage
         // alone (workers 3+4 hold every partition) is NOT enough because the
         // coefficients are generic.
-        assert_eq!(dec.push(3).unwrap(), None);
-        assert_eq!(dec.push(4).unwrap(), None);
-        assert_eq!(dec.push(0).unwrap(), None);
-        let a = dec.push(1).unwrap().expect("m−s workers must decode (C1)");
+        assert_eq!(push(&mut dec, 3).unwrap(), None);
+        assert_eq!(push(&mut dec, 4).unwrap(), None);
+        assert_eq!(push(&mut dec, 0).unwrap(), None);
+        let a = push(&mut dec, 1)
+            .unwrap()
+            .expect("m−s workers must decode (C1)");
         check_decode(&b, &a);
         assert_eq!(a[2], 0.0); // worker 2 never arrived
         assert_eq!(dec.received(), 4);
@@ -328,12 +172,12 @@ mod tests {
     #[test]
     fn online_decoder_needs_enough_rows() {
         let b = code();
-        let mut dec = OnlineDecoder::new(&b);
-        assert!(dec.push(0).unwrap().is_none());
-        assert!(dec.push(1).unwrap().is_none());
+        let mut dec = b.session();
+        assert!(push(&mut dec, 0).unwrap().is_none());
+        assert!(push(&mut dec, 1).unwrap().is_none());
         // Workers 0,1,2 cover partitions 0..6 minus partition 6 → still no.
-        assert!(dec.push(2).unwrap().is_none());
-        let a = dec.push(3).unwrap().expect("0..3 cover everything");
+        assert!(push(&mut dec, 2).unwrap().is_none());
+        let a = push(&mut dec, 3).unwrap().expect("0..3 cover everything");
         check_decode(&b, &a);
         assert_eq!(dec.received(), 4);
     }
@@ -341,10 +185,10 @@ mod tests {
     #[test]
     fn online_decoder_duplicate_rejected() {
         let b = code();
-        let mut dec = OnlineDecoder::new(&b);
-        dec.push(1).unwrap();
-        assert!(dec.push(1).is_err());
-        assert!(dec.push(17).is_err());
+        let mut dec = b.session();
+        push(&mut dec, 1).unwrap();
+        assert!(push(&mut dec, 1).is_err());
+        assert!(push(&mut dec, 17).is_err());
     }
 
     #[test]
@@ -356,10 +200,10 @@ mod tests {
             vec![2, 0, 4, 1, 3],
         ];
         for order in orders {
-            let mut dec = OnlineDecoder::new(&b);
+            let mut dec = b.session();
             let mut decoded = None;
             for w in order {
-                if let Some(a) = dec.push(w).unwrap() {
+                if let Some(a) = push(&mut dec, w).unwrap() {
                     decoded = Some(a);
                     break;
                 }
@@ -402,15 +246,15 @@ mod tests {
     #[test]
     fn decode_cache_hits_regular_pattern() {
         let b = code();
-        let mut cache = DecodeCache::new(b.clone(), 4);
-        assert!(cache.is_empty());
-        let a1 = cache.decode_for(&[2]).unwrap();
+        let cache = CompiledCodec::with_cache_capacity(b.clone(), 4);
+        assert_eq!(cache.cached_plans(), 0);
+        let a1 = decode_for(&cache, &[2]).unwrap();
         check_decode(&b, &a1);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let a2 = cache.decode_for(&[2]).unwrap();
+        assert_eq!((cache.cache_hits(), cache.cache_misses()), (0, 1));
+        let a2 = decode_for(&cache, &[2]).unwrap();
         assert_eq!(a1, a2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.cache_hits(), cache.cache_misses()), (1, 1));
+        assert_eq!(cache.cached_plans(), 1);
     }
 
     #[test]
@@ -418,34 +262,32 @@ mod tests {
         // Needs s=2 for two stragglers.
         let mut rng = StdRng::seed_from_u64(13);
         let b = heter_aware(&[1.0, 1.0, 2.0, 2.0, 3.0, 3.0], 12, 2, &mut rng).unwrap();
-        let mut cache = DecodeCache::new(b, 4);
-        let a1 = cache.decode_for(&[0, 3]).unwrap();
-        let a2 = cache.decode_for(&[3, 0]).unwrap();
+        let cache = CompiledCodec::with_cache_capacity(b, 4);
+        let a1 = decode_for(&cache, &[0, 3]).unwrap();
+        let a2 = decode_for(&cache, &[3, 0]).unwrap();
         assert_eq!(a1, a2);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.cache_hits(), 1);
     }
 
     #[test]
     fn decode_cache_evicts_lru() {
-        let b = code();
-        let mut cache = DecodeCache::new(b, 2);
-        cache.decode_for(&[0]).unwrap();
-        cache.decode_for(&[1]).unwrap();
-        cache.decode_for(&[0]).unwrap(); // refresh 0
-        cache.decode_for(&[2]).unwrap(); // evicts 1
-        assert_eq!(cache.len(), 2);
-        cache.decode_for(&[0]).unwrap(); // still cached
-        assert_eq!(cache.hits(), 2);
-        cache.decode_for(&[1]).unwrap(); // miss: was evicted
-        assert_eq!(cache.misses(), 4);
+        let cache = CompiledCodec::with_cache_capacity(code(), 2);
+        decode_for(&cache, &[0]).unwrap();
+        decode_for(&cache, &[1]).unwrap();
+        decode_for(&cache, &[0]).unwrap(); // refresh 0
+        decode_for(&cache, &[2]).unwrap(); // evicts 1
+        assert_eq!(cache.cached_plans(), 2);
+        decode_for(&cache, &[0]).unwrap(); // still cached
+        assert_eq!(cache.cache_hits(), 2);
+        decode_for(&cache, &[1]).unwrap(); // miss: was evicted
+        assert_eq!(cache.cache_misses(), 4);
     }
 
     #[test]
     fn decode_cache_rejects_excess_stragglers() {
-        let b = code(); // s = 1
-        let mut cache = DecodeCache::new(b, 2);
+        let cache = CompiledCodec::with_cache_capacity(code(), 2); // s = 1
         assert!(matches!(
-            cache.decode_for(&[0, 1]),
+            decode_for(&cache, &[0, 1]),
             Err(CodingError::NotDecodable { .. })
         ));
     }
@@ -453,6 +295,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn decode_cache_zero_capacity_panics() {
-        DecodeCache::new(code(), 0);
+        CompiledCodec::with_cache_capacity(code(), 0);
     }
 }

@@ -284,10 +284,6 @@ impl GradientCodec for EscalatingCodec {
         self.base.load_of(worker)
     }
 
-    fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Vec<f64>, CodingError> {
-        self.base.encode(worker, partials)
-    }
-
     fn encode_into<E: hetgc_linalg::Element>(
         &self,
         worker: usize,
@@ -424,10 +420,11 @@ mod tests {
         assert_eq!(esc.stragglers(), base.stragglers());
         assert_eq!(esc.load_of(2), base.load_of(2));
         let partials: Vec<Vec<f64>> = (0..7).map(|j| vec![j as f64, 1.0]).collect();
-        assert_eq!(
-            esc.encode(1, &partials).unwrap(),
-            base.encode(1, &partials).unwrap()
-        );
+        let block = crate::GradientBlock::from_rows(&partials).unwrap();
+        let (mut via_esc, mut via_base) = ([f64::NAN; 2], [f64::NAN; 2]);
+        esc.encode_into(1, &block, &mut via_esc).unwrap();
+        base.encode_into(1, &block, &mut via_base).unwrap();
+        assert_eq!(via_esc, via_base);
         assert_eq!(
             esc.decode_plan(&[0, 1, 3, 4]).unwrap(),
             base.decode_plan(&[0, 1, 3, 4]).unwrap()

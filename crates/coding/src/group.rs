@@ -327,8 +327,7 @@ impl GroupCodingMatrix {
 
     /// Group-first decoding: returns the indicator decode row of the first
     /// group fully contained in `survivors`, or `None` when no group is
-    /// intact (fall back to [`crate::decode_vector`] /
-    /// [`crate::OnlineDecoder`]).
+    /// intact (fall back to [`crate::GradientCodec::decode_plan`]).
     pub fn group_decode_vector(&self, survivors: &[usize]) -> Option<Vec<f64>> {
         let m = self.code.workers();
         let mut mask = vec![false; m];

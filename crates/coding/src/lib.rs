@@ -68,8 +68,6 @@ mod support;
 mod verify;
 
 pub use allocation::{suggest_partition_count, Allocation};
-#[allow(deprecated)]
-pub use approx::gradient_error_bound;
 pub use approx::{
     approximate_decode, gradient_error_bound_l2, under_replicated, ApproximateDecode,
 };
@@ -82,8 +80,6 @@ pub use codec_approx::{ApproxCodec, DEFAULT_MAX_RESIDUAL_FRACTION};
 pub use codec_group::GroupCodec;
 pub use cyclic::{cyclic, cyclic_support, naive};
 pub use decode::DecodingMatrix;
-#[allow(deprecated)]
-pub use decode::{decode_vector, DecodeCache, OnlineDecoder};
 pub use error::CodingError;
 pub use escalation::{EscalatingCodec, EscalationPolicy};
 pub use fractional::fractional_repetition;

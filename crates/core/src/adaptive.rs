@@ -41,15 +41,6 @@ use crate::driver::{drive_timing_with, DriverConfig};
 use crate::engine::{bsp_samples, EngineRound, RoundEngine};
 use crate::scheme::{scheme_from_estimates, BoxError, SchemeBuilder, SchemeKind};
 
-/// Moved to [`hetgc_sim::RateDrift`] so the simulation-layer engines can
-/// consume it without a layering cycle; this alias keeps old import
-/// paths compiling.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to hetgc_sim::RateDrift (re-exported as hetgc::RateDrift)"
-)]
-pub type RateDrift = hetgc_sim::RateDrift;
-
 /// Configuration of an adaptive-vs-static comparison run.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {

@@ -24,8 +24,6 @@
 //!   feeds drift detection, a learned escalation deadline
 //!   ([`RoundEngine::set_deadline`]) and live re-coding
 //!   ([`RoundEngine::recode`]) on every engine.
-//! * [`train_bsp_sim`] / [`train_ssp_sim`] — the legacy simulated-time
-//!   entry points (deprecated thin wrappers over the driver).
 //! * [`experiment`] — runners regenerating every figure of the paper
 //!   (Figs. 2, 3, 4, 5 and the Table II inventory).
 //! * [`analysis`] — optimality checks against Theorem 5.
@@ -73,9 +71,7 @@ pub use engine::{
 pub use pipeline::PipelinedDriver;
 pub use report::{parse_round_records, JsonlRecordSink};
 pub use scheme::{scheme_from_estimates, SchemeBuilder, SchemeInstance, SchemeKind};
-#[allow(deprecated)]
-pub use trainer::{train_bsp_sim, train_ssp_sim};
-pub use trainer::{BspTrainOutcome, LossCurve, SimTrainConfig};
+pub use trainer::{LossCurve, SimTrainConfig};
 
 // Re-export the sub-crates under stable names so downstream users need a
 // single dependency.
@@ -92,8 +88,6 @@ pub use hetgc_coding::{
     EscalationPolicy, GradientBlock, GradientCodec, Group, GroupCodec, GroupCodingMatrix,
     GroupSearchConfig, SupportMatrix,
 };
-#[allow(deprecated)]
-pub use hetgc_coding::{decode_vector, gradient_error_bound, DecodeCache, OnlineDecoder};
 pub use hetgc_ml::{
     accuracy, partial_gradients, partial_gradients_into, synthetic, Adam, Classifier, Dataset,
     LinearRegression, Mlp, Model, Momentum, Optimizer, Sgd, SoftmaxRegression, Targets,

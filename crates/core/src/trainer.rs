@@ -1,29 +1,16 @@
-//! Simulated-time distributed training: the legacy BSP (coded) and SSP
-//! (asynchronous) entry points producing the loss-vs-wall-clock curves of
-//! the paper's Fig. 4.
-//!
-//! Both functions are now thin wrappers over the unified round loop —
-//! [`TrainDriver`](crate::TrainDriver) driving a
-//! [`SimBspEngine`](crate::SimBspEngine) /
-//! [`SimSspEngine`](crate::SimSspEngine) — kept (deprecated) for callers
-//! of the original API; `tests/engine_equivalence.rs` pins their
-//! trajectories to the new API's. The BSP path still runs *real* SGD:
-//! every iteration computes the exact per-partition gradients, encodes
-//! them with the scheme's rows, decodes at the simulator-chosen survivor
-//! set, and verifies against the direct full-batch gradient — so the
-//! accuracy-preservation claim of the paper (§II: coding keeps BSP
-//! statistical efficiency) is checked on every step, not assumed. Only
-//! the *clock* is simulated.
+//! The shared vocabulary of the simulated engines: [`SimTrainConfig`]
+//! (the knobs [`SimBspEngine`](crate::SimBspEngine) and
+//! [`SimSspEngine`](crate::SimSspEngine) read) and [`LossCurve`] (the
+//! loss-vs-simulated-time curve of the paper's Fig. 4). The module tests
+//! pin the behaviour of those engines under
+//! [`TrainDriver`](crate::TrainDriver): BSP runs *real* SGD — exact
+//! per-partition gradients, encoded, decoded at the simulator-chosen
+//! survivor set — so the paper's accuracy-preservation claim (§II) is
+//! checked on every step; only the *clock* is simulated.
 
 use hetgc_cluster::StragglerModel;
-use hetgc_coding::{CodecBackend, EscalationPolicy};
-use hetgc_ml::{Dataset, Model, Sgd};
-use hetgc_sim::{NetworkModel, RunMetrics};
-use rand::Rng;
-
-use crate::driver::{DriverConfig, TrainDriver};
-use crate::engine::{SimBspEngine, SimSspEngine};
-use crate::scheme::{BoxError, SchemeInstance};
+use hetgc_coding::CodecBackend;
+use hetgc_sim::NetworkModel;
 
 /// Shared knobs of the simulated trainers.
 #[derive(Debug, Clone)]
@@ -98,129 +85,38 @@ impl LossCurve {
     }
 }
 
-/// Outcome of a simulated BSP training run.
-#[derive(Debug, Clone)]
-pub struct BspTrainOutcome {
-    /// Loss curve over simulated time.
-    pub curve: LossCurve,
-    /// Timing metrics (avg iteration time, resource usage — Figs. 2/3/5).
-    pub metrics: RunMetrics,
-    /// Final parameters.
-    pub params: Vec<f64>,
-    /// `true` if training stalled on an undecodable iteration (naive +
-    /// fault).
-    pub stalled: bool,
-    /// How many iterations decoded through the approximate fallback —
-    /// always 0 for exact backends. Counts every fallback-decoded round
-    /// (any positive residual, however numerically small).
-    pub approx_iterations: usize,
-}
-
-/// Runs coded BSP SGD over a simulated cluster.
-///
-/// `rates[w]` is worker `w`'s true throughput in samples/second.
-///
-/// Deprecated: this is a thin wrapper over the unified loop — build a
-/// [`SimBspEngine`] and drive it through [`TrainDriver`] for the full
-/// [`TrainOutcome`](crate::TrainOutcome) report, per-round escalation and
-/// residual-aware step scaling. The wrapper disables step scaling to
-/// preserve the legacy full-step behaviour on approximate rounds.
-///
-/// # Errors
-///
-/// Fails on configuration mismatches (rates length, partitioning) and
-/// propagates simulator errors. An *undecodable iteration* is not an
-/// error: training stops and the outcome is flagged
-/// [`BspTrainOutcome::stalled`].
-#[deprecated(
-    since = "0.2.0",
-    note = "drive a SimBspEngine through TrainDriver instead"
-)]
-pub fn train_bsp_sim<M: Model + ?Sized, R: Rng>(
-    scheme: &SchemeInstance,
-    model: &M,
-    data: &Dataset,
-    rates: &[f64],
-    cfg: &SimTrainConfig,
-    rng: &mut R,
-) -> Result<BspTrainOutcome, BoxError> {
-    let mut engine = SimBspEngine::new(
-        scheme,
-        model,
-        data,
-        rates,
-        cfg,
-        EscalationPolicy::follow_backend(),
-    )?;
-    let out = TrainDriver::new(model, data, Sgd::new(cfg.learning_rate))
-        .with_config(DriverConfig {
-            eval_every: 1,
-            residual_step_scaling: false,
-            adaptation: None,
-            job_id: None,
-        })
-        .run(&mut engine, cfg.iterations, rng)?;
-    Ok(BspTrainOutcome {
-        curve: out.curve,
-        metrics: out.metrics,
-        params: out.params,
-        stalled: out.stalled,
-        approx_iterations: out.approx_rounds,
-    })
-}
-
-/// Runs SSP (stale synchronous parallel) SGD over a simulated cluster —
-/// the asynchronous baseline of Fig. 4.
-///
-/// Each worker owns `1/m` of the data, computes its shard gradient on the
-/// parameters it saw when it last reported (true staleness dynamics), and
-/// the master applies `θ ← θ − lr·g_shard/N` per update event. The run
-/// lasts `cfg.iterations × m` update events so the *sample throughput*
-/// matches a BSP run of `cfg.iterations` iterations.
-///
-/// Deprecated: this is a thin wrapper over the unified loop — build a
-/// [`SimSspEngine::shard`] and drive it through [`TrainDriver`]
-/// (`SimSspEngine::coded` adds real codec decoding to SSP).
-///
-/// # Errors
-///
-/// Fails on configuration mismatches; propagates engine errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive a SimSspEngine through TrainDriver instead"
-)]
-pub fn train_ssp_sim<M: Model + ?Sized, R: Rng>(
-    model: &M,
-    data: &Dataset,
-    rates: &[f64],
-    staleness: usize,
-    cfg: &SimTrainConfig,
-    rng: &mut R,
-) -> Result<LossCurve, BoxError> {
-    let mut engine = SimSspEngine::shard(model, data, rates, staleness, cfg)?;
-    let out = TrainDriver::new(model, data, Sgd::new(cfg.learning_rate))
-        .with_config(DriverConfig {
-            eval_every: cfg.eval_every,
-            residual_step_scaling: false,
-            adaptation: None,
-            job_id: None,
-        })
-        .run(&mut engine, cfg.iterations * rates.len(), rng)?;
-    Ok(out.curve)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // exercises the legacy wrappers on purpose
 mod tests {
     use super::*;
-    use crate::scheme::{SchemeBuilder, SchemeKind};
+    use crate::driver::{DriverConfig, TrainDriver, TrainOutcome};
+    use crate::engine::{SimBspEngine, SimSspEngine};
+    use crate::scheme::{BoxError, SchemeBuilder, SchemeInstance, SchemeKind};
     use hetgc_cluster::{ClusterSpec, StragglerModel};
-    use hetgc_ml::{synthetic, LinearRegression, SoftmaxRegression};
+    use hetgc_coding::EscalationPolicy;
+    use hetgc_ml::{synthetic, Dataset, LinearRegression, Sgd, SoftmaxRegression};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// `cfg.iterations` rounds of coded BSP SGD over the simulated cluster.
+    fn run_bsp(
+        scheme: &SchemeInstance,
+        model: &LinearRegression,
+        data: &Dataset,
+        rates: &[f64],
+        cfg: &SimTrainConfig,
+        rng: &mut StdRng,
+    ) -> Result<TrainOutcome, BoxError> {
+        let policy = EscalationPolicy::follow_backend();
+        let mut engine = SimBspEngine::new(scheme, model, data, rates, cfg, policy)?;
+        TrainDriver::new(model, data, Sgd::new(cfg.learning_rate)).run(
+            &mut engine,
+            cfg.iterations,
+            rng,
+        )
     }
 
     fn small_cluster() -> ClusterSpec {
@@ -243,7 +139,7 @@ mod tests {
         };
         for kind in SchemeKind::PAPER {
             let scheme = SchemeBuilder::new(&cluster, 1).build(kind, &mut r).unwrap();
-            let out = train_bsp_sim(&scheme, &model, &data, &rates, &cfg, &mut r).unwrap();
+            let out = run_bsp(&scheme, &model, &data, &rates, &cfg, &mut r).unwrap();
             assert!(!out.stalled, "{kind} stalled");
             let first = out.curve.points[0].1;
             let last = out.curve.final_loss().unwrap();
@@ -273,8 +169,8 @@ mod tests {
             .build(SchemeKind::HeterAware, &mut build_rng)
             .unwrap();
 
-        let out_a = train_bsp_sim(&naive, &model, &data, &rates, &cfg, &mut rng(5)).unwrap();
-        let out_b = train_bsp_sim(&heter, &model, &data, &rates, &cfg, &mut rng(5)).unwrap();
+        let out_a = run_bsp(&naive, &model, &data, &rates, &cfg, &mut rng(5)).unwrap();
+        let out_b = run_bsp(&heter, &model, &data, &rates, &cfg, &mut rng(5)).unwrap();
         for ((_, la), (_, lb)) in out_a.curve.points.iter().zip(&out_b.curve.points) {
             assert!(
                 (la - lb).abs() < 1e-9,
@@ -299,7 +195,7 @@ mod tests {
         let scheme = SchemeBuilder::new(&cluster, 1)
             .build(SchemeKind::Naive, &mut rng(3))
             .unwrap();
-        let out = train_bsp_sim(&scheme, &model, &data, &rates, &cfg, &mut rng(4)).unwrap();
+        let out = run_bsp(&scheme, &model, &data, &rates, &cfg, &mut rng(4)).unwrap();
         assert!(out.stalled);
         assert!(out.curve.points.is_empty());
         assert_eq!(out.metrics.failed_iterations(), 1);
@@ -319,7 +215,7 @@ mod tests {
         let scheme = SchemeBuilder::new(&cluster, 1)
             .build(SchemeKind::HeterAware, &mut rng(6))
             .unwrap();
-        let out = train_bsp_sim(&scheme, &model, &data, &rates, &cfg, &mut rng(7)).unwrap();
+        let out = run_bsp(&scheme, &model, &data, &rates, &cfg, &mut rng(7)).unwrap();
         assert!(!out.stalled);
         assert_eq!(out.curve.points.len(), 10);
     }
@@ -337,7 +233,17 @@ mod tests {
             eval_every: 4,
             ..SimTrainConfig::default()
         };
-        let curve = train_ssp_sim(&model, &data, &rates, 3, &cfg, &mut r).unwrap();
+        // `iterations × m` update events match the sample throughput of a
+        // BSP run of `iterations` rounds.
+        let mut engine = SimSspEngine::shard(&model, &data, &rates, 3, &cfg).unwrap();
+        let curve = TrainDriver::new(&model, &data, Sgd::new(cfg.learning_rate))
+            .with_config(DriverConfig {
+                eval_every: cfg.eval_every,
+                ..DriverConfig::default()
+            })
+            .run(&mut engine, cfg.iterations * rates.len(), &mut r)
+            .unwrap()
+            .curve;
         assert!(!curve.points.is_empty());
         let first = curve.points[0].1;
         let last = curve.final_loss().unwrap();
@@ -374,6 +280,6 @@ mod tests {
             .build(SchemeKind::Naive, &mut rng(10))
             .unwrap();
         let cfg = SimTrainConfig::default();
-        assert!(train_bsp_sim(&scheme, &model, &data, &[1.0], &cfg, &mut rng(11)).is_err());
+        assert!(run_bsp(&scheme, &model, &data, &[1.0], &cfg, &mut rng(11)).is_err());
     }
 }

@@ -21,7 +21,8 @@
 use std::collections::HashMap;
 
 use hetgc::{
-    AnyCodec, ClusterSpec, CodecBackend, DecodePlan, GradientCodec, SchemeBuilder, SchemeKind,
+    AnyCodec, ClusterSpec, CodecBackend, DecodePlan, GradientBlock, GradientCodec, SchemeBuilder,
+    SchemeKind,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,6 +39,15 @@ fn partials(k: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
     (0..k)
         .map(|_| (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect())
         .collect()
+}
+
+/// Worker `w`'s coded gradient.
+fn encode(codec: &AnyCodec, w: usize, parts: &GradientBlock) -> Result<Vec<f64>, String> {
+    let mut out = vec![0.0; parts.dim()];
+    codec
+        .encode_into(w, parts, &mut out)
+        .map_err(|e| e.to_string())?;
+    Ok(out)
 }
 
 fn combine(plan: &DecodePlan, coded: &HashMap<usize, Vec<f64>>) -> Vec<f64> {
@@ -75,13 +85,14 @@ fn check_backends_agree(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String
         let m = exact.workers();
         let k = exact.partitions();
         let s_eff = scheme.stragglers();
-        let parts = partials(k, 5, &mut rng);
+        let parts =
+            GradientBlock::from_rows(&partials(k, 5, &mut rng)).map_err(|e| e.to_string())?;
 
         // Encoding is shared CSR state: all backends bitwise-equal.
         for w in 0..m {
-            let reference = exact.encode(w, &parts).map_err(|e| e.to_string())?;
+            let reference = encode(&exact, w, &parts)?;
             for (label, codec) in [("group", &grouped), ("approx", &approx)] {
-                let other = codec.encode(w, &parts).map_err(|e| e.to_string())?;
+                let other = encode(codec, w, &parts)?;
                 if other != reference {
                     return Err(format!("{kind}/{label}: encode mismatch at worker {w}"));
                 }
@@ -102,7 +113,7 @@ fn check_backends_agree(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String
             };
             let coded: HashMap<usize, Vec<f64>> = survivors
                 .iter()
-                .map(|&w| (w, exact.encode(w, &parts).expect("encode")))
+                .map(|&w| (w, encode(&exact, w, &parts).expect("encode")))
                 .collect();
 
             let exact_plan = exact

@@ -1,24 +1,22 @@
 //! Equivalence property: the compiled codec path (`CompiledCodec` →
-//! `decode_plan` → `DecodePlan::apply_into`) returns **bitwise-identical**
-//! gradients to the legacy solver path (`decode_vector`, applied with the
-//! same arithmetic) across random clusters, every scheme in `SchemeKind::ALL`,
-//! random straggler patterns, and repeated decodes (plan-cache hits must
-//! reproduce the miss-path solve exactly).
+//! CSR `encode_into` → cached `decode_plan` → `DecodePlan::apply_into`)
+//! returns **bitwise-identical** gradients to the uncompiled dense
+//! reference (`CodingMatrix::encode` row scans, a fresh
+//! `CodingMatrix::decode_plan` solve per call, its dense vector applied
+//! with the same arithmetic) across random clusters, every scheme in
+//! `SchemeKind::ALL`, random straggler patterns, and repeated decodes
+//! (plan-cache hits must reproduce the miss-path solve exactly).
 //!
-//! Bitwise equality (not approximate) is the point: the codec is a
+//! Bitwise equality (not approximate) is the point: compiling is a
 //! *refactoring* of the decode pipeline, so it must perform the very same
 //! floating-point operations in the very same order.
 
-#![allow(deprecated)] // the legacy path is one side of the equivalence
-
 use std::collections::HashMap;
 
-use hetgc::{decode_vector, ClusterSpec, DecodePlan, GradientCodec, SchemeBuilder, SchemeKind};
+use hetgc::{ClusterSpec, DecodePlan, GradientBlock, GradientCodec, SchemeBuilder, SchemeKind};
 
-/// `out = Σ_w a[w] · coded[w]` in ascending worker order — the retired
-/// free-function `combine`'s exact arithmetic (zero-fill, then one
-/// `axpy` per nonzero coefficient), so the legacy solver side of the
-/// equivalence is unchanged.
+/// `out = Σ_w a[w] · coded[w]` in ascending worker order: zero-fill, then
+/// one `axpy` per nonzero coefficient of the dense decode vector.
 fn combine(
     a: &[f64],
     coded: &std::collections::HashMap<usize, Vec<f64>>,
@@ -72,17 +70,20 @@ proptest! {
             let parts = partials(k, 6, &mut rng);
 
             // Encoding: CSR sparse path == dense-row path, bitwise.
+            let block = GradientBlock::from_rows(&parts).unwrap();
+            let mut sparse = vec![f64::NAN; 6];
             for w in 0..m {
+                codec.encode_into(w, &block, &mut sparse).unwrap();
                 prop_assert_eq!(
-                    codec.encode(w, &parts).unwrap(),
-                    scheme.code.encode(w, &parts).unwrap(),
+                    &sparse,
+                    &scheme.code.encode(w, &parts).unwrap(),
                     "{} encode mismatch at worker {}", kind, w
                 );
             }
 
             // Decoding: random straggler patterns of every size ≤ s_eff,
             // each decoded twice through the codec (second hit is served
-            // from the plan cache) and once through the legacy path.
+            // from the plan cache) and once through the uncompiled path.
             for pattern_size in 0..=s_eff {
                 let mut workers: Vec<usize> = (0..m).collect();
                 // Deterministic Fisher–Yates from the test rng.
@@ -100,7 +101,7 @@ proptest! {
                     .map(|&w| (w, scheme.code.encode(w, &parts).unwrap()))
                     .collect();
 
-                let a = decode_vector(&scheme.code, &survivors).unwrap();
+                let a = scheme.code.decode_plan(&survivors).unwrap().to_dense();
                 let legacy = combine(&a, &coded).unwrap();
 
                 let misses_before = codec.cache_misses();

@@ -1,16 +1,14 @@
 //! Data-plane equivalence property: the pooled zero-copy entry points
 //! (`Model::gradient_into` → `GradientBlock` → `encode_into` →
 //! `DecodePlan::apply_block_into`) are **bitwise-identical** to the
-//! allocating path (`partial_gradients` → `encode` → fresh-`Vec`
-//! `apply_into`) across random clusters, every scheme in
-//! `SchemeKind::ALL` and every codec backend.
+//! allocating reference (`partial_gradients` → dense
+//! `CodingMatrix::encode` → fresh-`Vec` `apply_into`) across random
+//! clusters, every scheme in `SchemeKind::ALL` and every codec backend.
 //!
 //! Bitwise equality (not approximate) is the point: the data plane is a
 //! *storage* refactoring — flat blocks and reused buffers instead of
 //! fresh `Vec`s — so it must perform the very same floating-point
 //! operations in the very same order.
-
-#![allow(deprecated)] // the legacy allocating path is one side
 
 use std::collections::HashMap;
 
@@ -71,10 +69,11 @@ fn check_case(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String> {
                 }
             }
 
-            // Encoding: encode_into == encode, bitwise, for every worker.
+            // Encoding: CSR encode_into == the dense reference, bitwise,
+            // for every worker.
             let mut arrivals = GradientBlock::new(m, dim);
             for w in 0..m {
-                let allocating = codec.encode(w, &legacy).map_err(|e| e.to_string())?;
+                let allocating = scheme.code.encode(w, &legacy).map_err(|e| e.to_string())?;
                 codec
                     .encode_into(w, &block, arrivals.row_mut(w))
                     .map_err(|e| e.to_string())?;

@@ -2,25 +2,24 @@
 //! `hetgc_runtime`'s worker thread. Connects, handshakes, then loops:
 //! newest round → coded gradient → chunked streaming reply.
 //!
-//! The compute path is kept operation-for-operation identical to the
-//! in-process worker thread (reusable `coded`/`partial` scratch, one
-//! `gradient_into` per owned partition, `coded += coef · partial`), so a
+//! The compute path *is* the in-process worker thread's
+//! ([`hetgc_runtime::compute_coded`] + [`hetgc_runtime::throttle`]), so a
 //! socket run decodes to **bitwise** the same gradients as a threaded
 //! run — the loopback equivalence tests pin exactly that.
 
 use std::io::ErrorKind;
 use std::net::ToSocketAddrs;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding, WireCodec};
-use hetgc_ml::{Dataset, Model};
+use hetgc_ml::Model;
 use hetgc_obs::{Counter, Histogram, MetricsRegistry};
-use hetgc_runtime::WorkerBehavior;
+use hetgc_runtime::{compute_coded, throttle};
 
 use crate::conn::Connection;
 use crate::error::NetError;
 use crate::frame::{Frame, VERSION};
-use crate::spec::{AnyModel, Handshake};
+use crate::spec::Handshake;
 
 /// Mutable per-worker state the master can rewrite mid-run via
 /// [`Frame::Recode`].
@@ -203,12 +202,13 @@ fn serve(
         compute_coded(
             &model,
             &data,
-            &assignment,
+            &assignment.ranges,
+            &assignment.coefficients,
             &params,
             &mut coded,
             &mut partial,
         );
-        throttle(&behavior, &assignment, seq, started);
+        throttle(&behavior, &assignment.ranges, seq as usize, started);
         if let Some(m) = &metrics {
             m.rounds.inc();
             m.compute.observe(started.elapsed().as_secs_f64());
@@ -261,45 +261,6 @@ fn to_usize_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
         .iter()
         .map(|&(lo, hi)| (lo as usize, hi as usize))
         .collect()
-}
-
-/// `coded = Σ_p coef_p · ∇L(params; partition p)` — the identical
-/// accumulation (and operation order) the in-process worker performs.
-fn compute_coded(
-    model: &AnyModel,
-    data: &Dataset,
-    assignment: &Assignment,
-    params: &[f64],
-    coded: &mut Vec<f64>,
-    partial: &mut Vec<f64>,
-) {
-    coded.clear();
-    coded.resize(model.num_params(), 0.0);
-    partial.clear();
-    partial.resize(model.num_params(), 0.0);
-    for (&range, &coef) in assignment.ranges.iter().zip(&assignment.coefficients) {
-        model.gradient_into(params, data, range, partial);
-        for (c, gi) in coded.iter_mut().zip(partial.iter()) {
-            *c += coef * gi;
-        }
-    }
-}
-
-/// Heterogeneity emulation: stretch the iteration to the configured
-/// samples/second rate, then add the injected delay — so the master's
-/// telemetry observes the worker's *emulated* speed over a real link.
-fn throttle(behavior: &WorkerBehavior, assignment: &Assignment, seq: u64, started: Instant) {
-    if let Some(rate) = behavior.throttle_at(seq as usize) {
-        let samples: usize = assignment.ranges.iter().map(|(lo, hi)| hi - lo).sum();
-        let target = Duration::from_secs_f64(samples as f64 / rate);
-        let compute = started.elapsed();
-        if target > compute {
-            std::thread::sleep(target - compute);
-        }
-    }
-    if !behavior.extra_delay.is_zero() {
-        std::thread::sleep(behavior.extra_delay);
-    }
 }
 
 /// Streams the coded gradient as [`Frame::GradientChunk`]s followed by

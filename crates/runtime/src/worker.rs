@@ -26,14 +26,64 @@ pub(crate) struct WorkerContext<M> {
     pub outbox: Sender<FromWorker>,
 }
 
+/// The coded gradient of one worker, `coded = Σ_p coef_p · ∇L(params;
+/// partition p)` over its owned `ranges` (aligned with `coefficients`) —
+/// the one kernel behind the worker thread and the `hetgc-net` socket
+/// worker, so both decode to bitwise the same gradients. `coded` and
+/// `partial` are caller-held scratch, resized here and reused across
+/// rounds: the per-partition gradient lands in `partial` (via
+/// `gradient_into`, no allocation) and accumulates into `coded`.
+pub fn compute_coded<M: Model>(
+    model: &M,
+    data: &Dataset,
+    ranges: &[(usize, usize)],
+    coefficients: &[f64],
+    params: &[f64],
+    coded: &mut Vec<f64>,
+    partial: &mut Vec<f64>,
+) {
+    coded.clear();
+    coded.resize(model.num_params(), 0.0);
+    partial.clear();
+    partial.resize(model.num_params(), 0.0);
+    for (&range, &coef) in ranges.iter().zip(coefficients) {
+        model.gradient_into(params, data, range, partial);
+        for (c, gi) in coded.iter_mut().zip(partial.iter()) {
+            *c += coef * gi;
+        }
+    }
+}
+
+/// Heterogeneity emulation, called right after [`compute_coded`]:
+/// stretches the iteration that began at `started` so that
+/// samples/elapsed matches the rate `behavior` configures for it (with
+/// `throttle_step`, a drifting VM), then adds the injected delay — the
+/// master's telemetry observes the worker's *emulated* speed.
+pub fn throttle(
+    behavior: &WorkerBehavior,
+    ranges: &[(usize, usize)],
+    iteration: usize,
+    started: Instant,
+) {
+    if let Some(rate) = behavior.throttle_at(iteration) {
+        let samples: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
+        let target = Duration::from_secs_f64(samples as f64 / rate);
+        let compute = started.elapsed();
+        if target > compute {
+            std::thread::sleep(target - compute);
+        }
+    }
+    if !behavior.extra_delay.is_zero() {
+        std::thread::sleep(behavior.extra_delay);
+    }
+}
+
 /// The worker main loop. Returns when the master hangs up or sends
 /// [`ToWorker::Shutdown`].
 pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
-    let samples: usize = ctx.ranges.iter().map(|(lo, hi)| hi - lo).sum();
-    // Reusable compute buffers: the per-partition gradient lands in
-    // `partial` (via `gradient_into`, no allocation) and accumulates into
-    // `coded`. The only data-plane allocation a worker performs per round
-    // is freezing `coded` into the `Arc<[f64]>` reply payload.
+    // Scratch of `compute_coded`: the only data-plane allocation a
+    // worker performs per round is freezing `coded` into the `Arc<[f64]>`
+    // reply payload.
     let mut coded: Vec<f64> = Vec::new();
     let mut partial: Vec<f64> = Vec::new();
     while let Ok(mut msg) = ctx.inbox.recv() {
@@ -56,31 +106,16 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
             continue;
         }
         let started = Instant::now();
-        coded.clear();
-        coded.resize(ctx.model.num_params(), 0.0);
-        partial.clear();
-        partial.resize(ctx.model.num_params(), 0.0);
-        for (&range, &coef) in ctx.ranges.iter().zip(&ctx.coefficients) {
-            ctx.model
-                .gradient_into(&params, &ctx.data, range, &mut partial);
-            for (c, gi) in coded.iter_mut().zip(&partial) {
-                *c += coef * gi;
-            }
-        }
-        let compute = started.elapsed();
-        // Throttle: stretch the iteration so that samples/elapsed matches
-        // the configured rate — this *is* the heterogeneity emulation
-        // (with `throttle_step`, the rate in force depends on the
-        // iteration: a drifting VM).
-        if let Some(rate) = ctx.behavior.throttle_at(iteration) {
-            let target = Duration::from_secs_f64(samples as f64 / rate);
-            if target > compute {
-                std::thread::sleep(target - compute);
-            }
-        }
-        if !ctx.behavior.extra_delay.is_zero() {
-            std::thread::sleep(ctx.behavior.extra_delay);
-        }
+        compute_coded(
+            &*ctx.model,
+            &ctx.data,
+            &ctx.ranges,
+            &ctx.coefficients,
+            &params,
+            &mut coded,
+            &mut partial,
+        );
+        throttle(&ctx.behavior, &ctx.ranges, iteration, started);
         let reply = FromWorker {
             worker: ctx.index,
             seq: iteration as u64,

@@ -1,183 +1,16 @@
-//! The acceptance contract of the `TrainDriver` redesign: the deprecated
-//! sim entry points (`train_bsp_sim`, `train_ssp_sim`) are thin wrappers
-//! over the unified loop and must produce trajectories identical to
-//! driving the engines directly — and the new coded-SSP engine must
-//! complete with approximate decoding where exact-only decoding stalls.
-
-#![allow(deprecated)] // this file exists to pin the deprecated wrappers
+//! The coded-SSP half of the `TrainDriver` acceptance contract: the SSP
+//! event stream with real codec decoding completes through approximate
+//! escalation where exact-only decoding stalls, and an intact group ends
+//! a round early. (The simulated BSP / shard-SSP trajectories themselves
+//! are frozen in `tests/golden_contract.rs`.)
 
 use hetgc::{
-    train_bsp_sim, train_ssp_sim, ClusterSpec, CodecBackend, DriverConfig, EscalationPolicy,
-    LinearRegression, SchemeBuilder, SchemeKind, Sgd, SimBspEngine, SimSspEngine, SimTrainConfig,
-    StragglerModel, TrainDriver,
+    ClusterSpec, CodecBackend, EscalationPolicy, LinearRegression, SchemeBuilder, SchemeKind, Sgd,
+    SimSspEngine, SimTrainConfig, TrainDriver,
 };
 use hetgc_ml::synthetic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn cluster() -> ClusterSpec {
-    ClusterSpec::from_vcpu_rows("eq", &[(1, 1), (1, 2), (1, 3), (1, 4)], 50.0).unwrap()
-}
-
-/// `train_bsp_sim` ≡ `TrainDriver` + `SimBspEngine`, bitwise: same rng
-/// stream, same arithmetic, same curve — including the simulated time
-/// axis and the metrics.
-#[test]
-fn bsp_wrapper_matches_driver_bitwise() {
-    let cluster = cluster();
-    let rates = cluster.throughputs();
-    let data = synthetic::linear_regression(80, 3, 0.01, &mut StdRng::seed_from_u64(1));
-    let model = LinearRegression::new(3);
-    let scheme = SchemeBuilder::new(&cluster, 1)
-        .build(SchemeKind::HeterAware, &mut StdRng::seed_from_u64(2))
-        .unwrap();
-    let cfg = SimTrainConfig {
-        iterations: 25,
-        learning_rate: 0.2,
-        compute_jitter: 0.05,
-        stragglers: StragglerModel::RandomChoice {
-            count: 1,
-            delay: hetgc::DelayDistribution::Constant(1.0),
-        },
-        ..Default::default()
-    };
-
-    let legacy = train_bsp_sim(
-        &scheme,
-        &model,
-        &data,
-        &rates,
-        &cfg,
-        &mut StdRng::seed_from_u64(3),
-    )
-    .unwrap();
-
-    let mut engine = SimBspEngine::new(
-        &scheme,
-        &model,
-        &data,
-        &rates,
-        &cfg,
-        EscalationPolicy::follow_backend(),
-    )
-    .unwrap();
-    let new = TrainDriver::new(&model, &data, Sgd::new(cfg.learning_rate))
-        .with_config(DriverConfig {
-            eval_every: 1,
-            residual_step_scaling: false,
-            adaptation: None,
-            job_id: None,
-        })
-        .run(&mut engine, cfg.iterations, &mut StdRng::seed_from_u64(3))
-        .unwrap();
-
-    assert_eq!(legacy.curve.points.len(), new.curve.points.len());
-    for ((t1, l1), (t2, l2)) in legacy.curve.points.iter().zip(&new.curve.points) {
-        assert_eq!(t1, t2, "time axes must be identical");
-        assert_eq!(l1, l2, "losses must be identical");
-    }
-    assert_eq!(legacy.params, new.params);
-    assert_eq!(legacy.stalled, new.stalled);
-    assert_eq!(legacy.approx_iterations, new.approx_rounds);
-    assert_eq!(
-        legacy.metrics.avg_iteration_time(),
-        new.metrics.avg_iteration_time()
-    );
-    assert_eq!(
-        legacy.metrics.resource_usage().ratio(),
-        new.metrics.resource_usage().ratio()
-    );
-}
-
-/// The stalled path agrees too: naive + fault stalls identically.
-#[test]
-fn bsp_wrapper_matches_driver_on_stall() {
-    let cluster = cluster();
-    let rates = cluster.throughputs();
-    let data = synthetic::linear_regression(40, 2, 0.01, &mut StdRng::seed_from_u64(4));
-    let model = LinearRegression::new(2);
-    let scheme = SchemeBuilder::new(&cluster, 1)
-        .build(SchemeKind::Naive, &mut StdRng::seed_from_u64(5))
-        .unwrap();
-    let cfg = SimTrainConfig {
-        iterations: 10,
-        stragglers: StragglerModel::Failures { workers: vec![0] },
-        ..Default::default()
-    };
-
-    let legacy = train_bsp_sim(
-        &scheme,
-        &model,
-        &data,
-        &rates,
-        &cfg,
-        &mut StdRng::seed_from_u64(6),
-    )
-    .unwrap();
-    let mut engine = SimBspEngine::new(
-        &scheme,
-        &model,
-        &data,
-        &rates,
-        &cfg,
-        EscalationPolicy::follow_backend(),
-    )
-    .unwrap();
-    let new = TrainDriver::new(&model, &data, Sgd::new(cfg.learning_rate))
-        .run(&mut engine, cfg.iterations, &mut StdRng::seed_from_u64(6))
-        .unwrap();
-    assert!(legacy.stalled && new.stalled);
-    assert!(legacy.curve.points.is_empty() && new.curve.points.is_empty());
-    assert_eq!(legacy.metrics.failed_iterations(), 1);
-    assert_eq!(new.metrics.failed_iterations(), 1);
-    assert_eq!(legacy.params, new.params);
-}
-
-/// `train_ssp_sim` ≡ `TrainDriver` + `SimSspEngine::shard`, bitwise.
-#[test]
-fn ssp_wrapper_matches_driver_bitwise() {
-    let cluster = cluster();
-    let rates = cluster.throughputs();
-    let data = synthetic::gaussian_blobs(60, 2, 3, 5.0, &mut StdRng::seed_from_u64(7));
-    let model = hetgc::SoftmaxRegression::new(2, 3);
-    let cfg = SimTrainConfig {
-        iterations: 20,
-        learning_rate: 0.3,
-        eval_every: 4,
-        ..Default::default()
-    };
-
-    let legacy = train_ssp_sim(
-        &model,
-        &data,
-        &rates,
-        3,
-        &cfg,
-        &mut StdRng::seed_from_u64(8),
-    )
-    .unwrap();
-
-    let mut engine = SimSspEngine::shard(&model, &data, &rates, 3, &cfg).unwrap();
-    let new = TrainDriver::new(&model, &data, Sgd::new(cfg.learning_rate))
-        .with_config(DriverConfig {
-            eval_every: cfg.eval_every,
-            residual_step_scaling: false,
-            adaptation: None,
-            job_id: None,
-        })
-        .run(
-            &mut engine,
-            cfg.iterations * rates.len(),
-            &mut StdRng::seed_from_u64(8),
-        )
-        .unwrap();
-
-    assert_eq!(legacy.points.len(), new.curve.points.len());
-    for ((t1, l1), (t2, l2)) in legacy.points.iter().zip(&new.curve.points) {
-        assert_eq!(t1, t2, "event times must be identical");
-        assert_eq!(l1, l2, "losses must be identical");
-    }
-}
 
 /// The coded-SSP acceptance scenario: with two dead workers and s = 1,
 /// exact-only SSP decoding stalls (every live worker reports, no decode

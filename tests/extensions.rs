@@ -7,8 +7,8 @@ use hetgc::adaptive::{run_with_drift, AdaptiveConfig};
 use hetgc::RateDrift;
 use hetgc::{
     gradient_error_bound_l2, simulate_bsp_iteration, under_replicated, ApproxCodec,
-    BspIterationConfig, ClusterSpec, GradientCodec, IterationTrace, NetworkModel, SchemeBuilder,
-    SchemeKind, StragglerEvent,
+    BspIterationConfig, ClusterSpec, GradientBlock, GradientCodec, IterationTrace, NetworkModel,
+    SchemeBuilder, SchemeKind, StragglerEvent,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -129,9 +129,11 @@ fn approximate_decoding_error_bound_holds() {
     let plan = codec.approximate_plan(&survivors).unwrap();
     assert!(!plan.is_exact());
     assert!(plan.workers().iter().all(|w| survivors.contains(w)));
+    let block = GradientBlock::from_rows(&partials).unwrap();
     let mut ghat = [0.0; 4];
+    let mut coded = [0.0; 4];
     for (w, coef) in plan.iter() {
-        let coded = codec.encode(w, &partials).unwrap();
+        codec.encode_into(w, &block, &mut coded).unwrap();
         for (g, c) in ghat.iter_mut().zip(&coded) {
             *g += coef * c;
         }
