@@ -225,6 +225,16 @@ impl Model for SlowLossModel {
         self.inner.gradient_into(params, data, range, out);
     }
 
+    fn for_each_partial(
+        &self,
+        params: &[f64],
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+        visit: &mut dyn FnMut(usize, &hetgc::FillPartial<'_>),
+    ) {
+        self.inner.for_each_partial(params, data, ranges, visit);
+    }
+
     fn init_params(&self, rng: &mut dyn rand::RngCore) -> Vec<f64> {
         self.inner.init_params(rng)
     }

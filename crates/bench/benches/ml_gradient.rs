@@ -3,10 +3,94 @@
 //! samples" (§II). This bench verifies the premise holds for our models:
 //! doubling the sample range should roughly double the gradient time.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetgc::{synthetic, LinearRegression, Mlp, Model, SoftmaxRegression};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hetgc::{synthetic, Dataset, GradientBlock, LinearRegression, Mlp, Model, SoftmaxRegression};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The per-sample scalar fold `LinearRegression` ran before its kernels
+/// interleaved independent folds: one dependent add per feature. Kept
+/// here as the baseline arm (bitwise the same gradient).
+fn scalar_fold_gradient(params: &[f64], data: &Dataset, (lo, hi): (usize, usize), out: &mut [f64]) {
+    let d = data.dim();
+    out.fill(0.0);
+    for i in lo..hi {
+        let x = data.features_of(i);
+        let prediction = params[..d].iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + params[d];
+        let r = prediction - data.regression_target(i);
+        for (g, x) in out[..d].iter_mut().zip(x) {
+            *g += r * x;
+        }
+        out[d] += r;
+    }
+}
+
+/// The ledger's two `LinearRegression` shapes, where the serial add chain
+/// showed: `sim-bsp-miss` (Cluster-D: 162 partitions × 4 samples,
+/// `d = 128`, every partial gradient into one block) and the busiest
+/// `threaded-pipelined` worker (8 one-sample partitions, `d = 8192`,
+/// folded into one coded gradient).
+fn bench_linear_gradient(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut group = c.benchmark_group("ml/linear_gradient");
+
+    let (k, per, d) = (162, 4, 128);
+    let data = synthetic::linear_regression(k * per, d, 0.01, &mut rng);
+    let model = LinearRegression::new(d);
+    let params = model.init_params(&mut rng);
+    let ranges: Vec<(usize, usize)> = (0..k).map(|j| (j * per, (j + 1) * per)).collect();
+    let mut block = GradientBlock::new(k, d + 1);
+    group.bench_function("partials_162x4x128/scalar_fold", |b| {
+        b.iter(|| {
+            for (j, &range) in ranges.iter().enumerate() {
+                scalar_fold_gradient(&params, &data, range, block.row_mut(j));
+            }
+            black_box(block.row(k - 1)[0])
+        });
+    });
+    group.bench_function("partials_162x4x128/partial_gradients_into", |b| {
+        b.iter(|| {
+            hetgc::partial_gradients_into(&model, &params, &data, &ranges, &mut block);
+            black_box(block.row(k - 1)[0])
+        });
+    });
+
+    let (k, d) = (8, 8192);
+    let data = synthetic::linear_regression(k, d, 0.01, &mut rng);
+    let model = LinearRegression::new(d);
+    let params = model.init_params(&mut rng);
+    let ranges: Vec<(usize, usize)> = (0..k).map(|j| (j, j + 1)).collect();
+    let coefficients: Vec<f64> = (0..k).map(|j| 0.5 + j as f64).collect();
+    let (mut coded, mut partial) = (vec![0.0; d + 1], vec![0.0; d + 1]);
+    group.bench_function("coded_8x1x8192/scalar_fold", |b| {
+        b.iter(|| {
+            coded.fill(0.0);
+            for (&range, &coef) in ranges.iter().zip(&coefficients) {
+                scalar_fold_gradient(&params, &data, range, &mut partial);
+                for (c, g) in coded.iter_mut().zip(&partial) {
+                    *c += coef * g;
+                }
+            }
+            black_box(coded[0])
+        });
+    });
+    let (mut coded, mut partial) = (Vec::new(), Vec::new());
+    group.bench_function("coded_8x1x8192/compute_coded", |b| {
+        b.iter(|| {
+            hetgc_runtime::compute_coded(
+                &model,
+                &data,
+                &ranges,
+                &coefficients,
+                &params,
+                &mut coded,
+                &mut partial,
+            );
+            black_box(coded[0])
+        });
+    });
+    group.finish();
+}
 
 fn bench_mlp_gradient(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(21);
@@ -62,6 +146,7 @@ criterion_group!(
     benches,
     bench_mlp_gradient,
     bench_softmax_gradient,
+    bench_linear_gradient,
     bench_encode
 );
 criterion_main!(benches);

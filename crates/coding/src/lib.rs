@@ -88,6 +88,11 @@ pub use group::{
     GroupSearchConfig,
 };
 pub use heter_aware::{heter_aware, heter_aware_from_support};
+/// The data-plane kernels encode and decode run on, re-exported so that
+/// `hetgc-ml` — which produces the gradients they consume and already
+/// depends on this crate — shares them without an edge of its own to
+/// `hetgc-linalg`.
+pub use hetgc_linalg::kernels;
 pub use shared_cache::{
     scheme_fingerprint, PlanClass, SharedPlanCache, DEFAULT_SHARED_CAPACITY_PER_SHARD,
     DEFAULT_SHARED_SHARDS,

@@ -90,7 +90,8 @@ pub use hetgc_coding::{
 };
 pub use hetgc_ml::{
     accuracy, partial_gradients, partial_gradients_into, synthetic, Adam, Classifier, Dataset,
-    LinearRegression, Mlp, Model, Momentum, Optimizer, Sgd, SoftmaxRegression, Targets,
+    FillPartial, LinearRegression, Mlp, Model, Momentum, Optimizer, Sgd, SoftmaxRegression,
+    Targets,
 };
 pub use hetgc_runtime::{
     ClusterRound, RuntimeConfig, RuntimeError, ThreadedCluster, WorkerBehavior,

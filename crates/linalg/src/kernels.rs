@@ -11,19 +11,30 @@
 //! # Kernel contract
 //!
 //! * **Elementwise kernels are bitwise-identical to their scalar
-//!   definitions.** [`axpy`] and [`scale`] perform exactly one
-//!   multiply and (for `axpy`) one add per element, in index order, with
+//!   definitions.** [`axpy`], [`axpy_rows`] (several `axpy`s in one
+//!   pass, applied in argument order) and [`scale`] perform exactly one
+//!   multiply and (for the `axpy`s) one add per element, in index order, with
 //!   **no zero-coefficient shortcut**: `0 · NaN` is NaN and `0 · ∞` is
 //!   NaN, and those propagate exactly as a scalar loop would propagate
 //!   them. (An earlier `vec_ops::axpy` returned early on `alpha == 0.0`,
 //!   silently dropping non-finite values from `x`; that shortcut is
 //!   gone, and `tests/properties.rs` pins the equivalence on non-finite
 //!   inputs.)
+//! * **The ordered multi-dot is bitwise-identical to its scalar
+//!   definition too.** [`dot_ordered`] runs `K` *independent* dot
+//!   products side by side, each one the strict left-to-right fold
+//!   `s.iter().zip(r).map(|(x, y)| x * y).sum::<f64>()` — same identity,
+//!   same order, no lane accumulators — so every sum, NaN, `±∞` and
+//!   `−0.0` comes out as the scalar fold produces it. Interleaving the
+//!   chains hides the latency of the one dependent add per element that
+//!   bounds a single fold; it never reassociates one. [`dot_ordered_each`]
+//!   is the same over any number of rows, [`CHAINS`] at a time.
 //! * **Reductions reassociate.** [`dot`], [`norm2`] and [`norm_inf`]
 //!   accumulate in [`LANES`] independent partial accumulators (that is
 //!   what lets them vectorize) and are therefore *deterministic* but not
-//!   bitwise-equal to a left-to-right scalar fold. `max` is associative,
-//!   so [`norm_inf`] *is* scalar-identical.
+//!   bitwise-equal to a left-to-right scalar fold — use [`dot_ordered`]
+//!   where the fold's bits are a contract. `max` is associative, so
+//!   [`norm_inf`] *is* scalar-identical.
 //! * **[`block_decode`] accumulates rows in argument order per element**,
 //!   so it is bitwise-identical to a sequence of `axpy` calls over the
 //!   full vectors — including across column blocks and across threads
@@ -78,6 +89,49 @@ pub fn axpy<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
     }
 }
 
+/// `K` [`axpy`]s in one pass over `y`: `y[i] = ((y[i] + α₀·x₀[i]) +
+/// α₁·x₁[i]) + …`, bitwise the calls `axpy(α_c, x_c, y)` for `c` in
+/// order — `y` is loaded and stored once instead of `K` times.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `y.len()`.
+#[inline]
+pub fn axpy_rows<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mut [E]) {
+    fused_axpys::<E, K, false>(alpha, x, y);
+}
+
+/// [`axpy_rows`] onto zeros, without the pass that writes them: `y[i] =
+/// ((0 + α₀·x₀[i]) + α₁·x₁[i]) + …`, bitwise `y.fill(E::ZERO)` followed
+/// by [`axpy_rows`] (the `0 +` stays: it is what turns a `−0.0` product
+/// into the `+0.0` an accumulation from zero yields).
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `y.len()`.
+#[inline]
+pub fn axpy_rows_zeroed<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mut [E]) {
+    fused_axpys::<E, K, true>(alpha, x, y);
+}
+
+#[inline]
+fn fused_axpys<E: Element, const K: usize, const ZEROED: bool>(
+    alpha: [E; K],
+    x: [&[E]; K],
+    y: &mut [E],
+) {
+    let n = y.len();
+    assert!(x.iter().all(|r| r.len() == n), "axpy_rows: length mismatch");
+    let x = x.map(|r| &r[..n]);
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut acc = if ZEROED { E::ZERO } else { *yi };
+        for c in 0..K {
+            acc += alpha[c] * x[c][i];
+        }
+        *yi = acc;
+    }
+}
+
 /// In-place scaling `x[i] *= alpha`, bitwise-identical to the scalar
 /// loop.
 #[inline]
@@ -126,6 +180,88 @@ pub fn dot<E: Element>(a: &[E], b: &[E]) -> E {
         total += lane;
     }
     total
+}
+
+/// Chains [`dot_ordered_each`] runs side by side.
+///
+/// Measured, not derived: at the ledger's shapes (`d = 128` and
+/// `d = 8192`, baseline x86-64 build) one chain costs 0.45–0.68 ns per
+/// element — the latency of its dependent add — two 0.34–0.38, four
+/// 0.26–0.29 and eight 0.24–0.29: four already sit on the multiply/add
+/// issue limit, and a wider block only lengthens the tails.
+pub const CHAINS: usize = 4;
+
+/// `K` independent ordered dot products against one shared vector, in
+/// one pass over the elements: `out[c]` is bitwise
+/// `shared.iter().zip(rows[c]).map(|(s, r)| s * r).sum::<f64>()` (see
+/// the module contract). The shared side is one weight vector under `K`
+/// samples, or one sample under `K` weight rows. `f64` only: the fold it
+/// reproduces is `Iterator::sum::<f64>`, identity included.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `shared.len()`.
+#[inline]
+pub fn dot_ordered<const K: usize>(shared: &[f64], rows: [&[f64]; K]) -> [f64; K] {
+    let n = shared.len();
+    assert!(
+        rows.iter().all(|r| r.len() == n),
+        "dot_ordered: length mismatch"
+    );
+    // Re-slicing to the common length lets the compiler drop the bounds
+    // checks in the loop.
+    let rows = rows.map(|r| &r[..n]);
+    // Whatever `Sum for f64` starts from on this toolchain (`-0.0` today),
+    // so an empty or all-negative-zero fold keeps its sign bit.
+    let identity: f64 = core::iter::empty::<f64>().sum();
+    let mut acc = [identity; K];
+    for (j, &s) in shared.iter().enumerate() {
+        for c in 0..K {
+            acc[c] += s * rows[c][j];
+        }
+    }
+    acc
+}
+
+/// [`dot_ordered`] over any number of rows: `out[i]` is the ordered dot
+/// product of `shared` and the `i`-th row, computed [`CHAINS`] rows at a
+/// time with narrower ordered chains (never a different fold) for the
+/// last `out.len() % CHAINS`.
+///
+/// # Panics
+///
+/// Panics if `rows` yields fewer than `out.len()` rows, or one of a
+/// length other than `shared.len()`.
+pub fn dot_ordered_each<'a, I>(shared: &[f64], rows: I, out: &mut [f64])
+where
+    I: IntoIterator<Item = &'a [f64]>,
+{
+    fn block<'a, const K: usize>(
+        shared: &[f64],
+        rows: &mut impl Iterator<Item = &'a [f64]>,
+        out: &mut [f64],
+    ) {
+        let rows: [_; K] = core::array::from_fn(|_| {
+            rows.next()
+                .expect("dot_ordered_each: fewer rows than outputs")
+        });
+        out.copy_from_slice(&dot_ordered(shared, rows));
+    }
+    // The tail below splits into a pair and a single: all of `0..CHAINS`.
+    const _: () = assert!(CHAINS == 4);
+    let mut rows = rows.into_iter();
+    let mut blocks = out.chunks_exact_mut(CHAINS);
+    for out in blocks.by_ref() {
+        block::<CHAINS>(shared, &mut rows, out);
+    }
+    let tail = blocks.into_remainder();
+    let (two, one) = tail.split_at_mut(tail.len() & !1);
+    if !two.is_empty() {
+        block::<2>(shared, &mut rows, two);
+    }
+    if !one.is_empty() {
+        block::<1>(shared, &mut rows, one);
+    }
 }
 
 /// Euclidean norm `|x|₂` over [`LANES`] partial accumulators
@@ -278,6 +414,14 @@ mod tests {
         (0..n).map(|i| (i as f64).sin() * 3.0).collect()
     }
 
+    /// Bit patterns, every NaN folded to one (payloads are not part of
+    /// the contract).
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
     #[test]
     fn axpy_bitwise_matches_scalar_all_lengths() {
         for n in [0, 1, 7, 8, 9, 31, 64, 100] {
@@ -304,6 +448,51 @@ mod tests {
     }
 
     #[test]
+    fn axpy_rows_bitwise_matches_the_axpy_sequence() {
+        for n in [0, 1, 7, 8, 9, 129] {
+            let rows: [Vec<f64>; 3] = [
+                ramp(n),
+                ramp(n + 1)[1..].to_vec(),
+                ramp(n + 2)[2..].to_vec(),
+            ];
+            let x = [&rows[0][..], &rows[1][..], &rows[2][..]];
+            // A zero coefficient over a NaN still poisons, as in `axpy`.
+            let alpha = [-1.75, 0.0, 0.3];
+            let mut poisoned = rows.clone();
+            if n > 0 {
+                poisoned[1][0] = f64::NAN;
+            }
+            for x in [x, [&poisoned[0][..], &poisoned[1][..], &poisoned[2][..]]] {
+                let mut want = ramp(n);
+                let mut got = want.clone();
+                for c in 0..3 {
+                    axpy_scalar(alpha[c], x[c], &mut want);
+                }
+                axpy_rows(alpha, x, &mut got);
+                assert_eq!(bits(&got), bits(&want), "n = {n}");
+
+                // From zeros: `−0.0` products come out `+0.0`, as after a fill.
+                let mut want = vec![0.0; n];
+                for c in 0..3 {
+                    axpy_scalar(alpha[c], x[c], &mut want);
+                }
+                let mut got = vec![f64::NAN; n];
+                axpy_rows_zeroed(alpha, x, &mut got);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, zeroed");
+            }
+        }
+        let mut y = [f64::NAN];
+        axpy_rows_zeroed([-1.0], [&[0.0]], &mut y);
+        assert_eq!(y[0].to_bits(), 0.0_f64.to_bits(), "0 + (−1·0) is +0.0");
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn axpy_rows_rejects_ragged_rows() {
+        axpy_rows([1.0, 1.0], [&[1.0, 2.0], &[1.0]], &mut [0.0; 2]);
+    }
+
+    #[test]
     fn scale_and_norms() {
         let mut x = vec![1.0_f64, -2.0, 3.0];
         scale(-2.0, &mut x);
@@ -327,6 +516,81 @@ mod tests {
                 "n = {n}: {scalar} vs {chunked}"
             );
         }
+    }
+
+    /// The scalar fold each chain of the ordered multi-dot must match
+    /// bitwise.
+    fn fold(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>()
+    }
+
+    #[test]
+    fn dot_ordered_bitwise_matches_scalar_fold_all_shapes() {
+        for n in [0, 1, 3, 7, 8, 9, 128, 129] {
+            let shared = ramp(n);
+            let rows: Vec<Vec<f64>> = (0..11)
+                .map(|i| ramp(n).iter().map(|v| v * 0.37 + i as f64).collect())
+                .collect();
+            // Every block/tail split of the chains: 0..=2·CHAINS + 2 rows.
+            for count in 0..=rows.len() {
+                let mut out = vec![f64::NAN; count];
+                dot_ordered_each(&shared, rows.iter().map(Vec::as_slice), &mut out);
+                for (c, row) in rows[..count].iter().enumerate() {
+                    let want = fold(&shared, row);
+                    assert_eq!(
+                        out[c].to_bits(),
+                        want.to_bits(),
+                        "n = {n}, row {c} of {count}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_ordered_is_not_the_reassociated_dot() {
+        // The point of the primitive: `dot` sums lanes, the fold does not.
+        let a = ramp(129);
+        let b: Vec<f64> = ramp(129).iter().map(|v| v + 0.5).collect();
+        let [ordered] = dot_ordered(&a, [&b]);
+        assert_eq!(ordered.to_bits(), fold(&a, &b).to_bits());
+        assert_ne!(ordered.to_bits(), dot(&a, &b).to_bits());
+    }
+
+    #[test]
+    fn dot_ordered_propagates_non_finite_and_signed_zero() {
+        let shared = [0.0, 1.0, -2.0];
+        let [nan, inf, zero_times_inf, negative_zero] = dot_ordered(
+            &shared,
+            [
+                &[1.0, f64::NAN, 1.0],
+                &[1.0, f64::INFINITY, 1.0],
+                &[f64::INFINITY, 1.0, 1.0],
+                &[-1.0, -0.0, 0.0],
+            ],
+        );
+        assert!(nan.is_nan());
+        assert_eq!(inf, f64::INFINITY);
+        assert!(zero_times_inf.is_nan(), "0 · ∞ is NaN, no zero shortcut");
+        // −0.0 + −0.0 + −0.0 from the `Sum` identity: the sign survives,
+        // as it does in the scalar fold.
+        let want = fold(&shared, &[-1.0, -0.0, 0.0]);
+        assert_eq!(negative_zero.to_bits(), want.to_bits());
+        let empty = fold(&[], &[]);
+        assert_eq!(dot_ordered(&[], [&[]])[0].to_bits(), empty.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn dot_ordered_rejects_ragged_rows() {
+        dot_ordered(&[1.0, 2.0], [&[1.0, 2.0], &[1.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer rows than outputs")]
+    fn dot_ordered_each_rejects_missing_rows() {
+        let row = [1.0];
+        dot_ordered_each(&[1.0], [&row[..]; 2], &mut [0.0; 3]);
     }
 
     #[test]

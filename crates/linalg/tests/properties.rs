@@ -183,6 +183,36 @@ proptest! {
         prop_assert!(bits_eq(&y, &y_ref), "chunked {y:?} vs scalar {y_ref:?}");
     }
 
+    /// Several `axpy`s fused into one pass over `y` (and the variant that
+    /// starts from zeros without writing them) are bitwise the calls made
+    /// one after another — non-finite inputs and zero coefficients
+    /// included.
+    #[test]
+    fn fused_axpy_rows_bitwise_equal_the_axpy_sequence(
+        alpha in (wild_f64(), wild_f64(), wild_f64()),
+        rows in prop::collection::vec((wild_f64(), wild_f64(), wild_f64(), wild_f64()), 0..40),
+    ) {
+        let alpha = [alpha.0, alpha.1, alpha.2];
+        let column = |c: usize| -> Vec<f64> {
+            rows.iter().map(|r| [r.0, r.1, r.2, r.3][c]).collect()
+        };
+        let x = [column(0), column(1), column(2)];
+        let x = [&x[0][..], &x[1][..], &x[2][..]];
+        for zeroed in [false, true] {
+            let mut want = if zeroed { vec![0.0; rows.len()] } else { column(3) };
+            for c in 0..3 {
+                kernels::axpy(alpha[c], x[c], &mut want);
+            }
+            let mut got = column(3);
+            if zeroed {
+                kernels::axpy_rows_zeroed(alpha, x, &mut got);
+            } else {
+                kernels::axpy_rows(alpha, x, &mut got);
+            }
+            prop_assert!(bits_eq(&got, &want), "zeroed {zeroed}: {got:?} vs {want:?}");
+        }
+    }
+
     /// Same pin for `scale`: elementwise, so chunking is layout-only.
     #[test]
     fn chunked_scale_bitwise_equals_scalar(
@@ -196,6 +226,27 @@ proptest! {
             *v *= alpha;
         }
         prop_assert!(bits_eq(&chunked, &scalar));
+    }
+
+    /// The ordered multi-dot is bitwise-identical to one scalar
+    /// left-to-right fold per row — on NaN/±inf/−0.0 too, for every
+    /// block/tail split of the chains and every length (an empty fold
+    /// keeps the identity's sign bit).
+    #[test]
+    fn ordered_multi_dot_bitwise_equals_scalar_folds(
+        n in 0usize..40,
+        rows in 0usize..(3 * kernels::CHAINS + 2),
+        values in prop::collection::vec(wild_f64(), 40 * (3 * kernels::CHAINS + 3)),
+    ) {
+        let (shared, rest) = values.split_at(n);
+        let rows: Vec<&[f64]> = rest.chunks_exact(n.max(1)).take(rows).map(|r| &r[..n]).collect();
+        let scalar: Vec<f64> = rows
+            .iter()
+            .map(|r| shared.iter().zip(*r).map(|(s, x)| s * x).sum::<f64>())
+            .collect();
+        let mut chained = vec![f64::NAN; rows.len()];
+        kernels::dot_ordered_each(shared, rows.iter().copied(), &mut chained);
+        prop_assert!(bits_eq(&chained, &scalar), "chained {chained:?} vs scalar {scalar:?}");
     }
 
     /// The whole-round block-decode kernel is bitwise-identical to the

@@ -14,8 +14,9 @@ use crate::model::Model;
 
 /// Computes the partial gradient for each `[lo, hi)` range in `ranges`
 /// into a caller-provided [`GradientBlock`] — row `j` receives the
-/// gradient of `ranges[j]`, written in place via [`Model::gradient_into`].
-/// The block is reshaped to `ranges.len() × num_params` (reusing its
+/// gradient of `ranges[j]`, written in place through
+/// [`Model::for_each_partial`] (so a model that batches across ranges does
+/// so here too). The block is reshaped to `ranges.len() × num_params` (reusing its
 /// allocation), so a block held across rounds makes the whole
 /// partial-gradient pass allocation-free.
 pub fn partial_gradients_into<M: Model + ?Sized>(
@@ -29,9 +30,7 @@ pub fn partial_gradients_into<M: Model + ?Sized>(
     if block.rows() != ranges.len() || block.dim() != d {
         block.reset(ranges.len(), d);
     }
-    for (j, &range) in ranges.iter().enumerate() {
-        model.gradient_into(params, data, range, block.row_mut(j));
-    }
+    model.for_each_partial(params, data, ranges, &mut |j, fill| fill(block.row_mut(j)));
 }
 
 /// Computes the partial gradient for each `[lo, hi)` range in `ranges`.

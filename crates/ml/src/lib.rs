@@ -46,6 +46,8 @@ mod mlp;
 mod model;
 mod optimizer;
 pub mod synthetic;
+#[cfg(test)]
+mod testing;
 
 pub use classify::{accuracy, Classifier};
 pub use dataset::{Dataset, Targets};
@@ -53,7 +55,7 @@ pub use gradient::{partial_gradients, partial_gradients_into, sum_gradients};
 pub use linear::LinearRegression;
 pub use loss::{cross_entropy_from_logits, log_sum_exp, softmax_in_place};
 pub use mlp::Mlp;
-pub use model::{numeric_gradient, Model};
+pub use model::{numeric_gradient, FillPartial, Model};
 pub use optimizer::{Adam, Momentum, Optimizer, Sgd};
 
 mod logistic;

@@ -1,5 +1,6 @@
 //! Multinomial logistic (softmax) regression.
 
+use hetgc_coding::kernels;
 use rand::RngCore;
 
 use crate::dataset::Dataset;
@@ -54,7 +55,26 @@ impl SoftmaxRegression {
         self.classes
     }
 
+    /// `z_c = w_cᵀx + b_c`: the classes are independent folds over the
+    /// features, run [`kernels::CHAINS`] side by side.
     fn logits(&self, params: &[f64], x: &[f64], out: &mut Vec<f64>) {
+        #[cfg(test)]
+        if crate::testing::scalar_folds() {
+            return self.logits_scalar(params, x, out);
+        }
+        out.clear();
+        out.resize(self.classes, 0.0);
+        let (weights, bias) = params.split_at(self.classes * self.dim);
+        kernels::dot_ordered_each(x, weights.chunks_exact(self.dim), out);
+        for (z, b) in out.iter_mut().zip(bias) {
+            *z += b;
+        }
+    }
+
+    /// [`Self::logits`] as it was before the ordered multi-dot, verbatim
+    /// — one fold per class: the reference of the bitwise tests.
+    #[cfg(test)]
+    fn logits_scalar(&self, params: &[f64], x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         let bias_base = self.classes * self.dim;
         for c in 0..self.classes {
@@ -139,8 +159,34 @@ mod tests {
     use crate::dataset::Targets;
     use crate::model::numeric_gradient;
     use crate::synthetic;
+    use crate::testing::{self, Wild};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn bitwise_equal_to_the_scalar_folds() {
+        for dim in [1, 3, 128, 129] {
+            // Every block/tail split of the class chains.
+            for classes in [2, 3, 4, 5, 9] {
+                for wild in Wild::ALL {
+                    let model = SoftmaxRegression::new(dim, classes);
+                    let n = testing::ragged_ranges().1;
+                    let data = testing::dataset(n, dim, Some(classes), wild);
+                    let params = testing::params(&model, wild);
+                    let reference = |range| {
+                        testing::with_scalar_folds(|| {
+                            (
+                                model.loss(&params, &data, range),
+                                model.gradient(&params, &data, range),
+                            )
+                        })
+                    };
+                    let what = format!("d = {dim}, {classes} classes, wild {wild:?}");
+                    testing::assert_model_matches(&model, &params, &data, &reference, &what);
+                }
+            }
+        }
+    }
 
     fn tiny() -> Dataset {
         Dataset::new(

@@ -2,6 +2,7 @@
 //! softmax output — the non-convex workload standing in for the paper's
 //! AlexNet/ResNet training (DESIGN.md documents the substitution).
 
+use hetgc_coding::kernels;
 use rand::Rng;
 use rand::RngCore;
 
@@ -80,8 +81,34 @@ impl Mlp {
         self.w2() + self.classes * self.hidden
     }
 
-    /// Forward pass; fills `h` (post-activation) and `logits`.
+    /// Forward pass; fills `h` (post-activation) and `logits`. The units
+    /// of a layer are independent folds over its inputs, run
+    /// [`kernels::CHAINS`] side by side.
     fn forward(&self, params: &[f64], x: &[f64], h: &mut Vec<f64>, logits: &mut Vec<f64>) {
+        #[cfg(test)]
+        if crate::testing::scalar_folds() {
+            return self.forward_scalar(params, x, h, logits);
+        }
+        h.clear();
+        h.resize(self.hidden, 0.0);
+        let w1 = params[self.w1()..self.b1()].chunks_exact(self.dim);
+        kernels::dot_ordered_each(x, w1, h);
+        for (hj, b) in h.iter_mut().zip(&params[self.b1()..self.w2()]) {
+            *hj = (*hj + b).tanh();
+        }
+        logits.clear();
+        logits.resize(self.classes, 0.0);
+        let w2 = params[self.w2()..self.b2()].chunks_exact(self.hidden);
+        kernels::dot_ordered_each(h, w2, logits);
+        for (z, b) in logits.iter_mut().zip(&params[self.b2()..]) {
+            *z += b;
+        }
+    }
+
+    /// [`Self::forward`] as it was before the ordered multi-dot, verbatim
+    /// — one fold per unit: the reference of the bitwise tests.
+    #[cfg(test)]
+    fn forward_scalar(&self, params: &[f64], x: &[f64], h: &mut Vec<f64>, logits: &mut Vec<f64>) {
         h.clear();
         for j in 0..self.hidden {
             let w = &params[self.w1() + j * self.dim..self.w1() + (j + 1) * self.dim];
@@ -189,8 +216,34 @@ mod tests {
     use crate::dataset::Targets;
     use crate::model::numeric_gradient;
     use crate::synthetic;
+    use crate::testing::{self, Wild};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn bitwise_equal_to_the_scalar_folds() {
+        for dim in [1, 3, 128, 129] {
+            // Every block/tail split of the hidden and the class chains.
+            for (hidden, classes) in [(1, 2), (2, 3), (4, 5), (7, 4), (9, 2)] {
+                for wild in Wild::ALL {
+                    let model = Mlp::new(dim, hidden, classes);
+                    let n = testing::ragged_ranges().1;
+                    let data = testing::dataset(n, dim, Some(classes), wild);
+                    let params = testing::params(&model, wild);
+                    let reference = |range| {
+                        testing::with_scalar_folds(|| {
+                            (
+                                model.loss(&params, &data, range),
+                                model.gradient(&params, &data, range),
+                            )
+                        })
+                    };
+                    let what = format!("d = {dim}, {hidden} hidden, {classes} classes, {wild:?}");
+                    testing::assert_model_matches(&model, &params, &data, &reference, &what);
+                }
+            }
+        }
+    }
 
     fn tiny() -> Dataset {
         Dataset::new(

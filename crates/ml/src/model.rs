@@ -4,6 +4,10 @@ use rand::Rng;
 
 use crate::dataset::Dataset;
 
+/// What [`Model::for_each_partial`] hands its visitor for each range:
+/// `fill(out)` overwrites `out` with that range's gradient.
+pub type FillPartial<'a> = dyn Fn(&mut [f64]) + 'a;
+
 /// A differentiable model over flat `f64` parameter vectors.
 ///
 /// The central contract for gradient coding is **additivity**: for disjoint
@@ -12,6 +16,35 @@ use crate::dataset::Dataset;
 /// return *sums* over samples, not means (the trainer normalizes once at
 /// the end). The test suites of every implementation assert this property
 /// together with a finite-difference check via [`numeric_gradient`].
+///
+/// # Numeric contract
+///
+/// Results are pinned to the bit, not to a tolerance:
+/// `tests/golden_contract.rs` holds decoded gradients and two training
+/// runs to recorded constants, and each model's `bitwise_equal_to_…` test
+/// holds it to the scalar loops these two rules describe, at every shape:
+///
+/// * a prediction (`wᵀx`, a logit, a hidden unit) is a **left-to-right
+///   fold over features**, as `iter().zip().map().sum::<f64>()` computes
+///   it;
+/// * a gradient **accumulates samples in index order per coordinate**:
+///   `g_j = ((0 + r₀x₀ⱼ) + r₁x₁ⱼ) + …`, and a loss adds its samples in
+///   index order.
+///
+/// An implementation may *interleave independent folds* — several
+/// samples, classes or hidden units side by side, which is what
+/// `hetgc_linalg::kernels::dot_ordered` does to hide the latency of a
+/// fold's one dependent add per feature — but must never reassociate one:
+/// no lane accumulators, no FMA, no pairwise sums.
+///
+/// # Wrappers
+///
+/// A type that implements `Model` by delegating to another model **must
+/// forward every provided method** ([`Model::gradient_into`],
+/// [`Model::for_each_partial`]), not only the required ones. A provided
+/// method left to its default still returns the same bits — the default
+/// is the definition — so no test notices; the wrapped model's batched
+/// kernel is silently skipped and only the perf ledger shows it.
 pub trait Model {
     /// Total number of parameters.
     fn num_params(&self) -> usize;
@@ -53,6 +86,38 @@ pub trait Model {
         let g = self.gradient(params, data, range);
         assert_eq!(out.len(), g.len(), "gradient buffer length mismatch");
         out.copy_from_slice(&g);
+    }
+
+    /// Visits the gradient of every range of `ranges`, in order — the one
+    /// batched entry point under [`crate::partial_gradients_into`] (the
+    /// simulator's `k × d` block) and `hetgc_runtime::compute_coded`
+    /// (`Σ_p coef_p · ∇L(range_p)` on every worker).
+    ///
+    /// `visit(p, fill)` is called once per range; `fill(out)` overwrites
+    /// `out` (length [`Model::num_params`]) with bitwise what
+    /// [`Model::gradient_into`] writes for `ranges[p]`. The visitor picks
+    /// the buffer: a block row, or one scratch vector it folds into a
+    /// coded gradient before the next range reuses it.
+    ///
+    /// The default computes each range on its own. A model overrides it
+    /// when work can be shared *across* ranges: with one sample per
+    /// partition (`n = k`) a range alone has no second fold to interleave
+    /// with, so `LinearRegression` predicts all the ranges' samples
+    /// together first.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Model::gradient_into`], for any range.
+    fn for_each_partial(
+        &self,
+        params: &[f64],
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+        visit: &mut dyn FnMut(usize, &FillPartial<'_>),
+    ) {
+        for (p, &range) in ranges.iter().enumerate() {
+            visit(p, &|out| self.gradient_into(params, data, range, out));
+        }
     }
 
     /// Fresh parameters (small random values; exact scheme per model).

@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use hetgc_comm::PayloadEncoding;
-use hetgc_ml::{Dataset, LinearRegression, Model, SoftmaxRegression, Targets};
+use hetgc_ml::{Dataset, FillPartial, LinearRegression, Model, SoftmaxRegression, Targets};
 use hetgc_runtime::WorkerBehavior;
 
 /// The master → worker handshake payload: everything a fresh worker
@@ -158,6 +158,19 @@ impl Model for AnyModel {
         }
     }
 
+    fn for_each_partial(
+        &self,
+        params: &[f64],
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+        visit: &mut dyn FnMut(usize, &FillPartial<'_>),
+    ) {
+        match self {
+            AnyModel::Linear(m) => m.for_each_partial(params, data, ranges, visit),
+            AnyModel::Softmax(m) => m.for_each_partial(params, data, ranges, visit),
+        }
+    }
+
     fn init_params(&self, rng: &mut dyn rand::RngCore) -> Vec<f64> {
         match self {
             AnyModel::Linear(m) => m.init_params(rng),
@@ -254,5 +267,88 @@ impl DatasetSpec {
             ));
         }
         Ok(Dataset::new(self.x, targets, dim))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetgc_ml::synthetic;
+    use hetgc_runtime::compute_coded;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Empty, one-sample and many-sample partitions from an unaligned
+    /// start, with zero and negative coefficients.
+    const RANGES: [(usize, usize); 9] = [
+        (3, 4),
+        (4, 5),
+        (5, 5),
+        (5, 14),
+        (14, 15),
+        (15, 18),
+        (18, 40),
+        (40, 41),
+        (41, 42),
+    ];
+    const COEFFICIENTS: [f64; 9] = [1.5, -0.25, 3.0, 0.0, 2.0, -1.0, 0.5, 0.0, -4.0];
+
+    fn coded<M: Model>(model: &M, data: &Dataset, params: &[f64]) -> Vec<u64> {
+        let (mut coded, mut partial) = (Vec::new(), Vec::new());
+        compute_coded(
+            model,
+            data,
+            &RANGES,
+            &COEFFICIENTS,
+            params,
+            &mut coded,
+            &mut partial,
+        );
+        coded.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// The worker process computes through `AnyModel`, the worker thread
+    /// through the bare model: the wrapper must hand on *every* `Model`
+    /// method — the provided `for_each_partial` included, or the socket
+    /// workers silently fall back to the unbatched default — and change
+    /// no bit on the way.
+    #[test]
+    fn any_model_computes_the_bare_models_coded_gradient() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let data = synthetic::linear_regression(42, 129, 0.1, &mut rng);
+        let bare = LinearRegression::new(129);
+        let params = bare.init_params(&mut rng);
+        let built = ModelSpec::Linear { dim: 129 }.build();
+        assert_eq!(coded(&built, &data, &params), coded(&bare, &data, &params));
+
+        let data = synthetic::gaussian_blobs(42, 5, 3, 2.0, &mut rng);
+        let bare = SoftmaxRegression::new(5, 3);
+        let params = bare.init_params(&mut rng);
+        let built = ModelSpec::Softmax { dim: 5, classes: 3 }.build();
+        assert_eq!(coded(&built, &data, &params), coded(&bare, &data, &params));
+    }
+
+    /// Bit equality cannot tell a forwarded `for_each_partial` from the
+    /// trait's default (the default is the definition). Their one
+    /// observable difference can: `LinearRegression` validates every
+    /// range before it predicts any, the default validates as it goes —
+    /// so behind a forwarding wrapper a bad *last* range panics before
+    /// the first visit.
+    #[test]
+    fn any_model_forwards_for_each_partial() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let data = synthetic::linear_regression(8, 3, 0.1, &mut rng);
+        let built = ModelSpec::Linear { dim: 3 }.build();
+        let mut visits = 0;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            built.for_each_partial(&[0.0; 4], &data, &[(0, 2), (2, 4), (4, 99)], &mut |_, _| {
+                visits += 1;
+            });
+        }));
+        assert!(outcome.is_err(), "range (4, 99) is out of bounds");
+        assert_eq!(
+            visits, 0,
+            "AnyModel fell back to the default for_each_partial"
+        );
     }
 }

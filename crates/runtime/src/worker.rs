@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
+use hetgc_coding::kernels;
 use hetgc_ml::{Dataset, Model};
 
 use crate::config::WorkerBehavior;
@@ -29,10 +30,15 @@ pub(crate) struct WorkerContext<M> {
 /// The coded gradient of one worker, `coded = Σ_p coef_p · ∇L(params;
 /// partition p)` over its owned `ranges` (aligned with `coefficients`) —
 /// the one kernel behind the worker thread and the `hetgc-net` socket
-/// worker, so both decode to bitwise the same gradients. `coded` and
-/// `partial` are caller-held scratch, resized here and reused across
-/// rounds: the per-partition gradient lands in `partial` (via
-/// `gradient_into`, no allocation) and accumulates into `coded`.
+/// worker, so both decode to bitwise the same gradients. The partial
+/// gradients come from [`Model::for_each_partial`], the entry point the
+/// simulator's `partial_gradients_into` uses too, so a model that
+/// batches its forward pass across the owned ranges (with one sample per
+/// partition there is nothing to batch inside one) does so here. `coded`
+/// and `partial` are caller-held scratch, resized here and reused across
+/// rounds: `partial` holds one partition's gradient at a time, folded
+/// into `coded` — in partition order, one multiply and one add per
+/// coordinate — before the next overwrites it.
 pub fn compute_coded<M: Model>(
     model: &M,
     data: &Dataset,
@@ -46,12 +52,12 @@ pub fn compute_coded<M: Model>(
     coded.resize(model.num_params(), 0.0);
     partial.clear();
     partial.resize(model.num_params(), 0.0);
-    for (&range, &coef) in ranges.iter().zip(coefficients) {
-        model.gradient_into(params, data, range, partial);
-        for (c, gi) in coded.iter_mut().zip(partial.iter()) {
-            *c += coef * gi;
-        }
-    }
+    // A partition without a coefficient is not owned.
+    let owned = &ranges[..ranges.len().min(coefficients.len())];
+    model.for_each_partial(params, data, owned, &mut |p, fill| {
+        fill(partial);
+        kernels::axpy(coefficients[p], partial, coded);
+    });
 }
 
 /// Heterogeneity emulation, called right after [`compute_coded`]:
@@ -171,6 +177,84 @@ mod tests {
         };
         let handle = std::thread::spawn(move || worker_main(ctx));
         (to_tx, from_rx, handle)
+    }
+
+    /// `compute_coded` against the loop it replaced — `gradient_into`
+    /// per owned partition, one scalar multiply-add per coordinate —
+    /// bit for bit, on the worker shapes of the ledger: one sample per
+    /// partition, so the batching that matters spans partitions.
+    #[test]
+    fn compute_coded_bitwise_matches_the_per_partition_loop() {
+        // (d, owned partitions): `threaded-pipelined` (rates 1:1:2:4,
+        // k = n = 8, s = 1) and `socket-f64` (k = n = 4, s = 1).
+        let shapes: [(usize, &[usize]); 4] = [
+            (8192, &[0, 1, 2, 3, 4, 5, 6, 7]),
+            (8192, &[2, 3, 6, 7]),
+            (8192, &[5, 1]),
+            (4096, &[3, 0]),
+        ];
+        for (d, owned) in shapes {
+            let mut rng = StdRng::seed_from_u64(d as u64);
+            let data = synthetic::linear_regression(8, d, 0.01, &mut rng);
+            let model = LinearRegression::new(d);
+            let params = model.init_params(&mut rng);
+            let ranges: Vec<(usize, usize)> = owned.iter().map(|&p| (p, p + 1)).collect();
+            let coefficients: Vec<f64> = (0..owned.len())
+                .map(|p| [1.7, -0.4, 0.0, 2.5][p % 4] * (1.0 + p as f64))
+                .collect();
+
+            let mut want = vec![0.0; d + 1];
+            let mut partial = vec![0.0; d + 1];
+            for (&range, &coef) in ranges.iter().zip(&coefficients) {
+                model.gradient_into(&params, &data, range, &mut partial);
+                for (c, g) in want.iter_mut().zip(&partial) {
+                    *c += coef * g;
+                }
+            }
+
+            // Dirty, wrongly sized scratch: both are resized and overwritten.
+            let (mut coded, mut scratch) = (vec![f64::NAN; 3], vec![f64::NAN; d + 9]);
+            compute_coded(
+                &model,
+                &data,
+                &ranges,
+                &coefficients,
+                &params,
+                &mut coded,
+                &mut scratch,
+            );
+            assert_eq!(coded.len(), want.len());
+            for (j, (c, w)) in coded.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    c.to_bits(),
+                    w.to_bits(),
+                    "d = {d}, {owned:?}, coordinate {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compute_coded_ignores_partitions_without_a_coefficient() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let data = synthetic::linear_regression(6, 2, 0.0, &mut rng);
+        let model = LinearRegression::new(2);
+        let (mut coded, mut partial) = (Vec::new(), Vec::new());
+        let run = |ranges: &[(usize, usize)], coded: &mut Vec<f64>, partial: &mut Vec<f64>| {
+            compute_coded(
+                &model,
+                &data,
+                ranges,
+                &[2.0],
+                &[0.1, 0.2, 0.3],
+                coded,
+                partial,
+            );
+        };
+        run(&[(0, 3), (3, 6)], &mut coded, &mut partial);
+        let both = coded.clone();
+        run(&[(0, 3)], &mut coded, &mut partial);
+        assert_eq!(both, coded);
     }
 
     #[test]
