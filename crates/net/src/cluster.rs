@@ -27,7 +27,7 @@ use hetgc_runtime::{
 
 use crate::conn::Connection;
 use crate::error::NetError;
-use crate::frame::{Frame, VERSION};
+use crate::frame::{self, Frame, FrameRef, VERSION};
 use crate::spec::{BehaviorSpec, DatasetSpec, Handshake, ModelSpec};
 
 /// Default gradient chunk granularity: 8192 `f64`s = 64 KiB of payload
@@ -167,6 +167,8 @@ pub struct TcpTransport {
     /// [`TcpTransport::traffic`] at the last `send_round`, for per-round
     /// deltas.
     bytes_mark: (u64, u64),
+    /// The encoded `Round` broadcast, reused from round to round.
+    round_wire: Vec<u8>,
 }
 
 impl TcpTransport {
@@ -187,11 +189,8 @@ impl Transport for TcpTransport {
     /// and the escalation ladder absorbs it) and the round proceeds. Only
     /// a fully dead fleet errors.
     fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError> {
-        let encoded = Frame::Round {
-            seq,
-            params: params.to_vec(),
-        }
-        .encode();
+        self.round_wire.clear();
+        frame::append_round(&mut self.round_wire, seq, params);
         self.bytes_mark = self.traffic();
         let mut live = 0usize;
         let mut first_dead = 0usize;
@@ -200,7 +199,7 @@ impl Transport for TcpTransport {
                 first_dead = c;
                 continue;
             }
-            match self.conns[c].send_encoded(&encoded) {
+            match self.conns[c].send_encoded(&self.round_wire) {
                 Ok(()) => {
                     live += 1;
                     self.links[c].frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -379,8 +378,22 @@ where
             }
             .into());
         }
+        if model.num_params() > frame::MAX_ROUND_PARAMS {
+            // Every worker would reject the first `Round` as oversized and
+            // the master would report a misleading `WorkerLost`.
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "model has {} parameters but a Round frame carries at most {} \
+                     (the {} MiB frame cap)",
+                    model.num_params(),
+                    frame::MAX_ROUND_PARAMS,
+                    frame::MAX_FRAME_LEN >> 20
+                ),
+            }
+            .into());
+        }
         let m = codec.workers();
-        let chunk_len = chunk_len.max(1);
+        let chunk_len = chunk_len.clamp(1, frame::MAX_CHUNK_LEN);
         let shards = row_shards(&codec, data.len())?;
         let dataset_spec = DatasetSpec::from_dataset(&data);
         let (reply_tx, reply_rx) = unbounded();
@@ -466,6 +479,7 @@ where
             links,
             encodings,
             bytes_mark: (0, 0),
+            round_wire: Vec::new(),
         };
         Ok(SocketCluster(Master::new(
             codec, model, data, config, transport,
@@ -548,20 +562,63 @@ struct PendingReply {
     seq: u64,
     worker: u32,
     buf: Vec<f64>,
-    /// Contiguous prefix filled so far — enforced (and meaningful) only
-    /// on encoded links, where chunks must arrive in offset order.
+    /// Contiguous prefix filled so far: chunks must tile the gradient in
+    /// offset order — the worker streams them that way — which is what
+    /// lets `RoundDone` verify full coverage with one comparison.
     filled: usize,
     /// Wire bytes of gradient payload accumulated for this reply.
     payload_bytes: u64,
 }
 
+impl PendingReply {
+    /// The reply that a chunk of round `seq` from `worker` belongs to:
+    /// the one in progress, or a fresh one replacing it.
+    fn resume(
+        pending: &mut Option<PendingReply>,
+        seq: u64,
+        worker: u32,
+        num_params: usize,
+    ) -> &mut PendingReply {
+        match pending {
+            Some(p) if p.seq == seq && p.worker == worker => {}
+            _ => {
+                *pending = Some(PendingReply {
+                    seq,
+                    worker,
+                    buf: vec![0.0; num_params],
+                    filled: 0,
+                    payload_bytes: 0,
+                })
+            }
+        }
+        pending.as_mut().expect("set above")
+    }
+
+    /// Claims the next `n` coordinates for a chunk at `offset` carrying
+    /// `wire_bytes` of payload. `None` — a protocol violation — unless
+    /// the chunk starts exactly where the previous one ended and fits:
+    /// a skipped, repeated or overrunning chunk never reaches `Master`
+    /// as a zero-filled "exact" gradient.
+    fn next_slot(&mut self, offset: usize, n: usize, wire_bytes: usize) -> Option<&mut [f64]> {
+        let end = offset.checked_add(n)?;
+        if offset != self.filled || end > self.buf.len() {
+            return None;
+        }
+        self.filled = end;
+        self.payload_bytes += wire_bytes as u64;
+        Some(&mut self.buf[offset..end])
+    }
+}
+
 /// Spawns the reader thread for one link: reassembles
 /// [`Frame::GradientChunk`]s (or, on a lossy-negotiated link,
 /// [`Frame::EncodedChunk`]s dequantized on arrival) into a gradient
-/// buffer and forwards each [`Frame::RoundDone`] as a completed
+/// buffer — each chunk converted straight from the receive buffer into
+/// its slot — and forwards each [`Frame::RoundDone`] as a completed
 /// [`Reply`]. Exits (marking the link dead) on EOF, transport error or
-/// protocol violation — a chunk whose encoding contradicts the handshake
-/// kills the link rather than risking a misinterpreted payload.
+/// protocol violation: a chunk whose encoding contradicts the handshake,
+/// or a reply whose chunks do not tile the gradient exactly, kills the
+/// link rather than risking a misinterpreted payload.
 fn spawn_reader(
     mut conn: Connection,
     num_params: usize,
@@ -574,10 +631,10 @@ fn spawn_reader(
         let codec = AnyWireCodec::for_encoding(encoding);
         let mut pending: Option<PendingReply> = None;
         // EOF, broken link or garbage ends the loop: the peer is gone.
-        while let Ok(frame) = conn.recv() {
+        while let Ok(frame) = conn.recv_ref() {
             frames_received.fetch_add(1, Ordering::Relaxed);
             match frame {
-                Frame::GradientChunk {
+                FrameRef::GradientChunk {
                     seq,
                     worker,
                     offset,
@@ -590,24 +647,14 @@ fn spawn_reader(
                     if total as usize != num_params {
                         continue; // wrong regime/corrupt: drop
                     }
-                    let resumes = matches!(&pending, Some(p) if p.seq == seq && p.worker == worker);
-                    if !resumes {
-                        pending = Some(PendingReply {
-                            seq,
-                            worker,
-                            buf: vec![0.0; num_params],
-                            filled: 0,
-                            payload_bytes: 0,
-                        });
-                    }
-                    let p = pending.as_mut().expect("set above");
-                    let offset = offset as usize;
-                    if offset + data.len() <= p.buf.len() {
-                        p.buf[offset..offset + data.len()].copy_from_slice(&data);
-                        p.payload_bytes += 8 * data.len() as u64;
-                    }
+                    let p = PendingReply::resume(&mut pending, seq, worker, num_params);
+                    let n = data.len();
+                    let Some(slot) = p.next_slot(offset as usize, n, 8 * n) else {
+                        break;
+                    };
+                    data.copy_to(slot);
                 }
-                Frame::EncodedChunk {
+                FrameRef::EncodedChunk {
                     seq,
                     worker,
                     offset,
@@ -624,42 +671,23 @@ fn spawn_reader(
                     if total as usize != num_params {
                         continue; // wrong regime/corrupt: drop
                     }
-                    let resumes = matches!(&pending, Some(p) if p.seq == seq && p.worker == worker);
-                    if !resumes {
-                        pending = Some(PendingReply {
-                            seq,
-                            worker,
-                            buf: vec![0.0; num_params],
-                            filled: 0,
-                            payload_bytes: 0,
-                        });
-                    }
-                    let p = pending.as_mut().expect("set above");
-                    let Ok(n) = codec.decoded_len(&bytes) else {
+                    let Ok(n) = codec.decoded_len(bytes) else {
                         break; // corrupt codec payload: kill the link
                     };
-                    let offset = offset as usize;
-                    // Encoded chunks must tile the gradient in order —
-                    // the worker streams them that way, and contiguity
-                    // is what lets RoundDone verify full coverage.
-                    if offset != p.filled || offset + n > p.buf.len() {
+                    let p = PendingReply::resume(&mut pending, seq, worker, num_params);
+                    let Some(slot) = p.next_slot(offset as usize, n, bytes.len()) else {
+                        break;
+                    };
+                    if codec.decode_into(bytes, slot).is_err() {
                         break;
                     }
-                    if codec
-                        .decode_into(&bytes, &mut p.buf[offset..offset + n])
-                        .is_err()
-                    {
-                        break;
-                    }
-                    p.filled += n;
-                    p.payload_bytes += bytes.len() as u64;
                 }
-                Frame::RoundDone {
+                FrameRef::Control(Frame::RoundDone {
                     seq,
                     worker,
                     compute_seconds,
                     wire_error,
-                } => {
+                }) => {
                     let done = match pending.take() {
                         Some(p) if p.seq == seq && p.worker == worker => p,
                         other => {
@@ -667,8 +695,8 @@ fn spawn_reader(
                             continue; // no payload for this round: drop the reply
                         }
                     };
-                    if encoding != PayloadEncoding::F64 && done.filled != num_params {
-                        break; // encoded reply with holes: violation
+                    if done.filled != num_params {
+                        break; // a reply with holes, on any encoding: violation
                     }
                     let reply = Reply {
                         worker: worker as usize,
@@ -683,10 +711,224 @@ fn spawn_reader(
                         break; // master gone
                     }
                 }
-                Frame::Shutdown => break,
+                FrameRef::Control(Frame::Shutdown) => break,
                 _ => {} // masters ignore control frames meant for workers
             }
         }
         alive.store(false, Ordering::Relaxed);
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::worker::run_worker;
+    use crossbeam::channel::RecvTimeoutError;
+    use hetgc::{naive, synthetic, LinearRegression};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const DIM: usize = 7;
+    const PARAMS: usize = DIM + 1;
+    const SAMPLES: usize = 24;
+
+    fn fixture() -> (Arc<LinearRegression>, Arc<Dataset>) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let data = synthetic::linear_regression(SAMPLES, DIM, 0.05, &mut rng);
+        (Arc::new(LinearRegression::new(DIM)), Arc::new(data))
+    }
+
+    /// A cluster of `workers` real `run_worker` threads under `naive`.
+    fn start(
+        workers: usize,
+        chunk_len: usize,
+    ) -> (
+        SocketCluster<LinearRegression>,
+        Vec<std::thread::JoinHandle<Result<(), NetError>>>,
+    ) {
+        let (model, data) = fixture();
+        let listener = SocketListener::bind().expect("bind loopback");
+        let addr = listener.addr();
+        let threads = (0..workers)
+            .map(|_| std::thread::spawn(move || run_worker(addr)))
+            .collect();
+        let cluster = SocketCluster::start_with(
+            listener,
+            naive(workers).expect("naive code"),
+            model,
+            ModelSpec::Linear { dim: DIM as u32 },
+            data,
+            &RuntimeConfig::nominal(workers),
+            chunk_len,
+        )
+        .expect("socket cluster start");
+        (cluster, threads)
+    }
+
+    #[test]
+    fn links_carry_no_read_timeout_after_start() {
+        // The `Hello` is read under the accept deadline, and SO_RCVTIMEO
+        // is shared with the reader's clone of the socket: left in place
+        // it would kill every link that idles past it. Wrapping the clone
+        // in its own `Connection` clears it.
+        let (cluster, threads) = start(2, DEFAULT_CHUNK_LEN);
+        for conn in &cluster.transport().conns {
+            assert_eq!(conn.stream().read_timeout().expect("getsockopt"), None);
+        }
+        drop(cluster);
+        for t in threads {
+            t.join().expect("worker panicked").expect("clean exit");
+        }
+    }
+
+    #[test]
+    fn single_and_multi_chunk_replies_arrive_intact() {
+        let (model, data) = fixture();
+        let params: Vec<f64> = (0..PARAMS).map(|i| 0.1 * i as f64 - 0.3).collect();
+        let direct = model.gradient(&params, &data, (0, SAMPLES));
+        // 3 → chunks of 3, 3, 2 with `RoundDone` riding on the last;
+        // 64 → the whole reply and its `RoundDone` in one write.
+        for (chunk_len, frames_per_reply) in [(3, 4), (64, 2)] {
+            let (mut cluster, threads) = start(2, chunk_len);
+            for seq in 1..=3 {
+                let round = cluster.round(seq, &params).expect("round");
+                assert_eq!(round.results_used, 2);
+                for (got, want) in round.gradient.iter().zip(&direct) {
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                        "chunk_len {chunk_len}: decoded {got}, direct {want}"
+                    );
+                }
+            }
+            for link in cluster.link_stats() {
+                assert_eq!(link.frames_received(), 3 * frames_per_reply);
+            }
+            drop(cluster);
+            for t in threads {
+                t.join().expect("worker panicked").expect("clean exit");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_model_is_rejected_before_any_worker_is_accepted() {
+        // One parameter more than a `Round` frame can carry. Nothing of
+        // that size is allocated: the model is just its dimension.
+        let dim = frame::MAX_ROUND_PARAMS; // + 1 bias = one over
+        let (_, data) = fixture();
+        let listener = SocketListener::bind().expect("bind loopback");
+        let started = Instant::now();
+        let err = SocketCluster::start(
+            listener,
+            naive(1).expect("naive code"),
+            Arc::new(LinearRegression::new(dim)),
+            ModelSpec::Linear { dim: dim as u32 },
+            data,
+            &RuntimeConfig::nominal(1),
+        )
+        .expect_err("a model no Round frame can carry");
+        assert!(
+            matches!(
+                &err,
+                NetError::Runtime(RuntimeError::InvalidConfig { reason })
+                    if reason.contains(&frame::MAX_ROUND_PARAMS.to_string())
+            ),
+            "unexpected error: {err}"
+        );
+        // Rejected up front, not after waiting out the accept deadline.
+        assert!(started.elapsed() < ACCEPT_DEADLINE / 2);
+    }
+
+    /// One chunk of a scripted reply: `(offset, len)`.
+    type Script = &'static [(u32, usize)];
+
+    /// Plays worker 0 of a one-worker lossless cluster by hand: answers
+    /// the first `Round` with `script`'s chunks and a `RoundDone`, then
+    /// holds the link open until the master hangs up — so if the link
+    /// dies, it died of the reply. Returns what the master made of it:
+    /// the delivered reply (if any) and the link's liveness afterwards.
+    fn scripted_reply(script: Script) -> (Option<Reply<Vec<f64>>>, bool) {
+        let (model, data) = fixture();
+        let listener = SocketListener::bind().expect("bind loopback");
+        let addr = listener.addr();
+        let peer = std::thread::spawn(move || {
+            let mut conn = Connection::connect(addr).expect("connect");
+            conn.send(&Frame::Hello {
+                version: VERSION,
+                encodings: Vec::new(),
+            })
+            .expect("hello");
+            assert!(matches!(conn.recv(), Ok(Frame::Handshake(_))));
+            let Ok(Frame::Round { seq, .. }) = conn.recv() else {
+                panic!("expected a round");
+            };
+            let mut wire = Vec::new();
+            for &(offset, len) in script {
+                let data = vec![1.0; len];
+                frame::append_gradient_chunk(&mut wire, seq, 0, offset, PARAMS as u32, &data);
+            }
+            Frame::RoundDone {
+                seq,
+                worker: 0,
+                compute_seconds: 0.0,
+                wire_error: None,
+            }
+            .append_to(&mut wire);
+            conn.send_encoded(&wire).expect("scripted reply");
+            let _ = conn.recv(); // Shutdown or EOF: the master is done
+        });
+        let mut cluster = SocketCluster::start(
+            listener,
+            naive(1).expect("naive code"),
+            model,
+            ModelSpec::Linear { dim: DIM as u32 },
+            data,
+            &RuntimeConfig::nominal(1),
+        )
+        .expect("socket cluster start");
+        cluster.dispatch(&[0.0; PARAMS]).expect("dispatch");
+        // The reader is the only sender: a disconnect means it exited.
+        let delivered = match cluster
+            .transport()
+            .replies()
+            .recv_timeout(Duration::from_secs(5))
+        {
+            Ok(reply) => Some(reply),
+            Err(RecvTimeoutError::Disconnected) => None,
+            Err(RecvTimeoutError::Timeout) => panic!("reader neither replied nor exited"),
+        };
+        let alive = cluster.transport().alive[0].load(Ordering::Relaxed);
+        drop(cluster);
+        peer.join().expect("scripted peer panicked");
+        (delivered, alive)
+    }
+
+    #[test]
+    fn well_formed_scripted_reply_is_delivered() {
+        // The control for the three malformed scripts below.
+        let (reply, alive) = scripted_reply(&[(0, 3), (3, 3), (6, 2)]);
+        assert_eq!(reply.expect("a reply").coded, vec![1.0; PARAMS]);
+        assert!(alive);
+    }
+
+    #[test]
+    fn lossless_reply_with_a_skipped_chunk_kills_the_link() {
+        let (reply, alive) = scripted_reply(&[(0, 3), (6, 2)]);
+        assert!(reply.is_none(), "a reply with a hole reached the master");
+        assert!(!alive);
+    }
+
+    #[test]
+    fn lossless_reply_with_an_overrunning_chunk_kills_the_link() {
+        let (reply, alive) = scripted_reply(&[(0, 3), (3, 3), (6, 3)]);
+        assert!(reply.is_none(), "an overrunning reply reached the master");
+        assert!(!alive);
+    }
+
+    #[test]
+    fn lossless_reply_with_a_duplicate_chunk_kills_the_link() {
+        let (reply, alive) = scripted_reply(&[(0, 3), (0, 3), (3, 3), (6, 2)]);
+        assert!(reply.is_none(), "a reply with a repeat reached the master");
+        assert!(!alive);
+    }
 }

@@ -31,6 +31,33 @@
 //! *unknown* encoding byte is [`WireError::UnknownEncoding`], never a
 //! silent fallback; old masters seeing tag 0x08 get a typed
 //! [`WireError::UnknownTag`].
+//!
+//! # One parser, one writer
+//!
+//! The three frames that carry a round's bulk payload — `Round`,
+//! `GradientChunk`, `EncodedChunk` — have a borrowed form on each side,
+//! so a payload crosses this module in **one pass each way**:
+//!
+//! * reading: [`FrameRef::decode_prefix`] is the one parser. Its bulk
+//!   fields borrow the receive buffer ([`F64Le`] is a view of
+//!   little-endian `f64`s, copied out once by [`F64Le::copy_to`] into
+//!   the buffer that consumes them); every validation — oversize and
+//!   count-vs-remaining before any allocation, trailing bytes, unknown
+//!   tag/encoding, presence bytes — lives there and nowhere else.
+//! * writing: [`append_round`], [`append_gradient_chunk`] and
+//!   [`append_encoded_chunk`] serialize straight from the `&[f64]` /
+//!   `&[u8]` that produced the payload into a caller-held buffer, with
+//!   an exact `reserve` and a bulk little-endian conversion.
+//!   [`Frame::append_to`] is the one writer: its bulk arms *are* those
+//!   functions.
+//!
+//! The owned [`Frame`] is built on that pair: [`Frame::decode`] /
+//! [`Frame::decode_prefix`] are the borrowed decode followed by
+//! [`FrameRef::into_owned`], and [`Frame::encode`] is
+//! [`Frame::encode_into`] on a fresh `Vec`. They are the allocating
+//! conveniences — right for handshakes, control frames and tests; the
+//! per-round data path (`TcpTransport::send_round`, the worker loop, the
+//! master's reader threads) uses the borrowed forms.
 
 use crate::error::WireError;
 use crate::spec::{BehaviorSpec, DatasetSpec, Handshake, ModelSpec, TargetsSpec};
@@ -51,6 +78,26 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// Bytes of framing overhead preceding every payload: the `u32` length
 /// prefix plus the tag byte.
 pub const HEADER_LEN: usize = 5;
+
+/// Payload bytes of a `Round` besides its parameters: seq + count.
+const ROUND_FIXED_LEN: usize = 8 + 4;
+
+/// Payload bytes of a `GradientChunk` besides its data: seq, worker,
+/// offset, total, count.
+const GRADIENT_CHUNK_FIXED_LEN: usize = 8 + 4 + 4 + 4 + 4;
+
+/// Payload bytes of an `EncodedChunk` besides its bytes: seq, worker,
+/// offset, total, encoding, count.
+const ENCODED_CHUNK_FIXED_LEN: usize = 8 + 4 + 4 + 4 + 1 + 4;
+
+/// The most parameters a `Round` frame can carry under
+/// [`MAX_FRAME_LEN`] (≈ 8.38 M). A larger model cannot be broadcast:
+/// every worker would reject the frame as [`WireError::Oversized`].
+pub const MAX_ROUND_PARAMS: usize = (MAX_FRAME_LEN as usize - ROUND_FIXED_LEN) / 8;
+
+/// The most `f64` coordinates one `GradientChunk` can carry under
+/// [`MAX_FRAME_LEN`].
+pub const MAX_CHUNK_LEN: usize = (MAX_FRAME_LEN as usize - GRADIENT_CHUNK_FIXED_LEN) / 8;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_HANDSHAKE: u8 = 0x02;
@@ -159,69 +206,307 @@ pub enum Frame {
     },
 }
 
-impl Frame {
-    /// Encodes the frame as `[len][tag][payload]` bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0u8; HEADER_LEN]; // length + tag backfilled
+/// Little-endian `f64`s borrowed from a receive buffer — the bulk field
+/// of a [`FrameRef::Round`] or [`FrameRef::GradientChunk`]. The element
+/// count was validated against the frame payload by the parser; the
+/// values are converted once, by whoever consumes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct F64Le<'a>(&'a [u8]);
+
+impl F64Le<'_> {
+    /// Number of `f64` elements in the view.
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Whether the view holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Converts every element into `out`, in one pass.
+    ///
+    /// # Panics
+    ///
+    /// If `out.len() != self.len()`, like `copy_from_slice`.
+    pub fn copy_to(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len(), "F64Le::copy_to: length mismatch");
+        for (dst, src) in out.iter_mut().zip(self.0.chunks_exact(8)) {
+            *dst = le_f64(src);
+        }
+    }
+
+    /// The elements as an owned vector.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.0.chunks_exact(8).map(le_f64).collect()
+    }
+}
+
+/// One `f64` from a `chunks_exact(8)` item. The array conversion (not
+/// eight indexed bytes) is what lets the bulk loops compile to wide
+/// copies.
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8 bytes"))
+}
+
+/// A decoded frame whose bulk payload still lies in the buffer it was
+/// parsed from. The three per-round data frames mirror their [`Frame`]
+/// variants field for field; everything else (handshake, control) is
+/// small or rare and rides owned in [`FrameRef::Control`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameRef<'a> {
+    /// [`Frame::Round`], parameters borrowed.
+    Round {
+        /// See [`Frame::Round`].
+        seq: u64,
+        /// The parameters, still in wire form.
+        params: F64Le<'a>,
+    },
+    /// [`Frame::GradientChunk`], coordinates borrowed.
+    GradientChunk {
+        /// See [`Frame::GradientChunk`].
+        seq: u64,
+        /// See [`Frame::GradientChunk`].
+        worker: u32,
+        /// See [`Frame::GradientChunk`].
+        offset: u32,
+        /// See [`Frame::GradientChunk`].
+        total: u32,
+        /// The chunk's coordinates, still in wire form.
+        data: F64Le<'a>,
+    },
+    /// [`Frame::EncodedChunk`], codec payload borrowed.
+    EncodedChunk {
+        /// See [`Frame::EncodedChunk`].
+        seq: u64,
+        /// See [`Frame::EncodedChunk`].
+        worker: u32,
+        /// See [`Frame::EncodedChunk`].
+        offset: u32,
+        /// See [`Frame::EncodedChunk`].
+        total: u32,
+        /// See [`Frame::EncodedChunk`].
+        encoding: PayloadEncoding,
+        /// The codec's payload for this chunk.
+        bytes: &'a [u8],
+    },
+    /// Any other frame, owned. The parser never puts one of the three
+    /// bulk variants here.
+    Control(Frame),
+}
+
+impl<'a> FrameRef<'a> {
+    /// Streaming decode — the one parser: tries to decode one frame from
+    /// the front of `buf`, returning `Ok(None)` when more bytes are
+    /// needed (an incomplete frame is not an error for a live stream —
+    /// the connection layer keeps reading) and
+    /// `Ok(Some((frame, consumed)))` on success.
+    ///
+    /// # Errors
+    ///
+    /// Every malformed input maps to a [`WireError`]; truncation maps to
+    /// `Ok(None)`. A [`WireError::Oversized`] header is reported
+    /// immediately — waiting for more bytes could never make it valid.
+    pub fn decode_prefix(buf: &'a [u8]) -> Result<Option<(FrameRef<'a>, usize)>, WireError> {
+        match buffered_frame_len(buf)? {
+            Some(end) => Ok(Some((Self::parse(&buf[..end])?, end))),
+            None => Ok(None),
+        }
+    }
+
+    /// Parses exactly one complete frame (`frame.len()` is what
+    /// [`buffered_frame_len`] returned for it).
+    pub(crate) fn parse(frame: &'a [u8]) -> Result<FrameRef<'a>, WireError> {
+        let mut r = Reader {
+            buf: &frame[HEADER_LEN..],
+            pos: 0,
+        };
+        let parsed = match frame[4] {
+            TAG_HELLO => {
+                let magic = r.u32()?;
+                if magic != MAGIC {
+                    return Err(WireError::BadMagic { got: magic });
+                }
+                let version = r.u16()?;
+                // Whatever follows the version is the capability set; a
+                // pre-compression peer simply has none.
+                let encodings = r.remaining()?.to_vec();
+                FrameRef::Control(Frame::Hello { version, encodings })
+            }
+            TAG_HANDSHAKE => FrameRef::Control(Frame::Handshake(get_handshake(&mut r)?)),
+            TAG_ROUND => FrameRef::Round {
+                seq: r.u64()?,
+                params: r.f64_le()?,
+            },
+            TAG_GRADIENT_CHUNK => FrameRef::GradientChunk {
+                seq: r.u64()?,
+                worker: r.u32()?,
+                offset: r.u32()?,
+                total: r.u32()?,
+                data: r.f64_le()?,
+            },
+            TAG_ROUND_DONE => FrameRef::Control(Frame::RoundDone {
+                seq: r.u64()?,
+                worker: r.u32()?,
+                compute_seconds: r.f64()?,
+                wire_error: if r.has_remaining() {
+                    r.opt_f64()?
+                } else {
+                    None
+                },
+            }),
+            TAG_RECODE => FrameRef::Control(Frame::Recode {
+                row: r.u32()?,
+                ranges: r.range_vec()?,
+                coefficients: r.f64_vec()?,
+            }),
+            TAG_SHUTDOWN => FrameRef::Control(Frame::Shutdown),
+            TAG_ENCODED_CHUNK => FrameRef::EncodedChunk {
+                seq: r.u64()?,
+                worker: r.u32()?,
+                offset: r.u32()?,
+                total: r.u32()?,
+                encoding: {
+                    let value = r.u8()?;
+                    PayloadEncoding::from_byte(value).ok_or(WireError::UnknownEncoding { value })?
+                },
+                bytes: r.bytes()?,
+            },
+            tag => return Err(WireError::UnknownTag { tag }),
+        };
+        if r.pos != r.buf.len() {
+            return Err(WireError::Corrupt {
+                what: "trailing bytes after the frame payload",
+            });
+        }
+        Ok(parsed)
+    }
+
+    /// Copies the borrowed payload out: the owned [`Frame`].
+    pub fn into_owned(self) -> Frame {
         match self {
-            Frame::Hello { version, encodings } => {
-                out[4] = TAG_HELLO;
-                put_u32(&mut out, MAGIC);
-                put_u16(&mut out, *version);
+            FrameRef::Round { seq, params } => Frame::Round {
+                seq,
+                params: params.to_vec(),
+            },
+            FrameRef::GradientChunk {
+                seq,
+                worker,
+                offset,
+                total,
+                data,
+            } => Frame::GradientChunk {
+                seq,
+                worker,
+                offset,
+                total,
+                data: data.to_vec(),
+            },
+            FrameRef::EncodedChunk {
+                seq,
+                worker,
+                offset,
+                total,
+                encoding,
+                bytes,
+            } => Frame::EncodedChunk {
+                seq,
+                worker,
+                offset,
+                total,
+                encoding,
+                bytes: bytes.to_vec(),
+            },
+            FrameRef::Control(frame) => frame,
+        }
+    }
+}
+
+/// The header step of the parser: the total length (header included) of
+/// the frame at the front of `buf` once all of it is buffered, `None`
+/// while bytes are missing.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] as soon as the header is readable — before
+/// anything is allocated or waited for.
+pub(crate) fn buffered_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized {
+            declared: u64::from(len),
+        });
+    }
+    let end = HEADER_LEN + len as usize;
+    Ok((buf.len() >= end).then_some(end))
+}
+
+impl Frame {
+    /// Encodes the frame as `[len][tag][payload]` bytes in a fresh
+    /// vector — [`Frame::encode_into`] for callers with no buffer to
+    /// reuse.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes the frame into `out`, replacing whatever it held (its
+    /// capacity is reused).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        self.append_to(out);
+    }
+
+    /// Appends the encoded frame to `out` — the one writer. Appending is
+    /// what lets a reply's `RoundDone` share the buffer, and the
+    /// `write`, of its last chunk.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Frame::Hello { version, encodings } => put_frame(out, TAG_HELLO, 0, |out| {
+                put_u32(out, MAGIC);
+                put_u16(out, *version);
                 // Capability bytes fill the remainder of the payload;
                 // an empty set emits the pre-compression layout.
                 out.extend_from_slice(encodings);
-            }
-            Frame::Handshake(h) => {
-                out[4] = TAG_HANDSHAKE;
-                put_handshake(&mut out, h);
-            }
-            Frame::Round { seq, params } => {
-                out[4] = TAG_ROUND;
-                put_u64(&mut out, *seq);
-                put_f64_vec(&mut out, params);
-            }
+            }),
+            Frame::Handshake(h) => put_frame(out, TAG_HANDSHAKE, 0, |out| put_handshake(out, h)),
+            Frame::Round { seq, params } => append_round(out, *seq, params),
             Frame::GradientChunk {
                 seq,
                 worker,
                 offset,
                 total,
                 data,
-            } => {
-                out[4] = TAG_GRADIENT_CHUNK;
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, *worker);
-                put_u32(&mut out, *offset);
-                put_u32(&mut out, *total);
-                put_f64_vec(&mut out, data);
-            }
+            } => append_gradient_chunk(out, *seq, *worker, *offset, *total, data),
             Frame::RoundDone {
                 seq,
                 worker,
                 compute_seconds,
                 wire_error,
-            } => {
-                out[4] = TAG_ROUND_DONE;
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, *worker);
-                put_f64(&mut out, *compute_seconds);
+            } => put_frame(out, TAG_ROUND_DONE, 0, |out| {
+                put_u64(out, *seq);
+                put_u32(out, *worker);
+                put_f64(out, *compute_seconds);
                 // Written only when present: lossless links emit the
                 // pre-compression layout.
                 if wire_error.is_some() {
-                    put_opt_f64(&mut out, *wire_error);
+                    put_opt_f64(out, *wire_error);
                 }
-            }
+            }),
             Frame::Recode {
                 row,
                 ranges,
                 coefficients,
-            } => {
-                out[4] = TAG_RECODE;
-                put_u32(&mut out, *row);
-                put_range_vec(&mut out, ranges);
-                put_f64_vec(&mut out, coefficients);
-            }
-            Frame::Shutdown => out[4] = TAG_SHUTDOWN,
+            } => put_frame(out, TAG_RECODE, 0, |out| {
+                put_u32(out, *row);
+                put_range_vec(out, ranges);
+                put_f64_vec(out, coefficients);
+            }),
+            Frame::Shutdown => put_frame(out, TAG_SHUTDOWN, 0, |_| {}),
             Frame::EncodedChunk {
                 seq,
                 worker,
@@ -229,20 +514,8 @@ impl Frame {
                 total,
                 encoding,
                 bytes,
-            } => {
-                out[4] = TAG_ENCODED_CHUNK;
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, *worker);
-                put_u32(&mut out, *offset);
-                put_u32(&mut out, *total);
-                out.push(encoding.to_byte());
-                put_byte_vec(&mut out, bytes);
-            }
+            } => append_encoded_chunk(out, *seq, *worker, *offset, *total, *encoding, bytes),
         }
-        let len = (out.len() - HEADER_LEN) as u32;
-        debug_assert!(len <= MAX_FRAME_LEN, "encoder produced an oversized frame");
-        out[..4].copy_from_slice(&len.to_le_bytes());
-        out
     }
 
     /// Decodes one complete frame from the *front* of `buf`.
@@ -259,99 +532,85 @@ impl Frame {
             .ok_or(WireError::Truncated)
     }
 
-    /// Streaming decode: tries to decode one frame from the front of
-    /// `buf`, returning `Ok(None)` when more bytes are needed (an
-    /// incomplete frame is not an error for a live stream — the
-    /// connection layer keeps reading) and `Ok(Some((frame, consumed)))`
-    /// on success.
+    /// [`FrameRef::decode_prefix`], then [`FrameRef::into_owned`].
     ///
     /// # Errors
     ///
-    /// As for [`Frame::decode`], except that truncation maps to
-    /// `Ok(None)`. An [`WireError::Oversized`] header is reported
-    /// immediately — waiting for more bytes could never make it valid.
+    /// As for [`FrameRef::decode_prefix`].
     pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-        if buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized {
-                declared: u64::from(len),
-            });
-        }
-        let tag = buf[4];
-        let end = HEADER_LEN + len as usize;
-        if buf.len() < end {
-            return Ok(None);
-        }
-        let mut r = Reader {
-            buf: &buf[HEADER_LEN..end],
-            pos: 0,
-        };
-        let frame = match tag {
-            TAG_HELLO => {
-                let magic = r.u32()?;
-                if magic != MAGIC {
-                    return Err(WireError::BadMagic { got: magic });
-                }
-                let version = r.u16()?;
-                // Whatever follows the version is the capability set; a
-                // pre-compression peer simply has none.
-                let encodings = r.remaining()?.to_vec();
-                Frame::Hello { version, encodings }
-            }
-            TAG_HANDSHAKE => Frame::Handshake(get_handshake(&mut r)?),
-            TAG_ROUND => Frame::Round {
-                seq: r.u64()?,
-                params: r.f64_vec()?,
-            },
-            TAG_GRADIENT_CHUNK => Frame::GradientChunk {
-                seq: r.u64()?,
-                worker: r.u32()?,
-                offset: r.u32()?,
-                total: r.u32()?,
-                data: r.f64_vec()?,
-            },
-            TAG_ROUND_DONE => Frame::RoundDone {
-                seq: r.u64()?,
-                worker: r.u32()?,
-                compute_seconds: r.f64()?,
-                wire_error: if r.has_remaining() {
-                    r.opt_f64()?
-                } else {
-                    None
-                },
-            },
-            TAG_RECODE => Frame::Recode {
-                row: r.u32()?,
-                ranges: r.range_vec()?,
-                coefficients: r.f64_vec()?,
-            },
-            TAG_SHUTDOWN => Frame::Shutdown,
-            TAG_ENCODED_CHUNK => Frame::EncodedChunk {
-                seq: r.u64()?,
-                worker: r.u32()?,
-                offset: r.u32()?,
-                total: r.u32()?,
-                encoding: {
-                    let value = r.u8()?;
-                    PayloadEncoding::from_byte(value).ok_or(WireError::UnknownEncoding { value })?
-                },
-                bytes: r.byte_vec()?,
-            },
-            tag => return Err(WireError::UnknownTag { tag }),
-        };
-        if r.pos != r.buf.len() {
-            return Err(WireError::Corrupt {
-                what: "trailing bytes after the frame payload",
-            });
-        }
-        Ok(Some((frame, end)))
+        Ok(FrameRef::decode_prefix(buf)?.map(|(frame, consumed)| (frame.into_owned(), consumed)))
     }
 }
 
+/// Appends a [`Frame::Round`] serialized straight from the caller's
+/// parameter slice.
+pub fn append_round(out: &mut Vec<u8>, seq: u64, params: &[f64]) {
+    let payload_len = ROUND_FIXED_LEN + 8 * params.len();
+    put_frame(out, TAG_ROUND, payload_len, |out| {
+        put_u64(out, seq);
+        put_f64_vec(out, params);
+    });
+}
+
+/// Appends a [`Frame::GradientChunk`] serialized straight from a slice of
+/// the coded gradient.
+pub fn append_gradient_chunk(
+    out: &mut Vec<u8>,
+    seq: u64,
+    worker: u32,
+    offset: u32,
+    total: u32,
+    data: &[f64],
+) {
+    let payload_len = GRADIENT_CHUNK_FIXED_LEN + 8 * data.len();
+    put_frame(out, TAG_GRADIENT_CHUNK, payload_len, |out| {
+        put_u64(out, seq);
+        put_u32(out, worker);
+        put_u32(out, offset);
+        put_u32(out, total);
+        put_f64_vec(out, data);
+    });
+}
+
+/// Appends a [`Frame::EncodedChunk`] around the wire codec's bytes.
+pub fn append_encoded_chunk(
+    out: &mut Vec<u8>,
+    seq: u64,
+    worker: u32,
+    offset: u32,
+    total: u32,
+    encoding: PayloadEncoding,
+    bytes: &[u8],
+) {
+    let payload_len = ENCODED_CHUNK_FIXED_LEN + bytes.len();
+    put_frame(out, TAG_ENCODED_CHUNK, payload_len, |out| {
+        put_u64(out, seq);
+        put_u32(out, worker);
+        put_u32(out, offset);
+        put_u32(out, total);
+        out.push(encoding.to_byte());
+        put_byte_vec(out, bytes);
+    });
+}
+
 // ------------------------------------------------------------ writing
+
+/// Appends one frame to `out`: reserves room for `payload_len` payload
+/// bytes (exact for the bulk frames, so they never regrow; 0 for the
+/// small ones), writes the header, lets `body` write the payload, then
+/// backfills the length prefix with what `body` actually wrote.
+fn put_frame(out: &mut Vec<u8>, tag: u8, payload_len: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.reserve(HEADER_LEN + payload_len);
+    out.extend_from_slice(&[0, 0, 0, 0, tag]);
+    body(out);
+    let len = out.len() - start - HEADER_LEN;
+    debug_assert!(
+        len <= MAX_FRAME_LEN as usize,
+        "encoder produced an oversized frame"
+    );
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -369,10 +628,16 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Count, then the elements converted in bulk: one resize and one pass
+/// the compiler turns into wide copies, not a capacity-checked push per
+/// element (measured through `Frame::encode` at `d = 4097`: ≈ 7 GB/s for
+/// the push loop, ≈ 22 for `extend(flat_map(to_le_bytes))`, ≈ 35 here).
 fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f64(out, x);
+    let start = out.len();
+    out.resize(start + 8 * v.len(), 0);
+    for (dst, x) in out[start..].chunks_exact_mut(8).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -477,8 +742,8 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Corrupt {
             what: "length overflow",
         })?;
@@ -501,7 +766,7 @@ impl Reader<'_> {
     }
 
     /// Consumes and returns every byte left in the payload.
-    fn remaining(&mut self) -> Result<&[u8], WireError> {
+    fn remaining(&mut self) -> Result<&'a [u8], WireError> {
         self.take(self.buf.len() - self.pos)
     }
 
@@ -542,18 +807,21 @@ impl Reader<'_> {
         Ok(n)
     }
 
-    fn byte_vec(&mut self) -> Result<Vec<u8>, WireError> {
+    /// A counted byte vector, borrowed.
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
+    }
+
+    /// A counted `f64` vector, borrowed: the count is validated once and
+    /// the elements stay in wire form until someone converts them.
+    fn f64_le(&mut self) -> Result<F64Le<'a>, WireError> {
+        let n = self.count(8)?;
+        Ok(F64Le(self.take(8 * n)?))
     }
 
     fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.count(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
+        Ok(self.f64_le()?.to_vec())
     }
 
     fn u32_vec(&mut self) -> Result<Vec<u32>, WireError> {

@@ -51,7 +51,7 @@ pub use cluster::{
 pub use conn::Connection;
 pub use engine::SocketEngine;
 pub use error::{NetError, WireError};
-pub use frame::{Frame, MAX_FRAME_LEN, VERSION};
+pub use frame::{Frame, FrameRef, MAX_FRAME_LEN, VERSION};
 pub use hetgc_comm::PayloadEncoding;
 pub use spawn::WorkerFleet;
 pub use spec::{AnyModel, BehaviorSpec, DatasetSpec, Handshake, ModelSpec, TargetsSpec};

@@ -18,7 +18,7 @@ use hetgc_runtime::{compute_coded, throttle};
 
 use crate::conn::Connection;
 use crate::error::NetError;
-use crate::frame::{Frame, VERSION};
+use crate::frame::{self, Frame, FrameRef, VERSION};
 use crate::spec::Handshake;
 
 /// Mutable per-worker state the master can rewrite mid-run via
@@ -138,10 +138,13 @@ fn serve(
         coefficients,
     };
 
-    // Reusable compute buffers, as in the threaded worker: the only
-    // per-round allocations are the outgoing frame encodings.
+    // Reusable buffers, as in the threaded worker: a round allocates
+    // nothing. `params` receives each `Round`'s parameters straight from
+    // the receive buffer; `wire` holds the outgoing frame bytes.
+    let mut params: Vec<f64> = Vec::new();
     let mut coded: Vec<f64> = Vec::new();
     let mut partial: Vec<f64> = Vec::new();
+    let mut wire: Vec<u8> = Vec::new();
     // On a lossy link the coded partial is quantized before it ships;
     // the quantization residual is carried into the next round (EF-SGD)
     // so lossy traffic does not bias convergence. The scratch buffers
@@ -149,46 +152,50 @@ fn serve(
     let mut lossy = (encoding != PayloadEncoding::F64).then(|| LossyLink {
         codec: AnyWireCodec::for_encoding(encoding),
         feedback: ErrorFeedback::new(num_params as usize),
-        wire: Vec::new(),
+        payload: Vec::new(),
         roundtrip: vec![0.0; num_params as usize],
     });
     loop {
-        let mut frame = match conn.recv() {
-            Ok(f) => f,
-            Err(NetError::Closed) => return Ok(()), // master gone: clean exit
-            Err(e) => return Err(e),
-        };
-        // Fast-forward to the newest pending round, applying control
-        // frames (recode, shutdown) strictly in arrival order — TCP
-        // guarantees a recode is seen before any round encoded with it.
-        let mut current: Option<(u64, Vec<f64>)> = None;
+        // Block for one frame, then fast-forward to the newest pending
+        // round, applying control frames (recode, shutdown) strictly in
+        // arrival order — TCP guarantees a recode is seen before any
+        // round encoded with it.
+        let mut current: Option<u64> = None;
+        let mut block = true;
         loop {
-            match frame {
-                Frame::Shutdown => return Ok(()),
-                Frame::Recode {
+            let next = if block {
+                conn.recv_ref().map(Some)
+            } else {
+                conn.try_recv_ref()
+            };
+            block = false;
+            match next {
+                Ok(Some(FrameRef::Control(Frame::Shutdown))) => return Ok(()),
+                Ok(Some(FrameRef::Control(Frame::Recode {
                     row,
                     ranges,
                     coefficients,
-                } => {
+                }))) => {
                     assignment = Assignment {
                         row,
                         ranges: to_usize_ranges(&ranges),
                         coefficients,
                     };
                 }
-                Frame::Round { seq, params } => current = Some((seq, params)),
+                Ok(Some(FrameRef::Round { seq, params: sent })) => {
+                    params.resize(sent.len(), 0.0);
+                    sent.copy_to(&mut params);
+                    current = Some(seq);
+                }
                 // Anything else is not ours to receive; tolerate it so a
                 // newer master can extend the protocol.
-                _ => {}
-            }
-            match conn.try_recv() {
-                Ok(Some(next)) => frame = next,
+                Ok(Some(_)) => {}
                 Ok(None) => break,
-                Err(NetError::Closed) => return Ok(()),
+                Err(NetError::Closed) => return Ok(()), // master gone: clean exit
                 Err(e) => return Err(e),
             }
         }
-        let Some((seq, params)) = current else {
+        let Some(seq) = current else {
             continue;
         };
         if !behavior.responds_at(seq as usize) {
@@ -216,6 +223,7 @@ fn serve(
         let replied = match &mut lossy {
             Some(link) => stream_encoded_reply(
                 &mut conn,
+                &mut wire,
                 &assignment,
                 seq,
                 &mut coded,
@@ -223,7 +231,15 @@ fn serve(
                 started,
                 link,
             ),
-            None => stream_reply(&mut conn, &assignment, seq, &coded, chunk_len, started),
+            None => stream_reply(
+                &mut conn,
+                &mut wire,
+                &assignment,
+                seq,
+                &coded,
+                chunk_len,
+                started,
+            ),
         };
         // A write into a link the master already closed is the same
         // hang-up a read reports as `Closed`: a clean exit.
@@ -249,8 +265,8 @@ fn serve(
 struct LossyLink {
     codec: AnyWireCodec,
     feedback: ErrorFeedback,
-    /// Reused encode buffer for one chunk's wire bytes.
-    wire: Vec<u8>,
+    /// Reused codec output for one chunk.
+    payload: Vec<u8>,
     /// Reused dequantized image of the whole coded partial — what the
     /// master will reconstruct, and hence what feeds error feedback.
     roundtrip: Vec<f64>,
@@ -266,9 +282,12 @@ fn to_usize_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
 /// Streams the coded gradient as [`Frame::GradientChunk`]s followed by
 /// [`Frame::RoundDone`]. Chunking bounds frame size and overlaps wire
 /// transfer with serialization: chunk `i` is in the kernel's send buffer
-/// while chunk `i+1` is still being encoded.
+/// while chunk `i+1` is still being encoded. The last chunk is held back
+/// so `RoundDone` shares its buffer and its `write` — a reply that fits
+/// one chunk is one syscall here and one wake-up of the master's reader.
 fn stream_reply(
     conn: &mut Connection,
+    wire: &mut Vec<u8>,
     assignment: &Assignment,
     seq: u64,
     coded: &[f64],
@@ -276,23 +295,31 @@ fn stream_reply(
     started: Instant,
 ) -> Result<(), NetError> {
     let total = coded.len() as u32;
+    wire.clear();
     for (i, chunk) in coded.chunks(chunk_len).enumerate() {
-        conn.send(&Frame::GradientChunk {
-            seq,
-            worker: assignment.row,
-            offset: (i * chunk_len) as u32,
-            total,
-            data: chunk.to_vec(),
-        })?;
+        flush(conn, wire)?; // the previous chunk, if any
+        let offset = (i * chunk_len) as u32;
+        frame::append_gradient_chunk(wire, seq, assignment.row, offset, total, chunk);
     }
-    conn.send(&Frame::RoundDone {
+    Frame::RoundDone {
         seq,
         worker: assignment.row,
         // Effective duration including throttle/delay sleeps — the
         // emulated speed, exactly what the threaded worker reports.
         compute_seconds: started.elapsed().as_secs_f64(),
         wire_error: None,
-    })
+    }
+    .append_to(wire);
+    conn.send_encoded(wire)
+}
+
+/// Writes out and empties `wire` if it holds anything.
+fn flush(conn: &mut Connection, wire: &mut Vec<u8>) -> Result<(), NetError> {
+    if !wire.is_empty() {
+        conn.send_encoded(wire)?;
+        wire.clear();
+    }
+    Ok(())
 }
 
 /// [`stream_reply`]'s lossy sibling: folds the carried error-feedback
@@ -303,6 +330,7 @@ fn stream_reply(
 #[allow(clippy::too_many_arguments)]
 fn stream_encoded_reply(
     conn: &mut Connection,
+    wire: &mut Vec<u8>,
     assignment: &Assignment,
     seq: u64,
     coded: &mut [f64],
@@ -314,26 +342,34 @@ fn stream_encoded_reply(
     let total = coded.len() as u32;
     let encoding = link.codec.encoding();
     let mut err_sq = 0.0;
+    wire.clear();
     for (i, (chunk, ship)) in coded
         .chunks(chunk_len)
         .zip(link.roundtrip.chunks_mut(chunk_len))
         .enumerate()
     {
-        err_sq += link.codec.encode_roundtrip(chunk, &mut link.wire, ship)?;
-        conn.send(&Frame::EncodedChunk {
+        flush(conn, wire)?; // the previous chunk, if any
+        err_sq += link
+            .codec
+            .encode_roundtrip(chunk, &mut link.payload, ship)?;
+        let offset = (i * chunk_len) as u32;
+        frame::append_encoded_chunk(
+            wire,
             seq,
-            worker: assignment.row,
-            offset: (i * chunk_len) as u32,
+            assignment.row,
+            offset,
             total,
             encoding,
-            bytes: link.wire.clone(),
-        })?;
+            &link.payload,
+        );
     }
     link.feedback.absorb(coded, &link.roundtrip);
-    conn.send(&Frame::RoundDone {
+    Frame::RoundDone {
         seq,
         worker: assignment.row,
         compute_seconds: started.elapsed().as_secs_f64(),
         wire_error: Some(err_sq.sqrt()),
-    })
+    }
+    .append_to(wire);
+    conn.send_encoded(wire)
 }

@@ -5,7 +5,7 @@
 
 use hetgc_net::frame::HEADER_LEN;
 use hetgc_net::{
-    BehaviorSpec, DatasetSpec, Frame, Handshake, ModelSpec, PayloadEncoding, TargetsSpec,
+    BehaviorSpec, DatasetSpec, Frame, FrameRef, Handshake, ModelSpec, PayloadEncoding, TargetsSpec,
     WireError, MAX_FRAME_LEN, VERSION,
 };
 use proptest::prelude::*;
@@ -153,6 +153,55 @@ proptest! {
         prop_assert_eq!(consumed, encoded.len());
     }
 
+    /// The owned API is the borrowed one plus a copy: the borrowed decode
+    /// of every frame, made owned, is what `Frame::decode` returns, and a
+    /// borrowed bulk field converts to exactly the values sent.
+    #[test]
+    fn borrowed_decode_agrees_with_owned(f in frame(), extra in bytes(32)) {
+        let mut encoded = f.encode();
+        let frame_len = encoded.len();
+        encoded.extend_from_slice(&extra);
+        let (borrowed, consumed) = FrameRef::decode_prefix(&encoded)
+            .expect("no wire error")
+            .expect("complete frame");
+        prop_assert_eq!(consumed, frame_len);
+        match (&borrowed, &f) {
+            (FrameRef::Round { params: view, .. }, Frame::Round { params: sent, .. })
+            | (
+                FrameRef::GradientChunk { data: view, .. },
+                Frame::GradientChunk { data: sent, .. },
+            ) => {
+                prop_assert_eq!(view.len(), sent.len());
+                prop_assert_eq!(view.is_empty(), sent.is_empty());
+                let mut out = vec![f64::NAN; sent.len()];
+                view.copy_to(&mut out);
+                prop_assert_eq!(&out, sent);
+            }
+            (FrameRef::EncodedChunk { bytes: view, .. }, Frame::EncodedChunk { bytes: sent, .. }) => {
+                prop_assert_eq!(view, &sent.as_slice());
+            }
+            (FrameRef::Control(owned), _) => prop_assert_eq!(owned, &f),
+            (borrowed, _) => prop_assert!(false, "{:?} decoded as {:?}", f, borrowed),
+        }
+        prop_assert_eq!(borrowed.into_owned(), Frame::decode(&encoded).expect("owned decode"));
+    }
+
+    /// `encode_into` replaces whatever the buffer held — stale bytes, the
+    /// wrong length, spare capacity — with exactly `encode()`'s bytes,
+    /// and `append_to` leaves what came before untouched.
+    #[test]
+    fn encode_into_a_dirty_buffer_matches_encode(f in frame(), junk in bytes(96)) {
+        let fresh = f.encode();
+        let mut reused = junk.clone();
+        reused.reserve(7);
+        f.encode_into(&mut reused);
+        prop_assert_eq!(&reused, &fresh);
+        let mut appended = junk.clone();
+        f.append_to(&mut appended);
+        prop_assert_eq!(&appended[..junk.len()], junk.as_slice());
+        prop_assert_eq!(&appended[junk.len()..], fresh.as_slice());
+    }
+
     /// Bytes of the NEXT frame never confuse a prefix decode.
     #[test]
     fn prefix_decode_ignores_following_bytes(f in frame(), extra in bytes(32)) {
@@ -178,6 +227,9 @@ proptest! {
         prop_assert!(
             Frame::decode_prefix(prefix).expect("truncation is not a stream error").is_none()
         );
+        prop_assert!(
+            FrameRef::decode_prefix(prefix).expect("truncation is not a stream error").is_none()
+        );
     }
 
     /// Arbitrary garbage never panics: it decodes, truncates, or fails
@@ -186,6 +238,10 @@ proptest! {
     fn garbage_never_panics(raw in bytes(64)) {
         let _ = Frame::decode(&raw);
         let _ = Frame::decode_prefix(&raw);
+        // The borrowed decoder is the same parser: same verdict.
+        let borrowed = FrameRef::decode_prefix(&raw)
+            .map(|decoded| decoded.map(|(frame, consumed)| (frame.into_owned(), consumed)));
+        prop_assert_eq!(borrowed, Frame::decode_prefix(&raw));
     }
 
     /// A corrupt inner element count (pointing past the payload) is
@@ -203,6 +259,10 @@ proptest! {
         prop_assert!(
             matches!(Frame::decode(&raw), Err(WireError::Corrupt { .. })),
             "a count past the payload must be Corrupt"
+        );
+        prop_assert!(
+            matches!(FrameRef::decode_prefix(&raw), Err(WireError::Corrupt { .. })),
+            "a count past the payload must be Corrupt to the borrowed decoder too"
         );
     }
 }
