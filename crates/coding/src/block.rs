@@ -419,13 +419,6 @@ impl<E: Element> SharedBufferPool<E> {
         }
     }
 
-    /// Wraps an existing pool (keeping its counters).
-    pub fn from_pool(pool: BufferPool<E>) -> Self {
-        SharedBufferPool {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(pool)),
-        }
-    }
-
     /// See [`BufferPool::checkout`].
     pub fn checkout(&self) -> Vec<E> {
         self.inner.lock().expect("pool poisoned").checkout()

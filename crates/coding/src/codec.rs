@@ -767,21 +767,6 @@ impl CodecSession {
         self.has_plan.then_some(&self.plan_slot)
     }
 
-    /// Attempts to decode with the results received so far.
-    pub fn try_decode(&self) -> Option<DecodePlan> {
-        if let Some(plan) = self.groups.as_ref().and_then(|t| t.intact_plan()) {
-            return Some(plan.clone());
-        }
-        if !self.spans_ones() {
-            return None;
-        }
-        let mut a = vec![0.0; self.pushed.len()];
-        for (&w, &coef) in self.arrivals.iter().zip(&self.scratch_combo) {
-            a[w] += coef;
-        }
-        Some(DecodePlan::from_dense(&a))
-    }
-
     /// Whether `1` lies in the span of the received rows: the running
     /// reduction has nothing left.
     fn spans_ones(&self) -> bool {

@@ -128,9 +128,9 @@ impl EscalationPolicy {
     }
 
     /// Sets the deadline after which the master stops waiting for an
-    /// exact decode and escalates with whatever arrived. Replaces the
-    /// threaded runtime's ad-hoc `iteration_timeout` fallback and gives
-    /// the simulator the same knob (interpreted as simulated seconds).
+    /// exact decode and escalates with whatever arrived — the one round
+    /// deadline of the wall-clock master and of the simulator (which reads
+    /// it as simulated seconds).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self

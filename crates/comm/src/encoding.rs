@@ -73,22 +73,6 @@ impl PayloadEncoding {
             PayloadEncoding::Int8 => "int8",
         }
     }
-
-    /// Whether decoding this encoding loses information relative to the
-    /// `f64` the worker computed (and hence needs error feedback).
-    pub fn is_lossy(self) -> bool {
-        !matches!(self, PayloadEncoding::F64)
-    }
-
-    /// Bytes per element on the wire, excluding any per-chunk header.
-    pub fn bytes_per_element(self) -> usize {
-        match self {
-            PayloadEncoding::F64 => 8,
-            PayloadEncoding::F32 => 4,
-            PayloadEncoding::Bf16 => 2,
-            PayloadEncoding::Int8 => 1,
-        }
-    }
 }
 
 impl fmt::Display for PayloadEncoding {

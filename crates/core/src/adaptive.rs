@@ -18,11 +18,11 @@
 //!
 //! This module is the *timing-only comparison harness* over that
 //! subsystem: [`run_with_drift`] / [`compare_static_vs_adaptive`] drive a
-//! simulated drifting cluster through the unified
-//! [`drive_timing_with`] loop with [`DriverConfig::adaptation`] wired to
-//! an [`AdaptiveConfig`]. (For adaptation composed with *real SGD
-//! training*, put an `AdaptationConfig` on the driver and a `RateDrift`
-//! on `SimBspEngine::with_drift` — see `tests/adaptation.rs` and the
+//! model-less [`SimBspEngine`] under `SimBspEngine::with_drift` through
+//! the unified [`drive_timing_with`] loop with
+//! [`DriverConfig::adaptation`] wired to an [`AdaptiveConfig`]. (Give the
+//! same engine a model and the driver an optimizer and the same adaptation
+//! composes with *real SGD training* — see `tests/adaptation.rs` and the
 //! `telemetry_adaptation` example.)
 //!
 //! Rebuild cost is the Alg. 1 construction — microseconds (see the
@@ -32,14 +32,15 @@
 //! (documented limitation).
 
 use hetgc_cluster::{ClusterSpec, StragglerModel};
-use hetgc_coding::{CodecBackend, CodecSession, CodingError, GradientCodec};
-use hetgc_sim::{simulate_bsp_iteration_in, BspIterationConfig, NetworkModel, RunMetrics};
-use hetgc_telemetry::{AdaptationConfig, RecodeConfig, RoundSample};
-use rand::{Rng, RngCore};
+use hetgc_coding::{CodecBackend, EscalationPolicy};
+use hetgc_sim::RunMetrics;
+use hetgc_telemetry::{AdaptationConfig, RecodeConfig};
+use rand::Rng;
 
 use crate::driver::{drive_timing_with, DriverConfig};
-use crate::engine::{bsp_samples, EngineRound, RoundEngine};
-use crate::scheme::{scheme_from_estimates, BoxError, SchemeBuilder, SchemeKind};
+use crate::engine::SimBspEngine;
+use crate::scheme::{BoxError, SchemeBuilder, SchemeKind};
+use crate::trainer::SimTrainConfig;
 
 /// Configuration of an adaptive-vs-static comparison run.
 #[derive(Debug, Clone)]
@@ -118,133 +119,6 @@ pub struct AdaptiveOutcome {
     pub rebuild_failures: usize,
 }
 
-/// The timing-only drifting-cluster [`RoundEngine`]: each round simulates
-/// one BSP iteration at the drifted rates and emits the per-worker
-/// [`RoundSample`]s the adaptation pipeline ingests; on confirmed drift
-/// the driver calls back into [`RoundEngine::recode`], which rebuilds the
-/// strategy from the fresh estimates and hot-swaps codec and session.
-struct DriftEngine<'a> {
-    drift: &'a hetgc_sim::RateDrift,
-    cfg: &'a AdaptiveConfig,
-    base: Vec<f64>,
-    codec: hetgc_coding::AnyCodec,
-    session: CodecSession,
-    label: String,
-    recodes: usize,
-}
-
-impl<'a> DriftEngine<'a> {
-    fn new<R: Rng + ?Sized>(
-        cluster: &ClusterSpec,
-        drift: &'a hetgc_sim::RateDrift,
-        cfg: &'a AdaptiveConfig,
-        rng: &mut R,
-    ) -> Result<Self, BoxError> {
-        let scheme = SchemeBuilder::new(cluster, cfg.stragglers).build(cfg.kind, rng)?;
-        // Compile once per strategy into the configured backend; the
-        // session is recreated only on rebuild (a new code means new
-        // rows), never per iteration.
-        let codec = scheme.compile_backend(cfg.backend)?;
-        let session = codec.session();
-        Ok(DriftEngine {
-            drift,
-            cfg,
-            base: cluster.throughputs(),
-            codec,
-            session,
-            label: cfg.kind.name().to_owned(),
-            recodes: 0,
-        })
-    }
-
-    fn rebuild(&mut self, estimates: &[f64], rng: &mut dyn RngCore) -> Result<(), CodingError> {
-        let scheme =
-            scheme_from_estimates(self.cfg.kind, estimates, self.cfg.stragglers, None, rng)?;
-        let codec = scheme.compile_backend(self.cfg.backend)?;
-        self.session = codec.session();
-        self.codec = codec;
-        Ok(())
-    }
-}
-
-impl RoundEngine for DriftEngine<'_> {
-    fn workers(&self) -> usize {
-        self.codec.workers()
-    }
-
-    fn partitions(&self) -> usize {
-        self.codec.partitions()
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn round(
-        &mut self,
-        round: usize,
-        _params: &[f64],
-        rng: &mut dyn RngCore,
-    ) -> Result<EngineRound, BoxError> {
-        let iter = round - 1; // drift schedules are 0-based
-        let m = self.base.len();
-        let rates = self.drift.rates_at(&self.base, iter);
-        let k = self.codec.partitions();
-        let work_per_partition = self.cfg.samples as f64 / k as f64;
-        let sim_cfg = BspIterationConfig::new(&rates)
-            .work_per_partition(work_per_partition)
-            .network(NetworkModel::lan())
-            .compute_jitter(self.cfg.jitter);
-        let events = self.cfg.straggler_model.sample_iteration(m, rng);
-        let outcome =
-            simulate_bsp_iteration_in(&self.codec, &sim_cfg, &events, rng, &mut self.session)?;
-
-        let Some(t) = outcome.completion else {
-            // Keep running on the current code: transient failures are
-            // recorded, not fatal.
-            return Ok(EngineRound::failed(false));
-        };
-        // The master sees compute durations; injected delay contaminates
-        // them exactly as it would in production.
-        let samples: Vec<RoundSample> = bsp_samples(&self.codec, &outcome, work_per_partition, t);
-        Ok(EngineRound {
-            elapsed: Some(t),
-            at: None,
-            gradient: None,
-            residual: outcome.decode_residual,
-            error_bound: None,
-            results_used: outcome.decode_workers.len(),
-            busy: outcome.busy,
-            samples,
-            alloc_bytes: 0,
-            pool_hits: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
-        })
-    }
-
-    fn supports_recode(&self) -> bool {
-        true
-    }
-
-    fn recode(&mut self, estimates: &[f64], rng: &mut dyn RngCore) -> Result<bool, BoxError> {
-        match self.rebuild(estimates, rng) {
-            Ok(()) => {
-                self.recodes += 1;
-                Ok(true)
-            }
-            Err(_) => Ok(false), // infeasible estimates: keep the old code
-        }
-    }
-
-    fn initial_estimates(&self) -> Option<Vec<f64>> {
-        Some(self.base.clone())
-    }
-}
-
 /// Runs one policy over a drifting cluster through the unified
 /// [`drive_timing_with`] loop.
 ///
@@ -262,7 +136,16 @@ pub fn run_with_drift<R: Rng>(
     cfg: &AdaptiveConfig,
     rng: &mut R,
 ) -> Result<AdaptiveOutcome, BoxError> {
-    let mut engine = DriftEngine::new(cluster, drift, cfg, rng)?;
+    let scheme = SchemeBuilder::new(cluster, cfg.stragglers).build(cfg.kind, rng)?;
+    let sim_cfg = SimTrainConfig {
+        compute_jitter: cfg.jitter,
+        stragglers: cfg.straggler_model.clone(),
+        backend: cfg.backend,
+        ..SimTrainConfig::default()
+    };
+    let (rates, policy) = (cluster.throughputs(), EscalationPolicy::follow_backend());
+    let mut engine = SimBspEngine::timing(&scheme, cfg.samples, &rates, &sim_cfg, policy)?
+        .with_drift(drift.clone());
     let driver_cfg = DriverConfig {
         adaptation: cfg.adaptation(),
         ..DriverConfig::default()

@@ -194,9 +194,8 @@ pub struct RoundRecord {
 
 impl RoundRecord {
     /// Serializes the record as one self-contained JSON object — the
-    /// line format of the streaming JSONL sink
-    /// (`hetgc::report::JsonlRecordSink`) and the element format of
-    /// [`TrainOutcome::to_json`]'s `records` array. Non-finite floats
+    /// line format [`TrainDriver::with_record_writer`] streams and the
+    /// element format of [`TrainOutcome::to_json`]'s `records` array. Non-finite floats
     /// become `null`.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;

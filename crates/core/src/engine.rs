@@ -6,8 +6,11 @@
 //!
 //! Three engines cover the workspace's execution styles:
 //!
-//! * [`SimBspEngine`] — the discrete-event BSP simulator with real SGD
-//!   (the paper's Figs. 2–5 machinery), escalation ladder included;
+//! * [`SimBspEngine`] — the discrete-event BSP simulator, escalation
+//!   ladder included, and the only simulated BSP round in the workspace:
+//!   with a model it runs real SGD (the paper's Fig. 4), without one it is
+//!   the timing-only engine of Figs. 2, 3, 5 and of the static-vs-adaptive
+//!   drift comparison (`gradient: None`);
 //! * [`SimSspEngine`] — the event-driven SSP scheduler, in two flavours:
 //!   the classic uncoded per-worker-update baseline
 //!   ([`SimSspEngine::shard`], the paper's Fig. 4 SSP curve) and — new —
@@ -301,76 +304,97 @@ pub fn combined_step_scale(
     1.0 / (1.0 + decode_relative.max(0.0) + wire_error / gradient_norm)
 }
 
-/// The master-side coded gradient of one simulated round, shared by the
-/// BSP and coded-SSP engines, on the pooled data plane: partials written
-/// into the engine's reusable [`GradientBlock`] → sparse `encode_into`
-/// per plan worker (into that worker's row of the reusable `arrivals`
-/// block, exactly what the master would have received) → one whole-round
-/// `apply_block_into` decode through the blocked kernel — plus the
-/// rigorous [`gradient_error_bound_l2`] for approximate plans. The only
-/// per-round allocation left is the outgoing gradient vector itself.
-///
-/// In debug builds, exact plans are verified against the direct
-/// full-batch gradient (approximate rounds legitimately deviate, bounded
-/// by `residual · ‖(‖g_j‖)_j‖₂`).
-#[allow(clippy::too_many_arguments)] // a flat list mirrors the round state
-fn gradient_from_plan<M: Model + ?Sized>(
-    codec: &EscalatingCodec,
-    plan: &hetgc_coding::DecodePlan,
-    model: &M,
-    params: &[f64],
-    data: &Dataset,
-    ranges: &[(usize, usize)],
-    partials: &mut GradientBlock,
-    arrivals: &mut GradientBlock,
-    recorder: Option<&Recorder>,
-) -> Result<(Vec<f64>, Option<f64>), BoxError> {
-    let encode_span = recorder.map(|r| r.span(Phase::Encode));
-    partial_gradients_into(model, params, data, ranges, partials);
-    let d = model.num_params();
-    let m = codec.workers();
-    if arrivals.rows() != m || arrivals.dim() != d {
-        arrivals.reset(m, d);
+/// The master-side data plane of one simulated round's coded gradient,
+/// shared by the BSP and coded-SSP engines: the dataset's partition ranges
+/// plus the two reusable blocks a round writes — partials (k × d) and the
+/// coded results the master would have received (m × d).
+#[derive(Debug)]
+struct CodedPlane {
+    ranges: Vec<(usize, usize)>,
+    partials: GradientBlock,
+    arrivals: GradientBlock,
+}
+
+impl CodedPlane {
+    /// A plane over `samples` samples split evenly into `k` partitions.
+    fn new(samples: usize, k: usize) -> Result<Self, BoxError> {
+        Ok(CodedPlane {
+            ranges: PartitionAssignment::even(samples, k)?.iter().collect(),
+            arrivals: GradientBlock::new(0, 0),
+            partials: GradientBlock::new(0, 0),
+        })
     }
-    // Only the plan's rows are encoded (and only those are read by the
-    // decode), so rows of workers outside the plan may hold stale data —
-    // skipping the block-wide zeroing keeps the round allocation- and
-    // fill-free.
-    for (w, _) in plan.iter() {
-        codec.encode_into(w, partials, arrivals.row_mut(w))?;
+
+    /// The gradient `plan` decodes at `params`: partials written into the
+    /// reusable block → sparse `encode_into` per plan worker (into that
+    /// worker's row of the arrivals block) → one whole-round
+    /// `apply_block_into` decode through the blocked kernel — plus the
+    /// rigorous [`gradient_error_bound_l2`] for approximate plans. The only
+    /// per-round allocation left is the outgoing gradient vector itself.
+    ///
+    /// In debug builds, exact plans are verified against the direct
+    /// full-batch gradient (approximate rounds legitimately deviate, bounded
+    /// by `residual · ‖(‖g_j‖)_j‖₂`).
+    fn gradient<M: Model + ?Sized>(
+        &mut self,
+        codec: &EscalatingCodec,
+        plan: &hetgc_coding::DecodePlan,
+        model: &M,
+        params: &[f64],
+        data: &Dataset,
+        recorder: Option<&Recorder>,
+    ) -> Result<(Vec<f64>, Option<f64>), BoxError> {
+        let encode_span = recorder.map(|r| r.span(Phase::Encode));
+        partial_gradients_into(model, params, data, &self.ranges, &mut self.partials);
+        let d = model.num_params();
+        let m = codec.workers();
+        if self.arrivals.rows() != m || self.arrivals.dim() != d {
+            self.arrivals.reset(m, d);
+        }
+        // Only the plan's rows are encoded (and only those are read by the
+        // decode), so rows of workers outside the plan may hold stale data —
+        // skipping the block-wide zeroing keeps the round allocation- and
+        // fill-free.
+        for (w, _) in plan.iter() {
+            codec.encode_into(w, &self.partials, self.arrivals.row_mut(w))?;
+        }
+        drop(encode_span);
+        let decode_span = recorder.map(|r| r.span(Phase::Decode));
+        let mut gradient = vec![0.0; d];
+        plan.apply_block_into(&self.arrivals, &mut gradient)?;
+        drop(decode_span);
+        let approximate = plan.residual() > 0.0;
+        debug_assert!(
+            approximate || {
+                let direct = model.gradient(params, data, (0, data.len()));
+                gradient
+                    .iter()
+                    .zip(&direct)
+                    .all(|(a, b)| (a - b).abs() <= 1e-6 * (1.0 + b.abs()))
+            },
+            "decoded gradient deviates from direct full-batch gradient"
+        );
+        let error_bound = approximate.then(|| {
+            let partials = &self.partials;
+            let norms: Vec<f64> = (0..partials.rows())
+                .map(|j| partials.row(j).iter().map(|x| x * x).sum::<f64>().sqrt())
+                .collect();
+            gradient_error_bound_l2(plan.residual(), &norms)
+        });
+        Ok((gradient, error_bound))
     }
-    drop(encode_span);
-    let decode_span = recorder.map(|r| r.span(Phase::Decode));
-    let mut gradient = vec![0.0; d];
-    plan.apply_block_into(arrivals, &mut gradient)?;
-    drop(decode_span);
-    let approximate = plan.residual() > 0.0;
-    debug_assert!(
-        approximate || {
-            let direct = model.gradient(params, data, (0, data.len()));
-            gradient
-                .iter()
-                .zip(&direct)
-                .all(|(a, b)| (a - b).abs() <= 1e-6 * (1.0 + b.abs()))
-        },
-        "decoded gradient deviates from direct full-batch gradient"
-    );
-    let error_bound = approximate.then(|| {
-        let norms: Vec<f64> = (0..partials.rows())
-            .map(|j| partials.row(j).iter().map(|x| x * x).sum::<f64>().sqrt())
-            .collect();
-        gradient_error_bound_l2(plan.residual(), &norms)
-    });
-    Ok((gradient, error_bound))
 }
 
 // ------------------------------------------------------------- BSP (sim)
 
-/// The discrete-event BSP engine: every round samples straggler events,
-/// simulates arrivals, decodes at the earliest decodable prefix (with the
-/// escalation ladder at the policy deadline or round end) and computes
-/// the real coded gradient the way the master would — partials, sparse
-/// encode per surviving worker, combination with the decode plan.
+/// The one simulated BSP engine: every round samples straggler events,
+/// simulates arrivals and decodes at the earliest decodable prefix (with
+/// the escalation ladder at the policy deadline or round end). An engine
+/// built with [`SimBspEngine::new`] then computes the real coded gradient
+/// the way the master would — partials, sparse encode per surviving
+/// worker, combination with the decode plan. The timing-only engine behind
+/// `experiment::run_timing` (Figs. 2, 3, 5) and `adaptive::run_with_drift`
+/// is the same round with no model to differentiate: `gradient: None`.
 ///
 /// The adaptation hooks are fully wired: every round emits
 /// [`RoundSample`]s, [`SimBspEngine::with_drift`] injects a
@@ -383,22 +407,20 @@ fn gradient_from_plan<M: Model + ?Sized>(
 pub struct SimBspEngine<'a, M: Model + ?Sized> {
     codec: EscalatingCodec,
     session: CodecSession,
-    model: &'a M,
-    data: &'a Dataset,
+    /// The training half — model, dataset and the gradient data plane over
+    /// its partitions; `None` for a timing-only engine.
+    training: Option<(&'a M, &'a Dataset, CodedPlane)>,
+    /// Samples one round covers: the dataset's length, or the count a
+    /// timing-only engine was given.
+    samples: usize,
     rates: Vec<f64>,
     drift: Option<RateDrift>,
-    ranges: Vec<(usize, usize)>,
-    work_per_partition: f64,
     network: NetworkModel,
     payload_bytes: f64,
     compute_jitter: f64,
     stragglers: StragglerModel,
     fallback_deadline: Option<f64>,
     label: String,
-    /// Reusable m × d master-side arrival block (the pooled data plane).
-    arrivals: GradientBlock,
-    /// Reusable k × d partial-gradient block (the pooled data plane).
-    partials: GradientBlock,
     /// Session-pool counters at the end of the previous round, for
     /// per-round `pool_hits` / `alloc_bytes` deltas.
     pool_mark: (u64, u64),
@@ -430,6 +452,17 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
         cfg: &SimTrainConfig,
         policy: EscalationPolicy,
     ) -> Result<Self, BoxError> {
+        Self::build(scheme, Some((model, data)), data.len(), rates, cfg, policy)
+    }
+
+    fn build(
+        scheme: &SchemeInstance,
+        training: Option<(&'a M, &'a Dataset)>,
+        samples: usize,
+        rates: &[f64],
+        cfg: &SimTrainConfig,
+        policy: EscalationPolicy,
+    ) -> Result<Self, BoxError> {
         let base = scheme.compile_backend(cfg.backend)?;
         let fallback_deadline = policy.deadline().map(|d| d.as_secs_f64());
         let codec = EscalatingCodec::new(base, policy.clone());
@@ -438,26 +471,23 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
         if rates.len() != m {
             return Err(format!("rates len {} != m={m}", rates.len()).into());
         }
-        let assignment = PartitionAssignment::even(data.len(), k)?;
-        let ranges: Vec<(usize, usize)> = assignment.iter().collect();
+        let training = training
+            .map(|(model, data)| CodedPlane::new(samples, k).map(|plane| (model, data, plane)))
+            .transpose()?;
         let session = codec.session();
         Ok(SimBspEngine {
             codec,
             session,
-            model,
-            data,
+            training,
+            samples,
             rates: rates.to_vec(),
             drift: None,
-            ranges,
-            work_per_partition: data.len() as f64 / k as f64,
             network: cfg.network,
             payload_bytes: cfg.payload_bytes,
             compute_jitter: cfg.compute_jitter,
             stragglers: cfg.stragglers.clone(),
             fallback_deadline,
             label: scheme.kind.name().to_owned(),
-            arrivals: GradientBlock::new(0, 0),
-            partials: GradientBlock::new(0, 0),
             pool_mark: (0, 0),
             kind: scheme.kind,
             straggler_budget: scheme.stragglers(),
@@ -488,6 +518,23 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
     }
 }
 
+// No model: the type parameter only names the absent training half.
+impl SimBspEngine<'static, hetgc_ml::LinearRegression> {
+    /// The timing-only engine: [`SimBspEngine::new`]'s round over `samples`
+    /// work units with nothing to differentiate. With no dataset to range
+    /// over, any partition count is accepted — here and on
+    /// [`RoundEngine::recode`].
+    pub(crate) fn timing(
+        scheme: &SchemeInstance,
+        samples: usize,
+        rates: &[f64],
+        cfg: &SimTrainConfig,
+        policy: EscalationPolicy,
+    ) -> Result<Self, BoxError> {
+        Self::build(scheme, None, samples, rates, cfg, policy)
+    }
+}
+
 impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
     fn workers(&self) -> usize {
         self.codec.workers()
@@ -514,8 +561,9 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             .as_ref()
             .map(|d| d.rates_at(&self.rates, round.saturating_sub(1)));
         let rates = drifted.as_deref().unwrap_or(&self.rates);
+        let work_per_partition = self.samples as f64 / self.codec.partitions() as f64;
         let mut sim_cfg = BspIterationConfig::new(rates)
-            .work_per_partition(self.work_per_partition)
+            .work_per_partition(work_per_partition)
             .network(self.network)
             .payload_bytes(self.payload_bytes)
             .compute_jitter(self.compute_jitter);
@@ -527,35 +575,38 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             simulate_bsp_iteration_in(&self.codec, &sim_cfg, &events, rng, &mut self.session)?;
         drop(collect_span);
         let Some(iter_time) = outcome.completion else {
-            // A stalled round ends the run: nothing will change next time.
+            // A stalled round ends the run: only failed workers stall one,
+            // and they stay failed.
             return Ok(EngineRound::failed(true));
         };
 
-        let samples = bsp_samples(&self.codec, &outcome, self.work_per_partition, iter_time);
+        let samples = bsp_samples(&self.codec, &outcome, work_per_partition, iter_time);
         if let Some(rec) = &self.recorder {
             for s in samples.iter().filter(|s| !s.failed) {
                 rec.instant(Phase::Arrival, (s.worker + 1) as u64);
             }
         }
 
-        // Real coded gradient computation through the shared helper.
-        let (gradient, error_bound) = gradient_from_plan(
-            &self.codec,
-            &outcome.decode_plan(),
-            self.model,
-            params,
-            self.data,
-            &self.ranges,
-            &mut self.partials,
-            &mut self.arrivals,
-            self.recorder.as_ref(),
-        )?;
+        let (gradient, error_bound) = match &mut self.training {
+            Some((model, data, plane)) => {
+                let (gradient, error_bound) = plane.gradient(
+                    &self.codec,
+                    &outcome.decode_plan(),
+                    *model,
+                    params,
+                    data,
+                    self.recorder.as_ref(),
+                )?;
+                (Some(gradient), error_bound)
+            }
+            None => (None, None),
+        };
         let (pool_hits, alloc_bytes) = pool_delta(&self.session, &mut self.pool_mark);
 
         Ok(EngineRound {
             elapsed: Some(iter_time),
             at: None,
-            gradient: Some(gradient),
+            gradient,
             residual: outcome.decode_residual,
             error_bound,
             results_used: outcome.decode_workers.len(),
@@ -599,13 +650,14 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
         };
         let codec = EscalatingCodec::new(base, self.policy.clone());
         let k = codec.partitions();
-        let Ok(assignment) = PartitionAssignment::even(self.data.len(), k) else {
-            // Noisy estimates can push the suggested k past the dataset
-            // size; an unpartitionable rebuild is declined, not fatal.
-            return Ok(false);
-        };
-        self.ranges = assignment.iter().collect();
-        self.work_per_partition = self.data.len() as f64 / k as f64;
+        if let Some((_, _, plane)) = &mut self.training {
+            let Ok(rebuilt) = CodedPlane::new(self.samples, k) else {
+                // Noisy estimates can push the suggested k past the dataset
+                // size; an unpartitionable rebuild is declined, not fatal.
+                return Ok(false);
+            };
+            *plane = rebuilt;
+        }
         self.session = codec.session();
         self.pool_mark = (0, 0); // fresh session, fresh pool counters
         self.codec = codec;
@@ -636,12 +688,11 @@ fn pool_delta(session: &CodecSession, mark: &mut (u64, u64)) -> (u64, u64) {
     delta
 }
 
-/// Per-worker telemetry of one simulated BSP round, shared by the
-/// training and timing engines: compute/arrival times straight from the
-/// simulator's [`hetgc_sim::Arrival`]s, work units from the codec's
-/// loads.
-pub(crate) fn bsp_samples<C: GradientCodec + ?Sized>(
-    codec: &C,
+/// Per-worker telemetry of one simulated BSP round: compute/arrival times
+/// straight from the simulator's [`hetgc_sim::Arrival`]s, work units from
+/// the codec's loads.
+fn bsp_samples(
+    codec: &EscalatingCodec,
     outcome: &hetgc_sim::BspIteration,
     work_per_partition: f64,
     completion: f64,
@@ -688,11 +739,9 @@ enum SspMode {
     Coded {
         codec: EscalatingCodec,
         session: CodecSession,
-        ranges: Vec<(usize, usize)>,
+        plane: CodedPlane,
         live: Vec<usize>,
         reported: Vec<bool>,
-        arrivals: GradientBlock,
-        partials: GradientBlock,
         pool_mark: (u64, u64),
         /// Iteration time per *live* worker (aligned with `live`).
         iter_times: Vec<f64>,
@@ -801,8 +850,7 @@ impl<'a, M: Model + ?Sized> SimSspEngine<'a, M> {
         if rates.len() != m {
             return Err(format!("rates len {} != m={m}", rates.len()).into());
         }
-        let assignment = PartitionAssignment::even(data.len(), k)?;
-        let ranges: Vec<(usize, usize)> = assignment.iter().collect();
+        let plane = CodedPlane::new(data.len(), k)?;
         let work_per_partition = data.len() as f64 / k as f64;
         let comm = cfg.network.transfer_time(cfg.payload_bytes);
         let live: Vec<usize> = (0..m).filter(|w| !failed.contains(w)).collect();
@@ -824,11 +872,9 @@ impl<'a, M: Model + ?Sized> SimSspEngine<'a, M> {
             mode: SspMode::Coded {
                 codec,
                 session,
-                ranges,
+                plane,
                 live,
                 reported: vec![false; m],
-                arrivals: GradientBlock::new(0, 0),
-                partials: GradientBlock::new(0, 0),
                 pool_mark: (0, 0),
                 iter_times,
                 work_per_partition,
@@ -916,11 +962,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
             SspMode::Coded {
                 codec,
                 session,
-                ranges,
+                plane,
                 live,
                 reported,
-                arrivals,
-                partials,
                 pool_mark,
                 iter_times,
                 work_per_partition,
@@ -974,15 +1018,12 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     Some(plan) => plan,
                     None => session.decoded_plan().expect("push_arrival decoded"),
                 };
-                let (gradient, error_bound) = gradient_from_plan(
+                let (gradient, error_bound) = plane.gradient(
                     codec,
                     plan,
                     self.model,
                     params,
                     self.data,
-                    ranges,
-                    partials,
-                    arrivals,
                     self.recorder.as_ref(),
                 )?;
                 let (residual, results_used) = (plan.residual(), plan.len());
@@ -1294,6 +1335,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeBuilder;
+    use hetgc_cluster::{ClusterSpec, DelayDistribution};
+    use hetgc_ml::{synthetic, LinearRegression};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn step_scale_exact_rounds_untouched() {
@@ -1312,46 +1358,111 @@ mod tests {
         assert!(s2 > s && s2 < 1.0);
     }
 
-    #[test]
-    fn recode_declines_when_partitioning_is_infeasible() {
-        // Noisy live estimates make suggest_partition_count fall through
-        // to 6m = 24 partitions, more than the 20-sample dataset can
-        // hold: the rebuild must DECLINE (Ok(false)), never abort the
-        // run, and the engine must keep working on the old code.
-        use crate::scheme::SchemeBuilder;
-        use crate::trainer::SimTrainConfig;
-        use hetgc_cluster::ClusterSpec;
-        use hetgc_ml::{synthetic, LinearRegression};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
+    /// What the `SimBspEngine` tests share: four workers' rates, 20
+    /// samples, a model, a heter-aware code with loads [4, 6, 8, 10].
+    fn tiny_bsp() -> (Vec<f64>, Dataset, LinearRegression, SchemeInstance, StdRng) {
         let cluster =
             ClusterSpec::from_vcpu_rows("tiny", &[(1, 2), (1, 3), (1, 4), (1, 5)], 10.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let data = synthetic::linear_regression(20, 3, 0.01, &mut rng);
-        let model = LinearRegression::new(3);
         let scheme = SchemeBuilder::new(&cluster, 1)
-            .partitions(14) // loads [4, 6, 8, 10]: integral and ≤ 20 samples
-            .build(crate::scheme::SchemeKind::HeterAware, &mut rng)
+            .partitions(14) // integral loads, and ≤ 20 samples
+            .build(SchemeKind::HeterAware, &mut rng)
             .unwrap();
+        let model = LinearRegression::new(3);
+        (cluster.throughputs(), data, model, scheme, rng)
+    }
+
+    #[test]
+    fn recode_declines_when_partitioning_is_infeasible() {
+        // Noisy live estimates make suggest_partition_count fall through
+        // to 6m = 24 partitions, more than the 20-sample dataset can
+        // hold: the training engine's rebuild must DECLINE (Ok(false)),
+        // never abort the run, while the timing-only engine — no dataset
+        // to range over — installs it. Both keep running rounds.
+        let (rates, data, model, scheme, mut rng) = tiny_bsp();
         let cfg = SimTrainConfig::default();
-        let mut engine = SimBspEngine::new(
-            &scheme,
-            &model,
-            &data,
-            &cluster.throughputs(),
-            &cfg,
-            EscalationPolicy::follow_backend(),
-        )
-        .unwrap();
+        let policy = EscalationPolicy::follow_backend;
+        let mut training =
+            SimBspEngine::new(&scheme, &model, &data, &rates, &cfg, policy()).unwrap();
+        let mut timing = SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy()).unwrap();
         let noisy = [20.37, 29.11, 41.83, 50.2];
-        let applied = engine.recode(&noisy, &mut rng).expect("decline, not abort");
+        let applied = training
+            .recode(&noisy, &mut rng)
+            .expect("decline, not abort");
         assert!(!applied, "unpartitionable rebuild must be declined");
-        assert_eq!(engine.recodes(), 0);
-        // The old code still runs rounds.
+        assert_eq!((training.recodes(), training.partitions()), (0, 14));
+        assert!(timing.recode(&noisy, &mut rng).unwrap());
+        assert_eq!((timing.recodes(), timing.partitions()), (1, 24));
         let params = model.init_params(&mut rng);
-        let er = engine.round(1, &params, &mut rng).unwrap();
-        assert!(er.elapsed.is_some());
+        let er = training.round(1, &params, &mut rng).unwrap();
+        assert!(er.elapsed.is_some() && er.gradient.is_some());
+        let er = timing.round(1, &[], &mut rng).unwrap();
+        assert!(er.elapsed.is_some() && er.gradient.is_none());
+    }
+
+    #[test]
+    fn timing_only_rounds_are_the_training_rounds_without_the_gradient() {
+        let (rates, data, model, scheme, mut rng) = tiny_bsp();
+        let cfg = SimTrainConfig {
+            compute_jitter: 0.05,
+            stragglers: StragglerModel::RandomChoice {
+                count: 1,
+                delay: DelayDistribution::Uniform {
+                    low: 0.5,
+                    high: 3.0,
+                },
+            },
+            ..SimTrainConfig::default()
+        };
+        let params = model.init_params(&mut rng);
+        let wave = RateDrift::Wave {
+            period: 5.0,
+            amplitude: 0.4,
+        };
+        for drift in [RateDrift::None, wave] {
+            let policy = EscalationPolicy::follow_backend;
+            let mut training = SimBspEngine::new(&scheme, &model, &data, &rates, &cfg, policy())
+                .unwrap()
+                .with_drift(drift.clone());
+            let mut timing = SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy())
+                .unwrap()
+                .with_drift(drift);
+            let mut rng_a = StdRng::seed_from_u64(77);
+            let mut rng_b = StdRng::seed_from_u64(77);
+            for round in 1..=12 {
+                let a = training.round(round, &params, &mut rng_a).unwrap();
+                let b = timing.round(round, &[], &mut rng_b).unwrap();
+                assert!(a.gradient.is_some() && b.gradient.is_none());
+                assert_eq!(a.elapsed.map(f64::to_bits), b.elapsed.map(f64::to_bits));
+                assert_eq!(a.results_used, b.results_used);
+                assert_eq!(a.busy, b.busy);
+                assert_eq!(a.samples, b.samples);
+            }
+        }
+    }
+
+    #[test]
+    fn timing_only_engine_records_collect_and_arrivals_only() {
+        let (rates, data, _, scheme, mut rng) = tiny_bsp();
+        let cfg = SimTrainConfig::default();
+        let policy = EscalationPolicy::follow_backend();
+        let mut engine = SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy).unwrap();
+        let recorder = Recorder::new(256);
+        engine.attach_recorder(recorder.clone());
+        for round in 1..=3 {
+            engine.round(round, &[], &mut rng).unwrap();
+        }
+        let count = |phase| {
+            recorder
+                .events()
+                .iter()
+                .filter(|e| e.phase == phase)
+                .count()
+        };
+        assert_eq!(count(Phase::Collect), 3);
+        assert_eq!(count(Phase::Arrival), 3 * engine.workers());
+        assert_eq!(recorder.events().len(), 3 + 3 * engine.workers());
     }
 
     #[test]

@@ -1,90 +1,30 @@
 //! Experiment runners regenerating every figure of the paper's evaluation
 //! (§VI). Each `figN` function is the library side of the corresponding
 //! `hetgc-bench` binary; see EXPERIMENTS.md for the recorded outputs.
+//! Every figure runs [`SimBspEngine`]'s round: Fig. 4 with a model, the
+//! timing figures ([`run_timing`]) without one.
 
 use hetgc_cluster::{ClusterSpec, DelayDistribution, EstimationNoise, StragglerModel};
-use hetgc_coding::{CodecSession, CompiledCodec, EscalationPolicy, GradientCodec};
+use hetgc_coding::{CodecBackend, EscalationPolicy};
 use hetgc_ml::{synthetic, Mlp, Sgd};
-use hetgc_sim::{simulate_bsp_iteration_in, BspIterationConfig, NetworkModel, RunMetrics};
+use hetgc_sim::{NetworkModel, RunMetrics};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::driver::{drive_timing, DriverConfig, TrainDriver};
-use crate::engine::{EngineRound, RoundEngine, SimBspEngine, SimSspEngine};
+use crate::engine::{SimBspEngine, SimSspEngine};
 use crate::scheme::{BoxError, SchemeBuilder, SchemeInstance, SchemeKind};
 use crate::trainer::{LossCurve, SimTrainConfig};
 
-/// The timing-only [`RoundEngine`] behind [`run_timing`]: simulated BSP
-/// rounds with no gradient math (Figs. 2, 3, 5 measure time, not loss).
-struct TimingEngine<'a> {
-    codec: CompiledCodec,
-    session: CodecSession,
-    rates: &'a [f64],
-    work_per_partition: f64,
-    network: NetworkModel,
-    payload_bytes: f64,
-    jitter: f64,
-    stragglers: &'a StragglerModel,
-    label: String,
-}
-
-impl RoundEngine for TimingEngine<'_> {
-    fn workers(&self) -> usize {
-        self.codec.workers()
-    }
-
-    fn partitions(&self) -> usize {
-        self.codec.partitions()
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn round(
-        &mut self,
-        _round: usize,
-        _params: &[f64],
-        rng: &mut dyn RngCore,
-    ) -> Result<EngineRound, BoxError> {
-        let cfg = BspIterationConfig::new(self.rates)
-            .work_per_partition(self.work_per_partition)
-            .network(self.network)
-            .payload_bytes(self.payload_bytes)
-            .compute_jitter(self.jitter);
-        let events = self.stragglers.sample_iteration(self.codec.workers(), rng);
-        let outcome =
-            simulate_bsp_iteration_in(&self.codec, &cfg, &events, rng, &mut self.session)?;
-        let Some(t) = outcome.completion else {
-            // Deterministic failure models never recover; stop early.
-            let stop = matches!(self.stragglers, StragglerModel::Failures { .. });
-            return Ok(EngineRound::failed(stop));
-        };
-        let samples = crate::engine::bsp_samples(&self.codec, &outcome, self.work_per_partition, t);
-        Ok(EngineRound {
-            elapsed: Some(t),
-            at: None,
-            gradient: None,
-            residual: outcome.decode_residual,
-            error_bound: None,
-            results_used: outcome.decode_workers.len(),
-            busy: outcome.busy,
-            samples,
-            alloc_bytes: 0,
-            pool_hits: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
-        })
-    }
-}
-
-/// Timing-only run of one scheme: `iterations` simulated BSP rounds
-/// through the unified [`drive_timing`] loop, no gradient math (Figs. 2,
-/// 3, 5 measure time, not loss).
+/// Timing-only run of one scheme: `iterations` rounds of a
+/// [`SimBspEngine`] with no model — the engine Fig. 4 trains on, so the
+/// time axis of Figs. 2, 3, 5 and of the loss curves is one round — through
+/// the unified [`drive_timing`] loop.
+///
+/// Decoding is always the exact backend: Figs. 2, 3, 5 give every scheme
+/// the same wait-for-any-decodable-set master, so a group-based round does
+/// not end early at an intact group.
 ///
 /// # Errors
 ///
@@ -101,20 +41,16 @@ pub fn run_timing<R: Rng>(
     iterations: usize,
     rng: &mut R,
 ) -> Result<RunMetrics, BoxError> {
-    let codec = scheme.compile();
-    let session = codec.session();
-    let k = codec.partitions();
-    let mut engine = TimingEngine {
-        codec,
-        session,
-        rates,
-        work_per_partition: samples as f64 / k as f64,
+    let cfg = SimTrainConfig {
         network,
         payload_bytes,
-        jitter,
-        stragglers,
-        label: scheme.kind.name().to_owned(),
+        compute_jitter: jitter,
+        stragglers: stragglers.clone(),
+        backend: CodecBackend::Exact,
+        ..SimTrainConfig::default()
     };
+    let policy = EscalationPolicy::follow_backend();
+    let mut engine = SimBspEngine::timing(scheme, samples, rates, &cfg, policy)?;
     Ok(drive_timing(&mut engine, iterations, rng)?.metrics)
 }
 
@@ -401,7 +337,7 @@ pub fn fig4(cfg: &Fig4Config) -> Result<Vec<LossCurve>, BoxError> {
             },
         },
         eval_every: cfg.cluster.len(),
-        backend: hetgc_coding::CodecBackend::Auto,
+        backend: CodecBackend::Auto,
     };
 
     let mut curves = Vec::new();

@@ -69,7 +69,7 @@ pub use engine::{
     RoundEngine, SimBspEngine, SimSspEngine, ThreadedEngine,
 };
 pub use pipeline::PipelinedDriver;
-pub use report::{parse_round_records, JsonlRecordSink};
+pub use report::parse_round_records;
 pub use scheme::{scheme_from_estimates, SchemeBuilder, SchemeInstance, SchemeKind};
 pub use trainer::{LossCurve, SimTrainConfig};
 

@@ -1,69 +1,15 @@
 //! Plain-text table / CSV rendering for the bench binaries, plus the
-//! streaming JSONL sink for long training runs.
+//! reader of the JSONL record stream long training runs write.
 //!
 //! Nothing here knows about schemes or figures — it renders generic rows,
 //! so the same code path serves Table II, the Fig. 2/3 sweeps and the
 //! optimality report.
 
-use std::io;
-
 use crate::driver::RoundRecord;
 
-/// Streams [`RoundRecord`]s to a writer as JSON Lines — one
-/// [`RoundRecord::to_json`] object per line, appended (and flushed on
-/// demand) as rounds complete, so a long run's history survives a crash
-/// without buffering the whole [`crate::TrainOutcome`] in memory.
-///
-/// `TrainDriver::with_record_writer` wires this format directly into the
-/// training loop; the sink is the standalone half for callers that
-/// append records themselves. [`parse_round_records`] reads a stream
-/// back.
-#[derive(Debug)]
-pub struct JsonlRecordSink<W: io::Write> {
-    writer: W,
-    records: usize,
-}
-
-impl<W: io::Write> JsonlRecordSink<W> {
-    /// A sink appending to `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlRecordSink { writer, records: 0 }
-    }
-
-    /// Appends one record as a JSON line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn append(&mut self, record: &RoundRecord) -> io::Result<()> {
-        writeln!(self.writer, "{}", record.to_json())?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Records appended so far.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Unwraps the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
 /// Parses a JSONL stream of round records (the format
-/// [`JsonlRecordSink`] and `TrainDriver::with_record_writer` produce)
-/// back into [`RoundRecord`]s. Blank lines are skipped.
+/// `TrainDriver::with_record_writer` produces) back into
+/// [`RoundRecord`]s. Blank lines are skipped.
 ///
 /// # Errors
 ///
@@ -285,13 +231,7 @@ mod tests {
                 job_id: (i == 2).then(|| "job-b".to_owned()),
             })
             .collect();
-        let mut sink = JsonlRecordSink::new(Vec::<u8>::new());
-        for r in &records {
-            sink.append(r).unwrap();
-        }
-        sink.flush().unwrap();
-        assert_eq!(sink.records(), 3);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text: String = records.iter().map(|r| r.to_json() + "\n").collect();
         assert_eq!(text.lines().count(), 3);
         let parsed = parse_round_records(&text).unwrap();
         assert_eq!(parsed, records);

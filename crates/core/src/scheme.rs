@@ -101,16 +101,6 @@ impl SchemeInstance {
         CompiledCodec::new(self.code.clone())
     }
 
-    /// [`SchemeInstance::compile`] with an explicit decode-plan cache
-    /// capacity (the number of distinct straggler patterns remembered).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_capacity == 0`.
-    pub fn compile_with_cache(&self, cache_capacity: usize) -> CompiledCodec {
-        CompiledCodec::with_cache_capacity(self.code.clone(), cache_capacity)
-    }
-
     /// The backend [`CodecBackend::Auto`] resolves to for this scheme:
     /// the group-aware codec when the scheme carries groups (Algs. 2–3),
     /// the generic exact codec otherwise.

@@ -177,11 +177,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix, returning the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics

@@ -103,14 +103,6 @@ impl fmt::Display for NetError {
     }
 }
 
-impl NetError {
-    /// Whether this error means the peer is simply gone (as opposed to a
-    /// protocol violation or a local failure).
-    pub fn is_disconnect(&self) -> bool {
-        matches!(self, NetError::Closed | NetError::Io(_))
-    }
-}
-
 impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)

@@ -97,10 +97,6 @@ pub struct RuntimeConfig {
     /// Per-worker behaviours. Missing entries default to
     /// [`WorkerBehavior::nominal`].
     pub behaviors: Vec<WorkerBehavior>,
-    /// How long the master waits for results in one iteration before
-    /// declaring it undecodable. `None` waits forever (safe only when at
-    /// most `s` workers can be missing).
-    pub iteration_timeout: Option<Duration>,
     /// Which codec backend the master decodes with.
     ///
     /// * [`CodecBackend::Auto`] — group-aware decoding when the matrix's
@@ -114,18 +110,20 @@ pub struct RuntimeConfig {
     /// * [`CodecBackend::Approx`] — when an iteration times out (or every
     ///   worker disconnects) the master decodes *approximately* from
     ///   whatever arrived (bounded-error least squares) instead of
-    ///   failing, surviving `>s` lost workers. With no
-    ///   [`RuntimeConfig::iteration_timeout`] and at least one live (but
+    ///   failing, surviving `>s` lost workers. With no deadline on
+    ///   [`RuntimeConfig::escalation`] and at least one live (but
     ///   straggling) worker, the master keeps waiting and the fallback
     ///   never triggers.
     pub backend: CodecBackend,
     /// Per-round escalation policy. `None` (the default) follows the
-    /// configured backend — exactly the pre-policy behaviour: only an
-    /// approximate backend rescues a timed-out round. Set an explicit
-    /// policy to escalate an exact or group backend to approximate
-    /// decoding inside a round ([`hetgc_coding::CodecBackend::Approx`]
-    /// ceiling), cap the accepted residual, or carry the escalation
-    /// deadline here instead of [`RuntimeConfig::iteration_timeout`].
+    /// configured backend and waits forever (safe only when at most `s`
+    /// workers can be missing). Set an explicit policy to give the round a
+    /// deadline ([`EscalationPolicy::with_deadline`]: how long the master
+    /// waits for results before escalating, or — when the ladder has
+    /// nothing left — declaring the round undecodable), to escalate an
+    /// exact or group backend to approximate decoding inside a round
+    /// ([`hetgc_coding::CodecBackend::Approx`] ceiling), or to cap the
+    /// accepted residual.
     pub escalation: Option<EscalationPolicy>,
     /// A fleet-wide decode-plan cache to attach to the compiled codec —
     /// set by multi-job schedulers so tenants running the *same* scheme
@@ -141,7 +139,6 @@ pub struct RuntimeConfig {
 impl PartialEq for RuntimeConfig {
     fn eq(&self, other: &Self) -> bool {
         self.behaviors == other.behaviors
-            && self.iteration_timeout == other.iteration_timeout
             && self.backend == other.backend
             && self.escalation == other.escalation
             && match (&self.shared_plans, &other.shared_plans) {
@@ -157,7 +154,6 @@ impl RuntimeConfig {
     pub fn nominal(workers: usize) -> Self {
         RuntimeConfig {
             behaviors: vec![WorkerBehavior::nominal(); workers],
-            iteration_timeout: None,
             backend: CodecBackend::Auto,
             escalation: None,
             shared_plans: None,
@@ -175,12 +171,6 @@ impl RuntimeConfig {
             self.behaviors.resize(worker + 1, WorkerBehavior::nominal());
         }
         self.behaviors[worker] = behavior;
-        self
-    }
-
-    /// Sets the per-iteration decode timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.iteration_timeout = Some(timeout);
         self
     }
 
@@ -208,16 +198,6 @@ impl RuntimeConfig {
     /// backend-following default.
     pub fn effective_escalation(&self) -> EscalationPolicy {
         self.escalation.clone().unwrap_or_default()
-    }
-
-    /// How long the master waits for results in one round before
-    /// escalating: the policy's deadline when set, otherwise
-    /// [`RuntimeConfig::iteration_timeout`].
-    pub fn effective_timeout(&self) -> Option<Duration> {
-        self.escalation
-            .as_ref()
-            .and_then(EscalationPolicy::deadline)
-            .or(self.iteration_timeout)
     }
 }
 
@@ -285,7 +265,13 @@ mod tests {
 
     #[test]
     fn timeout_builder() {
-        let cfg = RuntimeConfig::nominal(1).with_timeout(Duration::from_secs(2));
-        assert_eq!(cfg.iteration_timeout, Some(Duration::from_secs(2)));
+        let deadline = Duration::from_secs(2);
+        let cfg = RuntimeConfig::nominal(1)
+            .with_escalation(EscalationPolicy::follow_backend().with_deadline(deadline));
+        assert_eq!(cfg.effective_escalation().deadline(), Some(deadline));
+        assert_eq!(
+            RuntimeConfig::nominal(1).effective_escalation().deadline(),
+            None
+        );
     }
 }

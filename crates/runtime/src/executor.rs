@@ -524,7 +524,9 @@ mod tests {
                 0,
                 WorkerBehavior::nominal().with_delay(Duration::from_millis(500)),
             )
-            .with_timeout(Duration::from_millis(400));
+            .with_escalation(
+                EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(400)),
+            );
         // Worker 0 is slower than the deadline: each round must complete
         // from the other three (exact decode) without waiting 500 ms.
         let started = Instant::now();
@@ -617,7 +619,9 @@ mod tests {
         let code = naive(3).unwrap();
         let config = RuntimeConfig::nominal(3)
             .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
-            .with_timeout(Duration::from_millis(300));
+            .with_escalation(
+                EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(300)),
+            );
         let err = train(
             code,
             LinearRegression::new(3),
@@ -691,7 +695,9 @@ mod tests {
             RuntimeConfig::nominal(5)
                 .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
                 .set_behavior(3, WorkerBehavior::nominal().failing_from(1))
-                .with_timeout(Duration::from_millis(250))
+                .with_escalation(
+                    EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(250)),
+                )
                 .with_backend(backend)
         };
 

@@ -294,7 +294,7 @@ impl<M: Model, T: Transport> Master<M, T> {
             model,
             data,
             config: config.clone(),
-            timeout: config.effective_timeout(),
+            timeout: config.effective_escalation().deadline(),
             transport,
             inflight: None,
             round_seq: 0,
@@ -442,8 +442,8 @@ impl<M: Model, T: Transport> Master<M, T> {
     /// streams replies into the decode session, escalates through the
     /// policy ladder at the deadline, and combines the decoded gradient.
     ///
-    /// The deadline (`EscalationPolicy::with_deadline`, or the legacy
-    /// [`RuntimeConfig::iteration_timeout`]) runs from the *dispatch* —
+    /// The deadline (`EscalationPolicy::with_deadline`) runs from the
+    /// *dispatch* —
     /// the moment the workers started computing, matching the simulator's
     /// `fallback_deadline` — and stale or slow arrivals never extend it.
     /// A master that arrives late (e.g. after the overlapped step/loss

@@ -86,12 +86,6 @@ impl JobSpec {
         }
     }
 
-    /// Sets the scheme family.
-    pub fn with_kind(mut self, kind: SchemeKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Sets the straggler budget.
     pub fn with_stragglers(mut self, stragglers: usize) -> Self {
         self.stragglers = stragglers;
@@ -356,7 +350,6 @@ fn run_job(
     ));
     let config = RuntimeConfig {
         behaviors: pool.behaviors().to_vec(),
-        iteration_timeout: None,
         backend: spec.backend,
         escalation: spec.escalation.clone(),
         shared_plans: Some(pool.shared_plans()),

@@ -101,11 +101,6 @@ impl FleetRollup {
         self.jobs.iter().map(|j| j.escalated_rounds).sum()
     }
 
-    /// Per-worker samples ingested across every job.
-    pub fn total_samples(&self) -> usize {
-        self.jobs.iter().map(|j| j.samples_ingested).sum()
-    }
-
     /// Scheduler-level rebalances across every job.
     pub fn total_rebalances(&self) -> usize {
         self.jobs.iter().map(|j| j.rebalances).sum()

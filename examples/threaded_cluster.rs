@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hetgc::{
-    heter_aware, naive, LinearRegression, RuntimeConfig, Sgd, ThreadedEngine, TrainDriver,
-    WorkerBehavior,
+    heter_aware, naive, EscalationPolicy, LinearRegression, RuntimeConfig, Sgd, ThreadedEngine,
+    TrainDriver, WorkerBehavior,
 };
 use hetgc_ml::synthetic;
 use rand::rngs::StdRng;
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         )
         .set_behavior(2, WorkerBehavior::nominal().with_throttle(2.0 * base_rate))
         .set_behavior(3, WorkerBehavior::nominal().with_throttle(4.0 * base_rate))
-        .with_timeout(Duration::from_secs(5));
+        .with_escalation(EscalationPolicy::follow_backend().with_deadline(Duration::from_secs(5)));
 
     let code = heter_aware(&throughputs, 8, 1, &mut rng)?;
     println!("running 12 iterations of coded SGD on 4 real threads…");

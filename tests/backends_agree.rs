@@ -131,7 +131,9 @@ fn both_backends_agree_on_fault_behaviour() {
     // runtime's undecodable-round error.
     let failing = RuntimeConfig::nominal(3)
         .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
-        .with_timeout(Duration::from_millis(300));
+        .with_escalation(
+            EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(300)),
+        );
     let shared_data = Arc::new(data);
     let run_threaded = |scheme: &SchemeInstance| {
         let shared_model = Arc::new(LinearRegression::new(3));

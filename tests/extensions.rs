@@ -86,7 +86,7 @@ fn adaptive_run_with_cache_and_trace() {
     let scheme = SchemeBuilder::new(&cluster, 1)
         .build(SchemeKind::HeterAware, &mut rng)
         .unwrap();
-    let codec = scheme.compile_with_cache(8);
+    let codec = hetgc::CompiledCodec::with_cache_capacity(scheme.code.clone(), 8);
     for _ in 0..5 {
         codec.decode_plan_for_stragglers(&[1]).unwrap();
     }
