@@ -15,9 +15,7 @@
 //! ledger's `sim-bsp-miss` workload (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetgc::{
-    group_based, heter_aware, ClusterSpec, CodingMatrix, CompiledCodec, GradientCodec, GroupCodec,
-};
+use hetgc::{group_based, heter_aware, ClusterSpec, CodingMatrix, CompiledCodec, GradientCodec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -86,7 +84,7 @@ fn bench_group_fast_path(c: &mut Criterion) {
         let strategy = group_based(&vec![1.0; m], m, 1, &mut rng).expect("construct");
         assert!(!strategy.groups().is_empty(), "m={m} must admit groups");
         // Arrival order: the smallest group's workers first, then the rest.
-        let codec = GroupCodec::new(strategy.clone()).expect("compile");
+        let codec = strategy.compile().expect("compile");
         let first_group = codec.groups()[0].workers().to_vec();
         let mut order = first_group.clone();
         order.extend((0..m).filter(|w| !first_group.contains(w)));

@@ -1,19 +1,19 @@
-//! The approximate codec backend: bounded-error decoding past the
-//! straggler budget.
+//! The approximate stage of [`CompiledCodec`]: bounded-error decoding
+//! past the straggler budget.
 //!
-//! [`ApproxCodec`] wraps a [`CompiledCodec`] and behaves identically to it
-//! as long as the survivor set decodes exactly (same solves, same plan
-//! cache — plans are bitwise equal to the generic backend's). The
-//! difference is what happens when **more than `s` workers straggle**,
-//! where every exact backend returns [`CodingError::NotDecodable`]:
+//! A codec built [`CompiledCodec::with_approx`] answers exactly as it does
+//! without the stage as long as the survivor set decodes exactly (same
+//! solves, same plan cache — bitwise-equal plans). The difference is what
+//! happens when **more than `s` workers straggle**, where an exact codec
+//! returns [`CodingError::NotDecodable`]:
 //!
 //! * [`GradientCodec::decode_plan`] falls back to the ridge-stabilized
 //!   least-squares row of [`approximate_decode`], returning a plan whose
 //!   [`DecodePlan::residual`] is `‖aᵀB_I − 1‖₂ > 0`;
 //! * [`GradientCodec::fallback_plan`] exposes the same row to the
-//!   streaming consumers (BSP simulator, threaded runtime), which invoke
+//!   streaming consumers (BSP simulator, wall-clock master), which invoke
 //!   it once all reachable workers have reported without an exact decode;
-//! * plans whose residual exceeds [`ApproxCodec::max_residual`] are
+//! * plans whose residual exceeds [`CompiledCodec::max_residual`] are
 //!   rejected (the decode would be worse than the configured error
 //!   budget), so a catastrophically depleted survivor set still surfaces
 //!   as undecodable instead of silently training on noise.
@@ -23,160 +23,135 @@
 //! [`crate::gradient_error_bound_l2`]), which SGD tolerates for small
 //! residuals — this is the approximate-gradient-coding line of work
 //! (Raviv et al.; Charles et al.) grafted onto the paper's exact schemes.
+//!
+//! [`GradientCodec::decode_plan`]: crate::GradientCodec::decode_plan
+//! [`GradientCodec::fallback_plan`]: crate::GradientCodec::fallback_plan
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::approx::approximate_decode;
 use crate::codec::{
-    canonical_survivors, CodecSession, CompiledCodec, DecodePlan, GradientCodec, PlanCache,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    CompiledCodec, DecodePlan, GradientCodec, PlanCache, Probe, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use crate::error::CodingError;
-use crate::shared_cache::{PlanClass, SharedPlanCache};
-use crate::strategy::CodingMatrix;
+use crate::shared_cache::PlanClass;
 
 /// Default residual budget as a fraction of `√k` — the residual of the
-/// trivial decode `a = 0` (which recovers nothing). [`ApproxCodec::new`]
-/// accepts plans with `residual ≤ 0.75·√k`: anything worse recovers so
-/// little of the gradient that SGD progress is no longer credible, and
-/// the round is better declared undecodable.
+/// trivial decode `a = 0` (which recovers nothing).
+/// [`CompiledCodec::with_approx`] accepts plans with `residual ≤ 0.75·√k`
+/// unless told otherwise: anything worse recovers so little of the
+/// gradient that SGD progress is no longer credible, and the round is
+/// better declared undecodable.
 pub const DEFAULT_MAX_RESIDUAL_FRACTION: f64 = 0.75;
 
-/// The approximate [`GradientCodec`] backend. See the module docs.
-///
-/// # Example
-///
-/// ```
-/// use hetgc_coding::{heter_aware, ApproxCodec, GradientCodec};
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), hetgc_coding::CodingError> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng)?;
-/// let codec = ApproxCodec::new(b);
-///
-/// // Within the budget: exact, residual 0 — identical to CompiledCodec.
-/// let plan = codec.decode_plan(&[0, 1, 3, 4])?;
-/// assert!(plan.is_exact());
-///
-/// // Two stragglers exceed s = 1: the exact backends give up, the
-/// // approximate backend returns a bounded-error plan.
-/// let plan = codec.decode_plan(&[0, 1, 3])?;
-/// assert!(!plan.is_exact());
-/// assert!(plan.residual() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
+/// The approximate stage's state on a [`CompiledCodec`].
 #[derive(Debug)]
-pub struct ApproxCodec {
-    inner: CompiledCodec,
+pub(crate) struct ApproxStage {
     max_residual: f64,
     /// LRU of *approximate* plans keyed by the sorted survivor set — the
     /// steady-state `>s`-straggler regime repeats the same survivor set
     /// every round, and the ridge least-squares solve is far more
-    /// expensive than the exact backend's cached lookup.
-    approx_cache: Mutex<PlanCache>,
+    /// expensive than the exact path's cached lookup.
+    cache: Mutex<PlanCache>,
 }
 
-impl Clone for ApproxCodec {
+impl Clone for ApproxStage {
     fn clone(&self) -> Self {
-        ApproxCodec {
-            inner: self.inner.clone(),
+        ApproxStage {
             max_residual: self.max_residual,
-            approx_cache: Mutex::new(self.approx_cache.lock().expect("cache poisoned").clone()),
+            cache: Mutex::new(self.cache.lock().expect("cache poisoned").clone()),
         }
     }
 }
 
-impl ApproxCodec {
-    /// Wraps `code` with the default residual budget
-    /// `DEFAULT_MAX_RESIDUAL_FRACTION · √k`.
-    pub fn new(code: CodingMatrix) -> Self {
-        let max_residual = DEFAULT_MAX_RESIDUAL_FRACTION * (code.partitions() as f64).sqrt();
-        ApproxCodec {
-            inner: CompiledCodec::new(code),
-            max_residual,
-            approx_cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
-        }
+impl ApproxStage {
+    /// Whether `plan` is inside the residual budget (and non-trivial).
+    pub(crate) fn admits(&self, plan: &DecodePlan) -> bool {
+        plan.residual() <= self.max_residual && !plan.is_empty()
     }
+}
 
-    /// Sets the largest acceptable decode residual; plans above it are
-    /// rejected as [`CodingError::NotDecodable`].
+impl CompiledCodec {
+    /// Switches the approximate stage on with the residual budget
+    /// `max_residual` (`None`: [`DEFAULT_MAX_RESIDUAL_FRACTION`]` · √k`);
+    /// plans above it are rejected as [`CodingError::NotDecodable`]. See
+    /// the [module docs](self).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hetgc_coding::{heter_aware, CompiledCodec, GradientCodec};
+    /// use rand::SeedableRng;
+    ///
+    /// # fn main() -> Result<(), hetgc_coding::CodingError> {
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    /// let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng)?;
+    /// let codec = CompiledCodec::new(b).with_approx(None);
+    ///
+    /// // Within the budget: exact, residual 0 — as without the stage.
+    /// let plan = codec.decode_plan(&[0, 1, 3, 4])?;
+    /// assert!(plan.is_exact());
+    ///
+    /// // Two stragglers exceed s = 1: an exact codec gives up, the
+    /// // approximate stage returns a bounded-error plan.
+    /// let plan = codec.decode_plan(&[0, 1, 3])?;
+    /// assert!(!plan.is_exact());
+    /// assert!(plan.residual() > 0.0);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `max_residual` is negative or NaN.
-    pub fn with_max_residual(mut self, max_residual: f64) -> Self {
+    pub fn with_approx(mut self, max_residual: Option<f64>) -> Self {
+        let max_residual = max_residual
+            .unwrap_or_else(|| DEFAULT_MAX_RESIDUAL_FRACTION * (self.partitions() as f64).sqrt());
         assert!(
             max_residual >= 0.0,
             "max_residual must be non-negative, got {max_residual}"
         );
-        self.max_residual = max_residual;
+        self.approx = Some(ApproxStage {
+            max_residual,
+            cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+        });
         self
     }
 
-    /// The configured residual budget.
-    pub fn max_residual(&self) -> f64 {
-        self.max_residual
-    }
-
-    /// The exact compiled backend this codec extends.
-    pub fn inner(&self) -> &CompiledCodec {
-        &self.inner
-    }
-
-    /// Attaches the fleet-wide plan cache to both rungs this codec
-    /// serves: exact solves (via the inner compiled backend) and ridge
-    /// least-squares solves (under [`PlanClass::Approx`], so the two
-    /// plan kinds for one survivor set never collide).
-    pub fn attach_shared_plans(&mut self, cache: Arc<SharedPlanCache>) {
-        self.inner.attach_shared_plans(cache);
-    }
-
-    /// Reports both rungs' plan-cache behaviour (exact probes through
-    /// the inner backend, ridge probes and solves here) into `metrics`;
-    /// see `CompiledCodec::attach_metrics`.
-    pub fn attach_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.inner.attach_metrics(metrics);
+    /// The approximate stage's residual budget (`None` when the stage is
+    /// off).
+    pub fn max_residual(&self) -> Option<f64> {
+        self.approx.as_ref().map(|stage| stage.max_residual)
     }
 
     /// The least-squares miss path: through the shared cache's
-    /// cross-tenant singleflight when one is attached (back-filling the
-    /// private memo), a plain local solve-and-insert otherwise.
-    fn solve_approx(&self, key: Vec<usize>) -> Result<DecodePlan, CodingError> {
-        if let Some(shared) = self.inner.shared_plans() {
-            let plan = shared.get_or_solve(
-                self.inner.scheme_fingerprint(),
-                PlanClass::Approx,
-                &key,
-                || {
-                    let started = std::time::Instant::now();
-                    let approx = approximate_decode(self.inner.code(), &key)?;
-                    if let Some(obs) = self.inner.metrics() {
-                        obs.solved(started.elapsed().as_secs_f64());
-                    }
-                    Ok(DecodePlan::from_dense_with_residual(
-                        &approx.vector,
-                        approx.residual,
-                    ))
-                },
-            )?;
-            self.approx_cache
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, plan.clone());
-            return Ok(plan);
-        }
-        let started = std::time::Instant::now();
-        let approx = approximate_decode(self.inner.code(), &key)?;
-        if let Some(obs) = self.inner.metrics() {
-            obs.solved(started.elapsed().as_secs_f64());
-        }
-        let plan = DecodePlan::from_dense_with_residual(&approx.vector, approx.residual);
-        self.approx_cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, plan.clone());
+    /// cross-tenant singleflight when one is attached, a plain local
+    /// solve otherwise; either way the private memo is back-filled.
+    fn solve_approx(
+        &self,
+        stage: &ApproxStage,
+        key: Vec<usize>,
+    ) -> Result<DecodePlan, CodingError> {
+        let solve = || {
+            let started = Instant::now();
+            let approx = approximate_decode(self.code(), &key)?;
+            if let Some(obs) = self.metrics() {
+                obs.solved(started.elapsed().as_secs_f64());
+            }
+            Ok(DecodePlan::from_dense_with_residual(
+                &approx.vector,
+                approx.residual,
+            ))
+        };
+        let plan = match self.shared_plans() {
+            Some(shared) => {
+                shared.get_or_solve(self.scheme_fingerprint(), PlanClass::Approx, &key, solve)?
+            }
+            None => solve()?,
+        };
+        let mut cache = stage.cache.lock().expect("cache poisoned");
+        cache.insert(key, plan.clone());
         Ok(plan)
     }
 
@@ -187,102 +162,55 @@ impl ApproxCodec {
     ///
     /// # Errors
     ///
-    /// [`CodingError::InvalidParameter`] on bad survivor indices;
-    /// [`CodingError::Numerical`] if the SPD solve fails.
+    /// [`CodingError::InvalidParameter`] on bad survivor indices or when
+    /// the approximate stage is off; [`CodingError::Numerical`] if the SPD
+    /// solve fails.
     pub fn approximate_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
+        let stage = self
+            .approx
+            .as_ref()
+            .ok_or_else(|| CodingError::InvalidParameter {
+                reason: "codec has no approximate stage (see CompiledCodec::with_approx)".into(),
+            })?;
         // Borrowed-key cache probe: the steady-state `>s` regime repeats
         // the same survivor set every round and pays zero allocations on
         // the hit; only a miss clones the key for the insert.
-        let probed = self
-            .approx_cache
-            .lock()
-            .expect("cache poisoned")
-            .probe(survivors, self.inner.workers())?;
+        let probed =
+            stage
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .probe(survivors, self.workers(), None)?;
         match probed {
-            Ok(plan) => {
-                if let Some(obs) = self.inner.metrics() {
+            Probe::Hit(plan) | Probe::Intact(plan) => {
+                if let Some(obs) = self.metrics() {
                     obs.hit();
                 }
                 Ok(plan)
             }
-            Err(key) => {
-                if let Some(obs) = self.inner.metrics() {
+            Probe::Miss(key) => {
+                if let Some(obs) = self.metrics() {
                     obs.miss();
                 }
-                self.solve_approx(key)
+                self.solve_approx(stage, key)
             }
         }
     }
 
-    /// [`ApproxCodec::approximate_plan`] over an already-canonical key.
-    fn approximate_plan_canonical(&self, key: Vec<usize>) -> Result<DecodePlan, CodingError> {
-        if let Some(plan) = self
-            .approx_cache
-            .lock()
-            .expect("cache poisoned")
-            .lookup(&key)
-        {
-            return Ok(plan);
-        }
-        self.solve_approx(key)
-    }
-}
-
-impl GradientCodec for ApproxCodec {
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn partitions(&self) -> usize {
-        self.inner.partitions()
-    }
-
-    fn stragglers(&self) -> usize {
-        self.inner.stragglers()
-    }
-
-    fn load_of(&self, worker: usize) -> usize {
-        self.inner.load_of(worker)
-    }
-
-    fn encode_into<E: hetgc_linalg::Element>(
+    /// `decode_plan` past the exact path: the least-squares plan over the
+    /// canonical `key` the exact solve just failed on, `None` when the
+    /// budget rejects it.
+    pub(crate) fn approximate_within_budget(
         &self,
-        worker: usize,
-        partials: &crate::GradientBlock<E>,
-        out: &mut [E],
-    ) -> Result<(), CodingError> {
-        self.inner.encode_into(worker, partials, out)
-    }
-
-    /// Exact when possible (bitwise-identical to [`CompiledCodec`],
-    /// including its plan cache); least-squares with a reported residual
-    /// when not; [`CodingError::NotDecodable`] when even the approximation
-    /// exceeds the residual budget.
-    fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        let key = canonical_survivors(self.inner.code(), survivors)?;
-        match self.inner.decode_plan_canonical(key.clone()) {
-            Ok(plan) => Ok(plan),
-            Err(CodingError::NotDecodable { .. }) => {
-                let plan = self.approximate_plan_canonical(key)?;
-                if plan.residual() <= self.max_residual && !plan.is_empty() {
-                    Ok(plan)
-                } else {
-                    Err(CodingError::NotDecodable {
-                        survivors: survivors.to_vec(),
-                    })
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn session(&self) -> CodecSession {
-        self.inner.session()
-    }
-
-    fn fallback_plan(&self, survivors: &[usize]) -> Option<DecodePlan> {
-        let plan = self.approximate_plan(survivors).ok()?;
-        (plan.residual() <= self.max_residual && !plan.is_empty()).then_some(plan)
+        stage: &ApproxStage,
+        key: Vec<usize>,
+    ) -> Result<Option<DecodePlan>, CodingError> {
+        let cached = stage.cache.lock().expect("cache poisoned").lookup(&key);
+        let plan = match cached {
+            Some(plan) => plan,
+            None => self.solve_approx(stage, key)?,
+        };
+        Ok(stage.admits(&plan).then_some(plan))
     }
 }
 
@@ -293,9 +221,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn codec(seed: u64) -> ApproxCodec {
+    fn codec(seed: u64) -> CompiledCodec {
         let mut rng = StdRng::seed_from_u64(seed);
-        ApproxCodec::new(heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap())
+        CompiledCodec::new(heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap())
+            .with_approx(None)
     }
 
     #[test]
@@ -304,7 +233,9 @@ mod tests {
         for dead in 0..5 {
             let survivors: Vec<usize> = (0..5).filter(|&w| w != dead).collect();
             let approx_side = codec.decode_plan(&survivors).unwrap();
-            let exact_side = codec.inner().decode_plan(&survivors).unwrap();
+            let exact_side = CompiledCodec::new(codec.code().clone())
+                .decode_plan(&survivors)
+                .unwrap();
             assert_eq!(approx_side, exact_side, "dead worker {dead}");
             assert!(approx_side.is_exact());
             assert_eq!(approx_side.residual(), 0.0);
@@ -313,7 +244,7 @@ mod tests {
 
     #[test]
     fn beyond_budget_returns_residual_plan() {
-        let codec = codec(5).with_max_residual(2.0);
+        let codec = codec(5).with_approx(Some(2.0));
         let plan = codec.decode_plan(&[0, 1, 3]).unwrap();
         assert!(plan.residual() > 0.0);
         assert!(plan.residual() <= 2.0);
@@ -327,7 +258,7 @@ mod tests {
     fn residual_budget_rejects_hopeless_sets() {
         // A single surviving worker of five cannot approximate the sum of
         // 7 partitions within a 0.1 residual.
-        let codec = codec(5).with_max_residual(0.1);
+        let codec = codec(5).with_approx(Some(0.1));
         assert!(matches!(
             codec.decode_plan(&[0]),
             Err(CodingError::NotDecodable { .. })
@@ -337,7 +268,7 @@ mod tests {
 
     #[test]
     fn approximate_plans_are_memoized() {
-        let codec = codec(5).with_max_residual(3.0);
+        let codec = codec(5).with_approx(Some(3.0));
         let first = codec.decode_plan(&[0, 1, 3]).unwrap();
         // Same survivor set in a different order: served from the approx
         // cache, bitwise-identical plan (no second ridge solve).
@@ -370,6 +301,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_budget_panics() {
-        let _ = codec(5).with_max_residual(-1.0);
+        let _ = codec(5).with_approx(Some(-1.0));
     }
 }

@@ -1,15 +1,14 @@
-//! The group-aware codec backend: §V's Algorithms 2–3 wired into the
-//! [`GradientCodec`] hot path.
+//! The intact-group stage of [`CompiledCodec`]: §V's Algorithms 2–3 on
+//! the codec hot path.
 //!
-//! [`GroupCodec`] wraps a [`CompiledCodec`] and precompiles, at
-//! construction time, one indicator [`DecodePlan`] per pruned group
-//! (condition ⋆⋆ guarantees the groups are pairwise disjoint, Theorem 6
-//! guarantees each all-ones row decodes by itself). The per-iteration wins
-//! over the generic backend:
+//! A codec built [`CompiledCodec::with_groups`] precompiles one indicator
+//! [`DecodePlan`] per pruned group (condition ⋆⋆ guarantees the groups are
+//! pairwise disjoint, Theorem 6 guarantees each all-ones row decodes by
+//! itself). The per-iteration wins over the plain codec:
 //!
 //! * [`GradientCodec::decode_plan`] answers intact-group survivor sets
-//!   with an `O(P·|G|)` membership scan and a clone of the precompiled
-//!   plan — no `O(mk²)` solve, no plan-cache lock;
+//!   with an `O(P·|G|·log m)` subset test over the sorted probe key and a
+//!   clone of the precompiled plan — no `O(mk²)` solve, no allocation;
 //! * [`GradientCodec::session`] tracks per-group missing-worker counters:
 //!   the push that completes a group returns its indicator plan
 //!   immediately, skipping both the `O(r·(k′ + a))` row elimination and the
@@ -18,149 +17,40 @@
 //!   coefficients instead of up to `m−s` generic ones — so the downstream
 //!   `combine` touches fewer coded gradients.
 //!
-//! When no group is intact the backend degrades to exactly the
-//! [`CompiledCodec`] behaviour (same solves, same cache, same session
-//! elimination), so decode *timing* is never worse than generic: a prefix
-//! decodable without an intact group is still caught by the spanning
-//! check.
+//! When no group is intact the codec answers exactly as it does without
+//! the stage (same solves, same cache, same session elimination), so
+//! decode *timing* is never worse than generic: a prefix decodable without
+//! an intact group is still caught by the spanning check.
+//!
+//! [`GradientCodec::decode_plan`]: crate::GradientCodec::decode_plan
+//! [`GradientCodec::session`]: crate::GradientCodec::session
 
 use std::sync::Arc;
 
-use crate::codec::{canonical_survivors, CodecSession, CompiledCodec, DecodePlan, GradientCodec};
+use crate::codec::{CompiledCodec, DecodePlan};
 use crate::error::CodingError;
-use crate::group::{find_all_groups, prune_groups, Group, GroupCodingMatrix, GroupSearchConfig};
+use crate::group::{find_all_groups, prune_groups, Group, GroupSearchConfig};
 use crate::strategy::CodingMatrix;
 
-/// Precompiled group metadata shared (via `Arc`) between a [`GroupCodec`]
-/// and its sessions: membership lists, sizes, and one indicator decode
-/// plan per group, sorted by ascending group size so "first intact" is
+/// Precompiled group metadata shared (via `Arc`) between a codec and its
+/// sessions: the groups, membership lists, and one indicator decode plan
+/// per group, sorted by ascending group size so "first intact" is
 /// always the cheapest plan.
 #[derive(Debug)]
 pub(crate) struct GroupIndex {
+    /// Pruned pairwise-disjoint groups, ascending by size (cheapest-plan
+    /// order), ties broken by worker indices for determinism.
+    groups: Vec<Group>,
     /// For each worker, the groups (by index) it belongs to.
     member_of: Vec<Vec<u32>>,
-    /// Worker count of each group.
-    sizes: Vec<u32>,
     /// The indicator decode plan of each group.
     plans: Vec<DecodePlan>,
 }
 
 impl GroupIndex {
-    fn new(groups: &[Group], m: usize) -> Self {
-        let mut member_of = vec![Vec::new(); m];
-        let mut sizes = Vec::with_capacity(groups.len());
-        let mut plans = Vec::with_capacity(groups.len());
-        for (gid, g) in groups.iter().enumerate() {
-            for &w in g.workers() {
-                member_of[w].push(gid as u32);
-            }
-            sizes.push(g.len() as u32);
-            plans.push(DecodePlan::from_dense(&g.decode_row(m)));
-        }
-        GroupIndex {
-            member_of,
-            sizes,
-            plans,
-        }
-    }
-}
-
-/// Per-round intact-group bookkeeping inside a [`CodecSession`]: counts
-/// down each group's missing workers as arrivals stream in, `O(#groups
-/// containing w)` per push.
-#[derive(Debug, Clone)]
-pub(crate) struct GroupTracker {
-    index: Arc<GroupIndex>,
-    /// Workers of each group not yet arrived this round.
-    missing: Vec<u32>,
-    /// Smallest (by index — groups are size-sorted) intact group so far.
-    intact: Option<usize>,
-}
-
-impl GroupTracker {
-    fn new(index: Arc<GroupIndex>) -> Self {
-        let missing = index.sizes.clone();
-        GroupTracker {
-            index,
-            missing,
-            intact: None,
-        }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        self.missing.copy_from_slice(&self.index.sizes);
-        self.intact = None;
-    }
-
-    pub(crate) fn arrive(&mut self, worker: usize) {
-        for &gid in &self.index.member_of[worker] {
-            let gid = gid as usize;
-            self.missing[gid] -= 1;
-            if self.missing[gid] == 0 && self.intact.is_none_or(|best| gid < best) {
-                self.intact = Some(gid);
-            }
-        }
-    }
-
-    pub(crate) fn intact_plan(&self) -> Option<&DecodePlan> {
-        self.intact.map(|gid| &self.index.plans[gid])
-    }
-}
-
-/// The group-aware [`GradientCodec`] backend. See the module docs.
-///
-/// # Example
-///
-/// ```
-/// use hetgc_coding::{group_based, GradientCodec, GroupCodec};
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), hetgc_coding::CodingError> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-/// // Homogeneous 4-worker cluster, s = 1: pruned groups {0,3} and {1,2}.
-/// let codec = GroupCodec::new(group_based(&[1.0; 4], 4, 1, &mut rng)?)?;
-///
-/// // The moment group {0,3} is complete the session decodes — two
-/// // survivors, not m − s = 3 — with the unit-coefficient indicator row.
-/// let mut session = codec.session();
-/// assert!(session.push(0)?.is_none());
-/// let plan = session.push(3)?.expect("group {0,3} intact");
-/// assert_eq!(plan.workers(), &[0, 3]);
-/// assert_eq!(plan.coefficients(), &[1.0, 1.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct GroupCodec {
-    inner: CompiledCodec,
-    /// Pruned pairwise-disjoint groups, ascending by size (cheapest-plan
-    /// order), ties broken by worker indices for determinism.
-    groups: Vec<Group>,
-    index: Arc<GroupIndex>,
-}
-
-impl GroupCodec {
-    /// Compiles a group-based strategy (Alg. 3's matrix plus its pruned
-    /// groups) into the group-aware backend.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParameter`] when a group references an
-    /// out-of-range worker or its indicator row does not decode (`a·B ≠
-    /// 1`) — both would indicate a corrupted construction.
-    pub fn new(strategy: GroupCodingMatrix) -> Result<Self, CodingError> {
-        let groups = strategy.groups().to_vec();
-        GroupCodec::from_parts(strategy.into_code(), groups)
-    }
-
-    /// Builds the backend from a raw matrix and an explicit group list
-    /// (empty is allowed: the codec then behaves exactly like
-    /// [`CompiledCodec`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GroupCodec::new`].
-    pub fn from_parts(code: CodingMatrix, mut groups: Vec<Group>) -> Result<Self, CodingError> {
+    /// Validates `groups` against `code` (workers in range, every
+    /// indicator row decodes) and size-sorts them.
+    fn new(code: &CodingMatrix, mut groups: Vec<Group>) -> Result<Self, CodingError> {
         let m = code.workers();
         for g in &groups {
             if let Some(&w) = g.workers().iter().find(|&&w| w >= m) {
@@ -179,173 +69,195 @@ impl GroupCodec {
             }
         }
         groups.sort_by(|a, b| a.len().cmp(&b.len()).then(a.workers().cmp(b.workers())));
-        let index = Arc::new(GroupIndex::new(&groups, m));
-        Ok(GroupCodec {
-            inner: CompiledCodec::new(code),
+        let mut member_of = vec![Vec::new(); m];
+        let mut plans = Vec::with_capacity(groups.len());
+        for (gid, g) in groups.iter().enumerate() {
+            for &w in g.workers() {
+                member_of[w].push(gid as u32);
+            }
+            plans.push(DecodePlan::from_dense(&g.decode_row(m)));
+        }
+        Ok(GroupIndex {
             groups,
-            index,
+            member_of,
+            plans,
         })
     }
 
-    /// Derives the groups from the matrix's own support structure
-    /// (Alg. 2 plus pruning) and compiles. This is how a consumer holding
-    /// only a `CodingMatrix` (e.g. the threaded runtime) opts into the
-    /// group fast path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates support-extraction errors and the validation of
-    /// [`GroupCodec::from_parts`].
-    pub fn from_code(code: CodingMatrix) -> Result<Self, CodingError> {
-        let m = code.workers();
-        // A worker can only belong to a valid group if its nonzero
-        // coefficients are all ones (disjoint covers mean each partition
-        // is recovered by exactly one group member, so Σa_w·b_wp = 1
-        // forces b_wp = 1). Generic matrices (heter-aware Gaussian rows)
-        // have no such worker, so skip the exact-cover DFS entirely
-        // instead of enumerating covers that validation would discard.
-        let has_indicator_rows = (0..m).any(|w| {
-            let row = code.row(w);
-            row.iter().any(|&v| v != 0.0)
-                && row.iter().all(|&v| v == 0.0 || (v - 1.0).abs() <= 1e-9)
-        });
-        if !has_indicator_rows {
-            return GroupCodec::from_parts(code, Vec::new());
-        }
-        let support = code.to_support()?;
-        let s = support.stragglers();
-        let config = GroupSearchConfig {
-            max_group_size: Some(m.saturating_sub(s).max(1)),
-            ..GroupSearchConfig::default()
+    /// The indicator plan of the smallest group fully contained in
+    /// `survivors`, a *sorted* worker list (the plan cache's probe key):
+    /// group worker lists are sorted too, so the subset test allocates
+    /// nothing.
+    pub(crate) fn intact_plan(&self, survivors: &[usize]) -> Option<&DecodePlan> {
+        let gid = self.groups.iter().position(|g| {
+            g.workers()
+                .iter()
+                .all(|w| survivors.binary_search(w).is_ok())
+        })?;
+        Some(&self.plans[gid])
+    }
+
+    /// A fresh per-round tracker over these groups.
+    pub(crate) fn tracker(self: &Arc<Self>) -> GroupTracker {
+        let mut tracker = GroupTracker {
+            index: Arc::clone(self),
+            missing: vec![0; self.groups.len()],
+            intact: None,
         };
-        let mut groups = find_all_groups(&support, config);
-        // Only keep covers whose indicator rows actually decode (a mixed
-        // matrix can have exact covers through non-all-ones rows), and do
-        // it *before* pruning so invalid covers cannot crowd valid ones
-        // out of the pairwise-disjoint selection.
-        groups.retain(|g| {
-            code.matrix()
-                .vecmat(&g.decode_row(m))
-                .map(|prod| prod.iter().all(|v| (v - 1.0).abs() <= 1e-6))
-                .unwrap_or(false)
-        });
-        GroupCodec::from_parts(code, prune_groups(groups))
-    }
-
-    /// The generic compiled backend this codec falls back to.
-    pub fn inner(&self) -> &CompiledCodec {
-        &self.inner
-    }
-
-    /// Attaches the fleet-wide plan cache to the generic fallback path.
-    /// The intact-group fast path keeps its precompiled indicator plans
-    /// (they never solve, so there is nothing to share); only survivor
-    /// sets with no intact group reach the shared map.
-    pub fn attach_shared_plans(&mut self, cache: Arc<crate::shared_cache::SharedPlanCache>) {
-        self.inner.attach_shared_plans(cache);
-    }
-
-    /// Reports the generic fallback path's plan-cache behaviour into
-    /// `metrics` (the intact-group fast path never probes or solves, so
-    /// it records nothing); see `CompiledCodec::attach_metrics`.
-    pub fn attach_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.inner.attach_metrics(metrics);
-    }
-
-    /// The precompiled groups, ascending by size.
-    pub fn groups(&self) -> &[Group] {
-        &self.groups
-    }
-
-    /// The smallest group fully contained in `survivors` (given as a
-    /// *validated, deduplicated* worker list in any order), if any.
-    fn smallest_intact(&self, survivors: &[usize]) -> Option<usize> {
-        let m = self.inner.workers();
-        let mut mask = vec![false; m];
-        for &w in survivors {
-            mask[w] = true;
-        }
-        self.groups.iter().position(|g| g.is_subset_of_mask(&mask))
+        tracker.reset();
+        tracker
     }
 }
 
-impl GradientCodec for GroupCodec {
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
+/// Per-round intact-group bookkeeping inside a `CodecSession`: counts
+/// down each group's missing workers as arrivals stream in, `O(#groups
+/// containing w)` per push.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupTracker {
+    index: Arc<GroupIndex>,
+    /// Workers of each group not yet arrived this round.
+    missing: Vec<u32>,
+    /// Smallest (by index — groups are size-sorted) intact group so far.
+    intact: Option<usize>,
+}
 
-    fn partitions(&self) -> usize {
-        self.inner.partitions()
-    }
-
-    fn stragglers(&self) -> usize {
-        self.inner.stragglers()
-    }
-
-    fn load_of(&self, worker: usize) -> usize {
-        self.inner.load_of(worker)
-    }
-
-    fn encode_into<E: hetgc_linalg::Element>(
-        &self,
-        worker: usize,
-        partials: &crate::GradientBlock<E>,
-        out: &mut [E],
-    ) -> Result<(), CodingError> {
-        self.inner.encode_into(worker, partials, out)
-    }
-
-    /// Intact-group survivor sets — including *strict supersets* of a
-    /// group — decode via the smallest intact group's precompiled
-    /// indicator row (the cheapest exact plan); everything else takes the
-    /// generic solve/cache path.
-    fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        let key = canonical_survivors(self.inner.code(), survivors)?;
-        if let Some(gid) = self.smallest_intact(&key) {
-            return Ok(self.index.plans[gid].clone());
+impl GroupTracker {
+    pub(crate) fn reset(&mut self) {
+        for (missing, g) in self.missing.iter_mut().zip(&self.index.groups) {
+            *missing = g.len() as u32;
         }
-        self.inner.decode_plan_canonical(key)
+        self.intact = None;
     }
 
-    fn session(&self) -> CodecSession {
-        if self.groups.is_empty() {
-            self.inner.session()
-        } else {
-            let session = CodecSession::with_groups(
-                self.inner.row_store(),
-                GroupTracker::new(Arc::clone(&self.index)),
-            );
-            // Broken-group rounds fall through to the generic elimination;
-            // those solves are the ones worth sharing fleet-wide.
-            match self.inner.shared_plans() {
-                Some(cache) => {
-                    session.with_shared_plans(Arc::clone(cache), self.inner.scheme_fingerprint())
-                }
-                None => session,
+    pub(crate) fn arrive(&mut self, worker: usize) {
+        for &gid in &self.index.member_of[worker] {
+            let gid = gid as usize;
+            self.missing[gid] -= 1;
+            if self.missing[gid] == 0 && self.intact.is_none_or(|best| gid < best) {
+                self.intact = Some(gid);
             }
         }
+    }
+
+    pub(crate) fn intact_plan(&self) -> Option<&DecodePlan> {
+        self.intact.map(|gid| &self.index.plans[gid])
+    }
+}
+
+/// Derives the groups of `code` from its own support structure (Alg. 2
+/// plus pruning), keeping only covers whose indicator rows decode. This
+/// is how a consumer holding only a `CodingMatrix` (the wall-clock
+/// master) finds the groups a scheme builder would have handed it.
+///
+/// # Errors
+///
+/// Propagates support-extraction errors.
+pub(crate) fn derive_groups(code: &CodingMatrix) -> Result<Vec<Group>, CodingError> {
+    let m = code.workers();
+    // A worker can only belong to a valid group if its nonzero
+    // coefficients are all ones (disjoint covers mean each partition
+    // is recovered by exactly one group member, so Σa_w·b_wp = 1
+    // forces b_wp = 1). Generic matrices (heter-aware Gaussian rows)
+    // have no such worker, so skip the exact-cover DFS entirely
+    // instead of enumerating covers that validation would discard.
+    let has_indicator_rows = (0..m).any(|w| {
+        let row = code.row(w);
+        row.iter().any(|&v| v != 0.0) && row.iter().all(|&v| v == 0.0 || (v - 1.0).abs() <= 1e-9)
+    });
+    if !has_indicator_rows {
+        return Ok(Vec::new());
+    }
+    let support = code.to_support()?;
+    let s = support.stragglers();
+    let config = GroupSearchConfig {
+        max_group_size: Some(m.saturating_sub(s).max(1)),
+        ..GroupSearchConfig::default()
+    };
+    let mut groups = find_all_groups(&support, config);
+    // Only keep covers whose indicator rows actually decode (a mixed
+    // matrix can have exact covers through non-all-ones rows), and do
+    // it *before* pruning so invalid covers cannot crowd valid ones
+    // out of the pairwise-disjoint selection.
+    groups.retain(|g| {
+        code.matrix()
+            .vecmat(&g.decode_row(m))
+            .map(|prod| prod.iter().all(|v| (v - 1.0).abs() <= 1e-6))
+            .unwrap_or(false)
+    });
+    Ok(prune_groups(groups))
+}
+
+impl CompiledCodec {
+    /// Switches the intact-group stage on over `groups` (empty is
+    /// allowed: the codec then answers exactly as it did without the
+    /// stage). See the [module docs](self).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hetgc_coding::{group_based, GradientCodec};
+    /// use rand::SeedableRng;
+    ///
+    /// # fn main() -> Result<(), hetgc_coding::CodingError> {
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    /// // Homogeneous 4-worker cluster, s = 1: pruned groups {0,3} and {1,2}.
+    /// let codec = group_based(&[1.0; 4], 4, 1, &mut rng)?.compile()?;
+    ///
+    /// // The moment group {0,3} is complete the session decodes — two
+    /// // survivors, not m − s = 3 — with the unit-coefficient indicator row.
+    /// let mut session = codec.session();
+    /// assert!(session.push(0)?.is_none());
+    /// let plan = session.push(3)?.expect("group {0,3} intact");
+    /// assert_eq!(plan.workers(), &[0, 3]);
+    /// assert_eq!(plan.coefficients(), &[1.0, 1.0]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`CodingError::InvalidParameter`] when a group references an
+    /// out-of-range worker or its indicator row does not decode (`a·B ≠
+    /// 1`) — both would indicate a corrupted construction.
+    pub fn with_groups(mut self, groups: Vec<Group>) -> Result<Self, CodingError> {
+        self.groups = if groups.is_empty() {
+            None
+        } else {
+            Some(Arc::new(GroupIndex::new(self.code(), groups)?))
+        };
+        Ok(self)
+    }
+
+    /// The groups of the intact-group stage, ascending by size (empty
+    /// when the stage is off).
+    pub fn groups(&self) -> &[Group] {
+        self.groups.as_ref().map_or(&[], |index| &index.groups)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::GradientCodec;
     use crate::group::group_based;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn grouped(seed: u64) -> GroupCodec {
+    fn grouped(seed: u64) -> CompiledCodec {
         let mut rng = StdRng::seed_from_u64(seed);
-        GroupCodec::new(group_based(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap()).unwrap()
+        let g = group_based(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
+        CompiledCodec::new(g.code().clone())
+            .with_groups(g.groups().to_vec())
+            .unwrap()
     }
 
-    fn check_exact(codec: &GroupCodec, plan: &DecodePlan) {
-        let prod = codec
-            .inner()
-            .code()
-            .matrix()
-            .vecmat(&plan.to_dense())
-            .unwrap();
+    /// The same matrix with the stage off: what the generic solve answers.
+    fn generic(codec: &CompiledCodec) -> CompiledCodec {
+        CompiledCodec::new(codec.code().clone())
+    }
+
+    fn check_exact(codec: &CompiledCodec, plan: &DecodePlan) {
+        let prod = codec.code().matrix().vecmat(&plan.to_dense()).unwrap();
         for v in &prod {
             assert!((v - 1.0).abs() < 1e-6, "aB = {prod:?}");
         }
@@ -380,7 +292,7 @@ mod tests {
         assert_eq!(plan.workers(), &[2, 3]);
         check_exact(&codec, &plan);
         // Never more workers than the generic backend would use.
-        let generic = codec.inner().decode_plan(&[0, 2, 3, 4]).unwrap();
+        let generic = generic(&codec).decode_plan(&[0, 2, 3, 4]).unwrap();
         assert!(
             generic.len() >= plan.len(),
             "generic used {}",
@@ -431,10 +343,10 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let codec = GroupCodec::new(g).unwrap();
+        let codec = g.compile().unwrap();
         let survivors = [0usize, 1, 3, 5, 6];
         let plan = codec.decode_plan(&survivors).unwrap();
-        assert_eq!(plan, codec.inner().decode_plan(&survivors).unwrap());
+        assert_eq!(plan, generic(&codec).decode_plan(&survivors).unwrap());
         check_exact(&codec, &plan);
         // The session agrees: no push returns an indicator plan, the
         // generic elimination decodes at some prefix.
@@ -510,11 +422,11 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let codec = GroupCodec::new(g).unwrap();
+        let codec = g.compile().unwrap();
         assert!(codec.groups().is_empty());
         let survivors = [0usize, 1, 2, 3];
         let plan = codec.decode_plan(&survivors).unwrap();
-        assert_eq!(plan, codec.inner().decode_plan(&survivors).unwrap());
+        assert_eq!(plan, generic(&codec).decode_plan(&survivors).unwrap());
         let mut session = codec.session();
         let mut decoded = None;
         for w in survivors {
@@ -527,8 +439,10 @@ mod tests {
     fn from_code_rederives_groups() {
         let mut rng = StdRng::seed_from_u64(45);
         let g = group_based(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let direct = GroupCodec::new(g.clone()).unwrap();
-        let derived = GroupCodec::from_code(g.code().clone()).unwrap();
+        let direct = g.compile().unwrap();
+        let derived = CompiledCodec::new(g.code().clone())
+            .with_groups(derive_groups(g.code()).unwrap())
+            .unwrap();
         let direct_sets: Vec<_> = direct
             .groups()
             .iter()
@@ -550,7 +464,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let b =
             crate::heter_aware::heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let codec = GroupCodec::from_code(b.clone()).unwrap();
+        let codec = CompiledCodec::new(b.clone())
+            .with_groups(derive_groups(&b).unwrap())
+            .unwrap();
         for g in codec.groups() {
             let prod = b.matrix().vecmat(&g.decode_row(5)).unwrap();
             assert!(prod.iter().all(|v| (v - 1.0).abs() <= 1e-6));
@@ -562,9 +478,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(45);
         let g = group_based(&[1.0; 4], 4, 1, &mut rng).unwrap();
         let bogus = vec![Group::from_workers(vec![0, 9])];
-        assert!(GroupCodec::from_parts(g.code().clone(), bogus).is_err());
+        let compiled = || CompiledCodec::new(g.code().clone());
+        assert!(compiled().with_groups(bogus).is_err());
         let non_decoding = vec![Group::from_workers(vec![0])];
-        assert!(GroupCodec::from_parts(g.code().clone(), non_decoding).is_err());
+        assert!(compiled().with_groups(non_decoding).is_err());
     }
 
     #[test]

@@ -17,17 +17,17 @@
 //!
 //! 1. **Exact** — the streaming [`CodecSession`] decodes at the earliest
 //!    decodable prefix (always active).
-//! 2. **Group** — for group-aware codecs the same session short-circuits
-//!    the moment a tracked group is intact (active whenever the base
-//!    codec is a `GroupCodec`; it never *adds* decodability, it only
-//!    completes rounds sooner).
+//! 2. **Group** — the same session short-circuits the moment a tracked
+//!    group is intact (active whenever the codec has its intact-group
+//!    stage on; it never *adds* decodability, it only completes rounds
+//!    sooner).
 //! 3. **Approx** — when no exact decode exists for the workers the caller
 //!    is still willing to wait for, the ridge-stabilized least-squares
 //!    row rescues the round with a bounded-error plan. With a ceiling of
 //!    [`CodecBackend::Approx`] this stage is available *even when the
-//!    base codec is exact or group-aware*: [`EscalatingCodec`] compiles a
-//!    dedicated approximate arm over the same matrix, so escalation
-//!    happens inside a single round without re-configuring the session.
+//!    codec was compiled exact or group-aware*: [`EscalatingCodec::new`]
+//!    switches the codec's approximate stage on in place — same compile,
+//!    same session — so escalation happens inside a single round.
 //!
 //! The ladder is monotone: raising the ceiling never makes a round less
 //! decodable, and the approximate stage is consulted only after exact
@@ -36,9 +36,8 @@
 
 use std::time::Duration;
 
-use crate::backend::{AnyCodec, CodecBackend};
-use crate::codec::{CodecSession, DecodePlan, GradientCodec};
-use crate::codec_approx::ApproxCodec;
+use crate::backend::CodecBackend;
+use crate::codec::{CodecSession, CompiledCodec, DecodePlan, GradientCodec};
 use crate::error::CodingError;
 
 /// How far a round may escalate when the exact decode does not
@@ -52,20 +51,18 @@ use crate::error::CodingError;
 /// // Full ladder: rescue >s-straggler rounds approximately, but only
 /// // when the decode residual stays below 0.5.
 /// let policy = EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(0.5);
-/// assert!(policy.allows_approx_for(CodecBackend::Exact));
+/// assert_eq!(policy.ceiling(), CodecBackend::Approx);
 ///
-/// // The conservative default follows the configured backend: only an
-/// // Approx-backed codec may fall back.
-/// let default = EscalationPolicy::default();
-/// assert!(!default.allows_approx_for(CodecBackend::Exact));
-/// assert!(default.allows_approx_for(CodecBackend::Approx));
+/// // The conservative default follows the configured backend: only a
+/// // codec compiled with its approximate stage on may fall back.
+/// assert_eq!(EscalationPolicy::default().ceiling(), CodecBackend::Auto);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EscalationPolicy {
     /// Highest rung of the ladder a round may reach.
     ceiling: CodecBackend,
     /// Residual budget for the approximate stage, applied on top of the
-    /// approximate codec's own budget. `None` keeps the backend default.
+    /// codec's own budget. `None` keeps the codec's.
     max_residual: Option<f64>,
     /// How long the master waits for an exact decode before escalating:
     /// wall-clock in the threaded runtime, simulated seconds in the
@@ -103,9 +100,9 @@ impl EscalationPolicy {
     /// * [`CodecBackend::Exact`] / [`CodecBackend::Group`] — exact decodes
     ///   only (the group stage is a latency fast path, not extra
     ///   decodability, so the two ceilings admit the same rounds);
-    /// * [`CodecBackend::Approx`] — the full ladder, with a dedicated
-    ///   approximate arm compiled even for exact/group base codecs;
-    /// * [`CodecBackend::Auto`] — follow the base codec's own fallback.
+    /// * [`CodecBackend::Approx`] — the full ladder, the approximate stage
+    ///   switched on even for codecs compiled exact or group-aware;
+    /// * [`CodecBackend::Auto`] — follow the codec's own fallback.
     pub fn escalate_to(ceiling: CodecBackend) -> Self {
         EscalationPolicy {
             ceiling,
@@ -158,14 +155,9 @@ impl EscalationPolicy {
         self.deadline
     }
 
-    /// Whether the approximate stage is reachable for a codec of the
-    /// given base backend.
-    pub fn allows_approx_for(&self, base: CodecBackend) -> bool {
-        match self.ceiling {
-            CodecBackend::Approx => true,
-            CodecBackend::Auto => base == CodecBackend::Approx,
-            CodecBackend::Exact | CodecBackend::Group => false,
-        }
+    /// Whether the ceiling stops below the approximate stage.
+    fn exact_only_ceiling(&self) -> bool {
+        matches!(self.ceiling, CodecBackend::Exact | CodecBackend::Group)
     }
 
     /// Whether a fallback plan passes the policy's residual budget.
@@ -177,48 +169,36 @@ impl EscalationPolicy {
     }
 }
 
-/// A codec with the escalation ladder compiled in: the base backend
-/// serves the exact (and group) stages, and — when the policy's ceiling
-/// allows — a dedicated [`ApproxCodec`] arm over the same matrix serves
-/// the approximate stage.
+/// A codec with the escalation ladder wired on: the codec's own stages
+/// serve the exact, group and approximate rungs, and the policy decides
+/// whether — and under what residual budget — a round may reach the last.
 ///
 /// Implements [`GradientCodec`] by delegation, overriding only
 /// [`GradientCodec::fallback_plan`] with the policy decision, so it drops
 /// into every consumer of the trait (the BSP simulator's end-of-round and
-/// deadline hooks, the threaded runtime's timeout path) unchanged: both
-/// paths now share this single piece of fallback code.
+/// deadline hooks, the wall-clock master's timeout path) unchanged: both
+/// paths share this single piece of fallback code.
 #[derive(Debug, Clone)]
 pub struct EscalatingCodec {
-    base: AnyCodec,
+    codec: CompiledCodec,
     policy: EscalationPolicy,
-    /// The approximate stage for exact/group base codecs (an
-    /// approximate base serves its own fallback).
-    approx_arm: Option<ApproxCodec>,
 }
 
 impl EscalatingCodec {
-    /// Wires `policy` onto `base`, compiling the approximate arm when the
-    /// ladder needs one the base cannot provide.
-    pub fn new(base: AnyCodec, policy: EscalationPolicy) -> Self {
-        let needs_arm =
-            policy.allows_approx_for(base.backend()) && !matches!(base, AnyCodec::Approx(_));
-        let approx_arm = needs_arm.then(|| {
-            let arm = ApproxCodec::new(base.as_compiled().code().clone());
-            match policy.max_residual {
-                Some(budget) => arm.with_max_residual(budget),
-                None => arm,
-            }
-        });
-        EscalatingCodec {
-            base,
-            policy,
-            approx_arm,
+    /// Wires `policy` onto `codec`. An [`CodecBackend::Approx`] ceiling
+    /// switches the codec's approximate stage on in place when it has
+    /// none, under the policy's residual budget (or the stage default);
+    /// a codec that already has the stage keeps its own budget.
+    pub fn new(mut codec: CompiledCodec, policy: EscalationPolicy) -> Self {
+        if policy.ceiling == CodecBackend::Approx && codec.max_residual().is_none() {
+            codec = codec.with_approx(policy.max_residual);
         }
+        EscalatingCodec { codec, policy }
     }
 
-    /// The wrapped backend.
-    pub fn base(&self) -> &AnyCodec {
-        &self.base
+    /// The wrapped codec.
+    pub fn base(&self) -> &CompiledCodec {
+        &self.codec
     }
 
     /// The policy in force.
@@ -226,62 +206,41 @@ impl EscalatingCodec {
         &self.policy
     }
 
-    /// Whether the approximate stage is actually reachable (policy allows
-    /// it and an arm or approximate base exists to serve it).
+    /// Whether the approximate stage is actually reachable (the ceiling
+    /// allows it and the codec has the stage on).
     pub fn can_escalate(&self) -> bool {
-        self.approx_arm.is_some()
-            || (self.policy.allows_approx_for(self.base.backend())
-                && matches!(self.base, AnyCodec::Approx(_)))
+        !self.policy.exact_only_ceiling() && self.codec.max_residual().is_some()
     }
 
-    /// Attaches the fleet-wide plan cache to every rung of the ladder:
-    /// the base backend and — when one was compiled — the dedicated
-    /// approximate arm, so escalated rounds reuse cross-tenant ridge
-    /// solves exactly like exact rounds reuse exact solves.
+    /// Attaches the fleet-wide plan cache to the codec, so escalated
+    /// rounds reuse cross-tenant ridge solves exactly like exact rounds
+    /// reuse exact solves.
     pub fn attach_shared_plans(&mut self, cache: std::sync::Arc<crate::SharedPlanCache>) {
-        self.base.attach_shared_plans(std::sync::Arc::clone(&cache));
-        if let Some(arm) = &mut self.approx_arm {
-            arm.attach_shared_plans(cache);
-        }
+        self.codec.attach_shared_plans(cache);
     }
 
-    /// Reports every rung of the ladder into `metrics`: the base backend
-    /// and — when one was compiled — the approximate arm record onto the
-    /// same shared handles, so one counter family covers the whole
-    /// escalation path.
+    /// Reports the codec's plan-cache behaviour into `metrics`: one
+    /// counter family covers the whole escalation path.
     pub fn attach_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.base.attach_metrics(metrics.clone());
-        if let Some(arm) = &mut self.approx_arm {
-            arm.attach_metrics(metrics);
-        }
-    }
-
-    /// The attached metric bundle, if any.
-    pub fn metrics(&self) -> Option<&hetgc_obs::CodecMetrics> {
-        self.base.metrics()
-    }
-
-    /// The attached fleet-wide plan cache, if any.
-    pub fn shared_plans(&self) -> Option<&std::sync::Arc<crate::SharedPlanCache>> {
-        self.base.shared_plans()
+        self.codec.attach_metrics(metrics);
     }
 }
 
 impl GradientCodec for EscalatingCodec {
     fn workers(&self) -> usize {
-        self.base.workers()
+        self.codec.workers()
     }
 
     fn partitions(&self) -> usize {
-        self.base.partitions()
+        self.codec.partitions()
     }
 
     fn stragglers(&self) -> usize {
-        self.base.stragglers()
+        self.codec.stragglers()
     }
 
     fn load_of(&self, worker: usize) -> usize {
-        self.base.load_of(worker)
+        self.codec.load_of(worker)
     }
 
     fn encode_into<E: hetgc_linalg::Element>(
@@ -290,32 +249,26 @@ impl GradientCodec for EscalatingCodec {
         partials: &crate::GradientBlock<E>,
         out: &mut [E],
     ) -> Result<(), CodingError> {
-        self.base.encode_into(worker, partials, out)
+        self.codec.encode_into(worker, partials, out)
     }
 
     fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        self.base.decode_plan(survivors)
+        self.codec.decode_plan(survivors)
     }
 
     fn session(&self) -> CodecSession {
-        self.base.session()
+        self.codec.session()
     }
 
     /// The one shared escalation decision: consulted by callers only once
-    /// no exact decode exists for the workers they still wait for.
+    /// no exact decode exists for the workers they still wait for. The
+    /// stage gates on its own residual budget; the policy budget stacks
+    /// on top.
     fn fallback_plan(&self, survivors: &[usize]) -> Option<DecodePlan> {
-        if matches!(
-            self.policy.ceiling,
-            CodecBackend::Exact | CodecBackend::Group
-        ) {
+        if self.policy.exact_only_ceiling() {
             return None;
         }
-        // The base's own fallback first (an approximate backend already
-        // gates on its residual budget); the policy budget stacks on top.
-        if let Some(plan) = self.base.fallback_plan(survivors) {
-            return self.policy.admits(&plan).then_some(plan);
-        }
-        let plan = self.approx_arm.as_ref()?.fallback_plan(survivors)?;
+        let plan = self.codec.fallback_plan(survivors)?;
         self.policy.admits(&plan).then_some(plan)
     }
 }
@@ -323,23 +276,21 @@ impl GradientCodec for EscalatingCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CompiledCodec;
-    use crate::codec_group::GroupCodec;
     use crate::group::group_based;
     use crate::heter_aware::heter_aware;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn exact_base(seed: u64) -> AnyCodec {
+    fn exact_base(seed: u64) -> CompiledCodec {
         let mut rng = StdRng::seed_from_u64(seed);
         let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        AnyCodec::Exact(CompiledCodec::new(b))
+        CompiledCodec::new(b)
     }
 
     #[test]
     fn default_policy_follows_backend() {
         let esc = EscalatingCodec::new(exact_base(1), EscalationPolicy::follow_backend());
-        // Exact base + Auto ceiling: no arm, no fallback.
+        // Exact base + Auto ceiling: no approximate stage, no fallback.
         assert!(!esc.can_escalate());
         assert!(esc.fallback_plan(&[0, 1, 3]).is_none());
     }
@@ -351,9 +302,9 @@ mod tests {
             EscalationPolicy::escalate_to(CodecBackend::Approx),
         );
         assert!(esc.can_escalate());
-        // Two stragglers exceed s = 1: the exact base has no fallback,
-        // the dedicated arm rescues the round.
-        let plan = esc.fallback_plan(&[0, 1, 3]).expect("arm must fire");
+        // Two stragglers exceed s = 1: the exact base had no fallback,
+        // the stage the ceiling switched on rescues the round.
+        let plan = esc.fallback_plan(&[0, 1, 3]).expect("stage must fire");
         assert!(plan.residual() > 0.0);
         // Exact-decodable sets stay with the session/decode_plan path:
         // the fallback is only *consulted* when exact decoding failed,
@@ -373,7 +324,7 @@ mod tests {
         // Even over an approximate base, an Exact ceiling wins.
         let mut rng = StdRng::seed_from_u64(3);
         let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let base = AnyCodec::Approx(ApproxCodec::new(b).with_max_residual(3.0));
+        let base = CompiledCodec::new(b).with_approx(Some(3.0));
         let esc = EscalatingCodec::new(base, EscalationPolicy::exact_only());
         assert!(esc.fallback_plan(&[0, 1, 3]).is_none());
     }
@@ -382,7 +333,7 @@ mod tests {
     fn policy_budget_stacks_on_the_backend_budget() {
         let mut rng = StdRng::seed_from_u64(4);
         let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let base = AnyCodec::Approx(ApproxCodec::new(b).with_max_residual(3.0));
+        let base = CompiledCodec::new(b).with_approx(Some(3.0));
         let loose = EscalatingCodec::new(base.clone(), EscalationPolicy::follow_backend());
         let plan = loose.fallback_plan(&[0, 1, 3]).expect("within 3.0");
         assert!(plan.residual() > 0.0);
@@ -398,7 +349,7 @@ mod tests {
     fn group_base_with_approx_ceiling_gets_an_arm() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = group_based(&[1.0; 6], 6, 1, &mut rng).unwrap();
-        let base = AnyCodec::Group(GroupCodec::new(g).unwrap());
+        let base = g.compile().unwrap();
         let esc = EscalatingCodec::new(
             base,
             EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(3.0),
@@ -407,7 +358,9 @@ mod tests {
         // Group sessions keep their fast path through delegation.
         let session = esc.session();
         assert_eq!(session.workers(), 6);
-        // A hopeless survivor set still escalates through the arm.
+        // A hopeless survivor set still escalates, on the same compile.
+        assert!(!esc.base().groups().is_empty());
+        assert_eq!(esc.base().max_residual(), Some(3.0));
         assert!(esc.fallback_plan(&[0, 1]).is_some());
     }
 

@@ -314,15 +314,16 @@ impl GroupCodingMatrix {
         &self.groups
     }
 
-    /// Compiles into the group-aware [`crate::GroupCodec`] backend:
-    /// precompiled indicator decode plans plus group-tracking sessions.
+    /// Compiles into a [`crate::CompiledCodec`] with the intact-group
+    /// stage on: precompiled indicator decode plans plus group-tracking
+    /// sessions.
     ///
     /// # Errors
     ///
-    /// Propagates the validation of [`crate::GroupCodec::from_parts`]
+    /// Propagates the validation of [`crate::CompiledCodec::with_groups`]
     /// (never fails for a matrix built by Alg. 3).
-    pub fn compile(&self) -> Result<crate::GroupCodec, CodingError> {
-        crate::GroupCodec::from_parts(self.code.clone(), self.groups.clone())
+    pub fn compile(&self) -> Result<crate::CompiledCodec, CodingError> {
+        crate::CompiledCodec::new(self.code.clone()).with_groups(self.groups.clone())
     }
 
     /// Group-first decoding: returns the indicator decode row of the first

@@ -17,10 +17,11 @@
 //! plus the machinery they share: load-balanced allocation (Eq. 5,
 //! [`Allocation`]), cyclic supports (Eq. 6, [`SupportMatrix`]), the
 //! unified [`GradientCodec`] API ([`CompiledCodec`], [`CodecSession`],
-//! [`DecodePlan`] — see the [`codec`] module) with its three backends
-//! ([`CompiledCodec`] exact, [`GroupCodec`] intact-group fast path,
-//! [`ApproxCodec`] bounded-error past the straggler budget — select via
-//! [`CodecBackend`] / [`AnyCodec`]) and robustness verification
+//! [`DecodePlan`] — see the [`codec`] module) — one compiled codec with
+//! two optional stages, an intact-group fast path
+//! ([`CompiledCodec::with_groups`]) and bounded-error decoding past the
+//! straggler budget ([`CompiledCodec::with_approx`]), picked by name via
+//! [`CodecBackend::compile`] — and robustness verification
 //! ([`verify_condition_c1`]).
 //!
 //! # Quick start
@@ -71,13 +72,12 @@ pub use allocation::{suggest_partition_count, Allocation};
 pub use approx::{
     approximate_decode, gradient_error_bound_l2, under_replicated, ApproximateDecode,
 };
-pub use backend::{AnyCodec, CodecBackend};
+pub use backend::CodecBackend;
 pub use block::{BufferPool, GradientBlock, PoolStats, SharedBufferPool};
 pub use codec::{
     CodecSession, CompiledCodec, DecodePlan, GradientCodec, DEFAULT_PLAN_CACHE_CAPACITY,
 };
-pub use codec_approx::{ApproxCodec, DEFAULT_MAX_RESIDUAL_FRACTION};
-pub use codec_group::GroupCodec;
+pub use codec_approx::DEFAULT_MAX_RESIDUAL_FRACTION;
 pub use cyclic::{cyclic, cyclic_support, naive};
 pub use decode::DecodingMatrix;
 pub use error::CodingError;

@@ -139,9 +139,8 @@ impl Shard {
 /// the two-level layering and the singleflight guarantee.
 ///
 /// Cheap to share: wrap it in an `Arc` and attach it to any number of
-/// codecs via `CompiledCodec::attach_shared_plans` (or the `AnyCodec` /
-/// `EscalatingCodec` wrappers, which fan the attachment out to every
-/// arm). All counters are atomics; the hot path takes exactly one shard
+/// codecs via `CompiledCodec::attach_shared_plans` (or through the
+/// `EscalatingCodec` wrapper). All counters are atomics; the hot path takes exactly one shard
 /// lock per lookup.
 #[derive(Debug)]
 pub struct SharedPlanCache {

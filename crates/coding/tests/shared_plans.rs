@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use hetgc_coding::{heter_aware, ApproxCodec, CompiledCodec, GradientCodec, SharedPlanCache};
+use hetgc_coding::{heter_aware, CompiledCodec, GradientCodec, SharedPlanCache};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,7 +84,7 @@ fn stress_n_threads_m_patterns_solve_once_fleet_wide() {
 fn approx_rung_shares_ridge_solves_across_tenants() {
     let shared = Arc::new(SharedPlanCache::new());
     let make = || {
-        let mut c = ApproxCodec::new(code(9)).with_max_residual(4.0);
+        let mut c = CompiledCodec::new(code(9)).with_approx(Some(4.0));
         c.attach_shared_plans(Arc::clone(&shared));
         c
     };

@@ -83,10 +83,9 @@ pub use hetgc_coding::{
     approximate_decode, cyclic, decodable_prefix_len, fractional_repetition,
     gradient_error_bound_l2, group_based, heter_aware, is_robust_to, naive,
     suggest_partition_count, under_replicated, verify_condition_c1, verify_condition_c1_sampled,
-    Allocation, AnyCodec, ApproxCodec, ApproximateDecode, BufferPool, CodecBackend, CodecSession,
-    CodingError, CodingMatrix, CompiledCodec, DecodePlan, DecodingMatrix, EscalatingCodec,
-    EscalationPolicy, GradientBlock, GradientCodec, Group, GroupCodec, GroupCodingMatrix,
-    GroupSearchConfig, SupportMatrix,
+    Allocation, ApproximateDecode, BufferPool, CodecBackend, CodecSession, CodingError,
+    CodingMatrix, CompiledCodec, DecodePlan, DecodingMatrix, EscalatingCodec, EscalationPolicy,
+    GradientBlock, GradientCodec, Group, GroupCodingMatrix, GroupSearchConfig, SupportMatrix,
 };
 pub use hetgc_ml::{
     accuracy, partial_gradients, partial_gradients_into, synthetic, Adam, Classifier, Dataset,

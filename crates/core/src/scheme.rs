@@ -6,8 +6,7 @@ use std::fmt;
 use hetgc_cluster::ClusterSpec;
 use hetgc_coding::{
     cyclic, fractional_repetition, group_based, heter_aware, naive, suggest_partition_count,
-    AnyCodec, ApproxCodec, CodecBackend, CodingError, CodingMatrix, CompiledCodec, Group,
-    GroupCodec,
+    CodecBackend, CodingError, CodingMatrix, CompiledCodec, Group,
 };
 use rand::Rng;
 
@@ -101,46 +100,18 @@ impl SchemeInstance {
         CompiledCodec::new(self.code.clone())
     }
 
-    /// The backend [`CodecBackend::Auto`] resolves to for this scheme:
-    /// the group-aware codec when the scheme carries groups (Algs. 2–3),
-    /// the generic exact codec otherwise.
-    pub fn default_backend(&self) -> CodecBackend {
-        if self.groups.is_empty() {
-            CodecBackend::Exact
-        } else {
-            CodecBackend::Group
-        }
-    }
-
-    /// Compiles the strategy into the requested [`CodecBackend`]:
-    ///
-    /// * [`CodecBackend::Exact`] — [`CompiledCodec`] (same as
-    ///   [`SchemeInstance::compile`]);
-    /// * [`CodecBackend::Group`] — [`GroupCodec`] over this scheme's
-    ///   pruned groups (legal for group-less schemes too: it then behaves
-    ///   exactly like the generic backend);
-    /// * [`CodecBackend::Approx`] — [`ApproxCodec`], which keeps decoding
-    ///   (with a reported residual) when more than `s` workers straggle;
-    /// * [`CodecBackend::Auto`] — [`SchemeInstance::default_backend`].
+    /// Compiles the strategy with the stages `backend` names
+    /// ([`CodecBackend::compile`]), the intact-group stage over *this
+    /// scheme's own* pruned groups — none except for
+    /// [`SchemeKind::GroupBased`], so `Auto` and `Group` then answer
+    /// exactly like `Exact`.
     ///
     /// # Errors
     ///
-    /// Propagates [`GroupCodec::from_parts`] validation (never fails for
-    /// groups produced by [`SchemeBuilder`]).
-    pub fn compile_backend(&self, backend: CodecBackend) -> Result<AnyCodec, CodingError> {
-        let backend = match backend {
-            CodecBackend::Auto => self.default_backend(),
-            other => other,
-        };
-        Ok(match backend {
-            CodecBackend::Exact => AnyCodec::Exact(self.compile()),
-            CodecBackend::Group => AnyCodec::Group(GroupCodec::from_parts(
-                self.code.clone(),
-                self.groups.clone(),
-            )?),
-            CodecBackend::Approx => AnyCodec::Approx(ApproxCodec::new(self.code.clone())),
-            CodecBackend::Auto => unreachable!("Auto resolved above"),
-        })
+    /// Propagates [`CompiledCodec::with_groups`] validation (never fails
+    /// for groups produced by [`SchemeBuilder`]).
+    pub fn compile_backend(&self, backend: CodecBackend) -> Result<CompiledCodec, CodingError> {
+        backend.compile(self.code.clone(), Some(&self.groups))
     }
 }
 

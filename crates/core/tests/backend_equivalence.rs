@@ -1,15 +1,15 @@
 //! Cross-backend differential harness: for every `SchemeKind` and random
-//! straggler patterns where exact decoding is possible, the `GroupCodec`
-//! and `ApproxCodec` backends must produce gradients identical to
-//! `CompiledCodec`'s.
+//! straggler patterns where exact decoding is possible, a `CompiledCodec`
+//! with the group or approximate stage on must produce gradients identical
+//! to the plain one's.
 //!
 //! Two strengths of "identical":
 //!
 //! * **bitwise** — whenever a backend takes the same arithmetic path as
-//!   the generic backend (`ApproxCodec` inside the straggler budget
-//!   always does; `GroupCodec` does when no group is intact), the decoded
-//!   gradients must be equal to the last bit;
-//! * **ε-identical** — when `GroupCodec` answers with a precompiled
+//!   the generic backend (the approximate stage inside the straggler
+//!   budget always does; the group stage does when no group is intact),
+//!   the decoded gradients must be equal to the last bit;
+//! * **ε-identical** — when the group stage answers with a precompiled
 //!   indicator row instead of the generic combination, the plan differs
 //!   but both decode the same exact gradient, so the results must agree
 //!   to floating-point accuracy.
@@ -21,8 +21,8 @@
 use std::collections::HashMap;
 
 use hetgc::{
-    AnyCodec, ClusterSpec, CodecBackend, DecodePlan, GradientBlock, GradientCodec, SchemeBuilder,
-    SchemeKind,
+    ClusterSpec, CodecBackend, CompiledCodec, DecodePlan, GradientBlock, GradientCodec,
+    SchemeBuilder, SchemeKind,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,7 +42,7 @@ fn partials(k: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
 }
 
 /// Worker `w`'s coded gradient.
-fn encode(codec: &AnyCodec, w: usize, parts: &GradientBlock) -> Result<Vec<f64>, String> {
+fn encode(codec: &CompiledCodec, w: usize, parts: &GradientBlock) -> Result<Vec<f64>, String> {
     let mut out = vec![0.0; parts.dim()];
     codec
         .encode_into(w, parts, &mut out)
@@ -121,7 +121,7 @@ fn check_backends_agree(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String
                 .map_err(|e| format!("{kind}: exact backend failed a ≤s pattern: {e}"))?;
             let reference = combine(&exact_plan, &coded);
 
-            // ApproxCodec within the budget routes through the identical
+            // The approximate stage within the budget routes through the identical
             // compiled solve (and plan cache): bitwise equality.
             let approx_plan = approx
                 .decode_plan(&survivors)
@@ -136,7 +136,7 @@ fn check_backends_agree(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String
                 return Err(format!("{kind}/approx: nonzero residual on exact pattern"));
             }
 
-            // GroupCodec: bitwise when no group is intact; ε-identical
+            // The group stage: bitwise when no group is intact; ε-identical
             // (1e-9 relative) when it short-circuits to an indicator row.
             let group_plan = grouped
                 .decode_plan(&survivors)
@@ -188,7 +188,7 @@ fn check_backends_agree(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String
             // gradient across backends (ε-identical; bitwise without an
             // intact group prefix).
             let order: Vec<usize> = survivors.clone();
-            let run = |codec: &AnyCodec| -> Option<DecodePlan> {
+            let run = |codec: &CompiledCodec| -> Option<DecodePlan> {
                 let mut session = codec.session();
                 for &w in &order {
                     if let Some(plan) = session.push(w).expect("valid push") {

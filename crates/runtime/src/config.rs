@@ -97,20 +97,21 @@ pub struct RuntimeConfig {
     /// Per-worker behaviours. Missing entries default to
     /// [`WorkerBehavior::nominal`].
     pub behaviors: Vec<WorkerBehavior>,
-    /// Which codec backend the master decodes with.
+    /// Which stages the master's compiled codec has on
+    /// ([`CodecBackend::compile`], groups derived from the matrix).
     ///
-    /// * [`CodecBackend::Auto`] — group-aware decoding when the matrix's
-    ///   support structure admits valid groups, the generic exact codec
-    ///   otherwise.
-    /// * [`CodecBackend::Exact`] — the generic compiled codec.
-    /// * [`CodecBackend::Group`] — group-aware decoding; the groups are
-    ///   re-derived from the matrix's support structure (Alg. 2 +
-    ///   pruning), so an intact group completes an iteration without
-    ///   waiting for `m−s` results.
-    /// * [`CodecBackend::Approx`] — when an iteration times out (or every
-    ///   worker disconnects) the master decodes *approximately* from
-    ///   whatever arrived (bounded-error least squares) instead of
-    ///   failing, surviving `>s` lost workers. With no deadline on
+    /// * [`CodecBackend::Exact`] — none: the generic compiled codec.
+    /// * [`CodecBackend::Group`] — the intact-group stage; the groups are
+    ///   derived from the matrix's support structure (Alg. 2 + pruning),
+    ///   so an intact group completes an iteration without waiting for
+    ///   `m−s` results. With no valid group it answers like `Exact`.
+    /// * [`CodecBackend::Auto`] — the same, except that a matrix whose
+    ///   groups cannot be derived degrades to `Exact` instead of failing.
+    /// * [`CodecBackend::Approx`] — the approximate stage: when an
+    ///   iteration times out (or every worker disconnects) the master
+    ///   decodes *approximately* from whatever arrived (bounded-error
+    ///   least squares) instead of failing, surviving `>s` lost workers.
+    ///   With no deadline on
     ///   [`RuntimeConfig::escalation`] and at least one live (but
     ///   straggling) worker, the master keeps waiting and the fallback
     ///   never triggers.

@@ -20,10 +20,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
 use hetgc_cluster::PartitionAssignment;
-use hetgc_coding::{
-    AnyCodec, ApproxCodec, CodecBackend, CodecSession, CodingMatrix, CompiledCodec,
-    EscalatingCodec, GradientCodec, GroupCodec,
-};
+use hetgc_coding::{CodecSession, CodingMatrix, EscalatingCodec, GradientCodec};
 use hetgc_ml::{Dataset, Model};
 use hetgc_obs::{Phase, Recorder};
 
@@ -114,9 +111,10 @@ pub trait Transport {
     fn round_traffic(&self) -> (u64, u64);
 }
 
-/// Compiles `code` into the backend named by [`RuntimeConfig::backend`]
-/// and wires [`RuntimeConfig::escalation`] on top — the one codec
-/// construction every master shares.
+/// Compiles `code` with the stages named by [`RuntimeConfig::backend`]
+/// (a master holds only the matrix, so the group stage derives its groups
+/// from it) and wires [`RuntimeConfig::escalation`] on top — the one
+/// codec construction every master shares.
 ///
 /// # Errors
 ///
@@ -126,22 +124,12 @@ pub fn build_codec(
     code: CodingMatrix,
     config: &RuntimeConfig,
 ) -> Result<EscalatingCodec, RuntimeError> {
-    let base = match config.backend {
-        // Auto: derive groups from the support structure; when the
-        // matrix admits none (or can't be analysed) the group codec
-        // is pure overhead, so degrade to the plain exact backend.
-        CodecBackend::Auto => match GroupCodec::from_code(code.clone()) {
-            Ok(grouped) if !grouped.groups().is_empty() => AnyCodec::Group(grouped),
-            _ => AnyCodec::Exact(CompiledCodec::new(code)),
-        },
-        CodecBackend::Exact => AnyCodec::Exact(CompiledCodec::new(code)),
-        CodecBackend::Group => AnyCodec::Group(GroupCodec::from_code(code).map_err(|e| {
-            RuntimeError::InvalidConfig {
-                reason: format!("group backend construction failed: {e}"),
-            }
-        })?),
-        CodecBackend::Approx => AnyCodec::Approx(ApproxCodec::new(code)),
-    };
+    let base = config
+        .backend
+        .compile(code, None)
+        .map_err(|e| RuntimeError::InvalidConfig {
+            reason: format!("{} backend construction failed: {e}", config.backend),
+        })?;
     let mut codec = EscalatingCodec::new(base, config.effective_escalation());
     if let Some(shared) = &config.shared_plans {
         codec.attach_shared_plans(Arc::clone(shared));
@@ -163,7 +151,7 @@ pub fn row_shards(codec: &EscalatingCodec, samples: usize) -> Result<Vec<RowShar
             reason: format!("partitioning failed: {e}"),
         }
     })?;
-    let compiled = codec.base().as_compiled();
+    let compiled = codec.base();
     Ok((0..codec.workers())
         .map(|w| {
             let ranges = compiled
@@ -358,10 +346,8 @@ impl<M: Model, T: Transport> Master<M, T> {
         self.recorder = Some(recorder);
     }
 
-    /// Attaches cache/solve metric handles to the decode codec (fanned
-    /// out through the whole escalation ladder). Note a
-    /// [`Master::recode`] builds a fresh codec — re-attach after hot
-    /// swaps if continuity matters.
+    /// Attaches cache/solve metric handles to the decode codec; they
+    /// follow it across [`Master::recode`] hot swaps.
     pub fn attach_codec_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
         self.codec.attach_metrics(metrics);
     }
@@ -386,7 +372,10 @@ impl<M: Model, T: Transport> Master<M, T> {
             });
         }
         let _recode_span = self.recorder.as_ref().map(|r| r.span(Phase::Recode));
-        let codec = build_codec(code, &self.config)?;
+        let mut codec = build_codec(code, &self.config)?;
+        if let Some(metrics) = self.codec.base().metrics() {
+            codec.attach_metrics(metrics.clone());
+        }
         self.transport.rerow(row_shards(&codec, self.data.len())?)?;
         self.session = codec.session();
         self.slots = Slots::new(codec.workers());
@@ -576,7 +565,7 @@ impl<M: Model, T: Transport> Master<M, T> {
 mod tests {
     use super::*;
     use crossbeam::channel::{unbounded, Sender};
-    use hetgc_coding::{heter_aware, EscalationPolicy};
+    use hetgc_coding::{heter_aware, CodecBackend, EscalationPolicy};
     use hetgc_ml::{synthetic, LinearRegression};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -786,6 +775,30 @@ mod tests {
         rig.assert_exact(&round);
         assert_eq!(round.busy.len(), 3);
         assert_eq!(round.late_busy, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn codec_metrics_follow_the_codec_across_a_recode() {
+        let mut rig = Rig::new(5, deadline(1, CodecBackend::Approx));
+        let metrics = hetgc_obs::CodecMetrics::new(&hetgc_obs::MetricsRegistry::new(), "rig");
+        rig.master.attach_codec_metrics(metrics.clone());
+        // Two of five rows cannot decode an s = 1 code: each round
+        // escalates at the deadline, which is one ridge solve.
+        let escalated_round = |rig: &mut Rig, seq: u64| {
+            rig.master.dispatch(&rig.params).unwrap();
+            rig.reply(0, seq, 0.01);
+            rig.reply(1, seq, 0.01);
+            assert!(rig.master.collect(1).unwrap().residual > 0.0);
+            metrics.solve_count()
+        };
+        assert_eq!(escalated_round(&mut rig, 1), 1);
+        let code = heter_aware(&[1.0; 5], 5, 1, &mut StdRng::seed_from_u64(10)).unwrap();
+        rig.master.recode(code).unwrap();
+        assert_eq!(
+            escalated_round(&mut rig, 2),
+            2,
+            "counters stop at the recode"
+        );
     }
 
     #[test]

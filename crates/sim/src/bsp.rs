@@ -161,7 +161,8 @@ pub struct BspIteration {
     pub decode_vector: Vec<f64>,
     /// The decode residual `‖aᵀB_I − 1‖₂` of the round: `0.0` for exact
     /// decodes, positive when the codec's approximate fallback was used
-    /// (only `ApproxCodec`-backed rounds with `>s` stragglers).
+    /// (only rounds with `>s` stragglers on a codec whose approximate stage
+    /// is on).
     pub decode_residual: f64,
     /// Per-worker *useful compute* seconds, capped at the completion time
     /// (workers are cancelled when the master moves on) — the numerator of
@@ -318,7 +319,7 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
         }
     }
     // Every reachable worker reported and no exact decode exists: give the
-    // codec's approximate fallback (if any — `ApproxCodec`) a chance to
+    // codec's approximate stage (if it is on) a chance to
     // rescue the round with a bounded-error plan. The round completes at
     // the escalation deadline when one is configured and not yet reached
     // (a wall-clock master cannot know the missing workers are dead, so
@@ -621,7 +622,7 @@ mod tests {
 
     #[test]
     fn group_codec_decodes_from_intact_group_before_m_minus_s() {
-        use hetgc_coding::{group_based, GroupCodec};
+        use hetgc_coding::group_based;
         // Homogeneous 6-worker cluster, s = 1 → two 3-worker groups
         // {0,4,5} and {1,2,3}. Make group {1,2,3} fast and everyone else
         // slow: the master decodes the moment that group is intact — 3
@@ -631,7 +632,7 @@ mod tests {
             .groups()
             .iter()
             .any(|gr| gr.workers() == [1usize, 2, 3].as_slice()));
-        let codec = GroupCodec::new(g).unwrap();
+        let codec = g.compile().unwrap();
         let rates = [1.0, 10.0, 10.0, 10.0, 1.0, 1.0];
         let cfg = BspIterationConfig::new(&rates).network(NetworkModel::instantaneous());
         let out = simulate_bsp_iteration(&codec, &cfg, &no_events(6), &mut rng(51)).unwrap();
@@ -645,7 +646,6 @@ mod tests {
 
     #[test]
     fn approx_codec_completes_beyond_straggler_budget() {
-        use hetgc_coding::ApproxCodec;
         // Two failures exceed s = 1: the exact backend never completes,
         // the approximate backend decodes (with a reported residual) at
         // the last surviving arrival.
@@ -658,7 +658,7 @@ mod tests {
         let exact = simulate_bsp_iteration(&code, &cfg, &events, &mut rng(53)).unwrap();
         assert!(exact.completion.is_none(), "exact must reject >s failures");
 
-        let codec = ApproxCodec::new(code.clone()).with_max_residual(3.0);
+        let codec = CompiledCodec::new(code.clone()).with_approx(Some(3.0));
         let out = simulate_bsp_iteration(&codec, &cfg, &events, &mut rng(53)).unwrap();
         let t = out.completion.unwrap();
         assert!(t.is_finite());
@@ -678,7 +678,6 @@ mod tests {
 
     #[test]
     fn approx_fallback_respects_residual_budget() {
-        use hetgc_coding::ApproxCodec;
         let code = heter_code(54);
         let cfg = BspIterationConfig::new(&RATES).network(NetworkModel::instantaneous());
         // Kill everyone but the slowest worker: the surviving row cannot
@@ -687,7 +686,7 @@ mod tests {
         for e in events.iter_mut().skip(1) {
             *e = StragglerEvent::Failed;
         }
-        let codec = ApproxCodec::new(code).with_max_residual(0.1);
+        let codec = CompiledCodec::new(code).with_approx(Some(0.1));
         let out = simulate_bsp_iteration(&codec, &cfg, &events, &mut rng(55)).unwrap();
         assert!(out.completion.is_none(), "budget must reject the round");
         assert!(!out.is_approximate());
@@ -695,7 +694,6 @@ mod tests {
 
     #[test]
     fn fallback_deadline_escalates_instead_of_waiting() {
-        use hetgc_coding::ApproxCodec;
         // Worker 0 is delayed by 100 s. The exact decode needs m − s = 4
         // arrivals... kill another worker so exact decoding is impossible
         // and the master would otherwise wait for the delayed worker
@@ -705,7 +703,7 @@ mod tests {
         events[0] = StragglerEvent::Delayed(100.0);
         events[2] = StragglerEvent::Failed;
 
-        let codec = ApproxCodec::new(code).with_max_residual(3.0);
+        let codec = CompiledCodec::new(code).with_approx(Some(3.0));
         let waits = BspIterationConfig::new(&RATES).network(NetworkModel::instantaneous());
         let out = simulate_bsp_iteration(&codec, &waits, &events, &mut rng(61)).unwrap();
         // Without a deadline the approximate fallback fires only after the
@@ -737,7 +735,6 @@ mod tests {
 
     #[test]
     fn fallback_deadline_sets_completion_when_stragglers_are_failures() {
-        use hetgc_coding::ApproxCodec;
         // Two FAILURES (not delays) with s = 1: survivors all arrive by
         // t = 1, but a master with a 5 s deadline cannot know the missing
         // workers are dead — it waits out the deadline, then escalates.
@@ -746,7 +743,7 @@ mod tests {
         let mut events = no_events(5);
         events[2] = StragglerEvent::Failed;
         events[4] = StragglerEvent::Failed;
-        let codec = ApproxCodec::new(code).with_max_residual(3.0);
+        let codec = CompiledCodec::new(code).with_approx(Some(3.0));
 
         let cfg = BspIterationConfig::new(&RATES)
             .network(NetworkModel::instantaneous())

@@ -253,10 +253,12 @@ fn codec_backends_share_training_trajectory() {
             );
         }
     }
-    // Auto resolves to the group backend for a group-based scheme, and the
+    // Auto switches the group stage on for a group-based scheme, and the
     // indicator fast path must match the generic plan *bitwise* here or to
     // fp accuracy at worst (checked above at 1e-8 on the losses).
-    assert_eq!(scheme.default_backend(), CodecBackend::Group);
+    let auto = scheme.compile_backend(CodecBackend::Auto).unwrap();
+    assert_eq!(auto.groups(), scheme.groups.as_slice());
+    assert!(!auto.groups().is_empty());
 }
 
 /// The acceptance scenario of the `>s` straggler path: with two failed

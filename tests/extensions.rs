@@ -6,8 +6,8 @@
 use hetgc::adaptive::{run_with_drift, AdaptiveConfig};
 use hetgc::RateDrift;
 use hetgc::{
-    gradient_error_bound_l2, simulate_bsp_iteration, under_replicated, ApproxCodec,
-    BspIterationConfig, ClusterSpec, GradientBlock, GradientCodec, IterationTrace, NetworkModel,
+    gradient_error_bound_l2, simulate_bsp_iteration, under_replicated, BspIterationConfig,
+    ClusterSpec, CompiledCodec, GradientBlock, GradientCodec, IterationTrace, NetworkModel,
     SchemeBuilder, SchemeKind, StragglerEvent,
 };
 use rand::rngs::StdRng;
@@ -125,7 +125,7 @@ fn approximate_decoding_error_bound_holds() {
     // Two stragglers (one past tolerance): approximate decode through the
     // codec backend, consumed via `DecodePlan` accessors.
     let survivors = [1usize, 3, 4];
-    let codec = ApproxCodec::new(code).with_max_residual(3.0);
+    let codec = CompiledCodec::new(code).with_approx(Some(3.0));
     let plan = codec.approximate_plan(&survivors).unwrap();
     assert!(!plan.is_exact());
     assert!(plan.workers().iter().all(|w| survivors.contains(w)));
