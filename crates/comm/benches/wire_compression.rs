@@ -9,7 +9,7 @@
 //! bench-smoke CI arm runs it with `--test` as a compression-ratio
 //! regression gate.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding, WireCodec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,26 +62,33 @@ fn bench_wire_compression(c: &mut Criterion) {
             |b, codec| {
                 let mut ef = ErrorFeedback::new(NUM_PARAMS);
                 let mut wire = Vec::with_capacity(codec.encoded_len(CHUNK_LEN));
-                let mut shipped = vec![0.0; NUM_PARAMS];
                 let mut scratch = coded.clone();
                 b.iter(|| {
                     scratch.copy_from_slice(&coded);
-                    ef.apply(&mut scratch);
                     let mut err_sq = 0.0;
-                    for (chunk, ship) in
-                        scratch.chunks(CHUNK_LEN).zip(shipped.chunks_mut(CHUNK_LEN))
+                    for (chunk, carried) in scratch
+                        .chunks_mut(CHUNK_LEN)
+                        .zip(ef.residual_mut().chunks_mut(CHUNK_LEN))
                     {
                         err_sq += codec
-                            .encode_roundtrip(chunk, &mut wire, ship)
+                            .encode_feedback(chunk, carried, &mut wire)
                             .expect("finite reference round encodes");
                     }
-                    ef.absorb(&scratch, &shipped);
                     err_sq
                 });
             },
         );
     }
     group.finish();
+
+    // One call of the int8 kernel alone at the ledger's reply length
+    // (`d + 1 = 4097`): the criterion twin of `comm.encode_mbps.int8`.
+    let reply = &coded[..4097];
+    let int8 = AnyWireCodec::for_encoding(PayloadEncoding::Int8);
+    let mut wire = Vec::with_capacity(int8.encoded_len(reply.len()));
+    c.bench_function("wire_compression/encode_into/int8/4097", |b| {
+        b.iter(|| int8.encode_into(black_box(reply), &mut wire))
+    });
 
     let int8_bytes = bytes_per_round(&AnyWireCodec::for_encoding(PayloadEncoding::Int8), &coded);
     let int8_ratio = f64_bytes as f64 / int8_bytes as f64;

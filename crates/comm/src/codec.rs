@@ -3,10 +3,13 @@
 //! A codec turns a chunk of `f64` coded-gradient elements into wire
 //! bytes and back. Encoding is deterministic (two encodes of the same
 //! chunk produce identical bytes on every platform — rounding is
-//! explicit arithmetic, never `round()`-to-current-mode), decoding is
-//! total over adversarial bytes (typed [`CommError`], never a panic),
-//! and both directions reuse caller-owned buffers so the steady-state
-//! hot path performs no allocation.
+//! explicit arithmetic, never `round()`-to-current-mode, and a signed
+//! zero never depends on element order), decoding is total over
+//! adversarial bytes (typed [`CommError`], never a panic), and both
+//! directions reuse caller-owned buffers so the steady-state hot path
+//! performs no allocation. Every encoder validates with a flag and
+//! writes a pre-sized slice; the offending index is found by a rescan
+//! on the failure path only.
 //!
 //! Layouts (all little-endian):
 //!
@@ -64,6 +67,72 @@ fn check_out_len(expected: usize, got: usize) -> Result<(), CommError> {
     }
 }
 
+/// Encodes `src` at `W` bytes an element into `out`, resized once.
+/// `narrow` returns an element's wire bytes and whether it overflowed
+/// the format; overflow is only flagged in the loop.
+fn encode_fixed<const W: usize>(
+    src: &[f64],
+    out: &mut Vec<u8>,
+    narrow: impl Fn(f64) -> ([u8; W], bool),
+) -> Result<(), CommError> {
+    reject_empty(src)?;
+    out.resize(src.len() * W, 0);
+    let mut overflow = false;
+    for (dst, &x) in out.chunks_exact_mut(W).zip(src) {
+        let (bytes, over) = narrow(x);
+        dst.copy_from_slice(&bytes);
+        overflow |= over;
+    }
+    if overflow {
+        return Err(first_overflow(src, narrow));
+    }
+    Ok(())
+}
+
+/// The failure-path rescan: the first element `narrow` rejects.
+fn first_overflow<const W: usize>(
+    src: &[f64],
+    narrow: impl Fn(f64) -> ([u8; W], bool),
+) -> CommError {
+    let index = src.iter().position(|&x| narrow(x).1).unwrap_or(0);
+    CommError::OutOfRange { index }
+}
+
+/// [`AnyWireCodec::encode_feedback`] for the fixed-width codecs: pass 1
+/// folds `residual` into `coded` and validates, pass 2 writes the wire
+/// bytes and what they failed to carry. `widen` is the decoder's
+/// reconstruction of one element.
+fn feedback_fixed<const W: usize>(
+    coded: &mut [f64],
+    residual: &mut [f64],
+    out: &mut Vec<u8>,
+    narrow: impl Fn(f64) -> ([u8; W], bool),
+    widen: impl Fn([u8; W]) -> f64,
+) -> Result<f64, CommError> {
+    let mut overflow = false;
+    for (c, r) in coded.iter_mut().zip(residual.iter()) {
+        *c += r;
+        overflow |= narrow(*c).1;
+    }
+    if overflow {
+        return Err(first_overflow(coded, narrow));
+    }
+    out.resize(coded.len() * W, 0);
+    let mut err_sq = 0.0;
+    for ((dst, &x), r) in out
+        .chunks_exact_mut(W)
+        .zip(coded.iter())
+        .zip(residual.iter_mut())
+    {
+        let (bytes, _) = narrow(x);
+        dst.copy_from_slice(&bytes);
+        let d = x - widen(bytes);
+        *r = d;
+        err_sq += d * d;
+    }
+    Ok(err_sq)
+}
+
 /// Identity codec: full-width `f64` elements, byte-for-byte what the
 /// worker computed. Exists so benches and differential harnesses can
 /// treat the baseline uniformly.
@@ -76,13 +145,7 @@ impl WireCodec for F64Raw {
     }
 
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        reject_empty(src)?;
-        out.clear();
-        out.reserve(src.len() * 8);
-        for &x in src {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Ok(())
+        encode_fixed(src, out, Self::narrow)
     }
 
     fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
@@ -104,6 +167,10 @@ impl WireCodec for F64Raw {
 }
 
 impl F64Raw {
+    fn narrow(x: f64) -> ([u8; 8], bool) {
+        (x.to_le_bytes(), false)
+    }
+
     /// [`WireCodec::decode_into`] writing any [`Element`] destination.
     pub fn decode_elements_into<E: Element>(
         &self,
@@ -133,17 +200,7 @@ impl WireCodec for F32Narrow {
     }
 
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        reject_empty(src)?;
-        out.clear();
-        out.reserve(src.len() * 4);
-        for (i, &x) in src.iter().enumerate() {
-            let narrow = x as f32;
-            if x.is_finite() && narrow.is_infinite() {
-                return Err(CommError::OutOfRange { index: i });
-            }
-            out.extend_from_slice(&narrow.to_le_bytes());
-        }
-        Ok(())
+        encode_fixed(src, out, Self::narrow)
     }
 
     fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
@@ -165,6 +222,15 @@ impl WireCodec for F32Narrow {
 }
 
 impl F32Narrow {
+    fn narrow(x: f64) -> ([u8; 4], bool) {
+        let narrow = x as f32;
+        (narrow.to_le_bytes(), x.is_finite() && narrow.is_infinite())
+    }
+
+    fn widen(le: [u8; 4]) -> f64 {
+        f64::from(f32::from_le_bytes(le))
+    }
+
     /// [`WireCodec::decode_into`] writing any [`Element`] destination.
     /// Decoding into an `f32` block is a pure bit copy — the ROADMAP's
     /// wire-level `GradientBlock<f32>` path.
@@ -177,7 +243,7 @@ impl F32Narrow {
         for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(4)) {
             let mut le = [0u8; 4];
             le.copy_from_slice(raw);
-            *dst = E::from_f64(f64::from(f32::from_le_bytes(le)));
+            *dst = E::from_f64(Self::widen(le));
         }
         Ok(())
     }
@@ -185,7 +251,7 @@ impl F32Narrow {
 
 /// Converts a finite-or-infinite `f32` to bfloat16 bits with
 /// round-to-nearest-even; NaNs are quieted but stay NaN.
-fn f32_to_bf16(x: f32) -> u16 {
+pub(crate) fn f32_to_bf16(x: f32) -> u16 {
     let bits = x.to_bits();
     if x.is_nan() {
         // Keep sign + exponent, force a non-zero (quiet) mantissa so
@@ -196,7 +262,7 @@ fn f32_to_bf16(x: f32) -> u16 {
     ((bits + 0x7FFF + lsb) >> 16) as u16
 }
 
-fn bf16_to_f32(bits: u16) -> f32 {
+pub(crate) fn bf16_to_f32(bits: u16) -> f32 {
     f32::from_bits(u32::from(bits) << 16)
 }
 
@@ -213,21 +279,7 @@ impl WireCodec for Bf16 {
     }
 
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        reject_empty(src)?;
-        out.clear();
-        out.reserve(src.len() * 2);
-        for (i, &x) in src.iter().enumerate() {
-            let narrow = x as f32;
-            if x.is_finite() && narrow.is_infinite() {
-                return Err(CommError::OutOfRange { index: i });
-            }
-            let half = f32_to_bf16(narrow);
-            if x.is_finite() && bf16_to_f32(half).is_infinite() {
-                return Err(CommError::OutOfRange { index: i });
-            }
-            out.extend_from_slice(&half.to_le_bytes());
-        }
-        Ok(())
+        encode_fixed(src, out, Self::narrow)
     }
 
     fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
@@ -249,6 +301,20 @@ impl WireCodec for Bf16 {
 }
 
 impl Bf16 {
+    /// A finite `x` overflows when either rounding step (to `f32`, then
+    /// to bf16) lands on infinity.
+    fn narrow(x: f64) -> ([u8; 2], bool) {
+        let half = f32_to_bf16(x as f32);
+        (
+            half.to_le_bytes(),
+            x.is_finite() && bf16_to_f32(half).is_infinite(),
+        )
+    }
+
+    fn widen(le: [u8; 2]) -> f64 {
+        f64::from(bf16_to_f32(u16::from_le_bytes(le)))
+    }
+
     /// [`WireCodec::decode_into`] writing any [`Element`] destination.
     pub fn decode_elements_into<E: Element>(
         &self,
@@ -257,8 +323,7 @@ impl Bf16 {
     ) -> Result<(), CommError> {
         check_out_len(self.decoded_len(bytes)?, out.len())?;
         for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-            let bits = u16::from_le_bytes([raw[0], raw[1]]);
-            *dst = E::from_f64(f64::from(bf16_to_f32(bits)));
+            *dst = E::from_f64(Self::widen([raw[0], raw[1]]));
         }
         Ok(())
     }
@@ -268,13 +333,140 @@ impl Bf16 {
 /// chunk ships a 16-byte `[lo, scale]` header followed by one byte per
 /// element, `value = lo + code * scale`. Codes are computed with
 /// explicit `floor(x + 0.5)` arithmetic so encoding is bit-identical
-/// across platforms. Non-finite inputs are rejected (an affine grid
-/// cannot carry them), and the worst-case error is `scale / 2` —
-/// half a grid step.
+/// across platforms, and `lo` / `hi` are the chunk's IEEE 754-2019
+/// `minimum` / `maximum` (`-0.0` orders below `+0.0`), so the header
+/// does not depend on element order. Non-finite inputs are rejected (an
+/// affine grid cannot carry them), and the worst-case error is
+/// `scale / 2` — half a grid step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Int8Quant;
 
 const INT8_HEADER: usize = 16;
+
+/// Independent running minima / maxima of the grid scan: one chain
+/// would serialize on the compare-select latency.
+const SCAN_LANES: usize = 4;
+
+/// The branch-free range scan of one int8 chunk. NaN never enters `lo`
+/// or `hi` (both comparisons are false), so the lanes also sum the
+/// elements: the sum is non-finite whenever an element is. It can
+/// overflow over finite elements too — the flag only sends
+/// [`GridScan::finish`] to its rescan, which decides.
+struct GridScan {
+    lo: [f64; SCAN_LANES],
+    hi: [f64; SCAN_LANES],
+    sum: [f64; SCAN_LANES],
+}
+
+impl GridScan {
+    fn new() -> GridScan {
+        GridScan {
+            lo: [f64::INFINITY; SCAN_LANES],
+            hi: [f64::NEG_INFINITY; SCAN_LANES],
+            sum: [0.0; SCAN_LANES],
+        }
+    }
+
+    #[inline(always)]
+    fn see(&mut self, lane: usize, x: f64) {
+        self.lo[lane] = if x < self.lo[lane] { x } else { self.lo[lane] };
+        self.hi[lane] = if x > self.hi[lane] { x } else { self.hi[lane] };
+        self.sum[lane] += x;
+    }
+
+    /// The `(lo, scale)` header of the scanned chunk `src`, or the error
+    /// an element-by-element scan reports: the first non-finite element,
+    /// else a range that overflows `f64`.
+    fn finish(self, src: &[f64]) -> Result<(f64, f64), CommError> {
+        if !self.sum.into_iter().sum::<f64>().is_finite() {
+            if let Some(index) = src.iter().position(|x| !x.is_finite()) {
+                return Err(CommError::NonFinite { index });
+            }
+        }
+        let mut lo = self.lo.into_iter().fold(f64::INFINITY, f64::min);
+        let mut hi = self.hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+        // Which zero a comparison keeps depends on the order it met
+        // them in. A zero minimum means every element is >= -0.0, so a
+        // set sign bit is a -0.0 and the minimum; mirrored for `hi`.
+        if lo == 0.0 {
+            let negative = src.iter().any(|x| x.is_sign_negative());
+            lo = if negative { -0.0 } else { 0.0 };
+        }
+        if hi == 0.0 {
+            let positive = src.iter().any(|x| x.is_sign_positive());
+            hi = if positive { 0.0 } else { -0.0 };
+        }
+        let scale = (hi - lo) / 255.0;
+        if !scale.is_finite() {
+            // The chunk's dynamic range itself overflows f64.
+            return Err(CommError::OutOfRange { index: 0 });
+        }
+        Ok((lo, scale))
+    }
+}
+
+/// Sizes `out` for an `n`-element int8 chunk, writes its header and
+/// returns the code bytes.
+fn int8_frame(out: &mut Vec<u8>, n: usize, lo: f64, scale: f64) -> &mut [u8] {
+    out.resize(INT8_HEADER + n, 0);
+    let (header, codes) = out.split_at_mut(INT8_HEADER);
+    header[..8].copy_from_slice(&lo.to_le_bytes());
+    header[8..].copy_from_slice(&scale.to_le_bytes());
+    codes
+}
+
+/// `floor((x - lo) / scale + 0.5).clamp(0, 255)`: the operand is at
+/// least 0.5 and never NaN (`x >= lo`, `scale > 0`, all finite), where
+/// the saturating, truncating cast is exactly that. A constant chunk
+/// (`scale == 0`) is all zero codes. The division stays a division: a
+/// reciprocal multiply changes codes.
+#[inline(always)]
+fn int8_code(x: f64, lo: f64, scale: f64) -> u8 {
+    if scale == 0.0 {
+        0
+    } else {
+        ((x - lo) / scale + 0.5) as u8
+    }
+}
+
+/// The value a code decodes to.
+#[inline(always)]
+fn int8_value(code: u8, lo: f64, scale: f64) -> f64 {
+    lo + f64::from(code) * scale
+}
+
+/// [`AnyWireCodec::encode_feedback`] for int8: pass 1 folds `residual`
+/// into `coded` under the grid scan, pass 2 writes the codes and what
+/// they failed to carry.
+fn int8_feedback(
+    coded: &mut [f64],
+    residual: &mut [f64],
+    out: &mut Vec<u8>,
+) -> Result<f64, CommError> {
+    let mut scan = GridScan::new();
+    let (lanes, tail) = coded.as_chunks_mut::<SCAN_LANES>();
+    let (carried, carried_tail) = residual.as_chunks::<SCAN_LANES>();
+    for (c, r) in lanes.iter_mut().zip(carried) {
+        for lane in 0..SCAN_LANES {
+            c[lane] += r[lane];
+            scan.see(lane, c[lane]);
+        }
+    }
+    for (c, r) in tail.iter_mut().zip(carried_tail) {
+        *c += r;
+        scan.see(0, *c);
+    }
+    let (lo, scale) = scan.finish(coded)?;
+    let codes = int8_frame(out, coded.len(), lo, scale);
+    let mut err_sq = 0.0;
+    for ((code, &x), r) in codes.iter_mut().zip(coded.iter()).zip(residual.iter_mut()) {
+        *code = int8_code(x, lo, scale);
+        let d = x - int8_value(*code, lo, scale);
+        *r = d;
+        err_sq += d * d;
+    }
+    Ok(err_sq)
+}
 
 impl WireCodec for Int8Quant {
     fn encoding(&self) -> PayloadEncoding {
@@ -283,32 +475,19 @@ impl WireCodec for Int8Quant {
 
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
         reject_empty(src)?;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for (i, &x) in src.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(CommError::NonFinite { index: i });
+        let mut scan = GridScan::new();
+        let (lanes, tail) = src.as_chunks::<SCAN_LANES>();
+        for c in lanes {
+            for (lane, &x) in c.iter().enumerate() {
+                scan.see(lane, x);
             }
-            lo = lo.min(x);
-            hi = hi.max(x);
         }
-        let scale = (hi - lo) / 255.0;
-        if !scale.is_finite() {
-            // The chunk's dynamic range itself overflows f64.
-            return Err(CommError::OutOfRange { index: 0 });
+        for &x in tail {
+            scan.see(0, x);
         }
-        out.clear();
-        out.reserve(INT8_HEADER + src.len());
-        out.extend_from_slice(&lo.to_le_bytes());
-        out.extend_from_slice(&scale.to_le_bytes());
-        if scale == 0.0 {
-            // Constant chunk: every element is exactly `lo`.
-            out.resize(INT8_HEADER + src.len(), 0);
-        } else {
-            for &x in src {
-                let code = ((x - lo) / scale + 0.5).floor().clamp(0.0, 255.0);
-                out.push(code as u8);
-            }
+        let (lo, scale) = scan.finish(src)?;
+        for (code, &x) in int8_frame(out, src.len(), lo, scale).iter_mut().zip(src) {
+            *code = int8_code(x, lo, scale);
         }
         Ok(())
     }
@@ -358,7 +537,7 @@ impl Int8Quant {
             });
         }
         for (dst, &code) in out.iter_mut().zip(&bytes[INT8_HEADER..]) {
-            *dst = E::from_f64(lo + f64::from(code) * scale);
+            *dst = E::from_f64(int8_value(code, lo, scale));
         }
         Ok(())
     }
@@ -405,31 +584,39 @@ impl AnyWireCodec {
         }
     }
 
-    /// Encodes `src` into `out` and immediately decodes it back into
-    /// `roundtrip` (same length as `src`), returning the squared L2
-    /// quantization error of the chunk. This is the worker-side path:
-    /// the round trip is what feeds the error-feedback accumulator and
-    /// the per-round wire-error report.
-    pub fn encode_roundtrip(
+    /// The worker's whole lossy reply path in two passes over `coded`:
+    /// the first folds the carried `residual` into it and validates,
+    /// the second writes the wire bytes into `out` and leaves in
+    /// `residual` what they failed to carry (`intended - shipped`, with
+    /// `shipped` exactly what [`WireCodec::decode_into`] reconstructs).
+    /// Returns the chunk's squared L2 quantization error, summed in
+    /// element order. On `Err` `coded` is folded and `residual` is
+    /// untouched.
+    pub fn encode_feedback(
         &self,
-        src: &[f64],
+        coded: &mut [f64],
+        residual: &mut [f64],
         out: &mut Vec<u8>,
-        roundtrip: &mut [f64],
     ) -> Result<f64, CommError> {
-        if roundtrip.len() != src.len() {
+        if residual.len() != coded.len() {
             return Err(CommError::LengthMismatch {
-                expected: src.len(),
-                got: roundtrip.len(),
+                expected: coded.len(),
+                got: residual.len(),
             });
         }
-        self.encode_into(src, out)?;
-        self.decode_into(out, roundtrip)?;
-        let mut err_sq = 0.0;
-        for (&sent, &got) in src.iter().zip(roundtrip.iter()) {
-            let d = sent - got;
-            err_sq += d * d;
+        reject_empty(coded)?;
+        match self {
+            AnyWireCodec::F64(_) => {
+                feedback_fixed(coded, residual, out, F64Raw::narrow, f64::from_le_bytes)
+            }
+            AnyWireCodec::F32(_) => {
+                feedback_fixed(coded, residual, out, F32Narrow::narrow, F32Narrow::widen)
+            }
+            AnyWireCodec::Bf16(_) => {
+                feedback_fixed(coded, residual, out, Bf16::narrow, Bf16::widen)
+            }
+            AnyWireCodec::Int8(_) => int8_feedback(coded, residual, out),
         }
-        Ok(err_sq)
     }
 }
 
@@ -532,6 +719,43 @@ mod tests {
             Int8Quant.encode_into(&[f64::INFINITY], &mut out),
             Err(CommError::NonFinite { index: 0 })
         );
+    }
+
+    #[test]
+    fn int8_header_zero_signs_do_not_depend_on_element_order() {
+        // IEEE 754-2019 minimum / maximum: -0.0 orders below +0.0, at
+        // every rotation and at every length around the scan's lanes.
+        let header = |src: &[f64]| {
+            let mut out = Vec::new();
+            Int8Quant.encode_into(src, &mut out).unwrap();
+            let word = |at: usize| u64::from_le_bytes(out[at..at + 8].try_into().unwrap());
+            (word(0), word(8))
+        };
+        let neg_zero = (-0.0f64).to_bits();
+        for n in 3..=2 * SCAN_LANES + 3 {
+            for rotate in 0..n {
+                let mut low = vec![1.0; n];
+                (low[0], low[1]) = (0.0, -0.0);
+                low.rotate_left(rotate);
+                assert_eq!(header(&low), (neg_zero, (1.0f64 / 255.0).to_bits()));
+
+                let mut high = vec![-1.0; n];
+                (high[0], high[1]) = (-0.0, 0.0);
+                high.rotate_left(rotate);
+                let (lo, scale) = header(&high);
+                assert_eq!(lo, (-1.0f64).to_bits());
+                // hi = +0.0: `+0.0 - -1.0`; a -0.0 maximum gives the
+                // same scale, so pin the all-zero chunk too.
+                assert_eq!(scale, (1.0f64 / 255.0).to_bits());
+
+                let mut zeros = vec![0.0; n];
+                zeros[0] = -0.0;
+                zeros.rotate_left(rotate);
+                assert_eq!(header(&zeros), (neg_zero, 0));
+            }
+            assert_eq!(header(&vec![0.0; n]), (0, 0));
+            assert_eq!(header(&vec![-0.0; n]), (neg_zero, 0));
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! long-run average of what the master sees equals what the worker
 //! computed.
 
-/// Carries the quantization residual of each round into the next
-/// round's coded partial.
+/// The quantization residual one link carries from each round into the
+/// next round's coded partial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErrorFeedback {
     residual: Vec<f64>,
@@ -30,37 +30,13 @@ impl ErrorFeedback {
         self.residual.len()
     }
 
-    /// Folds the carried residual into this round's coded partial
-    /// before it is quantized. Call exactly once per round, before
-    /// [`ErrorFeedback::absorb`].
-    pub fn apply(&mut self, coded: &mut [f64]) {
-        assert_eq!(
-            coded.len(),
-            self.residual.len(),
-            "error-feedback dimension mismatch"
-        );
-        for (c, r) in coded.iter_mut().zip(self.residual.iter()) {
-            *c += r;
-        }
-    }
-
-    /// Records what this round failed to ship: `intended` is the coded
-    /// partial after [`ErrorFeedback::apply`], `shipped` is its
-    /// quantize-dequantize round trip.
-    pub fn absorb(&mut self, intended: &[f64], shipped: &[f64]) {
-        assert_eq!(
-            intended.len(),
-            self.residual.len(),
-            "error-feedback dimension mismatch"
-        );
-        assert_eq!(
-            intended.len(),
-            shipped.len(),
-            "error-feedback dimension mismatch"
-        );
-        for ((r, i), s) in self.residual.iter_mut().zip(intended).zip(shipped) {
-            *r = i - s;
-        }
+    /// The carried residual, for [`AnyWireCodec::encode_feedback`] to
+    /// fold into this round's coded partial and overwrite with what the
+    /// round failed to ship. A chunked reply passes matching chunks.
+    ///
+    /// [`AnyWireCodec::encode_feedback`]: crate::AnyWireCodec::encode_feedback
+    pub fn residual_mut(&mut self) -> &mut [f64] {
+        &mut self.residual
     }
 
     /// L2 norm of the carried residual (diagnostics).
@@ -78,22 +54,44 @@ impl ErrorFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{AnyWireCodec, Int8Quant};
+    use crate::codec::{AnyWireCodec, Int8Quant, WireCodec};
     use crate::encoding::PayloadEncoding;
+    use crate::error::CommError;
 
     #[test]
     fn residual_is_what_quantization_dropped() {
+        let codec = AnyWireCodec::for_encoding(PayloadEncoding::Int8);
         let mut ef = ErrorFeedback::new(3);
+        let mut wire = Vec::new();
         let mut coded = [0.31, -0.49, 0.02];
-        ef.apply(&mut coded); // zero residual: no-op
-        assert_eq!(coded, [0.31, -0.49, 0.02]);
-        let shipped = [0.3, -0.5, 0.0];
-        ef.absorb(&coded, &shipped);
+        codec
+            .encode_feedback(&mut coded, ef.residual_mut(), &mut wire)
+            .unwrap();
+        assert_eq!(coded, [0.31, -0.49, 0.02]); // zero residual: no-op
+        let mut shipped = [0.0; 3];
+        codec.decode_into(&wire, &mut shipped).unwrap();
+        let dropped: Vec<f64> = coded.iter().zip(&shipped).map(|(i, s)| i - s).collect();
+        assert_eq!(ef.residual_mut(), &dropped[..]);
+        // The next round quantizes `coded + dropped`.
         let mut next = [0.0, 0.0, 0.0];
-        ef.apply(&mut next);
-        for (n, want) in next.iter().zip([0.01, 0.01, 0.02]) {
-            assert!((n - want).abs() < 1e-12);
-        }
+        codec
+            .encode_feedback(&mut next, ef.residual_mut(), &mut wire)
+            .unwrap();
+        assert_eq!(next, dropped[..]);
+    }
+
+    #[test]
+    fn dimension_mismatch_is_a_typed_error() {
+        let codec = AnyWireCodec::for_encoding(PayloadEncoding::Int8);
+        let mut ef = ErrorFeedback::new(3);
+        let mut wire = Vec::new();
+        assert_eq!(
+            codec.encode_feedback(&mut [1.0, 2.0], ef.residual_mut(), &mut wire),
+            Err(CommError::LengthMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
     }
 
     #[test]
@@ -110,11 +108,10 @@ mod tests {
         let mut total_shipped_tiny = 0.0;
         for _ in 0..32 {
             let mut coded = [1.0, -1.0, 1e-3];
-            ef.apply(&mut coded);
             codec
-                .encode_roundtrip(&coded, &mut wire, &mut shipped)
+                .encode_feedback(&mut coded, ef.residual_mut(), &mut wire)
                 .unwrap();
-            ef.absorb(&coded, &shipped);
+            codec.decode_into(&wire, &mut shipped).unwrap();
             total_shipped_tiny += shipped[2];
         }
         // 32 rounds x 1e-3 = 0.032 intended in total; EF must have

@@ -9,10 +9,10 @@
 //! - [`PayloadEncoding`] — the negotiated per-link wire format,
 //! - [`WireCodec`] and its backends [`F64Raw`], [`F32Narrow`],
 //!   [`Bf16`], [`Int8Quant`] (2x / 4x / ~8x smaller payloads),
-//! - [`AnyWireCodec`] — the runtime-selected codec the net layer holds,
-//! - [`ErrorFeedback`] — the EF-SGD accumulator that carries each
-//!   round's quantization residual into the next round's partial so
-//!   lossy traffic does not bias convergence.
+//! - [`AnyWireCodec`] — the runtime-selected codec the net layer holds;
+//!   [`AnyWireCodec::encode_feedback`] is the worker's whole lossy reply,
+//! - [`ErrorFeedback`] — the EF-SGD residual that call carries from round
+//!   to round per link, so lossy traffic does not bias convergence.
 //!
 //! Codecs are deterministic, total over adversarial bytes (typed
 //! [`CommError`], never a panic), and allocation-free in steady state:
@@ -28,6 +28,8 @@ mod codec;
 mod encoding;
 mod error;
 mod feedback;
+#[cfg(test)]
+mod testing;
 
 pub use codec::{AnyWireCodec, Bf16, F32Narrow, F64Raw, Int8Quant, WireCodec};
 pub use encoding::PayloadEncoding;

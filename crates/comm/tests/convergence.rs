@@ -12,7 +12,7 @@
 //! quantization's rounding bias stops convergence and EF's carried
 //! residual keeps shipping the truth on average.
 
-use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding};
+use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding, WireCodec};
 
 const DIM: usize = 8;
 const ROUNDS: usize = 600;
@@ -59,14 +59,16 @@ fn run(codec: AnyWireCodec, with_feedback: bool) -> f64 {
                 partial[i] = 0.5 * grad[i] + sign * IMBALANCE[i];
             }
             if with_feedback {
-                feedback[worker].apply(&mut partial);
+                codec
+                    .encode_feedback(&mut partial, feedback[worker].residual_mut(), &mut wire)
+                    .map(drop)
+            } else {
+                codec.encode_into(&partial, &mut wire)
             }
+            .expect("finite partial encodes");
             codec
-                .encode_roundtrip(&partial, &mut wire, &mut shipped)
-                .expect("finite partial encodes");
-            if with_feedback {
-                feedback[worker].absorb(&partial, &shipped);
-            }
+                .decode_into(&wire, &mut shipped)
+                .expect("own bytes decode");
             for (d, s) in decoded.iter_mut().zip(&shipped) {
                 *d += s;
             }

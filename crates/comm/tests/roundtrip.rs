@@ -71,16 +71,18 @@ proptest! {
 
     /// `Int8Quant`'s documented worst case is half a grid step,
     /// `scale / 2` with `scale = (hi - lo) / 255` — per element, for any
-    /// finite chunk. The reported squared error must equal the actual
-    /// round-trip error.
+    /// finite chunk. The squared error the worker's entry reports must
+    /// equal the actual round-trip error.
     #[test]
     fn int8_error_is_within_half_a_grid_step(src in chunk(128)) {
         let codec = AnyWireCodec::Int8(Int8Quant);
         let mut wire = Vec::new();
         let mut back = vec![0.0; src.len()];
+        let mut residual = vec![0.0; src.len()];
         let err_sq = codec
-            .encode_roundtrip(&src, &mut wire, &mut back)
+            .encode_feedback(&mut src.clone(), &mut residual, &mut wire)
             .expect("finite chunk encodes");
+        codec.decode_into(&wire, &mut back).expect("own bytes decode");
 
         let lo = src.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = src.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -223,14 +225,12 @@ fn exact_codec_leaves_error_feedback_empty() {
     let codec = AnyWireCodec::F64(F64Raw);
     let mut ef = ErrorFeedback::new(4);
     let mut wire = Vec::new();
-    let mut shipped = vec![0.0; 4];
     for round in 0..5 {
         let mut coded = [1.5, -0.25, 1e-9, round as f64];
-        ef.apply(&mut coded);
-        codec
-            .encode_roundtrip(&coded, &mut wire, &mut shipped)
+        let err_sq = codec
+            .encode_feedback(&mut coded, ef.residual_mut(), &mut wire)
             .unwrap();
-        ef.absorb(&coded, &shipped);
+        assert_eq!(err_sq, 0.0);
     }
     assert_eq!(ef.residual_norm(), 0.0);
 }

@@ -273,11 +273,9 @@ fn steady_state_round_allocates_nothing_on_the_codec_hot_path() {
     );
 
     // The int8 wire codecs hold the guarantee too: each arrival row is
-    // carried through the full worker-side lossy path — error feedback
-    // applied, quantized into a reused wire buffer, round-tripped into
-    // pooled scratch, residual absorbed. The scratch buffers come from
-    // `checkout_uninit` / `checkout_copied`: both skip the zeroing pass
-    // because encode/decode overwrite every element before any read.
+    // carried through the full worker-side lossy path — carried residual
+    // folded in, quantized into a reused wire buffer, what quantization
+    // dropped carried on — in a pooled copy from `checkout_copied`.
     // (Still the single #[test] — the counter is process-global.)
     let wire_codec = AnyWireCodec::for_encoding(PayloadEncoding::Int8);
     let mut wire_pool: BufferPool = BufferPool::new(d);
@@ -289,15 +287,11 @@ fn steady_state_round_allocates_nothing_on_the_codec_hot_path() {
                       feedback: &mut [ErrorFeedback]| {
         for &w in &arrival_order {
             let mut intended = pool.checkout_copied(arrivals.row(w));
-            feedback[w].apply(&mut intended);
-            let mut shipped = pool.checkout_uninit(d);
             let err_sq = wire_codec
-                .encode_roundtrip(&intended, wire, &mut shipped)
+                .encode_feedback(&mut intended, feedback[w].residual_mut(), wire)
                 .expect("finite arrival row quantizes");
             assert!(err_sq.is_finite());
             assert_eq!(wire.len(), wire_codec.encoded_len(d));
-            feedback[w].absorb(&intended, &shipped);
-            pool.recycle(shipped);
             pool.recycle(intended);
         }
     };

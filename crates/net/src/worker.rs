@@ -11,7 +11,7 @@ use std::io::ErrorKind;
 use std::net::ToSocketAddrs;
 use std::time::Instant;
 
-use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding, WireCodec};
+use hetgc_comm::{AnyWireCodec, CommError, ErrorFeedback, PayloadEncoding, WireCodec};
 use hetgc_ml::Model;
 use hetgc_obs::{Counter, Histogram, MetricsRegistry};
 use hetgc_runtime::{compute_coded, throttle};
@@ -43,9 +43,9 @@ pub fn run_worker<A: ToSocketAddrs>(addr: A) -> Result<(), NetError> {
 }
 
 /// [`run_worker`] with an optional worker-side metrics registry: rounds
-/// served, rounds skipped (fail-stop emulation), and a compute-latency
-/// histogram, all labelled by the handshake-assigned worker row. The
-/// `hetgc-worker` binary wires this to `--metrics-addr`.
+/// served, rounds skipped (fail-stop emulation), and compute- and
+/// reply-latency histograms, all labelled by the handshake-assigned
+/// worker row. The `hetgc-worker` binary wires this to `--metrics-addr`.
 ///
 /// # Errors
 ///
@@ -79,6 +79,7 @@ struct WorkerMetrics {
     rounds: Counter,
     skipped: Counter,
     compute: Histogram,
+    reply: Histogram,
 }
 
 impl WorkerMetrics {
@@ -99,6 +100,11 @@ impl WorkerMetrics {
             compute: registry.histogram(
                 "hetgc_worker_compute_seconds",
                 "Per-round coded-gradient compute time (includes emulated throttle)",
+                &labels,
+            ),
+            reply: registry.histogram(
+                "hetgc_worker_reply_seconds",
+                "Per-round reply time, end of compute to the last write (quantize, framing, send)",
                 &labels,
             ),
         }
@@ -147,13 +153,12 @@ fn serve(
     let mut wire: Vec<u8> = Vec::new();
     // On a lossy link the coded partial is quantized before it ships;
     // the quantization residual is carried into the next round (EF-SGD)
-    // so lossy traffic does not bias convergence. The scratch buffers
-    // reach steady-state capacity after the first round.
+    // so lossy traffic does not bias convergence. The payload buffer
+    // reaches steady-state capacity after the first round.
     let mut lossy = (encoding != PayloadEncoding::F64).then(|| LossyLink {
         codec: AnyWireCodec::for_encoding(encoding),
         feedback: ErrorFeedback::new(num_params as usize),
         payload: Vec::new(),
-        roundtrip: vec![0.0; num_params as usize],
     });
     loop {
         // Block for one frame, then fast-forward to the newest pending
@@ -216,10 +221,12 @@ fn serve(
             &mut partial,
         );
         throttle(&behavior, &assignment.ranges, seq as usize, started);
-        if let Some(m) = &metrics {
+        let computed = metrics.as_ref().map(|m| {
             m.rounds.inc();
-            m.compute.observe(started.elapsed().as_secs_f64());
-        }
+            let computed = started.elapsed();
+            m.compute.observe(computed.as_secs_f64());
+            computed
+        });
         let replied = match &mut lossy {
             Some(link) => stream_encoded_reply(
                 &mut conn,
@@ -258,6 +265,10 @@ fn serve(
             Err(NetError::Closed) => return Ok(()),
             other => other?,
         }
+        if let (Some(m), Some(computed)) = (&metrics, computed) {
+            m.reply
+                .observe((started.elapsed() - computed).as_secs_f64());
+        }
     }
 }
 
@@ -267,9 +278,6 @@ struct LossyLink {
     feedback: ErrorFeedback,
     /// Reused codec output for one chunk.
     payload: Vec<u8>,
-    /// Reused dequantized image of the whole coded partial — what the
-    /// master will reconstruct, and hence what feeds error feedback.
-    roundtrip: Vec<f64>,
 }
 
 fn to_usize_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
@@ -322,11 +330,11 @@ fn flush(conn: &mut Connection, wire: &mut Vec<u8>) -> Result<(), NetError> {
     Ok(())
 }
 
-/// [`stream_reply`]'s lossy sibling: folds the carried error-feedback
-/// residual into the coded partial, quantizes it chunk by chunk into
-/// [`Frame::EncodedChunk`]s, absorbs what quantization dropped back into
-/// the accumulator, and reports the round's measured quantization error
-/// on the [`Frame::RoundDone`].
+/// [`stream_reply`]'s lossy sibling: each chunk of the coded partial
+/// goes through [`AnyWireCodec::encode_feedback`] — carried residual
+/// folded in, quantized into a [`Frame::EncodedChunk`], what quantization
+/// dropped carried on — and the round's measured quantization error is
+/// reported on the [`Frame::RoundDone`].
 #[allow(clippy::too_many_arguments)]
 fn stream_encoded_reply(
     conn: &mut Connection,
@@ -338,20 +346,27 @@ fn stream_encoded_reply(
     started: Instant,
     link: &mut LossyLink,
 ) -> Result<(), NetError> {
-    link.feedback.apply(coded);
+    let residual = link.feedback.residual_mut();
+    if residual.len() != coded.len() {
+        return Err(CommError::LengthMismatch {
+            expected: residual.len(),
+            got: coded.len(),
+        }
+        .into());
+    }
     let total = coded.len() as u32;
     let encoding = link.codec.encoding();
     let mut err_sq = 0.0;
     wire.clear();
-    for (i, (chunk, ship)) in coded
-        .chunks(chunk_len)
-        .zip(link.roundtrip.chunks_mut(chunk_len))
+    for (i, (chunk, carried)) in coded
+        .chunks_mut(chunk_len)
+        .zip(residual.chunks_mut(chunk_len))
         .enumerate()
     {
         flush(conn, wire)?; // the previous chunk, if any
         err_sq += link
             .codec
-            .encode_roundtrip(chunk, &mut link.payload, ship)?;
+            .encode_feedback(chunk, carried, &mut link.payload)?;
         let offset = (i * chunk_len) as u32;
         frame::append_encoded_chunk(
             wire,
@@ -363,7 +378,6 @@ fn stream_encoded_reply(
             &link.payload,
         );
     }
-    link.feedback.absorb(coded, &link.roundtrip);
     Frame::RoundDone {
         seq,
         worker: assignment.row,

@@ -355,14 +355,20 @@ fn worker_process_serves_its_own_metrics_endpoint() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let snap = expo::parse(&body).expect("worker scrape parses");
-    let rounds: u64 = (0..WORKERS as u32)
-        .map(|w| {
-            let label = w.to_string();
-            match snap.get("hetgc_worker_rounds_total", &[("worker", &label)]) {
+    // A family's counter value, or histogram sample count, over workers.
+    let total = |name: &str| -> u64 {
+        (0..WORKERS as u32)
+            .map(|w| match snap.get(name, &[("worker", &w.to_string())]) {
                 Some(MetricValue::Counter(v)) => *v,
+                Some(MetricValue::Histogram(h)) => h.count,
                 _ => 0,
-            }
-        })
-        .sum();
+            })
+            .sum()
+    };
+    let rounds = total("hetgc_worker_rounds_total");
     assert_eq!(rounds, 4, "observed worker served all four rounds");
+    // The last reply's sample lands after its `write`, which the master
+    // may already have acted on: three are certain.
+    let replies = total("hetgc_worker_reply_seconds");
+    assert!((3..=4).contains(&replies), "reply histogram saw {replies}");
 }
