@@ -29,7 +29,7 @@ fn scalar_fold_gradient(params: &[f64], data: &Dataset, (lo, hi): (usize, usize)
 /// showed: `sim-bsp-miss` (Cluster-D: 162 partitions × 4 samples,
 /// `d = 128`, every partial gradient into one block) and the busiest
 /// `threaded-pipelined` worker (8 one-sample partitions, `d = 8192`,
-/// folded into one coded gradient).
+/// folded into one coded gradient; the other workers' 2 and 4 beside it).
 fn bench_linear_gradient(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(24);
     let mut group = c.benchmark_group("ml/linear_gradient");
@@ -74,21 +74,24 @@ fn bench_linear_gradient(c: &mut Criterion) {
             black_box(coded[0])
         });
     });
+    // Every `threaded-pipelined` worker's load (rates 1:1:2:4, s = 1).
     let (mut coded, mut partial) = (Vec::new(), Vec::new());
-    group.bench_function("coded_8x1x8192/compute_coded", |b| {
-        b.iter(|| {
-            hetgc_runtime::compute_coded(
-                &model,
-                &data,
-                &ranges,
-                &coefficients,
-                &params,
-                &mut coded,
-                &mut partial,
-            );
-            black_box(coded[0])
+    for load in [2, 4, k] {
+        group.bench_function(format!("coded_{load}x1x8192/compute_coded"), |b| {
+            b.iter(|| {
+                hetgc_runtime::compute_coded(
+                    &model,
+                    &data,
+                    &ranges[..load],
+                    &coefficients[..load],
+                    &params,
+                    &mut coded,
+                    &mut partial,
+                );
+                black_box(coded[0])
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -687,6 +687,8 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
         if let Some(rec) = recorder {
             engine.attach_recorder(rec.clone());
         }
+        // The scaled step, one buffer for the whole run.
+        let mut step = Vec::new();
 
         for round in 1..=rounds {
             let er = fetch(engine, round, &params, rng)?;
@@ -707,19 +709,10 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
                 let n = data.len() as f64;
                 if let Some(gradient) = er.gradient.as_ref() {
                     if self.cfg.residual_step_scaling {
-                        let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
-                        // Lossy wire traffic gates the step exactly like an
-                        // approximate decode; lossless rounds reduce to the
-                        // plain residual scaling bitwise.
-                        step_scale = combined_step_scale(
-                            er.residual,
-                            er.error_bound,
-                            er.wire_error,
-                            norm,
-                            engine.partitions(),
-                        );
+                        step_scale = round_step_scale(&er, gradient, engine.partitions());
                     }
-                    let step: Vec<f64> = gradient.iter().map(|x| step_scale * x / n).collect();
+                    step.clear();
+                    step.extend(gradient.iter().map(|x| step_scale * x / n));
                     optimizer.step(&mut params, &step);
                     engine.after_step(&params);
                 }
@@ -752,6 +745,20 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
         }
         Ok(log.finish(params, adaptation))
     }
+}
+
+/// [`combined_step_scale`] for a decoded round: lossy wire traffic gates
+/// the step exactly like an approximate decode, and lossless rounds
+/// reduce to the plain residual scaling bitwise. An exact, lossless round
+/// (`residual ≤ 0` and `wire_error ≤ 0`) scales by exactly `1.0` without
+/// reading the gradient's norm, so the in-order `Σ g²` fold is skipped
+/// there; a NaN in either takes the full path, as before.
+fn round_step_scale(er: &EngineRound, gradient: &[f64], partitions: usize) -> f64 {
+    if er.residual <= 0.0 && er.wire_error <= 0.0 {
+        return 1.0;
+    }
+    let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
+    combined_step_scale(er.residual, er.error_bound, er.wire_error, norm, partitions)
 }
 
 /// The timing-only flavour of the loop: same engine contract, same
@@ -851,6 +858,33 @@ mod tests {
             wire_error: 0.0,
             bytes_saved: 0,
             stop: false,
+        }
+    }
+
+    /// Skipping the norm changes no step: over exact, approximate, lossy
+    /// and NaN rounds, `round_step_scale` is `combined_step_scale` with
+    /// the norm always computed, to the bit.
+    #[test]
+    fn round_step_scale_is_the_full_path_bit_for_bit() {
+        let nan = f64::NAN;
+        let gradients = [vec![3.0, -4.0], vec![0.0, -0.0], vec![nan, 1.0], vec![]];
+        for residual in [0.0, -0.0, -1.0, 0.3, nan, f64::INFINITY] {
+            for wire_error in [0.0, -0.0, 0.02, nan] {
+                for error_bound in [None, Some(2.0), Some(f64::INFINITY), Some(nan)] {
+                    for gradient in &gradients {
+                        let mut er = ok_round(1.0, residual);
+                        (er.wire_error, er.error_bound) = (wire_error, error_bound);
+                        let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
+                        let want = combined_step_scale(residual, error_bound, wire_error, norm, 4);
+                        assert_eq!(
+                            round_step_scale(&er, gradient, 4).to_bits(),
+                            want.to_bits(),
+                            "residual {residual}, wire {wire_error}, bound {error_bound:?}, \
+                             gradient {gradient:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

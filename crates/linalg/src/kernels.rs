@@ -19,7 +19,10 @@
 //!   them. (An earlier `vec_ops::axpy` returned early on `alpha == 0.0`,
 //!   silently dropping non-finite values from `x`; that shortcut is
 //!   gone, and `tests/properties.rs` pins the equivalence on non-finite
-//!   inputs.)
+//!   inputs.) [`axpy_rows_fold`] is [`axpy_rows_zeroed`] then `axpy`
+//!   with the intermediate kept in a register: per element the same
+//!   `0 +`, the same products in the same order, then one multiply and
+//!   one add into the accumulator.
 //! * **The ordered multi-dot is bitwise-identical to its scalar
 //!   definition too.** [`dot_ordered`] runs `K` *independent* dot
 //!   products side by side, each one the strict left-to-right fold
@@ -37,9 +40,11 @@
 //!   [`norm_inf`] *is* scalar-identical.
 //! * **[`block_decode`] accumulates rows in argument order per element**,
 //!   so it is bitwise-identical to a sequence of `axpy` calls over the
-//!   full vectors — including across column blocks and across threads
-//!   (parallelism splits the `d` dimension; the per-element operation
-//!   order never changes).
+//!   full vectors — including across column blocks, across threads
+//!   (parallelism splits the `d` dimension) and across its passes (four
+//!   rows to a pass over a column block, the first from `0 +`, the
+//!   remainder in one pass): the per-element operation order never
+//!   changes.
 
 use crate::element::Element;
 
@@ -112,6 +117,35 @@ pub fn axpy_rows<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mu
 #[inline]
 pub fn axpy_rows_zeroed<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mut [E]) {
     fused_axpys::<E, K, true>(alpha, x, y);
+}
+
+/// [`axpy_rows_zeroed`] added into an accumulator in the same pass:
+/// `acc[i] += coef · (((0 + α₀·x₀[i]) + α₁·x₁[i]) + …)`, bitwise
+/// `axpy_rows_zeroed(alpha, x, g)` followed by `axpy(coef, g, acc)` with
+/// no `g` in memory — every element keeps both orders, the `0 +`
+/// included. How a worker folds a partition's gradient into its coded
+/// one as it forms it.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `acc.len()`.
+#[inline]
+pub fn axpy_rows_fold<E: Element, const K: usize>(
+    coef: E,
+    alpha: [E; K],
+    x: [&[E]; K],
+    acc: &mut [E],
+) {
+    let n = acc.len();
+    assert!(x.iter().all(|r| r.len() == n), "axpy_rows: length mismatch");
+    let x = x.map(|r| &r[..n]);
+    for (i, ai) in acc.iter_mut().enumerate() {
+        let mut g = E::ZERO;
+        for c in 0..K {
+            g += alpha[c] * x[c][i];
+        }
+        *ai += coef * g;
+    }
 }
 
 #[inline]
@@ -370,19 +404,51 @@ where
     block_decode_threads(coeffs, row_of, out, available_threads());
 }
 
+/// Rows [`block_decode`] accumulates per pass over a column block.
+const DECODE_ROWS: usize = 4;
+
 /// The sequential core of [`block_decode`]: one contiguous span of the
-/// output, column-blocked, rows accumulated in index order.
+/// output, column-blocked, rows accumulated in index order
+/// [`DECODE_ROWS`] to a pass — the first pass from zero
+/// ([`axpy_rows_zeroed`]), the rest onto it ([`axpy_rows`]), a tail of
+/// one to three rows in one pass of its own.
 fn block_decode_span<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E], offset: usize)
 where
     E: Element,
     F: Fn(usize) -> &'a [E],
 {
+    fn pass<'a, E: Element, const K: usize>(
+        first: usize,
+        coeffs: &[f64],
+        row_of: &impl Fn(usize) -> &'a [E],
+        at: usize,
+        chunk: &mut [E],
+    ) {
+        let alpha = core::array::from_fn(|c| E::from_f64(coeffs[first + c]));
+        let x = core::array::from_fn(|c| &row_of(first + c)[at..at + chunk.len()]);
+        if first == 0 {
+            axpy_rows_zeroed::<E, K>(alpha, x, chunk);
+        } else {
+            axpy_rows::<E, K>(alpha, x, chunk);
+        }
+    }
+    if coeffs.is_empty() {
+        out.fill(E::ZERO);
+        return;
+    }
+    // The tail below is one pass of `1..DECODE_ROWS` rows.
+    const _: () = assert!(DECODE_ROWS == 4);
+    let whole = coeffs.len() - coeffs.len() % DECODE_ROWS;
     let mut at = offset;
     for chunk in out.chunks_mut(COL_BLOCK) {
-        chunk.fill(E::ZERO);
-        for (i, &c) in coeffs.iter().enumerate() {
-            let row = &row_of(i)[at..at + chunk.len()];
-            axpy(E::from_f64(c), row, chunk);
+        for first in (0..whole).step_by(DECODE_ROWS) {
+            pass::<E, DECODE_ROWS>(first, coeffs, row_of, at, chunk);
+        }
+        match coeffs.len() - whole {
+            0 => {}
+            1 => pass::<E, 1>(whole, coeffs, row_of, at, chunk),
+            2 => pass::<E, 2>(whole, coeffs, row_of, at, chunk),
+            _ => pass::<E, 3>(whole, coeffs, row_of, at, chunk),
         }
         at += chunk.len();
     }
@@ -484,6 +550,66 @@ mod tests {
         let mut y = [f64::NAN];
         axpy_rows_zeroed([-1.0], [&[0.0]], &mut y);
         assert_eq!(y[0].to_bits(), 0.0_f64.to_bits(), "0 + (−1·0) is +0.0");
+    }
+
+    #[test]
+    fn axpy_rows_fold_bitwise_matches_zeroed_then_axpy() {
+        /// Checks every `n` and `coef` for `K` rows; returns whether the
+        /// inputs told the kernel apart from a fold that drops the `0 +`
+        /// and from one that distributes `coef` over the rows.
+        fn check<const K: usize>() -> [bool; 2] {
+            let mut exposed = [false; 2];
+            let alpha: [f64; K] = core::array::from_fn(|c| [0.5, -1.25, 2.0, -0.3][c]);
+            let cases = [0, 1, 7, 8, 9, 33].into_iter().flat_map(|n| {
+                // NaN, ±∞ and `−0.0` in rows and accumulator; then rows of
+                // zeros signed so every product is `−0.0` — they sum to
+                // `+0.0` from `0 +` and to `−0.0` without it — onto an
+                // accumulator of `−0.0`.
+                let wild_rows: [Vec<f64>; K] = core::array::from_fn(|c| wild(n, c + 1));
+                let zero_rows: [Vec<f64>; K] =
+                    core::array::from_fn(|c| vec![0.0_f64.copysign(-alpha[c]); n]);
+                [(wild_rows, wild(n, 9)), (zero_rows, vec![-0.0; n])]
+            });
+            for (rows, start) in cases {
+                let n = start.len();
+                let x: [&[f64]; K] = core::array::from_fn(|c| rows[c].as_slice());
+                for coef in [1.5, -0.75, 0.0, -0.0, f64::INFINITY, f64::NAN] {
+                    let mut g = vec![f64::NAN; n];
+                    axpy_rows_zeroed(alpha, x, &mut g);
+                    let mut want = start.clone();
+                    axpy_scalar(coef, &g, &mut want);
+                    let mut got = start.clone();
+                    axpy_rows_fold(coef, alpha, x, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "K = {K}, n = {n}, coef {coef}");
+
+                    let (mut dropped, mut distributed) = (start.clone(), start.clone());
+                    for i in 0..n {
+                        let products = (0..K).map(|c| alpha[c] * x[c][i]);
+                        let from_first = products.clone().reduce(|a, b| a + b);
+                        dropped[i] += coef * from_first.unwrap_or(0.0);
+                        distributed[i] = products.fold(distributed[i], |a, p| a + coef * p);
+                    }
+                    exposed[0] |= bits(&dropped) != bits(&want);
+                    exposed[1] |= bits(&distributed) != bits(&want);
+                }
+            }
+            exposed
+        }
+        let exposed = [
+            check::<0>(),
+            check::<1>(),
+            check::<2>(),
+            check::<3>(),
+            check::<4>(),
+        ];
+        assert!(
+            exposed[1..].iter().all(|e| e[0]),
+            "a dropped `0 +` goes unseen"
+        );
+        assert!(
+            exposed[2..].iter().all(|e| e[1]),
+            "a distributed `coef` goes unseen"
+        );
     }
 
     #[test]
@@ -633,6 +759,65 @@ mod tests {
             let mut parallel = vec![f64::NAN; d];
             block_decode_threads(&coeffs, &|i| rows[i].as_slice(), &mut parallel, threads);
             assert_eq!(parallel, sequential, "threads = {threads}");
+        }
+    }
+
+    /// `n` full-mantissa values, about one in five `NaN`, `±∞` or `−0.0`
+    /// at a position that moves with `seed`.
+    fn wild(n: usize, seed: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match (i * 7 + seed * 3) % 20 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 | 4 => -0.0,
+                _ => ((i + seed) as f64 * 0.7).sin() * 3.3,
+            })
+            .collect()
+    }
+
+    /// The reference every decode must equal bit for bit: a zero fill,
+    /// then one full-length scalar `axpy` per row, in row order.
+    fn decode_by_axpys(coeffs: &[f64], rows: &[Vec<f64>], d: usize) -> Vec<f64> {
+        let mut out = vec![0.0; d];
+        for (c, row) in coeffs.iter().zip(rows) {
+            axpy_scalar(*c, row, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn block_decode_every_row_count_bitwise_matches_the_axpy_sequence() {
+        let coeffs = [0.5, -1.25, -2.0, 0.0, 3.5, -0.0, 0.75, -1.5, 2.25];
+        for d in [13, COL_BLOCK - 1, COL_BLOCK, 2 * COL_BLOCK + 3] {
+            let rows: Vec<Vec<f64>> = (0..coeffs.len()).map(|i| wild(d, i)).collect();
+            // The first row has `−0.0` products, where the `0 +` a decode
+            // starts from is what makes the sum `+0.0`: one that started
+            // from its first product would fail below.
+            assert!(rows[0]
+                .iter()
+                .any(|r| (coeffs[0] * r).to_bits() == (-0.0_f64).to_bits()));
+            for count in 0..=coeffs.len() {
+                let want = decode_by_axpys(&coeffs[..count], &rows, d);
+                let mut out = vec![f64::NAN; d];
+                block_decode(&coeffs[..count], &|i| rows[i].as_slice(), &mut out);
+                assert_eq!(bits(&out), bits(&want), "d = {d}, {count} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn block_decode_threaded_split_bitwise_matches_the_axpy_sequence() {
+        let d = PAR_MIN_DIM + 3 * COL_BLOCK + 11;
+        let coeffs = [1.5, -0.25, 0.75, -2.0, 0.5, -1.0, 3.0];
+        let rows: Vec<Vec<f64>> = (0..coeffs.len()).map(|i| wild(d, i)).collect();
+        for count in [0, 1, 3, 4, 5, 7] {
+            let want = decode_by_axpys(&coeffs[..count], &rows, d);
+            for threads in [1, 2, 3] {
+                let mut out = vec![f64::NAN; d];
+                block_decode_threads(&coeffs[..count], &|i| rows[i].as_slice(), &mut out, threads);
+                assert_eq!(bits(&out), bits(&want), "{count} rows, {threads} threads");
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 use hetgc_coding::GradientBlock;
 
 use crate::dataset::Dataset;
-use crate::model::Model;
+use crate::model::{Model, PartialSink};
 
 /// Computes the partial gradient for each `[lo, hi)` range in `ranges`
 /// into a caller-provided [`GradientBlock`] — row `j` receives the
@@ -30,7 +30,9 @@ pub fn partial_gradients_into<M: Model + ?Sized>(
     if block.rows() != ranges.len() || block.dim() != d {
         block.reset(ranges.len(), d);
     }
-    model.for_each_partial(params, data, ranges, &mut |j, fill| fill(block.row_mut(j)));
+    model.for_each_partial(params, data, ranges, &mut |j, fill| {
+        fill(PartialSink::Write(block.row_mut(j)))
+    });
 }
 
 /// Computes the partial gradient for each `[lo, hi)` range in `ranges`.

@@ -55,7 +55,7 @@ pub use gradient::{partial_gradients, partial_gradients_into, sum_gradients};
 pub use linear::LinearRegression;
 pub use loss::{cross_entropy_from_logits, log_sum_exp, softmax_in_place};
 pub use mlp::Mlp;
-pub use model::{numeric_gradient, FillPartial, Model};
+pub use model::{numeric_gradient, FillPartial, Model, PartialSink};
 pub use optimizer::{Adam, Momentum, Optimizer, Sgd};
 
 mod logistic;

@@ -4,7 +4,7 @@ use hetgc_coding::kernels;
 use rand::RngCore;
 
 use crate::dataset::Dataset;
-use crate::model::{uniform_init, FillPartial, Model};
+use crate::model::{uniform_init, FillPartial, Model, PartialSink};
 
 /// Samples whose residuals go through one stack buffer: enough to fill
 /// [`kernels::CHAINS`] four times, few enough that their feature rows are
@@ -111,6 +111,34 @@ impl LinearRegression {
         }
     }
 
+    /// `acc += coef · g`, `g` what [`Self::accumulate`] writes fresh for
+    /// the samples from `lo` on — at most [`kernels::CHAINS`] of them, so
+    /// `g` is one pass there and here it is formed and added in that pass
+    /// ([`kernels::axpy_rows_fold`]): per coordinate the same sums in the
+    /// same order as writing `g` and then `axpy`, without the buffer.
+    fn fold(&self, data: &Dataset, lo: usize, residuals: &[f64], coef: f64, acc: &mut [f64]) {
+        fn pass<const K: usize>(coef: f64, r: &[f64], x: [&[f64]; K], weights: &mut [f64]) {
+            let r: [f64; K] = r.try_into().expect("a residual per sample");
+            kernels::axpy_rows_fold(coef, r, x, weights);
+        }
+        let (weights, bias) = acc.split_at_mut(self.dim);
+        let mut g = 0.0;
+        for r in residuals {
+            g += r;
+        }
+        bias[0] += coef * g;
+        let x = |c| data.features_of(lo + c);
+        const _: () = assert!(kernels::CHAINS == 4);
+        match residuals.len() {
+            0 => pass::<0>(coef, residuals, [], weights),
+            1 => pass(coef, residuals, [x(0)], weights),
+            2 => pass(coef, residuals, [x(0), x(1)], weights),
+            3 => pass(coef, residuals, [x(0), x(1), x(2)], weights),
+            4 => pass(coef, residuals, [x(0), x(1), x(2), x(3)], weights),
+            n => unreachable!("{n} samples fold in more than one pass"),
+        }
+    }
+
     fn check(&self, params: &[f64], data: &Dataset, (lo, hi): (usize, usize)) {
         assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
@@ -188,8 +216,8 @@ impl Model for LinearRegression {
             if next == first {
                 // Longer than the buffer by itself, so it fills the
                 // chains by itself.
-                visit(first, &|out| {
-                    self.gradient_into(params, data, ranges[first], out)
+                visit(first, &|sink| {
+                    sink.write_with(|out| self.gradient_into(params, data, ranges[first], out))
                 });
                 next += 1;
                 continue;
@@ -200,9 +228,15 @@ impl Model for LinearRegression {
             for (p, &range) in (first..).zip(run) {
                 let (own, others) = rest.split_at(range.1 - range.0);
                 rest = others;
-                visit(p, &|out| {
-                    assert_eq!(out.len(), self.num_params(), "gradient buffer length");
-                    self.accumulate(data, range, own, out, true);
+                visit(p, &|sink| match sink {
+                    PartialSink::Fold { coef, acc, .. } if own.len() <= kernels::CHAINS => {
+                        assert_eq!(acc.len(), self.num_params(), "gradient buffer length");
+                        self.fold(data, range.0, own, coef, acc);
+                    }
+                    sink => sink.write_with(|out| {
+                        assert_eq!(out.len(), self.num_params(), "gradient buffer length");
+                        self.accumulate(data, range, own, out, true);
+                    }),
                 });
             }
         }

@@ -1,12 +1,50 @@
 //! The model contract.
 
+use hetgc_coding::kernels;
 use rand::Rng;
 
 use crate::dataset::Dataset;
 
 /// What [`Model::for_each_partial`] hands its visitor for each range:
-/// `fill(out)` overwrites `out` with that range's gradient.
-pub type FillPartial<'a> = dyn Fn(&mut [f64]) + 'a;
+/// `fill(sink)` delivers that range's gradient `g` into `sink`.
+pub type FillPartial<'a> = dyn Fn(PartialSink<'_>) + 'a;
+
+/// Where one range's gradient `g` goes.
+#[derive(Debug)]
+pub enum PartialSink<'s> {
+    /// Overwrite `out` (length [`Model::num_params`]) with `g`: a row of
+    /// the simulator's partial-gradient block.
+    Write(&'s mut [f64]),
+    /// `acc[j] += coef · g[j]`, bitwise `g` written into a buffer and then
+    /// `kernels::axpy(coef, g, acc)`: a worker's coded gradient. A model
+    /// that forms `g` in one pass over the coordinates adds it here in
+    /// that pass; otherwise [`PartialSink::write_with`] writes `g` into
+    /// `scratch` (same length as `acc`, contents ignored) first.
+    Fold {
+        /// The range's coefficient in the worker's row of `B`.
+        coef: f64,
+        /// The coded gradient being accumulated.
+        acc: &'s mut [f64],
+        /// A buffer an unfused implementation may overwrite.
+        scratch: &'s mut [f64],
+    },
+}
+
+impl PartialSink<'_> {
+    /// Delivers `g` through `write`, which overwrites a buffer with it:
+    /// into `out`, or into `scratch` and then `axpy` into `acc`. The
+    /// unfused path — the trait's default, and a model's fallback for
+    /// ranges it cannot fold in one pass.
+    pub fn write_with(self, write: impl FnOnce(&mut [f64])) {
+        match self {
+            PartialSink::Write(out) => write(out),
+            PartialSink::Fold { coef, acc, scratch } => {
+                write(scratch);
+                kernels::axpy(coef, scratch, acc);
+            }
+        }
+    }
+}
 
 /// A differentiable model over flat `f64` parameter vectors.
 ///
@@ -29,13 +67,19 @@ pub type FillPartial<'a> = dyn Fn(&mut [f64]) + 'a;
 ///   it;
 /// * a gradient **accumulates samples in index order per coordinate**:
 ///   `g_j = ((0 + r₀x₀ⱼ) + r₁x₁ⱼ) + …`, and a loss adds its samples in
-///   index order.
+///   index order;
+/// * a gradient **folded into a coded one** ([`PartialSink::Fold`]) is
+///   that `g_j`, then `acc_j += coef · g_j` — never `coef` distributed
+///   over the samples, never the `0 +` dropped (it turns an all-`−0.0`
+///   sum into `+0.0`).
 ///
 /// An implementation may *interleave independent folds* — several
 /// samples, classes or hidden units side by side, which is what
 /// `hetgc_linalg::kernels::dot_ordered` does to hide the latency of a
-/// fold's one dependent add per feature — but must never reassociate one:
-/// no lane accumulators, no FMA, no pairwise sums.
+/// fold's one dependent add per feature — and may *fuse passes* over the
+/// coordinates (form `g_j` and add it to `acc_j` in one, as
+/// `kernels::axpy_rows_fold` does), but must never reassociate one: no
+/// lane accumulators, no FMA, no pairwise sums.
 ///
 /// # Wrappers
 ///
@@ -93,21 +137,22 @@ pub trait Model {
     /// simulator's `k × d` block) and `hetgc_runtime::compute_coded`
     /// (`Σ_p coef_p · ∇L(range_p)` on every worker).
     ///
-    /// `visit(p, fill)` is called once per range; `fill(out)` overwrites
-    /// `out` (length [`Model::num_params`]) with bitwise what
-    /// [`Model::gradient_into`] writes for `ranges[p]`. The visitor picks
-    /// the buffer: a block row, or one scratch vector it folds into a
-    /// coded gradient before the next range reuses it.
+    /// `visit(p, fill)` is called once per range; `fill(sink)` delivers
+    /// bitwise what [`Model::gradient_into`] writes for `ranges[p]` into
+    /// the [`PartialSink`] the visitor picks: a block row to overwrite, or
+    /// a coded gradient to fold it into.
     ///
-    /// The default computes each range on its own. A model overrides it
-    /// when work can be shared *across* ranges: with one sample per
-    /// partition (`n = k`) a range alone has no second fold to interleave
-    /// with, so `LinearRegression` predicts all the ranges' samples
-    /// together first.
+    /// The default computes each range on its own, unfused
+    /// ([`PartialSink::write_with`]). A model overrides it when work can
+    /// be shared *across* ranges — with one sample per partition (`n = k`)
+    /// a range alone has no second fold to interleave with, so
+    /// `LinearRegression` predicts all the ranges' samples together first
+    /// — or when it can fold a range's gradient in the pass that forms it.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Model::gradient_into`], for any range.
+    /// Same conditions as [`Model::gradient_into`], for any range, with
+    /// the sink's buffers in place of `out`.
     fn for_each_partial(
         &self,
         params: &[f64],
@@ -116,7 +161,9 @@ pub trait Model {
         visit: &mut dyn FnMut(usize, &FillPartial<'_>),
     ) {
         for (p, &range) in ranges.iter().enumerate() {
-            visit(p, &|out| self.gradient_into(params, data, range, out));
+            visit(p, &|sink| {
+                sink.write_with(|out| self.gradient_into(params, data, range, out))
+            });
         }
     }
 

@@ -5,7 +5,7 @@
 use std::cell::Cell;
 
 use crate::dataset::{Dataset, Targets};
-use crate::model::Model;
+use crate::model::{Model, PartialSink};
 
 thread_local! {
     static SCALAR_FOLDS: Cell<bool> = const { Cell::new(false) };
@@ -60,17 +60,31 @@ pub(crate) enum Wild {
     Nothing,
     Features,
     Params,
+    /// Regression targets (a classification dataset has none).
+    Targets,
+    /// Every feature `−0.0`: finite residuals times `−0.0` features, the
+    /// terms whose sum only a leading `0 +` turns into `+0.0`.
+    NegativeZeros,
 }
 
 impl Wild {
-    pub(crate) const ALL: [Wild; 3] = [Wild::Nothing, Wild::Features, Wild::Params];
+    pub(crate) const ALL: [Wild; 5] = [
+        Wild::Nothing,
+        Wild::Features,
+        Wild::Params,
+        Wild::Targets,
+        Wild::NegativeZeros,
+    ];
 }
 
 /// A regression dataset of `n` samples (classification with `classes`).
 pub(crate) fn dataset(n: usize, dim: usize, classes: Option<usize>, wild: Wild) -> Dataset {
-    let x = values(n * dim, 11, matches!(wild, Wild::Features));
+    let x = match wild {
+        Wild::NegativeZeros => vec![-0.0; n * dim],
+        _ => values(n * dim, 11, matches!(wild, Wild::Features)),
+    };
     let targets = match classes {
-        None => Targets::Regression(values(n, 12, false)),
+        None => Targets::Regression(values(n, 12, matches!(wild, Wild::Targets))),
         Some(num_classes) => Targets::Classes {
             labels: (0..n).map(|i| (i * 7 + 3) % num_classes).collect(),
             num_classes,
@@ -110,11 +124,41 @@ pub(crate) fn ragged_ranges() -> (Vec<(usize, usize)>, usize) {
     (ranges, lo)
 }
 
-/// Coefficients for `n` ranges: zeros, negatives, and magnitudes that
-/// make a dropped or reordered term visible.
+/// Coefficients for `n` ranges: both zeros (`0 · NaN` stays NaN),
+/// negatives, and magnitudes that make a dropped or reordered term
+/// visible.
 pub(crate) fn coefficients(n: usize) -> Vec<f64> {
-    let cycle = [1.75, 0.0, -0.3, 2.0, -1.0, 0.1];
+    let cycle = [1.75, 0.0, -0.3, 2.0, -0.0, -1.0, 0.1];
     (0..n).map(|i| cycle[i % cycle.len()]).collect()
+}
+
+/// `acc += coef · g` element by element: the fold every sink must equal.
+fn fold_into(coef: f64, g: &[f64], acc: &mut [f64]) {
+    for (a, g) in acc.iter_mut().zip(g) {
+        *a += coef * g;
+    }
+}
+
+/// `for_each_partial` over `ranges` into [`PartialSink::Fold`] with
+/// `coefficients`, from an accumulator of `−0.0` — where a fold that
+/// drops its `0 +` keeps a `−0.0` the reference turns into `+0.0`.
+fn folded(
+    model: &dyn Model,
+    params: &[f64],
+    data: &Dataset,
+    ranges: &[(usize, usize)],
+    coefficients: &[f64],
+) -> Vec<f64> {
+    let n = model.num_params();
+    let (mut acc, mut scratch) = (vec![-0.0; n], vec![f64::NAN; n]);
+    model.for_each_partial(params, data, ranges, &mut |p, fill| {
+        fill(PartialSink::Fold {
+            coef: coefficients[p],
+            acc: &mut acc,
+            scratch: &mut scratch,
+        });
+    });
+    acc
 }
 
 /// Bit equality, any NaN equal to any NaN (`0 · ∞` and `NAN` differ in
@@ -134,10 +178,13 @@ pub(crate) fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
 
 /// The whole contract for one `(model, params, data)`:
 ///
-/// * `loss` and `gradient_into` over [`short_ranges`],
+/// * `loss` and `gradient_into` over [`short_ranges`], and each of those
+///   ranges alone folded into a coded gradient with every
+///   [`coefficients`] value,
 /// * `for_each_partial` over [`ragged_ranges`], once into the rows of a
-///   block (the simulator's use) and once folded into a coded gradient
-///   with [`coefficients`] (every worker's use),
+///   block (the simulator's use), once written into a scratch vector the
+///   visitor folds itself, and once folded by the model with
+///   [`coefficients`] (every worker's use),
 ///
 /// each against `reference(range) -> (loss, gradient)`.
 pub(crate) fn assert_model_matches(
@@ -155,30 +202,38 @@ pub(crate) fn assert_model_matches(
         let mut out = vec![f64::NAN; n];
         model.gradient_into(params, data, range, &mut out);
         assert_same_bits(&out, &gradient, &what);
+        for coef in coefficients(7) {
+            let mut want = vec![-0.0; n];
+            fold_into(coef, &gradient, &mut want);
+            let got = folded(model, params, data, &[range], &[coef]);
+            assert_same_bits(&got, &want, &format!("{what}, folded with {coef}"));
+        }
     }
 
     let (ranges, _) = ragged_ranges();
     let mut block = hetgc_coding::GradientBlock::new(0, 0);
     crate::partial_gradients_into(model, params, data, &ranges, &mut block);
     let coefficients = coefficients(ranges.len());
-    let mut want_coded = vec![0.0; n];
+    let mut want_coded = vec![-0.0; n];
     for (p, &range) in ranges.iter().enumerate() {
         let gradient = reference(range).1;
         assert_same_bits(block.row(p), &gradient, &format!("{what}, block row {p}"));
-        for (c, g) in want_coded.iter_mut().zip(&gradient) {
-            *c += coefficients[p] * g;
-        }
+        fold_into(coefficients[p], &gradient, &mut want_coded);
     }
-    let mut coded = vec![0.0; n];
+    let mut coded = vec![-0.0; n];
     let mut partial = vec![f64::NAN; n];
     let mut visited = Vec::new();
     model.for_each_partial(params, data, &ranges, &mut |p, fill| {
         visited.push(p);
-        fill(&mut partial);
-        for (c, g) in coded.iter_mut().zip(&partial) {
-            *c += coefficients[p] * g;
-        }
+        fill(PartialSink::Write(&mut partial));
+        fold_into(coefficients[p], &partial, &mut coded);
     });
     assert_eq!(visited, (0..ranges.len()).collect::<Vec<_>>(), "{what}");
     assert_same_bits(&coded, &want_coded, &format!("{what}, coded gradient"));
+    let coded = folded(model, params, data, &ranges, &coefficients);
+    assert_same_bits(
+        &coded,
+        &want_coded,
+        &format!("{what}, folded coded gradient"),
+    );
 }

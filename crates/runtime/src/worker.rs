@@ -5,8 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
-use hetgc_coding::kernels;
-use hetgc_ml::{Dataset, Model};
+use hetgc_ml::{Dataset, Model, PartialSink};
 
 use crate::config::WorkerBehavior;
 use crate::message::{FromWorker, ToWorker};
@@ -34,12 +33,13 @@ pub(crate) struct WorkerContext<M> {
 /// gradients come from [`Model::for_each_partial`], the entry point the
 /// simulator's `partial_gradients_into` uses too, so a model that
 /// batches its forward pass across the owned ranges (with one sample per
-/// partition there is nothing to batch inside one) does so here. `coded`
-/// and `partial` are caller-held scratch, resized here and reused across
-/// rounds: `partial` holds one partition's gradient at a time, folded
-/// into `coded` — in partition order, one multiply and one add per
-/// coordinate — before the next overwrites it.
-pub fn compute_coded<M: Model>(
+/// partition there is nothing to batch inside one) does so here. Each
+/// partition's gradient is folded into `coded` through
+/// [`PartialSink::Fold`] — in partition order, one multiply and one add
+/// per coordinate — by a model that forms it in one pass in that pass,
+/// by any other through `partial`. `coded` and `partial` are caller-held
+/// scratch, resized here and reused across rounds.
+pub fn compute_coded<M: Model + ?Sized>(
     model: &M,
     data: &Dataset,
     ranges: &[(usize, usize)],
@@ -50,13 +50,16 @@ pub fn compute_coded<M: Model>(
 ) {
     coded.clear();
     coded.resize(model.num_params(), 0.0);
-    partial.clear();
+    // Only overwritten, so never cleared: a no-op once sized.
     partial.resize(model.num_params(), 0.0);
     // A partition without a coefficient is not owned.
     let owned = &ranges[..ranges.len().min(coefficients.len())];
     model.for_each_partial(params, data, owned, &mut |p, fill| {
-        fill(partial);
-        kernels::axpy(coefficients[p], partial, coded);
+        fill(PartialSink::Fold {
+            coef: coefficients[p],
+            acc: coded,
+            scratch: partial,
+        });
     });
 }
 
@@ -230,6 +233,146 @@ mod tests {
                     w.to_bits(),
                     "d = {d}, {owned:?}, coordinate {j}"
                 );
+            }
+        }
+    }
+
+    /// The `compute_coded` of before the fold sink, kept as the reference:
+    /// each owned partition's gradient written whole into a scratch
+    /// vector, then `kernels::axpy` into the coded sum.
+    fn fill_then_axpy(
+        model: &dyn Model,
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+        coefficients: &[f64],
+        params: &[f64],
+    ) -> Vec<u64> {
+        let n = model.num_params();
+        let (mut coded, mut partial) = (vec![0.0; n], vec![0.0; n]);
+        for (&range, &coef) in ranges.iter().zip(coefficients) {
+            model.gradient_into(params, data, range, &mut partial);
+            hetgc_coding::kernels::axpy(coef, &partial, &mut coded);
+        }
+        nan_folded_bits(&coded)
+    }
+
+    /// Bit patterns, every NaN folded to one (payloads are not part of
+    /// the contract).
+    fn nan_folded_bits(x: &[f64]) -> Vec<u64> {
+        x.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// `n` full-mantissa values; with `wild`, one in seven `NaN`, `±∞` or
+    /// `−0.0` instead.
+    fn values(n: usize, seed: u64, wild: bool) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let draw = state >> 33;
+                match (wild, draw % 28) {
+                    (true, 0) => f64::NAN,
+                    (true, 1) => f64::INFINITY,
+                    (true, 2) => f64::NEG_INFINITY,
+                    (true, 3) => -0.0,
+                    _ => (draw as f64 / (1u64 << 31) as f64 - 0.5) * 2.3,
+                }
+            })
+            .collect()
+    }
+
+    /// `compute_coded` — the model folding each partition's gradient as
+    /// it forms it, or through `partial` where it cannot — against
+    /// [`fill_then_axpy`], for every model and range set: `hetgc-net`'s
+    /// nine unaligned ranges, every range of 0..=6 samples alone and all
+    /// of them in a run, and fewer coefficients than ranges; NaN / ±∞ /
+    /// `−0.0` in features, parameters and targets; `0.0` and `−0.0`
+    /// coefficients; `d` off the kernels' lane width. (From a `+0.0` sum
+    /// the sign of a zero term never shows, so a dropped `0 +` is
+    /// `hetgc-ml`'s fold tests' to catch, from a `−0.0` accumulator.)
+    #[test]
+    fn compute_coded_bitwise_matches_fill_then_axpy() {
+        use hetgc_ml::{Mlp, SoftmaxRegression, Targets};
+        let unaligned = [
+            (3, 4),
+            (4, 5),
+            (5, 5),
+            (5, 14),
+            (14, 15),
+            (15, 18),
+            (18, 40),
+            (40, 41),
+            (41, 42),
+        ];
+        let mut range_sets: Vec<Vec<(usize, usize)>> = vec![unaligned.to_vec()];
+        for len in 0..=6 {
+            range_sets.extend([0, 3].map(|lo| vec![(lo, lo + len)]));
+        }
+        let mut lo = 3;
+        range_sets.push(
+            (0..=6)
+                .map(|len| {
+                    lo += len;
+                    (lo - len, lo)
+                })
+                .collect(),
+        );
+        let coefficients = [1.5, -0.25, 3.0, 0.0, 2.0, -1.0, 0.5, -0.0, -4.0];
+
+        let samples = 42;
+        for wild in 0..4 {
+            let [wild_x, wild_params, wild_y] = [wild == 1, wild == 2, wild == 3];
+            let regression = |dim| {
+                let x = values(samples * dim, 11, wild_x);
+                Dataset::new(x, Targets::Regression(values(samples, 12, wild_y)), dim)
+            };
+            let classes = |dim, num_classes| {
+                let labels = (0..samples).map(|i| (i * 7 + 3) % num_classes).collect();
+                let x = values(samples * dim, 11, wild_x);
+                Dataset::new(
+                    x,
+                    Targets::Classes {
+                        labels,
+                        num_classes,
+                    },
+                    dim,
+                )
+            };
+            let cases: Vec<(Box<dyn Model>, Dataset)> = vec![
+                (Box::new(LinearRegression::new(1)), regression(1)),
+                (Box::new(LinearRegression::new(7)), regression(7)),
+                (Box::new(LinearRegression::new(129)), regression(129)),
+                (Box::new(SoftmaxRegression::new(5, 3)), classes(5, 3)),
+                (Box::new(Mlp::new(4, 3, 2)), classes(4, 2)),
+            ];
+            for (model, data) in &cases {
+                let params = values(model.num_params(), 13, wild_params);
+                for ranges in &range_sets {
+                    for owned in [ranges.len(), ranges.len().div_ceil(2)] {
+                        let coefficients = &coefficients[..owned.min(coefficients.len())];
+                        let want = fill_then_axpy(&**model, data, ranges, coefficients, &params);
+                        let (mut coded, mut partial) = (Vec::new(), Vec::new());
+                        compute_coded(
+                            &**model,
+                            data,
+                            ranges,
+                            coefficients,
+                            &params,
+                            &mut coded,
+                            &mut partial,
+                        );
+                        assert_eq!(
+                            nan_folded_bits(&coded),
+                            want,
+                            "wild {wild}, {} params, {ranges:?}, {owned} owned",
+                            model.num_params()
+                        );
+                    }
+                }
             }
         }
     }
