@@ -35,10 +35,10 @@ use std::sync::Arc;
 
 use hetgc_cluster::{PartitionAssignment, StragglerModel};
 use hetgc_coding::{
-    gradient_error_bound_l2, CodecSession, CodingMatrix, EscalatingCodec, EscalationPolicy,
-    GradientBlock, GradientCodec,
+    gradient_error_bound_l2, kernels, CodecSession, CodingMatrix, DecodePlan, EscalatingCodec,
+    EscalationPolicy, GradientCodec,
 };
-use hetgc_ml::{partial_gradients_into, Dataset, Model};
+use hetgc_ml::{Dataset, Model, PartialSink};
 use hetgc_obs::{Phase, Recorder};
 use hetgc_runtime::{
     ClusterRound, Master, RuntimeConfig, RuntimeError, ThreadedCluster, Transport,
@@ -304,15 +304,20 @@ pub fn combined_step_scale(
     1.0 / (1.0 + decode_relative.max(0.0) + wire_error / gradient_norm)
 }
 
-/// The master-side data plane of one simulated round's coded gradient,
-/// shared by the BSP and coded-SSP engines: the dataset's partition ranges
-/// plus the two reusable blocks a round writes — partials (k × d) and the
-/// coded results the master would have received (m × d).
+/// The data plane of one simulated round's decoded gradient, shared by
+/// the BSP and coded-SSP engines. The master decodes `Σ_w a_w g̃_w` from
+/// coded results `g̃_w = Σ_j B_wj g_j`; holding `B` and every partition in
+/// one process, the simulator applies the plan to `B` instead and folds
+/// each partition once, `Σ_j c_j g_j` with `c = aᵀB`. That reassociates
+/// the master's double sum (equal to rounding, not to the bit) and needs
+/// no coded rows and no `k × d` partials block; `‖c − 1‖₂` is the residual.
 #[derive(Debug)]
 struct CodedPlane {
     ranges: Vec<(usize, usize)>,
-    partials: GradientBlock,
-    arrivals: GradientBlock,
+    /// `aᵀB` of the round's plan.
+    c: Vec<f64>,
+    /// One partition's gradient, where it is not folded as it is formed.
+    scratch: Vec<f64>,
 }
 
 impl CodedPlane {
@@ -320,52 +325,61 @@ impl CodedPlane {
     fn new(samples: usize, k: usize) -> Result<Self, BoxError> {
         Ok(CodedPlane {
             ranges: PartitionAssignment::even(samples, k)?.iter().collect(),
-            arrivals: GradientBlock::new(0, 0),
-            partials: GradientBlock::new(0, 0),
+            c: Vec::new(),
+            scratch: Vec::new(),
         })
     }
 
-    /// The gradient `plan` decodes at `params`: partials written into the
-    /// reusable block → sparse `encode_into` per plan worker (into that
-    /// worker's row of the arrivals block) → one whole-round
-    /// `apply_block_into` decode through the blocked kernel — plus the
-    /// rigorous [`gradient_error_bound_l2`] for approximate plans. The only
-    /// per-round allocation left is the outgoing gradient vector itself.
-    ///
-    /// In debug builds, exact plans are verified against the direct
-    /// full-batch gradient (approximate rounds legitimately deviate, bounded
-    /// by `residual · ‖(‖g_j‖)_j‖₂`).
+    /// The gradient `plan` decodes at `params`, plus the rigorous
+    /// [`gradient_error_bound_l2`] for approximate plans, which write each
+    /// `g_j` out to take its norm and then `axpy` it: bitwise the exact
+    /// plans' [`PartialSink::Fold`]. Debug builds hold exact plans to the
+    /// direct full-batch gradient.
     fn gradient<M: Model + ?Sized>(
         &mut self,
         codec: &EscalatingCodec,
-        plan: &hetgc_coding::DecodePlan,
+        plan: &DecodePlan,
         model: &M,
         params: &[f64],
         data: &Dataset,
         recorder: Option<&Recorder>,
-    ) -> Result<(Vec<f64>, Option<f64>), BoxError> {
-        let encode_span = recorder.map(|r| r.span(Phase::Encode));
-        partial_gradients_into(model, params, data, &self.ranges, &mut self.partials);
-        let d = model.num_params();
-        let m = codec.workers();
-        if self.arrivals.rows() != m || self.arrivals.dim() != d {
-            self.arrivals.reset(m, d);
-        }
-        // Only the plan's rows are encoded (and only those are read by the
-        // decode), so rows of workers outside the plan may hold stale data —
-        // skipping the block-wide zeroing keeps the round allocation- and
-        // fill-free.
-        for (w, _) in plan.iter() {
-            codec.encode_into(w, &self.partials, self.arrivals.row_mut(w))?;
-        }
-        drop(encode_span);
+    ) -> (Vec<f64>, Option<f64>) {
         let decode_span = recorder.map(|r| r.span(Phase::Decode));
-        let mut gradient = vec![0.0; d];
-        plan.apply_block_into(&self.arrivals, &mut gradient)?;
+        let base = codec.base();
+        self.c.clear();
+        self.c.resize(self.ranges.len(), 0.0);
+        for (w, a) in plan.iter() {
+            for (&j, &b) in base.support_of(w).iter().zip(base.coefficients_of(w)) {
+                self.c[j] += a * b;
+            }
+        }
         drop(decode_span);
-        let approximate = plan.residual() > 0.0;
+        let encode_span = recorder.map(|r| r.span(Phase::Encode));
+        let d = model.num_params();
+        self.scratch.resize(d, 0.0);
+        let (c, scratch) = (&self.c, &mut self.scratch);
+        let mut gradient = vec![0.0; d];
+        let error_bound = if plan.residual() > 0.0 {
+            let mut norms = vec![0.0; c.len()];
+            model.for_each_partial(params, data, &self.ranges, &mut |j, fill| {
+                fill(PartialSink::Write(scratch));
+                norms[j] = scratch.iter().map(|x| x * x).sum::<f64>().sqrt();
+                kernels::axpy(c[j], scratch, &mut gradient);
+            });
+            Some(gradient_error_bound_l2(plan.residual(), &norms))
+        } else {
+            model.for_each_partial(params, data, &self.ranges, &mut |j, fill| {
+                fill(PartialSink::Fold {
+                    coef: c[j],
+                    acc: &mut gradient,
+                    scratch,
+                })
+            });
+            None
+        };
+        drop(encode_span);
         debug_assert!(
-            approximate || {
+            error_bound.is_some() || {
                 let direct = model.gradient(params, data, (0, data.len()));
                 gradient
                     .iter()
@@ -374,14 +388,7 @@ impl CodedPlane {
             },
             "decoded gradient deviates from direct full-batch gradient"
         );
-        let error_bound = approximate.then(|| {
-            let partials = &self.partials;
-            let norms: Vec<f64> = (0..partials.rows())
-                .map(|j| partials.row(j).iter().map(|x| x * x).sum::<f64>().sqrt())
-                .collect();
-            gradient_error_bound_l2(plan.residual(), &norms)
-        });
-        Ok((gradient, error_bound))
+        (gradient, error_bound)
     }
 }
 
@@ -390,9 +397,9 @@ impl CodedPlane {
 /// The one simulated BSP engine: every round samples straggler events,
 /// simulates arrivals and decodes at the earliest decodable prefix (with
 /// the escalation ladder at the policy deadline or round end). An engine
-/// built with [`SimBspEngine::new`] then computes the real coded gradient
-/// the way the master would — partials, sparse encode per surviving
-/// worker, combination with the decode plan. The timing-only engine behind
+/// built with [`SimBspEngine::new`] then applies the decode plan to `B`
+/// and folds the partitions' gradients with `aᵀB`: the master's decode up
+/// to reassociation, with no coded rows. The timing-only engine behind
 /// `experiment::run_timing` (Figs. 2, 3, 5) and `adaptive::run_with_drift`
 /// is the same round with no model to differentiate: `gradient: None`.
 ///
@@ -573,31 +580,26 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
         let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
         let outcome =
             simulate_bsp_iteration_in(&self.codec, &sim_cfg, &events, rng, &mut self.session)?;
-        drop(collect_span);
         let Some(iter_time) = outcome.completion else {
             // A stalled round ends the run: only failed workers stall one,
             // and they stay failed.
             return Ok(EngineRound::failed(true));
         };
 
+        // The arrivals are part of the collect, as on the wall-clock master.
         let samples = bsp_samples(&self.codec, &outcome, work_per_partition, iter_time);
         if let Some(rec) = &self.recorder {
             for s in samples.iter().filter(|s| !s.failed) {
                 rec.instant(Phase::Arrival, (s.worker + 1) as u64);
             }
         }
+        drop(collect_span);
 
         let (gradient, error_bound) = match &mut self.training {
             Some((model, data, plane)) => {
-                let (gradient, error_bound) = plane.gradient(
-                    &self.codec,
-                    &outcome.decode_plan(),
-                    *model,
-                    params,
-                    data,
-                    self.recorder.as_ref(),
-                )?;
-                (Some(gradient), error_bound)
+                let (plan, rec) = (outcome.decode_plan(), self.recorder.as_ref());
+                let (g, bound) = plane.gradient(&self.codec, &plan, *model, params, data, rec);
+                (Some(g), bound)
             }
             None => (None, None),
         };
@@ -1018,14 +1020,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     Some(plan) => plan,
                     None => session.decoded_plan().expect("push_arrival decoded"),
                 };
-                let (gradient, error_bound) = plane.gradient(
-                    codec,
-                    plan,
-                    self.model,
-                    params,
-                    self.data,
-                    self.recorder.as_ref(),
-                )?;
+                let rec = self.recorder.as_ref();
+                let (gradient, error_bound) =
+                    plane.gradient(codec, plan, self.model, params, self.data, rec);
                 let (residual, results_used) = (plan.residual(), plan.len());
                 let elapsed = at - self.last_time;
                 self.last_time = at;
@@ -1337,7 +1334,8 @@ mod tests {
     use super::*;
     use crate::scheme::SchemeBuilder;
     use hetgc_cluster::{ClusterSpec, DelayDistribution};
-    use hetgc_ml::{synthetic, LinearRegression};
+    use hetgc_coding::GradientBlock;
+    use hetgc_ml::{partial_gradients_into, synthetic, LinearRegression};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1463,6 +1461,234 @@ mod tests {
         assert_eq!(count(Phase::Collect), 3);
         assert_eq!(count(Phase::Arrival), 3 * engine.workers());
         assert_eq!(recorder.events().len(), 3 + 3 * engine.workers());
+    }
+
+    /// The decode `CodedPlane::gradient` replaced: every partition's
+    /// gradient into a `k × d` block, `encode_into` per plan worker, one
+    /// `apply_block_into` over the coded rows, and the bound from the
+    /// block rows' norms.
+    fn block_decoded(
+        codec: &EscalatingCodec,
+        plan: &DecodePlan,
+        model: &LinearRegression,
+        params: &[f64],
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+    ) -> (Vec<f64>, Option<f64>) {
+        let mut partials = GradientBlock::new(0, 0);
+        partial_gradients_into(model, params, data, ranges, &mut partials);
+        let mut arrivals = GradientBlock::new(codec.workers(), model.num_params());
+        for (w, _) in plan.iter() {
+            codec
+                .encode_into(w, &partials, arrivals.row_mut(w))
+                .unwrap();
+        }
+        let mut gradient = vec![f64::NAN; model.num_params()];
+        plan.apply_block_into(&arrivals, &mut gradient).unwrap();
+        let bound = (plan.residual() > 0.0).then(|| {
+            let norms: Vec<f64> = (0..partials.rows())
+                .map(|j| partials.row(j).iter().map(|x| x * x).sum::<f64>().sqrt())
+                .collect();
+            gradient_error_bound_l2(plan.residual(), &norms)
+        });
+        (gradient, bound)
+    }
+
+    /// `Σ_j c_j · g_j` through one of `CodedPlane::gradient`'s two arms:
+    /// `PartialSink::Fold`, or `PartialSink::Write` and then `axpy`.
+    fn fold_arm(
+        model: &LinearRegression,
+        params: &[f64],
+        data: &Dataset,
+        ranges: &[(usize, usize)],
+        c: &[f64],
+        fused: bool,
+    ) -> Vec<f64> {
+        let mut gradient = vec![0.0; model.num_params()];
+        let mut scratch = vec![0.0; model.num_params()];
+        model.for_each_partial(params, data, ranges, &mut |j, fill| {
+            if fused {
+                fill(PartialSink::Fold {
+                    coef: c[j],
+                    acc: &mut gradient,
+                    scratch: &mut scratch,
+                });
+            } else {
+                fill(PartialSink::Write(&mut scratch));
+                kernels::axpy(c[j], &scratch, &mut gradient);
+            }
+        });
+        gradient
+    }
+
+    /// The fold's contract against [`block_decoded`]: the gradient within
+    /// `1e-12·(1 + |g_e|)`, the bound to the bit.
+    fn assert_folds_like_the_block_decode(
+        (gradient, bound): (&[f64], Option<f64>),
+        (expected, expected_bound): (&[f64], Option<f64>),
+        what: &str,
+    ) {
+        for (j, (g, e)) in gradient.iter().zip(expected).enumerate() {
+            assert!(
+                (g - e).abs() <= 1e-12 * (1.0 + e.abs()),
+                "{what}: coordinate {j}: fold {g} vs block decode {e}"
+            );
+        }
+        assert_eq!(
+            bound.map(f64::to_bits),
+            expected_bound.map(f64::to_bits),
+            "{what}: error bound"
+        );
+    }
+
+    #[test]
+    fn coefficient_fold_matches_the_block_decode() {
+        use hetgc_coding::CodecBackend;
+
+        // 3×1 + 2×2 + 1×3 vCPUs: six workers, s = 1, two groups for the
+        // group-based scheme.
+        let cluster = ClusterSpec::from_vcpu_rows("fold", &[(3, 1), (2, 2), (1, 3)], 50.0).unwrap();
+        let model = LinearRegression::new(3);
+        let mut approximate = 0;
+        for kind in SchemeKind::ALL {
+            let scheme = SchemeBuilder::new(&cluster, 1)
+                .build(kind, &mut StdRng::seed_from_u64(31))
+                .unwrap();
+            let s = scheme.stragglers();
+            for backend in [
+                CodecBackend::Exact,
+                CodecBackend::Group,
+                CodecBackend::Approx,
+            ] {
+                let base = scheme.compile_backend(backend).unwrap();
+                let codec = EscalatingCodec::new(base, EscalationPolicy::follow_backend());
+                let (m, k) = (codec.workers(), codec.partitions());
+                // Three samples a partition fold as they are formed; seven
+                // take LinearRegression's write-then-axpy path.
+                for per in [3, 7] {
+                    let mut rng = StdRng::seed_from_u64(32);
+                    let data = synthetic::linear_regression(k * per, 3, 0.1, &mut rng);
+                    let params = model.init_params(&mut rng);
+                    let mut plane = CodedPlane::new(data.len(), k).unwrap();
+                    let ranges = plane.ranges.clone();
+                    // Every straggler set of size 0, s and s + 1.
+                    for mask in 0u32..1 << m {
+                        let stragglers = mask.count_ones() as usize;
+                        if ![0, s, s + 1].contains(&stragglers) {
+                            continue;
+                        }
+                        let survivors: Vec<usize> =
+                            (0..m).filter(|w| mask & (1 << w) == 0).collect();
+                        let plan = codec
+                            .decode_plan(&survivors)
+                            .ok()
+                            .or_else(|| codec.fallback_plan(&survivors));
+                        let Some(plan) = plan else {
+                            assert!(stragglers > s, "{kind}/{backend}: {mask:b} undecodable");
+                            continue;
+                        };
+                        let what = format!("{kind}/{backend}/{per} per partition/{mask:b}");
+                        let (gradient, bound) =
+                            plane.gradient(&codec, &plan, &model, &params, &data, None);
+                        let expected =
+                            block_decoded(&codec, &plan, &model, &params, &data, &ranges);
+                        assert_folds_like_the_block_decode(
+                            (&gradient, bound),
+                            (&expected.0, expected.1),
+                            &what,
+                        );
+                        // Both arms over this plan's `c`, whichever one
+                        // the plan took, give the same bits.
+                        for fused in [true, false] {
+                            let arm = fold_arm(&model, &params, &data, &ranges, &plane.c, fused);
+                            assert_eq!(
+                                arm.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                gradient.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                "{what}: fused {fused} disagrees"
+                            );
+                        }
+                        if plan.residual() > 0.0 {
+                            approximate += 1;
+                            let off = plane.c.iter().map(|c| (c - 1.0).powi(2)).sum::<f64>();
+                            let rel = (off.sqrt() - plan.residual()).abs() / plan.residual();
+                            assert!(rel <= 1e-9, "{what}: ‖c − 1‖₂ off the residual by {rel}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(approximate > 0, "no approximate plan was exercised");
+    }
+
+    #[test]
+    fn coded_ssp_rounds_fold_the_plan_they_decode() {
+        use hetgc_coding::CodecBackend;
+
+        let cluster = ClusterSpec::from_vcpu_rows("ssp", &[(5, 2)], 100.0).unwrap();
+        let rates = cluster.throughputs();
+        let mut rng = StdRng::seed_from_u64(14);
+        let data = synthetic::linear_regression(100, 3, 0.02, &mut rng);
+        let model = LinearRegression::new(3);
+        let scheme = SchemeBuilder::new(&cluster, 1)
+            .build(SchemeKind::HeterAware, &mut rng)
+            .unwrap();
+        let cfg = SimTrainConfig {
+            backend: CodecBackend::Approx,
+            ..SimTrainConfig::default()
+        };
+        let staleness = 2;
+        let params = model.init_params(&mut rng);
+        // No failure: exact rounds. Two dead workers with s = 1: every
+        // round escalates to an approximate plan.
+        for failed in [vec![], vec![0, 2]] {
+            let policy = EscalationPolicy::follow_backend();
+            let mut engine = SimSspEngine::coded(
+                &scheme, &model, &data, &rates, staleness, &cfg, policy, &failed,
+            )
+            .unwrap();
+            // Replay the engine's event stream on a twin scheduler and
+            // session to learn which plan each round decodes.
+            let SspMode::Coded {
+                codec,
+                plane,
+                live,
+                iter_times,
+                ..
+            } = &engine.mode
+            else {
+                unreachable!("coded engine");
+            };
+            let (codec, live, ranges) = (codec.clone(), live.clone(), plane.ranges.clone());
+            let mut events = SspEngine::new(iter_times.clone(), staleness).unwrap();
+            let mut session = codec.session();
+            let m = codec.workers();
+            for round in 1..=6 {
+                let mut reported = vec![false; m];
+                let plan = loop {
+                    let w = live[events.next_event().unwrap().worker];
+                    if std::mem::replace(&mut reported[w], true) {
+                        continue;
+                    }
+                    if session.push_arrival(w).unwrap() {
+                        break session.decoded_plan().unwrap().clone();
+                    }
+                    if live.iter().all(|&x| reported[x]) {
+                        let survivors: Vec<usize> = (0..m).filter(|&x| reported[x]).collect();
+                        break codec.fallback_plan(&survivors).unwrap();
+                    }
+                };
+                session.reset();
+                let er = engine.round(round, &params, &mut rng).unwrap();
+                assert_eq!(er.residual.to_bits(), plan.residual().to_bits());
+                assert_eq!(failed.is_empty(), plan.residual() == 0.0);
+                let expected = block_decoded(&codec, &plan, &model, &params, &data, &ranges);
+                assert_folds_like_the_block_decode(
+                    (er.gradient.as_deref().unwrap(), er.error_bound),
+                    (&expected.0, expected.1),
+                    &format!("ssp round {round}, failed {failed:?}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@ pub type FillPartial<'a> = dyn Fn(PartialSink<'_>) + 'a;
 /// Where one range's gradient `g` goes.
 #[derive(Debug)]
 pub enum PartialSink<'s> {
-    /// Overwrite `out` (length [`Model::num_params`]) with `g`: a row of
-    /// the simulator's partial-gradient block.
+    /// Overwrite `out` (length [`Model::num_params`]) with `g`: a row of a
+    /// partial-gradient block, or the buffer whose norm the simulator takes
+    /// on approximate rounds.
     Write(&'s mut [f64]),
     /// `acc[j] += coef · g[j]`, bitwise `g` written into a buffer and then
-    /// `kernels::axpy(coef, g, acc)`: a worker's coded gradient. A model
+    /// `kernels::axpy(coef, g, acc)`: a worker's coded gradient, or the
+    /// simulator's decoded one (`coef = (aᵀB)_j`). A model
     /// that forms `g` in one pass over the coordinates adds it here in
     /// that pass; otherwise [`PartialSink::write_with`] writes `g` into
     /// `scratch` (same length as `acc`, contents ignored) first.
@@ -59,8 +61,11 @@ impl PartialSink<'_> {
 ///
 /// Results are pinned to the bit, not to a tolerance:
 /// `tests/golden_contract.rs` holds decoded gradients and two training
-/// runs to recorded constants, and each model's `bitwise_equal_to_…` test
-/// holds it to the scalar loops these two rules describe, at every shape:
+/// runs to recorded constants (the simulated BSP run's gradient is the
+/// coefficient fold `Σ_j (aᵀB)_j · g_j`, whose reassociation of the
+/// master's decode was re-pinned there once, deliberately), and each
+/// model's `bitwise_equal_to_…` test holds it to the scalar loops these
+/// two rules describe, at every shape:
 ///
 /// * a prediction (`wᵀx`, a logit, a hidden unit) is a **left-to-right
 ///   fold over features**, as `iter().zip().map().sum::<f64>()` computes
@@ -133,9 +138,10 @@ pub trait Model {
     }
 
     /// Visits the gradient of every range of `ranges`, in order — the one
-    /// batched entry point under [`crate::partial_gradients_into`] (the
-    /// simulator's `k × d` block) and `hetgc_runtime::compute_coded`
-    /// (`Σ_p coef_p · ∇L(range_p)` on every worker).
+    /// batched entry point under [`crate::partial_gradients_into`] (a
+    /// `k × d` block), `hetgc_runtime::compute_coded`
+    /// (`Σ_p coef_p · ∇L(range_p)` on every worker) and the simulated
+    /// engines' decode (`Σ_j (aᵀB)_j · ∇L(range_j)`).
     ///
     /// `visit(p, fill)` is called once per range; `fill(sink)` delivers
     /// bitwise what [`Model::gradient_into`] writes for `ranges[p]` into

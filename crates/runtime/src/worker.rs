@@ -31,7 +31,7 @@ pub(crate) struct WorkerContext<M> {
 /// the one kernel behind the worker thread and the `hetgc-net` socket
 /// worker, so both decode to bitwise the same gradients. The partial
 /// gradients come from [`Model::for_each_partial`], the entry point the
-/// simulator's `partial_gradients_into` uses too, so a model that
+/// simulator's decode uses too, so a model that
 /// batches its forward pass across the owned ranges (with one sample per
 /// partition there is nothing to batch inside one) does so here. Each
 /// partition's gradient is folded into `coded` through
