@@ -197,7 +197,7 @@ pub trait RoundEngine {
     ///
     /// # Errors
     ///
-    /// Infrastructure failures only (e.g. respawning a worker pool).
+    /// Infrastructure failures only (e.g. a worker lost mid-swap).
     fn recode(&mut self, _estimates: &[f64], _rng: &mut dyn RngCore) -> Result<bool, BoxError> {
         Ok(false)
     }

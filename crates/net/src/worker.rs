@@ -3,9 +3,10 @@
 //! newest round → coded gradient → chunked streaming reply.
 //!
 //! The compute path *is* the in-process worker thread's
-//! ([`hetgc_runtime::compute_coded`] + [`hetgc_runtime::throttle`]), so a
-//! socket run decodes to **bitwise** the same gradients as a threaded
-//! run — the loopback equivalence tests pin exactly that.
+//! ([`hetgc_runtime::compute_coded`], then a sleep until
+//! [`hetgc_runtime::emulated_deadline`]), so a socket run decodes to
+//! **bitwise** the same gradients as a threaded run — the loopback
+//! equivalence tests pin exactly that.
 
 use std::io::ErrorKind;
 use std::net::ToSocketAddrs;
@@ -14,7 +15,7 @@ use std::time::Instant;
 use hetgc_comm::{AnyWireCodec, CommError, ErrorFeedback, PayloadEncoding, WireCodec};
 use hetgc_ml::Model;
 use hetgc_obs::{Counter, Histogram, MetricsRegistry};
-use hetgc_runtime::{compute_coded, throttle};
+use hetgc_runtime::{compute_coded, emulated_deadline};
 
 use crate::conn::Connection;
 use crate::error::NetError;
@@ -220,7 +221,8 @@ fn serve(
             &mut coded,
             &mut partial,
         );
-        throttle(&behavior, &assignment.ranges, seq as usize, started);
+        let until = emulated_deadline(&behavior, &assignment.ranges, seq as usize, started);
+        std::thread::sleep(until.saturating_duration_since(Instant::now()));
         let computed = metrics.as_ref().map(|m| {
             m.rounds.inc();
             let computed = started.elapsed();

@@ -2,6 +2,11 @@
 //! transport is one OS thread per worker, connected by `crossbeam`
 //! channels. This is what the unified `hetgc::TrainDriver` loop drives
 //! through its `ThreadedEngine`.
+//!
+//! The pool is spawned once. A recode re-rows the live threads in place
+//! with [`ToWorker::Recode`], as `hetgc-net` re-rows its links with
+//! `Frame::Recode`, and a worker waits out its emulated delay on its
+//! inbox — so neither a recode nor a drop waits for a sleeping straggler.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -22,24 +27,18 @@ use crate::worker::{worker_main, WorkerContext};
 /// crashed worker thread, fatal to the round. Threads are shut down and
 /// joined on drop.
 #[derive(Debug)]
-pub struct ChannelTransport<M> {
-    model: Arc<M>,
-    data: Arc<Dataset>,
-    config: RuntimeConfig,
+pub struct ChannelTransport {
     to_workers: Vec<Sender<ToWorker>>,
     from_rx: Receiver<FromWorker>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl<M> ChannelTransport<M>
-where
-    M: Model + Send + Sync + 'static,
-{
+impl ChannelTransport {
     /// Spawns one worker thread per shard.
-    fn spawn(
+    fn spawn<M: Model + Send + Sync + 'static>(
         shards: Vec<RowShard>,
-        model: Arc<M>,
-        data: Arc<Dataset>,
+        model: &Arc<M>,
+        data: &Arc<Dataset>,
         config: &RuntimeConfig,
     ) -> Self {
         let (from_tx, from_rx) = unbounded();
@@ -50,8 +49,8 @@ where
             to_workers.push(to_tx);
             let ctx = WorkerContext {
                 index: w,
-                model: Arc::clone(&model),
-                data: Arc::clone(&data),
+                model: Arc::clone(model),
+                data: Arc::clone(data),
                 ranges,
                 coefficients,
                 behavior: config.behavior_of(w),
@@ -62,9 +61,6 @@ where
         }
         // `from_tx` drops here: the master keeps only the receiver.
         ChannelTransport {
-            model,
-            data,
-            config: config.clone(),
             to_workers,
             from_rx,
             handles,
@@ -72,10 +68,7 @@ where
     }
 }
 
-impl<M> Transport for ChannelTransport<M>
-where
-    M: Model + Send + Sync + 'static,
-{
+impl Transport for ChannelTransport {
     type Payload = Arc<[f64]>;
 
     fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError> {
@@ -95,14 +88,29 @@ where
         &self.from_rx
     }
 
-    /// Respawns the pool around the new shards. The data movement a new
-    /// allocation implies is local (the dataset is shared memory), so the
-    /// dominant cost is thread respawn — microseconds to milliseconds
-    /// against round times of tens of milliseconds.
+    /// Re-rows the running threads in place: exactly one shard per
+    /// thread, each sent as a [`ToWorker::Recode`] — nothing is respawned
+    /// or joined, so a straggler mid-delay holds nothing up. The dataset
+    /// is shared memory, so a new row is only new ranges and
+    /// coefficients. Threads keep their behaviour, so its schedules stay
+    /// pinned to the thread, as on TCP they stay pinned to the process.
     fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError> {
-        let (model, data) = (Arc::clone(&self.model), Arc::clone(&self.data));
-        // The old pool is shut down and joined as the replaced value drops.
-        *self = Self::spawn(shards, model, data, &self.config);
+        if shards.len() != self.to_workers.len() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "recode matrix has {} rows but {} worker threads",
+                    shards.len(),
+                    self.to_workers.len()
+                ),
+            });
+        }
+        for (w, (tx, (ranges, coefficients))) in self.to_workers.iter().zip(shards).enumerate() {
+            tx.send(ToWorker::Recode {
+                ranges,
+                coefficients,
+            })
+            .map_err(|_| RuntimeError::WorkerLost { worker: w })?;
+        }
         Ok(())
     }
 
@@ -115,7 +123,7 @@ where
     }
 }
 
-impl<M> Drop for ChannelTransport<M> {
+impl Drop for ChannelTransport {
     fn drop(&mut self) {
         for tx in &self.to_workers {
             let _ = tx.send(ToWorker::Shutdown);
@@ -132,7 +140,7 @@ impl<M> Drop for ChannelTransport<M> {
 /// [`ThreadedCluster::start`]; threads are shut down and joined on drop
 /// (or explicitly via [`ThreadedCluster::shutdown`]).
 #[derive(Debug)]
-pub struct ThreadedCluster<M>(Master<M, ChannelTransport<M>>)
+pub struct ThreadedCluster<M>(Master<M, ChannelTransport>)
 where
     M: Model + Send + Sync + 'static;
 
@@ -157,8 +165,7 @@ where
     ) -> Result<Self, RuntimeError> {
         let codec = build_codec(code, config)?;
         let shards = row_shards(&codec, data.len())?;
-        let transport =
-            ChannelTransport::spawn(shards, Arc::clone(&model), Arc::clone(&data), config);
+        let transport = ChannelTransport::spawn(shards, &model, &data, config);
         Ok(ThreadedCluster(Master::new(
             codec, model, data, config, transport,
         )))
@@ -173,7 +180,7 @@ impl<M> Deref for ThreadedCluster<M>
 where
     M: Model + Send + Sync + 'static,
 {
-    type Target = Master<M, ChannelTransport<M>>;
+    type Target = Master<M, ChannelTransport>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -193,6 +200,7 @@ where
 mod tests {
     use super::*;
     use crate::config::WorkerBehavior;
+    use crate::master::ClusterRound;
     use hetgc_coding::{heter_aware, naive, EscalationPolicy};
     use hetgc_ml::{synthetic, LinearRegression, SoftmaxRegression};
     use rand::rngs::StdRng;
@@ -420,6 +428,106 @@ mod tests {
             );
         }
         cluster.shutdown();
+    }
+
+    /// Four equal rows (`s = 1`) whose worker 0 waits `delay` after every
+    /// round, and parameters to run them at.
+    fn delayed_cluster(
+        seed: u64,
+        delay: Duration,
+    ) -> (ThreadedCluster<LinearRegression>, Vec<f64>, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let code = heter_aware(&[1.0; 4], 4, 1, &mut rng).unwrap();
+        let config =
+            RuntimeConfig::nominal(4).set_behavior(0, WorkerBehavior::nominal().with_delay(delay));
+        let model = Arc::new(LinearRegression::new(3));
+        let data = Arc::new(quick_data(seed));
+        let params = model.init_params(&mut rng);
+        let cluster = ThreadedCluster::start(code, model, data, &config).unwrap();
+        (cluster, params, rng)
+    }
+
+    /// `round` decoded the exact batch gradient at `params`.
+    fn assert_exact(
+        cluster: &ThreadedCluster<LinearRegression>,
+        round: &ClusterRound,
+        params: &[f64],
+    ) {
+        let direct = cluster
+            .model()
+            .gradient(params, cluster.data(), (0, cluster.data().len()));
+        assert_eq!(round.residual, 0.0);
+        for (g, d) in round.gradient.iter().zip(&direct) {
+            assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
+        }
+    }
+
+    #[test]
+    fn drop_does_not_wait_for_a_delayed_worker() {
+        let (mut cluster, params, _) = delayed_cluster(35, Duration::from_secs(2));
+        let round = cluster.round(1, &params).unwrap();
+        assert_eq!(round.busy[0], 0.0, "worker 0 is still in its delay");
+        let dropping = Instant::now();
+        drop(cluster);
+        assert!(
+            dropping.elapsed() < Duration::from_millis(100),
+            "{:?}",
+            dropping.elapsed()
+        );
+    }
+
+    #[test]
+    fn recode_does_not_wait_for_a_delayed_worker() {
+        let (mut cluster, params, mut rng) = delayed_cluster(36, Duration::from_secs(2));
+        cluster.round(1, &params).unwrap();
+        let recoding = Instant::now();
+        let code = heter_aware(&[1.0; 4], 8, 1, &mut rng).unwrap();
+        cluster.recode(code).unwrap();
+        assert!(
+            recoding.elapsed() < Duration::from_millis(100),
+            "{:?}",
+            recoding.elapsed()
+        );
+        assert_eq!(cluster.partitions(), 8);
+        // Worker 0 still waits out round 1; the other three decode.
+        let round = cluster.round(2, &params).unwrap();
+        assert_exact(&cluster, &round, &params);
+    }
+
+    #[test]
+    fn rerow_with_the_wrong_row_count_keeps_the_old_code() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let code = heter_aware(&[1.0, 1.0, 2.0], 4, 1, &mut rng).unwrap();
+        let model = Arc::new(LinearRegression::new(3));
+        let data = Arc::new(quick_data(37));
+        let mut cluster =
+            ThreadedCluster::start(code, model, data, &RuntimeConfig::default()).unwrap();
+        let params = cluster.model().init_params(&mut rng);
+        let two_rows = heter_aware(&[1.0, 1.0], 6, 1, &mut rng).unwrap();
+        assert!(matches!(
+            cluster.recode(two_rows),
+            Err(RuntimeError::InvalidConfig { .. })
+        ));
+        assert_eq!((cluster.workers(), cluster.partitions()), (3, 4));
+        let round = cluster.round(1, &params).unwrap();
+        assert_exact(&cluster, &round, &params);
+    }
+
+    #[test]
+    fn a_reply_from_before_an_in_place_recode_is_only_a_late_timing() {
+        // As on TCP: the threads are not replaced, so worker 0's round-1
+        // reply lands after the recode — its timing is observed, its
+        // payload carries no weight.
+        let (mut cluster, params, mut rng) = delayed_cluster(38, Duration::from_millis(250));
+        let r1 = cluster.round(1, &params).unwrap();
+        assert_eq!(r1.busy[0], 0.0);
+        let code = heter_aware(&[1.0; 4], 4, 1, &mut rng).unwrap();
+        cluster.recode(code).unwrap();
+        std::thread::sleep(Duration::from_millis(350));
+        let r2 = cluster.round(2, &params).unwrap();
+        assert_exact(&cluster, &r2, &params);
+        assert_eq!(r2.busy[0], 0.0);
+        assert!(r2.late_busy[0] >= 0.25, "{:?}", r2.late_busy);
     }
 
     #[test]

@@ -61,4 +61,4 @@ pub use error::RuntimeError;
 pub use executor::{ChannelTransport, ThreadedCluster};
 pub use master::{build_codec, row_shards, ClusterRound, Master, RowShard, Transport};
 pub use message::{Reply, ToWorker};
-pub use worker::{compute_coded, throttle};
+pub use worker::{compute_coded, emulated_deadline};

@@ -18,6 +18,17 @@ pub enum ToWorker {
         /// Current model parameters (shared, read-only).
         params: Arc<Vec<f64>>,
     },
+    /// Move onto a new row of the code, in place — the channel
+    /// counterpart of `hetgc-net`'s `Frame::Recode`. Channel order makes
+    /// an acknowledgement unnecessary: the worker applies it before any
+    /// round sent after it, and replies to older rounds are filtered by
+    /// their sequence tag.
+    Recode {
+        /// The sample ranges of the partitions the new row holds.
+        ranges: Vec<(usize, usize)>,
+        /// The non-zero entries of the new row, aligned with `ranges`.
+        coefficients: Vec<f64>,
+    },
     /// Terminate the worker thread cleanly.
     Shutdown,
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use hetgc_ml::{Dataset, Model, PartialSink};
 
 use crate::config::WorkerBehavior;
@@ -17,7 +17,7 @@ pub(crate) struct WorkerContext<M> {
     pub model: Arc<M>,
     pub data: Arc<Dataset>,
     /// This worker's sample ranges, one per owned partition, aligned with
-    /// `coefficients`.
+    /// `coefficients`. Both are replaced by [`ToWorker::Recode`].
     pub ranges: Vec<(usize, usize)>,
     /// The non-zero entries of `b_w`, aligned with `ranges`.
     pub coefficients: Vec<f64>,
@@ -63,51 +63,81 @@ pub fn compute_coded<M: Model + ?Sized>(
     });
 }
 
-/// Heterogeneity emulation, called right after [`compute_coded`]:
-/// stretches the iteration that began at `started` so that
-/// samples/elapsed matches the rate `behavior` configures for it (with
-/// `throttle_step`, a drifting VM), then adds the injected delay — the
-/// master's telemetry observes the worker's *emulated* speed.
-pub fn throttle(
+/// Heterogeneity emulation, called right after [`compute_coded`]: when
+/// the reply to the iteration that began at `started` may leave. The
+/// iteration is stretched so that samples/elapsed matches the rate
+/// `behavior` configures for it (with `throttle_step`, a drifting VM),
+/// then the injected delay is added — the master's telemetry observes
+/// the worker's *emulated* speed. A socket worker sleeps until the
+/// deadline; a worker thread waits on its inbox, so a shutdown or a
+/// recode is not held up by it.
+pub fn emulated_deadline(
     behavior: &WorkerBehavior,
     ranges: &[(usize, usize)],
     iteration: usize,
     started: Instant,
-) {
+) -> Instant {
+    let mut until = Instant::now();
     if let Some(rate) = behavior.throttle_at(iteration) {
         let samples: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
-        let target = Duration::from_secs_f64(samples as f64 / rate);
-        let compute = started.elapsed();
-        if target > compute {
-            std::thread::sleep(target - compute);
-        }
+        until = until.max(started + Duration::from_secs_f64(samples as f64 / rate));
     }
-    if !behavior.extra_delay.is_zero() {
-        std::thread::sleep(behavior.extra_delay);
+    until + behavior.extra_delay
+}
+
+/// The newest round a worker thread has received and not yet served.
+type Held = Option<(usize, Arc<Vec<f64>>)>;
+
+impl<M> WorkerContext<M> {
+    /// Takes one message in arrival order: a round replaces the held one
+    /// (the newest wins), a recode moves the worker onto its new row at
+    /// once. `false` on [`ToWorker::Shutdown`].
+    fn take(&mut self, msg: ToWorker, held: &mut Held) -> bool {
+        match msg {
+            ToWorker::Round { iteration, params } => *held = Some((iteration, params)),
+            ToWorker::Recode {
+                ranges,
+                coefficients,
+            } => {
+                self.ranges = ranges;
+                self.coefficients = coefficients;
+            }
+            ToWorker::Shutdown => return false,
+        }
+        true
     }
 }
 
 /// The worker main loop. Returns when the master hangs up or sends
-/// [`ToWorker::Shutdown`].
-pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
+/// [`ToWorker::Shutdown`] — at once, even mid-way through an emulated
+/// delay.
+pub(crate) fn worker_main<M: Model>(mut ctx: WorkerContext<M>) {
     // Scratch of `compute_coded`: the only data-plane allocation a
     // worker performs per round is freezing `coded` into the `Arc<[f64]>`
     // reply payload.
     let mut coded: Vec<f64> = Vec::new();
     let mut partial: Vec<f64> = Vec::new();
-    while let Ok(mut msg) = ctx.inbox.recv() {
-        // Fast-forward to the newest pending message: a worker that fell
-        // behind (delayed, throttled) joins the *current* round instead of
-        // replaying rounds the master already decoded without it.
-        while !matches!(msg, ToWorker::Shutdown) {
-            match ctx.inbox.try_recv() {
-                Ok(newer) => msg = newer,
-                Err(_) => break,
+    let mut held: Held = None;
+    loop {
+        // Block for a message unless a round is already held, then
+        // fast-forward through everything queued: a worker that fell
+        // behind (delayed, throttled) joins the *current* round instead
+        // of replaying rounds the master already decoded without it.
+        if held.is_none() {
+            let Ok(msg) = ctx.inbox.recv() else {
+                return;
+            };
+            if !ctx.take(msg, &mut held) {
+                return;
             }
         }
-        let (iteration, params) = match msg {
-            ToWorker::Round { iteration, params } => (iteration, params),
-            ToWorker::Shutdown => return,
+        while let Ok(msg) = ctx.inbox.try_recv() {
+            if !ctx.take(msg, &mut held) {
+                return;
+            }
+        }
+        let Some((iteration, params)) = held.take() else {
+            continue;
         };
         if !ctx.behavior.responds_at(iteration) {
             // Fail-stop: keep draining messages (a dead VM doesn't block
@@ -124,7 +154,24 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
             &mut coded,
             &mut partial,
         );
-        throttle(&ctx.behavior, &ctx.ranges, iteration, started);
+        // Wait out the emulated speed on the inbox rather than in a
+        // sleep: messages are taken as they land, in order.
+        let until = emulated_deadline(&ctx.behavior, &ctx.ranges, iteration, started);
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            match ctx.inbox.recv_timeout(left) {
+                Ok(msg) => {
+                    if !ctx.take(msg, &mut held) {
+                        return;
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+        }
         let reply = FromWorker {
             worker: ctx.index,
             seq: iteration as u64,
@@ -400,6 +447,29 @@ mod tests {
         assert_eq!(both, coded);
     }
 
+    /// `reply` carries `coef` × the full gradient of [`spawn_worker`]'s
+    /// dataset at `params`.
+    fn assert_scaled_gradient(reply: &FromWorker, coef: f64, params: &[f64]) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let data = synthetic::linear_regression(10, 2, 0.0, &mut rng);
+        let full = LinearRegression::new(2).gradient(params, &data, (0, 10));
+        assert_eq!(reply.coded.len(), full.len());
+        for (c, f) in reply.coded.iter().zip(&full) {
+            assert!(
+                (c - coef * f).abs() < 1e-10,
+                "seq {}: {c} vs {coef} × {f}",
+                reply.seq
+            );
+        }
+    }
+
+    fn round(iteration: usize, params: &Arc<Vec<f64>>) -> ToWorker {
+        ToWorker::Round {
+            iteration,
+            params: Arc::clone(params),
+        }
+    }
+
     #[test]
     fn worker_computes_encoded_gradient() {
         let (tx, rx, handle) = spawn_worker(WorkerBehavior::nominal(), 2.0);
@@ -414,13 +484,7 @@ mod tests {
         assert_eq!(reply.seq, 1);
         assert_eq!(reply.coded.len(), 3);
         // coefficient 2 on both halves = 2 × full gradient.
-        let mut rng = StdRng::seed_from_u64(3);
-        let data = synthetic::linear_regression(10, 2, 0.0, &mut rng);
-        let model = LinearRegression::new(2);
-        let full = model.gradient(&params, &data, (0, 10));
-        for (c, f) in reply.coded.iter().zip(&full) {
-            assert!((c - 2.0 * f).abs() < 1e-10);
-        }
+        assert_scaled_gradient(&reply, 2.0, &params);
         tx.send(ToWorker::Shutdown).unwrap();
         handle.join().unwrap();
     }
@@ -470,5 +534,92 @@ mod tests {
         );
         tx.send(ToWorker::Shutdown).unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn reply_time_covers_the_throttle_and_the_delay() {
+        // 10 samples at 50 samples/sec = 200 ms, then 50 ms of delay.
+        let behavior = WorkerBehavior::nominal()
+            .with_throttle(50.0)
+            .with_delay(Duration::from_millis(50));
+        let (tx, rx, handle) = spawn_worker(behavior, 1.0);
+        tx.send(round(1, &Arc::new(vec![0.0; 3]))).unwrap();
+        let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(reply.compute_seconds >= 0.25, "{}", reply.compute_seconds);
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn rounds_sent_mid_wait_fast_forward_to_the_newest() {
+        let (tx, rx, handle) = spawn_worker(
+            WorkerBehavior::nominal().with_delay(Duration::from_millis(150)),
+            1.0,
+        );
+        let params = Arc::new(vec![0.1, -0.2, 0.05]);
+        tx.send(round(1, &params)).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        for iteration in 2..=4 {
+            tx.send(round(iteration, &params)).unwrap();
+        }
+        // Round 1 is served after its full delay, then round 4 — rounds
+        // 2 and 3 were superseded while the worker waited.
+        let mut replies = Vec::new();
+        while let Ok(reply) = rx.recv_timeout(Duration::from_millis(500)) {
+            replies.push((reply.seq, reply.compute_seconds));
+        }
+        assert_eq!(
+            replies.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [1, 4],
+            "{replies:?}"
+        );
+        assert!(replies.iter().all(|r| r.1 >= 0.15), "{replies:?}");
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn recode_mid_wait_applies_before_the_next_round() {
+        let (tx, rx, handle) = spawn_worker(
+            WorkerBehavior::nominal().with_delay(Duration::from_millis(150)),
+            1.0,
+        );
+        let params = Arc::new(vec![0.1, -0.2, 0.05]);
+        tx.send(round(1, &params)).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        tx.send(ToWorker::Recode {
+            ranges: vec![(0, 5), (5, 10)],
+            coefficients: vec![3.0, 3.0],
+        })
+        .unwrap();
+        tx.send(round(2, &params)).unwrap();
+        // Round 1 was computed before the recode landed; round 2 after.
+        let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(first.seq, 1);
+        assert_scaled_gradient(&first, 1.0, &params);
+        let second = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(second.seq, 2);
+        assert_scaled_gradient(&second, 3.0, &params);
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_mid_wait_returns_at_once() {
+        let (tx, rx, handle) = spawn_worker(
+            WorkerBehavior::nominal().with_delay(Duration::from_secs(2)),
+            1.0,
+        );
+        tx.send(round(1, &Arc::new(vec![0.0; 3]))).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        let stopping = Instant::now();
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
+        assert!(
+            stopping.elapsed() < Duration::from_millis(100),
+            "{:?}",
+            stopping.elapsed()
+        );
+        assert!(rx.try_recv().is_err(), "no reply to the interrupted round");
     }
 }

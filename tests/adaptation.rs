@@ -2,8 +2,9 @@
 //! `TrainDriver` run with `AdaptationConfig` under `RateDrift::StepChange`
 //! re-codes mid-run and beats the static allocation on average round
 //! time — on the sim-BSP path (real SGD composed with drift) AND on the
-//! threaded-runtime path (real wall-clock telemetry, hot worker-pool
-//! respawn) — while a run with adaptation disabled is bitwise unchanged.
+//! threaded-runtime path (real wall-clock telemetry, worker threads
+//! re-rowed in place) — while a run with adaptation disabled is bitwise
+//! unchanged.
 
 use std::sync::Arc;
 
