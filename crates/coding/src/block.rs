@@ -232,15 +232,6 @@ impl<E: Element> BufferPool<E> {
         self.dim
     }
 
-    /// Reshapes the pool for a new buffer length, discarding recycled
-    /// buffers of the old length (the re-code path).
-    pub fn reset_dim(&mut self, dim: usize) {
-        if dim != self.dim {
-            self.dim = dim;
-            self.free.clear();
-        }
-    }
-
     /// Checks a zeroed `dim`-length buffer out of the pool. Recycled
     /// buffers are re-zeroed here (never handed out dirty); an empty pool
     /// allocates (counted in [`BufferPool::alloc_bytes`]).
@@ -268,29 +259,6 @@ impl<E: Element> BufferPool<E> {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.clear();
-                buf.resize(len, E::ZERO);
-                buf
-            }
-            None => {
-                self.misses += 1;
-                self.alloc_bytes += (len * E::BYTES) as u64;
-                vec![E::ZERO; len]
-            }
-        }
-    }
-
-    /// Checks out a `len`-length buffer **without** the zeroing pass:
-    /// a recycled buffer keeps its stale contents (only any extension
-    /// beyond its previous length is zero-filled by `resize`). Strictly
-    /// for overwrite-only callers — paths like the wire dequantizer
-    /// that write every element before any read, where
-    /// [`BufferPool::checkout_with_len`]'s re-zero is pure waste. The
-    /// buffer is always a safe, fully initialized `Vec`; "uninit" here
-    /// means *semantically stale*, never undefined memory.
-    pub fn checkout_uninit(&mut self, len: usize) -> Vec<E> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.hits += 1;
                 buf.resize(len, E::ZERO);
                 buf
             }
@@ -345,127 +313,6 @@ impl<E: Element> BufferPool<E> {
     /// Total bytes allocated by misses over the pool's lifetime.
     pub fn alloc_bytes(&self) -> u64 {
         self.alloc_bytes
-    }
-
-    /// Snapshot of the pool's recycling counters, detached from the pool
-    /// — the unit a multi-job fleet merges (see [`PoolStats::merge`]).
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits,
-            misses: self.misses,
-            alloc_bytes: self.alloc_bytes,
-        }
-    }
-}
-
-/// Detached recycling counters of one (or many, merged) [`BufferPool`]s.
-///
-/// Concurrent jobs deliberately do **not** share one `&mut` pool — that
-/// would serialize every checkout across tenants. Each job keeps its own
-/// pool (or a [`SharedBufferPool`] handle per thread group) and the fleet
-/// report folds the per-job snapshots together with [`PoolStats::merge`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Checkouts served by recycling (no allocation).
-    pub hits: u64,
-    /// Checkouts that had to allocate.
-    pub misses: u64,
-    /// Total bytes allocated by misses.
-    pub alloc_bytes: u64,
-}
-
-impl PoolStats {
-    /// Folds another snapshot into this one (counter-wise sum).
-    pub fn merge(&mut self, other: PoolStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.alloc_bytes += other.alloc_bytes;
-    }
-
-    /// Total checkouts observed.
-    pub fn checkouts(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
-/// A cheaply clonable, thread-safe [`BufferPool`] handle: the pool behind
-/// an `Arc<Mutex<…>>`, for the places where several threads of one job
-/// genuinely must draw from a single pool (e.g. a pipelined driver's
-/// dispatch and collect halves). Checkout/recycle take the lock once per
-/// call; for cross-*job* sharing prefer per-job pools plus
-/// [`PoolStats::merge`], which contend on nothing.
-///
-/// # Example
-///
-/// ```
-/// use hetgc_coding::SharedBufferPool;
-///
-/// let pool = SharedBufferPool::<f64>::new(4);
-/// let handle = pool.clone(); // same underlying pool
-/// let buf = handle.checkout();
-/// pool.recycle(buf);
-/// assert_eq!(pool.stats().checkouts(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedBufferPool<E: Element = f64> {
-    inner: std::sync::Arc<std::sync::Mutex<BufferPool<E>>>,
-}
-
-impl<E: Element> SharedBufferPool<E> {
-    /// A shareable pool of `dim`-length buffers.
-    pub fn new(dim: usize) -> Self {
-        SharedBufferPool {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(BufferPool::new(dim))),
-        }
-    }
-
-    /// See [`BufferPool::checkout`].
-    pub fn checkout(&self) -> Vec<E> {
-        self.inner.lock().expect("pool poisoned").checkout()
-    }
-
-    /// See [`BufferPool::checkout_with_len`].
-    pub fn checkout_with_len(&self, len: usize) -> Vec<E> {
-        self.inner
-            .lock()
-            .expect("pool poisoned")
-            .checkout_with_len(len)
-    }
-
-    /// See [`BufferPool::checkout_uninit`].
-    pub fn checkout_uninit(&self, len: usize) -> Vec<E> {
-        self.inner
-            .lock()
-            .expect("pool poisoned")
-            .checkout_uninit(len)
-    }
-
-    /// See [`BufferPool::checkout_copied`].
-    pub fn checkout_copied(&self, src: &[E]) -> Vec<E> {
-        self.inner
-            .lock()
-            .expect("pool poisoned")
-            .checkout_copied(src)
-    }
-
-    /// See [`BufferPool::recycle`].
-    pub fn recycle(&self, buf: Vec<E>) {
-        self.inner.lock().expect("pool poisoned").recycle(buf);
-    }
-
-    /// See [`BufferPool::reset_dim`].
-    pub fn reset_dim(&self, dim: usize) {
-        self.inner.lock().expect("pool poisoned").reset_dim(dim);
-    }
-
-    /// See [`BufferPool::available`].
-    pub fn available(&self) -> usize {
-        self.inner.lock().expect("pool poisoned").available()
-    }
-
-    /// Counter snapshot (see [`BufferPool::stats`]).
-    pub fn stats(&self) -> PoolStats {
-        self.inner.lock().expect("pool poisoned").stats()
     }
 }
 
@@ -562,25 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn checkout_uninit_skips_the_zeroing_pass() {
-        let mut pool = BufferPool::new(4);
-        let mut buf = pool.checkout_uninit(4);
-        assert_eq!(buf, vec![0.0; 4], "a fresh (miss) buffer is still zeroed");
-        buf.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        pool.recycle(buf);
-        // Same length: the stale prefix survives — overwrite-only contract.
-        assert_eq!(pool.checkout_uninit(4), vec![1.0, 2.0, 3.0, 4.0]);
-        pool.recycle(vec![7.0, 8.0]);
-        // Growing: only the extension is zero-filled.
-        assert_eq!(pool.checkout_uninit(4), vec![7.0, 8.0, 0.0, 0.0]);
-        assert_eq!((pool.hits(), pool.misses()), (2, 1));
-        assert_eq!(pool.alloc_bytes(), 4 * 8, "hits allocate nothing");
-        // The zeroing checkouts are unaffected by uninit traffic.
-        pool.recycle(vec![9.0; 4]);
-        assert_eq!(pool.checkout(), vec![0.0; 4]);
-    }
-
-    #[test]
     fn convert_into_overwrites_a_reused_block() {
         let mut src = GradientBlock::<f64>::new(2, 3);
         src.row_mut(0).copy_from_slice(&[1.5, -2.5, 3.0]);
@@ -601,62 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_merge_across_jobs() {
-        let mut a = BufferPool::<f64>::new(2);
-        let mut b = BufferPool::<f64>::new(2);
-        let buf = a.checkout();
-        a.recycle(buf);
-        let _ = a.checkout();
-        let _ = b.checkout();
-        let mut fleet = PoolStats::default();
-        fleet.merge(a.stats());
-        fleet.merge(b.stats());
-        assert_eq!(fleet.hits, 1);
-        assert_eq!(fleet.misses, 2);
-        assert_eq!(fleet.alloc_bytes, 2 * 2 * 8);
-        assert_eq!(fleet.checkouts(), 3);
-    }
-
-    #[test]
-    fn shared_pool_handle_clones_share_state() {
-        let pool = SharedBufferPool::<f64>::new(3);
-        let handle = pool.clone();
-        let buf = handle.checkout();
-        assert_eq!(buf.len(), 3);
-        pool.recycle(buf);
-        let again = handle.checkout();
-        assert_eq!(again, vec![0.0; 3]);
-        assert_eq!(pool.stats(), handle.stats());
-        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
-    }
-
-    #[test]
-    fn shared_pool_concurrent_checkouts_are_safe() {
-        let pool = SharedBufferPool::<f64>::new(8);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    for _ in 0..16 {
-                        let buf = pool.checkout();
-                        pool.recycle(buf);
-                    }
-                });
-            }
-        });
-        assert_eq!(pool.stats().checkouts(), 64);
-    }
-
-    #[test]
     fn pool_survives_dim_change() {
-        let mut pool = BufferPool::<f64>::new(2);
-        let buf = pool.checkout();
-        pool.recycle(buf);
-        pool.reset_dim(5);
-        assert_eq!(pool.available(), 0, "old-dim buffers discarded");
-        assert_eq!(pool.checkout().len(), 5);
-        // Recycling a wrong-length buffer is tolerated: resized on reuse.
+        // A buffer recycled at another length (a re-code changed `dim`)
+        // is tolerated: resized and re-zeroed on reuse.
+        let mut pool = BufferPool::<f64>::new(5);
         pool.recycle(vec![1.0; 2]);
         assert_eq!(pool.checkout(), vec![0.0; 5]);
+        assert_eq!((pool.hits(), pool.misses()), (1, 0));
     }
 }

@@ -73,7 +73,7 @@ pub use approx::{
     approximate_decode, gradient_error_bound_l2, under_replicated, ApproximateDecode,
 };
 pub use backend::CodecBackend;
-pub use block::{BufferPool, GradientBlock, PoolStats, SharedBufferPool};
+pub use block::{BufferPool, GradientBlock};
 pub use codec::{
     CodecSession, CompiledCodec, DecodePlan, GradientCodec, DEFAULT_PLAN_CACHE_CAPACITY,
 };

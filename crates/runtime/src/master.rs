@@ -325,13 +325,6 @@ impl<M: Model, T: Transport> Master<M, T> {
         self.transport.live_rows()
     }
 
-    /// Snapshot of the decode session's buffer-pool counters — what a
-    /// multi-job scheduler merges across tenants into a fleet-wide
-    /// data-plane report ([`hetgc_coding::PoolStats::merge`]).
-    pub fn pool_stats(&self) -> hetgc_coding::PoolStats {
-        self.session.pool().stats()
-    }
-
     /// Replaces the round deadline in place — the hook a learned
     /// escalation deadline feeds, superseding whatever the configuration
     /// carried.

@@ -7,36 +7,27 @@
 //!   ([`hetgc::RoundEngine::recode`], Eq. 5 → Eq. 6 → Alg. 1/3);
 //! * commits the rebuilt code's per-worker loads back to the ledger, so
 //!   the next tenant's view reflects this job's new footprint;
-//! * feeds every completed round into a per-job
-//!   [`hetgc_telemetry::TelemetryHub`], the source of the scheduler's
-//!   fleet rollup.
+//! * counts its rebalances — the one per-job number the round records
+//!   (`hetgc::RoundRecord`) do not carry.
 //!
 //! [epoch]: crate::SharedWorkerPool::epoch
 
 use hetgc::{EngineRound, PipelinedEngine, RoundEngine};
 use hetgc_obs::Recorder;
-use hetgc_telemetry::TelemetryHub;
 use rand::RngCore;
 
 use crate::pool::PoolLease;
 
-/// The smoothing factor of the per-job throughput estimator: reactive
-/// enough to follow contention shifts within a short job.
-const HUB_ALPHA: f64 = 0.4;
-/// Round-time quantile window of the per-job hub.
-const HUB_WINDOW: usize = 32;
-
 type BoxError = Box<dyn std::error::Error + Send + Sync>;
 
-/// A pool tenant: an inner [`RoundEngine`] plus the lease, telemetry and
-/// rebalance logic that make it cooperate with other jobs on the shared
-/// fleet. Construct via [`LeasedEngine::new`], then drive it through
+/// A pool tenant: an inner [`RoundEngine`] plus the lease and rebalance
+/// logic that make it cooperate with other jobs on the shared fleet.
+/// Construct via [`LeasedEngine::new`], then drive it through
 /// `TrainDriver`/`PipelinedDriver` exactly like the engine it wraps.
 #[derive(Debug)]
 pub struct LeasedEngine<E> {
     inner: E,
     lease: PoolLease,
-    hub: TelemetryHub,
     seen_epoch: u64,
     rebalances: usize,
     rebalance: bool,
@@ -53,11 +44,9 @@ impl<E: RoundEngine> LeasedEngine<E> {
             lease.commit_load(&loads);
         }
         let seen_epoch = lease.pool().epoch();
-        let hub = TelemetryHub::new(inner.workers(), HUB_ALPHA, HUB_WINDOW);
         LeasedEngine {
             inner,
             lease,
-            hub,
             seen_epoch,
             rebalances: 0,
             rebalance: false,
@@ -67,15 +56,11 @@ impl<E: RoundEngine> LeasedEngine<E> {
     /// Enables (or disables) epoch-driven rebalancing. Only effective on
     /// engines that support re-coding, and only on the sequential
     /// [`RoundEngine::round`] path — the pipelined dispatch/collect split
-    /// has a round in flight at decision time, so it never rebalances.
+    /// has a round in flight at decision time, so it never rebalances
+    /// (the scheduler refuses a pipelined job that asks to).
     pub fn with_rebalancing(mut self, enabled: bool) -> Self {
         self.rebalance = enabled;
         self
-    }
-
-    /// The per-job telemetry hub every completed round is ingested into.
-    pub fn hub(&self) -> &TelemetryHub {
-        &self.hub
     }
 
     /// How many times the pool epoch triggered a successful re-code.
@@ -117,12 +102,6 @@ impl<E: RoundEngine> LeasedEngine<E> {
         self.seen_epoch = self.lease.pool().epoch();
         Ok(())
     }
-
-    fn observe(&mut self, er: &EngineRound) {
-        if let Some(elapsed) = er.elapsed {
-            self.hub.ingest(elapsed, er.residual, &er.samples);
-        }
-    }
 }
 
 impl<E: RoundEngine> RoundEngine for LeasedEngine<E> {
@@ -145,9 +124,7 @@ impl<E: RoundEngine> RoundEngine for LeasedEngine<E> {
         rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
         self.maybe_rebalance(rng)?;
-        let er = self.inner.round(round, params, rng)?;
-        self.observe(&er);
-        Ok(er)
+        self.inner.round(round, params, rng)
     }
 
     fn after_step(&mut self, params: &[f64]) {
@@ -192,8 +169,6 @@ impl<E: PipelinedEngine> PipelinedEngine for LeasedEngine<E> {
     }
 
     fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
-        let er = self.inner.collect(round)?;
-        self.observe(&er);
-        Ok(er)
+        self.inner.collect(round)
     }
 }

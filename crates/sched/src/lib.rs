@@ -20,13 +20,13 @@
 //! * [`LeasedEngine`] — any `hetgc::RoundEngine` as a pool tenant:
 //!   rebalances against the effective rates when the pool epoch moves
 //!   (jobs arrived/finished/shifted load), commits its own loads back,
-//!   and feeds per-round telemetry into a per-job
-//!   [`hetgc_telemetry::TelemetryHub`].
+//!   and counts its rebalances.
 //! * [`JobScheduler`] — admits a batch of [`JobSpec`]s, runs them
 //!   concurrently (or sequentially as the baseline) and reports one
-//!   [`SchedulerReport`]: per-job outcomes, the
-//!   [`hetgc_telemetry::FleetRollup`], shared-cache reuse counters and
-//!   merged data-plane statistics.
+//!   [`SchedulerReport`]: the per-job outcomes, whose round records are
+//!   the batch's one round history, plus what the records do not carry
+//!   — shared-cache reuse counters, the rebalance total and the batch's
+//!   peak concurrency.
 //!
 //! Equal-seeded tenants build identical codes, so their decode plans
 //! are solved **once fleet-wide** (the shared cache's singleflight) —

@@ -170,10 +170,18 @@ impl SharedWorkerPool {
         self.inner.ledger.lock().expect("pool poisoned").active
     }
 
-    /// The most jobs that ever held leases at once — the proof of actual
+    /// The most jobs that held leases at once since the pool was built
+    /// or a scheduler batch last started — the proof of actual
     /// concurrency a scheduler bench reports.
     pub fn peak_active(&self) -> usize {
         self.inner.ledger.lock().expect("pool poisoned").peak_active
+    }
+
+    /// Restarts [`SharedWorkerPool::peak_active`] from the jobs holding
+    /// leases right now, so each scheduler batch reports its own peak.
+    pub(crate) fn reset_peak(&self) {
+        let mut ledger = self.inner.ledger.lock().expect("pool poisoned");
+        ledger.peak_active = ledger.active;
     }
 
     /// Total leases granted over the pool's lifetime.

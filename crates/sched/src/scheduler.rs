@@ -1,10 +1,12 @@
 //! [`JobScheduler`]: admits a batch of training jobs onto one
 //! [`SharedWorkerPool`] and runs them — concurrently under the pool's
 //! admission cap ([`JobScheduler::run`]) or one at a time as the
-//! baseline ([`JobScheduler::run_sequential`]) — reporting per-job
-//! outcomes, the fleet telemetry rollup, the shared decode-plan cache's
-//! reuse counters and the merged data-plane statistics in one
-//! [`SchedulerReport`].
+//! baseline ([`JobScheduler::run_sequential`]) — reporting one
+//! [`SchedulerReport`]: the jobs' outcomes, whose round records are the
+//! batch's one round history (rounds, escalations and round times are
+//! read off them), plus what the records do not carry — the shared
+//! decode-plan cache's reuse counters, the rebalance total and the
+//! batch's peak concurrency.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,10 +15,9 @@ use hetgc::{
     scheme_from_estimates, synthetic, DriverConfig, LinearRegression, PipelinedDriver, RoundEngine,
     SchemeKind, Sgd, ThreadedEngine, TrainDriver, TrainOutcome,
 };
-use hetgc_coding::{CodecBackend, EscalationPolicy, PoolStats};
+use hetgc_coding::{CodecBackend, EscalationPolicy};
 use hetgc_obs::{MetricsRegistry, RunObserver};
 use hetgc_runtime::RuntimeConfig;
-use hetgc_telemetry::{FleetRollup, JobTelemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,7 +58,8 @@ pub struct JobSpec {
     /// instead of the sequential [`TrainDriver`].
     pub pipelined: bool,
     /// React to pool-epoch changes by rebuilding the allocation against
-    /// the pool's effective rates (sequential driver only — see
+    /// the pool's effective rates. Sequential driver only: the scheduler
+    /// refuses a [`JobSpec::pipelined`] job that sets it (see
     /// [`LeasedEngine::with_rebalancing`]).
     pub rebalance: bool,
     /// SGD learning rate.
@@ -129,28 +131,21 @@ impl JobSpec {
         self
     }
 
-    /// Enables epoch-driven rebalancing for this job.
+    /// Enables epoch-driven rebalancing for this job (not combinable
+    /// with [`JobSpec::pipelined`]).
     pub fn with_rebalancing(mut self) -> Self {
         self.rebalance = true;
         self
     }
 }
 
-/// One job's results, as collected by the scheduler.
-#[derive(Debug)]
-struct JobRun {
-    outcome: TrainOutcome,
-    telemetry: JobTelemetry,
-    data_plane: PoolStats,
-}
-
-/// What one scheduler batch produced.
+/// What one scheduler batch produced. Round counts, escalations and
+/// round times live in `outcomes`' records and are read off them
+/// ([`SchedulerReport::summary`]), not kept a second time.
 #[derive(Debug)]
 pub struct SchedulerReport {
     /// Per-job training outcomes, in submission order.
     pub outcomes: Vec<TrainOutcome>,
-    /// The fleet telemetry rollup across every job.
-    pub fleet: FleetRollup,
     /// Wall-clock seconds for the whole batch (admission of the first
     /// job to completion of the last).
     pub wall_seconds: f64,
@@ -162,10 +157,10 @@ pub struct SchedulerReport {
     /// tenants running identical schemes, strictly fewer than the
     /// lookups.
     pub cache_solves: u64,
-    /// Data-plane buffer-pool counters merged across every job's decode
-    /// session ([`PoolStats::merge`]).
-    pub data_plane: PoolStats,
-    /// Most jobs that actually held leases at once during the batch.
+    /// Epoch-driven re-codes across every job — the one per-job number
+    /// the round records do not carry.
+    pub rebalances: usize,
+    /// Most jobs that held leases at once during this batch.
     pub peak_concurrent: usize,
 }
 
@@ -180,11 +175,32 @@ impl SchedulerReport {
         }
     }
 
-    /// A one-line human summary of the batch.
+    /// A one-line human summary of the batch. Rounds, the escalated
+    /// share (`Σ approx_rounds / Σ rounds`) and the p50/p95 round times
+    /// come from the outcomes' records; `jobs/s` is
+    /// [`SchedulerReport::jobs_per_sec`].
     pub fn summary(&self) -> String {
+        let rounds: usize = self.outcomes.iter().map(TrainOutcome::rounds).sum();
+        let escalated: usize = self.outcomes.iter().map(|o| o.approx_rounds).sum();
+        let mut times: Vec<f64> = self
+            .outcomes
+            .iter()
+            .flat_map(|o| o.records.iter().map(|r| r.elapsed))
+            .collect();
+        times.sort_by(f64::total_cmp);
+        // Nearest rank, the `RunMetrics::quantile` convention.
+        let ms = |q: f64| {
+            let rank = (q * times.len().saturating_sub(1) as f64).round() as usize;
+            times.get(rank).map_or(0.0, |t| t * 1e3)
+        };
         format!(
-            "{} | wall={:.3}s jobs/s={:.2} peak={} cache: {}/{} hits, {} solves",
-            self.fleet.summary(),
+            "jobs={} rounds={rounds} esc={:.1}% rebalances={} round p50={:.2}ms p95={:.2}ms \
+             | wall={:.3}s jobs/s={:.2} peak={} cache: {}/{} hits, {} solves",
+            self.outcomes.len(),
+            100.0 * escalated as f64 / rounds.max(1) as f64,
+            self.rebalances,
+            ms(0.5),
+            ms(0.95),
             self.wall_seconds,
             self.jobs_per_sec(),
             self.peak_concurrent,
@@ -253,7 +269,8 @@ impl JobScheduler {
     ///
     /// # Errors
     ///
-    /// The first job failure, verbatim.
+    /// A job that is both [`JobSpec::pipelined`] and rebalancing, before
+    /// any lease is taken; otherwise the first job failure, verbatim.
     pub fn run(&self) -> Result<SchedulerReport, BoxError> {
         self.execute(true)
     }
@@ -264,16 +281,25 @@ impl JobScheduler {
     ///
     /// # Errors
     ///
-    /// The first job failure, verbatim.
+    /// As for [`JobScheduler::run`].
     pub fn run_sequential(&self) -> Result<SchedulerReport, BoxError> {
         self.execute(false)
     }
 
     fn execute(&self, concurrent: bool) -> Result<SchedulerReport, BoxError> {
+        if let Some(spec) = self.jobs.iter().find(|s| s.pipelined && s.rebalance) {
+            return Err(format!(
+                "job {:?}: the pipelined driver cannot rebalance (a round is always in \
+                 flight when the pool epoch moves); drop `pipelined()` or `with_rebalancing()`",
+                spec.name
+            )
+            .into());
+        }
         let cache = self.pool.shared_plans();
         let (lookups0, hits0, solves0) = (cache.lookups(), cache.hits(), cache.solves());
+        self.pool.reset_peak();
         let started = Instant::now();
-        let runs: Vec<Result<JobRun, String>> = if concurrent {
+        let runs: Vec<Result<(TrainOutcome, usize), String>> = if concurrent {
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .jobs
@@ -300,35 +326,32 @@ impl JobScheduler {
         let wall_seconds = started.elapsed().as_secs_f64();
 
         let mut outcomes = Vec::with_capacity(runs.len());
-        let mut fleet = FleetRollup::new();
-        let mut data_plane = PoolStats::default();
+        let mut rebalances = 0;
         for run in runs {
-            let run = run.map_err(BoxError::from)?;
-            data_plane.merge(run.data_plane);
-            fleet.absorb(run.telemetry);
-            outcomes.push(run.outcome);
+            let (outcome, job_rebalances) = run.map_err(BoxError::from)?;
+            rebalances += job_rebalances;
+            outcomes.push(outcome);
         }
         Ok(SchedulerReport {
             outcomes,
-            fleet,
             wall_seconds,
             cache_lookups: cache.lookups() - lookups0,
             cache_hits: cache.hits() - hits0,
             cache_solves: cache.solves() - solves0,
-            data_plane,
+            rebalances,
             peak_concurrent: self.pool.peak_active(),
         })
     }
 }
 
 /// Runs one job end to end: admit → build scheme/workload → spawn the
-/// tenant cluster (shared-plan cache attached) → train → snapshot
-/// telemetry and data-plane stats.
+/// tenant cluster (shared-plan cache attached) → train. Returns the
+/// outcome and how many times the job rebalanced.
 fn run_job(
     pool: &SharedWorkerPool,
     spec: &JobSpec,
     metrics: Option<&MetricsRegistry>,
-) -> Result<JobRun, BoxError> {
+) -> Result<(TrainOutcome, usize), BoxError> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     // The initial allocation targets the fleet's *base* rates — the spec
     // every tenant knows at admission — so equal-seeded jobs build
@@ -356,7 +379,6 @@ fn run_job(
     };
 
     let lease = pool.lease();
-    let started = Instant::now();
     let engine = ThreadedEngine::new(scheme.code, Arc::clone(&model), Arc::clone(&data), &config)?
         .with_label(spec.name.clone())
         .with_recoding(spec.kind, spec.stragglers);
@@ -385,14 +407,5 @@ fn run_job(
         }
         driver.run(&mut leased, spec.rounds, &mut rng)?
     };
-
-    let wall = started.elapsed().as_secs_f64();
-    let telemetry =
-        JobTelemetry::from_hub(spec.name.as_str(), leased.hub(), wall, leased.rebalances());
-    let data_plane = leased.inner().cluster().pool_stats();
-    Ok(JobRun {
-        outcome,
-        telemetry,
-        data_plane,
-    })
+    Ok((outcome, leased.rebalances()))
 }

@@ -4,15 +4,16 @@
 //!   throughput ≥ 1.3× the sequential baseline;
 //! * cross-job decode-plan reuse visible in the shared cache's counters
 //!   (solves strictly below lookups, hits from every follower tenant);
-//! * per-job `job_id` attribution on every interleaved record;
+//! * per-job `job_id` attribution on every interleaved record, and a
+//!   report whose round numbers are read off those records;
 //! * deterministic epoch-driven rebalancing when a co-tenant commits
-//!   load.
+//!   load, and a typed refusal where the driver cannot rebalance.
 
 use std::time::Duration;
 
 use hetgc::{
-    scheme_from_estimates, synthetic, EscalationPolicy, LinearRegression, Model, RoundEngine,
-    SchemeKind, SimBspEngine, SimTrainConfig,
+    scheme_from_estimates, synthetic, CodecBackend, EscalationPolicy, LinearRegression, Model,
+    RoundEngine, SchemeKind, SimBspEngine, SimTrainConfig,
 };
 use hetgc_runtime::WorkerBehavior;
 use hetgc_sched::{JobScheduler, JobSpec, LeasedEngine, SharedWorkerPool};
@@ -47,6 +48,10 @@ fn four_concurrent_jobs_beat_sequential_and_share_plans() {
         scheduled.peak_concurrent, 4,
         "all four tenants must actually overlap"
     );
+    assert_eq!(
+        sequential.peak_concurrent, 1,
+        "a batch reports its own peak, not the pool's lifetime one"
+    );
     for outcome in &scheduled.outcomes {
         assert_eq!(outcome.rounds(), 5, "{}", outcome.label);
         assert!(!outcome.stalled);
@@ -78,13 +83,17 @@ fn four_concurrent_jobs_beat_sequential_and_share_plans() {
         scheduled.cache_hits,
     );
 
-    // Fleet rollup covers every tenant's rounds.
-    assert_eq!(scheduled.fleet.jobs().len(), 4);
-    assert_eq!(scheduled.fleet.total_rounds(), 20);
-    assert!(scheduled.fleet.jobs_per_sec() > 0.0);
-    // Data-plane stats merged across tenants: the threaded master pools
-    // its decode buffers, so steady state shows recycling.
-    assert!(scheduled.data_plane.checkouts() > 0);
+    // The records are the batch's round history: every tenant's rounds…
+    let records: Vec<_> = scheduled.outcomes.iter().flat_map(|o| &o.records).collect();
+    assert_eq!(records.len(), 20);
+    // …and its data plane: the threaded master pools its decode
+    // buffers, so the rounds after the first recycle them.
+    let recycled: u64 = records
+        .iter()
+        .filter(|r| r.round > 1)
+        .map(|r| r.pool_hits)
+        .sum();
+    assert!(recycled > 0);
 }
 
 #[test]
@@ -109,15 +118,63 @@ fn records_carry_their_jobs_tag() {
             assert_eq!(&parsed, record);
         }
     }
-    // The pipelined tenant's telemetry flowed through the collect path.
+    // The pipelined tenant's rounds flowed through the collect path.
     let beta = report
-        .fleet
-        .jobs()
+        .outcomes
         .iter()
-        .find(|j| j.job_id == "beta")
-        .expect("beta telemetry");
-    assert_eq!(beta.rounds, 3);
-    assert!(beta.samples_ingested > 0);
+        .find(|o| o.label == "beta")
+        .expect("beta outcome");
+    assert_eq!(beta.records.len(), 3);
+    assert!(beta.records.iter().all(|r| r.results_used > 0));
+}
+
+#[test]
+fn summary_reads_the_escalated_share_off_the_records() {
+    // Worker 3 misses a 40 ms deadline every round. The zero-straggler
+    // job needs it, so each of its rounds decodes approximately from the
+    // other three; the s = 1 job decodes exactly without it.
+    let fast = WorkerBehavior::nominal().with_delay(Duration::from_millis(5));
+    let late = WorkerBehavior::nominal().with_delay(Duration::from_millis(150));
+    let pool = SharedWorkerPool::new(vec![1.0; 4]).with_behaviors(vec![
+        fast.clone(),
+        fast.clone(),
+        fast,
+        late,
+    ]);
+    let deadline = EscalationPolicy::escalate_to(CodecBackend::Approx)
+        .with_deadline(Duration::from_millis(40));
+    let report = JobScheduler::new(pool)
+        .submit(JobSpec::new("exact").with_rounds(3))
+        .submit(
+            JobSpec::new("escalating")
+                .with_rounds(3)
+                .with_stragglers(0)
+                .with_escalation(deadline),
+        )
+        .run()
+        .expect("batch");
+
+    let summary = report.summary();
+    let approx: Vec<usize> = report.outcomes.iter().map(|o| o.approx_rounds).collect();
+    assert_eq!(approx, vec![0, 3], "{summary}");
+    let rounds: usize = report.outcomes.iter().map(|o| o.rounds()).sum();
+    let escalated: usize = approx.iter().sum();
+    let share = format!("esc={:.1}%", 100.0 * escalated as f64 / rounds as f64);
+    assert!(summary.contains(&share), "{summary} lacks {share}");
+    assert_eq!(summary.matches("jobs/s=").count(), 1, "{summary}");
+}
+
+#[test]
+fn pipelined_rebalancing_is_refused_before_any_lease() {
+    let pool = delay_pool(2);
+    let sched = JobScheduler::new(pool.clone())
+        .submit(JobSpec::new("plain"))
+        .submit(JobSpec::new("overlapped").pipelined().with_rebalancing());
+    for result in [sched.run(), sched.run_sequential()] {
+        let err = result.expect_err("the pipelined driver cannot rebalance");
+        assert!(err.to_string().contains("\"overlapped\""), "{err}");
+    }
+    assert_eq!(pool.admitted(), 0, "refused before any lease is taken");
 }
 
 #[test]
@@ -150,7 +207,7 @@ fn co_tenant_load_commit_triggers_one_rebalance() {
     );
 
     let params = model.init_params(&mut rng);
-    tenant_a.round(1, &params, &mut rng).expect("round 1");
+    let first = tenant_a.round(1, &params, &mut rng).expect("round 1");
     assert_eq!(tenant_a.rebalances(), 0, "no co-tenant yet: no rebalance");
 
     // Tenant B arrives and claims worker 3 hard.
@@ -159,14 +216,18 @@ fn co_tenant_load_commit_triggers_one_rebalance() {
     let contended = pool.effective_rates_for(tenant_a.lease().job_id());
     assert!(contended[3] < 4.0, "worker 3 now looks slower to A");
 
-    tenant_a.round(2, &params, &mut rng).expect("round 2");
+    let second = tenant_a.round(2, &params, &mut rng).expect("round 2");
     assert_eq!(tenant_a.rebalances(), 1, "epoch change → one re-code");
     // The rebuild's own ledger commit must not re-trigger.
-    tenant_a.round(3, &params, &mut rng).expect("round 3");
+    let third = tenant_a.round(3, &params, &mut rng).expect("round 3");
     assert_eq!(tenant_a.rebalances(), 1);
 
-    // Telemetry followed every completed round.
-    assert_eq!(tenant_a.hub().rounds(), 3);
+    // Every round the tenant returned completed.
+    let completed = [first, second, third]
+        .iter()
+        .filter(|er| er.elapsed.is_some())
+        .count();
+    assert_eq!(completed, 3);
 
     // B leaving moves the epoch again: A rebalances back.
     drop(lease_b);

@@ -50,7 +50,6 @@
 mod adaptation;
 mod deadline;
 mod drift;
-mod fleet;
 mod hub;
 mod quantile;
 mod recode;
@@ -59,7 +58,6 @@ mod sample;
 pub use adaptation::{Adaptation, AdaptationConfig, AdaptationDecision};
 pub use deadline::{DeadlineConfig, DeadlineController};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftKind};
-pub use fleet::{FleetRollup, JobTelemetry};
 pub use hub::TelemetryHub;
 pub use quantile::QuantileWindow;
 pub use recode::{RecodeConfig, RecodeController};
