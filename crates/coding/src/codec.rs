@@ -61,12 +61,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hetgc_linalg::{kernels, solve_any, vec_ops, Element, DEFAULT_TOLERANCE};
 use hetgc_obs::{CodecMetrics, Phase};
 
+use crate::approx::approximate_decode;
 use crate::block::{BufferPool, GradientBlock};
 use crate::codec_approx::ApproxStage;
 use crate::codec_group::{GroupIndex, GroupTracker};
@@ -513,7 +514,7 @@ pub struct CodecSession {
     /// [`CodecSession::push`] returns its precompiled indicator plan and
     /// skips the elimination entirely.
     groups: Option<GroupTracker>,
-    /// Fleet fast path (set when the owning codec carries a
+    /// Fleet fast path (set when the owning codec is attached to a fleet
     /// [`SharedPlanCache`]): the cache plus the scheme's content
     /// fingerprint. Each arrival probes the cache with the sorted arrival
     /// set; a hit decodes the round without any further elimination, and
@@ -772,138 +773,18 @@ fn pivot_of(row: &[f64], tol: f64) -> Option<usize> {
 
 // ---------------------------------------------------- the compiled codec
 
-/// What [`PlanCache::probe`] found for a survivor set.
-pub(crate) enum Probe {
-    /// A tracked group is intact: its precompiled indicator plan.
-    Intact(DecodePlan),
-    /// The cached plan.
-    Hit(DecodePlan),
-    /// Nothing cached: the canonical (sorted) key to solve and insert.
-    Miss(Vec<usize>),
-}
-
-/// LRU cache of decode plans keyed by the sorted survivor set (the
-/// approximate stage memoizes its least-squares plans the same way).
-#[derive(Debug, Clone)]
-pub(crate) struct PlanCache {
-    /// `(sorted survivors, plan)`, most recently used last.
-    entries: Vec<(Vec<usize>, DecodePlan)>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    /// Reusable sorted-key buffer: lookups — including every hit — probe
-    /// with this borrowed key instead of allocating a fresh `Vec` per
-    /// call; an owned key is allocated only when a miss needs to insert.
-    scratch: Vec<usize>,
-}
-
-impl PlanCache {
-    pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "plan cache capacity must be positive");
-        PlanCache {
-            entries: Vec::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The allocation-free cache probe: sorts `survivors` into the scratch
-    /// key, validates it against worker count `m`, and answers with an
-    /// intact group's indicator plan (when `groups` are given — neither a
-    /// hit nor a miss), the cached plan (a hit costs zero allocations), or
-    /// an owned copy of the canonical key for the caller to
-    /// solve-and-insert with — the one allocation of the miss path.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParameter`] on out-of-range or duplicate
-    /// survivor indices.
-    pub(crate) fn probe(
-        &mut self,
-        survivors: &[usize],
-        m: usize,
-        groups: Option<&GroupIndex>,
-    ) -> Result<Probe, CodingError> {
-        let mut key = std::mem::take(&mut self.scratch);
-        key.clear();
-        key.extend_from_slice(survivors);
-        key.sort_unstable();
-        let outcome = validate_sorted_survivors(&key, m).map(|()| {
-            if let Some(plan) = groups.and_then(|index| index.intact_plan(&key)) {
-                Probe::Intact(plan.clone())
-            } else if let Some(plan) = self.lookup(&key) {
-                Probe::Hit(plan)
-            } else {
-                Probe::Miss(key.clone())
-            }
-        });
-        self.scratch = key;
-        outcome
-    }
-
-    pub(crate) fn lookup(&mut self, key: &[usize]) -> Option<DecodePlan> {
-        let found = self.peek(key);
-        match found {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        found
-    }
-
-    /// [`PlanCache::lookup`] without the hit/miss bookkeeping: for
-    /// re-probes of a request that was already counted.
-    fn peek(&mut self, key: &[usize]) -> Option<DecodePlan> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(pos);
-        self.entries.push(entry); // refresh LRU position
-        Some(self.entries.last().expect("just pushed").1.clone())
-    }
-
-    pub(crate) fn insert(&mut self, key: Vec<usize>, plan: DecodePlan) {
-        // Concurrent misses on the same pattern may race to insert: the
-        // lock is released during the solve. Keep the cache duplicate-free
-        // by refreshing an existing entry instead of double-inserting.
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.entries.remove(0); // evict least recently used
-        }
-        self.entries.push((key, plan));
-    }
-}
-
-/// Per-key in-flight solve deduplication ("singleflight") for the decode
-/// cache's miss path. The cache lock is deliberately released during the
-/// `O(mk²)` dense solve — holding it would serialize unrelated decodes —
-/// but that used to mean N threads missing on the *same* survivor pattern
-/// each ran their own full solve. The gate tracks the patterns currently
-/// being solved: the first thread to miss becomes the leader and solves;
-/// the rest block on the condvar, then re-probe the cache the leader
-/// populated. So does a thread that missed before the leader's insert
-/// but reaches the gate after the leader left it: the re-probe happens
-/// under the gate's lock, before leading, so a solved pattern never gets
-/// a second leader.
-///
-/// If the leader fails (e.g. [`CodingError::NotDecodable`]) or panics,
-/// the key is removed (panic-safely, via a drop guard) and one waiter
-/// takes over as the new leader — errors are deterministic per pattern,
-/// so the retry reproduces the same error rather than hanging.
-#[derive(Debug, Default)]
-struct SolveGate {
-    /// Survivor keys currently being solved by some thread.
-    inflight: Mutex<Vec<Vec<usize>>>,
-    /// Signalled whenever a leader finishes (success or not).
-    done: Condvar,
-    /// Dense solves actually performed (the singleflight test observable).
-    solves: AtomicU64,
-}
-
 /// A [`CodingMatrix`] compiled for the per-iteration hot path: CSR-style
-/// sparse per-worker supports/coefficients, an LRU decode-plan cache
-/// keyed by sorted survivor sets, and cheap [`CodecSession`] spawning
-/// (shared dense rows).
+/// sparse per-worker supports/coefficients, one decode-plan cache keyed
+/// by sorted survivor sets, and cheap [`CodecSession`] spawning (shared
+/// dense rows).
+///
+/// The plan cache is a [`SharedPlanCache`]: a private single-shard LRU of
+/// [`CompiledCodec::with_cache_capacity`] plans by default, the fleet's
+/// map once [`CompiledCodec::attach_shared_plans`] swaps it in. Exact and
+/// least-squares plans share it (and its capacity) on separate lines, and
+/// every miss singleflights through it, so racing threads — or, on a
+/// fleet cache, racing codecs — pay one solve per pattern. Clones share
+/// the cache: same matrix, same fingerprint, interchangeable plans.
 ///
 /// Two optional stages ride on the same compile, both off by default:
 /// [`CompiledCodec::with_groups`] answers intact-group survivor sets with
@@ -925,20 +806,25 @@ pub struct CompiledCodec {
     /// Coefficients aligned with `support`.
     coeffs: Vec<f64>,
     store: Arc<RowStore>,
-    cache: Mutex<PlanCache>,
-    gate: SolveGate,
+    /// Every exact and least-squares plan this codec has solved or
+    /// reused, and the singleflight gate of its misses.
+    plans: Arc<SharedPlanCache>,
+    /// Whether `plans` is an attached fleet cache: only then do sessions
+    /// probe it and publish to it per arrival.
+    fleet: bool,
+    /// Reusable sorted-key buffer of [`CompiledCodec::probe`]: a hit
+    /// sorts and looks up through it without allocating.
+    scratch: Mutex<Vec<usize>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    solves: AtomicU64,
     /// The intact-group stage (`None` = off, and for an empty group list).
     pub(crate) groups: Option<Arc<GroupIndex>>,
     /// The approximate stage (`None` = off).
     pub(crate) approx: Option<ApproxStage>,
-    /// Stable content hash of `code` — the scheme half of the shared
+    /// Stable content hash of `code` — the scheme half of the plan
     /// cache's key. Computed once at compile time.
     fingerprint: u64,
-    /// Optional fleet-wide L2 behind the private `PlanCache`: attached,
-    /// every plan this codec would solve is first looked up in (and
-    /// published to) the shared map, so tenants running the same scheme
-    /// reuse each other's solves. See [`SharedPlanCache`].
-    shared: Option<Arc<SharedPlanCache>>,
     /// Optional metric handles (cache hits/misses, plan-solve latency,
     /// cache-probe / plan-solve spans). Pre-registered atomics: recording
     /// stays allocation-free on the hot path.
@@ -947,18 +833,22 @@ pub struct CompiledCodec {
 
 impl Clone for CompiledCodec {
     fn clone(&self) -> Self {
+        let copy = |n: &AtomicU64| AtomicU64::new(n.load(Ordering::Relaxed));
         CompiledCodec {
             code: self.code.clone(),
             row_ptr: self.row_ptr.clone(),
             support: self.support.clone(),
             coeffs: self.coeffs.clone(),
             store: Arc::clone(&self.store),
-            cache: Mutex::new(self.cache.lock().expect("cache poisoned").clone()),
-            gate: SolveGate::default(),
+            plans: Arc::clone(&self.plans),
+            fleet: self.fleet,
+            scratch: Mutex::default(),
+            hits: copy(&self.hits),
+            misses: copy(&self.misses),
+            solves: copy(&self.solves),
             groups: self.groups.clone(),
             approx: self.approx.clone(),
             fingerprint: self.fingerprint,
-            shared: self.shared.clone(),
             obs: self.obs.clone(),
         }
     }
@@ -970,13 +860,14 @@ impl CompiledCodec {
         CompiledCodec::with_cache_capacity(code, DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
-    /// Compiles `code`, remembering up to `capacity` survivor patterns.
+    /// Compiles `code`, remembering up to `capacity` plans, exact and
+    /// approximate together.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn with_cache_capacity(code: CodingMatrix, capacity: usize) -> Self {
-        let cache = PlanCache::new(capacity);
+        let plans = Arc::new(SharedPlanCache::with_shape(1, capacity));
         let m = code.workers();
         let mut row_ptr = Vec::with_capacity(m + 1);
         let mut support = Vec::new();
@@ -999,12 +890,15 @@ impl CompiledCodec {
             support,
             coeffs,
             store,
-            cache: Mutex::new(cache),
-            gate: SolveGate::default(),
+            plans,
+            fleet: false,
+            scratch: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            solves: AtomicU64::new(0),
             groups: None,
             approx: None,
             fingerprint,
-            shared: None,
             obs: None,
         }
     }
@@ -1017,25 +911,15 @@ impl CompiledCodec {
         self.fingerprint
     }
 
-    /// Routes this codec's plan solves through `cache`: future misses of
-    /// the private plan cache consult (and populate) the shared map, so
-    /// every codec attached to the same cache — across jobs and threads —
-    /// pays for each distinct survivor pattern once. Exact and
-    /// least-squares solves are keyed apart ([`PlanClass`]); intact-group
-    /// answers never solve, so they have nothing to share.
+    /// Swaps this codec's plan cache for the fleet's `cache`: every codec
+    /// attached to the same cache — across jobs and threads — pays for
+    /// each distinct survivor pattern once, and its sessions reuse and
+    /// publish whole-round plans per arrival. Exact and least-squares
+    /// solves are keyed apart ([`PlanClass`]); intact-group answers never
+    /// solve, so they have nothing to share.
     pub fn attach_shared_plans(&mut self, cache: Arc<SharedPlanCache>) {
-        self.shared = Some(cache);
-    }
-
-    /// Builder form of [`CompiledCodec::attach_shared_plans`].
-    pub fn with_shared_plans(mut self, cache: Arc<SharedPlanCache>) -> Self {
-        self.attach_shared_plans(cache);
-        self
-    }
-
-    /// The attached fleet-wide plan cache, if any.
-    pub fn shared_plans(&self) -> Option<&Arc<SharedPlanCache>> {
-        self.shared.as_ref()
+        self.plans = cache;
+        self.fleet = true;
     }
 
     /// Reports this codec's plan-cache behaviour (probe hits/misses,
@@ -1100,105 +984,84 @@ impl CompiledCodec {
         &self.coeffs[self.row_ptr[worker]..self.row_ptr[worker + 1]]
     }
 
-    /// Plan-cache hits so far.
+    /// Plan-cache hits so far (exact and approximate probes).
     pub fn cache_hits(&self) -> u64 {
-        self.cache.lock().expect("cache poisoned").hits
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Plan-cache misses (realtime solves) so far.
+    /// Plan-cache misses so far (exact and approximate probes).
     pub fn cache_misses(&self) -> u64 {
-        self.cache.lock().expect("cache poisoned").misses
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of survivor patterns currently cached.
+    /// Number of plans currently in this codec's cache — the fleet's,
+    /// once one is attached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.lock().expect("cache poisoned").entries.len()
+        self.plans.cached_plans()
     }
 
-    /// Dense decode solves actually performed. With the singleflight
-    /// gate, concurrent misses on the same survivor pattern cost one
-    /// solve (not one per thread), so under racing sessions this stays
-    /// well below [`CompiledCodec::cache_misses`].
+    /// Exact and least-squares solves this codec actually performed.
+    /// Misses racing on one pattern share one solve through the cache's
+    /// singleflight gate, so under racing sessions this stays well below
+    /// [`CompiledCodec::cache_misses`].
     pub fn plan_solves(&self) -> u64 {
-        self.gate.solves.load(Ordering::Relaxed)
+        self.solves.load(Ordering::Relaxed)
     }
 
-    /// The cache-miss solve path, deduplicated per survivor pattern: at
-    /// most one thread solves a given `key` at a time, and threads that
-    /// arrive while a solve is in flight wait for it and reuse the cached
-    /// result. See [`SolveGate`].
-    fn solve_shared(&self, key: Vec<usize>) -> Result<DecodePlan, CodingError> {
-        // With a fleet cache attached, the miss path goes through *its*
-        // cross-instance singleflight instead of the local gate: another
-        // tenant's solve for the same (scheme, pattern) is reused, and a
-        // genuinely new pattern is solved exactly once fleet-wide. The
-        // plan back-fills the private cache so steady-state repeats stay
-        // on the borrowed-key local probe with no shared state touched.
-        if let Some(shared) = &self.shared {
-            let plan = shared.get_or_solve(self.fingerprint, PlanClass::Exact, &key, || {
-                self.gate.solves.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                let dense = solve_decode_dense(&self.code, &key)?;
-                self.observe_solve(started);
-                Ok(DecodePlan::from_dense(&dense))
-            })?;
-            self.cache
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, plan.clone());
-            return Ok(plan);
+    /// The one survivor probe of both rungs: sorts `survivors` into the
+    /// scratch key and validates it, then answers with an intact group's
+    /// indicator plan (when `groups` are given; neither a hit nor a miss)
+    /// or the cached `class` plan (a hit) without allocating. A miss
+    /// returns an owned copy of the canonical key to solve with — the one
+    /// allocation of the miss path — and releases the scratch key first,
+    /// so the solve never holds up another thread's probe.
+    ///
+    /// # Errors
+    ///
+    /// [`CodingError::InvalidParameter`] on out-of-range or duplicate
+    /// survivor indices.
+    pub(crate) fn probe(
+        &self,
+        survivors: &[usize],
+        class: PlanClass,
+        groups: Option<&GroupIndex>,
+    ) -> Result<Result<DecodePlan, Vec<usize>>, CodingError> {
+        let mut key = self.scratch.lock().expect("scratch poisoned");
+        canonicalize_into(&mut key, survivors, self.code.workers())?;
+        if let Some(plan) = groups.and_then(|index| index.intact_plan(&key)) {
+            return Ok(Ok(plan.clone()));
         }
-        loop {
-            let mut flights = self.gate.inflight.lock().expect("gate poisoned");
-            if flights.contains(&key) {
-                // Someone is already solving this pattern: wait for the
-                // leader to finish, then look again.
-                drop(self.gate.done.wait(flights).expect("gate poisoned"));
-                continue;
+        let cached = self.plans.try_reuse(self.fingerprint, class, &key);
+        let hit = cached.is_some();
+        (if hit { &self.hits } else { &self.misses }).fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            if hit {
+                obs.hit();
+            } else {
+                obs.miss();
             }
-            // Nobody is solving it *now* — but a leader may have finished
-            // between this thread's cache miss and its arrival here (or
-            // just woken it). Re-probe under the `inflight` lock, which a
-            // finishing leader takes only after its insert: whoever gets
-            // past this point is the pattern's one leader. A miss here
-            // means the leader failed or the plan was already evicted.
-            if let Some(plan) = self.cache.lock().expect("cache poisoned").peek(&key) {
-                return Ok(plan);
-            }
-            flights.push(key.clone());
-            break;
         }
-        // This thread is the leader for `key`. The guard removes the key
-        // and wakes waiters however the solve exits — success, error, or
-        // panic — so waiters can never hang on a dead leader.
-        struct FlightGuard<'a> {
-            gate: &'a SolveGate,
-            key: &'a [usize],
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                let mut flights = self.gate.inflight.lock().expect("gate poisoned");
-                if let Some(pos) = flights.iter().position(|k| k == self.key) {
-                    flights.remove(pos);
+        Ok(cached.ok_or_else(|| key.clone()))
+    }
+
+    /// The miss path of both rungs: the `class` plan for the canonical
+    /// `key`, solved at most once per pattern however many threads (or,
+    /// on a fleet cache, codecs) race on it — see
+    /// [`SharedPlanCache::get_or_solve`].
+    pub(crate) fn solve(&self, class: PlanClass, key: &[usize]) -> Result<DecodePlan, CodingError> {
+        self.plans.get_or_solve(self.fingerprint, class, key, || {
+            self.solves.fetch_add(1, Ordering::Relaxed);
+            let started = Instant::now();
+            let plan = match class {
+                PlanClass::Exact => DecodePlan::from_dense(&solve_decode_dense(&self.code, key)?),
+                PlanClass::Approx => {
+                    let approx = approximate_decode(&self.code, key)?;
+                    DecodePlan::from_dense_with_residual(&approx.vector, approx.residual)
                 }
-                drop(flights);
-                self.gate.done.notify_all();
-            }
-        }
-        let _flight = FlightGuard {
-            gate: &self.gate,
-            key: &key,
-        };
-        self.gate.solves.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let dense = solve_decode_dense(&self.code, &key)?;
-        self.observe_solve(started);
-        let plan = DecodePlan::from_dense(&dense);
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone(), plan.clone());
-        Ok(plan)
+            };
+            self.observe_solve(started);
+            Ok(plan)
+        })
     }
 
     /// [`GradientCodec::decode_plan`] addressed by *stragglers* instead of
@@ -1252,36 +1115,20 @@ impl GradientCodec for CompiledCodec {
     /// [`CodingError::NotDecodable`] only when even that exceeds the
     /// residual budget.
     fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        // Probe with the cache's borrowed sorted-key scratch: an intact
-        // group or a hit — the steady-state cases — validates, sorts and
-        // returns without a single allocation; only a miss clones the key
-        // for the insert.
-        let probed = self.cache.lock().expect("cache poisoned").probe(
-            survivors,
-            self.code.workers(),
-            self.groups.as_deref(),
-        )?;
-        let key = match probed {
-            Probe::Intact(plan) => return Ok(plan),
-            Probe::Hit(plan) => {
-                if let Some(obs) = &self.obs {
-                    obs.hit();
-                }
-                return Ok(plan);
-            }
-            Probe::Miss(key) => key,
+        let key = match self.probe(survivors, PlanClass::Exact, self.groups.as_deref())? {
+            Ok(plan) => return Ok(plan),
+            Err(key) => key,
         };
-        if let Some(obs) = &self.obs {
-            obs.miss();
-        }
-        // Misses go through the singleflight gate: concurrent misses on
-        // the same pattern share one dense solve.
-        match (self.solve_shared(key), &self.approx) {
-            (Err(CodingError::NotDecodable { survivors: key }), Some(stage)) => self
-                .approximate_within_budget(stage, key)?
-                .ok_or_else(|| CodingError::NotDecodable {
-                    survivors: survivors.to_vec(),
-                }),
+        match (self.solve(PlanClass::Exact, &key), &self.approx) {
+            (Err(CodingError::NotDecodable { .. }), Some(stage)) => {
+                let plan = self.solve(PlanClass::Approx, &key)?;
+                stage
+                    .admits(&plan)
+                    .then_some(plan)
+                    .ok_or_else(|| CodingError::NotDecodable {
+                        survivors: survivors.to_vec(),
+                    })
+            }
             (solved, _) => solved,
         }
     }
@@ -1291,11 +1138,11 @@ impl GradientCodec for CompiledCodec {
         session.groups = self.groups.as_ref().map(GroupIndex::tracker);
         // Threaded masters decode through sessions, not through
         // `decode_plan` — attaching here is what makes the streaming
-        // path a shared-cache tenant.
+        // path a fleet tenant. A private cache is left out: probing it
+        // on every arrival would cost more than the rounds it saves.
         session.shared = self
-            .shared
-            .as_ref()
-            .map(|cache| (Arc::clone(cache), self.fingerprint));
+            .fleet
+            .then(|| (Arc::clone(&self.plans), self.fingerprint));
         session
     }
 
@@ -1381,7 +1228,8 @@ impl GradientCodec for CodingMatrix {
     }
 
     fn decode_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        let key = canonical_survivors(self, survivors)?;
+        let mut key = Vec::new();
+        canonicalize_into(&mut key, survivors, self.workers())?;
         Ok(DecodePlan::from_dense(&solve_decode_dense(self, &key)?))
     }
 
@@ -1392,50 +1240,28 @@ impl GradientCodec for CodingMatrix {
 
 // ------------------------------------------------------------ internals
 
-/// Validates an already-sorted survivor key without allocating: the probe
-/// path's twin of [`canonical_survivors`] (duplicates are adjacent after
-/// the sort, and the largest index is last).
-fn validate_sorted_survivors(key: &[usize], m: usize) -> Result<(), CodingError> {
-    if let Some(&w) = key.last() {
-        if w >= m {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("survivor index {w} >= m={m}"),
-            });
-        }
+/// Sorts `survivors` into `key` (its capacity reused) and validates the
+/// canonical set: after the sort the largest index is last and
+/// duplicates are adjacent.
+fn canonicalize_into(
+    key: &mut Vec<usize>,
+    survivors: &[usize],
+    m: usize,
+) -> Result<(), CodingError> {
+    key.clear();
+    key.extend_from_slice(survivors);
+    key.sort_unstable();
+    if let Some(&w) = key.last().filter(|&&w| w >= m) {
+        return Err(CodingError::InvalidParameter {
+            reason: format!("survivor index {w} >= m={m}"),
+        });
     }
-    for pair in key.windows(2) {
-        if pair[0] == pair[1] {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("duplicate survivor index {}", pair[0]),
-            });
-        }
+    if let Some(pair) = key.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(CodingError::InvalidParameter {
+            reason: format!("duplicate survivor index {}", pair[0]),
+        });
     }
     Ok(())
-}
-
-/// Validates survivor indices and returns the sorted canonical set.
-fn canonical_survivors(
-    code: &CodingMatrix,
-    survivors: &[usize],
-) -> Result<Vec<usize>, CodingError> {
-    let m = code.workers();
-    let mut seen = vec![false; m];
-    for &w in survivors {
-        if w >= m {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("survivor index {w} >= m={m}"),
-            });
-        }
-        if seen[w] {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("duplicate survivor index {w}"),
-            });
-        }
-        seen[w] = true;
-    }
-    let mut key = survivors.to_vec();
-    key.sort_unstable();
-    Ok(key)
 }
 
 /// The §III-B realtime solve: a dense `a ∈ R^m` with `a·B = 1_{1×k}` and
@@ -1823,7 +1649,7 @@ mod tests {
             (grouped, [0, 1, 2, 4], [4, 2, 1, 0], true),
         ] {
             let expected = codec.decode_plan(&first);
-            let before = codec.cache.lock().unwrap().scratch.capacity();
+            let before = codec.scratch.lock().unwrap().capacity();
             assert!(before >= first.len(), "scratch retained after the probe");
             for _ in 0..10 {
                 assert_eq!(codec.decode_plan(&again), expected);
@@ -1832,7 +1658,7 @@ mod tests {
             let probes = if intact { (0, 0) } else { (10, 1) };
             assert_eq!((codec.cache_hits(), codec.cache_misses()), probes);
             assert_eq!(
-                codec.cache.lock().unwrap().scratch.capacity(),
+                codec.scratch.lock().unwrap().capacity(),
                 before,
                 "hits and intact-group answers must reuse the scratch key"
             );
@@ -1932,6 +1758,81 @@ mod tests {
         for _ in 0..300 {
             race_same_pattern_misses();
         }
+    }
+
+    /// Eight codecs attached to one fresh fleet cache race a miss on the
+    /// same pattern, one thread each: the fleet pays one solve.
+    fn race_fleet_tenants() {
+        const TENANTS: usize = 8;
+        let shared = Arc::new(SharedPlanCache::new());
+        let codecs: Vec<CompiledCodec> = (0..TENANTS)
+            .map(|_| {
+                let mut codec = CompiledCodec::new(code());
+                codec.attach_shared_plans(Arc::clone(&shared));
+                codec
+            })
+            .collect();
+        let barrier = std::sync::Barrier::new(TENANTS);
+        let plans: Vec<DecodePlan> = std::thread::scope(|scope| {
+            let handles: Vec<_> = codecs
+                .iter()
+                .map(|codec| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        codec.decode_plan(&[0, 1, 3, 4]).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for plan in &plans {
+            assert_eq!(plan, &plans[0], "all tenants see the same plan");
+        }
+        assert_eq!(shared.solves(), 1, "racing tenants must share one solve");
+        let per_codec: u64 = codecs.iter().map(CompiledCodec::plan_solves).sum();
+        assert_eq!(per_codec, 1);
+    }
+
+    #[test]
+    fn concurrent_fleet_tenants_solve_once() {
+        race_fleet_tenants();
+    }
+
+    /// The fleet twin of the looped local race: a tenant that probed
+    /// before the leader's insert and reached the gate after the leader
+    /// left it used to lead a second solve.
+    #[test]
+    #[ignore = "slow: 400 eight-tenant races, run by the nightly slow-suite job"]
+    fn concurrent_fleet_tenants_solve_once_looped() {
+        for _ in 0..400 {
+            race_fleet_tenants();
+        }
+    }
+
+    /// One capacity bounds exact and approximate plans together, in one
+    /// LRU order, and the two rungs' plans for one survivor set are
+    /// separate lines.
+    #[test]
+    fn capacity_evicts_across_exact_and_approx_plans() {
+        let codec = CompiledCodec::with_cache_capacity(code(), 2).with_approx(Some(10.0));
+        let full = [0, 1, 3, 4];
+        let past_budget = [0, 1, 3]; // two stragglers, s = 1
+        let exact = codec.decode_plan(&full).unwrap();
+        let ridge = codec.approximate_plan(&full).unwrap();
+        assert!(exact.is_exact() && ridge.is_exact());
+        assert_eq!((codec.plan_solves(), codec.cached_plans()), (2, 2));
+        // Refresh the exact line.
+        codec.decode_plan(&full).unwrap();
+        // A failed exact solve (never cached), then a ridge solve whose
+        // insert evicts the least recently used line: `full`'s ridge plan.
+        assert!(codec.decode_plan(&past_budget).unwrap().residual() > 0.0);
+        assert_eq!((codec.plan_solves(), codec.cached_plans()), (4, 2));
+        assert_eq!(codec.decode_plan(&full).unwrap(), exact); // still cached
+        assert_eq!(codec.plan_solves(), 4);
+        assert_eq!(codec.approximate_plan(&full).unwrap(), ridge); // evicted
+        assert_eq!(codec.plan_solves(), 5);
+        assert_eq!((codec.cache_hits(), codec.cache_misses()), (2, 4));
     }
 
     /// The blocked `apply_rows_into`/`apply_block_into` decode paths are

@@ -8,8 +8,8 @@
 //! returns [`CodingError::NotDecodable`]:
 //!
 //! * [`GradientCodec::decode_plan`] falls back to the ridge-stabilized
-//!   least-squares row of [`approximate_decode`], returning a plan whose
-//!   [`DecodePlan::residual`] is `‖aᵀB_I − 1‖₂ > 0`;
+//!   least-squares row of [`crate::approximate_decode`], returning a plan
+//!   whose [`DecodePlan::residual`] is `‖aᵀB_I − 1‖₂ > 0`;
 //! * [`GradientCodec::fallback_plan`] exposes the same row to the
 //!   streaming consumers (BSP simulator, wall-clock master), which invoke
 //!   it once all reachable workers have reported without an exact decode;
@@ -27,13 +27,7 @@
 //! [`GradientCodec::decode_plan`]: crate::GradientCodec::decode_plan
 //! [`GradientCodec::fallback_plan`]: crate::GradientCodec::fallback_plan
 
-use std::sync::Mutex;
-use std::time::Instant;
-
-use crate::approx::approximate_decode;
-use crate::codec::{
-    CompiledCodec, DecodePlan, GradientCodec, PlanCache, Probe, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+use crate::codec::{CompiledCodec, DecodePlan, GradientCodec};
 use crate::error::CodingError;
 use crate::shared_cache::PlanClass;
 
@@ -45,24 +39,14 @@ use crate::shared_cache::PlanClass;
 /// better declared undecodable.
 pub const DEFAULT_MAX_RESIDUAL_FRACTION: f64 = 0.75;
 
-/// The approximate stage's state on a [`CompiledCodec`].
-#[derive(Debug)]
+/// The approximate stage's state on a [`CompiledCodec`]: its residual
+/// budget. Its least-squares plans live in the codec's one plan cache,
+/// on their own lines ([`PlanClass::Approx`]) beside the exact plans and
+/// under the same capacity, so the steady `>s`-straggler regime — the
+/// same survivor set every round — pays the ridge solve once.
+#[derive(Debug, Clone)]
 pub(crate) struct ApproxStage {
     max_residual: f64,
-    /// LRU of *approximate* plans keyed by the sorted survivor set — the
-    /// steady-state `>s`-straggler regime repeats the same survivor set
-    /// every round, and the ridge least-squares solve is far more
-    /// expensive than the exact path's cached lookup.
-    cache: Mutex<PlanCache>,
-}
-
-impl Clone for ApproxStage {
-    fn clone(&self) -> Self {
-        ApproxStage {
-            max_residual: self.max_residual,
-            cache: Mutex::new(self.cache.lock().expect("cache poisoned").clone()),
-        }
-    }
 }
 
 impl ApproxStage {
@@ -112,10 +96,7 @@ impl CompiledCodec {
             max_residual >= 0.0,
             "max_residual must be non-negative, got {max_residual}"
         );
-        self.approx = Some(ApproxStage {
-            max_residual,
-            cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
-        });
+        self.approx = Some(ApproxStage { max_residual });
         self
     }
 
@@ -123,36 +104,6 @@ impl CompiledCodec {
     /// off).
     pub fn max_residual(&self) -> Option<f64> {
         self.approx.as_ref().map(|stage| stage.max_residual)
-    }
-
-    /// The least-squares miss path: through the shared cache's
-    /// cross-tenant singleflight when one is attached, a plain local
-    /// solve otherwise; either way the private memo is back-filled.
-    fn solve_approx(
-        &self,
-        stage: &ApproxStage,
-        key: Vec<usize>,
-    ) -> Result<DecodePlan, CodingError> {
-        let solve = || {
-            let started = Instant::now();
-            let approx = approximate_decode(self.code(), &key)?;
-            if let Some(obs) = self.metrics() {
-                obs.solved(started.elapsed().as_secs_f64());
-            }
-            Ok(DecodePlan::from_dense_with_residual(
-                &approx.vector,
-                approx.residual,
-            ))
-        };
-        let plan = match self.shared_plans() {
-            Some(shared) => {
-                shared.get_or_solve(self.scheme_fingerprint(), PlanClass::Approx, &key, solve)?
-            }
-            None => solve()?,
-        };
-        let mut cache = stage.cache.lock().expect("cache poisoned");
-        cache.insert(key, plan.clone());
-        Ok(plan)
     }
 
     /// The least-squares plan for an arbitrary survivor set, regardless of
@@ -166,51 +117,13 @@ impl CompiledCodec {
     /// the approximate stage is off; [`CodingError::Numerical`] if the SPD
     /// solve fails.
     pub fn approximate_plan(&self, survivors: &[usize]) -> Result<DecodePlan, CodingError> {
-        let stage = self
-            .approx
-            .as_ref()
-            .ok_or_else(|| CodingError::InvalidParameter {
+        if self.approx.is_none() {
+            return Err(CodingError::InvalidParameter {
                 reason: "codec has no approximate stage (see CompiledCodec::with_approx)".into(),
-            })?;
-        // Borrowed-key cache probe: the steady-state `>s` regime repeats
-        // the same survivor set every round and pays zero allocations on
-        // the hit; only a miss clones the key for the insert.
-        let probed =
-            stage
-                .cache
-                .lock()
-                .expect("cache poisoned")
-                .probe(survivors, self.workers(), None)?;
-        match probed {
-            Probe::Hit(plan) | Probe::Intact(plan) => {
-                if let Some(obs) = self.metrics() {
-                    obs.hit();
-                }
-                Ok(plan)
-            }
-            Probe::Miss(key) => {
-                if let Some(obs) = self.metrics() {
-                    obs.miss();
-                }
-                self.solve_approx(stage, key)
-            }
+            });
         }
-    }
-
-    /// `decode_plan` past the exact path: the least-squares plan over the
-    /// canonical `key` the exact solve just failed on, `None` when the
-    /// budget rejects it.
-    pub(crate) fn approximate_within_budget(
-        &self,
-        stage: &ApproxStage,
-        key: Vec<usize>,
-    ) -> Result<Option<DecodePlan>, CodingError> {
-        let cached = stage.cache.lock().expect("cache poisoned").lookup(&key);
-        let plan = match cached {
-            Some(plan) => plan,
-            None => self.solve_approx(stage, key)?,
-        };
-        Ok(stage.admits(&plan).then_some(plan))
+        self.probe(survivors, PlanClass::Approx, None)?
+            .or_else(|key| self.solve(PlanClass::Approx, &key))
     }
 }
 

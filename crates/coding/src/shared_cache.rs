@@ -1,32 +1,30 @@
-//! The cross-tenant decode-plan cache: one sharded, concurrent map of
-//! solved plans shared by *many* codec instances.
+//! The decode-plan cache: one sharded, concurrent map of solved plans,
+//! owned by one codec or shared by *many*.
 //!
-//! A [`crate::CompiledCodec`]'s own `PlanCache` memoizes survivor
-//! patterns per instance — enough for one training run, useless for a
-//! fleet. A multi-tenant scheduler admits many jobs whose schemes are
-//! often identical (same rates, same seed, same construction), and the
+//! The `O(mk²)` dense solve for a survivor pattern depends only on the
+//! coding matrix and the pattern, never on the job. A multi-tenant
+//! scheduler admits many jobs whose schemes are often identical (same
+//! rates, same seed, same construction), and the
 //! approximate-gradient-coding line of work shows decode structure is
-//! reusable across runs: the `O(mk²)` dense solve for a survivor pattern
-//! depends only on the coding matrix and the pattern, never on the job.
-//! [`SharedPlanCache`] exploits that: plans are keyed by **(scheme
-//! fingerprint, plan class, sorted survivor set)** in a sharded lock map
-//! (the hand-rolled analogue of the `DashMap<Vec<usize>, Matrix>` inverse
-//! cache in the reference implementations), so two jobs running the same
-//! scheme pay for each straggler pattern once — fleet-wide.
+//! reusable across runs. [`SharedPlanCache`] exploits that: plans are
+//! keyed by **(scheme fingerprint, plan class, sorted survivor set)** in
+//! a sharded lock map (the hand-rolled analogue of the
+//! `DashMap<Vec<usize>, Matrix>` inverse cache in the reference
+//! implementations), so two jobs running the same scheme pay for each
+//! straggler pattern once — fleet-wide.
 //!
-//! # Layering
+//! # One cache per codec
 //!
-//! The shared cache is an **L2** behind each codec's private `PlanCache`
-//! (L1):
+//! Every [`crate::CompiledCodec`] memoizes through a `SharedPlanCache`
+//! and nothing else. By default it is private: one shard of the codec's
+//! cache capacity, an LRU. `CompiledCodec::attach_shared_plans` swaps in
+//! a fleet cache instead. Either way:
 //!
-//! 1. the codec probes its own L1 with the borrowed-key fast path — a
-//!    steady-state hit costs zero allocations and no shared state;
-//! 2. an L1 miss consults the shared map: a hit back-fills L1 and
-//!    returns without solving;
-//! 3. an L2 miss funnels through the cache's own singleflight gate
-//!    (the cross-*instance* twin of the per-codec `SolveGate` from the
-//!    decode hot-path rework), so N tenants racing on the same new
-//!    pattern perform exactly one dense solve between them.
+//! 1. the codec sorts and validates the survivors into a reusable
+//!    scratch key and probes the map with it — a hit allocates nothing;
+//! 2. a miss funnels through the cache's `get_or_solve`, the one
+//!    singleflight gate, so N threads (or N tenants) racing on the same
+//!    new pattern perform exactly one solve between them.
 //!
 //! Exact and approximate (ridge least-squares) plans for the same
 //! survivor set are distinct cache lines — see [`PlanClass`].
@@ -94,6 +92,9 @@ impl SharedKey {
         survivors: &[usize],
         shards: usize,
     ) -> usize {
+        if shards == 1 {
+            return 0; // a codec's private cache: no hash on the probe path
+        }
         let mut h = DefaultHasher::new();
         fingerprint.hash(&mut h);
         class.hash(&mut h);
@@ -102,8 +103,7 @@ impl SharedKey {
     }
 }
 
-/// One lock's worth of the map: a small LRU, most recently used last —
-/// the same discipline as the per-codec `PlanCache`.
+/// One lock's worth of the map: a small LRU, most recently used last.
 #[derive(Debug, Default)]
 struct Shard {
     entries: Vec<(SharedKey, DecodePlan)>,
@@ -135,13 +135,14 @@ impl Shard {
     }
 }
 
-/// The concurrent, fleet-wide decode-plan cache. See the module docs for
-/// the two-level layering and the singleflight guarantee.
+/// The concurrent decode-plan cache: every codec's own, and the fleet's
+/// when shared. See the module docs for the probe path and the
+/// singleflight guarantee.
 ///
 /// Cheap to share: wrap it in an `Arc` and attach it to any number of
 /// codecs via `CompiledCodec::attach_shared_plans` (or through the
-/// `EscalatingCodec` wrapper). All counters are atomics; the hot path takes exactly one shard
-/// lock per lookup.
+/// `EscalatingCodec` wrapper). All counters are atomics; the hot path
+/// takes exactly one shard lock per lookup.
 #[derive(Debug)]
 pub struct SharedPlanCache {
     shards: Vec<Mutex<Shard>>,
@@ -282,19 +283,6 @@ impl SharedPlanCache {
         &self.shards[idx]
     }
 
-    /// Raw lookup: one shard lock, LRU refresh on hit. Counting happens
-    /// in [`SharedPlanCache::get_or_solve`], where each logical request
-    /// books exactly one hit or miss at its *resolution* — a tenant that
-    /// misses, waits out another tenant's in-flight solve and reuses the
-    /// published plan is a hit (its demand was served without a solve),
-    /// not a miss-then-hit.
-    fn peek(&self, fingerprint: u64, class: PlanClass, survivors: &[usize]) -> Option<DecodePlan> {
-        self.shard_for(fingerprint, class, survivors)
-            .lock()
-            .expect("shard poisoned")
-            .lookup(fingerprint, class, survivors)
-    }
-
     fn insert(&self, fingerprint: u64, class: PlanClass, survivors: Vec<usize>, plan: DecodePlan) {
         let key = SharedKey {
             fingerprint,
@@ -307,17 +295,20 @@ impl SharedPlanCache {
             .insert(self.per_shard_capacity, key, plan);
     }
 
-    /// The whole L2 contract in one call: lookup, then — on a miss —
-    /// singleflight the `solve` closure across every tenant of the cache
-    /// and publish its result. `survivors` must already be canonical
-    /// (sorted, deduplicated, validated), which every caller guarantees
-    /// by reaching this path through its own `PlanCache` probe.
+    /// The miss path in one call: singleflight the `solve` closure across
+    /// every user of the cache and publish its result. `survivors` must
+    /// already be canonical (sorted, deduplicated, validated), which the
+    /// codec's probe guarantees.
     ///
-    /// At most one tenant runs `solve` for a given key at a time; racing
-    /// tenants block and reuse the leader's plan. If the leader fails or
-    /// panics the key is released (via a drop guard) and one waiter
-    /// retries as the new leader — solve errors are deterministic per
-    /// pattern, so the retry reproduces the error instead of hanging.
+    /// A key is solved once for as long as its plan stays cached. Racing
+    /// callers block and reuse the leader's plan. Before leading, a caller
+    /// re-probes the map under the in-flight lock, which a finishing
+    /// leader takes only after its insert: a caller that missed before
+    /// the insert but reaches the gate after the leader left it reuses the
+    /// plan instead of solving it again. If the leader fails or panics,
+    /// the key is released (via a drop guard) and one waiter retries as
+    /// the new leader — solve errors are deterministic per pattern, so the
+    /// retry reproduces the error instead of hanging.
     ///
     /// # Errors
     ///
@@ -332,27 +323,19 @@ impl SharedPlanCache {
     where
         F: FnOnce() -> Result<DecodePlan, CodingError>,
     {
-        if let Some(plan) = self.peek(fingerprint, class, survivors) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(plan);
-        }
+        let mut flights = self.inflight.lock().expect("gate poisoned");
         loop {
-            let flights = self.inflight.lock().expect("gate poisoned");
             if flights
                 .iter()
                 .any(|k| k.matches(fingerprint, class, survivors))
             {
-                let woken = self.done.wait(flights).expect("gate poisoned");
-                drop(woken);
-                if let Some(plan) = self.peek(fingerprint, class, survivors) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(plan);
-                }
-                // Leader failed (or the plan was evicted immediately):
-                // retry, possibly becoming the new leader.
+                // Someone is solving this pattern: wait, then look again.
+                flights = self.done.wait(flights).expect("gate poisoned");
                 continue;
             }
-            let mut flights = flights;
+            if let Some(plan) = self.try_reuse(fingerprint, class, survivors) {
+                return Ok(plan);
+            }
             flights.push(SharedKey {
                 fingerprint,
                 class,
@@ -360,7 +343,8 @@ impl SharedPlanCache {
             });
             break;
         }
-        // This tenant leads the solve for the key. The guard removes the
+        drop(flights);
+        // This caller leads the solve for the key. The guard removes the
         // key and wakes waiters however the solve exits — success, error,
         // or panic.
         struct FlightGuard<'a> {
@@ -395,20 +379,25 @@ impl SharedPlanCache {
         Ok(plan)
     }
 
-    /// The streaming-session probe: returns the cached plan for the
-    /// current arrival set (booking a hit), or `None` **without booking a
-    /// miss** — a mid-round probe is speculative, since more arrivals may
-    /// land before the round decodes. The round's one logical request
-    /// resolves later: as this probe's hit, or as the miss recorded by
-    /// [`SharedPlanCache::publish_solved`] when the session ends up
-    /// solving itself.
+    /// The counted lookup: one shard lock, and on a hit an LRU refresh
+    /// and a booked hit. A non-hit books **no miss**: each logical request
+    /// books one hit or miss at its *resolution*, and the miss is booked
+    /// by whoever solves — [`SharedPlanCache::get_or_solve`]'s leader, or
+    /// [`SharedPlanCache::publish_solved`] for a streaming session. So a
+    /// caller that waits out another's in-flight solve and reuses the plan
+    /// is a hit, not a miss-then-hit, and a session's mid-round probe
+    /// stays speculative while more arrivals may land.
     pub(crate) fn try_reuse(
         &self,
         fingerprint: u64,
         class: PlanClass,
         survivors: &[usize],
     ) -> Option<DecodePlan> {
-        let plan = self.peek(fingerprint, class, survivors)?;
+        let plan = self
+            .shard_for(fingerprint, class, survivors)
+            .lock()
+            .expect("shard poisoned")
+            .lookup(fingerprint, class, survivors)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(plan)
     }
