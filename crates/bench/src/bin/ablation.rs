@@ -20,7 +20,7 @@ use hetgc::report::{fmt_percent, render_table};
 use hetgc::RateDrift;
 use hetgc::{
     approximate_decode, simulate_bsp_iteration, under_replicated, BspIterationConfig, ClusterSpec,
-    NetworkModel, RunMetrics, SchemeBuilder, SchemeKind, StragglerModel,
+    NetworkModel, ResourceUsage, SchemeBuilder, SchemeKind, StragglerModel,
 };
 use hetgc_bench::arg_or;
 use rand::rngs::StdRng;
@@ -44,17 +44,21 @@ fn overlap_study(iterations: usize, seed: u64) {
             .payload_bytes(2.4e8) // AlexNet-scale gradient
             .compute_jitter(0.05)
             .overlap_chunks(chunks);
-        let mut metrics = RunMetrics::new();
+        let (mut times, mut usage) = (Vec::new(), ResourceUsage::default());
         for _ in 0..iterations {
             let events = StragglerModel::None.sample_iteration(cluster.len(), &mut rng);
             let out =
                 simulate_bsp_iteration(&scheme.code, &cfg, &events, &mut rng).expect("simulate");
-            metrics.record(&out);
+            if let Some(t) = out.completion {
+                times.push(t);
+                usage.record(t, out.busy.iter().sum(), out.busy.len());
+            }
         }
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
         rows.push(vec![
             chunks.to_string(),
-            format!("{:.3}", metrics.avg_iteration_time().unwrap_or(f64::NAN)),
-            fmt_percent(metrics.resource_usage().ratio()),
+            format!("{mean:.3}"),
+            fmt_percent(usage.ratio()),
         ]);
     }
     println!(
@@ -103,17 +107,15 @@ fn adaptive_study(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (static_run, adaptive_run) =
             compare_static_vs_adaptive(&cluster, &drift, &cfg, &mut rng).expect("runs");
-        let ts = static_run.metrics.avg_iteration_time().unwrap_or(f64::NAN);
-        let ta = adaptive_run
-            .metrics
-            .avg_iteration_time()
-            .unwrap_or(f64::NAN);
+        let ts = static_run.mean_round_seconds().unwrap_or(f64::NAN);
+        let ta = adaptive_run.mean_round_seconds().unwrap_or(f64::NAN);
+        let rebuilds = adaptive_run.adaptation.map_or(0, |a| a.recodes());
         rows.push(vec![
             label.to_owned(),
             format!("{ts:.3}"),
             format!("{ta:.3}"),
             format!("{:.2}x", ts / ta),
-            adaptive_run.rebuilds.to_string(),
+            rebuilds.to_string(),
         ]);
     }
     println!(

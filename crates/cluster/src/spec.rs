@@ -187,11 +187,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Appends a single worker.
-    pub fn add_worker(self, spec: WorkerSpec) -> Self {
-        self.add_workers(1, spec)
-    }
-
     /// Sets the per-core work rate (default 1.0).
     pub fn per_core_rate(mut self, rate: f64) -> Self {
         self.per_core_rate = Some(rate);
@@ -260,7 +255,7 @@ mod tests {
     #[test]
     fn builder_roundtrip() {
         let c = ClusterSpec::builder()
-            .add_worker(WorkerSpec::new(2))
+            .add_workers(1, WorkerSpec::new(2))
             .add_workers(2, WorkerSpec::new(4).with_speed_factor(0.5))
             .name("test")
             .build()

@@ -1735,7 +1735,7 @@ mod tests {
     #[test]
     fn concurrent_decode_plan_misses_solve_once() {
         let codec = race_same_pattern_misses();
-        // Undecodable patterns keep erroring deterministically through the
+        // Patterns that cannot decode keep erroring deterministically through the
         // gate (and count their solve attempts).
         assert!(matches!(
             codec.decode_plan(&[0]),

@@ -33,11 +33,10 @@
 
 use hetgc_cluster::{ClusterSpec, StragglerModel};
 use hetgc_coding::{CodecBackend, EscalationPolicy};
-use hetgc_sim::RunMetrics;
 use hetgc_telemetry::{AdaptationConfig, RecodeConfig};
 use rand::Rng;
 
-use crate::driver::{drive_timing_with, DriverConfig};
+use crate::driver::{drive_timing_with, DriverConfig, TrainOutcome};
 use crate::engine::SimBspEngine;
 use crate::scheme::{BoxError, SchemeBuilder, SchemeKind};
 use crate::trainer::SimTrainConfig;
@@ -107,18 +106,6 @@ impl AdaptiveConfig {
     }
 }
 
-/// Outcome of one policy (static or adaptive) under drift.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// Timing metrics of the run.
-    pub metrics: RunMetrics,
-    /// How many times the strategy was rebuilt.
-    pub rebuilds: usize,
-    /// How many rebuild attempts failed (infeasible estimates) and kept
-    /// the previous strategy.
-    pub rebuild_failures: usize,
-}
-
 /// Runs one policy over a drifting cluster through the unified
 /// [`drive_timing_with`] loop.
 ///
@@ -129,13 +116,13 @@ pub struct AdaptiveOutcome {
 ///
 /// Propagates scheme-construction and simulator errors. A failed *rebuild*
 /// is not an error — the run keeps the previous strategy and counts it in
-/// [`AdaptiveOutcome::rebuild_failures`].
+/// the outcome's `AdaptationReport::recode_failures`.
 pub fn run_with_drift<R: Rng>(
     cluster: &ClusterSpec,
     drift: &hetgc_sim::RateDrift,
     cfg: &AdaptiveConfig,
     rng: &mut R,
-) -> Result<AdaptiveOutcome, BoxError> {
+) -> Result<TrainOutcome, BoxError> {
     let scheme = SchemeBuilder::new(cluster, cfg.stragglers).build(cfg.kind, rng)?;
     let sim_cfg = SimTrainConfig {
         compute_jitter: cfg.jitter,
@@ -150,13 +137,7 @@ pub fn run_with_drift<R: Rng>(
         adaptation: cfg.adaptation(),
         ..DriverConfig::default()
     };
-    let outcome = drive_timing_with(&mut engine, cfg.iterations, rng, &driver_cfg)?;
-    let report = outcome.adaptation.unwrap_or_default();
-    Ok(AdaptiveOutcome {
-        metrics: outcome.metrics,
-        rebuilds: report.recodes(),
-        rebuild_failures: report.recode_failures,
-    })
+    drive_timing_with(&mut engine, cfg.iterations, rng, &driver_cfg)
 }
 
 /// Convenience: static (never re-estimates) vs adaptive under the same
@@ -170,7 +151,7 @@ pub fn compare_static_vs_adaptive<R: Rng>(
     drift: &hetgc_sim::RateDrift,
     cfg: &AdaptiveConfig,
     rng: &mut R,
-) -> Result<(AdaptiveOutcome, AdaptiveOutcome), BoxError> {
+) -> Result<(TrainOutcome, TrainOutcome), BoxError> {
     let static_cfg = AdaptiveConfig {
         reestimate_every: 0,
         ..cfg.clone()
@@ -191,6 +172,10 @@ mod tests {
         ClusterSpec::from_vcpu_rows("drifty", &[(1, 2), (1, 3), (1, 4), (1, 5)], 10.0).unwrap()
     }
 
+    fn rebuilds(out: &TrainOutcome) -> usize {
+        out.adaptation.as_ref().map_or(0, |a| a.recodes())
+    }
+
     #[test]
     fn adaptive_beats_static_when_drift_exceeds_tolerance() {
         let cluster = cluster();
@@ -209,10 +194,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let (static_run, adaptive_run) =
             compare_static_vs_adaptive(&cluster, &drift, &cfg, &mut rng).unwrap();
-        let t_static = static_run.metrics.avg_iteration_time().unwrap();
-        let t_adaptive = adaptive_run.metrics.avg_iteration_time().unwrap();
-        assert!(adaptive_run.rebuilds > 0);
-        assert_eq!(static_run.rebuilds, 0);
+        let t_static = static_run.mean_round_seconds().unwrap();
+        let t_adaptive = adaptive_run.mean_round_seconds().unwrap();
+        assert!(rebuilds(&adaptive_run) > 0);
+        assert_eq!(rebuilds(&static_run), 0);
         assert!(
             t_adaptive < t_static * 0.90,
             "adaptive {t_adaptive:.3} should beat static {t_static:.3}"
@@ -236,8 +221,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let (static_run, adaptive_run) =
             compare_static_vs_adaptive(&cluster, &drift, &cfg, &mut rng).unwrap();
-        let t_static = static_run.metrics.avg_iteration_time().unwrap();
-        let t_adaptive = adaptive_run.metrics.avg_iteration_time().unwrap();
+        let t_static = static_run.mean_round_seconds().unwrap();
+        let t_adaptive = adaptive_run.mean_round_seconds().unwrap();
         assert!(
             t_adaptive < t_static * 0.95,
             "adaptive {t_adaptive:.3} should exploit the speed-up (static {t_static:.3})"
@@ -264,8 +249,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (static_run, adaptive_run) =
             compare_static_vs_adaptive(&cluster, &drift, &cfg, &mut rng).unwrap();
-        let t_static = static_run.metrics.avg_iteration_time().unwrap();
-        let t_adaptive = adaptive_run.metrics.avg_iteration_time().unwrap();
+        let t_static = static_run.mean_round_seconds().unwrap();
+        let t_adaptive = adaptive_run.mean_round_seconds().unwrap();
         assert!(
             t_static <= t_adaptive * 1.05,
             "static ({t_static:.3}) should not lose to adaptive ({t_adaptive:.3}) \
@@ -283,11 +268,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (static_run, adaptive_run) =
             compare_static_vs_adaptive(&cluster, &RateDrift::None, &cfg, &mut rng).unwrap();
-        let t_static = static_run.metrics.avg_iteration_time().unwrap();
-        let t_adaptive = adaptive_run.metrics.avg_iteration_time().unwrap();
+        let t_static = static_run.mean_round_seconds().unwrap();
+        let t_adaptive = adaptive_run.mean_round_seconds().unwrap();
         // The detector stays quiet under jitter-only noise, so no rebuild
         // ever fires and the runs differ only by their random draws.
-        assert_eq!(adaptive_run.rebuilds, 0, "no drift, no re-code");
+        assert_eq!(rebuilds(&adaptive_run), 0, "no drift, no re-code");
         assert!((t_adaptive - t_static).abs() / t_static < 0.10);
     }
 
@@ -305,8 +290,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(3);
         let out = run_with_drift(&cluster, &drift, &cfg, &mut rng).unwrap();
-        assert!(out.rebuilds > 0);
-        assert_eq!(out.metrics.iterations(), 40);
+        assert!(rebuilds(&out) > 0);
+        assert_eq!(out.rounds(), 40);
     }
 
     #[test]
@@ -325,9 +310,9 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(4);
         let out = run_with_drift(&cluster, &drift, &cfg, &mut rng).unwrap();
-        assert_eq!(out.metrics.iterations(), 20);
+        assert_eq!(out.rounds(), 20);
         assert!(
-            out.rebuild_failures > 0,
+            out.adaptation.unwrap().recode_failures > 0,
             "expected infeasible rebuilds to be counted"
         );
     }

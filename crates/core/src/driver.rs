@@ -7,7 +7,7 @@
 //!
 //! Timing-only sweeps (the Figs. 2/3/5 harnesses, the adaptive-recoding
 //! comparison) share the loop through [`drive_timing`]: same records,
-//! same [`RunMetrics`] accumulation, no model.
+//! same [`TrainOutcome`], no model.
 //!
 //! With [`DriverConfig::adaptation`] set, the loop closes the
 //! heterogeneity feedback loop each round: engine telemetry
@@ -19,7 +19,7 @@
 
 use hetgc_ml::{Dataset, Model, Optimizer};
 use hetgc_obs::{Phase, RunObserver};
-use hetgc_sim::RunMetrics;
+use hetgc_sim::ResourceUsage;
 use hetgc_telemetry::{Adaptation, AdaptationConfig};
 use rand::RngCore;
 
@@ -298,29 +298,28 @@ impl RoundRecord {
     }
 }
 
-/// The unified training report every engine produces.
+/// The unified training report every engine produces: every timing
+/// figure of a run is read off its records.
 #[derive(Debug, Clone)]
 pub struct TrainOutcome {
     /// Engine label (scheme name, "ssp", "threaded", …).
     pub label: String,
     /// One record per *completed* round, in order.
     pub records: Vec<RoundRecord>,
-    /// Timing metrics over the run — averages, quantiles and resource
-    /// usage all come from this one accumulator, shared with the figure
-    /// harnesses.
-    pub metrics: RunMetrics,
+    /// Rounds that could not complete (undecodable); they leave no record.
+    pub failed_rounds: usize,
     /// Loss over time (only evaluated rounds contribute points).
     pub curve: LossCurve,
     /// Final parameters (empty for timing-only runs).
     pub params: Vec<f64>,
     /// `true` when the run ended on a round that could not complete.
     pub stalled: bool,
-    /// Rounds decoded through an approximate fallback (any positive
-    /// residual).
-    pub approx_rounds: usize,
     /// What the adaptation loop did, when [`DriverConfig::adaptation`]
     /// was enabled; `None` for plain runs.
     pub adaptation: Option<AdaptationReport>,
+    /// The Fig. 5 sums over completed rounds (worker busy time is not on
+    /// a record).
+    usage: ResourceUsage,
 }
 
 impl TrainOutcome {
@@ -332,6 +331,28 @@ impl TrainOutcome {
     /// Completed rounds.
     pub fn rounds(&self) -> usize {
         self.records.len()
+    }
+
+    /// Rounds decoded through an approximate fallback (any positive
+    /// residual).
+    pub fn approx_rounds(&self) -> usize {
+        self.records.iter().filter(|r| r.residual > 0.0).count()
+    }
+
+    /// Mean duration of a completed round — the y-axis of Figs. 2 and 3;
+    /// `None` when no round completed.
+    pub fn mean_round_seconds(&self) -> Option<f64> {
+        (!self.records.is_empty()).then(|| self.total_seconds() / self.records.len() as f64)
+    }
+
+    /// Summed duration of the completed rounds.
+    pub fn total_seconds(&self) -> f64 {
+        self.records.iter().map(|r| r.elapsed).sum()
+    }
+
+    /// Resource usage over the completed rounds (Fig. 5).
+    pub fn resource_usage(&self) -> ResourceUsage {
+        self.usage
     }
 
     /// Serializes the outcome as a self-contained JSON object — the
@@ -347,11 +368,11 @@ impl TrainOutcome {
              \"final_loss\":{},",
             json_str(&self.label),
             self.stalled,
-            self.approx_rounds,
+            self.approx_rounds(),
             self.records.len(),
-            self.metrics.failed_iterations(),
-            json_f64_opt(self.metrics.avg_iteration_time()),
-            json_f64(self.metrics.total_time()),
+            self.failed_rounds,
+            json_f64_opt(self.mean_round_seconds()),
+            json_f64(self.total_seconds()),
             json_f64_opt(self.final_loss()),
         );
         if let Some(a) = &self.adaptation {
@@ -451,37 +472,38 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// The ONE place where engine rounds become records, metrics and curve
-/// points.
+/// The ONE place where engine rounds become the run's [`TrainOutcome`].
 struct RoundLog {
-    label: String,
+    out: TrainOutcome,
     /// Job tag stamped on every record ([`DriverConfig::job_id`]).
     job_id: Option<String>,
-    records: Vec<RoundRecord>,
-    metrics: RunMetrics,
-    points: Vec<(f64, f64)>,
     clock: f64,
-    approx_rounds: usize,
-    stalled: bool,
 }
 
 impl RoundLog {
     fn tagged(label: String, job_id: Option<String>) -> Self {
         RoundLog {
-            label,
+            out: TrainOutcome {
+                curve: LossCurve {
+                    label: label.clone(),
+                    points: Vec::new(),
+                },
+                label,
+                records: Vec::new(),
+                failed_rounds: 0,
+                params: Vec::new(),
+                stalled: false,
+                adaptation: None,
+                usage: ResourceUsage::default(),
+            },
             job_id,
-            records: Vec::new(),
-            metrics: RunMetrics::new(),
-            points: Vec::new(),
             clock: 0.0,
-            approx_rounds: 0,
-            stalled: false,
         }
     }
 
     fn failed_round(&mut self) {
-        self.metrics.record_failure();
-        self.stalled = true;
+        self.out.failed_rounds += 1;
+        self.out.stalled = true;
     }
 
     fn completed_round(
@@ -493,21 +515,19 @@ impl RoundLog {
         step_scale: f64,
         workers: usize,
     ) {
-        self.stalled = false;
+        let out = &mut self.out;
+        out.stalled = false;
         self.clock = er.at.unwrap_or(self.clock + elapsed);
         let (busy, counted) = if er.busy.is_empty() {
             (0.0, workers)
         } else {
             (er.busy.iter().sum(), er.busy.len())
         };
-        self.metrics.record_time(elapsed, busy, counted);
-        if er.residual > 0.0 {
-            self.approx_rounds += 1;
-        }
+        out.usage.record(elapsed, busy, counted);
         if let Some(l) = loss {
-            self.points.push((self.clock, l));
+            out.curve.points.push((self.clock, l));
         }
-        self.records.push(RoundRecord {
+        out.records.push(RoundRecord {
             round,
             time: self.clock,
             elapsed,
@@ -524,20 +544,10 @@ impl RoundLog {
         });
     }
 
-    fn finish(self, params: Vec<f64>, adaptation: Option<AdaptationState>) -> TrainOutcome {
-        TrainOutcome {
-            curve: LossCurve {
-                label: self.label.clone(),
-                points: self.points,
-            },
-            label: self.label,
-            records: self.records,
-            metrics: self.metrics,
-            params,
-            stalled: self.stalled,
-            approx_rounds: self.approx_rounds,
-            adaptation: adaptation.map(|a| a.report),
-        }
+    fn finish(mut self, params: Vec<f64>, adaptation: Option<AdaptationState>) -> TrainOutcome {
+        self.out.params = params;
+        self.out.adaptation = adaptation.map(|a| a.report);
+        self.out
     }
 }
 
@@ -640,15 +650,15 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// on each decoded gradient (scaled on approximate rounds when
     /// [`DriverConfig::residual_step_scaling`] is on).
     ///
-    /// A round the engine reports as failed is recorded in
-    /// [`RunMetrics::failed_iterations`]; when the engine also asks to
-    /// stop, the outcome is flagged [`TrainOutcome::stalled`].
+    /// A round the engine reports as failed (undecodable, on every
+    /// engine) is counted in [`TrainOutcome::failed_rounds`]; when the
+    /// engine also asks to stop, the outcome is flagged
+    /// [`TrainOutcome::stalled`] and keeps every earlier record.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (configuration, infrastructure, and — for
-    /// the cluster engines — undecodable rounds), and write errors of the
-    /// streaming record writer.
+    /// Propagates engine errors (configuration, infrastructure) and write
+    /// errors of the streaming record writer.
     pub fn run<E: RoundEngine + ?Sized>(
         self,
         engine: &mut E,
@@ -733,7 +743,7 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
             }
             log.completed_round(round, &er, elapsed, loss, step_scale, engine.workers());
             if let Some(writer) = self.record_writer.as_deref_mut() {
-                let record = log.records.last().expect("round just recorded");
+                let record = log.out.records.last().expect("round just recorded");
                 writeln!(writer, "{}", record.to_json())?;
             }
             if let Some(ad) = adaptation.as_mut() {
@@ -762,7 +772,7 @@ fn round_step_scale(er: &EngineRound, gradient: &[f64], partitions: usize) -> f6
 }
 
 /// The timing-only flavour of the loop: same engine contract, same
-/// records and [`RunMetrics`], but no model, no optimizer, no loss —
+/// [`TrainOutcome`], but no model, no optimizer, no loss —
 /// engines are expected to return `gradient: None`. This is what the
 /// Figs. 2/3/5 harnesses and the adaptive-recoding comparison run on.
 ///
@@ -900,15 +910,15 @@ mod tests {
         let out = drive_timing(&mut engine, 4, &mut rng).unwrap();
         assert_eq!(out.label, "fixed");
         assert_eq!(out.rounds(), 3);
-        assert_eq!(out.approx_rounds, 1);
-        assert_eq!(out.metrics.iterations(), 3);
-        assert_eq!(out.metrics.failed_iterations(), 1);
-        assert_eq!(out.metrics.avg_iteration_time().unwrap(), 2.0);
+        assert_eq!(out.approx_rounds(), 1);
+        assert_eq!(out.failed_rounds, 1);
+        assert_eq!(out.mean_round_seconds().unwrap(), 2.0);
+        assert_eq!(out.total_seconds(), 6.0);
         // The clock accumulates elapsed times.
         assert_eq!(out.records.last().unwrap().time, 6.0);
         assert!(!out.stalled, "run recovered after the failed round");
         // Full busy occupancy: usage ratio 1.
-        assert_eq!(out.metrics.resource_usage().ratio().unwrap(), 1.0);
+        assert_eq!(out.resource_usage().ratio().unwrap(), 1.0);
     }
 
     #[test]
@@ -918,7 +928,7 @@ mod tests {
         let out = drive_timing(&mut engine, 5, &mut rng).unwrap();
         assert!(out.stalled);
         assert_eq!(out.rounds(), 1);
-        assert_eq!(out.metrics.failed_iterations(), 1);
+        assert_eq!(out.failed_rounds, 1);
     }
 
     #[test]

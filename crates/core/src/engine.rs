@@ -158,8 +158,8 @@ pub trait RoundEngine {
     /// # Errors
     ///
     /// Configuration and infrastructure errors only — an *undecodable*
-    /// round is not an error; report it via [`EngineRound::failed`]
-    /// (except on the wall-clock master, whose contract is to error).
+    /// round is not an error on any engine; report it via
+    /// [`EngineRound::failed`].
     fn round(
         &mut self,
         round: usize,
@@ -1088,8 +1088,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
 /// ([`RoundEngine::set_deadline`]) becomes the master's round timeout
 /// whenever the escalation ladder can actually fire.
 ///
-/// Unlike the simulated engines, an undecodable round is an **error**
-/// (`RuntimeError::Undecodable`), matching the runtime's contract.
+/// As on the simulated engines, an undecodable round (`Master::collect`
+/// returning `Ok(None)`) is reported as [`EngineRound::failed`] with
+/// `stop` set: the run ends stalled and keeps every earlier record.
 #[derive(Debug)]
 pub struct ClusterEngine<C> {
     cluster: C,
@@ -1166,10 +1167,17 @@ impl<C> ClusterEngine<C> {
     }
 }
 
-/// Converts a completed [`ClusterRound`] into the driver's [`EngineRound`]
-/// — shared by the sequential [`RoundEngine::round`] and the split
-/// [`PipelinedEngine::collect`] paths.
-fn engine_round<M: Model, T: Transport>(cluster: &Master<M, T>, r: ClusterRound) -> EngineRound {
+/// Converts a collected round into the driver's [`EngineRound`] — shared
+/// by the sequential [`RoundEngine::round`] and the split
+/// [`PipelinedEngine::collect`] paths. `None` (undecodable) is a failed
+/// round that stops the run.
+fn engine_round<M: Model, T: Transport>(
+    cluster: &Master<M, T>,
+    r: Option<ClusterRound>,
+) -> EngineRound {
+    let Some(r) = r else {
+        return EngineRound::failed(true);
+    };
     // Real wall-clock telemetry: work units are the samples each
     // worker owns; a worker with zero reported compute never replied
     // in time this round.
@@ -1247,11 +1255,11 @@ where
 
     fn round(
         &mut self,
-        round: usize,
+        _round: usize,
         params: &[f64],
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.round(round, params)?;
+        let r = self.cluster.round(params)?;
         Ok(engine_round(&self.cluster, r))
     }
 
@@ -1261,8 +1269,8 @@ where
 
     fn set_deadline(&mut self, deadline: f64) {
         // A timeout the ladder cannot act on would turn slow rounds into
-        // hard `Undecodable` errors; only install it when escalation can
-        // actually rescue the round.
+        // undecodable ones; only install it when escalation can actually
+        // rescue the round.
         if deadline.is_finite() && deadline > 0.0 && self.cluster.codec().can_escalate() {
             self.cluster
                 .set_timeout(std::time::Duration::from_secs_f64(deadline));
@@ -1323,8 +1331,8 @@ where
         self.cluster.dispatch(params).map_err(Into::into)
     }
 
-    fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.collect(round)?;
+    fn collect(&mut self, _round: usize) -> Result<EngineRound, BoxError> {
+        let r = self.cluster.collect()?;
         Ok(engine_round(&self.cluster, r))
     }
 }

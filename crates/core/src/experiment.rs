@@ -7,12 +7,12 @@
 use hetgc_cluster::{ClusterSpec, DelayDistribution, EstimationNoise, StragglerModel};
 use hetgc_coding::{CodecBackend, EscalationPolicy};
 use hetgc_ml::{synthetic, Mlp, Sgd};
-use hetgc_sim::{NetworkModel, RunMetrics};
+use hetgc_sim::NetworkModel;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::driver::{drive_timing, DriverConfig, TrainDriver};
+use crate::driver::{drive_timing, DriverConfig, TrainDriver, TrainOutcome};
 use crate::engine::{SimBspEngine, SimSspEngine};
 use crate::scheme::{BoxError, SchemeBuilder, SchemeInstance, SchemeKind};
 use crate::trainer::{LossCurve, SimTrainConfig};
@@ -40,7 +40,7 @@ pub fn run_timing<R: Rng>(
     jitter: f64,
     iterations: usize,
     rng: &mut R,
-) -> Result<RunMetrics, BoxError> {
+) -> Result<TrainOutcome, BoxError> {
     let cfg = SimTrainConfig {
         network,
         payload_bytes,
@@ -51,7 +51,7 @@ pub fn run_timing<R: Rng>(
     };
     let policy = EscalationPolicy::follow_backend();
     let mut engine = SimBspEngine::timing(scheme, samples, rates, &cfg, policy)?;
-    Ok(drive_timing(&mut engine, iterations, rng)?.metrics)
+    drive_timing(&mut engine, iterations, rng)
 }
 
 // ---------------------------------------------------------------- Fig. 2
@@ -136,7 +136,7 @@ pub fn fig2(cfg: &Fig2Config) -> Result<Vec<Fig2Row>, BoxError> {
         };
         let mut avg_times = Vec::new();
         for scheme in &schemes {
-            let metrics = run_timing(
+            let run = run_timing(
                 scheme,
                 &rates,
                 cfg.samples,
@@ -147,7 +147,7 @@ pub fn fig2(cfg: &Fig2Config) -> Result<Vec<Fig2Row>, BoxError> {
                 cfg.iterations,
                 &mut rng,
             )?;
-            avg_times.push((scheme.kind, metrics.avg_iteration_time()));
+            avg_times.push((scheme.kind, run.mean_round_seconds()));
         }
         rows.push(Fig2Row { delay, avg_times });
     }
@@ -231,7 +231,7 @@ pub fn fig3(cfg: &Fig3Config) -> Result<Vec<Fig3Row>, BoxError> {
         };
         let mut avg_times = Vec::new();
         for scheme in &schemes {
-            let metrics = run_timing(
+            let run = run_timing(
                 scheme,
                 &rates,
                 cfg.samples,
@@ -242,7 +242,7 @@ pub fn fig3(cfg: &Fig3Config) -> Result<Vec<Fig3Row>, BoxError> {
                 cfg.iterations,
                 &mut rng,
             )?;
-            avg_times.push((scheme.kind, metrics.avg_iteration_time()));
+            avg_times.push((scheme.kind, run.mean_round_seconds()));
         }
         rows.push(Fig3Row {
             cluster: cluster.name().to_owned(),
@@ -444,7 +444,7 @@ pub fn fig5(cfg: &Fig5Config) -> Result<Vec<Fig5Row>, BoxError> {
     };
     let mut rows = Vec::new();
     for scheme in &schemes {
-        let metrics = run_timing(
+        let run = run_timing(
             scheme,
             &rates,
             cfg.samples,
@@ -457,7 +457,7 @@ pub fn fig5(cfg: &Fig5Config) -> Result<Vec<Fig5Row>, BoxError> {
         )?;
         rows.push(Fig5Row {
             scheme: scheme.kind,
-            usage: metrics.resource_usage().ratio(),
+            usage: run.resource_usage().ratio(),
         });
     }
     Ok(rows)

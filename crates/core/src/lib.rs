@@ -27,7 +27,7 @@
 //! * [`experiment`] — runners regenerating every figure of the paper
 //!   (Figs. 2, 3, 4, 5 and the Table II inventory).
 //! * [`analysis`] — optimality checks against Theorem 5.
-//! * [`report`] — plain-text/CSV rendering for the bench binaries.
+//! * [`report`] — plain-text rendering for the bench binaries.
 //!
 //! # Quick start
 //!
@@ -97,7 +97,7 @@ pub use hetgc_runtime::{
 };
 pub use hetgc_sim::{
     simulate_bsp_iteration, simulate_bsp_iteration_in, BspIteration, BspIterationConfig,
-    IterationTrace, NetworkModel, RateDrift, RunMetrics, SspEngine, SspEvent,
+    IterationTrace, NetworkModel, RateDrift, ResourceUsage, SspEngine, SspEvent,
 };
 pub use hetgc_telemetry::{
     Adaptation, AdaptationConfig, AdaptationDecision, DeadlineConfig, DeadlineController,

@@ -1,4 +1,4 @@
-//! Plain-text table / CSV rendering for the bench binaries, plus the
+//! Plain-text table rendering for the bench binaries, plus the
 //! reader of the JSONL record stream long training runs write.
 //!
 //! Nothing here knows about schemes or figures — it renders generic rows,
@@ -64,32 +64,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out.push('\n');
     for row in rows {
         render_row(row, &mut out);
-    }
-    out
-}
-
-/// Renders rows as CSV (simple quoting: fields containing commas or quotes
-/// are double-quoted with embedded quotes doubled).
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let quote = |s: &str| -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_owned()
-        }
-    };
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
     }
     out
 }
@@ -175,14 +149,6 @@ mod tests {
         assert!(lines[1].starts_with("---"));
         // All rows same width.
         assert!(lines[2].trim_end().len() <= lines[1].len());
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let c = render_csv(&["x", "y"], &[vec!["a,b".into(), "say \"hi\"".into()]]);
-        assert!(c.contains("\"a,b\""));
-        assert!(c.contains("\"say \"\"hi\"\"\""));
-        assert!(c.starts_with("x,y\n"));
     }
 
     #[test]

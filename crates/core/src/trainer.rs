@@ -144,7 +144,7 @@ mod tests {
             let first = out.curve.points[0].1;
             let last = out.curve.final_loss().unwrap();
             assert!(last < first, "{kind}: {first} → {last}");
-            assert!(out.metrics.iterations() == 40);
+            assert_eq!(out.rounds(), 40);
         }
     }
 
@@ -198,7 +198,7 @@ mod tests {
         let out = run_bsp(&scheme, &model, &data, &rates, &cfg, &mut rng(4)).unwrap();
         assert!(out.stalled);
         assert!(out.curve.points.is_empty());
-        assert_eq!(out.metrics.failed_iterations(), 1);
+        assert_eq!(out.failed_rounds, 1);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! `cargo test -p hetgc --test timing_contract -- --nocapture` and paste the
 //! printed tables.
 
-use hetgc::adaptive::{compare_static_vs_adaptive, AdaptiveConfig, AdaptiveOutcome};
+use hetgc::adaptive::{compare_static_vs_adaptive, AdaptiveConfig};
 use hetgc::experiment::run_timing;
 use hetgc::{
-    ClusterSpec, DelayDistribution, NetworkModel, RateDrift, RunMetrics, SchemeBuilder, SchemeKind,
-    StragglerModel,
+    ClusterSpec, DelayDistribution, NetworkModel, RateDrift, SchemeBuilder, SchemeKind,
+    StragglerModel, TrainOutcome,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,11 +24,11 @@ use rand::SeedableRng;
 /// floats as `to_bits`.
 type MetricBits = (Option<u64>, u64, usize, Option<u64>);
 
-fn metric_bits(m: &RunMetrics) -> MetricBits {
+fn metric_bits(m: &TrainOutcome) -> MetricBits {
     (
-        m.avg_iteration_time().map(f64::to_bits),
-        m.total_time().to_bits(),
-        m.failed_iterations(),
+        m.mean_round_seconds().map(f64::to_bits),
+        m.total_seconds().to_bits(),
+        m.failed_rounds,
         m.resource_usage().ratio().map(f64::to_bits),
     )
 }
@@ -93,12 +93,9 @@ fn run_timing_is_pinned_on_cluster_a() {
 /// `(metrics, rebuilds, rebuild_failures)` of one policy's run.
 type DriftBits = (MetricBits, usize, usize);
 
-fn drift_bits(out: &AdaptiveOutcome) -> DriftBits {
-    (
-        metric_bits(&out.metrics),
-        out.rebuilds,
-        out.rebuild_failures,
-    )
+fn drift_bits(out: &TrainOutcome) -> DriftBits {
+    let report = out.adaptation.clone().unwrap_or_default();
+    (metric_bits(out), report.recodes(), report.recode_failures)
 }
 
 #[test]

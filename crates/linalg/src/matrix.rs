@@ -143,15 +143,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a 1-column matrix from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.rows
@@ -396,11 +387,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Frobenius norm `sqrt(Σ a_ij²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry (`∞`-norm over entries).
@@ -716,7 +702,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = mat(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 
@@ -778,6 +763,5 @@ mod tests {
     #[test]
     fn row_and_col_vectors() {
         assert_eq!(Matrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
-        assert_eq!(Matrix::col_vector(&[1.0, 2.0]).shape(), (2, 1));
     }
 }

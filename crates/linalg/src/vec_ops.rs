@@ -75,24 +75,6 @@ pub fn support(x: &[f64]) -> Vec<usize> {
         .collect()
 }
 
-/// Componentwise sum of many equal-length vectors.
-///
-/// Returns an empty vector when `vs` is empty.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn sum_all(vs: &[Vec<f64>]) -> Vec<f64> {
-    let Some(first) = vs.first() else {
-        return Vec::new();
-    };
-    let mut acc = vec![0.0; first.len()];
-    for v in vs {
-        axpy(1.0, v, &mut acc);
-    }
-    acc
-}
-
 /// Maximum absolute componentwise difference between two vectors.
 ///
 /// # Panics
@@ -166,13 +148,6 @@ mod tests {
         assert_eq!(support(&v), vec![1, 3]);
         assert_eq!(l0_norm(&[]), 0);
         assert!(support(&[0.0, 0.0]).is_empty());
-    }
-
-    #[test]
-    fn sum_all_sums() {
-        let vs = vec![vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
-        assert_eq!(sum_all(&vs), vec![111.0, 222.0]);
-        assert!(sum_all(&[]).is_empty());
     }
 
     #[test]

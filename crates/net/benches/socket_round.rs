@@ -64,11 +64,9 @@ fn bench_socket(c: &mut Criterion, dim: usize, samples: usize) {
     .unwrap();
     let mut group = c.benchmark_group("socket_round");
     group.sample_size(10);
-    let mut iteration = 0usize;
     group.bench_function(format!("socket/{dim}"), |b| {
         b.iter(|| {
-            iteration += 1;
-            let round = socket.round(iteration, &f.params).unwrap();
+            let round = socket.round(&f.params).unwrap().expect("decoded");
             black_box(round.results_used)
         })
     });
@@ -80,11 +78,9 @@ fn bench_round(c: &mut Criterion) {
     let mut threaded = ThreadedCluster::start(f.code, f.model, f.data, &f.config).unwrap();
     let mut group = c.benchmark_group("socket_round");
     group.sample_size(10);
-    let mut iteration = 0usize;
     group.bench_function("threaded", |b| {
         b.iter(|| {
-            iteration += 1;
-            let round = threaded.round(iteration, &f.params).unwrap();
+            let round = threaded.round(&f.params).unwrap().expect("decoded");
             black_box(round.results_used)
         })
     });

@@ -790,8 +790,8 @@ mod tests {
         // 64 → the whole reply and its `RoundDone` in one write.
         for (chunk_len, frames_per_reply) in [(3, 4), (64, 2)] {
             let (mut cluster, threads) = start(2, chunk_len);
-            for seq in 1..=3 {
-                let round = cluster.round(seq, &params).expect("round");
+            for _ in 1..=3 {
+                let round = cluster.round(&params).expect("round").expect("decoded");
                 assert_eq!(round.results_used, 2);
                 for (got, want) in round.gradient.iter().zip(&direct) {
                     assert!(

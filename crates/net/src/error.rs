@@ -4,9 +4,9 @@
 //! sequence — no I/O involved), [`NetError`] wraps it together with
 //! transport and set-up failures. Rounds themselves run on
 //! `hetgc_runtime::Master` and fail with its `RuntimeError`
-//! (`Undecodable`, `WorkerLost`, …) on every transport;
-//! [`NetError::Runtime`] carries one across a `NetError` boundary
-//! (cluster start-up).
+//! (`WorkerLost`, …) on every transport — an undecodable round is not an
+//! error but `Ok(None)`; [`NetError::Runtime`] carries one across a
+//! `NetError` boundary (cluster start-up).
 
 use std::error::Error;
 use std::fmt;

@@ -188,13 +188,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Attaches a fleet-wide decode-plan cache (see
-    /// [`RuntimeConfig::shared_plans`]).
-    pub fn with_shared_plans(mut self, cache: Arc<SharedPlanCache>) -> Self {
-        self.shared_plans = Some(cache);
-        self
-    }
-
     /// The escalation policy in force: the explicit one, or the
     /// backend-following default.
     pub fn effective_escalation(&self) -> EscalationPolicy {

@@ -9,14 +9,6 @@ pub enum RuntimeError {
         /// Human-readable description.
         reason: String,
     },
-    /// An iteration could not be decoded: more workers were lost than the
-    /// scheme tolerates.
-    Undecodable {
-        /// The iteration that failed.
-        iteration: usize,
-        /// How many results arrived before the master gave up.
-        received: usize,
-    },
     /// A round could not be sent: a worker thread disconnected (panic in
     /// worker code), or every worker connection is gone.
     WorkerLost {
@@ -34,13 +26,6 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::InvalidConfig { reason } => write!(f, "invalid runtime config: {reason}"),
-            RuntimeError::Undecodable {
-                iteration,
-                received,
-            } => write!(
-                f,
-                "iteration {iteration} undecodable after {received} results (too many stragglers)"
-            ),
             RuntimeError::WorkerLost { worker } => write!(f, "worker {worker} disconnected"),
             RuntimeError::Coding { message } => write!(f, "coding failure: {message}"),
         }
@@ -66,12 +51,6 @@ mod tests {
         assert!(RuntimeError::InvalidConfig { reason: "x".into() }
             .to_string()
             .contains("invalid"));
-        assert!(RuntimeError::Undecodable {
-            iteration: 3,
-            received: 2
-        }
-        .to_string()
-        .contains("iteration 3"));
         assert!(RuntimeError::WorkerLost { worker: 1 }
             .to_string()
             .contains("worker 1"));

@@ -39,7 +39,7 @@
 //! let mut cluster =
 //!     ThreadedCluster::start(code, Arc::clone(&model), Arc::clone(&data), &RuntimeConfig::default())?;
 //! let params = model.init_params(&mut rng);
-//! let round = cluster.round(1, &params)?;
+//! let round = cluster.round(&params)?.expect("decodable within the budget");
 //! assert_eq!(round.gradient.len(), model.num_params());
 //! assert_eq!(round.residual, 0.0, "exact decode within the budget");
 //! # Ok(())

@@ -377,23 +377,15 @@ impl<M: Model, T: Transport> Master<M, T> {
     }
 
     /// Runs one collect round: [`Master::dispatch`] then
-    /// [`Master::collect`]. The caller's `iteration` (1-based) is used
-    /// for error reporting.
+    /// [`Master::collect`]. `Ok(None)` is an undecodable round, as for
+    /// [`Master::collect`].
     ///
     /// # Errors
     ///
-    /// * [`RuntimeError::Undecodable`] when the round cannot decode
-    ///   within the deadline and the escalation ladder declines: a
-    ///   wall-clock master cannot tell a straggler from a dead worker, so
-    ///   it errors instead of waiting forever.
-    /// * [`RuntimeError::WorkerLost`] when the round cannot be sent.
-    pub fn round(
-        &mut self,
-        iteration: usize,
-        params: &[f64],
-    ) -> Result<ClusterRound, RuntimeError> {
+    /// [`RuntimeError::WorkerLost`] when the round cannot be sent.
+    pub fn round(&mut self, params: &[f64]) -> Result<Option<ClusterRound>, RuntimeError> {
         self.dispatch(params)?;
-        self.collect(iteration)
+        self.collect()
     }
 
     /// Broadcasts `params` to the workers and returns immediately — the
@@ -434,11 +426,15 @@ impl<M: Model, T: Transport> Master<M, T> {
     /// full window regardless of master-side delay; only escalation
     /// itself fires "late", at collect entry.
     ///
+    /// Returns `Ok(None)` when the round is undecodable: nothing decoded
+    /// by the deadline (or before every worker hung up) and the escalation
+    /// ladder declined. A wall-clock master cannot tell a straggler from a
+    /// dead worker, so it gives the round up instead of waiting forever.
+    ///
     /// # Errors
     ///
-    /// * [`RuntimeError::InvalidConfig`] when no round is in flight.
-    /// * [`RuntimeError::Undecodable`] as for [`Master::round`].
-    pub fn collect(&mut self, iteration: usize) -> Result<ClusterRound, RuntimeError> {
+    /// [`RuntimeError::InvalidConfig`] when no round is in flight.
+    pub fn collect(&mut self) -> Result<Option<ClusterRound>, RuntimeError> {
         let (tag, started) = self
             .inflight
             .take()
@@ -473,20 +469,14 @@ impl<M: Model, T: Transport> Master<M, T> {
                     expired = true;
                     continue;
                 }
-                // Exact ceilings decline and the round surfaces as
-                // undecodable.
+                // Exact ceilings decline and the round is undecodable.
                 let received = &self.slots.received;
                 let survivors: Vec<usize> = (0..received.len())
                     .filter(|&w| received[w].is_some())
                     .collect();
                 match self.codec.fallback_plan(&survivors) {
                     Some(plan) => break Some(plan),
-                    None => {
-                        return Err(RuntimeError::Undecodable {
-                            iteration,
-                            received: survivors.len(),
-                        })
-                    }
+                    None => return Ok(None),
                 }
             };
             let recorder = self.recorder.as_ref();
@@ -536,7 +526,7 @@ impl<M: Model, T: Transport> Master<M, T> {
         // f64 width it displaced.
         let full_width = (gradient.len() * 8) as u64;
         let serialized = slots.payload_bytes.iter().filter(|&&b| b > 0);
-        Ok(ClusterRound {
+        Ok(Some(ClusterRound {
             gradient,
             residual: plan.residual(),
             results_used: plan.len(),
@@ -550,7 +540,7 @@ impl<M: Model, T: Transport> Master<M, T> {
             bytes_received,
             wire_error: slots.wire_errors.iter().map(|e| e * e).sum::<f64>().sqrt(),
             bytes_saved: serialized.map(|&b| full_width.saturating_sub(b)).sum(),
-        })
+        }))
     }
 }
 
@@ -680,7 +670,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         // The deadline passed before collect entry, yet the queued set
         // decodes exactly: the ladder is not consulted.
-        let round = rig.master.collect(1).unwrap();
+        let round = rig.master.collect().unwrap().expect("decoded");
         rig.assert_exact(&round);
         assert_eq!(round.busy[0], 0.0);
         assert!(round.results_used >= 2);
@@ -694,19 +684,13 @@ mod tests {
         exact.master.dispatch(&exact.params).unwrap();
         exact.reply(0, 1, 0.01);
         exact.reply(1, 1, 0.01);
-        assert_eq!(
-            exact.master.collect(7).unwrap_err(),
-            RuntimeError::Undecodable {
-                iteration: 7,
-                received: 2
-            }
-        );
+        assert!(matches!(exact.master.collect(), Ok(None)));
 
         let mut approx = Rig::new(5, deadline(1, CodecBackend::Approx));
         approx.master.dispatch(&approx.params).unwrap();
         approx.reply(0, 1, 0.01);
         approx.reply(1, 1, 0.01);
-        let round = approx.master.collect(7).unwrap();
+        let round = approx.master.collect().unwrap().expect("decoded");
         assert!(round.residual > 0.0);
         assert!(round.results_used <= 2);
     }
@@ -719,7 +703,7 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 1, 0.01);
         }
-        let r1 = rig.master.collect(1).unwrap();
+        let r1 = rig.master.collect().unwrap().expect("decoded");
         assert_eq!(r1.late_busy, vec![0.0; 4]);
         rig.reply(0, 1, 0.25);
 
@@ -727,7 +711,7 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 2, 0.01);
         }
-        let r2 = rig.master.collect(2).unwrap();
+        let r2 = rig.master.collect().unwrap().expect("decoded");
         assert_eq!((r2.busy[0], r2.late_busy[0]), (0.0, 0.25));
 
         // Row 1's stale reply is followed by its in-time one: the late
@@ -737,7 +721,7 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 3, 0.01);
         }
-        let r3 = rig.master.collect(3).unwrap();
+        let r3 = rig.master.collect().unwrap().expect("decoded");
         rig.assert_exact(&r3);
         assert_eq!((r3.late_busy[0], r3.late_busy[1]), (0.0, 0.0));
         assert_eq!(r3.busy[1], 0.01);
@@ -746,7 +730,7 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 4, 0.01);
         }
-        let r4 = rig.master.collect(4).unwrap();
+        let r4 = rig.master.collect().unwrap().expect("decoded");
         assert_eq!(r4.late_busy[1], 0.0);
     }
 
@@ -764,7 +748,7 @@ mod tests {
         for w in 0..3 {
             rig.reply(w, 1, 0.01);
         }
-        let round = rig.master.collect(1).unwrap();
+        let round = rig.master.collect().unwrap().expect("decoded");
         rig.assert_exact(&round);
         assert_eq!(round.busy.len(), 3);
         assert_eq!(round.late_busy, vec![0.0; 3]);
@@ -781,7 +765,7 @@ mod tests {
             rig.master.dispatch(&rig.params).unwrap();
             rig.reply(0, seq, 0.01);
             rig.reply(1, seq, 0.01);
-            assert!(rig.master.collect(1).unwrap().residual > 0.0);
+            assert!(rig.master.collect().unwrap().expect("decoded").residual > 0.0);
             metrics.solve_count()
         };
         assert_eq!(escalated_round(&mut rig, 1), 1);
@@ -803,7 +787,7 @@ mod tests {
                 "{r:?}"
             );
         };
-        invalid(rig.master.collect(1).map(drop));
+        invalid(rig.master.collect().map(drop));
         rig.master.dispatch(&rig.params).unwrap();
         invalid(rig.master.dispatch(&rig.params));
         // A recode must not discard the round in flight.
@@ -812,7 +796,7 @@ mod tests {
         for w in 0..4 {
             rig.reply(w, 1, 0.01);
         }
-        let round = rig.master.collect(1).unwrap();
+        let round = rig.master.collect().unwrap().expect("decoded");
         rig.assert_exact(&round);
     }
 }

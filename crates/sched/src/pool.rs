@@ -165,11 +165,6 @@ impl SharedWorkerPool {
         self.inner.ledger.lock().expect("pool poisoned").epoch
     }
 
-    /// Jobs currently holding a lease.
-    pub fn active_jobs(&self) -> usize {
-        self.inner.ledger.lock().expect("pool poisoned").active
-    }
-
     /// The most jobs that held leases at once since the pool was built
     /// or a scheduler batch last started — the proof of actual
     /// concurrency a scheduler bench reports.
@@ -327,7 +322,6 @@ mod tests {
         assert!(e2 > e1, "a load commit bumps the epoch");
         drop(lease);
         assert!(pool.epoch() > e2, "release bumps the epoch");
-        assert_eq!(pool.active_jobs(), 0);
         assert_eq!(pool.admitted(), 1);
     }
 

@@ -176,19 +176,19 @@ impl SchedulerReport {
     }
 
     /// A one-line human summary of the batch. Rounds, the escalated
-    /// share (`Σ approx_rounds / Σ rounds`) and the p50/p95 round times
+    /// share (`Σ approx_rounds() / Σ rounds()`) and the p50/p95 round times
     /// come from the outcomes' records; `jobs/s` is
     /// [`SchedulerReport::jobs_per_sec`].
     pub fn summary(&self) -> String {
         let rounds: usize = self.outcomes.iter().map(TrainOutcome::rounds).sum();
-        let escalated: usize = self.outcomes.iter().map(|o| o.approx_rounds).sum();
+        let escalated: usize = self.outcomes.iter().map(TrainOutcome::approx_rounds).sum();
         let mut times: Vec<f64> = self
             .outcomes
             .iter()
             .flat_map(|o| o.records.iter().map(|r| r.elapsed))
             .collect();
         times.sort_by(f64::total_cmp);
-        // Nearest rank, the `RunMetrics::quantile` convention.
+        // Nearest rank, the `QuantileWindow::quantile` convention.
         let ms = |q: f64| {
             let rank = (q * times.len().saturating_sub(1) as f64).round() as usize;
             times.get(rank).map_or(0.0, |t| t * 1e3)

@@ -155,7 +155,7 @@ fn summary_reads_the_escalated_share_off_the_records() {
         .expect("batch");
 
     let summary = report.summary();
-    let approx: Vec<usize> = report.outcomes.iter().map(|o| o.approx_rounds).collect();
+    let approx: Vec<usize> = report.outcomes.iter().map(|o| o.approx_rounds()).collect();
     assert_eq!(approx, vec![0, 3], "{summary}");
     let rounds: usize = report.outcomes.iter().map(|o| o.rounds()).sum();
     let escalated: usize = approx.iter().sum();

@@ -15,8 +15,7 @@
 //! * [`SspEngine`] — a stale-synchronous-parallel engine (bounded
 //!   staleness) producing the asynchronous update schedule that Fig. 4
 //!   compares against.
-//! * [`RunMetrics`] — aggregation of per-iteration outcomes into the
-//!   averages the paper plots.
+//! * [`ResourceUsage`] — the Fig. 5 resource-usage sums.
 //!
 //! ```
 //! use hetgc_cluster::StragglerEvent;
@@ -53,7 +52,7 @@ pub use bsp::{
 };
 pub use drift::RateDrift;
 pub use error::SimError;
-pub use metrics::{ResourceUsage, RunMetrics};
+pub use metrics::ResourceUsage;
 pub use network::NetworkModel;
 pub use queue::EventQueue;
 pub use ssp::{SspEngine, SspEvent};

@@ -1,12 +1,10 @@
-//! Aggregation of per-iteration outcomes into the metrics the paper plots.
+//! The paper's Fig. 5 metric.
 
 use serde::{Deserialize, Serialize};
 
-use crate::bsp::BspIteration;
-
 /// The paper's Fig. 5 metric for one scheme over a run:
 /// `resource usage = Σ_iter Σ_w computing_time / Σ_iter Σ_w total_time`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceUsage {
     /// Total useful compute seconds across workers and iterations.
     pub compute_seconds: f64,
@@ -15,6 +13,13 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
+    /// Adds one completed iteration: wall time `t`, total worker
+    /// compute-busy seconds, and worker count.
+    pub fn record(&mut self, t: f64, compute_seconds: f64, workers: usize) {
+        self.compute_seconds += compute_seconds;
+        self.total_seconds += t * workers as f64;
+    }
+
     /// The usage ratio in `[0, 1]`, or `None` when nothing ran.
     pub fn ratio(&self) -> Option<f64> {
         if self.total_seconds > 0.0 {
@@ -25,140 +30,21 @@ impl ResourceUsage {
     }
 }
 
-/// Accumulated metrics over a sequence of BSP iterations of one scheme.
-///
-/// # Example
-///
-/// ```
-/// use hetgc_sim::RunMetrics;
-///
-/// let mut m = RunMetrics::new();
-/// m.record_time(1.0, 5.0, 2);
-/// m.record_time(3.0, 5.0, 2);
-/// assert_eq!(m.iterations(), 2);
-/// assert_eq!(m.avg_iteration_time().unwrap(), 2.0);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RunMetrics {
-    times: Vec<f64>,
-    failed_iterations: usize,
-    compute_seconds: f64,
-    total_seconds: f64,
-}
-
-impl RunMetrics {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunMetrics::default()
-    }
-
-    /// Records a completed iteration directly from the simulator outcome.
-    ///
-    /// Iterations that never complete (`completion == None`) are counted in
-    /// [`RunMetrics::failed_iterations`] and excluded from time statistics.
-    pub fn record(&mut self, iteration: &BspIteration) {
-        match iteration.completion {
-            Some(t) => {
-                let busy: f64 = iteration.busy.iter().sum();
-                self.record_time(t, busy, iteration.busy.len());
-            }
-            None => self.failed_iterations += 1,
-        }
-    }
-
-    /// Records a completed iteration from raw numbers: wall time `t`,
-    /// total worker compute-busy seconds, and worker count.
-    pub fn record_time(&mut self, t: f64, compute_seconds: f64, workers: usize) {
-        self.times.push(t);
-        self.compute_seconds += compute_seconds;
-        self.total_seconds += t * workers as f64;
-    }
-
-    /// Records an iteration that never completed (undecodable round) —
-    /// the raw-numbers counterpart of feeding [`RunMetrics::record`] an
-    /// outcome with no completion.
-    pub fn record_failure(&mut self) {
-        self.failed_iterations += 1;
-    }
-
-    /// Number of completed iterations.
-    pub fn iterations(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Number of iterations that could not complete (e.g. naive + fault).
-    pub fn failed_iterations(&self) -> usize {
-        self.failed_iterations
-    }
-
-    /// Mean time per completed iteration — the y-axis of Figs. 2 and 3.
-    pub fn avg_iteration_time(&self) -> Option<f64> {
-        if self.times.is_empty() {
-            None
-        } else {
-            Some(self.times.iter().sum::<f64>() / self.times.len() as f64)
-        }
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of iteration times, by nearest-rank.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.times.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let mut sorted = self.times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        let idx = ((q * (sorted.len() - 1) as f64).round()) as usize;
-        Some(sorted[idx])
-    }
-
-    /// Resource usage over the whole run (Fig. 5).
-    pub fn resource_usage(&self) -> ResourceUsage {
-        ResourceUsage {
-            compute_seconds: self.compute_seconds,
-            total_seconds: self.total_seconds,
-        }
-    }
-
-    /// Total wall-clock time of all completed iterations.
-    pub fn total_time(&self) -> f64 {
-        self.times.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_metrics() {
-        let m = RunMetrics::new();
-        assert_eq!(m.iterations(), 0);
-        assert_eq!(m.avg_iteration_time(), None);
-        assert_eq!(m.quantile(0.5), None);
-        assert_eq!(m.resource_usage().ratio(), None);
-        assert_eq!(m.total_time(), 0.0);
-    }
-
-    #[test]
-    fn averages_and_quantiles() {
-        let mut m = RunMetrics::new();
-        for t in [1.0, 2.0, 3.0, 4.0] {
-            m.record_time(t, t, 1);
-        }
-        assert_eq!(m.avg_iteration_time().unwrap(), 2.5);
-        assert_eq!(m.quantile(0.0).unwrap(), 1.0);
-        assert_eq!(m.quantile(1.0).unwrap(), 4.0);
-        assert_eq!(m.quantile(0.5).unwrap(), 3.0); // nearest rank up
-        assert_eq!(m.total_time(), 10.0);
-        assert!(m.quantile(1.5).is_none());
+        assert_eq!(ResourceUsage::default().ratio(), None);
     }
 
     #[test]
     fn resource_usage_ratio() {
-        let mut m = RunMetrics::new();
+        let mut m = ResourceUsage::default();
         // 2 workers, iteration of 4s, only 4 compute-seconds used of 8.
-        m.record_time(4.0, 4.0, 2);
-        assert_eq!(m.resource_usage().ratio().unwrap(), 0.5);
+        m.record(4.0, 4.0, 2);
+        assert_eq!(m.ratio().unwrap(), 0.5);
     }
 
     #[test]
@@ -176,21 +62,9 @@ mod tests {
             decode_residual: 0.0,
             busy: vec![2.0, 1.0],
         };
-        let mut m = RunMetrics::new();
-        m.record(&it);
-        assert_eq!(m.iterations(), 1);
-        assert_eq!(m.resource_usage().ratio().unwrap(), 0.75);
-
-        let failed = BspIteration {
-            completion: None,
-            arrivals: vec![],
-            decode_workers: vec![],
-            decode_vector: vec![],
-            decode_residual: 0.0,
-            busy: vec![0.0, 0.0],
-        };
-        m.record(&failed);
-        assert_eq!(m.failed_iterations(), 1);
-        assert_eq!(m.iterations(), 1);
+        let mut m = ResourceUsage::default();
+        m.record(it.completion.unwrap(), it.busy.iter().sum(), it.busy.len());
+        assert_eq!(m.ratio().unwrap(), 0.75);
+        assert_eq!(m.ratio(), it.resource_usage());
     }
 }

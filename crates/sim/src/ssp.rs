@@ -143,31 +143,28 @@ impl SspEngine {
         }
         Some(event)
     }
-
-    /// Convenience: runs until `horizon` seconds, collecting events.
-    pub fn run_until(&mut self, horizon: f64) -> Vec<SspEvent> {
-        let mut events = Vec::new();
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            match self.next_event() {
-                Some(ev) => events.push(ev),
-                None => break,
-            }
-        }
-        events
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `ssp` until `horizon` seconds, collecting events.
+    fn run_until(ssp: &mut SspEngine, horizon: f64) -> Vec<SspEvent> {
+        let mut events = Vec::new();
+        while ssp.queue.peek_time().is_some_and(|t| t <= horizon) {
+            match ssp.next_event() {
+                Some(ev) => events.push(ev),
+                None => break,
+            }
+        }
+        events
+    }
+
     #[test]
     fn homogeneous_round_robin() {
         let mut ssp = SspEngine::new(vec![1.0, 1.0, 1.0], 1).unwrap();
-        let events = ssp.run_until(3.5);
+        let events = run_until(&mut ssp, 3.5);
         // Every worker completes 3 iterations by t=3.
         assert_eq!(events.len(), 9);
         assert_eq!(ssp.progress(), &[3, 3, 3]);
@@ -177,7 +174,7 @@ mod tests {
     fn staleness_gates_fast_worker() {
         // Worker 0: 0.1 s/iter; worker 1: 1.0 s/iter; staleness 2.
         let mut ssp = SspEngine::new(vec![0.1, 1.0], 2).unwrap();
-        let events = ssp.run_until(10.0);
+        let events = run_until(&mut ssp, 10.0);
         let fast: Vec<&SspEvent> = events.iter().filter(|e| e.worker == 0).collect();
         let slow: Vec<&SspEvent> = events.iter().filter(|e| e.worker == 1).collect();
         // Gate: fast can be at most 3 iterations ahead at any event.
@@ -198,7 +195,7 @@ mod tests {
     #[test]
     fn staleness_zero_is_lockstep() {
         let mut ssp = SspEngine::new(vec![0.5, 2.0], 0).unwrap();
-        let events = ssp.run_until(8.0);
+        let events = run_until(&mut ssp, 8.0);
         // With staleness 0 nobody may be more than 1 iteration ahead.
         let mut c = [0usize; 2];
         for ev in events {
@@ -229,7 +226,7 @@ mod tests {
     #[test]
     fn events_in_time_order() {
         let mut ssp = SspEngine::new(vec![0.3, 0.7, 1.1], 2).unwrap();
-        let events = ssp.run_until(20.0);
+        let events = run_until(&mut ssp, 20.0);
         for pair in events.windows(2) {
             assert!(pair[0].time <= pair[1].time);
         }
@@ -265,7 +262,7 @@ mod tests {
     fn heterogeneous_throughput_ratio_respected() {
         // Without gating (huge staleness) the event counts reflect speeds.
         let mut ssp = SspEngine::new(vec![0.25, 1.0], 1000).unwrap();
-        let events = ssp.run_until(100.0);
+        let events = run_until(&mut ssp, 100.0);
         let fast = events.iter().filter(|e| e.worker == 0).count();
         let slow = events.iter().filter(|e| e.worker == 1).count();
         assert_eq!(slow, 100);

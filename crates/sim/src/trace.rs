@@ -59,14 +59,36 @@ impl<'a> IterationTrace<'a> {
         self
     }
 
-    /// Renders the chronological event list.
+    /// Renders the chronological event list, the decode included: the
+    /// arrival whose push completed the decodable set is tagged, and every
+    /// arrival after it — the same instant included — renders as unused.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "t=0.000    round starts (broadcast done)");
-        let completion = self.iteration.completion;
-        // Chronological merge of worker events and annotations.
+        let it = self.iteration;
+        let decode_line = it.completion.map(|t| {
+            (
+                t,
+                format!(
+                    "t={t:<8.3} DECODE: weight on workers {:?}",
+                    it.decode_workers
+                ),
+            )
+        });
+        // Arrivals are pushed in order, and a worker the plan can do
+        // without was never the one that completed it: the last weighted
+        // arrival at the completion instant fired the decode.
+        let fired = it.completion.and_then(|t| {
+            it.arrivals.iter().rposition(|a| {
+                (a.arrive - t).abs() < 1e-12
+                    && it.decode_vector.get(a.worker).is_some_and(|&c| c != 0.0)
+            })
+        });
+        // Chronological merge of worker events, the decode and annotations
+        // (a stable sort: the decode lands right after the arrival that
+        // fired it).
         let mut events: Vec<(f64, String)> = Vec::new();
-        for arr in &self.iteration.arrivals {
+        for (i, arr) in it.arrivals.iter().enumerate() {
             if !arr.compute_end.is_finite() {
                 continue; // failures render last, at t=∞
             }
@@ -74,9 +96,10 @@ impl<'a> IterationTrace<'a> {
                 arr.compute_end,
                 format!("t={:<8.3} W{} compute done", arr.compute_end, arr.worker),
             ));
-            let marker = match completion {
-                Some(t) if (arr.arrive - t).abs() < 1e-12 => "  ← decode fires here",
-                Some(t) if arr.arrive > t => "  (late: result unused)",
+            let marker = match (fired, it.completion) {
+                (Some(f), _) if i == f => "  ← decode fires here",
+                (Some(f), _) if i > f => "  (late: result unused)",
+                (None, Some(t)) if arr.arrive > t => "  (late: result unused)",
                 _ => "",
             };
             events.push((
@@ -86,6 +109,12 @@ impl<'a> IterationTrace<'a> {
                     arr.arrive, arr.worker, marker
                 ),
             ));
+            if fired == Some(i) {
+                events.extend(decode_line.clone());
+            }
+        }
+        if fired.is_none() {
+            events.extend(decode_line);
         }
         for (at, note) in &self.notes {
             events.push((*at, format!("t={at:<8.3} {note}")));
@@ -94,22 +123,13 @@ impl<'a> IterationTrace<'a> {
         for (_, line) in &events {
             let _ = writeln!(out, "{line}");
         }
-        for arr in &self.iteration.arrivals {
+        for arr in &it.arrivals {
             if !arr.compute_end.is_finite() {
                 let _ = writeln!(out, "t=∞        W{} never responds (failed)", arr.worker);
             }
         }
-        match completion {
-            Some(t) => {
-                let _ = writeln!(
-                    out,
-                    "t={:<8.3} DECODE: weight on workers {:?}",
-                    t, self.iteration.decode_workers
-                );
-            }
-            None => {
-                let _ = writeln!(out, "round never decodes (too many failures)");
-            }
+        if it.completion.is_none() {
+            let _ = writeln!(out, "round never decodes (too many failures)");
         }
         out
     }
@@ -234,9 +254,6 @@ mod tests {
         // The annotation lands between the events that bracket t=1.84.
         let deadline_pos = trace.find("deadline fires").unwrap();
         for line in trace.lines() {
-            if line.contains("DECODE") {
-                continue; // the decode summary always renders last
-            }
             if let Some(t) = line
                 .strip_prefix("t=")
                 .and_then(|rest| rest.split_whitespace().next())
@@ -248,6 +265,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn simultaneous_arrivals_tag_one_decode_in_time_order() {
+        // Two equal-rate workers, each holding every partition (s = 1),
+        // arrive together: the first push decodes, the second is unused.
+        let rates = [1.0, 1.0];
+        let mut rng = StdRng::seed_from_u64(5);
+        let code = heter_aware(&rates, 2, 1, &mut rng).unwrap();
+        let cfg = BspIterationConfig::new(&rates).network(NetworkModel::instantaneous());
+        let events = vec![StragglerEvent::Normal; 2];
+        let it = simulate_bsp_iteration(&code, &cfg, &events, &mut rng).unwrap();
+        let t = it.completion.unwrap();
+        assert_eq!(it.arrivals[0].arrive, it.arrivals[1].arrive);
+        let trace = IterationTrace::new(&it)
+            .with_note(t + 1.0, "after the decode")
+            .render();
+        assert_eq!(trace.matches("decode fires here").count(), 1, "{trace}");
+        let lines: Vec<&str> = trace.lines().collect();
+        let pos = |needle: &str| lines.iter().position(|l| l.contains(needle)).unwrap();
+        let fired = pos("decode fires here");
+        assert!(lines[fired].contains("W0 arrives"), "{trace}");
+        assert_eq!(pos("DECODE"), fired + 1, "{trace}");
+        let unused = pos("W1 arrives");
+        assert!(unused > fired + 1, "{trace}");
+        assert!(lines[unused].contains("result unused"), "{trace}");
+        assert_eq!(pos("after the decode"), lines.len() - 1, "{trace}");
     }
 
     #[test]

@@ -182,16 +182,6 @@ impl DriftDetector {
         self.states.iter().any(|s| s.flagged)
     }
 
-    /// The currently flagged workers.
-    pub fn flagged(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.flagged)
-            .map(|(w, _)| w)
-            .collect()
-    }
-
     /// Re-anchors every worker's baseline to its current fast estimate
     /// and clears flags and CUSUM state — called after a successful
     /// re-code, when the new allocation already reflects the new rates.
@@ -234,7 +224,6 @@ mod tests {
         assert_eq!(events[0].worker, 0);
         assert!(events[0].magnitude < -0.2, "{:?}", events[0]);
         assert!(det.drifting());
-        assert_eq!(det.flagged(), vec![0]);
     }
 
     #[test]

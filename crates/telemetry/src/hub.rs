@@ -140,24 +140,6 @@ impl TelemetryHub {
     pub fn round_quantile(&self, q: f64) -> Option<f64> {
         self.round_times.quantile(q)
     }
-
-    /// Median recent round-completion time, straight off the window —
-    /// dashboards and the metrics registry read these instead of
-    /// re-deriving quantiles from raw samples.
-    pub fn round_p50(&self) -> Option<f64> {
-        self.round_times.p50()
-    }
-
-    /// 90th-percentile recent round-completion time.
-    pub fn round_p90(&self) -> Option<f64> {
-        self.round_times.p90()
-    }
-
-    /// 99th-percentile recent round-completion time — the tail the
-    /// learned escalation deadline tracks.
-    pub fn round_p99(&self) -> Option<f64> {
-        self.round_times.p99()
-    }
 }
 
 #[cfg(test)]
@@ -214,14 +196,12 @@ mod tests {
     #[test]
     fn percentile_accessors_match_quantile() {
         let mut hub = TelemetryHub::new(1, 0.5, 16);
-        assert_eq!(hub.round_p50(), None);
+        assert_eq!(hub.round_quantile(0.5), None);
         for i in 1..=10 {
             hub.ingest(i as f64, 0.0, &[]);
         }
-        assert_eq!(hub.round_p50(), hub.round_quantile(0.5));
-        assert_eq!(hub.round_p90(), hub.round_quantile(0.9));
-        assert_eq!(hub.round_p99(), hub.round_quantile(0.99));
-        assert_eq!(hub.round_p99(), Some(10.0));
+        assert_eq!(hub.round_quantile(0.5), Some(6.0));
+        assert_eq!(hub.round_quantile(0.99), Some(10.0));
     }
 
     #[test]

@@ -54,8 +54,8 @@ impl QuantileWindow {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest rank over the current
-    /// window, or `None` when empty or `q` is out of range. Matches the
-    /// convention of `hetgc_sim::RunMetrics::quantile`.
+    /// window (index `round(q·(n−1))`, so a half-index rounds up), or
+    /// `None` when empty or `q` is out of range.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.values.is_empty() || !(0.0..=1.0).contains(&q) {
             return None;
@@ -64,22 +64,6 @@ impl QuantileWindow {
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let idx = (q * (sorted.len() - 1) as f64).round() as usize;
         Some(sorted[idx])
-    }
-
-    /// The median over the current window.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// The 90th percentile over the current window.
-    pub fn p90(&self) -> Option<f64> {
-        self.quantile(0.9)
-    }
-
-    /// The 99th percentile over the current window — the tail the
-    /// escalation deadline and dashboards care about.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 }
 
@@ -120,15 +104,14 @@ mod tests {
     #[test]
     fn percentile_shorthands() {
         let mut w = QuantileWindow::new(100);
-        assert_eq!(w.p50(), None);
+        assert_eq!(w.quantile(0.5), None);
         for i in 1..=100 {
             w.push(i as f64);
         }
-        // Nearest rank over an even count rounds the half-index up —
-        // the `RunMetrics::quantile` convention this window matches.
-        assert_eq!(w.p50(), Some(51.0));
-        assert_eq!(w.p90(), Some(90.0));
-        assert_eq!(w.p99(), Some(99.0));
+        // Nearest rank over an even count rounds the half-index up.
+        assert_eq!(w.quantile(0.5), Some(51.0));
+        assert_eq!(w.quantile(0.9), Some(90.0));
+        assert_eq!(w.quantile(0.99), Some(99.0));
     }
 
     #[test]

@@ -26,16 +26,13 @@ impl Default for RecodeConfig {
 /// Decides *when* the allocation is rebuilt; the engines own *how* (the
 /// Eq. 5 → Eq. 6 → Alg. 1/3 reconstruction from fresh estimates and the
 /// codec hot-swap). The controller debounces the drift signal, enforces a
-/// cooldown between attempts, and keeps the attempt/failure counters the
-/// run report exposes.
+/// cooldown between attempts (the run report counts the outcomes).
 #[derive(Debug, Clone)]
 pub struct RecodeController {
     cfg: RecodeConfig,
     round: usize,
     consecutive_drifting: usize,
     last_attempt_round: Option<usize>,
-    applied: usize,
-    rejected: usize,
 }
 
 impl RecodeController {
@@ -46,8 +43,6 @@ impl RecodeController {
             round: 0,
             consecutive_drifting: 0,
             last_attempt_round: None,
-            applied: 0,
-            rejected: 0,
         }
     }
 
@@ -71,7 +66,6 @@ impl RecodeController {
 
     /// Records that the re-code fired and the new code was installed.
     pub fn applied(&mut self) {
-        self.applied += 1;
         self.last_attempt_round = Some(self.round);
         self.consecutive_drifting = 0;
     }
@@ -80,18 +74,7 @@ impl RecodeController {
     /// (infeasible estimates, backend failure) — the run keeps the old
     /// code and the controller stays armed past the cooldown.
     pub fn rejected(&mut self) {
-        self.rejected += 1;
         self.last_attempt_round = Some(self.round);
-    }
-
-    /// Successful re-codes so far.
-    pub fn applied_count(&self) -> usize {
-        self.applied
-    }
-
-    /// Rejected re-code attempts so far.
-    pub fn rejected_count(&self) -> usize {
-        self.rejected
     }
 }
 
@@ -130,7 +113,6 @@ mod tests {
         });
         assert!(c.observe(true));
         c.applied();
-        assert_eq!(c.applied_count(), 1);
         // Drift persists (e.g. the rebuild was imperfect): cooldown holds.
         assert!(!c.observe(true));
         assert!(!c.observe(true));
@@ -145,7 +127,6 @@ mod tests {
         });
         assert!(c.observe(true));
         c.rejected();
-        assert_eq!(c.rejected_count(), 1);
         assert!(!c.observe(true));
         assert!(c.observe(true), "retries after cooldown");
     }

@@ -33,17 +33,14 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let mut rng = StdRng::seed_from_u64(11);
     let (static_run, adaptive_run) = compare_static_vs_adaptive(&cluster, &drift, &cfg, &mut rng)?;
 
-    let ts = static_run.metrics.avg_iteration_time().unwrap_or(f64::NAN);
-    let ta = adaptive_run
-        .metrics
-        .avg_iteration_time()
-        .unwrap_or(f64::NAN);
+    let ts = static_run.mean_round_seconds().unwrap_or(f64::NAN);
+    let ta = adaptive_run.mean_round_seconds().unwrap_or(f64::NAN);
     println!("static  (code built once):        {ts:.3} s/iter");
     println!(
         "adaptive (re-coded every {} iters): {ta:.3} s/iter  ({:.2}x, {} rebuilds)",
         cfg.reestimate_every,
         ts / ta,
-        adaptive_run.rebuilds
+        adaptive_run.adaptation.map_or(0, |a| a.recodes())
     );
 
     println!(

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut row = format!("{:>7.0}%", sigma * 100.0);
         for kind in [SchemeKind::HeterAware, SchemeKind::GroupBased] {
             let scheme = builder.build(kind, &mut rng)?;
-            let metrics = run_timing(
+            let run = run_timing(
                 &scheme,
                 &rates,
                 samples,
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             )?;
             row.push_str(&format!(
                 "  {:>12.3}",
-                metrics.avg_iteration_time().unwrap_or(f64::NAN)
+                run.mean_round_seconds().unwrap_or(f64::NAN)
             ));
         }
         println!("{row}");

@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 .unwrap_or(f64::NAN);
             println!(
                 "{label:>12}: finished 25 iterations ({} approximate, step scaled ×{:.3}), final loss {:.4}",
-                out.approx_rounds,
+                out.approx_rounds(),
                 scale,
                 out.final_loss().unwrap_or(f64::NAN)
             );

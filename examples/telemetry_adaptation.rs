@@ -61,11 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let static_out = run(&cluster, &drift, None, 11)?;
     let adaptive_out = run(&cluster, &drift, Some(AdaptationConfig::default()), 11)?;
 
-    let ts = static_out.metrics.avg_iteration_time().unwrap_or(f64::NAN);
-    let ta = adaptive_out
-        .metrics
-        .avg_iteration_time()
-        .unwrap_or(f64::NAN);
+    let ts = static_out.mean_round_seconds().unwrap_or(f64::NAN);
+    let ta = adaptive_out.mean_round_seconds().unwrap_or(f64::NAN);
     let report = adaptive_out.adaptation.as_ref().expect("adaptation on");
     println!(
         "static   (allocation never revisited): {ts:.3} s/round, final loss {:.5}",
@@ -101,10 +98,14 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let events = vec![StragglerEvent::Normal; cluster.len()];
         let it = hetgc::simulate_bsp_iteration(&codec, &sim, &events, &mut rng)?;
         println!("\nthe round that triggered the re-code, annotated:\n");
+        let mut trace = IterationTrace::new(&it);
+        // The deadline only fires in a round still undecoded when it passes.
+        if it.completion.is_none_or(|t| deadline < t) {
+            trace = trace.with_deadline(deadline, "p90 est.", "escalation ladder consulted");
+        }
         print!(
             "{}",
-            IterationTrace::new(&it)
-                .with_deadline(deadline, "p90 est.", "escalation ladder consulted")
+            trace
                 .with_note(
                     it.completion.unwrap_or(deadline),
                     format!(

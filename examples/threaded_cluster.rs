@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     println!(
         "heter-aware: {:.2}s wall, avg {:.0} ms/iter, loss {:.5} → {:.5}",
         started.elapsed().as_secs_f64(),
-        1000.0 * out.metrics.avg_iteration_time().unwrap_or(0.0),
+        1000.0 * out.mean_round_seconds().unwrap_or(0.0),
         out.records.first().and_then(|r| r.loss).unwrap_or(f64::NAN),
         out.final_loss().unwrap_or(f64::NAN),
     );
@@ -72,14 +72,21 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
 
     // The naive scheme under the same behaviours: it must wait for the
-    // delayed worker every round and *cannot* survive the fault.
+    // delayed worker every round and *cannot* survive the fault — the
+    // round after it is undecodable, and the run ends stalled.
     println!("\nsame cluster, naive scheme…");
     let mut engine =
         ThreadedEngine::new(naive(4)?, Arc::clone(&model), Arc::clone(&data), &config)?
             .with_label("naive");
-    match TrainDriver::new(&*model, &data, Sgd::new(0.3)).run(&mut engine, 12, &mut rng) {
-        Ok(_) => println!("unexpected: naive survived"),
-        Err(e) => println!("naive failed as expected: {e}"),
+    let out = TrainDriver::new(&*model, &data, Sgd::new(0.3)).run(&mut engine, 12, &mut rng)?;
+    if out.stalled {
+        println!(
+            "naive stalled as expected: {} undecodable round, {} earlier records kept",
+            out.failed_rounds,
+            out.rounds()
+        );
+    } else {
+        println!("unexpected: naive survived");
     }
     Ok(())
 }

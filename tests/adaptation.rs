@@ -71,8 +71,8 @@ fn sim_bsp_adaptation_recodes_and_beats_static_under_step_drift() {
         report.recode_rounds.iter().all(|&r| r > 15),
         "re-coded before the drift: {report:?}"
     );
-    let t_static = static_out.metrics.avg_iteration_time().unwrap();
-    let t_adaptive = adaptive_out.metrics.avg_iteration_time().unwrap();
+    let t_static = static_out.mean_round_seconds().unwrap();
+    let t_adaptive = adaptive_out.mean_round_seconds().unwrap();
     assert!(
         t_adaptive < t_static * 0.90,
         "adaptive {t_adaptive:.3} should beat static {t_static:.3}"

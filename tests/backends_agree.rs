@@ -83,8 +83,8 @@ fn simulated_and_threaded_trajectories_match() {
         .unwrap();
 
     assert_eq!(sim.rounds(), threaded.rounds());
-    assert_eq!(sim.approx_rounds, 0);
-    assert_eq!(threaded.approx_rounds, 0);
+    assert_eq!(sim.approx_rounds(), 0);
+    assert_eq!(threaded.approx_rounds(), 0);
     for (a, b) in sim.records.iter().zip(&threaded.records) {
         let (sim_loss, thr_loss) = (a.loss.unwrap(), b.loss.unwrap());
         assert!(
@@ -100,7 +100,8 @@ fn simulated_and_threaded_trajectories_match() {
 }
 
 /// Both backends agree that coded schemes survive a dead worker and naive
-/// does not.
+/// does not — and both say so the same way: an undecodable round is a
+/// stalled outcome, not an error.
 #[test]
 fn both_backends_agree_on_fault_behaviour() {
     let cluster = cluster();
@@ -109,7 +110,6 @@ fn both_backends_agree_on_fault_behaviour() {
     let model = LinearRegression::new(3);
     let mut rng = StdRng::seed_from_u64(22);
 
-    // Simulator verdicts.
     let sim_cfg = SimTrainConfig {
         iterations: 5,
         stragglers: hetgc::StragglerModel::Failures { workers: vec![1] },
@@ -121,43 +121,51 @@ fn both_backends_agree_on_fault_behaviour() {
     let naive = SchemeBuilder::new(&cluster, 1)
         .build(SchemeKind::Naive, &mut rng)
         .unwrap();
-    let sim_heter = run_bsp(&heter, &model, &data, &rates, &sim_cfg, 23);
-    let sim_naive = run_bsp(&naive, &model, &data, &rates, &sim_cfg, 24);
-    assert!(!sim_heter.stalled);
-    assert!(sim_naive.stalled);
-    assert_eq!(sim_naive.metrics.failed_iterations(), 1);
+    let shared_data = Arc::new(data.clone());
+    let outcomes = [
+        (
+            run_bsp(&heter, &model, &data, &rates, &sim_cfg, 23),
+            run_bsp(&naive, &model, &data, &rates, &sim_cfg, 24),
+        ),
+        (
+            run_threaded(&heter, &shared_data, 1),
+            run_threaded(&naive, &shared_data, 1),
+        ),
+    ];
+    for (heter, naive) in &outcomes {
+        assert!(!heter.stalled, "heter-aware must survive the fault");
+        assert_eq!((heter.rounds(), heter.failed_rounds), (5, 0));
+        assert!(naive.stalled, "naive must stall under the fault");
+        assert_eq!((naive.rounds(), naive.failed_rounds), (0, 1));
+    }
 
-    // Threaded verdicts under the same fault: the driver surfaces the
-    // runtime's undecodable-round error.
+    // A worker that dies mid-run stalls threaded naive on its first
+    // missing round, and the outcome keeps every record before it.
+    let late = run_threaded(&naive, &shared_data, 3);
+    assert!(late.stalled);
+    assert_eq!((late.rounds(), late.failed_rounds), (2, 1));
+    assert_eq!(late.records.last().unwrap().round, 2);
+}
+
+/// A five-round threaded run of `scheme` in which worker 1 fails from
+/// iteration `fail_from` on, with a 300 ms decode deadline.
+fn run_threaded(scheme: &SchemeInstance, data: &Arc<Dataset>, fail_from: usize) -> TrainOutcome {
     let failing = RuntimeConfig::nominal(3)
-        .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
+        .set_behavior(1, WorkerBehavior::nominal().failing_from(fail_from))
         .with_escalation(
             EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(300)),
         );
-    let shared_data = Arc::new(data);
-    let run_threaded = |scheme: &SchemeInstance| {
-        let shared_model = Arc::new(LinearRegression::new(3));
-        let mut engine = ThreadedEngine::new(
-            scheme.code.clone(),
-            Arc::clone(&shared_model),
-            Arc::clone(&shared_data),
-            &failing,
-        )
-        .unwrap();
-        TrainDriver::new(&*shared_model, &shared_data, Sgd::new(0.1)).run(
-            &mut engine,
-            5,
-            &mut StdRng::seed_from_u64(25),
-        )
-    };
-    assert!(
-        run_threaded(&heter).is_ok(),
-        "threaded heter-aware must survive the fault"
-    );
-    assert!(
-        run_threaded(&naive).is_err(),
-        "threaded naive must time out under the fault"
-    );
+    let model = Arc::new(LinearRegression::new(3));
+    let mut engine = ThreadedEngine::new(
+        scheme.code.clone(),
+        Arc::clone(&model),
+        Arc::clone(data),
+        &failing,
+    )
+    .unwrap();
+    TrainDriver::new(&*model, data, Sgd::new(0.1))
+        .run(&mut engine, 5, &mut StdRng::seed_from_u64(25))
+        .unwrap()
 }
 
 /// Loss parity with single-node SGD: the whole distributed apparatus (in
@@ -244,7 +252,7 @@ fn codec_backends_share_training_trajectory() {
     assert_eq!(exact.rounds(), 12);
     for other in [&grouped, &auto, &approx] {
         assert_eq!(other.rounds(), 12);
-        assert_eq!(other.approx_rounds, 0, "all decodes are exact here");
+        assert_eq!(other.approx_rounds(), 0, "all decodes are exact here");
         for (a, b) in other.records.iter().zip(&exact.records) {
             let (la, lb) = (a.loss.unwrap(), b.loss.unwrap());
             assert!(
@@ -306,7 +314,7 @@ fn approx_backend_trains_where_exact_backends_stall() {
     );
     assert!(!approx.stalled, "approx backend must complete the run");
     assert_eq!(approx.rounds(), 30);
-    assert_eq!(approx.approx_rounds, 30, "every round used the fallback");
+    assert_eq!(approx.approx_rounds(), 30, "every round used the fallback");
     for r in &approx.records {
         assert!(r.residual > 0.0);
         assert!(
@@ -360,7 +368,7 @@ fn escalation_policy_rescues_exact_backend_in_simulation() {
     let escalated = run(EscalationPolicy::escalate_to(CodecBackend::Approx));
     assert!(!escalated.stalled);
     assert_eq!(escalated.rounds(), 20);
-    assert_eq!(escalated.approx_rounds, 20);
+    assert_eq!(escalated.approx_rounds(), 20);
     let first = escalated.curve.points[0].1;
     let last = escalated.final_loss().unwrap();
     assert!(last < first, "escalated run must train: {first} → {last}");

@@ -47,7 +47,7 @@ fn coded_ssp_completes_with_approx_where_exact_stalls() {
     let approx = run(EscalationPolicy::escalate_to(CodecBackend::Approx));
     assert!(!approx.stalled, "escalated coded SSP must complete");
     assert_eq!(approx.rounds(), 15);
-    assert_eq!(approx.approx_rounds, 15);
+    assert_eq!(approx.approx_rounds(), 15);
     let first = approx.records[0].loss.unwrap();
     let last = approx.final_loss().unwrap();
     assert!(last < first, "coded SSP must train: {first} → {last}");
@@ -90,7 +90,7 @@ fn coded_ssp_group_rounds_use_fewer_reports() {
         .run(&mut engine, 10, &mut StdRng::seed_from_u64(19))
         .unwrap();
     assert_eq!(out.rounds(), 10);
-    assert_eq!(out.approx_rounds, 0, "group decodes are exact");
+    assert_eq!(out.approx_rounds(), 0, "group decodes are exact");
     let smallest_group = scheme
         .groups
         .iter()

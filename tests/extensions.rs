@@ -73,14 +73,17 @@ fn adaptive_run_with_cache_and_trace() {
     };
     let mut rng = StdRng::seed_from_u64(2);
     let out = run_with_drift(&cluster, &drift, &cfg, &mut rng).unwrap();
-    assert_eq!(out.metrics.iterations(), 24);
-    assert!(out.rebuilds >= 1, "step drift must trigger a re-code");
+    assert_eq!(out.rounds(), 24);
+    assert!(
+        out.adaptation.as_ref().unwrap().recodes() >= 1,
+        "step drift must trigger a re-code"
+    );
     let wave = RateDrift::Wave {
         period: 8.0,
         amplitude: 0.3,
     };
     let wave_out = run_with_drift(&cluster, &wave, &cfg, &mut rng).unwrap();
-    assert_eq!(wave_out.metrics.iterations(), 24);
+    assert_eq!(wave_out.rounds(), 24);
 
     // The compiled codec's plan cache: repeated patterns hit.
     let scheme = SchemeBuilder::new(&cluster, 1)
