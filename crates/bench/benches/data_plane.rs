@@ -104,12 +104,9 @@ fn bench_decode(c: &mut Criterion) {
 
 /// Whole-round decode at a realistic model size (d = 65 536): the
 /// per-row scalar f64 combine every gradient-coding codebase starts
-/// with (and the only thing the pre-`Element` kernels could express),
-/// against the cache-blocked `apply_block_into` plan-matrix product in
-/// f64 and in f32. At this size the combine is memory-bound — the
-/// arrival rows stream through the cache hierarchy — so the narrow
-/// element path the generic kernels unlock is the ≥ 2× lever: half the
-/// bytes per gradient, half the streamed traffic.
+/// with, against the cache-blocked `apply_block_into` plan-matrix
+/// product. At this size the combine is memory-bound: the arrival rows
+/// stream through the cache hierarchy.
 fn bench_decode_large(c: &mut Criterion) {
     const LARGE_DIM: usize = 65_536;
     let mut rng = StdRng::seed_from_u64(3);
@@ -128,9 +125,7 @@ fn bench_decode_large(c: &mut Criterion) {
         let row = arrivals.row_mut(w);
         codec.encode_into(w, &partials, row).unwrap();
     }
-    let arrivals32: GradientBlock<f32> = arrivals.convert();
     let mut out = vec![0.0; LARGE_DIM];
-    let mut out32 = vec![0.0_f32; LARGE_DIM];
 
     let mut group = c.benchmark_group("data_plane/decode_large");
     group.sample_size(10);
@@ -150,12 +145,6 @@ fn bench_decode_large(c: &mut Criterion) {
         b.iter(|| {
             plan.apply_block_into(&arrivals, &mut out).unwrap();
             black_box(out[0])
-        })
-    });
-    group.bench_function("blocked_f32", |b| {
-        b.iter(|| {
-            plan.apply_block_into(&arrivals32, &mut out32).unwrap();
-            black_box(out32[0])
         })
     });
     group.finish();

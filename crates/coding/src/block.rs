@@ -13,13 +13,6 @@
 //! data-plane allocations. See `GradientCodec::encode_into` and
 //! `DecodePlan::apply_into` for the codec entry points built on top.
 //!
-//! Both types are generic over the sealed
-//! [`Element`](hetgc_linalg::Element) trait (`f64` by default, `f32`
-//! available): the storage layer is precision-agnostic, so a
-//! lower-precision data plane reuses the same pooling and the same codec
-//! entry points. Coding *construction* (decode-vector solves, rank
-//! checks) stays `f64` regardless.
-//!
 //! # Ownership rules ([`BufferPool`])
 //!
 //! * [`BufferPool::checkout`] transfers ownership of a `dim`-length,
@@ -37,12 +30,11 @@
 //!   telemetry (`RoundRecord.pool_hits` / `RoundRecord.alloc_bytes`).
 
 use crate::error::CodingError;
-use hetgc_linalg::Element;
 
 /// Flat, contiguous `rows × dim` gradient storage: row `j` is partition
 /// `j`'s partial gradient (or worker `j`'s coded gradient, depending on
 /// the consumer). One allocation holds the whole block; rows are borrowed
-/// slices, never copied. Generic over the element type (`f64` default).
+/// slices, never copied.
 ///
 /// # Example
 ///
@@ -54,22 +46,19 @@ use hetgc_linalg::Element;
 /// assert_eq!(block.row(1), &[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(block.row(0), &[0.0; 4]);
 /// assert_eq!(block.as_slice().len(), 12);
-///
-/// let half = GradientBlock::<f32>::new(2, 4); // lower-precision plane
-/// assert_eq!(half.row(0), &[0.0_f32; 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct GradientBlock<E: Element = f64> {
-    data: Vec<E>,
+pub struct GradientBlock {
+    data: Vec<f64>,
     rows: usize,
     dim: usize,
 }
 
-impl<E: Element> GradientBlock<E> {
+impl GradientBlock {
     /// A zeroed `rows × dim` block (one allocation).
     pub fn new(rows: usize, dim: usize) -> Self {
         GradientBlock {
-            data: vec![E::ZERO; rows * dim],
+            data: vec![0.0; rows * dim],
             rows,
             dim,
         }
@@ -81,7 +70,7 @@ impl<E: Element> GradientBlock<E> {
     /// # Errors
     ///
     /// [`CodingError::InvalidParameter`] when row lengths disagree.
-    pub fn from_rows(rows: &[Vec<E>]) -> Result<Self, CodingError> {
+    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, CodingError> {
         let dim = rows.first().map_or(0, Vec::len);
         let mut block = GradientBlock::new(rows.len(), dim);
         for (j, row) in rows.iter().enumerate() {
@@ -110,7 +99,7 @@ impl<E: Element> GradientBlock<E> {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
-    pub fn row(&self, i: usize) -> &[E] {
+    pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row {i} >= rows={}", self.rows);
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
@@ -120,24 +109,24 @@ impl<E: Element> GradientBlock<E> {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [E] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row {i} >= rows={}", self.rows);
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
     /// The whole block, row-major.
-    pub fn as_slice(&self) -> &[E] {
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The whole block, row-major, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [E] {
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Zeroes every entry (keeps the allocation).
     pub fn clear(&mut self) {
-        self.data.fill(E::ZERO);
+        self.data.fill(0.0);
     }
 
     /// Reshapes to `rows × dim`, zeroing the contents. Reuses the existing
@@ -147,51 +136,20 @@ impl<E: Element> GradientBlock<E> {
         self.rows = rows;
         self.dim = dim;
         self.data.clear();
-        self.data.resize(rows * dim, E::ZERO);
+        self.data.resize(rows * dim, 0.0);
     }
 
     /// Copies the block out as one `Vec` per row — the layout the dense
     /// reference [`CodingMatrix::encode`](crate::CodingMatrix::encode)
     /// takes; avoid it on hot paths.
-    pub fn to_rows(&self) -> Vec<Vec<E>> {
+    pub fn to_rows(&self) -> Vec<Vec<f64>> {
         (0..self.rows).map(|i| self.row(i).to_vec()).collect()
-    }
-
-    /// Copies the block into a same-shape block of another element type,
-    /// converting through `f64` (exact when widening; rounds to nearest
-    /// when narrowing). The bridge the differential tests use to compare
-    /// element paths.
-    pub fn convert<T: Element>(&self) -> GradientBlock<T> {
-        let mut out = GradientBlock::new(self.rows, self.dim);
-        for (dst, src) in out.data.iter_mut().zip(&self.data) {
-            *dst = T::from_f64(src.to_f64());
-        }
-        out
-    }
-
-    /// [`GradientBlock::convert`] into a caller-owned destination block,
-    /// overwrite-only: `out` is reshaped to this block's geometry and
-    /// every element is written, so — unlike `convert` or
-    /// [`GradientBlock::reset`] — there is no zeroing pass that the
-    /// element-wise copy would immediately overwrite. This is the
-    /// dequantize fast path's bridge between element widths; in steady
-    /// state (same geometry every round) it allocates nothing.
-    pub fn convert_into<T: Element>(&self, out: &mut GradientBlock<T>) {
-        out.rows = self.rows;
-        out.dim = self.dim;
-        // `resize` only touches the extension; the retained prefix keeps
-        // its stale contents, which the copy below overwrites in full.
-        out.data.resize(self.rows * self.dim, T::ZERO);
-        for (dst, src) in out.data.iter_mut().zip(&self.data) {
-            *dst = T::from_f64(src.to_f64());
-        }
     }
 }
 
 /// A pool of `dim`-length scratch vectors with checkout/recycle
 /// semantics: the steady-state replacement for per-round `vec![0.0; d]`.
-/// Generic over the element type (`f64` default). See the module docs for
-/// the ownership rules.
+/// See the module docs for the ownership rules.
 ///
 /// # Example
 ///
@@ -207,15 +165,15 @@ impl<E: Element> GradientBlock<E> {
 /// assert_eq!((pool.hits(), pool.misses()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct BufferPool<E: Element = f64> {
+pub struct BufferPool {
     dim: usize,
-    free: Vec<Vec<E>>,
+    free: Vec<Vec<f64>>,
     hits: u64,
     misses: u64,
     alloc_bytes: u64,
 }
 
-impl<E: Element> BufferPool<E> {
+impl BufferPool {
     /// An empty pool of `dim`-length buffers.
     pub fn new(dim: usize) -> Self {
         BufferPool {
@@ -235,18 +193,18 @@ impl<E: Element> BufferPool<E> {
     /// Checks a zeroed `dim`-length buffer out of the pool. Recycled
     /// buffers are re-zeroed here (never handed out dirty); an empty pool
     /// allocates (counted in [`BufferPool::alloc_bytes`]).
-    pub fn checkout(&mut self) -> Vec<E> {
+    pub fn checkout(&mut self) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.clear();
-                buf.resize(self.dim, E::ZERO);
+                buf.resize(self.dim, 0.0);
                 buf
             }
             None => {
                 self.misses += 1;
-                self.alloc_bytes += (self.dim * E::BYTES) as u64;
-                vec![E::ZERO; self.dim]
+                self.alloc_bytes += (self.dim * std::mem::size_of::<f64>()) as u64;
+                vec![0.0; self.dim]
             }
         }
     }
@@ -254,25 +212,25 @@ impl<E: Element> BufferPool<E> {
     /// Checks out a buffer of an explicit length (instead of the pool's
     /// `dim`), zeroed — for callers with round-varying scratch sizes
     /// (e.g. a session's arrival-combination rows).
-    pub fn checkout_with_len(&mut self, len: usize) -> Vec<E> {
+    pub fn checkout_with_len(&mut self, len: usize) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.clear();
-                buf.resize(len, E::ZERO);
+                buf.resize(len, 0.0);
                 buf
             }
             None => {
                 self.misses += 1;
-                self.alloc_bytes += (len * E::BYTES) as u64;
-                vec![E::ZERO; len]
+                self.alloc_bytes += (len * std::mem::size_of::<f64>()) as u64;
+                vec![0.0; len]
             }
         }
     }
 
     /// Checks out a buffer initialized as a copy of `src` (fully
     /// overwritten — no zeroing pass needed).
-    pub fn checkout_copied(&mut self, src: &[E]) -> Vec<E> {
+    pub fn checkout_copied(&mut self, src: &[f64]) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
                 self.hits += 1;
@@ -291,7 +249,7 @@ impl<E: Element> BufferPool<E> {
     /// Returns a buffer to the pool. Buffers of a different length are
     /// accepted too (they are resized at the next checkout), so a pool
     /// survives a re-code that changes `dim`.
-    pub fn recycle(&mut self, buf: Vec<E>) {
+    pub fn recycle(&mut self, buf: Vec<f64>) {
         self.free.push(buf);
     }
 
@@ -342,7 +300,7 @@ mod tests {
 
     #[test]
     fn block_reset_reuses_capacity() {
-        let mut b = GradientBlock::<f64>::new(4, 8);
+        let mut b = GradientBlock::new(4, 8);
         b.row_mut(3)[7] = 9.0;
         let ptr = b.as_slice().as_ptr();
         b.reset(2, 16); // same total size: must not reallocate
@@ -360,25 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn block_f32_and_conversion() {
-        let mut b = GradientBlock::<f32>::new(2, 2);
-        b.row_mut(0).copy_from_slice(&[1.5, -2.5]);
-        assert_eq!(b.row(0), &[1.5_f32, -2.5]);
-        let wide: GradientBlock<f64> = b.convert();
-        assert_eq!(wide.row(0), &[1.5, -2.5]); // widening is exact
-        let narrow: GradientBlock<f32> = wide.convert();
-        assert_eq!(narrow, b);
-    }
-
-    #[test]
     #[should_panic(expected = "row 2")]
     fn block_row_out_of_range_panics() {
-        GradientBlock::<f64>::new(2, 3).row(2);
+        GradientBlock::new(2, 3).row(2);
     }
 
     #[test]
     fn pool_checkout_recycle_counts() {
-        let mut pool = BufferPool::<f64>::new(3);
+        let mut pool = BufferPool::new(3);
         let a = pool.checkout();
         let b = pool.checkout();
         assert_eq!(pool.misses(), 2);
@@ -392,14 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_f32_counts_narrow_bytes() {
-        let mut pool = BufferPool::<f32>::new(3);
-        let buf = pool.checkout();
-        assert_eq!(buf, vec![0.0_f32; 3]);
-        assert_eq!(pool.alloc_bytes(), 3 * 4, "f32 misses count 4 bytes/elem");
-    }
-
-    #[test]
     fn pool_rezeros_recycled_buffers() {
         let mut pool = BufferPool::new(4);
         let mut buf = pool.checkout();
@@ -409,30 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn convert_into_overwrites_a_reused_block() {
-        let mut src = GradientBlock::<f64>::new(2, 3);
-        src.row_mut(0).copy_from_slice(&[1.5, -2.5, 3.0]);
-        src.row_mut(1).copy_from_slice(&[-4.0, 5.5, -6.0]);
-        // Destination starts with the wrong geometry and stale garbage.
-        let mut dst = GradientBlock::<f32>::new(3, 2);
-        dst.as_mut_slice().fill(99.0);
-        let ptr = dst.as_slice().as_ptr();
-        src.convert_into(&mut dst);
-        assert_eq!((dst.rows(), dst.dim()), (2, 3));
-        assert_eq!(dst.as_slice().as_ptr(), ptr, "same capacity: no realloc");
-        assert_eq!(dst, src.convert::<f32>());
-        // Round-trip through the narrow plane widens back exactly here
-        // (every value is f32-representable).
-        let mut wide = GradientBlock::<f64>::new(0, 0);
-        dst.convert_into(&mut wide);
-        assert_eq!(wide, src);
-    }
-
-    #[test]
     fn pool_survives_dim_change() {
         // A buffer recycled at another length (a re-code changed `dim`)
         // is tolerated: resized and re-zeroed on reuse.
-        let mut pool = BufferPool::<f64>::new(5);
+        let mut pool = BufferPool::new(5);
         pool.recycle(vec![1.0; 2]);
         assert_eq!(pool.checkout(), vec![0.0; 5]);
         assert_eq!((pool.hits(), pool.misses()), (1, 0));

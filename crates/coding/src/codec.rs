@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hetgc_linalg::{kernels, solve_any, vec_ops, Element, DEFAULT_TOLERANCE};
+use hetgc_linalg::{kernels, solve_any, vec_ops, DEFAULT_TOLERANCE};
 use hetgc_obs::{CodecMetrics, Phase};
 
 use crate::approx::approximate_decode;
@@ -211,9 +211,7 @@ impl DecodePlan {
     /// primary decode entry point. `out` must already have the gradient
     /// dimension (checkout a buffer from a [`BufferPool`] or reuse a
     /// [`GradientBlock`] row); `coded_of(w)` returns worker `w`'s coded
-    /// gradient, or `None` when it never arrived. Generic over the
-    /// element type; decode coefficients are solved in `f64` and converted
-    /// at the kernel boundary (the identity for `f64`).
+    /// gradient, or `None` when it never arrived.
     ///
     /// This variant takes an `FnMut` fetcher and combines row by row.
     /// When the fetcher is `Fn + Sync` (it almost always is), prefer
@@ -225,17 +223,16 @@ impl DecodePlan {
     ///
     /// [`CodingError::InvalidParameter`] when the plan is empty, a needed
     /// coded gradient is missing, or dimensions disagree.
-    pub fn apply_into<'a, E, F>(&self, mut coded_of: F, out: &mut [E]) -> Result<(), CodingError>
+    pub fn apply_into<'a, F>(&self, mut coded_of: F, out: &mut [f64]) -> Result<(), CodingError>
     where
-        E: Element,
-        F: FnMut(usize) -> Option<&'a [E]>,
+        F: FnMut(usize) -> Option<&'a [f64]>,
     {
         if self.is_empty() {
             return Err(CodingError::InvalidParameter {
                 reason: "empty decode plan: no worker carries decode weight".into(),
             });
         }
-        out.fill(E::ZERO);
+        out.fill(0.0);
         for (w, coef) in self.iter() {
             let g = coded_of(w).ok_or_else(|| missing_worker(w))?;
             if g.len() != out.len() {
@@ -243,7 +240,7 @@ impl DecodePlan {
                     reason: format!("worker {w} gradient dim {} != {}", g.len(), out.len()),
                 });
             }
-            kernels::axpy(E::from_f64(coef), g, out);
+            kernels::axpy(coef, g, out);
         }
         Ok(())
     }
@@ -266,10 +263,9 @@ impl DecodePlan {
     /// # Errors
     ///
     /// Same contract as [`DecodePlan::apply_into`].
-    pub fn apply_rows_into<'a, E, F>(&self, coded_of: F, out: &mut [E]) -> Result<(), CodingError>
+    pub fn apply_rows_into<'a, F>(&self, coded_of: F, out: &mut [f64]) -> Result<(), CodingError>
     where
-        E: Element,
-        F: Fn(usize) -> Option<&'a [E]> + Sync,
+        F: Fn(usize) -> Option<&'a [f64]> + Sync,
     {
         if self.is_empty() {
             return Err(CodingError::InvalidParameter {
@@ -301,10 +297,10 @@ impl DecodePlan {
     ///
     /// Same contract as [`DecodePlan::apply_into`]; rows beyond the block
     /// surface as missing workers.
-    pub fn apply_block_into<E: Element>(
+    pub fn apply_block_into(
         &self,
-        arrivals: &GradientBlock<E>,
-        out: &mut [E],
+        arrivals: &GradientBlock,
+        out: &mut [f64],
     ) -> Result<(), CodingError> {
         self.apply_rows_into(|w| (w < arrivals.rows()).then(|| arrivals.row(w)), out)
     }
@@ -355,9 +351,7 @@ pub trait GradientCodec {
     /// Encodes worker `w`'s result, `g̃_w = Σ_{j ∈ supp(b_w)} b_wj · g_j`,
     /// into a caller-owned buffer. `partials` is the `k × d` block of
     /// per-partition gradients (row `j` = partition `j`); `out` must have
-    /// length `d` and is fully overwritten. Generic over the element type
-    /// (`f64` and `f32`); coding coefficients stay `f64` and convert at
-    /// the kernel boundary.
+    /// length `d` and is fully overwritten.
     ///
     /// The compiled backends accumulate straight from their CSR arrays
     /// through the chunked kernels and allocate nothing.
@@ -366,11 +360,11 @@ pub trait GradientCodec {
     ///
     /// [`CodingError::InvalidParameter`] when the block shape or `out`
     /// length disagrees with the code.
-    fn encode_into<E: Element>(
+    fn encode_into(
         &self,
         worker: usize,
-        partials: &GradientBlock<E>,
-        out: &mut [E],
+        partials: &GradientBlock,
+        out: &mut [f64],
     ) -> Result<(), CodingError>;
 
     /// A decode plan supported on the given survivors (order-insensitive:
@@ -1152,11 +1146,11 @@ impl GradientCodec for CompiledCodec {
         stage.admits(&plan).then_some(plan)
     }
 
-    fn encode_into<E: Element>(
+    fn encode_into(
         &self,
         worker: usize,
-        partials: &GradientBlock<E>,
-        out: &mut [E],
+        partials: &GradientBlock,
+        out: &mut [f64],
     ) -> Result<(), CodingError> {
         if partials.rows() != self.partitions() {
             return Err(CodingError::InvalidParameter {
@@ -1205,25 +1199,21 @@ impl GradientCodec for CodingMatrix {
         CodingMatrix::load_of(self, worker)
     }
 
-    /// Converts the block to `f64` rows, runs the dense
-    /// [`CodingMatrix::encode`] and converts back (identity conversions
-    /// for `E = f64`).
-    fn encode_into<E: Element>(
+    /// Copies the block out as rows and runs the dense
+    /// [`CodingMatrix::encode`].
+    fn encode_into(
         &self,
         worker: usize,
-        partials: &GradientBlock<E>,
-        out: &mut [E],
+        partials: &GradientBlock,
+        out: &mut [f64],
     ) -> Result<(), CodingError> {
-        let rows = partials.convert::<f64>().to_rows();
-        let coded = CodingMatrix::encode(self, worker, &rows)?;
+        let coded = CodingMatrix::encode(self, worker, &partials.to_rows())?;
         if coded.len() != out.len() {
             return Err(CodingError::InvalidParameter {
                 reason: format!("out has dim {}, expected {}", out.len(), coded.len()),
             });
         }
-        for (o, &v) in out.iter_mut().zip(&coded) {
-            *o = E::from_f64(v);
-        }
+        out.copy_from_slice(&coded);
         Ok(())
     }
 
@@ -1836,8 +1826,7 @@ mod tests {
     }
 
     /// The blocked `apply_rows_into`/`apply_block_into` decode paths are
-    /// bitwise-identical to the sequential `apply_into`, and the `f32`
-    /// element path mirrors the same plan.
+    /// bitwise-identical to the sequential `apply_into`.
     #[test]
     fn blocked_apply_paths_match_sequential_bitwise() {
         let b = code();
@@ -1867,23 +1856,5 @@ mod tests {
         let mut from_block = vec![f64::NAN; dim];
         plan.apply_block_into(&arrivals, &mut from_block).unwrap();
         assert_eq!(sequential, from_block);
-
-        // f32: encode + decode through the same codec, generic element.
-        let narrow: GradientBlock<f32> = block.convert();
-        let mut narrow_arrivals = GradientBlock::<f32>::new(m, dim);
-        for w in 0..m {
-            let mut row = vec![0.0_f32; dim];
-            codec.encode_into(w, &narrow, &mut row).unwrap();
-            narrow_arrivals.row_mut(w).copy_from_slice(&row);
-        }
-        let mut narrow_out = vec![0.0_f32; dim];
-        plan.apply_block_into(&narrow_arrivals, &mut narrow_out)
-            .unwrap();
-        for (t, (&n, &w)) in narrow_out.iter().zip(&sequential).enumerate() {
-            assert!(
-                (f64::from(n) - w).abs() < 1e-2 * (1.0 + w.abs()),
-                "t = {t}: f32 {n} vs f64 {w}"
-            );
-        }
     }
 }

@@ -243,11 +243,11 @@ impl GradientCodec for EscalatingCodec {
         self.codec.load_of(worker)
     }
 
-    fn encode_into<E: hetgc_linalg::Element>(
+    fn encode_into(
         &self,
         worker: usize,
-        partials: &crate::GradientBlock<E>,
-        out: &mut [E],
+        partials: &crate::GradientBlock,
+        out: &mut [f64],
     ) -> Result<(), CodingError> {
         self.codec.encode_into(worker, partials, out)
     }

@@ -32,11 +32,18 @@ impl CodingMatrix {
     ///
     /// # Errors
     ///
-    /// [`CodingError::InvalidParameter`] if `s >= m` or the matrix is empty.
+    /// [`CodingError::InvalidParameter`] if `s >= m`, the matrix is empty,
+    /// or an entry is NaN or infinite (no decode over it can be exact).
     pub fn from_matrix(b: Matrix, stragglers: usize) -> Result<Self, CodingError> {
         if b.nrows() == 0 || b.ncols() == 0 {
             return Err(CodingError::InvalidParameter {
                 reason: "empty coding matrix".into(),
+            });
+        }
+        if let Some(at) = b.as_slice().iter().position(|v| !v.is_finite()) {
+            let (w, j) = (at / b.ncols(), at % b.ncols());
+            return Err(CodingError::InvalidParameter {
+                reason: format!("entry b[{w}][{j}] = {} is not finite", b.as_slice()[at]),
             });
         }
         if stragglers >= b.nrows() {
@@ -327,6 +334,20 @@ mod tests {
         assert!(CodingMatrix::from_matrix(b.clone(), 2).is_err());
         assert!(CodingMatrix::from_matrix(b, 1).is_ok());
         assert!(CodingMatrix::from_matrix(Matrix::zeros(0, 0), 0).is_err());
+    }
+
+    #[test]
+    fn from_matrix_rejects_non_finite_entries() {
+        // Unchecked, the NaN row decodes as "exact" from worker 0 alone
+        // (plan {0: 1.0}): `norm_inf` ignores NaN in the residual.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let b = Matrix::from_rows(&[&[bad, 1.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
+            let err = CodingMatrix::from_matrix(b, 1).unwrap_err();
+            assert!(
+                matches!(&err, CodingError::InvalidParameter { reason } if reason.contains("b[0][0]")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use crate::encoding::PayloadEncoding;
 use crate::error::CommError;
-use hetgc_linalg::Element;
 
 /// Compresses and decompresses coded-gradient chunks for the wire.
 ///
@@ -158,7 +157,13 @@ impl WireCodec for F64Raw {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        self.decode_elements_into(bytes, out)
+        check_out_len(self.decoded_len(bytes)?, out.len())?;
+        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(raw);
+            *dst = f64::from_le_bytes(le);
+        }
+        Ok(())
     }
 
     fn encoded_len(&self, n: usize) -> usize {
@@ -169,21 +174,6 @@ impl WireCodec for F64Raw {
 impl F64Raw {
     fn narrow(x: f64) -> ([u8; 8], bool) {
         (x.to_le_bytes(), false)
-    }
-
-    /// [`WireCodec::decode_into`] writing any [`Element`] destination.
-    pub fn decode_elements_into<E: Element>(
-        &self,
-        bytes: &[u8],
-        out: &mut [E],
-    ) -> Result<(), CommError> {
-        check_out_len(self.decoded_len(bytes)?, out.len())?;
-        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(raw);
-            *dst = E::from_f64(f64::from_le_bytes(le));
-        }
-        Ok(())
     }
 }
 
@@ -213,7 +203,13 @@ impl WireCodec for F32Narrow {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        self.decode_elements_into(bytes, out)
+        check_out_len(self.decoded_len(bytes)?, out.len())?;
+        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            let mut le = [0u8; 4];
+            le.copy_from_slice(raw);
+            *dst = Self::widen(le);
+        }
+        Ok(())
     }
 
     fn encoded_len(&self, n: usize) -> usize {
@@ -229,23 +225,6 @@ impl F32Narrow {
 
     fn widen(le: [u8; 4]) -> f64 {
         f64::from(f32::from_le_bytes(le))
-    }
-
-    /// [`WireCodec::decode_into`] writing any [`Element`] destination.
-    /// Decoding into an `f32` block is a pure bit copy — the ROADMAP's
-    /// wire-level `GradientBlock<f32>` path.
-    pub fn decode_elements_into<E: Element>(
-        &self,
-        bytes: &[u8],
-        out: &mut [E],
-    ) -> Result<(), CommError> {
-        check_out_len(self.decoded_len(bytes)?, out.len())?;
-        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            let mut le = [0u8; 4];
-            le.copy_from_slice(raw);
-            *dst = E::from_f64(Self::widen(le));
-        }
-        Ok(())
     }
 }
 
@@ -292,7 +271,11 @@ impl WireCodec for Bf16 {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        self.decode_elements_into(bytes, out)
+        check_out_len(self.decoded_len(bytes)?, out.len())?;
+        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            *dst = Self::widen([raw[0], raw[1]]);
+        }
+        Ok(())
     }
 
     fn encoded_len(&self, n: usize) -> usize {
@@ -313,19 +296,6 @@ impl Bf16 {
 
     fn widen(le: [u8; 2]) -> f64 {
         f64::from(bf16_to_f32(u16::from_le_bytes(le)))
-    }
-
-    /// [`WireCodec::decode_into`] writing any [`Element`] destination.
-    pub fn decode_elements_into<E: Element>(
-        &self,
-        bytes: &[u8],
-        out: &mut [E],
-    ) -> Result<(), CommError> {
-        check_out_len(self.decoded_len(bytes)?, out.len())?;
-        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-            *dst = E::from_f64(Self::widen([raw[0], raw[1]]));
-        }
-        Ok(())
     }
 }
 
@@ -505,21 +475,6 @@ impl WireCodec for Int8Quant {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        self.decode_elements_into(bytes, out)
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        INT8_HEADER + n
-    }
-}
-
-impl Int8Quant {
-    /// [`WireCodec::decode_into`] writing any [`Element`] destination.
-    pub fn decode_elements_into<E: Element>(
-        &self,
-        bytes: &[u8],
-        out: &mut [E],
-    ) -> Result<(), CommError> {
         check_out_len(self.decoded_len(bytes)?, out.len())?;
         let mut le = [0u8; 8];
         le.copy_from_slice(&bytes[..8]);
@@ -537,9 +492,13 @@ impl Int8Quant {
             });
         }
         for (dst, &code) in out.iter_mut().zip(&bytes[INT8_HEADER..]) {
-            *dst = E::from_f64(int8_value(code, lo, scale));
+            *dst = int8_value(code, lo, scale);
         }
         Ok(())
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        INT8_HEADER + n
     }
 }
 
@@ -566,21 +525,6 @@ impl AnyWireCodec {
             PayloadEncoding::F32 => AnyWireCodec::F32(F32Narrow),
             PayloadEncoding::Bf16 => AnyWireCodec::Bf16(Bf16),
             PayloadEncoding::Int8 => AnyWireCodec::Int8(Int8Quant),
-        }
-    }
-
-    /// [`WireCodec::decode_into`] writing any [`Element`] destination —
-    /// the master's dequantize-straight-into-the-arrival-block path.
-    pub fn decode_elements_into<E: Element>(
-        &self,
-        bytes: &[u8],
-        out: &mut [E],
-    ) -> Result<(), CommError> {
-        match self {
-            AnyWireCodec::F64(c) => c.decode_elements_into(bytes, out),
-            AnyWireCodec::F32(c) => c.decode_elements_into(bytes, out),
-            AnyWireCodec::Bf16(c) => c.decode_elements_into(bytes, out),
-            AnyWireCodec::Int8(c) => c.decode_elements_into(bytes, out),
         }
     }
 
@@ -793,26 +737,6 @@ mod tests {
             .unwrap();
         Bf16.decode_into(&out, &mut back).unwrap();
         assert_eq!(back[0], 1.015625);
-    }
-
-    #[test]
-    fn decode_writes_f32_blocks_through_the_element_seam() {
-        let src = [0.5, -1.25, 8.0, 0.0];
-        let mut out = Vec::new();
-        let mut narrow = [0.0f32; 4];
-        for codec in codecs() {
-            // Every test value is exactly representable in bf16; the
-            // affine int8 grid only guarantees half a step (9.25/510).
-            let tol = match codec.encoding() {
-                PayloadEncoding::Int8 => 9.25 / 510.0 + 1e-12,
-                _ => 0.0,
-            };
-            codec.encode_into(&src, &mut out).unwrap();
-            codec.decode_elements_into(&out, &mut narrow).unwrap();
-            for (a, b) in src.iter().zip(narrow.iter()) {
-                assert!((*a - f64::from(*b)).abs() <= tol, "{}", codec.encoding());
-            }
-        }
     }
 
     #[test]

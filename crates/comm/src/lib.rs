@@ -16,10 +16,9 @@
 //!
 //! Codecs are deterministic, total over adversarial bytes (typed
 //! [`CommError`], never a panic), and allocation-free in steady state:
-//! encode appends into a reused `Vec<u8>`, decode writes a
-//! caller-sized slice of any [`hetgc_linalg::Element`] — which is how
-//! the master dequantizes straight into an arrival
-//! `GradientBlock<f32>` without an `f64` staging pass.
+//! encode appends into a reused `Vec<u8>`, and decode writes a
+//! caller-sized `f64` slice — the master dequantizes straight into its
+//! arrival row, with no staging buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

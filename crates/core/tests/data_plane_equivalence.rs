@@ -108,48 +108,6 @@ fn check_case(vcpus: &[u32], s: usize, seed: u64) -> Result<(), String> {
                     ));
                 }
             }
-
-            // The f32 element path: the same codec drives a narrow data
-            // plane through the generic kernels. Within the element type
-            // the sequential and blocked decodes must agree bitwise
-            // (same per-element operation order); across precisions the
-            // narrow plane tracks the wide one to f32 accuracy.
-            let narrow: GradientBlock<f32> = block.convert();
-            let mut arrivals32 = GradientBlock::<f32>::new(m, dim);
-            for w in 0..m {
-                let mut row = vec![0.0_f32; dim];
-                codec
-                    .encode_into(w, &narrow, &mut row)
-                    .map_err(|e| e.to_string())?;
-                arrivals32.row_mut(w).copy_from_slice(&row);
-                for (t, (&n, &wide)) in row.iter().zip(arrivals.row(w)).enumerate() {
-                    if (f64::from(n) - wide).abs() > 1e-3 * (1.0 + wide.abs()) {
-                        return Err(format!(
-                            "{kind}/{backend}: f32 encode for worker {w} strays at {t}: {n} vs {wide}"
-                        ));
-                    }
-                }
-            }
-            let dead = rng.gen_range(0..m);
-            let survivors: Vec<usize> = (0..m).filter(|&w| w != dead).collect();
-            if let Ok(plan) = codec.decode_plan(&survivors) {
-                let coded32: HashMap<usize, Vec<f32>> = plan
-                    .workers()
-                    .iter()
-                    .map(|&w| (w, arrivals32.row(w).to_vec()))
-                    .collect();
-                let mut sequential32 = vec![0.0_f32; dim];
-                plan.apply_into(|w| coded32.get(&w).map(Vec::as_slice), &mut sequential32)
-                    .map_err(|e| e.to_string())?;
-                let mut blocked32 = vec![f32::NAN; dim];
-                plan.apply_block_into(&arrivals32, &mut blocked32)
-                    .map_err(|e| e.to_string())?;
-                if sequential32 != blocked32 {
-                    return Err(format!(
-                        "{kind}/{backend}: f32 blocked decode differs from sequential"
-                    ));
-                }
-            }
         }
     }
     Ok(())

@@ -147,71 +147,6 @@ fn steady_state_round_allocates_nothing_on_the_codec_hot_path() {
     // The pool actually served the measured rounds (hits, not misses).
     assert!(session.pool().hits() > 0, "pool must be recycling buffers");
 
-    // The f32 element path holds the same guarantee: the generic kernels
-    // and codec entry points reuse caller-owned narrow blocks, so a
-    // lower-precision data plane is just as allocation-free. (This stays
-    // inside the single #[test] — the counter is process-global.)
-    let mut partials32 = GradientBlock::<f32>::new(k, d);
-    let mut arrivals32 = GradientBlock::<f32>::new(m, d);
-    let mut decoded32 = vec![0.0_f32; d];
-    let round32 = |session: &mut hetgc::CodecSession,
-                   partials: &mut GradientBlock,
-                   partials32: &mut GradientBlock<f32>,
-                   arrivals32: &mut GradientBlock<f32>,
-                   decoded32: &mut [f32]| {
-        session.reset();
-        for &w in &arrival_order {
-            if session.push_arrival(w).unwrap() {
-                break;
-            }
-        }
-        let plan = session.decoded_plan().expect("m − s survivors decode");
-        partial_gradients_into(&model, &params, &data, &ranges, partials);
-        // Overwrite-only narrowing into the reused f32 block — no
-        // zeroing pass before the copy (the real narrow plane would
-        // write f32 gradients directly).
-        partials.convert_into(partials32);
-        for (w, _) in plan.iter() {
-            codec
-                .encode_into(w, partials32, arrivals32.row_mut(w))
-                .unwrap();
-        }
-        plan.apply_block_into(arrivals32, decoded32).unwrap();
-    };
-    for _ in 0..6 {
-        round32(
-            &mut session,
-            &mut partials,
-            &mut partials32,
-            &mut arrivals32,
-            &mut decoded32,
-        );
-    }
-    ALLOCS.store(0, Ordering::SeqCst);
-    ALLOC_BYTES.store(0, Ordering::SeqCst);
-    COUNTING.set(true);
-    for _ in 0..10 {
-        round32(
-            &mut session,
-            &mut partials,
-            &mut partials32,
-            &mut arrivals32,
-            &mut decoded32,
-        );
-    }
-    COUNTING.set(false);
-    let allocs32 = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        allocs32, 0,
-        "steady-state f32 rounds allocated {allocs32} times on the codec hot path"
-    );
-    for (n, w) in decoded32.iter().zip(&decoded) {
-        assert!(
-            (f64::from(*n) - w).abs() <= 1e-2 * (1.0 + w.abs()),
-            "f32 decode {n} strays from f64 {w}"
-        );
-    }
-
     // The same guarantee with the observability stack attached: a
     // preallocated flight-recorder ring, counter/histogram handles, and
     // the codec's cache-probe hooks record every round without touching

@@ -1,5 +1,4 @@
-//! Chunked, auto-vectorizable data-plane kernels, generic over
-//! [`Element`].
+//! Chunked, auto-vectorizable `f64` data-plane kernels.
 //!
 //! These are the per-round hot loops of gradient coding: encoding is
 //! `g̃_w = Σ_j b_wj·g_j` (a handful of [`axpy`]s over `d`-length rows),
@@ -46,8 +45,6 @@
 //!   remainder in one pass): the per-element operation order never
 //!   changes.
 
-use crate::element::Element;
-
 /// Chunk width of the vectorized kernel bodies, in elements.
 ///
 /// Eight covers an AVX-512 register of `f64` and keeps two AVX2 (or four
@@ -74,7 +71,7 @@ const PAR_MIN_CHUNK: usize = 1 << 15;
 ///
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn axpy<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(
         x.len(),
         y.len(),
@@ -102,12 +99,12 @@ pub fn axpy<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
 ///
 /// Panics if a row's length differs from `y.len()`.
 #[inline]
-pub fn axpy_rows<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mut [E]) {
-    fused_axpys::<E, K, false>(alpha, x, y);
+pub fn axpy_rows<const K: usize>(alpha: [f64; K], x: [&[f64]; K], y: &mut [f64]) {
+    fused_axpys::<K, false>(alpha, x, y);
 }
 
 /// [`axpy_rows`] onto zeros, without the pass that writes them: `y[i] =
-/// ((0 + α₀·x₀[i]) + α₁·x₁[i]) + …`, bitwise `y.fill(E::ZERO)` followed
+/// ((0 + α₀·x₀[i]) + α₁·x₁[i]) + …`, bitwise `y.fill(0.0)` followed
 /// by [`axpy_rows`] (the `0 +` stays: it is what turns a `−0.0` product
 /// into the `+0.0` an accumulation from zero yields).
 ///
@@ -115,8 +112,8 @@ pub fn axpy_rows<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mu
 ///
 /// Panics if a row's length differs from `y.len()`.
 #[inline]
-pub fn axpy_rows_zeroed<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K], y: &mut [E]) {
-    fused_axpys::<E, K, true>(alpha, x, y);
+pub fn axpy_rows_zeroed<const K: usize>(alpha: [f64; K], x: [&[f64]; K], y: &mut [f64]) {
+    fused_axpys::<K, true>(alpha, x, y);
 }
 
 /// [`axpy_rows_zeroed`] added into an accumulator in the same pass:
@@ -130,17 +127,12 @@ pub fn axpy_rows_zeroed<E: Element, const K: usize>(alpha: [E; K], x: [&[E]; K],
 ///
 /// Panics if a row's length differs from `acc.len()`.
 #[inline]
-pub fn axpy_rows_fold<E: Element, const K: usize>(
-    coef: E,
-    alpha: [E; K],
-    x: [&[E]; K],
-    acc: &mut [E],
-) {
+pub fn axpy_rows_fold<const K: usize>(coef: f64, alpha: [f64; K], x: [&[f64]; K], acc: &mut [f64]) {
     let n = acc.len();
     assert!(x.iter().all(|r| r.len() == n), "axpy_rows: length mismatch");
     let x = x.map(|r| &r[..n]);
     for (i, ai) in acc.iter_mut().enumerate() {
-        let mut g = E::ZERO;
+        let mut g = 0.0;
         for c in 0..K {
             g += alpha[c] * x[c][i];
         }
@@ -149,16 +141,12 @@ pub fn axpy_rows_fold<E: Element, const K: usize>(
 }
 
 #[inline]
-fn fused_axpys<E: Element, const K: usize, const ZEROED: bool>(
-    alpha: [E; K],
-    x: [&[E]; K],
-    y: &mut [E],
-) {
+fn fused_axpys<const K: usize, const ZEROED: bool>(alpha: [f64; K], x: [&[f64]; K], y: &mut [f64]) {
     let n = y.len();
     assert!(x.iter().all(|r| r.len() == n), "axpy_rows: length mismatch");
     let x = x.map(|r| &r[..n]);
     for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = if ZEROED { E::ZERO } else { *yi };
+        let mut acc = if ZEROED { 0.0 } else { *yi };
         for c in 0..K {
             acc += alpha[c] * x[c][i];
         }
@@ -169,7 +157,7 @@ fn fused_axpys<E: Element, const K: usize, const ZEROED: bool>(
 /// In-place scaling `x[i] *= alpha`, bitwise-identical to the scalar
 /// loop.
 #[inline]
-pub fn scale<E: Element>(alpha: E, x: &mut [E]) {
+pub fn scale(alpha: f64, x: &mut [f64]) {
     let mut xc = x.chunks_exact_mut(LANES);
     for xl in xc.by_ref() {
         for xi in xl {
@@ -190,7 +178,7 @@ pub fn scale<E: Element>(alpha: E, x: &mut [E]) {
 ///
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot<E: Element>(a: &[E], b: &[E]) -> E {
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(
         a.len(),
         b.len(),
@@ -198,7 +186,7 @@ pub fn dot<E: Element>(a: &[E], b: &[E]) -> E {
         a.len(),
         b.len()
     );
-    let mut acc = [E::ZERO; LANES];
+    let mut acc = [0.0; LANES];
     let mut ac = a.chunks_exact(LANES);
     let mut bc = b.chunks_exact(LANES);
     for (al, bl) in ac.by_ref().zip(bc.by_ref()) {
@@ -209,7 +197,7 @@ pub fn dot<E: Element>(a: &[E], b: &[E]) -> E {
     for (i, (&ai, &bi)) in ac.remainder().iter().zip(bc.remainder()).enumerate() {
         acc[i] += ai * bi;
     }
-    let mut total = E::ZERO;
+    let mut total = 0.0;
     for lane in acc {
         total += lane;
     }
@@ -229,8 +217,8 @@ pub const CHAINS: usize = 4;
 /// one pass over the elements: `out[c]` is bitwise
 /// `shared.iter().zip(rows[c]).map(|(s, r)| s * r).sum::<f64>()` (see
 /// the module contract). The shared side is one weight vector under `K`
-/// samples, or one sample under `K` weight rows. `f64` only: the fold it
-/// reproduces is `Iterator::sum::<f64>`, identity included.
+/// samples, or one sample under `K` weight rows. The fold it reproduces
+/// is `Iterator::sum::<f64>`, identity included.
 ///
 /// # Panics
 ///
@@ -301,8 +289,8 @@ where
 /// Euclidean norm `|x|₂` over [`LANES`] partial accumulators
 /// (reassociated, like [`dot`]).
 #[inline]
-pub fn norm2<E: Element>(x: &[E]) -> E {
-    let mut acc = [E::ZERO; LANES];
+pub fn norm2(x: &[f64]) -> f64 {
+    let mut acc = [0.0; LANES];
     let mut xc = x.chunks_exact(LANES);
     for xl in xc.by_ref() {
         for i in 0..LANES {
@@ -312,7 +300,7 @@ pub fn norm2<E: Element>(x: &[E]) -> E {
     for (i, &xi) in xc.remainder().iter().enumerate() {
         acc[i] += xi * xi;
     }
-    let mut total = E::ZERO;
+    let mut total = 0.0;
     for lane in acc {
         total += lane;
     }
@@ -322,8 +310,8 @@ pub fn norm2<E: Element>(x: &[E]) -> E {
 /// Maximum absolute component `|x|_∞`. `max` is associative, so this is
 /// scalar-identical despite the lane accumulators.
 #[inline]
-pub fn norm_inf<E: Element>(x: &[E]) -> E {
-    let mut acc = [E::ZERO; LANES];
+pub fn norm_inf(x: &[f64]) -> f64 {
+    let mut acc = [0.0_f64; LANES];
     let mut xc = x.chunks_exact(LANES);
     for xl in xc.by_ref() {
         for i in 0..LANES {
@@ -333,7 +321,7 @@ pub fn norm_inf<E: Element>(x: &[E]) -> E {
     for (i, &xi) in xc.remainder().iter().enumerate() {
         acc[i] = acc[i].max(xi.abs());
     }
-    let mut total = E::ZERO;
+    let mut total = 0.0_f64;
     for lane in acc {
         total = total.max(lane);
     }
@@ -343,9 +331,7 @@ pub fn norm_inf<E: Element>(x: &[E]) -> E {
 /// The GEMM-style whole-round decode kernel:
 /// `out[t] = Σ_i coeffs[i] · row_of(i)[t]` — one `1 × n` by `n × d`
 /// product, column-blocked so each [`COL_BLOCK`] span of `out` stays
-/// L1-resident while every row streams through it once. Coefficients are
-/// `f64` (decode vectors are always solved in double precision) and are
-/// converted once per row via [`Element::from_f64`].
+/// L1-resident while every row streams through it once.
 ///
 /// Rows are fetched by index through `row_of`, so callers can feed a
 /// flat arrival block, scattered `Arc` payloads, or a CSR-gathered
@@ -360,10 +346,9 @@ pub fn norm_inf<E: Element>(x: &[E]) -> E {
 /// # Panics
 ///
 /// Panics if any row's length differs from `out.len()`.
-pub fn block_decode_threads<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E], max_threads: usize)
+pub fn block_decode_threads<'a, F>(coeffs: &[f64], row_of: &F, out: &mut [f64], max_threads: usize)
 where
-    E: Element,
-    F: Fn(usize) -> &'a [E] + Sync,
+    F: Fn(usize) -> &'a [f64] + Sync,
 {
     for i in 0..coeffs.len() {
         assert_eq!(
@@ -396,10 +381,9 @@ where
 /// [`block_decode_threads`] with the automatic thread count: one thread
 /// per [`PAR_MIN_CHUNK`] of output, capped at the machine's available
 /// parallelism (sequential below [`PAR_MIN_DIM`]).
-pub fn block_decode<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E])
+pub fn block_decode<'a, F>(coeffs: &[f64], row_of: &F, out: &mut [f64])
 where
-    E: Element,
-    F: Fn(usize) -> &'a [E] + Sync,
+    F: Fn(usize) -> &'a [f64] + Sync,
 {
     block_decode_threads(coeffs, row_of, out, available_threads());
 }
@@ -412,28 +396,27 @@ const DECODE_ROWS: usize = 4;
 /// [`DECODE_ROWS`] to a pass — the first pass from zero
 /// ([`axpy_rows_zeroed`]), the rest onto it ([`axpy_rows`]), a tail of
 /// one to three rows in one pass of its own.
-fn block_decode_span<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E], offset: usize)
+fn block_decode_span<'a, F>(coeffs: &[f64], row_of: &F, out: &mut [f64], offset: usize)
 where
-    E: Element,
-    F: Fn(usize) -> &'a [E],
+    F: Fn(usize) -> &'a [f64],
 {
-    fn pass<'a, E: Element, const K: usize>(
+    fn pass<'a, const K: usize>(
         first: usize,
         coeffs: &[f64],
-        row_of: &impl Fn(usize) -> &'a [E],
+        row_of: &impl Fn(usize) -> &'a [f64],
         at: usize,
-        chunk: &mut [E],
+        chunk: &mut [f64],
     ) {
-        let alpha = core::array::from_fn(|c| E::from_f64(coeffs[first + c]));
+        let alpha = core::array::from_fn(|c| coeffs[first + c]);
         let x = core::array::from_fn(|c| &row_of(first + c)[at..at + chunk.len()]);
         if first == 0 {
-            axpy_rows_zeroed::<E, K>(alpha, x, chunk);
+            axpy_rows_zeroed::<K>(alpha, x, chunk);
         } else {
-            axpy_rows::<E, K>(alpha, x, chunk);
+            axpy_rows::<K>(alpha, x, chunk);
         }
     }
     if coeffs.is_empty() {
-        out.fill(E::ZERO);
+        out.fill(0.0);
         return;
     }
     // The tail below is one pass of `1..DECODE_ROWS` rows.
@@ -442,13 +425,13 @@ where
     let mut at = offset;
     for chunk in out.chunks_mut(COL_BLOCK) {
         for first in (0..whole).step_by(DECODE_ROWS) {
-            pass::<E, DECODE_ROWS>(first, coeffs, row_of, at, chunk);
+            pass::<DECODE_ROWS>(first, coeffs, row_of, at, chunk);
         }
         match coeffs.len() - whole {
             0 => {}
-            1 => pass::<E, 1>(whole, coeffs, row_of, at, chunk),
-            2 => pass::<E, 2>(whole, coeffs, row_of, at, chunk),
-            _ => pass::<E, 3>(whole, coeffs, row_of, at, chunk),
+            1 => pass::<1>(whole, coeffs, row_of, at, chunk),
+            2 => pass::<2>(whole, coeffs, row_of, at, chunk),
+            _ => pass::<3>(whole, coeffs, row_of, at, chunk),
         }
         at += chunk.len();
     }
@@ -470,7 +453,7 @@ mod tests {
     use super::*;
 
     /// The scalar reference each elementwise kernel must match bitwise.
-    fn axpy_scalar<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
+    fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
         }
@@ -511,6 +494,20 @@ mod tests {
         assert!(y[1].is_nan());
         assert!(y[2].is_nan());
         assert_eq!(y[3], 4.0);
+    }
+
+    #[test]
+    fn zero_times_nan_is_nan() {
+        // No kernel short-circuits a zero coefficient: `0 · NaN` is NaN,
+        // in a single `axpy` and in a decode that scales a NaN row by 0.
+        let mut y = [1.0];
+        axpy(0.0, &[f64::NAN], &mut y);
+        assert!(y[0].is_nan());
+        let rows = [[1.0, 2.0], [f64::NAN, 3.0]];
+        let mut out = [0.0; 2];
+        block_decode(&[1.0, 0.0], &|i| rows[i].as_slice(), &mut out);
+        assert!(out[0].is_nan());
+        assert_eq!(out[1], 2.0);
     }
 
     #[test]
@@ -625,9 +622,9 @@ mod tests {
         assert_eq!(x, vec![-2.0, 4.0, -6.0]);
         assert_eq!(norm_inf(&x), 6.0);
         assert!((norm2(&[3.0_f64, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm2::<f64>(&[]), 0.0);
-        assert_eq!(norm_inf::<f64>(&[]), 0.0);
-        assert_eq!(dot::<f64>(&[], &[]), 0.0);
+        assert_eq!(norm2(&[]), 0.0);
+        assert_eq!(norm_inf(&[]), 0.0);
+        assert_eq!(dot(&[], &[]), 0.0);
     }
 
     #[test]
@@ -717,19 +714,6 @@ mod tests {
     fn dot_ordered_each_rejects_missing_rows() {
         let row = [1.0];
         dot_ordered_each(&[1.0], [&row[..]; 2], &mut [0.0; 3]);
-    }
-
-    #[test]
-    fn f32_kernels_compile_and_agree() {
-        let x: Vec<f32> = (0..37).map(|i| i as f32 * 0.5).collect();
-        let mut y = vec![1.0_f32; 37];
-        let mut y_ref = y.clone();
-        axpy(2.0_f32, &x, &mut y);
-        for (yi, &xi) in y_ref.iter_mut().zip(&x) {
-            *yi += 2.0 * xi;
-        }
-        assert_eq!(y, y_ref);
-        assert_eq!(norm_inf(&y), *y.last().unwrap());
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   for decode vectors over non-square survivor sets.
 //! * Rank and span utilities ([`Matrix::rank`], [`in_span`],
 //!   [`Matrix::row_space_contains`]) used by the Condition-C1 checker.
-//! * The sealed [`Element`] trait (`f64`/`f32`) and the chunked,
-//!   auto-vectorizable data-plane kernels in [`kernels`] — the per-round
-//!   encode/decode hot loops, generic over the element type.
-//! * Vector helpers in [`vec_ops`] (`f64` instantiations of [`kernels`]).
+//! * The chunked, auto-vectorizable data-plane kernels in [`kernels`] —
+//!   the per-round encode/decode hot loops.
+//! * Vector helpers in [`vec_ops`] (support, `ℓ₀` and forwards to
+//!   [`kernels`]).
 //!
 //! # Example
 //!
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod element;
 mod error;
 pub mod kernels;
 mod lu;
@@ -56,7 +55,6 @@ mod qr;
 mod rank;
 pub mod vec_ops;
 
-pub use element::Element;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;

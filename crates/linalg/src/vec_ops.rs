@@ -1,14 +1,13 @@
 //! Free functions on `&[f64]` slices.
 //!
-//! Gradients in the ML substrate are flat `Vec<f32>`/`Vec<f64>` buffers;
-//! encoding (`g̃_i = Σ_j b_ij·g_j`) and decoding (`g = Σ_i a_i·g̃_i`) are
-//! repeated scaled accumulations. These helpers keep that code readable and
-//! give the property tests a single algebra to target.
+//! Gradients in the ML substrate are flat `Vec<f64>` buffers; encoding
+//! (`g̃_i = Σ_j b_ij·g_j`) and decoding (`g = Σ_i a_i·g̃_i`) are repeated
+//! scaled accumulations. These helpers keep that code readable and give
+//! the property tests a single algebra to target.
 //!
-//! The hot operations (`dot`, `axpy`, `scale`, the norms) are thin `f64`
-//! instantiations of the chunked generic kernels in [`crate::kernels`];
-//! see that module for the vectorization and bitwise-equivalence
-//! contract. In particular `axpy` no longer special-cases `alpha == 0.0`:
+//! The hot operations (`dot`, `axpy`, `scale`, the norms) forward to the
+//! chunked kernels in [`crate::kernels`]; see that module for the
+//! vectorization and bitwise-equivalence contract. In particular `axpy` no longer special-cases `alpha == 0.0`:
 //! an earlier version returned early, which silently dropped NaN/±inf
 //! propagation from `x` (`0 · NaN` is NaN, not `0`) and made the scalar
 //! and chunked paths diverge bitwise on non-finite gradients.
