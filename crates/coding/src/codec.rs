@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hetgc_linalg::{kernels, solve_any, vec_ops, DEFAULT_TOLERANCE};
+use hetgc_linalg::{kernels, solve_any, DEFAULT_TOLERANCE};
 use hetgc_obs::{CodecMetrics, Phase};
 
 use crate::approx::approximate_decode;
@@ -680,26 +680,26 @@ impl CodecSession {
         {
             let factor = row[p];
             if factor != 0.0 {
-                vec_ops::axpy(-factor, basis_row, &mut row);
-                vec_ops::axpy(-factor, basis_combo, &mut combo[..basis_combo.len()]);
+                kernels::axpy(-factor, basis_row, &mut row);
+                kernels::axpy(-factor, basis_combo, &mut combo[..basis_combo.len()]);
             }
         }
         // Numerical zero test relative to the source row's magnitude.
-        let scale = vec_ops::norm_inf(src_row).max(1.0);
+        let scale = kernels::norm_inf(src_row).max(1.0);
         if let Some(p) = pivot_of(&row, DEFAULT_TOLERANCE * scale) {
             // Normalize the pivot to exactly 1 — no back-elimination: the
             // earlier basis rows stay as they are.
             let inv = 1.0 / row[p];
-            vec_ops::scale(inv, &mut row);
-            vec_ops::scale(inv, &mut combo);
+            kernels::scale(inv, &mut row);
+            kernels::scale(inv, &mut combo);
             row[p] = 1.0;
             // The one new basis row is all the running reduction of `1`
             // has not seen yet.
             let factor = self.scratch_target[p];
             if factor != 0.0 {
-                vec_ops::axpy(-factor, &row, &mut self.scratch_target);
+                kernels::axpy(-factor, &row, &mut self.scratch_target);
                 self.scratch_combo.resize(arrival_idx + 1, 0.0);
-                vec_ops::axpy(factor, &combo, &mut self.scratch_combo);
+                kernels::axpy(factor, &combo, &mut self.scratch_combo);
             }
             self.basis.push(row);
             self.combos.push(combo);
@@ -749,7 +749,7 @@ impl CodecSession {
     /// Whether `1` lies in the span of the received rows: the running
     /// reduction has nothing left.
     fn spans_ones(&self) -> bool {
-        vec_ops::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
+        kernels::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use hetgc_linalg::{vec_ops, Matrix};
+use hetgc_linalg::{kernels, vec_ops, Matrix};
 
 use crate::error::CodingError;
 use crate::support::SupportMatrix;
@@ -174,7 +174,7 @@ impl CodingMatrix {
                     ),
                 });
             }
-            vec_ops::axpy(self.b.row(w)[j], &partials[j], &mut out);
+            kernels::axpy(self.b.row(w)[j], &partials[j], &mut out);
         }
         Ok(out)
     }

@@ -15,7 +15,7 @@
 //!   multiply and (for the `axpy`s) one add per element, in index order, with
 //!   **no zero-coefficient shortcut**: `0 · NaN` is NaN and `0 · ∞` is
 //!   NaN, and those propagate exactly as a scalar loop would propagate
-//!   them. (An earlier `vec_ops::axpy` returned early on `alpha == 0.0`,
+//!   them. (An earlier `axpy` returned early on `alpha == 0.0`,
 //!   silently dropping non-finite values from `x`; that shortcut is
 //!   gone, and `tests/properties.rs` pins the equivalence on non-finite
 //!   inputs.) [`axpy_rows_fold`] is [`axpy_rows_zeroed`] then `axpy`
@@ -177,6 +177,11 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
+///
+/// # Example
+/// ```
+/// assert_eq!(hetgc_linalg::kernels::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+/// ```
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(
@@ -625,6 +630,12 @@ mod tests {
         assert_eq!(norm2(&[]), 0.0);
         assert_eq!(norm_inf(&[]), 0.0);
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn dot_len_mismatch_panics() {
+        dot(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

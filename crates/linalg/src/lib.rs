@@ -19,8 +19,7 @@
 //!   [`Matrix::row_space_contains`]) used by the Condition-C1 checker.
 //! * The chunked, auto-vectorizable data-plane kernels in [`kernels`] —
 //!   the per-round encode/decode hot loops.
-//! * Vector helpers in [`vec_ops`] (support, `ℓ₀` and forwards to
-//!   [`kernels`]).
+//! * Slice helpers in [`vec_ops`] (`supp(b)`, `ℓ₀`, `max_abs_diff`).
 //!
 //! # Example
 //!

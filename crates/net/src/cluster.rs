@@ -39,6 +39,12 @@ pub const DEFAULT_CHUNK_LEN: usize = 8192;
 /// How long [`SocketCluster::start`] waits for all workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 
+/// The first sleep between accept polls while no worker is waiting.
+const ACCEPT_POLL_FIRST: Duration = Duration::from_micros(20);
+
+/// The longest sleep between accept polls.
+const ACCEPT_POLL_MAX: Duration = Duration::from_millis(2);
+
 /// Cloneable per-link traffic handles: the byte counters shared with the
 /// link's writer and reader halves, plus master-side frame counters.
 /// Clones share the same atomic cells, so a metrics refresh hook can
@@ -310,7 +316,9 @@ where
     ///
     /// [`NetError::Runtime`] on codec/partitioning/spec problems,
     /// [`NetError::Handshake`] when workers fail to connect (30 s accept
-    /// deadline) or speak a different protocol version.
+    /// deadline) or speak a different protocol version. Before any error
+    /// returns, the links already handshaken get `Shutdown` and are
+    /// closed, and their reader threads are joined.
     pub fn start(
         listener: SocketListener,
         code: CodingMatrix,
@@ -398,11 +406,20 @@ where
         let dataset_spec = DatasetSpec::from_dataset(&data);
         let (reply_tx, reply_rx) = unbounded();
 
-        let mut conns = Vec::with_capacity(m);
-        let mut alive = Vec::with_capacity(m);
-        let mut handles = Vec::with_capacity(m);
-        let mut links = Vec::with_capacity(m);
-        let mut encodings = Vec::with_capacity(m);
+        // Each link joins the transport as soon as its reader runs, so an
+        // early return below drops a transport whose `Drop` shuts down and
+        // joins every link already built.
+        let mut transport = TcpTransport {
+            conns: Vec::with_capacity(m),
+            alive: Vec::with_capacity(m),
+            row_of: (0..m).collect(),
+            reply_rx,
+            handles: Vec::with_capacity(m),
+            links: Vec::with_capacity(m),
+            encodings: Vec::with_capacity(m),
+            bytes_mark: (0, 0),
+            round_wire: Vec::new(),
+        };
         listener.listener.set_nonblocking(true)?;
         let accept_started = Instant::now();
         for (row, (ranges, coefficients)) in shards.into_iter().enumerate() {
@@ -456,7 +473,7 @@ where
                 Arc::default(), // readers never send
                 Arc::clone(&link.received_bytes),
             );
-            handles.push(spawn_reader(
+            transport.handles.push(spawn_reader(
                 reader,
                 model.num_params(),
                 negotiated,
@@ -464,23 +481,12 @@ where
                 Arc::clone(&live),
                 Arc::clone(&link.frames_received),
             ));
-            alive.push(live);
-            conns.push(conn);
-            links.push(link);
-            encodings.push(negotiated);
+            transport.alive.push(live);
+            transport.conns.push(conn);
+            transport.links.push(link);
+            transport.encodings.push(negotiated);
         }
         // `reply_tx` drops here: the master keeps only the receiver.
-        let transport = TcpTransport {
-            conns,
-            alive,
-            row_of: (0..m).collect(),
-            reply_rx,
-            handles,
-            links,
-            encodings,
-            bytes_mark: (0, 0),
-            round_wire: Vec::new(),
-        };
         Ok(SocketCluster(Master::new(
             codec, model, data, config, transport,
         )))
@@ -538,18 +544,28 @@ fn wire_ranges(ranges: &[(usize, usize)]) -> Vec<(u32, u32)> {
 }
 
 /// Polls a nonblocking accept until a connection arrives or the accept
-/// deadline (measured from `started`) passes.
+/// deadline (measured from `started`) passes. Between polls it sleeps
+/// [`ACCEPT_POLL_FIRST`], doubling up to [`ACCEPT_POLL_MAX`], so a worker
+/// that connects within microseconds is taken within microseconds and a
+/// late one costs a poll every 2 ms.
 fn accept_one(listener: &TcpListener, started: Instant) -> Result<TcpStream, NetError> {
+    let mut poll = ACCEPT_POLL_FIRST;
     loop {
         match listener.accept() {
-            Ok((stream, _)) => return Ok(stream),
+            Ok((stream, _)) => {
+                // BSD-derived `accept` hands back the listener's
+                // `O_NONBLOCK`; Linux does not. Every link reads blocking.
+                stream.set_nonblocking(false)?;
+                return Ok(stream);
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if started.elapsed() > ACCEPT_DEADLINE {
                     return Err(NetError::Handshake(
                         "timed out waiting for workers to connect".into(),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(poll);
+                poll = (poll * 2).min(ACCEPT_POLL_MAX);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(NetError::Io(e)),
@@ -837,6 +853,97 @@ mod tests {
         );
         // Rejected up front, not after waiting out the accept deadline.
         assert!(started.elapsed() < ACCEPT_DEADLINE / 2);
+    }
+
+    #[test]
+    fn failed_start_shuts_down_the_links_it_built() {
+        // A good peer is handshaken first; the next peer's garbage `Hello`
+        // fails the start. The good peer must then hear `Shutdown` or EOF
+        // — not silence from a reader thread left holding its link open.
+        let (model, data) = fixture();
+        let listener = SocketListener::bind().expect("bind loopback");
+        let addr = listener.addr();
+        let mut good = Connection::connect(addr).expect("connect");
+        good.send(&Frame::Hello {
+            version: VERSION,
+            encodings: Vec::new(),
+        })
+        .expect("hello");
+        let mut garbage = TcpStream::connect(addr).expect("connect");
+        std::io::Write::write_all(&mut garbage, &[0xFF; 64]).expect("garbage");
+        let err = SocketCluster::start(
+            listener,
+            naive(2).expect("naive code"),
+            model,
+            ModelSpec::Linear { dim: DIM as u32 },
+            data,
+            &RuntimeConfig::nominal(2),
+        )
+        .expect_err("a garbage hello");
+        assert!(
+            matches!(err, NetError::Handshake(_)),
+            "unexpected error: {err}"
+        );
+        let wait = Some(Duration::from_secs(5));
+        assert!(matches!(good.recv_deadline(wait), Ok(Frame::Handshake(_))));
+        match good.recv_deadline(wait) {
+            Ok(Frame::Shutdown) | Err(NetError::Closed) => {}
+            other => panic!("the handshaken link was stranded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn late_joiners_are_taken_as_they_connect() {
+        // The workers connect only after `start` has been polling for a
+        // while, so the accept wait runs through its whole backoff.
+        let (model, data) = fixture();
+        let params: Vec<f64> = (0..PARAMS).map(|i| 0.1 * i as f64 - 0.3).collect();
+        let direct = model.gradient(&params, &data, (0, SAMPLES));
+        for encoding in [PayloadEncoding::F64, PayloadEncoding::Int8] {
+            let listener = SocketListener::bind().expect("bind loopback");
+            let addr = listener.addr();
+            let spawner = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                (0..4)
+                    .map(|_| std::thread::spawn(move || run_worker(addr)))
+                    .collect::<Vec<_>>()
+            });
+            let mut cluster = SocketCluster::start_encoded(
+                listener,
+                naive(4).expect("naive code"),
+                Arc::clone(&model),
+                ModelSpec::Linear { dim: DIM as u32 },
+                Arc::clone(&data),
+                &RuntimeConfig::nominal(4),
+                DEFAULT_CHUNK_LEN,
+                encoding,
+            )
+            .expect("socket cluster start");
+            assert_eq!(cluster.link_encodings(), [encoding; 4]);
+            for link in cluster.link_stats() {
+                assert_eq!(
+                    link.frames_sent(),
+                    1,
+                    "{encoding:?}: one handshake per link"
+                );
+            }
+            let round = cluster.round(&params).expect("round").expect("decoded");
+            assert_eq!(round.results_used, 4);
+            assert_eq!(round.gradient.len(), PARAMS);
+            for (got, want) in round.gradient.iter().zip(&direct) {
+                assert!(got.is_finite(), "{encoding:?}: decoded {got}");
+                if encoding == PayloadEncoding::F64 {
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                        "decoded {got}, direct {want}"
+                    );
+                }
+            }
+            drop(cluster);
+            for t in spawner.join().expect("spawner panicked") {
+                t.join().expect("worker panicked").expect("clean exit");
+            }
+        }
     }
 
     /// One chunk of a scripted reply: `(offset, len)`.
