@@ -101,6 +101,7 @@ impl Classifier for crate::mlp::Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::logistic::SoftmaxRegression;
     use crate::mlp::Mlp;
     use crate::synthetic;
@@ -114,29 +115,77 @@ mod tests {
         assert_eq!(argmax(&[2.0, 2.0]), 0); // ties go to the lower index
     }
 
-    #[test]
-    fn softmax_prediction_matches_trained_separation() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let data = synthetic::gaussian_blobs(300, 2, 3, 6.0, &mut rng);
-        let model = SoftmaxRegression::new(2, 3);
-        let mut params = model.init_params(&mut rng);
-        let n = data.len() as f64;
-        let initial_acc = accuracy(&model, &params, &data, (0, data.len()));
-        for _ in 0..150 {
-            let mut g = model.gradient(&params, &data, (0, data.len()));
-            for gi in &mut g {
-                *gi /= n;
-            }
-            for (p, gi) in params.iter_mut().zip(&g) {
-                *p -= 0.5 * gi;
+    /// Accuracy on `data` of the nearest-class-mean rule, with the class
+    /// means estimated from `data` itself.
+    fn nearest_class_mean_accuracy(data: &Dataset, classes: usize) -> f64 {
+        let mut means = vec![vec![0.0; data.dim()]; classes];
+        let mut counts = vec![0usize; classes];
+        for i in 0..data.len() {
+            let c = data.class_of(i);
+            counts[c] += 1;
+            for (m, v) in means[c].iter_mut().zip(data.features_of(i)) {
+                *m += v;
             }
         }
-        let acc = accuracy(&model, &params, &data, (0, data.len()));
-        // Three random 2-d blob centers can land near one another, so the
-        // Bayes-optimal accuracy is not always ~1.0; well above chance
-        // (1/3) and above the untrained model is the invariant.
-        assert!(acc > 0.8, "well-separated blobs should classify: {acc}");
-        assert!(acc >= initial_acc);
+        for (mean, &count) in means.iter_mut().zip(&counts) {
+            for m in mean {
+                *m /= count as f64;
+            }
+        }
+        let correct = (0..data.len())
+            .filter(|&i| {
+                let x = data.features_of(i);
+                let dist = |c: usize| -> f64 {
+                    means[c].iter().zip(x).map(|(m, v)| (m - v) * (m - v)).sum()
+                };
+                let nearest = (0..classes)
+                    .min_by(|&a, &b| dist(a).total_cmp(&dist(b)))
+                    .unwrap();
+                nearest == data.class_of(i)
+            })
+            .count();
+        correct as f64 / data.len() as f64
+    }
+
+    #[test]
+    fn softmax_prediction_matches_trained_separation() {
+        // Three random 2-d blob centers can land near one another, so what
+        // any classifier can reach depends on the seed. The invariant, on
+        // every seed: training beats the untrained model and lands within
+        // MARGIN of the nearest-class-mean rule on the same data (the Bayes
+        // rule for equal isotropic blobs, up to the estimated centers), and
+        // where that rule separates the blobs (≥ 0.99) the model does too.
+        const MARGIN: f64 = 0.12;
+        for seed in 1..=12 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = synthetic::gaussian_blobs(300, 2, 3, 6.0, &mut rng);
+            let model = SoftmaxRegression::new(2, 3);
+            let mut params = model.init_params(&mut rng);
+            let n = data.len() as f64;
+            let initial_acc = accuracy(&model, &params, &data, (0, data.len()));
+            for _ in 0..150 {
+                let mut g = model.gradient(&params, &data, (0, data.len()));
+                for gi in &mut g {
+                    *gi /= n;
+                }
+                for (p, gi) in params.iter_mut().zip(&g) {
+                    *p -= 0.5 * gi;
+                }
+            }
+            let acc = accuracy(&model, &params, &data, (0, data.len()));
+            let reference = nearest_class_mean_accuracy(&data, 3);
+            assert!(
+                acc > initial_acc,
+                "seed {seed}: {acc} after training, {initial_acc} before"
+            );
+            assert!(
+                acc >= reference - MARGIN,
+                "seed {seed}: {acc} vs nearest class mean {reference}"
+            );
+            if reference >= 0.99 {
+                assert!(acc >= 0.98, "seed {seed}: separable blobs at {acc}");
+            }
+        }
     }
 
     #[test]
