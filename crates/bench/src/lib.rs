@@ -26,11 +26,6 @@ pub fn arg_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
         .unwrap_or(default)
 }
 
-/// Returns `true` if the bare flag is present.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,14 +38,12 @@ mod tests {
     fn parses_present_flag() {
         let a = args(&["--stragglers", "2", "--quick"]);
         assert_eq!(arg_or(&a, "--stragglers", 1usize), 2);
-        assert!(has_flag(&a, "--quick"));
     }
 
     #[test]
     fn falls_back_to_default() {
         let a = args(&["--other", "x"]);
         assert_eq!(arg_or(&a, "--stragglers", 1usize), 1);
-        assert!(!has_flag(&a, "--quick"));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl SamplingEstimator {
             samples: vec![0; m],
         }
     }
-
-    /// Number of observations recorded for `worker` (0 when out of range).
-    pub fn sample_count(&self, worker: usize) -> usize {
-        self.samples.get(worker).copied().unwrap_or(0)
-    }
 }
 
 impl ThroughputEstimator for SamplingEstimator {
@@ -228,7 +223,6 @@ mod tests {
         e.observe(0, 10.0, 2.0); // 5 u/s
         e.observe(0, 30.0, 2.0); // cumulative: 40 work / 4 s = 10 u/s
         assert_eq!(e.estimate(0).unwrap(), 10.0);
-        assert_eq!(e.sample_count(0), 2);
     }
 
     #[test]
@@ -251,7 +245,10 @@ mod tests {
         e.observe(0, 10.0, 0.0); // zero elapsed: ignored
         e.observe(0, -1.0, 1.0); // negative work: ignored
         e.observe(9, 10.0, 1.0); // out of range: ignored
-        assert_eq!(e.sample_count(0), 0);
+        assert!(matches!(
+            e.estimate(0),
+            Err(ClusterError::NoSamples { worker: 0 })
+        ));
     }
 
     #[test]

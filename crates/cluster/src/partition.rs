@@ -86,16 +86,6 @@ impl PartitionAssignment {
         Ok((self.boundaries[p], self.boundaries[p + 1]))
     }
 
-    /// Number of samples in partition `p`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownPartition`] for out-of-range `p`.
-    pub fn len_of(&self, p: usize) -> Result<usize, ClusterError> {
-        let (lo, hi) = self.range(p)?;
-        Ok(hi - lo)
-    }
-
     /// The partition containing sample index `i`, or `None` past the end.
     pub fn partition_of(&self, i: usize) -> Option<usize> {
         if i >= self.samples() {
@@ -124,15 +114,15 @@ mod tests {
         let pa = PartitionAssignment::even(12, 4).unwrap();
         assert_eq!(pa.partitions(), 4);
         assert_eq!(pa.samples(), 12);
-        for p in 0..4 {
-            assert_eq!(pa.len_of(p).unwrap(), 3);
+        for (lo, hi) in pa.iter() {
+            assert_eq!(hi - lo, 3);
         }
     }
 
     #[test]
     fn uneven_division_sizes_differ_by_at_most_one() {
         let pa = PartitionAssignment::even(10, 3).unwrap();
-        let sizes: Vec<usize> = (0..3).map(|p| pa.len_of(p).unwrap()).collect();
+        let sizes: Vec<usize> = pa.iter().map(|(lo, hi)| hi - lo).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(sizes.iter().sum::<usize>(), 10);
     }
@@ -169,7 +159,7 @@ mod tests {
     fn range_out_of_bounds() {
         let pa = PartitionAssignment::even(4, 2).unwrap();
         assert!(pa.range(2).is_err());
-        assert!(pa.len_of(7).is_err());
+        assert!(pa.range(7).is_err());
     }
 
     #[test]

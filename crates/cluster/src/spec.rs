@@ -256,7 +256,7 @@ mod tests {
     fn builder_roundtrip() {
         let c = ClusterSpec::builder()
             .add_workers(1, WorkerSpec::new(2))
-            .add_workers(2, WorkerSpec::new(4).with_speed_factor(0.5))
+            .add_workers(2, WorkerSpec::new(2))
             .name("test")
             .build()
             .unwrap();

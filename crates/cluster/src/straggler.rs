@@ -83,11 +83,6 @@ impl StragglerEvent {
             StragglerEvent::Failed => f64::INFINITY,
         }
     }
-
-    /// Returns `true` for [`StragglerEvent::Failed`].
-    pub fn is_failure(self) -> bool {
-        matches!(self, StragglerEvent::Failed)
-    }
 }
 
 /// Per-iteration straggler injection policy.
@@ -168,16 +163,6 @@ impl StragglerModel {
         }
         events
     }
-
-    /// Number of workers guaranteed to straggle every iteration (0 for the
-    /// random models — used by harnesses to choose a safe `s`).
-    pub fn deterministic_straggler_count(&self) -> usize {
-        match self {
-            StragglerModel::FixedDelay { workers, .. } => workers.len(),
-            StragglerModel::Failures { workers } => workers.len(),
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +191,6 @@ mod tests {
         assert_eq!(events[0], StragglerEvent::Normal);
         assert_eq!(events[1], StragglerEvent::Delayed(2.5));
         assert_eq!(events[3], StragglerEvent::Delayed(2.5));
-        assert_eq!(m.deterministic_straggler_count(), 2);
     }
 
     #[test]
@@ -223,9 +207,9 @@ mod tests {
     fn failures_are_infinite_delay() {
         let m = StragglerModel::Failures { workers: vec![0] };
         let events = m.sample_iteration(2, &mut rng());
-        assert!(events[0].is_failure());
+        assert_eq!(events[0], StragglerEvent::Failed);
         assert_eq!(events[0].extra_delay(), f64::INFINITY);
-        assert!(!events[1].is_failure());
+        assert_eq!(events[1], StragglerEvent::Normal);
     }
 
     #[test]

@@ -32,13 +32,10 @@ impl From<usize> for WorkerId {
 ///
 /// The paper's clusters are QingCloud "performance type" VMs whose relevant
 /// property is the vCPU count; gradient throughput is modelled as
-/// proportional to vCPUs (`throughput = vcpus × per_core_rate`). A
-/// `speed_factor` multiplier captures persistent deviations from that ideal
-/// (background daemons, NUMA effects) when experiments want them.
+/// proportional to vCPUs (`throughput = vcpus × per_core_rate`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSpec {
     vcpus: u32,
-    speed_factor: f64,
 }
 
 impl WorkerSpec {
@@ -49,34 +46,12 @@ impl WorkerSpec {
     /// Panics if `vcpus == 0`.
     pub fn new(vcpus: u32) -> Self {
         assert!(vcpus > 0, "a worker needs at least one vCPU");
-        WorkerSpec {
-            vcpus,
-            speed_factor: 1.0,
-        }
-    }
-
-    /// Sets a persistent speed multiplier (1.0 = nominal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
-    pub fn with_speed_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "speed factor must be positive"
-        );
-        self.speed_factor = factor;
-        self
+        WorkerSpec { vcpus }
     }
 
     /// The vCPU count.
     pub fn vcpus(&self) -> u32 {
         self.vcpus
-    }
-
-    /// The persistent speed multiplier.
-    pub fn speed_factor(&self) -> f64 {
-        self.speed_factor
     }
 
     /// Gradient throughput in work-units per second given a per-core rate.
@@ -85,7 +60,7 @@ impl WorkerSpec {
     /// samples/second, the coding layer partitions/second. Only ratios
     /// between workers matter to the schemes.
     pub fn throughput(&self, per_core_rate: f64) -> f64 {
-        f64::from(self.vcpus) * self.speed_factor * per_core_rate
+        f64::from(self.vcpus) * per_core_rate
     }
 }
 
@@ -121,23 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_speed_factor_scales() {
-        let w = WorkerSpec::new(4).with_speed_factor(0.5);
-        assert_eq!(w.throughput(1.0), 2.0);
-        assert_eq!(w.speed_factor(), 0.5);
-        assert_eq!(w.vcpus(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one vCPU")]
     fn zero_vcpus_rejected() {
         WorkerSpec::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_speed_factor_rejected() {
-        WorkerSpec::new(1).with_speed_factor(0.0);
     }
 
     #[test]

@@ -130,44 +130,6 @@ impl Allocation {
         })
     }
 
-    /// Builds an allocation from explicit counts (for tests and custom
-    /// schemes).
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParameter`] if `Σ n_i ≠ k(s+1)`;
-    /// [`CodingError::InfeasibleAllocation`] if some `n_i > k`.
-    pub fn from_counts(
-        counts: Vec<usize>,
-        partitions: usize,
-        stragglers: usize,
-    ) -> Result<Self, CodingError> {
-        validate_params(counts.len(), partitions, stragglers)?;
-        let total: usize = counts.iter().sum();
-        if total != partitions * (stragglers + 1) {
-            return Err(CodingError::InvalidParameter {
-                reason: format!(
-                    "counts sum to {total}, expected k(s+1) = {}",
-                    partitions * (stragglers + 1)
-                ),
-            });
-        }
-        for (i, &n) in counts.iter().enumerate() {
-            if n > partitions {
-                return Err(CodingError::InfeasibleAllocation {
-                    worker: i,
-                    assigned: n,
-                    partitions,
-                });
-            }
-        }
-        Ok(Allocation {
-            counts,
-            partitions,
-            stragglers,
-        })
-    }
-
     /// Per-worker partition counts `n_i`.
     pub fn counts(&self) -> &[usize] {
         &self.counts
@@ -319,23 +281,8 @@ mod tests {
     fn uniform_infeasible_when_per_exceeds_k() {
         // m=2, k=2, s=1 → per = 2 == k fine; m=2, k=1, s=1 → per=1 == k fine.
         // m=1 is rejected earlier by s+1<=m. Construct per > k: m=2, k=3, s=3
-        // invalid (s+1>m). Use from_counts instead for this edge.
+        // invalid (s+1>m).
         assert!(Allocation::uniform(2, 2, 1).is_ok());
-    }
-
-    #[test]
-    fn from_counts_validates_sum() {
-        assert!(Allocation::from_counts(vec![2, 2], 3, 1).is_err());
-        let a = Allocation::from_counts(vec![3, 3], 3, 1).unwrap();
-        assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn from_counts_validates_cap() {
-        assert!(matches!(
-            Allocation::from_counts(vec![4, 2], 3, 1),
-            Err(CodingError::InfeasibleAllocation { worker: 0, .. })
-        ));
     }
 
     #[test]

@@ -477,10 +477,12 @@ mod tests {
     fn rejects_corrupt_groups() {
         let mut rng = StdRng::seed_from_u64(45);
         let g = group_based(&[1.0; 4], 4, 1, &mut rng).unwrap();
-        let bogus = vec![Group::from_workers(vec![0, 9])];
+        let bogus = vec![Group {
+            workers: vec![0, 9],
+        }];
         let compiled = || CompiledCodec::new(g.code().clone());
         assert!(compiled().with_groups(bogus).is_err());
-        let non_decoding = vec![Group::from_workers(vec![0])];
+        let non_decoding = vec![Group { workers: vec![0] }];
         assert!(compiled().with_groups(non_decoding).is_err());
     }
 

@@ -36,20 +36,11 @@ use crate::support::SupportMatrix;
 /// (condition ⋆ of §V).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
-    workers: Vec<usize>,
+    /// Sorted, distinct worker indices.
+    pub(crate) workers: Vec<usize>,
 }
 
 impl Group {
-    /// Builds a group from explicit worker indices (sorted and
-    /// deduplicated here). Useful for reconstructing groups from
-    /// serialized metadata or in tests; the search functions below produce
-    /// groups directly.
-    pub fn from_workers(mut workers: Vec<usize>) -> Self {
-        workers.sort_unstable();
-        workers.dedup();
-        Group { workers }
-    }
-
     /// The sorted worker indices in this group.
     pub fn workers(&self) -> &[usize] {
         &self.workers

@@ -1,4 +1,5 @@
-//! The `WireCodec` trait and its three quantizing backends.
+//! The `WireCodec` trait and its two backends: the lossless `f64`
+//! baseline and int8 quantization.
 //!
 //! A codec turns a chunk of `f64` coded-gradient elements into wire
 //! bytes and back. Encoding is deterministic (two encodes of the same
@@ -7,17 +8,15 @@
 //! zero never depends on element order), decoding is total over
 //! adversarial bytes (typed [`CommError`], never a panic), and both
 //! directions reuse caller-owned buffers so the steady-state hot path
-//! performs no allocation. Every encoder validates with a flag and
-//! writes a pre-sized slice; the offending index is found by a rescan
-//! on the failure path only.
+//! performs no allocation. Both encoders write a pre-sized slice; int8
+//! validates with a flag and finds the offending index by a rescan on
+//! the failure path only.
 //!
 //! Layouts (all little-endian):
 //!
 //! | codec       | payload                                    | bytes |
 //! |-------------|--------------------------------------------|-------|
 //! | `F64Raw`    | `f64` per element                          | 8n    |
-//! | `F32Narrow` | `f32` per element                          | 4n    |
-//! | `Bf16`      | top 16 bits of `f32`, round-to-nearest-even| 2n    |
 //! | `Int8Quant` | `[lo: f64][scale: f64][code: u8 x n]`      | 16+n  |
 
 use crate::encoding::PayloadEncoding;
@@ -66,72 +65,6 @@ fn check_out_len(expected: usize, got: usize) -> Result<(), CommError> {
     }
 }
 
-/// Encodes `src` at `W` bytes an element into `out`, resized once.
-/// `narrow` returns an element's wire bytes and whether it overflowed
-/// the format; overflow is only flagged in the loop.
-fn encode_fixed<const W: usize>(
-    src: &[f64],
-    out: &mut Vec<u8>,
-    narrow: impl Fn(f64) -> ([u8; W], bool),
-) -> Result<(), CommError> {
-    reject_empty(src)?;
-    out.resize(src.len() * W, 0);
-    let mut overflow = false;
-    for (dst, &x) in out.chunks_exact_mut(W).zip(src) {
-        let (bytes, over) = narrow(x);
-        dst.copy_from_slice(&bytes);
-        overflow |= over;
-    }
-    if overflow {
-        return Err(first_overflow(src, narrow));
-    }
-    Ok(())
-}
-
-/// The failure-path rescan: the first element `narrow` rejects.
-fn first_overflow<const W: usize>(
-    src: &[f64],
-    narrow: impl Fn(f64) -> ([u8; W], bool),
-) -> CommError {
-    let index = src.iter().position(|&x| narrow(x).1).unwrap_or(0);
-    CommError::OutOfRange { index }
-}
-
-/// [`AnyWireCodec::encode_feedback`] for the fixed-width codecs: pass 1
-/// folds `residual` into `coded` and validates, pass 2 writes the wire
-/// bytes and what they failed to carry. `widen` is the decoder's
-/// reconstruction of one element.
-fn feedback_fixed<const W: usize>(
-    coded: &mut [f64],
-    residual: &mut [f64],
-    out: &mut Vec<u8>,
-    narrow: impl Fn(f64) -> ([u8; W], bool),
-    widen: impl Fn([u8; W]) -> f64,
-) -> Result<f64, CommError> {
-    let mut overflow = false;
-    for (c, r) in coded.iter_mut().zip(residual.iter()) {
-        *c += r;
-        overflow |= narrow(*c).1;
-    }
-    if overflow {
-        return Err(first_overflow(coded, narrow));
-    }
-    out.resize(coded.len() * W, 0);
-    let mut err_sq = 0.0;
-    for ((dst, &x), r) in out
-        .chunks_exact_mut(W)
-        .zip(coded.iter())
-        .zip(residual.iter_mut())
-    {
-        let (bytes, _) = narrow(x);
-        dst.copy_from_slice(&bytes);
-        let d = x - widen(bytes);
-        *r = d;
-        err_sq += d * d;
-    }
-    Ok(err_sq)
-}
-
 /// Identity codec: full-width `f64` elements, byte-for-byte what the
 /// worker computed. Exists so benches and differential harnesses can
 /// treat the baseline uniformly.
@@ -144,7 +77,12 @@ impl WireCodec for F64Raw {
     }
 
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        encode_fixed(src, out, Self::narrow)
+        reject_empty(src)?;
+        out.resize(src.len() * 8, 0);
+        for (dst, &x) in out.chunks_exact_mut(8).zip(src) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        Ok(())
     }
 
     fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
@@ -168,134 +106,6 @@ impl WireCodec for F64Raw {
 
     fn encoded_len(&self, n: usize) -> usize {
         n * 8
-    }
-}
-
-impl F64Raw {
-    fn narrow(x: f64) -> ([u8; 8], bool) {
-        (x.to_le_bytes(), false)
-    }
-}
-
-/// Narrowing cast to IEEE-754 `f32`: ~2x smaller, exact whenever the
-/// value is representable in single precision. Non-finite inputs
-/// propagate bit-faithfully; finite inputs that would overflow to
-/// infinity are rejected with [`CommError::OutOfRange`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct F32Narrow;
-
-impl WireCodec for F32Narrow {
-    fn encoding(&self) -> PayloadEncoding {
-        PayloadEncoding::F32
-    }
-
-    fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        encode_fixed(src, out, Self::narrow)
-    }
-
-    fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(CommError::Corrupt {
-                what: "f32 payload length is not a multiple of 4",
-            });
-        }
-        Ok(bytes.len() / 4)
-    }
-
-    fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        check_out_len(self.decoded_len(bytes)?, out.len())?;
-        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            let mut le = [0u8; 4];
-            le.copy_from_slice(raw);
-            *dst = Self::widen(le);
-        }
-        Ok(())
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        n * 4
-    }
-}
-
-impl F32Narrow {
-    fn narrow(x: f64) -> ([u8; 4], bool) {
-        let narrow = x as f32;
-        (narrow.to_le_bytes(), x.is_finite() && narrow.is_infinite())
-    }
-
-    fn widen(le: [u8; 4]) -> f64 {
-        f64::from(f32::from_le_bytes(le))
-    }
-}
-
-/// Converts a finite-or-infinite `f32` to bfloat16 bits with
-/// round-to-nearest-even; NaNs are quieted but stay NaN.
-pub(crate) fn f32_to_bf16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        // Keep sign + exponent, force a non-zero (quiet) mantissa so
-        // the value survives the truncation as NaN.
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let lsb = (bits >> 16) & 1;
-    ((bits + 0x7FFF + lsb) >> 16) as u16
-}
-
-pub(crate) fn bf16_to_f32(bits: u16) -> f32 {
-    f32::from_bits(u32::from(bits) << 16)
-}
-
-/// bfloat16 truncation of the `f32` representation (~4x): 8 exponent
-/// bits keep `f64`'s dynamic range envelope at 8 significand bits of
-/// precision. Rounding is round-to-nearest-even; non-finite inputs
-/// propagate, and finite inputs that round to infinity are rejected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Bf16;
-
-impl WireCodec for Bf16 {
-    fn encoding(&self) -> PayloadEncoding {
-        PayloadEncoding::Bf16
-    }
-
-    fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
-        encode_fixed(src, out, Self::narrow)
-    }
-
-    fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
-        if !bytes.len().is_multiple_of(2) {
-            return Err(CommError::Corrupt {
-                what: "bf16 payload length is not a multiple of 2",
-            });
-        }
-        Ok(bytes.len() / 2)
-    }
-
-    fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
-        check_out_len(self.decoded_len(bytes)?, out.len())?;
-        for (dst, raw) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-            *dst = Self::widen([raw[0], raw[1]]);
-        }
-        Ok(())
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        n * 2
-    }
-}
-
-impl Bf16 {
-    /// A finite `x` overflows when either rounding step (to `f32`, then
-    /// to bf16) lands on infinity.
-    fn narrow(x: f64) -> ([u8; 2], bool) {
-        let half = f32_to_bf16(x as f32);
-        (
-            half.to_le_bytes(),
-            x.is_finite() && bf16_to_f32(half).is_infinite(),
-        )
-    }
-
-    fn widen(le: [u8; 2]) -> f64 {
-        f64::from(bf16_to_f32(u16::from_le_bytes(le)))
     }
 }
 
@@ -405,6 +215,28 @@ fn int8_value(code: u8, lo: f64, scale: f64) -> f64 {
     lo + f64::from(code) * scale
 }
 
+/// [`AnyWireCodec::encode_feedback`] for `f64`: one pass folds
+/// `residual` into `coded` and writes the wire bytes. The bytes carry the
+/// element exactly, so the residual left is `x − x`: `+0.0` for a finite
+/// element, NaN for `±∞` and NaN.
+fn f64_feedback(coded: &mut [f64], residual: &mut [f64], out: &mut Vec<u8>) -> f64 {
+    out.resize(coded.len() * 8, 0);
+    let mut err_sq = 0.0;
+    for ((dst, c), r) in out
+        .chunks_exact_mut(8)
+        .zip(coded.iter_mut())
+        .zip(residual.iter_mut())
+    {
+        *c += *r;
+        let bytes = c.to_le_bytes();
+        dst.copy_from_slice(&bytes);
+        let d = *c - f64::from_le_bytes(bytes);
+        *r = d;
+        err_sq += d * d;
+    }
+    err_sq
+}
+
 /// [`AnyWireCodec::encode_feedback`] for int8: pass 1 folds `residual`
 /// into `coded` under the grid scan, pass 2 writes the codes and what
 /// they failed to carry.
@@ -509,10 +341,6 @@ impl WireCodec for Int8Quant {
 pub enum AnyWireCodec {
     /// Full-width baseline.
     F64(F64Raw),
-    /// Narrowed `f32`.
-    F32(F32Narrow),
-    /// bfloat16.
-    Bf16(Bf16),
     /// Affine int8.
     Int8(Int8Quant),
 }
@@ -522,20 +350,18 @@ impl AnyWireCodec {
     pub fn for_encoding(encoding: PayloadEncoding) -> AnyWireCodec {
         match encoding {
             PayloadEncoding::F64 => AnyWireCodec::F64(F64Raw),
-            PayloadEncoding::F32 => AnyWireCodec::F32(F32Narrow),
-            PayloadEncoding::Bf16 => AnyWireCodec::Bf16(Bf16),
             PayloadEncoding::Int8 => AnyWireCodec::Int8(Int8Quant),
         }
     }
 
-    /// The worker's whole lossy reply path in two passes over `coded`:
-    /// the first folds the carried `residual` into it and validates,
-    /// the second writes the wire bytes into `out` and leaves in
-    /// `residual` what they failed to carry (`intended - shipped`, with
-    /// `shipped` exactly what [`WireCodec::decode_into`] reconstructs).
+    /// The worker's whole lossy reply path: folds the carried
+    /// `residual` into `coded`, writes the wire bytes into `out` and
+    /// leaves in `residual` what they failed to carry (`intended -
+    /// shipped`, with `shipped` exactly what [`WireCodec::decode_into`]
+    /// reconstructs). Int8 validates the folded chunk in a first pass.
     /// Returns the chunk's squared L2 quantization error, summed in
-    /// element order. On `Err` `coded` is folded and `residual` is
-    /// untouched.
+    /// element order. On a validation `Err` `coded` is folded and
+    /// `residual` is untouched.
     pub fn encode_feedback(
         &self,
         coded: &mut [f64],
@@ -550,15 +376,7 @@ impl AnyWireCodec {
         }
         reject_empty(coded)?;
         match self {
-            AnyWireCodec::F64(_) => {
-                feedback_fixed(coded, residual, out, F64Raw::narrow, f64::from_le_bytes)
-            }
-            AnyWireCodec::F32(_) => {
-                feedback_fixed(coded, residual, out, F32Narrow::narrow, F32Narrow::widen)
-            }
-            AnyWireCodec::Bf16(_) => {
-                feedback_fixed(coded, residual, out, Bf16::narrow, Bf16::widen)
-            }
+            AnyWireCodec::F64(_) => Ok(f64_feedback(coded, residual, out)),
             AnyWireCodec::Int8(_) => int8_feedback(coded, residual, out),
         }
     }
@@ -568,8 +386,6 @@ impl WireCodec for AnyWireCodec {
     fn encoding(&self) -> PayloadEncoding {
         match self {
             AnyWireCodec::F64(c) => c.encoding(),
-            AnyWireCodec::F32(c) => c.encoding(),
-            AnyWireCodec::Bf16(c) => c.encoding(),
             AnyWireCodec::Int8(c) => c.encoding(),
         }
     }
@@ -577,8 +393,6 @@ impl WireCodec for AnyWireCodec {
     fn encode_into(&self, src: &[f64], out: &mut Vec<u8>) -> Result<(), CommError> {
         match self {
             AnyWireCodec::F64(c) => c.encode_into(src, out),
-            AnyWireCodec::F32(c) => c.encode_into(src, out),
-            AnyWireCodec::Bf16(c) => c.encode_into(src, out),
             AnyWireCodec::Int8(c) => c.encode_into(src, out),
         }
     }
@@ -586,8 +400,6 @@ impl WireCodec for AnyWireCodec {
     fn decoded_len(&self, bytes: &[u8]) -> Result<usize, CommError> {
         match self {
             AnyWireCodec::F64(c) => c.decoded_len(bytes),
-            AnyWireCodec::F32(c) => c.decoded_len(bytes),
-            AnyWireCodec::Bf16(c) => c.decoded_len(bytes),
             AnyWireCodec::Int8(c) => c.decoded_len(bytes),
         }
     }
@@ -595,8 +407,6 @@ impl WireCodec for AnyWireCodec {
     fn decode_into(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CommError> {
         match self {
             AnyWireCodec::F64(c) => c.decode_into(bytes, out),
-            AnyWireCodec::F32(c) => c.decode_into(bytes, out),
-            AnyWireCodec::Bf16(c) => c.decode_into(bytes, out),
             AnyWireCodec::Int8(c) => c.decode_into(bytes, out),
         }
     }
@@ -604,8 +414,6 @@ impl WireCodec for AnyWireCodec {
     fn encoded_len(&self, n: usize) -> usize {
         match self {
             AnyWireCodec::F64(c) => c.encoded_len(n),
-            AnyWireCodec::F32(c) => c.encoded_len(n),
-            AnyWireCodec::Bf16(c) => c.encoded_len(n),
             AnyWireCodec::Int8(c) => c.encoded_len(n),
         }
     }
@@ -615,7 +423,7 @@ impl WireCodec for AnyWireCodec {
 mod tests {
     use super::*;
 
-    fn codecs() -> [AnyWireCodec; 4] {
+    fn codecs() -> [AnyWireCodec; 2] {
         PayloadEncoding::ALL.map(AnyWireCodec::for_encoding)
     }
 
@@ -703,49 +511,35 @@ mod tests {
     }
 
     #[test]
-    fn narrow_casts_propagate_non_finite_and_reject_overflow() {
+    fn f64_carries_non_finite_elements() {
+        // Unlike int8, the lossless baseline never rejects an element:
+        // NaN and infinities ship as they are, and the feedback residual
+        // they leave is `x − x`, NaN.
+        let src = [f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -0.0];
         let mut out = Vec::new();
-        let mut back = [0.0; 3];
-        F32Narrow
-            .encode_into(&[f64::NAN, f64::NEG_INFINITY, -0.0], &mut out)
+        let mut back = [0.0; 4];
+        F64Raw.encode_into(&src, &mut out).unwrap();
+        F64Raw.decode_into(&out, &mut back).unwrap();
+        for (a, b) in src.iter().zip(&back) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let mut coded = src;
+        let mut residual = [0.0; 4];
+        let err_sq = AnyWireCodec::F64(F64Raw)
+            .encode_feedback(&mut coded, &mut residual, &mut out)
             .unwrap();
-        F32Narrow.decode_into(&out, &mut back).unwrap();
-        assert!(back[0].is_nan());
-        assert_eq!(back[1], f64::NEG_INFINITY);
-        assert_eq!(back[2].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(
-            F32Narrow.encode_into(&[1e300], &mut out),
-            Err(CommError::OutOfRange { index: 0 })
-        );
-        assert_eq!(
-            Bf16.encode_into(&[0.5, 1e300], &mut out),
-            Err(CommError::OutOfRange { index: 1 })
-        );
-    }
-
-    #[test]
-    fn bf16_rounds_to_nearest_even() {
-        // 1.0 + 2^-8 sits exactly between bf16(1.0) and the next grid
-        // point 1.0078125; ties go to the even significand (1.0).
-        let mut out = Vec::new();
-        let mut back = [0.0; 1];
-        Bf16.encode_into(&[1.0 + 2f64.powi(-8)], &mut out).unwrap();
-        Bf16.decode_into(&out, &mut back).unwrap();
-        assert_eq!(back[0], 1.0);
-        // 1.0 + 3 * 2^-8 ties between 1.0078125 and 1.015625; even wins.
-        Bf16.encode_into(&[1.0 + 3.0 * 2f64.powi(-8)], &mut out)
-            .unwrap();
-        Bf16.decode_into(&out, &mut back).unwrap();
-        assert_eq!(back[0], 1.015625);
+        assert!(err_sq.is_nan());
+        assert!(residual[..3].iter().all(|r| r.is_nan()));
+        assert_eq!(residual[3].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn length_mismatch_is_typed() {
         let mut out = Vec::new();
-        F32Narrow.encode_into(&[1.0, 2.0], &mut out).unwrap();
+        F64Raw.encode_into(&[1.0, 2.0], &mut out).unwrap();
         let mut short = [0.0; 1];
         assert_eq!(
-            F32Narrow.decode_into(&out, &mut short),
+            F64Raw.decode_into(&out, &mut short),
             Err(CommError::LengthMismatch {
                 expected: 2,
                 got: 1
@@ -756,7 +550,7 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_typed() {
         assert!(matches!(
-            F32Narrow.decoded_len(&[0, 1, 2]),
+            F64Raw.decoded_len(&[0, 1, 2]),
             Err(CommError::Corrupt { .. })
         ));
         assert!(matches!(

@@ -16,26 +16,15 @@ pub enum PayloadEncoding {
     /// every peer speaks; lossless.
     #[default]
     F64 = 0,
-    /// Narrowed IEEE-754 `f32`, 4 bytes per element (~2x). Exact for
-    /// values representable in single precision; typed error on
-    /// finite overflow.
-    F32 = 1,
-    /// bfloat16 (top 16 bits of the `f32` representation,
-    /// round-to-nearest-even), 2 bytes per element (~4x).
-    Bf16 = 2,
     /// Per-chunk affine int8 quantization with deterministic rounding,
-    /// 1 byte per element plus a 16-byte chunk header (~8x).
+    /// 1 byte per element plus a 16-byte chunk header (~8x). Bytes 1
+    /// and 2 are retired and parse as unknown.
     Int8 = 3,
 }
 
 impl PayloadEncoding {
     /// Every encoding this build supports, baseline first.
-    pub const ALL: [PayloadEncoding; 4] = [
-        PayloadEncoding::F64,
-        PayloadEncoding::F32,
-        PayloadEncoding::Bf16,
-        PayloadEncoding::Int8,
-    ];
+    pub const ALL: [PayloadEncoding; 2] = [PayloadEncoding::F64, PayloadEncoding::Int8];
 
     /// The wire byte for this encoding.
     pub fn to_byte(self) -> u8 {
@@ -47,8 +36,6 @@ impl PayloadEncoding {
     pub fn from_byte(byte: u8) -> Option<PayloadEncoding> {
         match byte {
             0 => Some(PayloadEncoding::F64),
-            1 => Some(PayloadEncoding::F32),
-            2 => Some(PayloadEncoding::Bf16),
             3 => Some(PayloadEncoding::Int8),
             _ => None,
         }
@@ -57,19 +44,17 @@ impl PayloadEncoding {
     /// The non-default encodings a worker advertises in its `Hello`
     /// capability set (`F64` is implied and never advertised).
     pub fn advertised() -> Vec<u8> {
-        vec![
-            PayloadEncoding::F32.to_byte(),
-            PayloadEncoding::Bf16.to_byte(),
-            PayloadEncoding::Int8.to_byte(),
-        ]
+        PayloadEncoding::ALL
+            .into_iter()
+            .filter(|&e| e != PayloadEncoding::F64)
+            .map(PayloadEncoding::to_byte)
+            .collect()
     }
 
     /// Stable lower-case name (metric labels, logs, bench output).
     pub fn name(self) -> &'static str {
         match self {
             PayloadEncoding::F64 => "f64",
-            PayloadEncoding::F32 => "f32",
-            PayloadEncoding::Bf16 => "bf16",
             PayloadEncoding::Int8 => "int8",
         }
     }
@@ -90,7 +75,7 @@ mod tests {
         for enc in PayloadEncoding::ALL {
             assert_eq!(PayloadEncoding::from_byte(enc.to_byte()), Some(enc));
         }
-        for byte in 4u8..=255 {
+        for byte in [1, 2].into_iter().chain(4u8..=255) {
             assert_eq!(PayloadEncoding::from_byte(byte), None);
         }
     }

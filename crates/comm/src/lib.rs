@@ -7,8 +7,8 @@
 //! layer between a worker's coded scratch and the wire:
 //!
 //! - [`PayloadEncoding`] — the negotiated per-link wire format,
-//! - [`WireCodec`] and its backends [`F64Raw`], [`F32Narrow`],
-//!   [`Bf16`], [`Int8Quant`] (2x / 4x / ~8x smaller payloads),
+//! - [`WireCodec`] and its backends [`F64Raw`] and [`Int8Quant`]
+//!   (~8x smaller payloads),
 //! - [`AnyWireCodec`] — the runtime-selected codec the net layer holds;
 //!   [`AnyWireCodec::encode_feedback`] is the worker's whole lossy reply,
 //! - [`ErrorFeedback`] — the EF-SGD residual that call carries from round
@@ -30,7 +30,7 @@ mod feedback;
 #[cfg(test)]
 mod testing;
 
-pub use codec::{AnyWireCodec, Bf16, F32Narrow, F64Raw, Int8Quant, WireCodec};
+pub use codec::{AnyWireCodec, F64Raw, Int8Quant, WireCodec};
 pub use encoding::PayloadEncoding;
 pub use error::CommError;
 pub use feedback::ErrorFeedback;

@@ -4,7 +4,7 @@
 //! kept as the reference the shipped code must equal bit for bit: wire
 //! bytes, carried residual, `err_sq`, and the exact `Err`.
 
-use crate::codec::{bf16_to_f32, f32_to_bf16, AnyWireCodec, WireCodec};
+use crate::codec::{AnyWireCodec, WireCodec};
 use crate::encoding::PayloadEncoding;
 use crate::error::CommError;
 
@@ -22,30 +22,6 @@ pub(crate) fn encode_into(
             out.clear();
             for &x in src {
                 out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        PayloadEncoding::F32 => {
-            out.clear();
-            for (i, &x) in src.iter().enumerate() {
-                let narrow = x as f32;
-                if x.is_finite() && narrow.is_infinite() {
-                    return Err(CommError::OutOfRange { index: i });
-                }
-                out.extend_from_slice(&narrow.to_le_bytes());
-            }
-        }
-        PayloadEncoding::Bf16 => {
-            out.clear();
-            for (i, &x) in src.iter().enumerate() {
-                let narrow = x as f32;
-                if x.is_finite() && narrow.is_infinite() {
-                    return Err(CommError::OutOfRange { index: i });
-                }
-                let half = f32_to_bf16(narrow);
-                if x.is_finite() && bf16_to_f32(half).is_infinite() {
-                    return Err(CommError::OutOfRange { index: i });
-                }
-                out.extend_from_slice(&half.to_le_bytes());
             }
         }
         PayloadEncoding::Int8 => {
@@ -178,9 +154,9 @@ mod tests {
                     }
                 }
             }
-            // Two huge elements, beyond f32::MAX for the narrowing
-            // codecs. Opposite signs: `hi - lo` overflows f64, OutOfRange
-            // for int8. Same sign: a finite range whose sum overflows.
+            // Two huge elements. Opposite signs: `hi - lo` overflows
+            // f64, OutOfRange for int8. Same sign: a finite range whose
+            // sum overflows.
             3 => {
                 let (a, b) = (edge(&mut rng), edge(&mut rng));
                 v[a] = 1.5e308;
@@ -217,8 +193,7 @@ mod tests {
                     v[again] = f64::NAN;
                 }
             }
-            // Around the narrowing codecs' overflow boundaries: finite
-            // in f32 but not bf16, the f32 rounding boundary, beyond.
+            // Large finite magnitudes around `f32::MAX`.
             6 => {
                 let at = edge(&mut rng);
                 v[at] = [

@@ -102,16 +102,3 @@ fn int8_with_error_feedback_matches_f64_where_plain_int8_drifts() {
         "plain int8 (loss {plain}) should drift where EF (loss {ef}) holds"
     );
 }
-
-#[test]
-fn lossless_narrowing_needs_no_feedback_at_this_scale() {
-    // F32 narrowing is so far inside the descent's noise floor that the
-    // plain (no-EF) run already matches f64 to 1e-6 — the per-link
-    // default the negotiation falls back to is safe without EF state.
-    let exact = run(AnyWireCodec::for_encoding(PayloadEncoding::F64), false);
-    let narrow = run(AnyWireCodec::for_encoding(PayloadEncoding::F32), false);
-    assert!(
-        (narrow - exact).abs() < 1e-6,
-        "f32 narrowing loss {narrow} strays from f64 loss {exact}"
-    );
-}

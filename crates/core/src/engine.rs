@@ -11,19 +11,16 @@
 //!   with a model it runs real SGD (the paper's Fig. 4), without one it is
 //!   the timing-only engine of Figs. 2, 3, 5 and of the static-vs-adaptive
 //!   drift comparison (`gradient: None`);
-//! * [`SimSspEngine`] — the event-driven SSP scheduler, in two flavours:
-//!   the classic uncoded per-worker-update baseline
-//!   ([`SimSspEngine::shard`], the paper's Fig. 4 SSP curve) and — new —
-//!   coded bounded-asynchrony rounds with real codec decoding
-//!   ([`SimSspEngine::coded`]), where an intact group or an approximate
-//!   fallback completes a round before every worker reports;
+//! * [`SimSspEngine`] — the event-driven SSP scheduler running the
+//!   classic uncoded per-worker-update baseline
+//!   ([`SimSspEngine::shard`], the paper's Fig. 4 SSP curve);
 //! * [`ClusterEngine`] — the wall-clock master (`hetgc_runtime::Master`)
 //!   over whichever transport its cluster runs on: [`ThreadedEngine`] is
 //!   one OS thread per worker (`hetgc_runtime::ThreadedCluster`),
 //!   `hetgc-net`'s `SocketEngine` is TCP worker processes.
 //!
-//! All three hand the *same* decision to the *same* code when an exact
-//! decode does not materialize: the
+//! The two coded engines ([`SimBspEngine`] and [`ClusterEngine`]) ask the
+//! *same* code what to do when an exact decode does not materialize: the
 //! [`hetgc_coding::EscalationPolicy`] ladder (Exact → Group → Approx)
 //! compiled into an [`EscalatingCodec`].
 //!
@@ -304,8 +301,8 @@ pub fn combined_step_scale(
     1.0 / (1.0 + decode_relative.max(0.0) + wire_error / gradient_norm)
 }
 
-/// The data plane of one simulated round's decoded gradient, shared by
-/// the BSP and coded-SSP engines. The master decodes `Σ_w a_w g̃_w` from
+/// The data plane of one simulated round's decoded gradient, held by
+/// the BSP engine. The master decodes `Σ_w a_w g̃_w` from
 /// coded results `g̃_w = Σ_j B_wj g_j`; holding `B` and every partition in
 /// one process, the simulator applies the plan to `B` instead and folds
 /// each partition once, `Σ_j c_j g_j` with `c = aᵀB`. That reassociates
@@ -720,52 +717,21 @@ fn bsp_samples(
 
 // ------------------------------------------------------------- SSP (sim)
 
-// One engine holds exactly one mode for a whole run; the size skew
-// between variants is irrelevant next to the model/dataset it borrows.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SspMode {
-    /// The classic uncoded SSP baseline: each event applies one worker's
-    /// shard gradient computed on the parameters that worker last saw.
-    Shard {
-        ranges: Vec<(usize, usize)>,
-        snapshots: Vec<Vec<f64>>,
-        last_worker: Option<usize>,
-        /// Per-worker iteration times (compute + comm), the telemetry
-        /// view of one shard pass.
-        iter_times: Vec<f64>,
-    },
-    /// Coded bounded-asynchrony rounds: events stream into a codec
-    /// session; the round completes at the earliest decodable arrival set
-    /// (or escalates once every live worker has reported).
-    Coded {
-        codec: EscalatingCodec,
-        session: CodecSession,
-        plane: CodedPlane,
-        live: Vec<usize>,
-        reported: Vec<bool>,
-        pool_mark: (u64, u64),
-        /// Iteration time per *live* worker (aligned with `live`).
-        iter_times: Vec<f64>,
-        work_per_partition: f64,
-    },
-}
-
 /// The event-driven SSP engine (Ho et al., the paper's \[17\]) as a
-/// [`RoundEngine`]. See [`SimSspEngine::shard`] for the paper's uncoded
-/// baseline and [`SimSspEngine::coded`] for the coded variant with real
-/// codec decoding — including approximate escalation, which lets an SSP
-/// run complete where exact-only decoding stalls on dead workers.
+/// [`RoundEngine`]: the paper's uncoded baseline, built by
+/// [`SimSspEngine::shard`].
 #[derive(Debug)]
 pub struct SimSspEngine<'a, M: Model + ?Sized> {
     engine: SspEngine,
     model: &'a M,
     data: &'a Dataset,
-    label: String,
     last_time: f64,
-    mode: SspMode,
-    /// Flight recorder, when the driver attached one.
-    recorder: Option<Recorder>,
+    ranges: Vec<(usize, usize)>,
+    snapshots: Vec<Vec<f64>>,
+    last_worker: Option<usize>,
+    /// Per-worker iteration times (compute + comm), the telemetry view of
+    /// one shard pass.
+    iter_times: Vec<f64>,
 }
 
 impl<'a, M: Model + ?Sized> SimSspEngine<'a, M> {
@@ -799,115 +765,30 @@ impl<'a, M: Model + ?Sized> SimSspEngine<'a, M> {
             })
             .collect();
         let engine = SspEngine::new(iter_times.clone(), staleness)?;
-        let ranges: Vec<(usize, usize)> = assignment.iter().collect();
         Ok(SimSspEngine {
             engine,
             model,
             data,
-            label: "ssp".to_owned(),
             last_time: 0.0,
-            mode: SspMode::Shard {
-                ranges,
-                snapshots: Vec::new(),
-                last_worker: None,
-                iter_times,
-            },
-            recorder: None,
+            ranges: assignment.iter().collect(),
+            snapshots: Vec::new(),
+            last_worker: None,
+            iter_times,
         })
-    }
-
-    /// Coded SSP: workers hold the scheme's coded partitions and report
-    /// asynchronously under the staleness gate; the master streams
-    /// arrivals into a codec session and completes a round at the
-    /// *earliest decodable* arrival set — an intact group decodes long
-    /// before every worker reports, and once every live worker has
-    /// reported without an exact decode the escalation `policy` ladder is
-    /// consulted (this is what lets a run with `failed` workers beyond
-    /// the straggler budget keep training where exact-only decoding
-    /// stalls).
-    ///
-    /// The round's gradient is computed at the round's parameters
-    /// (bounded-asynchrony collect semantics); staleness shapes *timing*,
-    /// not the gradient math.
-    ///
-    /// # Errors
-    ///
-    /// Configuration mismatches (rates length, partitioning, every
-    /// worker failed) and backend compilation failures.
-    #[allow(clippy::too_many_arguments)] // a flat knob list mirrors the sim configs
-    pub fn coded(
-        scheme: &SchemeInstance,
-        model: &'a M,
-        data: &'a Dataset,
-        rates: &[f64],
-        staleness: usize,
-        cfg: &SimTrainConfig,
-        policy: EscalationPolicy,
-        failed: &[usize],
-    ) -> Result<Self, BoxError> {
-        let base = scheme.compile_backend(cfg.backend)?;
-        let codec = EscalatingCodec::new(base, policy);
-        let m = codec.workers();
-        let k = codec.partitions();
-        if rates.len() != m {
-            return Err(format!("rates len {} != m={m}", rates.len()).into());
-        }
-        let plane = CodedPlane::new(data.len(), k)?;
-        let work_per_partition = data.len() as f64 / k as f64;
-        let comm = cfg.network.transfer_time(cfg.payload_bytes);
-        let live: Vec<usize> = (0..m).filter(|w| !failed.contains(w)).collect();
-        if live.is_empty() {
-            return Err("every worker failed".into());
-        }
-        let iter_times: Vec<f64> = live
-            .iter()
-            .map(|&w| codec.load_of(w) as f64 * work_per_partition / rates[w] + comm)
-            .collect();
-        let engine = SspEngine::new(iter_times.clone(), staleness)?;
-        let session = codec.session();
-        Ok(SimSspEngine {
-            engine,
-            model,
-            data,
-            label: "ssp-coded".to_owned(),
-            last_time: 0.0,
-            mode: SspMode::Coded {
-                codec,
-                session,
-                plane,
-                live,
-                reported: vec![false; m],
-                pool_mark: (0, 0),
-                iter_times,
-                work_per_partition,
-            },
-            recorder: None,
-        })
-    }
-
-    /// The underlying scheduler's per-worker progress counters.
-    pub fn progress(&self) -> &[usize] {
-        self.engine.progress()
     }
 }
 
 impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
     fn workers(&self) -> usize {
-        match &self.mode {
-            SspMode::Shard { ranges, .. } => ranges.len(),
-            SspMode::Coded { codec, .. } => codec.workers(),
-        }
+        self.ranges.len()
     }
 
     fn partitions(&self) -> usize {
-        match &self.mode {
-            SspMode::Shard { ranges, .. } => ranges.len(),
-            SspMode::Coded { codec, .. } => codec.partitions(),
-        }
+        self.ranges.len()
     }
 
     fn label(&self) -> &str {
-        &self.label
+        "ssp"
     }
 
     fn round(
@@ -916,156 +797,50 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
         params: &[f64],
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
-        match &mut self.mode {
-            SspMode::Shard {
-                ranges,
-                snapshots,
-                last_worker,
-                iter_times,
-            } => {
-                if snapshots.is_empty() {
-                    // First round: every worker starts from the initial
-                    // parameters.
-                    *snapshots = vec![params.to_vec(); ranges.len()];
-                }
-                let Some(event) = self.engine.next_event() else {
-                    return Ok(EngineRound::failed(true));
-                };
-                let w = event.worker;
-                let (lo, hi) = ranges[w];
-                let gradient = self.model.gradient(&snapshots[w], self.data, (lo, hi));
-                *last_worker = Some(w);
-                let elapsed = event.time - self.last_time;
-                self.last_time = event.time;
-                let samples = vec![RoundSample::completed(
-                    w,
-                    (hi - lo) as f64,
-                    iter_times[w],
-                    elapsed,
-                )];
-                Ok(EngineRound {
-                    elapsed: Some(elapsed),
-                    at: Some(event.time),
-                    gradient: Some(gradient),
-                    residual: 0.0,
-                    error_bound: None,
-                    results_used: 1,
-                    busy: Vec::new(),
-                    samples,
-                    alloc_bytes: 0,
-                    pool_hits: 0,
-                    bytes_sent: 0,
-                    bytes_received: 0,
-                    wire_error: 0.0,
-                    bytes_saved: 0,
-                    stop: false,
-                })
-            }
-            SspMode::Coded {
-                codec,
-                session,
-                plane,
-                live,
-                reported,
-                pool_mark,
-                iter_times,
-                work_per_partition,
-            } => {
-                let round_start = self.last_time;
-                let mut samples: Vec<RoundSample> = Vec::with_capacity(live.len());
-                let live_count = live.len();
-                let mut reported_count = 0;
-                // `Some` when the escalation ladder decoded the round;
-                // otherwise the plan is borrowed from the session's slot.
-                let (fallback, at) = loop {
-                    let Some(event) = self.engine.next_event() else {
-                        return Ok(EngineRound::failed(true));
-                    };
-                    let w = live[event.worker];
-                    if reported[w] {
-                        continue; // already contributed to this round
-                    }
-                    reported[w] = true;
-                    reported_count += 1;
-                    if let Some(rec) = &self.recorder {
-                        rec.instant(Phase::Arrival, (w + 1) as u64);
-                    }
-                    samples.push(RoundSample::completed(
-                        w,
-                        codec.load_of(w) as f64 * *work_per_partition,
-                        iter_times[event.worker],
-                        event.time - round_start,
-                    ));
-                    if session.push_arrival(w)? {
-                        break (None, event.time);
-                    }
-                    if reported_count == live_count {
-                        // Every live worker has reported and no exact
-                        // decode exists: the shared escalation ladder is
-                        // the round's last chance.
-                        let survivors: Vec<usize> =
-                            (0..codec.workers()).filter(|&x| reported[x]).collect();
-                        match codec.fallback_plan(&survivors) {
-                            Some(plan) => break (Some(plan), event.time),
-                            None => {
-                                session.reset();
-                                reported.iter_mut().for_each(|r| *r = false);
-                                return Ok(EngineRound::failed(true));
-                            }
-                        }
-                    }
-                };
-
-                let plan = match &fallback {
-                    Some(plan) => plan,
-                    None => session.decoded_plan().expect("push_arrival decoded"),
-                };
-                let rec = self.recorder.as_ref();
-                let (gradient, error_bound) =
-                    plane.gradient(codec, plan, self.model, params, self.data, rec);
-                let (residual, results_used) = (plan.residual(), plan.len());
-                let elapsed = at - self.last_time;
-                self.last_time = at;
-                session.reset();
-                reported.iter_mut().for_each(|r| *r = false);
-                let (pool_hits, alloc_bytes) = pool_delta(session, pool_mark);
-                Ok(EngineRound {
-                    elapsed: Some(elapsed),
-                    at: Some(at),
-                    gradient: Some(gradient),
-                    residual,
-                    error_bound,
-                    results_used,
-                    busy: Vec::new(),
-                    samples,
-                    alloc_bytes,
-                    pool_hits,
-                    bytes_sent: 0,
-                    bytes_received: 0,
-                    wire_error: 0.0,
-                    bytes_saved: 0,
-                    stop: false,
-                })
-            }
+        if self.snapshots.is_empty() {
+            // First round: every worker starts from the initial
+            // parameters.
+            self.snapshots = vec![params.to_vec(); self.ranges.len()];
         }
-    }
-
-    fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
+        let Some(event) = self.engine.next_event() else {
+            return Ok(EngineRound::failed(true));
+        };
+        let w = event.worker;
+        let (lo, hi) = self.ranges[w];
+        let gradient = self.model.gradient(&self.snapshots[w], self.data, (lo, hi));
+        self.last_worker = Some(w);
+        let elapsed = event.time - self.last_time;
+        self.last_time = event.time;
+        let samples = vec![RoundSample::completed(
+            w,
+            (hi - lo) as f64,
+            self.iter_times[w],
+            elapsed,
+        )];
+        Ok(EngineRound {
+            elapsed: Some(elapsed),
+            at: Some(event.time),
+            gradient: Some(gradient),
+            residual: 0.0,
+            error_bound: None,
+            results_used: 1,
+            busy: Vec::new(),
+            samples,
+            alloc_bytes: 0,
+            pool_hits: 0,
+            bytes_sent: 0,
+            bytes_received: 0,
+            wire_error: 0.0,
+            bytes_saved: 0,
+            stop: false,
+        })
     }
 
     fn after_step(&mut self, params: &[f64]) {
-        if let SspMode::Shard {
-            snapshots,
-            last_worker,
-            ..
-        } = &mut self.mode
-        {
-            if let Some(w) = last_worker.take() {
-                // The worker immediately begins its next iteration on the
-                // params it now observes.
-                snapshots[w] = params.to_vec();
-            }
+        if let Some(w) = self.last_worker.take() {
+            // The worker immediately begins its next iteration on the
+            // params it now observes.
+            self.snapshots[w] = params.to_vec();
         }
     }
 }
@@ -1153,12 +928,6 @@ impl<C> ClusterEngine<C> {
     /// The underlying cluster.
     pub fn cluster(&self) -> &C {
         &self.cluster
-    }
-
-    /// The underlying cluster, mutably — for pre-run wiring
-    /// (`Master::attach_codec_metrics`, timeouts).
-    pub fn cluster_mut(&mut self) -> &mut C {
-        &mut self.cluster
     }
 
     /// How many times [`RoundEngine::recode`] installed a rebuilt code.
@@ -1626,77 +1395,6 @@ mod tests {
             }
         }
         assert!(approximate > 0, "no approximate plan was exercised");
-    }
-
-    #[test]
-    fn coded_ssp_rounds_fold_the_plan_they_decode() {
-        use hetgc_coding::CodecBackend;
-
-        let cluster = ClusterSpec::from_vcpu_rows("ssp", &[(5, 2)], 100.0).unwrap();
-        let rates = cluster.throughputs();
-        let mut rng = StdRng::seed_from_u64(14);
-        let data = synthetic::linear_regression(100, 3, 0.02, &mut rng);
-        let model = LinearRegression::new(3);
-        let scheme = SchemeBuilder::new(&cluster, 1)
-            .build(SchemeKind::HeterAware, &mut rng)
-            .unwrap();
-        let cfg = SimTrainConfig {
-            backend: CodecBackend::Approx,
-            ..SimTrainConfig::default()
-        };
-        let staleness = 2;
-        let params = model.init_params(&mut rng);
-        // No failure: exact rounds. Two dead workers with s = 1: every
-        // round escalates to an approximate plan.
-        for failed in [vec![], vec![0, 2]] {
-            let policy = EscalationPolicy::follow_backend();
-            let mut engine = SimSspEngine::coded(
-                &scheme, &model, &data, &rates, staleness, &cfg, policy, &failed,
-            )
-            .unwrap();
-            // Replay the engine's event stream on a twin scheduler and
-            // session to learn which plan each round decodes.
-            let SspMode::Coded {
-                codec,
-                plane,
-                live,
-                iter_times,
-                ..
-            } = &engine.mode
-            else {
-                unreachable!("coded engine");
-            };
-            let (codec, live, ranges) = (codec.clone(), live.clone(), plane.ranges.clone());
-            let mut events = SspEngine::new(iter_times.clone(), staleness).unwrap();
-            let mut session = codec.session();
-            let m = codec.workers();
-            for round in 1..=6 {
-                let mut reported = vec![false; m];
-                let plan = loop {
-                    let w = live[events.next_event().unwrap().worker];
-                    if std::mem::replace(&mut reported[w], true) {
-                        continue;
-                    }
-                    if session.push_arrival(w).unwrap() {
-                        break session.decoded_plan().unwrap().clone();
-                    }
-                    if live.iter().all(|&x| reported[x]) {
-                        let survivors: Vec<usize> = (0..m).filter(|&x| reported[x]).collect();
-                        break codec.fallback_plan(&survivors).unwrap();
-                    }
-                };
-                session.reset();
-                let er = engine.round(round, &params, &mut rng).unwrap();
-                assert_eq!(er.residual.to_bits(), plan.residual().to_bits());
-                assert_eq!(failed.is_empty(), plan.residual() == 0.0);
-                let expected = block_decoded(&codec, &plan, &model, &params, &data, &ranges);
-                assert_folds_like_the_block_decode(
-                    (er.gradient.as_deref().unwrap(), er.error_bound),
-                    (&expected.0, expected.1),
-                    &format!("ssp round {round}, failed {failed:?}"),
-                );
-            }
-        }
     }
 
     #[test]

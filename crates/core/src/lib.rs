@@ -14,8 +14,8 @@
 //!   scheme for a [`ClusterSpec`], with optional estimation noise.
 //! * [`TrainDriver`] + [`RoundEngine`] — **the** training loop: one
 //!   round-driver serving the simulated BSP engine ([`SimBspEngine`]),
-//!   the SSP event stream ([`SimSspEngine`], uncoded baseline or coded
-//!   rounds), and the real threaded runtime ([`ThreadedEngine`]), all
+//!   the SSP event stream ([`SimSspEngine`], the uncoded baseline), and
+//!   the real threaded runtime ([`ThreadedEngine`]), all
 //!   emitting one unified [`TrainOutcome`] / [`RoundRecord`] report with
 //!   per-round backend escalation ([`EscalationPolicy`]) and
 //!   residual-aware step scaling built in.

@@ -54,12 +54,6 @@ impl SchemeKind {
             SchemeKind::GroupBased => "group-based",
         }
     }
-
-    /// Whether the scheme uses the throughput estimates (the
-    /// heterogeneity-aware family) or ignores them (the uniform family).
-    pub fn is_heterogeneity_aware(self) -> bool {
-        matches!(self, SchemeKind::HeterAware | SchemeKind::GroupBased)
-    }
 }
 
 impl fmt::Display for SchemeKind {
@@ -291,8 +285,6 @@ mod tests {
         assert_eq!(format!("{}", SchemeKind::Naive), "naive");
         assert_eq!(SchemeKind::ALL.len(), 5);
         assert_eq!(SchemeKind::PAPER.len(), 4);
-        assert!(SchemeKind::GroupBased.is_heterogeneity_aware());
-        assert!(!SchemeKind::Cyclic.is_heterogeneity_aware());
     }
 
     #[test]

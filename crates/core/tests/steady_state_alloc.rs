@@ -20,7 +20,7 @@ use hetgc::{
     GradientCodec, LinearRegression, Model, PartitionAssignment,
 };
 use hetgc_comm::{AnyWireCodec, ErrorFeedback, PayloadEncoding, WireCodec};
-use hetgc_obs::{CodecMetrics, MetricsRegistry, Phase, Recorder};
+use hetgc_obs::{CodecMetrics, MetricValue, MetricsRegistry, Phase, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -201,7 +201,12 @@ fn steady_state_round_allocates_nothing_on_the_codec_hot_path() {
          ({bytes_obs} bytes) on the codec hot path"
     );
     assert_eq!(decoded, reference, "observed rounds must still agree");
-    assert_eq!(codec_metrics.hit_count(), 16);
+    assert_eq!(
+        registry
+            .snapshot()
+            .get("hetgc_plan_cache_hits_total", &[("codec", "steady")]),
+        Some(&MetricValue::Counter(16))
+    );
     assert!(
         recorder.recorded() >= 16 * 5,
         "recorder captured the rounds"

@@ -56,25 +56,6 @@ pub fn partial_gradients<M: Model + ?Sized>(
         .collect()
 }
 
-/// Sums gradients component-wise. Returns an empty vector for no inputs.
-///
-/// # Panics
-///
-/// Panics if the gradients have different lengths.
-pub fn sum_gradients(grads: &[Vec<f64>]) -> Vec<f64> {
-    let Some(first) = grads.first() else {
-        return Vec::new();
-    };
-    let mut acc = vec![0.0; first.len()];
-    for g in grads {
-        assert_eq!(g.len(), acc.len(), "gradient length mismatch");
-        for (a, v) in acc.iter_mut().zip(g) {
-            *a += v;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +73,12 @@ mod tests {
         let ranges = [(0usize, 5usize), (5, 12), (12, 20)];
         let partials = partial_gradients(&model, &params, &data, &ranges);
         assert_eq!(partials.len(), 3);
-        let total = sum_gradients(&partials);
+        let total = partials
+            .iter()
+            .fold(vec![0.0; model.num_params()], |mut acc, g| {
+                acc.iter_mut().zip(g).for_each(|(a, v)| *a += v);
+                acc
+            });
         let full = model.gradient(&params, &data, (0, 20));
         for (a, b) in total.iter().zip(&full) {
             assert!((a - b).abs() < 1e-10);
@@ -129,16 +115,5 @@ mod tests {
         block.row_mut(1)[0] = f64::NAN;
         partial_gradients_into(&model, &params, &data, &ranges, &mut block);
         assert_eq!(block.row(1), legacy[1].as_slice());
-    }
-
-    #[test]
-    fn sum_gradients_empty() {
-        assert!(sum_gradients(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn sum_gradients_ragged_panics() {
-        sum_gradients(&[vec![1.0], vec![1.0, 2.0]]);
     }
 }

@@ -893,6 +893,48 @@ mod tests {
     }
 
     #[test]
+    fn old_peers_advertising_retired_encodings_still_negotiate() {
+        // A peer built when bytes 1 and 2 were the f32 / bf16 encodings
+        // still advertises them. The master selects only what it asked
+        // for: the `[1, 2, 3]` peer is handshaken onto int8, the `[1, 2]`
+        // peer falls back to f64.
+        let (model, data) = fixture();
+        let listener = SocketListener::bind().expect("bind loopback");
+        let addr = listener.addr();
+        let mut peers: Vec<Connection> = [vec![1, 2, 3], vec![1, 2]]
+            .into_iter()
+            .map(|encodings| {
+                let mut conn = Connection::connect(addr).expect("connect");
+                conn.send(&Frame::Hello {
+                    version: VERSION,
+                    encodings,
+                })
+                .expect("hello");
+                conn
+            })
+            .collect();
+        let cluster = SocketCluster::start_encoded(
+            listener,
+            naive(2).expect("naive code"),
+            model,
+            ModelSpec::Linear { dim: DIM as u32 },
+            data,
+            &RuntimeConfig::nominal(2),
+            DEFAULT_CHUNK_LEN,
+            PayloadEncoding::Int8,
+        )
+        .expect("socket cluster start");
+        let expected = [PayloadEncoding::Int8, PayloadEncoding::F64];
+        assert_eq!(cluster.link_encodings(), expected);
+        for (peer, want) in peers.iter_mut().zip(expected) {
+            match peer.recv() {
+                Ok(Frame::Handshake(h)) => assert_eq!(h.encoding, want),
+                other => panic!("expected a handshake, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn late_joiners_are_taken_as_they_connect() {
         // The workers connect only after `start` has been polling for a
         // while, so the accept wait runs through its whole backoff.

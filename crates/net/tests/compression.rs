@@ -1,16 +1,16 @@
 //! Cross-encoding differential harness: the same training run over four
-//! real `hetgc-worker` processes under every negotiated payload
-//! encoding, compared against the full-width `f64` baseline.
+//! real `hetgc-worker` processes under `int8` and the full-width `f64`
+//! baseline, compared against each other.
 //!
 //! What this pins, end to end over real sockets:
 //!
 //! * negotiation — every link lands on the requested encoding (the
 //!   workers advertise it in their `Hello`), observable via
 //!   [`SocketCluster::link_encodings`];
-//! * fidelity — `F32Narrow` tracks the `f64` loss to 1e-6 and
-//!   `Int8Quant` **with error feedback** to 1e-3;
-//! * compression — per-link `bytes_received` drops by ≥ 1.8x (f32) and
-//!   ≥ 4x (int8) against the baseline run;
+//! * fidelity — `Int8Quant` **with error feedback** tracks the `f64`
+//!   loss to 1e-3;
+//! * compression — per-link `bytes_received` drops by ≥ 4x (int8)
+//!   against the baseline run;
 //! * reporting — the measured quantization error surfaces in each
 //!   lossy [`hetgc::RoundRecord`] (and its JSON), and stays exactly
 //!   absent from lossless runs.
@@ -80,52 +80,38 @@ fn run(encoding: PayloadEncoding) -> EncodedRun {
 #[test]
 fn quantized_links_compress_without_losing_the_trajectory() {
     let f64_run = run(PayloadEncoding::F64);
-    let f32_run = run(PayloadEncoding::F32);
     let int8_run = run(PayloadEncoding::Int8);
 
-    // Negotiation: the spawned workers advertise every lossy encoding,
-    // so each of the four links lands on exactly what was requested.
+    // Negotiation: the spawned workers advertise int8, so each of the
+    // four links lands on exactly what was requested.
     assert_eq!(f64_run.negotiated, vec![PayloadEncoding::F64; WORKERS]);
-    assert_eq!(f32_run.negotiated, vec![PayloadEncoding::F32; WORKERS]);
     assert_eq!(int8_run.negotiated, vec![PayloadEncoding::Int8; WORKERS]);
 
-    // All three runs actually trained.
-    for (label, r) in [("f64", &f64_run), ("f32", &f32_run), ("int8", &int8_run)] {
+    // Both runs actually trained.
+    for (label, r) in [("f64", &f64_run), ("int8", &int8_run)] {
         assert_eq!(r.outcome.rounds(), ROUNDS, "{label} run finished");
         let first = r.outcome.records.first().and_then(|rec| rec.loss).unwrap();
         let last = r.outcome.final_loss().unwrap();
         assert!(last < first, "{label}: no convergence ({first} -> {last})");
     }
 
-    // Fidelity: f32 narrowing is inside the 1e-6 envelope; int8 with
-    // worker-side error feedback holds the 1e-3 acceptance bound.
+    // Fidelity: int8 with worker-side error feedback holds the 1e-3
+    // acceptance bound.
     let base = f64_run.outcome.final_loss().unwrap();
-    let f32_loss = f32_run.outcome.final_loss().unwrap();
     let int8_loss = int8_run.outcome.final_loss().unwrap();
-    assert!(
-        (f32_loss - base).abs() < 1e-6 * (1.0 + base),
-        "f32 loss {f32_loss} strays from f64 loss {base}"
-    );
     assert!(
         (int8_loss - base).abs() < 1e-3 * (1.0 + base),
         "int8+EF loss {int8_loss} strays from f64 loss {base}"
     );
 
     // Compression: every link's total received bytes shrink by at least
-    // the per-codec floor (frame headers and round-control traffic are
+    // the int8 floor (frame headers and round-control traffic are
     // part of the measurement — this is real wire footprint, not payload
     // arithmetic).
     assert_eq!(f64_run.link_received.len(), WORKERS);
     for w in 0..WORKERS {
         let base_bytes = f64_run.link_received[w] as f64;
-        let f32_ratio = base_bytes / f32_run.link_received[w] as f64;
         let int8_ratio = base_bytes / int8_run.link_received[w] as f64;
-        assert!(
-            f32_ratio >= 1.8,
-            "link {w}: f32 saved only {f32_ratio:.2}x ({} -> {})",
-            f64_run.link_received[w],
-            f32_run.link_received[w]
-        );
         assert!(
             int8_ratio >= 4.0,
             "link {w}: int8 saved only {int8_ratio:.2}x ({} -> {})",
@@ -149,16 +135,6 @@ fn quantized_links_compress_without_losing_the_trajectory() {
         assert_eq!(rec.wire_error, 0.0);
         assert!(!rec.to_json().contains("wire_error"));
     }
-    // f32 is lossy in principle; its measured error must in any case be
-    // orders of magnitude below int8's.
-    let f32_err: f64 = f32_run.outcome.records.iter().map(|r| r.wire_error).sum();
-    let int8_err: f64 = int8_run.outcome.records.iter().map(|r| r.wire_error).sum();
-    assert!(int8_err > 0.0);
-    assert!(
-        f32_err < int8_err / 1e3,
-        "f32 cumulative error {f32_err} not well below int8's {int8_err}"
-    );
-
     // The quantized runs also gated their steps: a lossy round's step
     // scale dips below the lossless run's on the same round index.
     let gated = int8_run

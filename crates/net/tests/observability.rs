@@ -99,7 +99,7 @@ fn start_cluster(
     model: &Arc<LinearRegression>,
     data: &Arc<hetgc::Dataset>,
     config: &RuntimeConfig,
-) -> Result<(SocketEngine<LinearRegression>, WorkerFleet), NetError> {
+) -> Result<(SocketCluster<LinearRegression>, WorkerFleet), NetError> {
     let listener = SocketListener::bind()?;
     let addr = listener.addr().to_string();
     let fleet = WorkerFleet::spawn(env!("CARGO_BIN_EXE_hetgc-worker"), &addr, WORKERS)?;
@@ -111,7 +111,7 @@ fn start_cluster(
         Arc::clone(data),
         config,
     )?;
-    Ok((SocketEngine::new(cluster), fleet))
+    Ok((cluster, fleet))
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn socket_training_exposes_live_metrics_and_trace() {
         shared_plans: Some(Arc::clone(&cache)),
         ..RuntimeConfig::nominal(WORKERS)
     };
-    let (mut engine, _fleet) = start_cluster(&model, &data, &config).expect("cluster up");
+    let (mut cluster, _fleet) = start_cluster(&model, &data, &config).expect("cluster up");
 
     // The full observability stack: registry + flight recorder, codec
     // metric handles on the decode path, and a refresh hook that
@@ -132,10 +132,11 @@ fn socket_training_exposes_live_metrics_and_trace() {
     // at scrape time.
     let registry = MetricsRegistry::new();
     let recorder = Recorder::new(4096);
-    engine.cluster_mut().attach_codec_metrics(
+    cluster.attach_codec_metrics(
         CodecMetrics::new(&registry, "socket").with_recorder(recorder.clone()),
     );
-    let links: Vec<LinkStats> = engine.cluster().link_stats();
+    let links: Vec<LinkStats> = cluster.link_stats();
+    let mut engine = SocketEngine::new(cluster);
     assert_eq!(links.len(), WORKERS);
     let refresh = {
         let registry = registry.clone();

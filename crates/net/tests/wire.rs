@@ -33,7 +33,7 @@ fn handshake() -> impl Strategy<Value = Handshake> {
         f64s(6),
         (any::<u64>(), any::<bool>(), finite(), any::<bool>()),
         (f64s(24), 1u32..8, any::<bool>()),
-        0u8..4,
+        0..PayloadEncoding::ALL.len(),
     )
         .prop_map(
             |(
@@ -72,7 +72,7 @@ fn handshake() -> impl Strategy<Value = Handshake> {
                         ModelSpec::Linear { dim: num_params }
                     },
                     dataset: DatasetSpec { x, targets, dim },
-                    encoding: PayloadEncoding::from_byte(encoding).expect("0..4 are all known"),
+                    encoding: PayloadEncoding::ALL[encoding],
                 }
             },
         )
@@ -85,7 +85,7 @@ fn frame() -> impl Strategy<Value = Frame> {
         (any::<u64>(), 0u32..64, 0u32..1024, 1u32..2048),
         f64s(32),
         ranges(6),
-        (finite(), any::<bool>(), 0u8..4),
+        (finite(), any::<bool>(), 0..PayloadEncoding::ALL.len()),
         handshake(),
     )
         .prop_map(|(which, ints, data, rs, (x, some, enc), h)| {
@@ -123,7 +123,7 @@ fn frame() -> impl Strategy<Value = Frame> {
                     worker,
                     offset,
                     total,
-                    encoding: PayloadEncoding::from_byte(enc).expect("0..4 are all known"),
+                    encoding: PayloadEncoding::ALL[enc],
                     bytes: data.iter().map(|&v| v.to_bits() as u8).collect(),
                 },
                 _ => Frame::Handshake(h),
@@ -386,18 +386,22 @@ fn unknown_chunk_encoding_is_typed() {
         worker: 0,
         offset: 0,
         total: 4,
-        encoding: PayloadEncoding::Bf16,
-        bytes: vec![0xAA, 0xBB],
+        encoding: PayloadEncoding::Int8,
+        bytes: vec![0xAA; 17],
     }
     .encode();
     // Payload layout: seq(8) worker(4) offset(4) total(4) encoding(1).
     let idx = HEADER_LEN + 8 + 4 + 4 + 4;
-    assert_eq!(raw[idx], PayloadEncoding::Bf16.to_byte());
-    raw[idx] = 0x7f;
-    assert_eq!(
-        Frame::decode(&raw).unwrap_err(),
-        WireError::UnknownEncoding { value: 0x7f }
-    );
+    assert_eq!(raw[idx], PayloadEncoding::Int8.to_byte());
+    // 1 and 2 are the retired f32 / bf16 bytes: a chunk from a peer
+    // that still sends them is as unknown as any other byte.
+    for value in [1, 2, 0x7f] {
+        raw[idx] = value;
+        assert_eq!(
+            Frame::decode(&raw).unwrap_err(),
+            WireError::UnknownEncoding { value }
+        );
+    }
 }
 
 #[test]

@@ -205,16 +205,6 @@ impl CodecMetrics {
         self.solves.inc();
         self.solve_seconds.observe(seconds);
     }
-
-    /// The hit count (for tests).
-    pub fn hit_count(&self) -> u64 {
-        self.hits.value()
-    }
-
-    /// The solve count (for tests).
-    pub fn solve_count(&self) -> u64 {
-        self.solves.value()
-    }
 }
 
 #[cfg(test)]
@@ -275,9 +265,16 @@ mod tests {
         m.hit();
         m.miss();
         m.solved(0.002);
-        assert_eq!(m.hit_count(), 2);
-        assert_eq!(m.solve_count(), 1);
         let snap = reg.snapshot();
+        let labels = &[("codec", "exact")];
+        assert_eq!(
+            snap.get("hetgc_plan_cache_hits_total", labels),
+            Some(&MetricValue::Counter(2))
+        );
+        assert_eq!(
+            snap.get("hetgc_plan_solves_total", labels),
+            Some(&MetricValue::Counter(1))
+        );
         assert_eq!(
             snap.get("hetgc_plan_cache_misses_total", &[("codec", "exact")]),
             Some(&MetricValue::Counter(1))

@@ -757,8 +757,9 @@ mod tests {
     #[test]
     fn codec_metrics_follow_the_codec_across_a_recode() {
         let mut rig = Rig::new(5, deadline(1, CodecBackend::Approx));
-        let metrics = hetgc_obs::CodecMetrics::new(&hetgc_obs::MetricsRegistry::new(), "rig");
-        rig.master.attach_codec_metrics(metrics.clone());
+        let registry = hetgc_obs::MetricsRegistry::new();
+        rig.master
+            .attach_codec_metrics(hetgc_obs::CodecMetrics::new(&registry, "rig"));
         // Two of five rows cannot decode an s = 1 code: each round
         // escalates at the deadline, which is one ridge solve.
         let escalated_round = |rig: &mut Rig, seq: u64| {
@@ -766,7 +767,13 @@ mod tests {
             rig.reply(0, seq, 0.01);
             rig.reply(1, seq, 0.01);
             assert!(rig.master.collect().unwrap().expect("decoded").residual > 0.0);
-            metrics.solve_count()
+            match registry
+                .snapshot()
+                .get("hetgc_plan_solves_total", &[("codec", "rig")])
+            {
+                Some(&hetgc_obs::MetricValue::Counter(solves)) => solves,
+                other => panic!("no solve counter: {other:?}"),
+            }
         };
         assert_eq!(escalated_round(&mut rig, 1), 1);
         let code = heter_aware(&[1.0; 5], 5, 1, &mut StdRng::seed_from_u64(10)).unwrap();

@@ -89,11 +89,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// The timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -138,11 +133,11 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.push(5.0, ());
-        assert_eq!(q.peek_time(), Some(5.0));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((5.0, ())));
     }
 
     #[test]

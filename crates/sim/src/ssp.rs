@@ -152,11 +152,13 @@ mod tests {
     /// Runs `ssp` until `horizon` seconds, collecting events.
     fn run_until(ssp: &mut SspEngine, horizon: f64) -> Vec<SspEvent> {
         let mut events = Vec::new();
-        while ssp.queue.peek_time().is_some_and(|t| t <= horizon) {
-            match ssp.next_event() {
-                Some(ev) => events.push(ev),
-                None => break,
-            }
+        // A copy of the engine peeks at the next event without taking it.
+        while ssp
+            .clone()
+            .next_event()
+            .is_some_and(|ev| ev.time <= horizon)
+        {
+            events.push(ssp.next_event().expect("the copy saw one"));
         }
         events
     }

@@ -11,7 +11,7 @@
 //! ```text
 //!             ┌────────────────────────────────────────────────┐
 //!             │                 RoundEngine                    │
-//!   rounds ──▶│  (sim-BSP, coded-SSP, threaded runtime)        │──▶ RoundSample*
+//!   rounds ──▶│  (sim-BSP, SSP, threaded runtime)              │──▶ RoundSample*
 //!             └────────────────────────────────────────────────┘        │
 //!        ▲ set_deadline / recode                                        ▼
 //!        │                                                    ┌──────────────────┐
@@ -41,7 +41,7 @@
 //!
 //! This crate sits *below* the training stack on purpose: it knows
 //! workers, rates and rounds — not schemes, codecs or engines — so every
-//! execution path (simulated BSP, coded SSP, the threaded runtime) can
+//! execution path (simulated BSP, SSP, the threaded runtime) can
 //! feed it without layering cycles.
 
 #![forbid(unsafe_code)]
