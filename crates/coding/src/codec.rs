@@ -390,12 +390,10 @@ pub trait GradientCodec {
     /// on answers with the ridge-stabilized least-squares row of
     /// `approximate_decode`,
     /// whose [`DecodePlan::residual`] reports the decode error bound.
-    /// Callers invoke it once no exact decode exists for the workers they
-    /// are still willing to wait for — the BSP simulator after *all*
-    /// reachable workers have reported, the threaded runtime at its
-    /// iteration timeout (or when every worker hung up), where `survivors`
-    /// may be only the subset that reported in time. Implementations must
-    /// not assume `survivors` is the complete live-worker set.
+    /// [`crate::collect_round`] asks it once per undecoded round, at the
+    /// deadline or when no more results can come, so `survivors` may be
+    /// only the subset that reported in time. Implementations must not
+    /// assume `survivors` is the complete live-worker set.
     fn fallback_plan(&self, _survivors: &[usize]) -> Option<DecodePlan> {
         None
     }
@@ -558,6 +556,11 @@ impl CodecSession {
     /// Results received so far this round.
     pub fn received(&self) -> usize {
         self.arrivals.len()
+    }
+
+    /// The workers received so far this round, in arrival order.
+    pub(crate) fn arrivals(&self) -> &[usize] {
+        &self.arrivals
     }
 
     /// Current rank of the received rows.

@@ -1,38 +1,29 @@
-//! Per-round backend escalation: one shared decision point for every
-//! consumer that must answer *"the exact decode did not materialize —
-//! now what?"*.
+//! The one round decision, [`collect_round`]: the simulator and the
+//! wall-clock master differ only in the clock that feeds it arrivals and
+//! ends them at the deadline. A round ends [`RoundEnd::Exact`] the moment
+//! its arrivals decode. A round not decoded by its deadline, or once no
+//! more results can come, asks the fallback once over the arrivals it
+//! holds: [`RoundEnd::Escalated`] when it accepts, [`RoundEnd::Stalled`]
+//! when it declines. A master cannot tell a straggler from a dead worker,
+//! so no other rule terminates without knowing which workers are alive.
 //!
-//! Before this module, that decision was duplicated: the BSP simulator
-//! invoked [`GradientCodec::fallback_plan`] ad hoc at the end of a round,
-//! and the threaded runtime re-implemented the same call at its iteration
-//! timeout. [`EscalationPolicy`] centralizes the *decision* (how far up
-//! the ladder a round may climb, under what residual budget, after what
-//! deadline) and [`EscalatingCodec`] packages it with a concrete codec so
-//! both execution paths — simulated and threaded — share the identical
-//! fallback code.
-//!
-//! # The ladder
-//!
-//! A round escalates through the backends in a fixed order:
+//! [`EscalationPolicy`] says how far up the ladder a round may climb,
+//! under what residual budget, after what deadline, and
+//! [`EscalatingCodec`] wires it onto a codec:
 //!
 //! 1. **Exact** — the streaming [`CodecSession`] decodes at the earliest
 //!    decodable prefix (always active).
 //! 2. **Group** — the same session short-circuits the moment a tracked
-//!    group is intact (active whenever the codec has its intact-group
-//!    stage on; it never *adds* decodability, it only completes rounds
-//!    sooner).
-//! 3. **Approx** — when no exact decode exists for the workers the caller
-//!    is still willing to wait for, the ridge-stabilized least-squares
-//!    row rescues the round with a bounded-error plan. With a ceiling of
-//!    [`CodecBackend::Approx`] this stage is available *even when the
-//!    codec was compiled exact or group-aware*: [`EscalatingCodec::new`]
-//!    switches the codec's approximate stage on in place — same compile,
-//!    same session — so escalation happens inside a single round.
+//!    group is intact (when the codec has its intact-group stage on; it
+//!    never *adds* decodability, it only completes rounds sooner).
+//! 3. **Approx** — the ridge-stabilized least-squares row rescues an
+//!    undecoded round with a bounded-error plan. A
+//!    [`CodecBackend::Approx`] ceiling switches this stage on in place
+//!    even on a codec compiled exact or group-aware.
 //!
 //! The ladder is monotone: raising the ceiling never makes a round less
-//! decodable, and the approximate stage is consulted only after exact
-//! decoding has been exhausted (a decodable survivor set always yields a
-//! zero-residual plan).
+//! decodable, and a decodable survivor set always yields a zero-residual
+//! plan.
 
 use std::time::Duration;
 
@@ -124,20 +115,12 @@ impl EscalationPolicy {
         self
     }
 
-    /// Sets the deadline after which the master stops waiting for an
-    /// exact decode and escalates with whatever arrived — the one round
-    /// deadline of the wall-clock master and of the simulator (which reads
-    /// it as simulated seconds).
+    /// Sets the deadline after which a round not yet decoded asks the
+    /// fallback once and otherwise stalls — wall-clock on the master,
+    /// simulated seconds in the simulator.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Replaces the deadline in place (`None` clears it) — the hook the
-    /// adaptive `DeadlineController` uses to feed a *learned* deadline
-    /// into the policy each round instead of a static knob.
-    pub fn update_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
     }
 
     /// The configured ceiling.
@@ -172,12 +155,8 @@ impl EscalationPolicy {
 /// A codec with the escalation ladder wired on: the codec's own stages
 /// serve the exact, group and approximate rungs, and the policy decides
 /// whether — and under what residual budget — a round may reach the last.
-///
 /// Implements [`GradientCodec`] by delegation, overriding only
-/// [`GradientCodec::fallback_plan`] with the policy decision, so it drops
-/// into every consumer of the trait (the BSP simulator's end-of-round and
-/// deadline hooks, the wall-clock master's timeout path) unchanged: both
-/// paths share this single piece of fallback code.
+/// [`GradientCodec::fallback_plan`] with the policy decision.
 #[derive(Debug, Clone)]
 pub struct EscalatingCodec {
     codec: CompiledCodec,
@@ -210,6 +189,18 @@ impl EscalatingCodec {
     /// allows it and the codec has the stage on).
     pub fn can_escalate(&self) -> bool {
         !self.policy.exact_only_ceiling() && self.codec.max_residual().is_some()
+    }
+
+    /// Installs every engine's learned deadline, `seconds` from round
+    /// start. Ignores a non-finite or non-positive value, and any value
+    /// unless [`EscalatingCodec::can_escalate`]: a deadline the ladder
+    /// cannot act on would turn slow rounds into stalled ones.
+    pub fn set_deadline(&mut self, seconds: f64) {
+        if seconds > 0.0 && self.can_escalate() {
+            if let Ok(deadline) = Duration::try_from_secs_f64(seconds) {
+                self.policy.deadline = Some(deadline);
+            }
+        }
     }
 
     /// Attaches the fleet-wide plan cache to the codec, so escalated
@@ -271,6 +262,43 @@ impl GradientCodec for EscalatingCodec {
         let plan = self.codec.fallback_plan(survivors)?;
         self.policy.admits(&plan).then_some(plan)
     }
+}
+
+/// How a round collected by [`collect_round`] ended.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RoundEnd {
+    /// The arrivals decode; the plan is [`CodecSession::decoded_plan`].
+    Exact,
+    /// Not decoded when the arrivals ran out; the fallback accepted this
+    /// plan over them.
+    Escalated(DecodePlan),
+    /// Not decoded when the arrivals ran out, and the fallback declined.
+    Stalled,
+}
+
+/// Decides one round (see the [module docs](self)): resets `session` and
+/// pushes `arrivals` in order until they decode. The iterator ends where
+/// the round expires — at its deadline, or when no more results can come
+/// — and the fallback is then asked once over the session's arrivals.
+///
+/// # Errors
+///
+/// [`CodingError::InvalidParameter`] on an out-of-range or duplicate
+/// arrival.
+pub fn collect_round<C: GradientCodec + ?Sized>(
+    codec: &C,
+    session: &mut CodecSession,
+    arrivals: impl IntoIterator<Item = usize>,
+) -> Result<RoundEnd, CodingError> {
+    session.reset();
+    for worker in arrivals {
+        if session.push_arrival(worker)? {
+            return Ok(RoundEnd::Exact);
+        }
+    }
+    Ok(codec
+        .fallback_plan(session.arrivals())
+        .map_or(RoundEnd::Stalled, RoundEnd::Escalated))
 }
 
 #[cfg(test)]
@@ -395,13 +423,48 @@ mod tests {
     }
 
     #[test]
-    fn update_deadline_replaces_and_clears() {
-        let mut p = EscalationPolicy::default();
-        assert_eq!(p.deadline(), None);
-        p.update_deadline(Some(Duration::from_millis(125)));
-        assert_eq!(p.deadline(), Some(Duration::from_millis(125)));
-        p.update_deadline(None);
-        assert_eq!(p.deadline(), None);
+    fn set_deadline_ignores_bad_values_and_exact_ceilings() {
+        let mut exact = EscalatingCodec::new(exact_base(7), EscalationPolicy::exact_only());
+        exact.set_deadline(0.125);
+        assert_eq!(exact.policy().deadline(), None, "the ladder cannot act");
+
+        let policy = EscalationPolicy::escalate_to(CodecBackend::Approx);
+        let mut esc = EscalatingCodec::new(exact_base(7), policy);
+        esc.set_deadline(0.125);
+        assert_eq!(esc.policy().deadline(), Some(Duration::from_millis(125)));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MAX] {
+            esc.set_deadline(bad);
+            assert_eq!(esc.policy().deadline(), Some(Duration::from_millis(125)));
+        }
+    }
+
+    #[test]
+    fn collect_round_decides_exact_escalated_or_stalled() {
+        let approx = EscalatingCodec::new(
+            exact_base(8),
+            EscalationPolicy::escalate_to(CodecBackend::Approx),
+        );
+        let exact = EscalatingCodec::new(exact_base(8), EscalationPolicy::exact_only());
+        let mut session = approx.session();
+        // m − s = 4 arrivals decode; an arrival after the decode is never
+        // pushed.
+        let end = collect_round(&approx, &mut session, [4, 0, 1, 3, 2]).unwrap();
+        assert_eq!(end, RoundEnd::Exact);
+        assert_eq!(session.arrivals(), &[4, 0, 1, 3]);
+        assert_eq!(session.decoded_plan().unwrap().residual(), 0.0);
+        // The arrivals end after three: the fallback is asked once over
+        // them.
+        let Ok(RoundEnd::Escalated(plan)) = collect_round(&approx, &mut session, [3, 1, 0]) else {
+            panic!("the Approx ceiling escalates");
+        };
+        assert_eq!(plan, approx.fallback_plan(&[0, 1, 3]).unwrap());
+        // A decline stalls.
+        let end = collect_round(&exact, &mut session, [3, 1]).unwrap();
+        assert_eq!(end, RoundEnd::Stalled);
+        let end = collect_round(&approx, &mut session, []).unwrap();
+        assert_eq!(end, RoundEnd::Stalled, "nothing arrived");
+        assert!(collect_round(&approx, &mut session, [9]).is_err());
+        assert!(collect_round(&approx, &mut session, [1, 1]).is_err());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use codec_approx::DEFAULT_MAX_RESIDUAL_FRACTION;
 pub use cyclic::{cyclic, cyclic_support, naive};
 pub use decode::DecodingMatrix;
 pub use error::CodingError;
-pub use escalation::{EscalatingCodec, EscalationPolicy};
+pub use escalation::{collect_round, EscalatingCodec, EscalationPolicy, RoundEnd};
 pub use fractional::fractional_repetition;
 pub use group::{
     find_all_groups, group_based, group_based_from_support, prune_groups, Group, GroupCodingMatrix,

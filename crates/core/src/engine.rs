@@ -19,10 +19,11 @@
 //!   one OS thread per worker (`hetgc_runtime::ThreadedCluster`),
 //!   `hetgc-net`'s `SocketEngine` is TCP worker processes.
 //!
-//! The two coded engines ([`SimBspEngine`] and [`ClusterEngine`]) ask the
-//! *same* code what to do when an exact decode does not materialize: the
-//! [`hetgc_coding::EscalationPolicy`] ladder (Exact → Group → Approx)
-//! compiled into an [`EscalatingCodec`].
+//! The two coded engines ([`SimBspEngine`] and [`ClusterEngine`]) decide
+//! a round with the *same* function, [`hetgc_coding::collect_round`], on
+//! their own clocks, and keep their deadline in the same place: the
+//! [`EscalatingCodec`]'s policy, set through its one guarded
+//! [`EscalatingCodec::set_deadline`].
 //!
 //! [`TrainDriver`]: crate::TrainDriver
 //! [`TrainOutcome`]: crate::TrainOutcome
@@ -423,7 +424,6 @@ pub struct SimBspEngine<'a, M: Model + ?Sized> {
     payload_bytes: f64,
     compute_jitter: f64,
     stragglers: StragglerModel,
-    fallback_deadline: Option<f64>,
     label: String,
     /// Session-pool counters at the end of the previous round, for
     /// per-round `pool_hits` / `alloc_bytes` deltas.
@@ -433,7 +433,6 @@ pub struct SimBspEngine<'a, M: Model + ?Sized> {
     kind: SchemeKind,
     straggler_budget: usize,
     backend: hetgc_coding::CodecBackend,
-    policy: EscalationPolicy,
     recodes: usize,
     /// Flight recorder, when the driver attached one.
     recorder: Option<Recorder>,
@@ -468,8 +467,7 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
         policy: EscalationPolicy,
     ) -> Result<Self, BoxError> {
         let base = scheme.compile_backend(cfg.backend)?;
-        let fallback_deadline = policy.deadline().map(|d| d.as_secs_f64());
-        let codec = EscalatingCodec::new(base, policy.clone());
+        let codec = EscalatingCodec::new(base, policy);
         let m = codec.workers();
         let k = codec.partitions();
         if rates.len() != m {
@@ -490,13 +488,11 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
             payload_bytes: cfg.payload_bytes,
             compute_jitter: cfg.compute_jitter,
             stragglers: cfg.stragglers.clone(),
-            fallback_deadline,
             label: scheme.kind.name().to_owned(),
             pool_mark: (0, 0),
             kind: scheme.kind,
             straggler_budget: scheme.stragglers(),
             backend: cfg.backend,
-            policy,
             recodes: 0,
             recorder: None,
         })
@@ -571,15 +567,14 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             .network(self.network)
             .payload_bytes(self.payload_bytes)
             .compute_jitter(self.compute_jitter);
-        if let Some(deadline) = self.fallback_deadline {
-            sim_cfg = sim_cfg.fallback_deadline(deadline);
+        if let Some(deadline) = self.codec.policy().deadline() {
+            sim_cfg = sim_cfg.fallback_deadline(deadline.as_secs_f64());
         }
         let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
         let outcome =
             simulate_bsp_iteration_in(&self.codec, &sim_cfg, &events, rng, &mut self.session)?;
         let Some(iter_time) = outcome.completion else {
-            // A stalled round ends the run: only failed workers stall one,
-            // and they stay failed.
+            // A stalled round ends the run, as on the wall-clock master.
             return Ok(EngineRound::failed(true));
         };
 
@@ -594,8 +589,8 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
 
         let (gradient, error_bound) = match &mut self.training {
             Some((model, data, plane)) => {
-                let (plan, rec) = (outcome.decode_plan(), self.recorder.as_ref());
-                let (g, bound) = plane.gradient(&self.codec, &plan, *model, params, data, rec);
+                let (plan, rec) = (&outcome.plan, self.recorder.as_ref());
+                let (g, bound) = plane.gradient(&self.codec, plan, *model, params, data, rec);
                 (Some(g), bound)
             }
             None => (None, None),
@@ -606,9 +601,9 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             elapsed: Some(iter_time),
             at: None,
             gradient,
-            residual: outcome.decode_residual,
+            residual: outcome.plan.residual(),
             error_bound,
-            results_used: outcome.decode_workers.len(),
+            results_used: outcome.plan.len(),
             busy: outcome.busy,
             samples,
             alloc_bytes,
@@ -626,11 +621,7 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
     }
 
     fn set_deadline(&mut self, deadline: f64) {
-        if deadline.is_finite() && deadline > 0.0 {
-            self.fallback_deadline = Some(deadline);
-            self.policy
-                .update_deadline(Some(std::time::Duration::from_secs_f64(deadline)));
-        }
+        self.codec.set_deadline(deadline);
     }
 
     fn supports_recode(&self) -> bool {
@@ -647,7 +638,7 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
         let Ok(base) = scheme.compile_backend(self.backend) else {
             return Ok(false);
         };
-        let codec = EscalatingCodec::new(base, self.policy.clone());
+        let codec = EscalatingCodec::new(base, self.codec.policy().clone());
         let k = codec.partitions();
         if let Some((_, _, plane)) = &mut self.training {
             let Ok(rebuilt) = CodedPlane::new(self.samples, k) else {
@@ -860,8 +851,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
 /// one. With [`ClusterEngine::with_recoding`], confirmed drift rebuilds
 /// the scheme from the live workers' fresh estimates and hot-swaps it in
 /// (`Master::recode`) between rounds; a learned deadline
-/// ([`RoundEngine::set_deadline`]) becomes the master's round timeout
-/// whenever the escalation ladder can actually fire.
+/// ([`RoundEngine::set_deadline`]) becomes the master's round deadline
+/// whenever the escalation ladder can actually fire, as on
+/// [`SimBspEngine`].
 ///
 /// As on the simulated engines, an undecodable round (`Master::collect`
 /// returning `Ok(None)`) is reported as [`EngineRound::failed`] with
@@ -1037,12 +1029,10 @@ where
     }
 
     fn set_deadline(&mut self, deadline: f64) {
-        // A timeout the ladder cannot act on would turn slow rounds into
-        // undecodable ones; only install it when escalation can actually
-        // rescue the round.
-        if deadline.is_finite() && deadline > 0.0 && self.cluster.codec().can_escalate() {
-            self.cluster
-                .set_timeout(std::time::Duration::from_secs_f64(deadline));
+        // Guarded by `Master::set_timeout`; a value no `Duration` holds
+        // is ignored on the way.
+        if let Ok(timeout) = std::time::Duration::try_from_secs_f64(deadline) {
+            self.cluster.set_timeout(timeout);
         }
     }
 
@@ -1111,7 +1101,7 @@ mod tests {
     use super::*;
     use crate::scheme::SchemeBuilder;
     use hetgc_cluster::{ClusterSpec, DelayDistribution};
-    use hetgc_coding::GradientBlock;
+    use hetgc_coding::{CodecBackend, GradientBlock};
     use hetgc_ml::{partial_gradients_into, synthetic, LinearRegression};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1218,6 +1208,25 @@ mod tests {
     }
 
     #[test]
+    fn learned_deadline_is_ignored_where_the_ladder_cannot_escalate() {
+        let (rates, data, _, scheme, mut rng) = tiny_bsp();
+        let cfg = SimTrainConfig::default();
+        let timing = |policy| SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy);
+        let mut exact = timing(EscalationPolicy::follow_backend()).unwrap();
+        let t = exact.round(1, &[], &mut rng).unwrap().elapsed.unwrap();
+        // Before every arrival: installed, it would stall an exact round.
+        exact.set_deadline(t / 100.0);
+        assert_eq!(exact.codec().policy().deadline(), None);
+        assert_eq!(exact.round(2, &[], &mut rng).unwrap().elapsed, Some(t));
+        // Where the ladder can act, it is installed and survives a recode.
+        let mut approx = timing(EscalationPolicy::escalate_to(CodecBackend::Approx)).unwrap();
+        approx.set_deadline(t / 100.0);
+        assert!(approx.recode(&rates, &mut rng).unwrap());
+        let installed = std::time::Duration::from_secs_f64(t / 100.0);
+        assert_eq!(approx.codec().policy().deadline(), Some(installed));
+    }
+
+    #[test]
     fn timing_only_engine_records_collect_and_arrivals_only() {
         let (rates, data, _, scheme, mut rng) = tiny_bsp();
         let cfg = SimTrainConfig::default();
@@ -1320,8 +1329,6 @@ mod tests {
 
     #[test]
     fn coefficient_fold_matches_the_block_decode() {
-        use hetgc_coding::CodecBackend;
-
         // 3×1 + 2×2 + 1×3 vCPUs: six workers, s = 1, two groups for the
         // group-based scheme.
         let cluster = ClusterSpec::from_vcpu_rows("fold", &[(3, 1), (2, 2), (1, 3)], 50.0).unwrap();

@@ -3,10 +3,9 @@
 //! The wall-clock master of coded distributed gradient descent — the
 //! real-time counterpart of the `hetgc-sim` discrete-event simulator.
 //!
-//! * [`Master`] is the one round loop: broadcast → stream arrivals
-//!   through a reusable `CodecSession` (reset per round) → decode at the
-//!   earliest decodable set → at the deadline, escalate through the
-//!   `hetgc_coding::EscalatingCodec` ladder → combine the gradient. It
+//! * [`Master`] is the one round loop: broadcast → feed the replies,
+//!   ending at the deadline, to `hetgc_coding::collect_round`, the
+//!   decision the simulator runs too → combine the gradient. It
 //!   keeps iterating while injected workers are dead — the paper's
 //!   fault-tolerance claim made concrete — and hot-swaps rebuilt codes
 //!   between rounds.
@@ -57,6 +56,9 @@ mod message;
 mod worker;
 
 pub use config::{RuntimeConfig, WorkerBehavior};
+/// The channels a [`Transport`]'s replies arrive on, for transports
+/// implemented outside this crate.
+pub use crossbeam::channel;
 pub use error::RuntimeError;
 pub use executor::{ChannelTransport, ThreadedCluster};
 pub use master::{build_codec, row_shards, ClusterRound, Master, RowShard, Transport};

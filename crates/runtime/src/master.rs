@@ -10,17 +10,19 @@
 //! `SocketCluster` (TCP links + reader threads) are two transports under
 //! this one loop.
 //!
-//! The timeout → approximate fallback decision is **not** implemented
-//! here: the master holds an [`EscalatingCodec`], so the escalation code
-//! is the same one the discrete-event simulator consults at its round end
-//! — one ladder, every execution path.
+//! Whether a round is done is **not** decided here: the master's clock
+//! feeds replies, ending at the deadline, to
+//! [`hetgc_coding::collect_round`], which the simulator runs on its
+//! simulated clock — one rule, every execution path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
 use hetgc_cluster::PartitionAssignment;
-use hetgc_coding::{CodecSession, CodingMatrix, EscalatingCodec, GradientCodec};
+use hetgc_coding::{
+    collect_round, CodecSession, CodingMatrix, EscalatingCodec, GradientCodec, RoundEnd,
+};
 use hetgc_ml::{Dataset, Model};
 use hetgc_obs::{Phase, Recorder};
 
@@ -204,25 +206,24 @@ impl<P> Slots<P> {
         self.payload_bytes.fill(0);
     }
 
-    /// Feeds one reply into the round tagged `tag`; `Ok(true)` when it
-    /// completed an exact decode. A stale reply keeps its timing (a real
-    /// throughput observation) and loses its payload; a row outside the
-    /// current code — a reply from before a shrinking re-row — is dropped.
+    /// Stores one reply of the round tagged `tag` and returns its row.
+    /// A stale reply keeps its timing (a real throughput observation) and
+    /// loses its payload; a row outside the current code — a reply from
+    /// before a shrinking re-row — is dropped. Neither yields a row.
     fn absorb(
         &mut self,
-        session: &mut CodecSession,
         recorder: Option<&Recorder>,
         tag: u64,
         started: Instant,
         reply: Reply<P>,
-    ) -> Result<bool, RuntimeError> {
+    ) -> Option<usize> {
         let worker = reply.worker;
         if worker >= self.received.len() {
-            return Ok(false);
+            return None;
         }
         if reply.seq != tag {
             self.late_compute_seconds[worker] = reply.compute_seconds;
-            return Ok(false);
+            return None;
         }
         self.compute_seconds[worker] = reply.compute_seconds;
         self.wire_errors[worker] = reply.wire_error;
@@ -236,7 +237,7 @@ impl<P> Slots<P> {
             rec.instant(Phase::Arrival, (worker + 1) as u64);
         }
         self.received[worker] = Some(reply.coded);
-        Ok(session.push_arrival(worker)?)
+        Some(worker)
     }
 }
 
@@ -249,7 +250,6 @@ pub struct Master<M, T: Transport> {
     model: Arc<M>,
     data: Arc<Dataset>,
     config: RuntimeConfig,
-    timeout: Option<Duration>,
     transport: T,
     session: CodecSession,
     slots: Slots<T::Payload>,
@@ -266,8 +266,9 @@ pub struct Master<M, T: Transport> {
 
 impl<M: Model, T: Transport> Master<M, T> {
     /// A master decoding with `codec` over workers already running its
-    /// rows behind `transport`. `config` supplies the round deadline and
-    /// what [`Master::recode`] rebuilds codecs with.
+    /// rows behind `transport`. The round deadline is `codec`'s policy
+    /// deadline; `config` supplies what [`Master::recode`] rebuilds
+    /// codecs with.
     pub fn new(
         codec: EscalatingCodec,
         model: Arc<M>,
@@ -282,7 +283,6 @@ impl<M: Model, T: Transport> Master<M, T> {
             model,
             data,
             config: config.clone(),
-            timeout: config.effective_escalation().deadline(),
             transport,
             inflight: None,
             round_seq: 0,
@@ -325,11 +325,11 @@ impl<M: Model, T: Transport> Master<M, T> {
         self.transport.live_rows()
     }
 
-    /// Replaces the round deadline in place — the hook a learned
-    /// escalation deadline feeds, superseding whatever the configuration
-    /// carried.
+    /// Installs a learned round deadline through
+    /// [`EscalatingCodec::set_deadline`], which ignores it when the
+    /// ladder cannot escalate. It survives [`Master::recode`].
     pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = Some(timeout);
+        self.codec.set_deadline(timeout.as_secs_f64());
     }
 
     /// Installs a flight recorder: every subsequent round emits
@@ -347,9 +347,10 @@ impl<M: Model, T: Transport> Master<M, T> {
 
     /// Hot-swaps a rebuilt coding strategy into the running pool, between
     /// rounds: the new matrix is compiled into the configured backend +
-    /// escalation policy and partitioned, then the transport re-rows its
-    /// workers around it. Round sequencing is preserved (workers'
-    /// fail-stop/throttle-step schedules keep counting where they were).
+    /// escalation policy, with the deadline in force carried over, and
+    /// partitioned, then the transport re-rows its workers around it.
+    /// Round sequencing is preserved (workers' fail-stop/throttle-step
+    /// schedules keep counting where they were).
     ///
     /// # Errors
     ///
@@ -368,6 +369,9 @@ impl<M: Model, T: Transport> Master<M, T> {
         let mut codec = build_codec(code, &self.config)?;
         if let Some(metrics) = self.codec.base().metrics() {
             codec.attach_metrics(metrics.clone());
+        }
+        if let Some(deadline) = self.codec.policy().deadline() {
+            codec.set_deadline(deadline.as_secs_f64());
         }
         self.transport.rerow(row_shards(&codec, self.data.len())?)?;
         self.session = codec.session();
@@ -413,23 +417,21 @@ impl<M: Model, T: Transport> Master<M, T> {
     }
 
     /// Collects the round started by the last [`Master::dispatch`]:
-    /// streams replies into the decode session, escalates through the
-    /// policy ladder at the deadline, and combines the decoded gradient.
+    /// streams replies into [`collect_round`] and combines the decoded
+    /// gradient.
     ///
-    /// The deadline (`EscalationPolicy::with_deadline`) runs from the
-    /// *dispatch* —
-    /// the moment the workers started computing, matching the simulator's
+    /// The deadline (the codec policy's) runs from the *dispatch* — the
+    /// moment the workers started computing, matching the simulator's
     /// `fallback_deadline` — and stale or slow arrivals never extend it.
     /// A master that arrives late (e.g. after the overlapped step/loss
     /// work of a pipelined round) first drains every reply already queued
     /// — an exact decode may be waiting there — so workers keep their
-    /// full window regardless of master-side delay; only escalation
-    /// itself fires "late", at collect entry.
+    /// full window regardless of master-side delay. The round expires
+    /// once the deadline has passed and the queue is drained, or when
+    /// every worker hung up.
     ///
-    /// Returns `Ok(None)` when the round is undecodable: nothing decoded
-    /// by the deadline (or before every worker hung up) and the escalation
-    /// ladder declined. A wall-clock master cannot tell a straggler from a
-    /// dead worker, so it gives the round up instead of waiting forever.
+    /// Returns `Ok(None)` when the round stalls: not decoded when it
+    /// expired, and the escalation ladder declined.
     ///
     /// # Errors
     ///
@@ -443,57 +445,42 @@ impl<M: Model, T: Transport> Master<M, T> {
             })?;
 
         let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
-        self.session.reset();
         let pool_hits_before = self.session.pool().hits();
         self.slots.rearm();
-        let replies = self.transport.replies();
-        // Once the deadline has passed (or every sender hung up) the loop
-        // only drains what is already queued, then escalates.
+        let (replies, recorder) = (self.transport.replies(), self.recorder.as_ref());
+        let deadline = self.codec.policy().deadline();
+        let slots = &mut self.slots;
+        // The master's clock: once the deadline has passed (or every
+        // sender hung up) it only drains what is already queued, then
+        // ends the arrivals.
         let mut expired = false;
-        // `None` = the session decoded (the plan is borrowed from its
-        // reusable slot); `Some` = the escalation ladder produced an owned
-        // fallback plan.
-        let fallback = loop {
+        let arrivals = std::iter::from_fn(|| loop {
             let next = if expired {
                 replies.try_recv().ok()
             } else {
-                match self.timeout {
+                match deadline {
                     Some(t) => t
                         .checked_sub(started.elapsed())
                         .and_then(|remaining| replies.recv_timeout(remaining).ok()),
                     None => replies.recv().ok(),
                 }
             };
-            let Some(reply) = next else {
-                if !expired {
-                    expired = true;
-                    continue;
+            match next {
+                Some(reply) => {
+                    if let Some(worker) = slots.absorb(recorder, tag, started, reply) {
+                        return Some(worker);
+                    }
                 }
-                // Exact ceilings decline and the round is undecodable.
-                let received = &self.slots.received;
-                let survivors: Vec<usize> = (0..received.len())
-                    .filter(|&w| received[w].is_some())
-                    .collect();
-                match self.codec.fallback_plan(&survivors) {
-                    Some(plan) => break Some(plan),
-                    None => return Ok(None),
-                }
-            };
-            let recorder = self.recorder.as_ref();
-            if self
-                .slots
-                .absorb(&mut self.session, recorder, tag, started, reply)?
-            {
-                break None;
+                None if expired => return None,
+                None => expired = true,
             }
-        };
+        });
+        let end = collect_round(&self.codec, &mut self.session, arrivals)?;
         drop(collect_span);
-        let plan = match fallback.as_ref() {
-            Some(plan) => plan,
-            None => self
-                .session
-                .decoded_plan()
-                .expect("collect loop broke on a decode"),
+        let plan = match &end {
+            RoundEnd::Exact => self.session.decoded_plan().expect("exact round decoded"),
+            RoundEnd::Escalated(plan) => plan,
+            RoundEnd::Stalled => return Ok(None),
         };
 
         // g = Σ a_w · g̃_w (un-normalized), applied straight over the
@@ -783,6 +770,20 @@ mod tests {
             2,
             "counters stop at the recode"
         );
+    }
+
+    #[test]
+    fn learned_deadline_is_guarded_and_survives_a_recode() {
+        let mut exact = Rig::new(4, EscalationPolicy::exact_only());
+        exact.master.set_timeout(Duration::from_millis(5));
+        assert_eq!(exact.master.codec().policy().deadline(), None);
+
+        let mut approx = Rig::new(4, EscalationPolicy::escalate_to(CodecBackend::Approx));
+        approx.master.set_timeout(Duration::from_millis(5));
+        let code = heter_aware(&[1.0; 4], 4, 1, &mut StdRng::seed_from_u64(11)).unwrap();
+        approx.master.recode(code).unwrap();
+        let deadline = approx.master.codec().policy().deadline();
+        assert_eq!(deadline, Some(Duration::from_millis(5)));
     }
 
     #[test]

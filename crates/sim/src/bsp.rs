@@ -11,9 +11,11 @@
 //! = arrival    result lands at the master
 //! ```
 //!
-//! The master feeds arrivals into a `CodecSession` and finishes at the
-//! earliest decodable prefix — which is what makes the group-based scheme
-//! profitable: an intact group decodes long before `m−s` generic rows do.
+//! The master feeds arrivals in time order to
+//! [`hetgc_coding::collect_round`], the same decision the wall-clock
+//! master runs: the round finishes at the earliest decodable prefix —
+//! which is what makes the group-based scheme profitable, as an intact
+//! group decodes long before `m−s` generic rows do — or at the deadline.
 //!
 //! Everything is parameterized over [`hetgc_coding::GradientCodec`]: pass
 //! a `CompiledCodec` (and reuse one session across iterations via
@@ -21,7 +23,7 @@
 //! for one-off analysis.
 
 use hetgc_cluster::StragglerEvent;
-use hetgc_coding::{CodecSession, DecodePlan, GradientCodec};
+use hetgc_coding::{collect_round, CodecSession, DecodePlan, GradientCodec, RoundEnd};
 use rand::Rng;
 
 use crate::error::SimError;
@@ -112,15 +114,12 @@ impl<'a> BspIterationConfig<'a> {
         self
     }
 
-    /// Sets the escalation deadline (simulated seconds): if no exact
-    /// decode exists by this time, the master tries the codec's
-    /// [`GradientCodec::fallback_plan`] over the workers that arrived so
-    /// far and — when the fallback accepts — completes the round *at the
-    /// deadline* instead of waiting for every reachable worker. Codecs
-    /// without a fallback keep waiting (the deadline changes nothing).
-    ///
-    /// This is the simulator's side of `EscalationPolicy::with_deadline`;
-    /// the default (`None`) preserves the wait-for-everyone behaviour.
+    /// Sets the round deadline (simulated seconds), the simulator's side
+    /// of `EscalationPolicy::with_deadline`: a round not decoded by this
+    /// time asks the codec's [`GradientCodec::fallback_plan`] once over
+    /// the workers that arrived, completes *at the deadline* when it
+    /// accepts, and stalls when it declines. The default (`None`) waits
+    /// for every reachable worker.
     ///
     /// # Panics
     ///
@@ -154,16 +153,14 @@ pub struct BspIteration {
     pub completion: Option<f64>,
     /// All arrivals, sorted by arrival time (failures last, at `+∞`).
     pub arrivals: Vec<Arrival>,
-    /// The workers whose results carried non-zero decode weight.
-    pub decode_workers: Vec<usize>,
-    /// The decode vector over all workers (empty when `completion` is
-    /// `None`).
-    pub decode_vector: Vec<f64>,
-    /// The decode residual `‖aᵀB_I − 1‖₂` of the round: `0.0` for exact
-    /// decodes, positive when the codec's approximate fallback was used
-    /// (only rounds with `>s` stragglers on a codec whose approximate stage
-    /// is on).
-    pub decode_residual: f64,
+    /// The round's decode plan: its residual is `0.0` for exact decodes
+    /// and positive when the fallback rescued the round. Empty when
+    /// `completion` is `None`.
+    pub plan: DecodePlan,
+    /// How many arrivals the master took in before it decided: the first
+    /// `absorbed` of `arrivals`. On an exact decode the last of them
+    /// completed the set.
+    pub absorbed: usize,
     /// Per-worker *useful compute* seconds, capped at the completion time
     /// (workers are cancelled when the master moves on) — the numerator of
     /// the paper's resource-usage metric (Fig. 5).
@@ -171,23 +168,6 @@ pub struct BspIteration {
 }
 
 impl BspIteration {
-    /// Whether the round decoded through the approximate fallback rather
-    /// than an exact plan. This is a *provenance* flag (any positive
-    /// residual counts, however tiny) — contrast with
-    /// `DecodePlan::is_exact`, which classifies the residual numerically
-    /// against a `1e-6` tolerance.
-    pub fn is_approximate(&self) -> bool {
-        self.decode_residual > 0.0
-    }
-
-    /// The round's decode plan: the sparse view of
-    /// [`BspIteration::decode_vector`] with the decode residual attached.
-    /// Empty when the round never completed. Prefer this over the raw
-    /// dense fields — plan accessors (`iter`, `workers`, `residual`) are
-    /// the supported API.
-    pub fn decode_plan(&self) -> DecodePlan {
-        DecodePlan::from_dense_with_residual(&self.decode_vector, self.decode_residual)
-    }
     /// Resource usage of this iteration:
     /// `Σ_w busy_w / (m × completion)` (Fig. 5's metric). Returns `None`
     /// for incomplete rounds.
@@ -210,7 +190,9 @@ impl BspIteration {
 /// # Errors
 ///
 /// [`SimError::InvalidConfig`] when `rates`/`events` lengths disagree with
-/// the code's worker count or contain non-positive rates.
+/// the code's worker count, a rate or `work_per_partition` is not
+/// positive, or `payload_bytes`, `broadcast_time` or `compute_jitter` is
+/// negative or not finite.
 pub fn simulate_bsp_iteration<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
     codec: &C,
     cfg: &BspIterationConfig<'_>,
@@ -257,6 +239,12 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
             reason: "work_per_partition must be positive".into(),
         });
     }
+    let knobs = [cfg.payload_bytes, cfg.broadcast_time, cfg.compute_jitter];
+    if !knobs.iter().all(|v| v.is_finite() && *v >= 0.0) {
+        return Err(SimError::InvalidConfig {
+            reason: "payload, broadcast time and jitter must be finite, ≥ 0".into(),
+        });
+    }
 
     let comm = cfg
         .network
@@ -285,79 +273,31 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
         .collect();
     arrivals.sort_by(|a, b| a.arrive.partial_cmp(&b.arrive).expect("no NaN times"));
 
-    session.reset();
-    let mut completion = None;
-    let mut decode_vector = Vec::new();
-    let mut decode_residual = 0.0;
-    let mut pushed: Vec<usize> = Vec::new();
-    let mut deadline_tried = false;
-    for arr in &arrivals {
-        if !arr.arrive.is_finite() {
-            break; // failures never arrive
-        }
-        // Escalation deadline: the master stops waiting for an exact
-        // decode and consults the codec's fallback over what has arrived.
-        // If the fallback declines (exact backend, or over budget), the
-        // master has no choice but to keep waiting.
-        if let Some(deadline) = cfg.fallback_deadline {
-            if !deadline_tried && arr.arrive > deadline {
-                deadline_tried = true;
-                if let Some(plan) = codec.fallback_plan(&pushed) {
-                    completion = Some(deadline);
-                    decode_residual = plan.residual();
-                    decode_vector = plan.to_dense();
-                    break;
-                }
-            }
-        }
-        pushed.push(arr.worker);
-        if session.push_arrival(arr.worker)? {
-            completion = Some(arr.arrive);
-            let plan = session.decoded_plan().expect("push_arrival decoded");
-            decode_vector = plan.to_dense();
-            break;
-        }
-    }
-    // Every reachable worker reported and no exact decode exists: give the
-    // codec's approximate stage (if it is on) a chance to
-    // rescue the round with a bounded-error plan. The round completes at
-    // the escalation deadline when one is configured and not yet reached
-    // (a wall-clock master cannot know the missing workers are dead, so
-    // it waits out the deadline — matching the threaded runtime), and at
-    // the last finite arrival otherwise (the master had to wait for
-    // everyone before concluding exact decoding was impossible).
-    if completion.is_none() {
-        let finite: Vec<&Arrival> = arrivals.iter().filter(|a| a.arrive.is_finite()).collect();
-        if let Some(last) = finite.last() {
-            let survivors: Vec<usize> = finite.iter().map(|a| a.worker).collect();
-            if let Some(plan) = codec.fallback_plan(&survivors) {
-                completion = Some(match cfg.fallback_deadline {
-                    Some(deadline) if last.arrive <= deadline => deadline,
-                    _ => last.arrive,
-                });
-                decode_residual = plan.residual();
-                decode_vector = plan.to_dense();
-            }
-        }
-    }
-
+    // The simulator's clock: the reachable results in time order, ending
+    // at the deadline.
+    let in_time = arrivals.iter().take_while(|a| {
+        a.arrive.is_finite() && cfg.fallback_deadline.is_none_or(|d| a.arrive <= d)
+    });
+    let end = collect_round(codec, session, in_time.map(|a| a.worker))?;
+    // An exact decode completes at the arrival that completed the set. An
+    // escalation waits out the deadline (a master cannot know the missing
+    // workers are dead), or, without one, every reachable worker.
+    let absorbed = session.received();
+    let last = absorbed.checked_sub(1).map(|i| arrivals[i].arrive);
+    let (completion, plan) = match end {
+        RoundEnd::Exact => (last, session.decoded_plan().expect("decoded").clone()),
+        RoundEnd::Escalated(plan) => (cfg.fallback_deadline.or(last), plan),
+        RoundEnd::Stalled => (None, DecodePlan::from_dense(&[])),
+    };
     let busy = match completion {
         Some(t) => arrivals_busy(&arrivals, t, cfg.broadcast_time, m),
         None => vec![0.0; m],
     };
-    let decode_workers = decode_vector
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| v != 0.0)
-        .map(|(w, _)| w)
-        .collect();
-
     Ok(BspIteration {
         completion,
         arrivals,
-        decode_workers,
-        decode_vector,
-        decode_residual,
+        plan,
+        absorbed,
         busy,
     })
 }
@@ -419,7 +359,7 @@ mod tests {
         // takes 1.0. (k = m = 5, load 1 each.)
         let t = out.completion.unwrap();
         assert!((t - 1.0).abs() < 1e-9, "t = {t}");
-        assert_eq!(out.decode_workers.len(), 5);
+        assert_eq!(out.plan.len(), 5);
     }
 
     #[test]
@@ -431,7 +371,7 @@ mod tests {
         events[1] = StragglerEvent::Failed;
         let out = simulate_bsp_iteration(&code, &cfg, &events, &mut rng(4)).unwrap();
         assert!(out.completion.is_none());
-        assert!(out.decode_workers.is_empty());
+        assert!(out.plan.is_empty());
         assert!(out.resource_usage().is_none());
     }
 
@@ -444,7 +384,7 @@ mod tests {
         let out = simulate_bsp_iteration(&code, &cfg, &events, &mut rng(6)).unwrap();
         let t = out.completion.unwrap();
         assert!(t.is_finite());
-        assert!(!out.decode_workers.contains(&4));
+        assert!(!out.plan.workers().contains(&4));
     }
 
     #[test]
@@ -504,8 +444,8 @@ mod tests {
                 simulate_bsp_iteration_in(&codec, &cfg, &events, &mut rng(seed), &mut session)
                     .unwrap();
             assert_eq!(fresh.completion, reused.completion);
-            assert_eq!(fresh.decode_vector, reused.decode_vector);
-            assert_eq!(fresh.decode_workers, reused.decode_workers);
+            assert_eq!(fresh.plan, reused.plan);
+            assert_eq!(fresh.absorbed, reused.absorbed);
         }
     }
 
@@ -587,6 +527,22 @@ mod tests {
         let neg = [1.0, -1.0, 1.0, 1.0, 1.0];
         let cfg = BspIterationConfig::new(&neg);
         assert!(simulate_bsp_iteration(&code, &cfg, &no_events(5), &mut rng(26)).is_err());
+        // Unchecked, each would panic on sorting, complete at a negative
+        // time, or stall the round silently.
+        let base = || BspIterationConfig::new(&RATES);
+        let instantaneous = || base().network(NetworkModel::instantaneous());
+        for cfg in [
+            base().payload_bytes(f64::NAN),
+            instantaneous().payload_bytes(f64::INFINITY),
+            base().payload_bytes(-1e9),
+            base().broadcast_time(f64::NAN),
+            base().compute_jitter(f64::INFINITY),
+        ] {
+            assert!(matches!(
+                simulate_bsp_iteration(&code, &cfg, &no_events(5), &mut rng(27)),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -639,9 +595,9 @@ mod tests {
         let t = out.completion.unwrap();
         // Fast group finishes at 2/10 = 0.2; the slow workers need 2.0.
         assert!((t - 0.2).abs() < 1e-9, "t = {t}");
-        assert_eq!(out.decode_workers, vec![1, 2, 3], "indicator of {{1,2,3}}");
-        assert!(out.decode_workers.len() < 6 - 1);
-        assert_eq!(out.decode_residual, 0.0);
+        assert_eq!(out.plan.workers(), [1, 2, 3], "indicator of {{1,2,3}}");
+        assert_eq!(out.absorbed, 3, "fewer than m − s = 5 arrivals");
+        assert_eq!(out.plan.residual(), 0.0);
     }
 
     #[test]
@@ -662,9 +618,8 @@ mod tests {
         let out = simulate_bsp_iteration(&codec, &cfg, &events, &mut rng(53)).unwrap();
         let t = out.completion.unwrap();
         assert!(t.is_finite());
-        assert!(out.is_approximate());
-        assert!(out.decode_residual > 0.0);
-        assert!(out.decode_workers.iter().all(|w| ![2, 4].contains(w)));
+        assert!(out.plan.residual() > 0.0);
+        assert!(out.plan.workers().iter().all(|w| ![2, 4].contains(w)));
         // Completion waits for every survivor (the master must exhaust
         // exact decoding first).
         let last_survivor = out
@@ -689,11 +644,11 @@ mod tests {
         let codec = CompiledCodec::new(code).with_approx(Some(0.1));
         let out = simulate_bsp_iteration(&codec, &cfg, &events, &mut rng(55)).unwrap();
         assert!(out.completion.is_none(), "budget must reject the round");
-        assert!(!out.is_approximate());
+        assert!(out.plan.is_empty());
     }
 
     #[test]
-    fn fallback_deadline_escalates_instead_of_waiting() {
+    fn fallback_deadline_escalates_or_stalls_instead_of_waiting() {
         // Worker 0 is delayed by 100 s. The exact decode needs m − s = 4
         // arrivals... kill another worker so exact decoding is impossible
         // and the master would otherwise wait for the delayed worker
@@ -715,14 +670,15 @@ mod tests {
             .fallback_deadline(5.0);
         let out = simulate_bsp_iteration(&codec, &impatient, &events, &mut rng(61)).unwrap();
         assert_eq!(out.completion, Some(5.0), "escalates at the deadline");
-        assert!(out.is_approximate());
-        assert!(!out.decode_workers.contains(&0), "straggler not waited for");
+        assert!(out.plan.residual() > 0.0);
+        assert!(!out.plan.workers().contains(&0), "straggler not waited for");
         // Busy time is capped at the (deadline) completion.
         assert!(out.busy.iter().all(|&b| b <= 5.0 + 1e-9));
 
-        // An exact codec ignores the deadline: it has no fallback, so the
-        // master keeps waiting for the delayed straggler (worker 2 is
-        // dead, making worker 0 necessary for the exact decode).
+        // An exact codec has no fallback: the round stalls at the
+        // deadline, as on the wall-clock master, although the delayed
+        // straggler would complete an exact decode later (worker 2 is
+        // dead, making worker 0 necessary for it).
         let exact = simulate_bsp_iteration(
             &CompiledCodec::new(heter_code(60)),
             &impatient,
@@ -730,7 +686,7 @@ mod tests {
             &mut rng(61),
         )
         .unwrap();
-        assert!(exact.completion.unwrap() > 100.0);
+        assert_eq!(exact.completion, None);
     }
 
     #[test]
@@ -754,7 +710,7 @@ mod tests {
             Some(5.0),
             "escalation fires at the deadline"
         );
-        assert!(out.is_approximate());
+        assert!(out.plan.residual() > 0.0);
 
         // Without a deadline the round completes at the last finite
         // arrival (the master waited for every reachable worker).
@@ -771,14 +727,18 @@ mod tests {
     }
 
     #[test]
-    fn decode_plan_accessor_matches_dense_fields() {
+    fn absorbed_arrivals_end_at_the_completing_one() {
+        // Worker 0 is delayed: the four others decode, the last of them
+        // completes the set, and the straggler is never taken in.
         let code = heter_code(62);
         let cfg = BspIterationConfig::new(&RATES).network(NetworkModel::instantaneous());
-        let out = simulate_bsp_iteration(&code, &cfg, &no_events(5), &mut rng(63)).unwrap();
-        let plan = out.decode_plan();
-        assert_eq!(plan.to_dense(), out.decode_vector);
-        assert_eq!(plan.workers(), out.decode_workers.as_slice());
-        assert_eq!(plan.residual(), out.decode_residual);
+        let mut events = no_events(5);
+        events[0] = StragglerEvent::Delayed(3.0);
+        let out = simulate_bsp_iteration(&code, &cfg, &events, &mut rng(63)).unwrap();
+        assert_eq!(out.absorbed, 4);
+        assert_eq!(out.completion, Some(out.arrivals[3].arrive));
+        assert_eq!(out.arrivals[4].worker, 0);
+        assert!(!out.plan.workers().contains(&0));
     }
 
     #[test]

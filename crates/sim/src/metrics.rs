@@ -57,9 +57,8 @@ mod tests {
                 compute_end: 2.0,
                 arrive: 2.0,
             }],
-            decode_workers: vec![0],
-            decode_vector: vec![1.0],
-            decode_residual: 0.0,
+            plan: hetgc_coding::DecodePlan::from_dense(&[1.0]),
+            absorbed: 1,
             busy: vec![2.0, 1.0],
         };
         let mut m = ResourceUsage::default();

@@ -60,8 +60,8 @@ impl<'a> IterationTrace<'a> {
     }
 
     /// Renders the chronological event list, the decode included: the
-    /// arrival whose push completed the decodable set is tagged, and every
-    /// arrival after it — the same instant included — renders as unused.
+    /// arrival that completed the decodable set is tagged, and every
+    /// arrival the master did not take in renders as unused.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "t=0.000    round starts (broadcast done)");
@@ -71,18 +71,16 @@ impl<'a> IterationTrace<'a> {
                 t,
                 format!(
                     "t={t:<8.3} DECODE: weight on workers {:?}",
-                    it.decode_workers
+                    it.plan.workers()
                 ),
             )
         });
-        // Arrivals are pushed in order, and a worker the plan can do
-        // without was never the one that completed it: the last weighted
-        // arrival at the completion instant fired the decode.
+        // The last arrival the master took in fired the decode when the
+        // round ended at its instant; an escalation at the deadline fires
+        // between arrivals.
         let fired = it.completion.and_then(|t| {
-            it.arrivals.iter().rposition(|a| {
-                (a.arrive - t).abs() < 1e-12
-                    && it.decode_vector.get(a.worker).is_some_and(|&c| c != 0.0)
-            })
+            let last = it.absorbed.checked_sub(1)?;
+            (it.arrivals[last].arrive == t).then_some(last)
         });
         // Chronological merge of worker events, the decode and annotations
         // (a stable sort: the decode lands right after the arrival that
@@ -96,10 +94,9 @@ impl<'a> IterationTrace<'a> {
                 arr.compute_end,
                 format!("t={:<8.3} W{} compute done", arr.compute_end, arr.worker),
             ));
-            let marker = match (fired, it.completion) {
-                (Some(f), _) if i == f => "  ← decode fires here",
-                (Some(f), _) if i > f => "  (late: result unused)",
-                (None, Some(t)) if arr.arrive > t => "  (late: result unused)",
+            let marker = match (fired == Some(i), it.completion) {
+                (true, _) => "  ← decode fires here",
+                (false, Some(_)) if i >= it.absorbed => "  (late: result unused)",
                 _ => "",
             };
             events.push((

@@ -48,7 +48,7 @@ fn overlap_improves_but_preserves_decoding() {
     // Decoding itself is untouched: both rounds produce valid exact decode
     // plans (read through the supported `DecodePlan` accessors).
     for out in [&plain, &overlapped] {
-        let plan = out.decode_plan();
+        let plan = &out.plan;
         assert!(plan.is_exact());
         let prod = scheme.code.matrix().vecmat(&plan.to_dense()).unwrap();
         assert!(prod.iter().all(|&x| (x - 1.0).abs() < 1e-6));
