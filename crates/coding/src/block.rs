@@ -253,6 +253,26 @@ impl BufferPool {
         self.free.push(buf);
     }
 
+    /// Grows an arena that is written by index to at least `len`
+    /// elements, booking a reallocation in [`BufferPool::alloc_bytes`] as
+    /// if it were a miss of the arena's new size. The first growth after
+    /// a checkout takes the whole recycled capacity at once.
+    #[inline]
+    pub(crate) fn grow<T: Copy + Default>(&mut self, buf: &mut Vec<T>, len: usize) {
+        if buf.len() < len {
+            self.grow_to(buf, len);
+        }
+    }
+
+    #[cold]
+    fn grow_to<T: Copy + Default>(&mut self, buf: &mut Vec<T>, len: usize) {
+        let before = buf.capacity();
+        buf.resize(len.max(2 * buf.len()).max(before), T::default());
+        if buf.capacity() != before {
+            self.alloc_bytes += (buf.capacity() * std::mem::size_of::<T>()) as u64;
+        }
+    }
+
     /// Buffers currently parked in the pool.
     pub fn available(&self) -> usize {
         self.free.len()

@@ -27,9 +27,10 @@
 //!   are `O(1)` slice lookups, no allocation);
 //! * decode plans are memoized in an LRU cache keyed by the sorted
 //!   survivor set, so a persistently slow VM costs one solve, ever;
-//! * [`CodecSession`] is reusable across iterations via
-//!   [`CodecSession::reset`] — basis/combination buffers are pooled, so
-//!   steady-state training allocates nothing to stream-decode a round.
+//! * [`CodecSession`] eliminates over the nonzeros of the rows only and
+//!   is reusable across iterations via [`CodecSession::reset`] — its
+//!   basis/combination arenas are pooled, so steady-state training
+//!   allocates nothing to stream-decode a round.
 //!
 //! # Quick start
 //!
@@ -401,20 +402,27 @@ pub trait GradientCodec {
 
 // ------------------------------------------------------------- sessions
 
-/// The dense rows of `B` shared (via `Arc`) between a codec and its
-/// sessions, so spawning a session copies nothing.
+/// The rows of `B` shared (via `Arc`) between a codec and its sessions,
+/// so spawning a session copies nothing.
 ///
 /// **Distinct-column invariant:** only one representative of each
 /// bit-identical column of `B` is kept (first occurrence, original order),
-/// so rows have length `k′ ≤ k`. `a·B = 1` holds on every copy of a column
-/// or on none, so a decode vector found over the `k′` kept columns is a
-/// decode vector over all `k` — and allocations that give partitions with
-/// the same owner set the same column (Eq. 6's cyclic assignment does)
-/// eliminate over a fraction of `k`.
+/// so rows live over `k′ ≤ k` columns. `a·B = 1` holds on every copy of a
+/// column or on none, so a decode vector found over the `k′` kept columns
+/// is a decode vector over all `k` — and allocations that give partitions
+/// with the same owner set the same column (Eq. 6's cyclic assignment
+/// does) eliminate over a fraction of `k`.
+///
+/// Each row is stored as its nonzeros only: Eq. 6 gives every column
+/// `s + 1` nonzeros, so a row holds a handful of the `k′` entries.
 #[derive(Debug)]
 pub(crate) struct RowStore {
-    /// Worker rows restricted to the distinct columns (`m × k′`).
-    rows: Vec<Vec<f64>>,
+    /// Worker `w`'s row is run `w`, by distinct column.
+    rows: Runs,
+    /// `max(‖row‖∞, 1)` per worker: the scale of the pivot test.
+    scales: Vec<f64>,
+    /// Number of distinct columns `k′`.
+    distinct: usize,
     /// The full partition count `k` of the code.
     partitions: usize,
 }
@@ -434,17 +442,45 @@ impl RowStore {
                 )
             })
             .collect();
+        let words = kept.len().div_ceil(64);
+        let mut rows = Runs::new(Vec::new());
+        rows.masks = vec![0; m * words];
+        let mut scales = Vec::with_capacity(m);
+        for w in 0..m {
+            let start = rows.idx.len();
+            for (c, &j) in kept.iter().enumerate() {
+                let v = code.row(w)[j];
+                if v != 0.0 {
+                    rows.idx.push(c);
+                    rows.vals.push(v);
+                    rows.masks[w * words + c / 64] |= 1 << (c % 64);
+                }
+            }
+            rows.ptr.push(rows.idx.len());
+            scales.push(kernels::norm_inf(&rows.vals[start..]).max(1.0));
+        }
         RowStore {
-            rows: (0..m)
-                .map(|w| kept.iter().map(|&j| code.row(w)[j]).collect())
-                .collect(),
+            rows,
+            scales,
+            distinct: kept.len(),
             partitions: k,
         }
     }
 
-    /// Number of distinct columns `k′` — the length of every session row.
+    /// Number of workers `m`.
+    fn workers(&self) -> usize {
+        self.scales.len()
+    }
+
+    /// Number of distinct columns `k′` — the width of every session row.
     fn distinct_columns(&self) -> usize {
-        self.rows.first().map_or(0, Vec::len)
+        self.distinct
+    }
+
+    /// Worker `w`'s nonzeros — distinct-column indices and values — and
+    /// its column bitset.
+    fn row(&self, w: usize) -> (&[usize], &[f64], &[u64]) {
+        self.rows.run(w, self.distinct.div_ceil(64))
     }
 }
 
@@ -458,13 +494,25 @@ impl RowStore {
 /// columns of `B`: bit-identical columns are kept once, since `a·B = 1`
 /// holds on every copy of a column or on none (Eq. 6's cyclic assignment
 /// gives partitions with the same owner set the same column, so `k′` can
-/// be a fraction of `k`). One arrival costs one `O(r·(k′ + a))` sweep
-/// (`r` = current rank, `a` = arrivals so far): the new row is reduced
-/// against the basis in insertion order and its pivot normalised to
+/// be a fraction of `k`).
+///
+/// Every row is held as its nonzeros only — Eq. 6 gives `B` `s + 1`
+/// nonzeros per column, and basis rows stay about that sparse — so an
+/// arrival costs work in the nonzeros it touches, not in `k′` or in the
+/// rank. The new row is scattered into a dense `k′` scratch and reduced
+/// by exactly the basis rows whose pivot column it touches, in insertion
+/// order (applying a row can only reach *later* pivots, since each basis
+/// row is exactly `0.0` at the earlier ones). Its pivot is normalised to
 /// exactly `1.0` — earlier basis rows are never touched again — and the
-/// one new basis row then updates the running reduction, so the
-/// decodability test is an `O(k′)` norm with no re-reduction. All
-/// working buffers come from an internal [`BufferPool`]:
+/// one new basis row then updates the running reduction on its own
+/// entries, where a count of the columns above [`DEFAULT_TOLERANCE`] is
+/// kept current: the round decodes when it reaches zero. Those are the
+/// floating-point operations of a dense elimination, in its order, less
+/// the ones on exact zeros, so every plan is bitwise the dense one.
+///
+/// Basis rows and their arrival combinations are `(index, value)` runs
+/// in flat arenas, each with a bitset of its indices; the `f64` arenas
+/// come from an internal [`BufferPool`], checked out once per round.
 /// [`CodecSession::reset`] recycles them, so a session reused across
 /// training iterations reaches a steady state with **zero** per-round
 /// allocation in the elimination loop — and the zero-allocation
@@ -474,24 +522,41 @@ impl RowStore {
 #[derive(Debug, Clone)]
 pub struct CodecSession {
     store: Arc<RowStore>,
-    /// Echelon basis rows over the distinct columns, in insertion order:
-    /// row `i` is exactly `1.0` at `pivots[i]` and exactly `0.0` at every
-    /// earlier pivot (later pivots are *not* eliminated from it).
-    basis: Vec<Vec<f64>>,
-    /// `combos[i][j]`: coefficient of the j-th arrival in basis row i;
-    /// its length is fixed at the row's own arrival index + 1.
-    combos: Vec<Vec<f64>>,
+    /// Basis row `i` (insertion order) is exactly `1.0` at `pivots[i]`
+    /// and exactly `0.0` at every earlier pivot (later pivots are *not*
+    /// eliminated from it); its other nonzeros are run `i`, by column —
+    /// the pivot's `1.0` is implicit.
+    basis: Runs,
+    /// Basis row `i`'s arrival combination: run `i`, by arrival index.
+    combos: Runs,
     /// Pivot column of each basis row.
     pivots: Vec<usize>,
+    /// The basis row pivoting on each distinct column, or [`NO_ROW`].
+    pivot_row: Vec<usize>,
     /// Arrival order of workers.
     arrivals: Vec<usize>,
     /// Workers already pushed (guards duplicates).
     pushed: Vec<bool>,
-    /// Recycled row/combination buffers from previous rounds' bases.
+    /// The pool the `f64` arenas are checked out of each round.
     pool: BufferPool,
-    /// The running reduction of `1_{1×k′}` against `basis`: the round
-    /// decodes once its max-norm falls to [`DEFAULT_TOLERANCE`].
+    /// The row being reduced, dense over the `k′` columns; all `0.0`
+    /// between arrivals.
+    work: Vec<f64>,
+    /// The columns `work` may hold nonzeros at, as a bitset: storing the
+    /// row reads each one back and clears it, so there is no clearing
+    /// pass.
+    col_mask: Vec<u64>,
+    /// The combination being reduced, dense over arrival indices, and the
+    /// indices it may hold nonzeros at — cleared the same way.
+    work_combo: Vec<f64>,
+    combo_mask: Vec<u64>,
+    /// Bitset of the basis rows still to apply to the working row.
+    pending: Vec<u64>,
+    /// The running reduction of `1_{1×k′}` against the basis.
     scratch_target: Vec<f64>,
+    /// Entries of `scratch_target` above [`DEFAULT_TOLERANCE`]: the round
+    /// decodes once none is left.
+    target_live: usize,
     /// The arrival combination accumulated by that reduction:
     /// `1 − scratch_target = Σ_j scratch_combo[j] · b_{arrivals[j]}`.
     scratch_combo: Vec<f64>,
@@ -522,18 +587,25 @@ pub struct CodecSession {
 
 impl CodecSession {
     fn new(store: Arc<RowStore>) -> Self {
-        let m = store.rows.len();
-        let distinct = store.distinct_columns();
+        let (m, distinct) = (store.workers(), store.distinct_columns());
+        let mut pool = BufferPool::new(distinct);
         CodecSession {
             store,
-            basis: Vec::new(),
-            combos: Vec::new(),
+            basis: Runs::new(pool.checkout_with_len(0)),
+            combos: Runs::new(pool.checkout_with_len(0)),
             pivots: Vec::new(),
+            pivot_row: vec![NO_ROW; distinct],
             arrivals: Vec::new(),
             pushed: vec![false; m],
-            pool: BufferPool::new(distinct),
+            pool,
+            work: vec![0.0; distinct],
+            col_mask: vec![0; distinct.div_ceil(64)],
+            work_combo: vec![0.0; m],
+            combo_mask: vec![0; m.div_ceil(64)],
+            pending: vec![0; distinct.div_ceil(64)],
             scratch_target: vec![1.0; distinct],
-            scratch_combo: Vec::new(),
+            target_live: distinct,
+            scratch_combo: vec![0.0; m],
             scratch_dense: Vec::new(),
             plan_slot: DecodePlan::from_dense(&[]),
             has_plan: false,
@@ -565,23 +637,23 @@ impl CodecSession {
 
     /// Current rank of the received rows.
     pub fn rank(&self) -> usize {
-        self.basis.len()
+        self.pivots.len()
     }
 
     /// Clears the round state while keeping every allocation for reuse —
     /// the replacement for constructing a fresh per-iteration decoder.
     pub fn reset(&mut self) {
-        for buf in self.basis.drain(..) {
-            self.pool.recycle(buf);
-        }
-        for buf in self.combos.drain(..) {
-            self.pool.recycle(buf);
+        for &p in &self.pivots {
+            self.pivot_row[p] = NO_ROW;
         }
         self.pivots.clear();
+        self.basis.reset(&mut self.pool);
+        self.combos.reset(&mut self.pool);
         self.arrivals.clear();
         self.pushed.iter_mut().for_each(|p| *p = false);
         self.scratch_target.fill(1.0);
-        self.scratch_combo.clear();
+        self.target_live = self.scratch_target.len();
+        self.scratch_combo.fill(0.0);
         self.has_plan = false;
         if let Some(tracker) = &mut self.groups {
             tracker.reset();
@@ -615,7 +687,7 @@ impl CodecSession {
     /// set decodes — the plan is then borrowed via
     /// [`CodecSession::decoded_plan`]. In steady state (a session reused
     /// across rounds via [`CodecSession::reset`]) this path performs
-    /// **zero** heap allocations: elimination buffers come from the
+    /// **zero** heap allocations: the elimination arenas come from the
     /// session pool and the plan is refreshed in a capacity-reusing slot.
     ///
     /// # Errors
@@ -670,50 +742,9 @@ impl CodecSession {
             }
         }
 
-        // Reduce the new row against the basis in insertion order,
-        // tracking the combination. Each basis row is `1.0` at its pivot
-        // and `0.0` at the earlier ones, so the sweep leaves exact zeros
-        // at every pivot.
-        let store = Arc::clone(&self.store);
-        let src_row = &store.rows[worker];
-        let mut row = self.pool.checkout_copied(src_row);
-        let mut combo = self.pool.checkout_with_len(arrival_idx + 1);
-        combo[arrival_idx] = 1.0;
-        for ((basis_row, basis_combo), &p) in self.basis.iter().zip(&self.combos).zip(&self.pivots)
-        {
-            let factor = row[p];
-            if factor != 0.0 {
-                kernels::axpy(-factor, basis_row, &mut row);
-                kernels::axpy(-factor, basis_combo, &mut combo[..basis_combo.len()]);
-            }
-        }
-        // Numerical zero test relative to the source row's magnitude.
-        let scale = kernels::norm_inf(src_row).max(1.0);
-        if let Some(p) = pivot_of(&row, DEFAULT_TOLERANCE * scale) {
-            // Normalize the pivot to exactly 1 — no back-elimination: the
-            // earlier basis rows stay as they are.
-            let inv = 1.0 / row[p];
-            kernels::scale(inv, &mut row);
-            kernels::scale(inv, &mut combo);
-            row[p] = 1.0;
-            // The one new basis row is all the running reduction of `1`
-            // has not seen yet.
-            let factor = self.scratch_target[p];
-            if factor != 0.0 {
-                kernels::axpy(-factor, &row, &mut self.scratch_target);
-                self.scratch_combo.resize(arrival_idx + 1, 0.0);
-                kernels::axpy(factor, &combo, &mut self.scratch_combo);
-            }
-            self.basis.push(row);
-            self.combos.push(combo);
-            self.pivots.push(p);
-        } else {
-            // Dependent row: recycle the buffers immediately.
-            self.pool.recycle(row);
-            self.pool.recycle(combo);
-        }
+        self.eliminate(worker, arrival_idx);
 
-        let spanned = self.spans_ones();
+        let spanned = self.target_live == 0;
         if spanned {
             self.scratch_dense.clear();
             self.scratch_dense.resize(self.pushed.len(), 0.0);
@@ -741,6 +772,169 @@ impl CodecSession {
         Ok(spanned)
     }
 
+    /// One arrival's elimination step, over nonzeros only.
+    ///
+    /// `worker`'s row and the unit combination of its arrival are
+    /// scattered into the working buffers, then every basis row whose
+    /// pivot column the working row touches is applied, in insertion
+    /// order, as `work[j] += −factor · b[j]` over its nonzeros. Row `i` is
+    /// `0.0` at every earlier pivot, so applying it can only queue later
+    /// rows, and the sweep leaves exact zeros at every pivot. A row that
+    /// keeps an entry above the zero test becomes a basis row, and the
+    /// running reduction of `1` takes that one row.
+    fn eliminate(&mut self, worker: usize, arrival_idx: usize) {
+        let (cols, vals, src_mask) = self.store.row(worker);
+        // Slices, so the hot loops keep their base pointers in registers.
+        let work = &mut self.work[..];
+        let work_combo = &mut self.work_combo[..=arrival_idx];
+        let col_mask = &mut self.col_mask[..];
+        let combo_mask = &mut self.combo_mask[..];
+        let pending = &mut self.pending[..];
+        let pivot_row = &self.pivot_row[..];
+        let pivots = &self.pivots[..];
+        let (basis, combos) = (&self.basis, &self.combos);
+        let (cw, mw) = (col_mask.len(), combo_mask.len());
+
+        // Scatter, queueing the basis rows that pivot on the row's columns.
+        // The word of `pending` being drained lives in `cur`.
+        let (mut word, mut cur) = (0, 0);
+        for (&c, &v) in cols.iter().zip(vals) {
+            work[c] = v;
+            queue(&mut cur, pending, word, pivot_row[c]);
+        }
+        col_mask.copy_from_slice(src_mask);
+        work_combo[arrival_idx] = 1.0;
+        combo_mask.fill(0);
+        combo_mask[arrival_idx / 64] = 1 << (arrival_idx % 64);
+
+        loop {
+            if cur == 0 {
+                word += 1;
+                if word >= pending.len() {
+                    break;
+                }
+                cur = std::mem::take(&mut pending[word]);
+                continue;
+            }
+            let i = word * 64 + cur.trailing_zeros() as usize;
+            cur &= cur - 1;
+            let factor = work[pivots[i]];
+            if factor == 0.0 {
+                continue;
+            }
+            // The pivot entry is an implicit `1.0`.
+            work[pivots[i]] += -factor;
+            let (row_cols, row_vals, row_mask) = basis.run(i, cw);
+            for (&c, &b) in row_cols.iter().zip(row_vals) {
+                work[c] += -factor * b;
+                queue(&mut cur, pending, word, pivot_row[c]);
+            }
+            let (combo_idx, combo_vals, combo_bits) = combos.run(i, mw);
+            for (&j, &a) in combo_idx.iter().zip(combo_vals) {
+                work_combo[j] += -factor * a;
+            }
+            union(col_mask, row_mask);
+            union(combo_mask, combo_bits);
+        }
+
+        // Move the touched nonzeros to the arena in column order,
+        // clearing `work` for the next arrival and the mask bits of
+        // columns that cancelled to exact zeros.
+        let touched = col_mask.iter().map(|w| w.count_ones() as usize).sum();
+        let (out_cols, out_vals) = self.basis.open(&mut self.pool, touched);
+        let mut n = 0;
+        for (w, acc) in col_mask.iter_mut().enumerate() {
+            let (mut bits, mut nonzero_bits) = (*acc, 0);
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let c = w * 64 + bit as usize;
+                let v = std::mem::take(&mut work[c]);
+                out_cols[n] = c;
+                out_vals[n] = v;
+                n += usize::from(v != 0.0);
+                nonzero_bits |= u64::from(v != 0.0) << bit;
+            }
+            *acc = nonzero_bits;
+        }
+
+        // The pivot: the largest magnitude (for stability) above the zero
+        // test relative to the source row's magnitude, the first maximum
+        // in column order.
+        let (mut pivot, mut best) = (None, DEFAULT_TOLERANCE * self.store.scales[worker]);
+        for (t, &v) in out_vals[..n].iter().enumerate() {
+            if v.abs() > best {
+                pivot = Some(t);
+                best = v.abs();
+            }
+        }
+        let Some(pivot) = pivot else {
+            work_combo.fill(0.0);
+            return; // a dependent row: nothing is kept
+        };
+        let p = out_cols[pivot];
+
+        // Normalise to an implicit `1.0` at the pivot, dropping exact
+        // zeros. The running reduction of `1` has not seen this row yet:
+        // unless it is already `0.0` at the pivot, it takes the row on the
+        // way — `target[c] += −factor · b` on the columns, `factor · a` on
+        // the combination — and the count of its live columns changes only
+        // on the row's columns.
+        let inv = 1.0 / out_vals[pivot];
+        let target = &mut self.scratch_target[..];
+        let factor = target[p];
+        let mut live = self.target_live;
+        let mut update = |target: &mut [f64], c: usize, delta: f64| {
+            let was = target[c].abs() > DEFAULT_TOLERANCE;
+            target[c] += delta;
+            let is = target[c].abs() > DEFAULT_TOLERANCE;
+            live = live + usize::from(is) - usize::from(was);
+        };
+        let mut kept = 0;
+        for t in 0..n {
+            let (c, v) = (out_cols[t], out_vals[t] * inv);
+            out_cols[kept] = c;
+            out_vals[kept] = v;
+            kept += usize::from(v != 0.0 && c != p);
+            if factor != 0.0 && c != p {
+                update(target, c, -factor * v);
+            }
+        }
+        if factor != 0.0 {
+            update(target, p, -factor);
+        }
+        self.target_live = live;
+        // The row's column mask is what it keeps (a scaled entry that
+        // underflowed to zero leaves a bit that later reads as `0.0`).
+        col_mask[p / 64] &= !(1 << (p % 64));
+        self.basis.close(&mut self.pool, kept, col_mask);
+
+        // The combination takes the same scale, and is cleared for the
+        // next arrival on the way; its mask may keep an index whose
+        // coefficient cancelled to zero, which later reads as `0.0`.
+        let touched = combo_mask.iter().map(|w| w.count_ones() as usize).sum();
+        let (out_idx, out_coefs) = self.combos.open(&mut self.pool, touched);
+        let scratch_combo = &mut self.scratch_combo[..];
+        let mut combo_kept = 0;
+        for (w, &word) in combo_mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = std::mem::take(&mut work_combo[j]) * inv;
+                out_idx[combo_kept] = j;
+                out_coefs[combo_kept] = v;
+                combo_kept += usize::from(v != 0.0);
+                if factor != 0.0 {
+                    scratch_combo[j] += factor * v;
+                }
+            }
+        }
+        self.combos.close(&mut self.pool, combo_kept, combo_mask);
+        self.pivot_row[p] = self.pivots.len();
+        self.pivots.push(p);
+    }
+
     /// The plan decoded by the last successful
     /// [`CodecSession::push_arrival`] of this round (borrowed from the
     /// session's reusable slot); `None` before the round decodes or after
@@ -748,24 +942,90 @@ impl CodecSession {
     pub fn decoded_plan(&self) -> Option<&DecodePlan> {
         self.has_plan.then_some(&self.plan_slot)
     }
+}
 
-    /// Whether `1` lies in the span of the received rows: the running
-    /// reduction has nothing left.
-    fn spans_ones(&self) -> bool {
-        kernels::norm_inf(&self.scratch_target) <= DEFAULT_TOLERANCE
+/// Sparse rows in flat arenas: run `i` is `(index, value)` pairs at
+/// `ptr[i]..ptr[i + 1]`, ascending by index, plus a bitset of its indices
+/// (`words` per run). The arenas only grow; their logical end is `ptr`'s
+/// last entry.
+#[derive(Debug, Clone)]
+struct Runs {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
+    /// The `f64` arena; a session checks it out of its pool each round.
+    vals: Vec<f64>,
+    masks: Vec<u64>,
+}
+
+impl Runs {
+    fn new(vals: Vec<f64>) -> Self {
+        Runs {
+            ptr: vec![0],
+            idx: Vec::new(),
+            vals,
+            masks: Vec::new(),
+        }
+    }
+
+    /// Run `i`'s indices, values and bitset.
+    fn run(&self, i: usize, words: usize) -> (&[usize], &[f64], &[u64]) {
+        let span = self.ptr[i]..self.ptr[i + 1];
+        (
+            &self.idx[span.clone()],
+            &self.vals[span],
+            &self.masks[i * words..(i + 1) * words],
+        )
+    }
+
+    /// Room for up to `n` entries of the next run, to be written in place
+    /// and committed by [`Runs::close`].
+    fn open(&mut self, pool: &mut BufferPool, n: usize) -> (&mut [usize], &mut [f64]) {
+        let start = self.ptr[self.ptr.len() - 1];
+        pool.grow(&mut self.idx, start + n);
+        pool.grow(&mut self.vals, start + n);
+        (
+            &mut self.idx[start..start + n],
+            &mut self.vals[start..start + n],
+        )
+    }
+
+    /// Commits the first `len` entries written after [`Runs::open`] as
+    /// the next run, with bitset `mask`.
+    fn close(&mut self, pool: &mut BufferPool, len: usize, mask: &[u64]) {
+        let (start, rows) = (self.ptr[self.ptr.len() - 1], self.ptr.len() - 1);
+        self.ptr.push(start + len);
+        pool.grow(&mut self.masks, (rows + 1) * mask.len());
+        self.masks[rows * mask.len()..(rows + 1) * mask.len()].copy_from_slice(mask);
+    }
+
+    /// Drops every run, and takes the next round's `f64` arena out of
+    /// `pool` after recycling this one (the same buffer comes back).
+    fn reset(&mut self, pool: &mut BufferPool) {
+        self.ptr.truncate(1);
+        pool.recycle(std::mem::take(&mut self.vals));
+        self.vals = pool.checkout_with_len(0);
     }
 }
 
-fn pivot_of(row: &[f64], tol: f64) -> Option<usize> {
-    // Largest-magnitude entry as pivot for stability.
-    let (mut best, mut best_val) = (None, tol);
-    for (j, &v) in row.iter().enumerate() {
-        if v.abs() > best_val {
-            best = Some(j);
-            best_val = v.abs();
-        }
+/// Marks a distinct column no basis row pivots on.
+const NO_ROW: usize = usize::MAX;
+
+/// `acc |= bits`, word by word.
+fn union(acc: &mut [u64], bits: &[u64]) {
+    for (a, &b) in acc.iter_mut().zip(bits) {
+        *a |= b;
     }
-    best
+}
+
+/// Queues basis row `row` (nothing for [`NO_ROW`]): into `cur` when it
+/// falls in `word`, the word of `pending` being drained, else into
+/// `pending`. Rows after the one being applied are never in an earlier
+/// word, and for `k′ ≤ 64` every queue stays in the register.
+fn queue(cur: &mut u64, pending: &mut [u64], word: usize, row: usize) {
+    *cur |= u64::from(row / 64 == word) << (row % 64);
+    if row / 64 > word && row != NO_ROW {
+        pending[row / 64] |= 1 << (row % 64);
+    }
 }
 
 // ---------------------------------------------------- the compiled codec
@@ -1491,8 +1751,10 @@ mod tests {
         let code = CodingMatrix::from_matrix(dup, 0).unwrap();
         let store = RowStore::from_code(&code);
         assert_eq!((store.partitions, store.distinct_columns()), (5, 3));
-        assert_eq!(store.rows[0], [1.0, 0.0, 2.0]);
-        assert_eq!(store.rows[2], [0.0, 3.0, 1.0]);
+        // Rows keep their nonzeros over the distinct columns only.
+        assert_eq!(store.row(0), (&[0, 2][..], &[1.0, 2.0][..], &[0b101][..]));
+        assert_eq!(store.row(2), (&[1, 2][..], &[3.0, 1.0][..], &[0b110][..]));
+        assert_eq!(store.scales, [2.0, 1.0, 3.0]);
         let mut session = GradientCodec::session(&code);
         assert_eq!((session.partitions(), session.pool().dim()), (5, 3));
         assert!(session.push(2).unwrap().is_none());

@@ -191,8 +191,9 @@ impl BspIteration {
 ///
 /// [`SimError::InvalidConfig`] when `rates`/`events` lengths disagree with
 /// the code's worker count, a rate or `work_per_partition` is not
-/// positive, or `payload_bytes`, `broadcast_time` or `compute_jitter` is
-/// negative or not finite.
+/// positive, `payload_bytes`, `broadcast_time` or `compute_jitter` is
+/// negative or not finite, or a [`StragglerEvent::Delayed`] delay is NaN
+/// or negative (`+∞` is valid: the worker never arrives).
 pub fn simulate_bsp_iteration<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
     codec: &C,
     cfg: &BspIterationConfig<'_>,
@@ -243,6 +244,15 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
     if !knobs.iter().all(|v| v.is_finite() && *v >= 0.0) {
         return Err(SimError::InvalidConfig {
             reason: "payload, broadcast time and jitter must be finite, ≥ 0".into(),
+        });
+    }
+    // `Delayed(+∞)` is a worker that never arrives; a NaN or negative delay
+    // would stall the round silently or complete it before it started.
+    let bad_delay =
+        |e: &StragglerEvent| matches!(*e, StragglerEvent::Delayed(d) if d.is_nan() || d < 0.0);
+    if events.iter().any(bad_delay) {
+        return Err(SimError::InvalidConfig {
+            reason: "straggler delays must be ≥ 0 (+∞ never arrives)".into(),
         });
     }
 
@@ -543,6 +553,28 @@ mod tests {
                 Err(SimError::InvalidConfig { .. })
             ));
         }
+        // A negative delay on four workers would complete the round at
+        // −4 s; NaN or −∞ on two would stall it. `+∞` is a worker that
+        // never arrives, which `s = 1` tolerates.
+        let delayed = |workers: &[usize], d: f64| {
+            let mut events = no_events(5);
+            for &w in workers {
+                events[w] = StragglerEvent::Delayed(d);
+            }
+            simulate_bsp_iteration(&code, &instantaneous(), &events, &mut rng(28))
+        };
+        for (workers, d) in [
+            (&[0, 1, 2, 3][..], -5.0),
+            (&[1, 3][..], f64::NAN),
+            (&[1, 3][..], f64::NEG_INFINITY),
+        ] {
+            assert!(matches!(
+                delayed(workers, d),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
+        let never = delayed(&[1], f64::INFINITY).unwrap();
+        assert!(never.completion.is_some_and(|t| t.is_finite() && t > 0.0));
     }
 
     #[test]
