@@ -208,10 +208,9 @@ pub trait RoundEngine {
     }
 
     /// Per-worker partition loads of the engine's *current* code
-    /// (`load_of` per worker) — what a multi-job scheduler commits to a
-    /// shared worker pool to model cross-job contention, refreshed after
-    /// every successful [`RoundEngine::recode`]. `None` when the engine
-    /// has no codec view of its load (the uncoded SSP baseline).
+    /// (`load_of` per worker). No engine reports them and nothing in the
+    /// workspace reads them; the method stays only because the benchmark
+    /// harness's `TimedEngine` (`benchmark/src/timed.rs`) forwards it.
     fn worker_loads(&self) -> Option<Vec<usize>> {
         None
     }
@@ -658,14 +657,6 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
     fn initial_estimates(&self) -> Option<Vec<f64>> {
         Some(self.rates.clone())
     }
-
-    fn worker_loads(&self) -> Option<Vec<usize>> {
-        Some(
-            (0..self.codec.workers())
-                .map(|w| self.codec.load_of(w))
-                .collect(),
-        )
-    }
 }
 
 /// Per-round delta of a session pool's `(hits, alloc_bytes)` counters —
@@ -1072,11 +1063,6 @@ where
             Err(RuntimeError::InvalidConfig { .. }) => Ok(false),
             Err(e) => Err(e.into()),
         }
-    }
-
-    fn worker_loads(&self) -> Option<Vec<usize>> {
-        let codec = self.cluster.codec();
-        Some((0..codec.workers()).map(|w| codec.load_of(w)).collect())
     }
 }
 

@@ -88,9 +88,8 @@ pub use hetgc_coding::{
     GradientBlock, GradientCodec, Group, GroupCodingMatrix, GroupSearchConfig, SupportMatrix,
 };
 pub use hetgc_ml::{
-    accuracy, partial_gradients, partial_gradients_into, synthetic, Adam, Classifier, Dataset,
-    FillPartial, LinearRegression, Mlp, Model, Momentum, Optimizer, Sgd, SoftmaxRegression,
-    Targets,
+    partial_gradients, partial_gradients_into, synthetic, Dataset, FillPartial, LinearRegression,
+    Mlp, Model, Optimizer, Sgd, SoftmaxRegression, Targets,
 };
 pub use hetgc_runtime::{
     ClusterRound, RuntimeConfig, RuntimeError, ThreadedCluster, WorkerBehavior,

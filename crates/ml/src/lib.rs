@@ -14,7 +14,7 @@
 //!   (`g = Σ_i g_i`, §III-A).
 //! * [`LinearRegression`], [`SoftmaxRegression`], [`Mlp`] — models from
 //!   convex to non-convex.
-//! * [`Sgd`], [`Momentum`], [`Adam`] — optimizers ([`Optimizer`]).
+//! * [`Sgd`] — plain SGD, the paper's optimizer ([`Optimizer`]).
 //!
 //! ```
 //! use hetgc_ml::{synthetic, LinearRegression, Model, Optimizer, Sgd};
@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod classify;
 mod dataset;
 mod gradient;
 mod linear;
@@ -49,14 +48,13 @@ pub mod synthetic;
 #[cfg(test)]
 mod testing;
 
-pub use classify::{accuracy, Classifier};
 pub use dataset::{Dataset, Targets};
 pub use gradient::{partial_gradients, partial_gradients_into};
 pub use linear::LinearRegression;
 pub use loss::{cross_entropy_from_logits, log_sum_exp, softmax_in_place};
 pub use mlp::Mlp;
 pub use model::{numeric_gradient, FillPartial, Model, PartialSink};
-pub use optimizer::{Adam, Momentum, Optimizer, Sgd};
+pub use optimizer::{Optimizer, Sgd};
 
 mod logistic;
 pub use logistic::SoftmaxRegression;

@@ -1,9 +1,8 @@
 //! First-order optimizers.
 //!
-//! The paper's experiments run SGD (its references [10], [11] motivate
-//! gradient aggregation for Adam-style methods too); all three optimizers
-//! here consume the *decoded aggregated gradient*, so any of them
-//! composes with any coding scheme.
+//! The paper's experiments run SGD. An [`Optimizer`] consumes the
+//! *decoded aggregated gradient*, so any optimizer composes with any
+//! coding scheme.
 
 /// A stateful first-order optimizer stepping flat parameter vectors.
 pub trait Optimizer {
@@ -61,124 +60,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// SGD with (heavy-ball) momentum: `v ← β·v + g; θ ← θ − η·v`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Momentum {
-    lr: f64,
-    beta: f64,
-    velocity: Vec<f64>,
-}
-
-impl Momentum {
-    /// Momentum SGD with learning rate `lr` and momentum `beta ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive `lr` or `beta` outside `[0, 1)`.
-    pub fn new(lr: f64, beta: f64) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta), "momentum must be in [0, 1)");
-        Momentum {
-            lr,
-            beta,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(params.len(), grad.len(), "param/grad length mismatch");
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter length changed"
-        );
-        for ((p, g), v) in params.iter_mut().zip(grad).zip(&mut self.velocity) {
-            *v = self.beta * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-/// Adam (Kingma & Ba — the paper's reference \[11\]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
-}
-
-impl Adam {
-    /// Adam with the canonical defaults `β₁ = 0.9, β₂ = 0.999, ε = 1e−8`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive `lr`.
-    pub fn new(lr: f64) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Adam with explicit hyper-parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range hyper-parameters.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas in [0,1)"
-        );
-        assert!(eps > 0.0, "eps must be positive");
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(params.len(), grad.len(), "param/grad length mismatch");
-        if self.m.is_empty() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-        }
-        assert_eq!(self.m.len(), params.len(), "parameter length changed");
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,41 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn momentum_converges_on_quadratic() {
-        assert!(converges(Momentum::new(0.1, 0.9), 300) < 1e-6);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        assert!(converges(Adam::new(0.1), 800) < 1e-3);
-    }
-
-    #[test]
     fn sgd_step_formula() {
         let mut opt = Sgd::new(0.1);
         let mut p = vec![1.0, 2.0];
         opt.step(&mut p, &[1.0, -1.0]);
         assert_eq!(p, vec![0.9, 2.1]);
         assert_eq!(opt.learning_rate(), 0.1);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut opt = Momentum::new(1.0, 0.5);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]); // v=1, p=-1
-        assert_eq!(p, vec![-1.0]);
-        opt.step(&mut p, &[1.0]); // v=1.5, p=-2.5
-        assert_eq!(p, vec![-2.5]);
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        // Bias correction makes the first Adam step ≈ lr · sign(g).
-        let mut opt = Adam::new(0.01);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[42.0]);
-        assert!((p[0] + 0.01).abs() < 1e-6, "{}", p[0]);
     }
 
     #[test]
@@ -258,22 +110,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "momentum")]
-    fn bad_beta_rejected() {
-        Momentum::new(0.1, 1.0);
-    }
-
-    #[test]
     fn optimizers_as_trait_objects() {
-        let mut opts: Vec<Box<dyn Optimizer>> = vec![
-            Box::new(Sgd::new(0.1)),
-            Box::new(Momentum::new(0.1, 0.9)),
-            Box::new(Adam::new(0.1)),
-        ];
+        let mut opts: Vec<Box<dyn Optimizer>> =
+            vec![Box::new(Sgd::new(0.1)), Box::new(Sgd::new(1.0))];
         let mut p = vec![1.0];
         for o in &mut opts {
             o.step(&mut p, &[0.5]);
             assert!(o.learning_rate() > 0.0);
         }
+        assert_eq!(p, vec![1.0 - 0.05 - 0.5]);
     }
 }

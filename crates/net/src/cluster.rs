@@ -314,7 +314,8 @@ where
     ///
     /// # Errors
     ///
-    /// [`NetError::Runtime`] on codec/partitioning/spec problems,
+    /// [`NetError::Runtime`] on codec/partitioning/spec problems or a
+    /// behaviour that fails [`hetgc_runtime::WorkerBehavior::validate`],
     /// [`NetError::Handshake`] when workers fail to connect (30 s accept
     /// deadline) or speak a different protocol version. Before any error
     /// returns, the links already handshaken get `Shutdown` and are
@@ -379,13 +380,14 @@ where
         chunk_len: usize,
         encoding: PayloadEncoding,
     ) -> Result<Self, NetError> {
-        let codec = build_codec(code, config)?;
-        if spec.build().num_params() != model.num_params() {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "model spec does not match the master's model".into(),
-            }
-            .into());
+        for (w, behavior) in config.behaviors.iter().enumerate() {
+            behavior
+                .validate()
+                .map_err(|reason| RuntimeError::InvalidConfig {
+                    reason: format!("worker {w}: {reason}"),
+                })?;
         }
+        let codec = build_codec(code, config)?;
         if model.num_params() > frame::MAX_ROUND_PARAMS {
             // Every worker would reject the first `Round` as oversized and
             // the master would report a misleading `WorkerLost`.
@@ -397,6 +399,15 @@ where
                     frame::MAX_ROUND_PARAMS,
                     frame::MAX_FRAME_LEN >> 20
                 ),
+            }
+            .into());
+        }
+        let built = spec
+            .build(&data)
+            .map_err(|reason| RuntimeError::InvalidConfig { reason })?;
+        if built.num_params() != model.num_params() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: "model spec does not match the master's model".into(),
             }
             .into());
         }
@@ -741,6 +752,7 @@ mod tests {
     use crate::worker::run_worker;
     use crossbeam::channel::RecvTimeoutError;
     use hetgc::{naive, synthetic, LinearRegression};
+    use hetgc_runtime::WorkerBehavior;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -853,6 +865,51 @@ mod tests {
         );
         // Rejected up front, not after waiting out the accept deadline.
         assert!(started.elapsed() < ACCEPT_DEADLINE / 2);
+    }
+
+    /// What a worker would refuse (or, before it checked, panic on) is
+    /// refused at start, before any worker is accepted.
+    #[test]
+    fn behaviours_and_specs_no_worker_can_run_are_rejected_up_front() {
+        let unthrottled = WorkerBehavior {
+            throttle_samples_per_sec: Some(f64::NAN),
+            ..WorkerBehavior::nominal()
+        };
+        let cases = [
+            (
+                RuntimeConfig::nominal(1).set_behavior(0, unthrottled),
+                ModelSpec::Linear { dim: DIM as u32 },
+                "worker 0: throttle rate",
+            ),
+            (
+                RuntimeConfig::nominal(1),
+                ModelSpec::Softmax {
+                    dim: DIM as u32,
+                    classes: 1,
+                },
+                "no model of shape",
+            ),
+        ];
+        for (config, spec, needle) in cases {
+            let (model, data) = fixture();
+            let err = SocketCluster::start(
+                SocketListener::bind().expect("bind loopback"),
+                naive(1).expect("naive code"),
+                model,
+                spec,
+                data,
+                &config,
+            )
+            .expect_err("nothing a worker can run");
+            assert!(
+                matches!(
+                    &err,
+                    NetError::Runtime(RuntimeError::InvalidConfig { reason })
+                        if reason.contains(needle)
+                ),
+                "{needle}: unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

@@ -100,10 +100,6 @@ impl<M: Model> RoundEngine for SocketEngine<M> {
     fn recode(&mut self, estimates: &[f64], rng: &mut dyn RngCore) -> Result<bool, BoxError> {
         self.0.recode(estimates, rng)
     }
-
-    fn worker_loads(&self) -> Option<Vec<usize>> {
-        self.0.worker_loads()
-    }
 }
 
 impl<M: Model> PipelinedEngine for SocketEngine<M> {

@@ -101,14 +101,33 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
-    /// Instantiates the model the spec names.
-    pub fn build(&self) -> AnyModel {
-        match *self {
-            ModelSpec::Linear { dim } => AnyModel::Linear(LinearRegression::new(dim as usize)),
-            ModelSpec::Softmax { dim, classes } => {
-                AnyModel::Softmax(SoftmaxRegression::new(dim as usize, classes as usize))
-            }
+    /// Instantiates the model the spec names, for `data`.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason when no model has that shape (dimension
+    /// 0, fewer than two classes) or the model does not fit `data`
+    /// (another feature dimension, other targets) — what the model's
+    /// constructor and kernels would otherwise panic on.
+    pub fn build(&self, data: &Dataset) -> Result<AnyModel, String> {
+        let (dim, classes) = match *self {
+            ModelSpec::Linear { dim } => (dim as usize, None),
+            ModelSpec::Softmax { dim, classes } => (dim as usize, Some(classes as usize)),
+        };
+        if dim == 0 || classes.is_some_and(|c| c < 2) {
+            return Err(format!("no model of shape {self:?}"));
         }
+        if dim != data.dim() || classes != data.num_classes() {
+            return Err(format!(
+                "{self:?} does not fit a dataset of dimension {} with {} classes",
+                data.dim(),
+                data.num_classes().unwrap_or(0)
+            ));
+        }
+        Ok(match classes {
+            None => AnyModel::Linear(LinearRegression::new(dim)),
+            Some(classes) => AnyModel::Softmax(SoftmaxRegression::new(dim, classes)),
+        })
     }
 }
 
@@ -318,13 +337,15 @@ mod tests {
         let data = synthetic::linear_regression(42, 129, 0.1, &mut rng);
         let bare = LinearRegression::new(129);
         let params = bare.init_params(&mut rng);
-        let built = ModelSpec::Linear { dim: 129 }.build();
+        let built = ModelSpec::Linear { dim: 129 }.build(&data).unwrap();
         assert_eq!(coded(&built, &data, &params), coded(&bare, &data, &params));
 
         let data = synthetic::gaussian_blobs(42, 5, 3, 2.0, &mut rng);
         let bare = SoftmaxRegression::new(5, 3);
         let params = bare.init_params(&mut rng);
-        let built = ModelSpec::Softmax { dim: 5, classes: 3 }.build();
+        let built = ModelSpec::Softmax { dim: 5, classes: 3 }
+            .build(&data)
+            .unwrap();
         assert_eq!(coded(&built, &data, &params), coded(&bare, &data, &params));
     }
 
@@ -338,7 +359,7 @@ mod tests {
     fn any_model_forwards_for_each_partial() {
         let mut rng = StdRng::seed_from_u64(17);
         let data = synthetic::linear_regression(8, 3, 0.1, &mut rng);
-        let built = ModelSpec::Linear { dim: 3 }.build();
+        let built = ModelSpec::Linear { dim: 3 }.build(&data).unwrap();
         let mut visits = 0;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             built.for_each_partial(&[0.0; 4], &data, &[(0, 2), (2, 4), (4, 99)], &mut |_, _| {

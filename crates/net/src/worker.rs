@@ -112,7 +112,10 @@ impl WorkerMetrics {
     }
 }
 
-/// The round loop over an already-handshaken connection.
+/// The round loop over an already-handshaken connection. Every field a
+/// well-framed peer controls is checked before it reaches a constructor,
+/// a kernel or the clock, so a malformed `Handshake`, `Recode` or `Round`
+/// ends the worker with [`NetError::Handshake`], never a panic.
 fn serve(
     mut conn: Connection,
     handshake: Handshake,
@@ -129,19 +132,20 @@ fn serve(
         dataset,
         encoding,
     } = handshake;
-    let model = model.build();
+    let data = dataset.into_dataset().map_err(NetError::Handshake)?;
+    let model = model.build(&data).map_err(NetError::Handshake)?;
     if model.num_params() != num_params as usize {
         return Err(NetError::Handshake(format!(
             "model has {} params, handshake says {num_params}",
             model.num_params()
         )));
     }
-    let data = dataset.into_dataset().map_err(NetError::Handshake)?;
     let behavior = behavior.to_behavior();
+    behavior.validate().map_err(NetError::Handshake)?;
     let chunk_len = (chunk_len as usize).max(1);
     let mut assignment = Assignment {
         row: worker,
-        ranges: to_usize_ranges(&ranges),
+        ranges: checked_ranges(&ranges, data.len())?,
         coefficients,
     };
 
@@ -184,11 +188,17 @@ fn serve(
                 }))) => {
                     assignment = Assignment {
                         row,
-                        ranges: to_usize_ranges(&ranges),
+                        ranges: checked_ranges(&ranges, data.len())?,
                         coefficients,
                     };
                 }
                 Ok(Some(FrameRef::Round { seq, params: sent })) => {
+                    if sent.len() != num_params as usize {
+                        return Err(NetError::Handshake(format!(
+                            "round {seq} carries {} params, handshake says {num_params}",
+                            sent.len()
+                        )));
+                    }
                     params.resize(sent.len(), 0.0);
                     sent.copy_to(&mut params);
                     current = Some(seq);
@@ -221,7 +231,13 @@ fn serve(
             &mut coded,
             &mut partial,
         );
-        let until = emulated_deadline(&behavior, &assignment.ranges, seq as usize, started);
+        let until = emulated_deadline(&behavior, &assignment.ranges, seq as usize, started)
+            .ok_or_else(|| {
+                NetError::Handshake(format!(
+                    "round {seq}: the handshake's throttle and delay put the reply past \
+                     what the clock can represent"
+                ))
+            })?;
         std::thread::sleep(until.saturating_duration_since(Instant::now()));
         let computed = metrics.as_ref().map(|m| {
             m.rounds.inc();
@@ -282,10 +298,21 @@ struct LossyLink {
     payload: Vec<u8>,
 }
 
-fn to_usize_ranges(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
+/// The wire's sample ranges as the kernel's, each checked to be a
+/// forward range inside the `samples`-sample dataset.
+fn checked_ranges(ranges: &[(u32, u32)], samples: usize) -> Result<Vec<(usize, usize)>, NetError> {
     ranges
         .iter()
-        .map(|&(lo, hi)| (lo as usize, hi as usize))
+        .map(|&(lo, hi)| {
+            let (lo, hi) = (lo as usize, hi as usize);
+            if lo <= hi && hi <= samples {
+                Ok((lo, hi))
+            } else {
+                Err(NetError::Handshake(format!(
+                    "sample range [{lo}, {hi}) is not inside the {samples}-sample dataset"
+                )))
+            }
+        })
         .collect()
 }
 
@@ -388,4 +415,180 @@ fn stream_encoded_reply(
     }
     .append_to(wire);
     conn.send_encoded(wire)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    use hetgc_ml::synthetic;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use crate::spec::{BehaviorSpec, DatasetSpec, ModelSpec};
+
+    const DIM: u32 = 3;
+    const SAMPLES: u32 = 8;
+
+    /// A well-formed handshake: a linear model over an 8-sample,
+    /// 3-feature dataset, two owned partitions, nominal behaviour.
+    fn handshake() -> Handshake {
+        let mut rng = StdRng::seed_from_u64(39);
+        let data = synthetic::linear_regression(SAMPLES as usize, DIM as usize, 0.1, &mut rng);
+        Handshake {
+            worker: 0,
+            num_params: DIM + 1,
+            chunk_len: 64,
+            ranges: vec![(0, 4), (4, 8)],
+            coefficients: vec![1.0, 0.5],
+            behavior: BehaviorSpec::from(&hetgc_runtime::WorkerBehavior::nominal()),
+            model: ModelSpec::Linear { dim: DIM },
+            dataset: DatasetSpec::from_dataset(&data),
+            encoding: PayloadEncoding::F64,
+        }
+    }
+
+    fn round(seq: u64) -> Frame {
+        Frame::Round {
+            seq,
+            params: vec![0.25; DIM as usize + 1],
+        }
+    }
+
+    /// Plays the master over loopback: answers the worker's `Hello` with
+    /// `handshake`, sends `script`, waits for the reply to the script's
+    /// last round (or for the worker to hang up), sends `Shutdown` and
+    /// returns what `run_worker` returned. A worker that panics fails the
+    /// test here.
+    fn serve_script(handshake: Handshake, script: &[Frame]) -> Result<(), NetError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let worker = std::thread::spawn(move || run_worker(addr));
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = Connection::new(stream);
+        assert!(matches!(conn.recv(), Ok(Frame::Hello { .. })));
+        // A worker that already refused may have closed the link, so
+        // these sends may fail; its verdict is what the test reads.
+        let _ = conn.send(&Frame::Handshake(handshake));
+        for frame in script {
+            let _ = conn.send(frame);
+        }
+        let last = script.iter().filter_map(|f| match f {
+            Frame::Round { seq, .. } => Some(*seq),
+            _ => None,
+        });
+        if let Some(last) = last.max() {
+            // A `Shutdown` queued behind the rounds would let the worker
+            // exit before it computes any of them.
+            while let Ok(frame) = conn.recv_deadline(Some(Duration::from_secs(10))) {
+                if matches!(frame, Frame::RoundDone { seq, .. } if seq == last) {
+                    break;
+                }
+            }
+        }
+        let _ = conn.send(&Frame::Shutdown);
+        worker.join().expect("the worker panicked")
+    }
+
+    fn assert_refused(handshake: Handshake, script: &[Frame], needle: &str) {
+        match serve_script(handshake, script) {
+            Err(NetError::Handshake(reason)) => {
+                assert!(reason.contains(needle), "{reason:?} lacks {needle:?}")
+            }
+            other => panic!("expected a handshake error about {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn well_formed_script_is_served_to_a_clean_exit() {
+        let recode = Frame::Recode {
+            row: 0,
+            ranges: vec![(2, 8)],
+            coefficients: vec![2.0],
+        };
+        serve_script(handshake(), &[round(1), recode, round(2)]).expect("served");
+    }
+
+    #[test]
+    fn a_model_with_no_shape_is_refused() {
+        let mut linear = handshake();
+        linear.model = ModelSpec::Linear { dim: 0 };
+        assert_refused(linear, &[round(1)], "no model of shape");
+        let mut softmax = handshake();
+        softmax.model = ModelSpec::Softmax {
+            dim: DIM,
+            classes: 1,
+        };
+        assert_refused(softmax, &[round(1)], "no model of shape");
+    }
+
+    #[test]
+    fn a_model_that_does_not_fit_the_dataset_is_refused() {
+        // Same parameter count as the handshake claims, other features.
+        let mut wrong = handshake();
+        wrong.model = ModelSpec::Linear { dim: DIM + 1 };
+        wrong.num_params = DIM + 2;
+        let params = Frame::Round {
+            seq: 1,
+            params: vec![0.25; DIM as usize + 2],
+        };
+        assert_refused(wrong, &[params], "does not fit");
+    }
+
+    #[test]
+    fn a_throttle_that_is_not_a_rate_is_refused() {
+        for rate in [0.0, -2.0, f64::NAN] {
+            let mut base = handshake();
+            base.behavior.throttle = Some(rate);
+            assert_refused(base, &[round(1)], "throttle rate");
+            let mut step = handshake();
+            step.behavior.throttle_step = Some((1, rate));
+            assert_refused(step, &[round(1)], "throttle step rate");
+        }
+    }
+
+    /// The longest wire delay (`u64::MAX` µs, ~585k years) fits the
+    /// clock alone, and so does a throttle that stretches 4 samples to
+    /// ~2.9e11 years; together they overflow `Instant + Duration`.
+    #[test]
+    fn a_delay_that_overflows_the_clock_is_refused() {
+        let mut endless = handshake();
+        endless.ranges = vec![(0, 4)];
+        endless.coefficients = vec![1.0];
+        endless.behavior.throttle = Some(4.0 / 9.223_37e18);
+        endless.behavior.extra_delay_micros = u64::MAX;
+        assert_refused(endless, &[round(1)], "past what the clock can represent");
+    }
+
+    #[test]
+    fn a_range_outside_the_dataset_is_refused() {
+        for bad in [(5, 3), (4, SAMPLES + 1)] {
+            let mut shard = handshake();
+            shard.ranges[1] = bad;
+            assert_refused(shard, &[round(1)], "not inside the 8-sample dataset");
+            let recode = Frame::Recode {
+                row: 0,
+                ranges: vec![(0, 2), bad],
+                coefficients: vec![1.0, 1.0],
+            };
+            assert_refused(
+                handshake(),
+                &[round(1), recode, round(2)],
+                "not inside the 8-sample dataset",
+            );
+        }
+    }
+
+    #[test]
+    fn a_round_of_the_wrong_width_is_refused() {
+        for width in [DIM as usize, DIM as usize + 2] {
+            let wrong = Frame::Round {
+                seq: 1,
+                params: vec![0.25; width],
+            };
+            assert_refused(handshake(), &[wrong], "round 1 carries");
+        }
+    }
 }

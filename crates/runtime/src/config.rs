@@ -2,7 +2,7 @@
 //! backend selection.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hetgc_coding::{CodecBackend, EscalationPolicy, SharedPlanCache};
 
@@ -74,6 +74,32 @@ impl WorkerBehavior {
         );
         self.throttle_step = Some((at, rate));
         self
+    }
+
+    /// Checks what the builders assert, for a behaviour built through
+    /// its public fields or received off the wire: every throttle rate
+    /// is positive and finite, and `Instant` can add the extra delay.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let rates = [
+            ("throttle", self.throttle_samples_per_sec),
+            ("throttle step", self.throttle_step.map(|(_, rate)| rate)),
+        ];
+        for (what, rate) in rates {
+            if let Some(rate) = rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
+                return Err(format!("{what} rate {rate} is not positive and finite"));
+            }
+        }
+        if Instant::now().checked_add(self.extra_delay).is_none() {
+            return Err(format!(
+                "extra delay {:?} overflows the clock",
+                self.extra_delay
+            ));
+        }
+        Ok(())
     }
 
     /// Whether the worker responds at iteration `iter` (1-based).
@@ -244,6 +270,30 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_throttle_rejected() {
         WorkerBehavior::nominal().with_throttle(0.0);
+    }
+
+    #[test]
+    fn validate_holds_the_fields_to_the_builders_contract() {
+        let built = WorkerBehavior::nominal()
+            .with_delay(Duration::from_secs(3600))
+            .with_throttle(1e-9)
+            .with_throttle_step(2, 5.0)
+            .failing_from(4);
+        assert_eq!(built.validate(), Ok(()));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let base = WorkerBehavior {
+                throttle_samples_per_sec: Some(rate),
+                ..WorkerBehavior::nominal()
+            };
+            assert!(base.validate().unwrap_err().starts_with("throttle rate"));
+            let step = WorkerBehavior {
+                throttle_step: Some((1, rate)),
+                ..WorkerBehavior::nominal()
+            };
+            assert!(step.validate().unwrap_err().starts_with("throttle step"));
+        }
+        let endless = WorkerBehavior::nominal().with_delay(Duration::MAX);
+        assert!(endless.validate().unwrap_err().contains("extra delay"));
     }
 
     #[test]

@@ -154,7 +154,8 @@ where
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidConfig`] when the dataset has fewer samples
+    /// [`RuntimeError::InvalidConfig`] when a worker behaviour fails
+    /// [`crate::WorkerBehavior::validate`], when the dataset has fewer samples
     /// than partitions, or when the requested backend cannot be built
     /// from this matrix.
     pub fn start(
@@ -163,6 +164,13 @@ where
         data: Arc<Dataset>,
         config: &RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
+        for (w, behavior) in config.behaviors.iter().enumerate() {
+            behavior
+                .validate()
+                .map_err(|reason| RuntimeError::InvalidConfig {
+                    reason: format!("worker {w}: {reason}"),
+                })?;
+        }
         let codec = build_codec(code, config)?;
         let shards = row_shards(&codec, data.len())?;
         let transport = ChannelTransport::spawn(shards, &model, &data, config);
@@ -908,5 +916,44 @@ mod tests {
             &RuntimeConfig::default(),
         );
         assert!(matches!(r, Err(RuntimeError::InvalidConfig { .. })));
+    }
+
+    /// `WorkerBehavior`'s fields are public, so a caller can bypass
+    /// `with_throttle`'s assert; start refuses what a worker thread would
+    /// panic on (`Duration::from_secs_f64` of a negative or NaN stretch,
+    /// an `Instant` overflow) before any thread is spawned.
+    #[test]
+    fn invalid_behaviours_are_rejected_at_start() {
+        let invalid = [
+            WorkerBehavior {
+                throttle_samples_per_sec: Some(0.0),
+                ..WorkerBehavior::nominal()
+            },
+            WorkerBehavior {
+                throttle_samples_per_sec: Some(-3.0),
+                ..WorkerBehavior::nominal()
+            },
+            WorkerBehavior {
+                throttle_step: Some((2, f64::NAN)),
+                ..WorkerBehavior::nominal()
+            },
+            WorkerBehavior::nominal().with_delay(Duration::MAX),
+        ];
+        for behavior in invalid {
+            let mut rng = StdRng::seed_from_u64(8);
+            let code = heter_aware(&[1.0, 1.0], 2, 1, &mut rng).unwrap();
+            let data = synthetic::linear_regression(8, 2, 0.0, &mut rng);
+            let config = RuntimeConfig::nominal(2).set_behavior(1, behavior.clone());
+            let r = ThreadedCluster::start(
+                code,
+                Arc::new(LinearRegression::new(2)),
+                Arc::new(data),
+                &config,
+            );
+            assert!(
+                matches!(&r, Err(RuntimeError::InvalidConfig { reason }) if reason.starts_with("worker 1")),
+                "{behavior:?}: {r:?}"
+            );
+        }
     }
 }

@@ -71,18 +71,24 @@ pub fn compute_coded<M: Model + ?Sized>(
 /// the worker's *emulated* speed. A socket worker sleeps until the
 /// deadline; a worker thread waits on its inbox, so a shutdown or a
 /// recode is not held up by it.
+///
+/// `None` when the deadline lies beyond what `Instant` can represent: a
+/// throttle so slow, or a delay so long, that no clock reaches it. A
+/// rate that is not positive and finite also gives `None`;
+/// [`WorkerBehavior::validate`] rejects those up front.
 pub fn emulated_deadline(
     behavior: &WorkerBehavior,
     ranges: &[(usize, usize)],
     iteration: usize,
     started: Instant,
-) -> Instant {
+) -> Option<Instant> {
     let mut until = Instant::now();
     if let Some(rate) = behavior.throttle_at(iteration) {
         let samples: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
-        until = until.max(started + Duration::from_secs_f64(samples as f64 / rate));
+        let stretched = Duration::try_from_secs_f64(samples as f64 / rate).ok()?;
+        until = until.max(started.checked_add(stretched)?);
     }
-    until + behavior.extra_delay
+    until.checked_add(behavior.extra_delay)
 }
 
 /// The newest round a worker thread has received and not yet served.
@@ -156,7 +162,11 @@ pub(crate) fn worker_main<M: Model>(mut ctx: WorkerContext<M>) {
         );
         // Wait out the emulated speed on the inbox rather than in a
         // sleep: messages are taken as they land, in order.
-        let until = emulated_deadline(&ctx.behavior, &ctx.ranges, iteration, started);
+        // A deadline no clock reaches ends the worker: the master
+        // reports it lost.
+        let Some(until) = emulated_deadline(&ctx.behavior, &ctx.ranges, iteration, started) else {
+            return;
+        };
         loop {
             let left = until.saturating_duration_since(Instant::now());
             if left.is_zero() {

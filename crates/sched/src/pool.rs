@@ -1,45 +1,24 @@
 //! The shared worker fleet: one [`SharedWorkerPool`] describes the
 //! physical workers every tenant job time-slices — their base
 //! throughputs, their injected behaviours, the fleet-wide decode-plan
-//! cache — and tracks which jobs currently hold capacity on which
-//! worker.
+//! cache — and gates how many jobs hold it at once.
 //!
 //! The pool is *logical*: each job still drives its own
-//! `ThreadedCluster` (the OS time-slices the actual threads), but the
-//! pool's committed-load ledger is what turns co-tenancy into numbers a
-//! scheme construction can act on. A worker carrying other tenants'
-//! partitions looks proportionally slower through
-//! [`SharedWorkerPool::effective_rates_for`], so a job that rebalances
-//! against those rates shifts load *away* from contended workers —
-//! exactly the Eq. 5 allocation reacting to heterogeneity, with the
-//! heterogeneity now coming from the scheduler itself.
-//!
-//! Every admission, load commit and release bumps the pool [epoch]
-//! counter; tenants compare epochs between rounds to decide when to
-//! rebalance ([`crate::LeasedEngine`]).
-//!
-//! [epoch]: SharedWorkerPool::epoch
+//! `ThreadedCluster` (the OS time-slices the actual threads). Every
+//! tenant builds its allocation from the base rates once, as the paper
+//! does from its sampled throughputs (§III-C), so equal-seeded tenants
+//! build identical codes and share one decode-plan namespace.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use hetgc_coding::SharedPlanCache;
 use hetgc_runtime::WorkerBehavior;
 
-/// Unique identifier of one admitted job, assigned at
-/// [`SharedWorkerPool::lease`] time.
-pub type JobId = u64;
-
 #[derive(Debug, Default)]
 struct PoolLedger {
-    /// Per-job committed load *fractions* per worker: `1.0` means the
-    /// job's heaviest-loaded worker, `0.0` an idle one.
-    loads: HashMap<JobId, Vec<f64>>,
     active: usize,
     peak_active: usize,
     admitted: u64,
-    epoch: u64,
-    next_job: JobId,
 }
 
 #[derive(Debug)]
@@ -54,8 +33,8 @@ struct PoolInner {
 
 /// A shared worker fleet tenanted by many concurrent training jobs.
 ///
-/// Cloning is cheap (an `Arc` handle); every clone sees the same ledger,
-/// epoch and fleet-wide decode-plan cache.
+/// Cloning is cheap (an `Arc` handle); every clone sees the same
+/// admission count and fleet-wide decode-plan cache.
 ///
 /// # Example
 ///
@@ -63,13 +42,11 @@ struct PoolInner {
 /// use hetgc_sched::SharedWorkerPool;
 ///
 /// let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0]).with_max_concurrent(2);
-/// let lease = pool.lease();
-/// // A committed load shapes what OTHER tenants see as worker speed.
-/// lease.commit_load(&[0, 0, 0, 4]);
-/// let other = pool.lease();
-/// let rates = pool.effective_rates_for(other.job_id());
-/// assert_eq!(rates[0], 1.0); // uncontended
-/// assert_eq!(rates[3], 2.0); // fully claimed by the first tenant: halved
+/// let first = pool.lease();
+/// let second = pool.lease();
+/// assert_eq!(pool.peak_active(), 2);
+/// drop((first, second)); // a third `lease()` would have blocked until here
+/// assert_eq!(pool.admitted(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedWorkerPool {
@@ -78,7 +55,7 @@ pub struct SharedWorkerPool {
 
 impl SharedWorkerPool {
     /// A pool of `base_rates.len()` workers with the given base
-    /// throughputs (samples/second when uncontended), nominal behaviours
+    /// throughputs (samples/second), nominal behaviours
     /// and unlimited concurrency.
     ///
     /// # Panics
@@ -138,12 +115,7 @@ impl SharedWorkerPool {
         self
     }
 
-    /// Number of workers in the fleet.
-    pub fn workers(&self) -> usize {
-        self.inner.base_rates.len()
-    }
-
-    /// The uncontended per-worker throughputs.
+    /// The per-worker throughputs every tenant allocates against.
     pub fn base_rates(&self) -> &[f64] {
         &self.inner.base_rates
     }
@@ -157,12 +129,6 @@ impl SharedWorkerPool {
     /// (see [`hetgc_runtime::RuntimeConfig::shared_plans`]).
     pub fn shared_plans(&self) -> Arc<SharedPlanCache> {
         Arc::clone(&self.inner.shared_plans)
-    }
-
-    /// The ledger's change counter: bumped by every admission, load
-    /// commit and release. Tenants rebalance when it moves.
-    pub fn epoch(&self) -> u64 {
-        self.inner.ledger.lock().expect("pool poisoned").epoch
     }
 
     /// The most jobs that held leases at once since the pool was built
@@ -186,8 +152,7 @@ impl SharedWorkerPool {
 
     /// Admits one job, blocking while
     /// [`SharedWorkerPool::with_max_concurrent`] jobs already hold
-    /// leases. The returned lease releases its slot (and erases the
-    /// job's committed load) on drop.
+    /// leases. The returned lease releases its slot on drop.
     pub fn lease(&self) -> PoolLease {
         let mut ledger = self.inner.ledger.lock().expect("pool poisoned");
         while ledger.active >= self.inner.max_concurrent {
@@ -196,97 +161,27 @@ impl SharedWorkerPool {
         ledger.active += 1;
         ledger.peak_active = ledger.peak_active.max(ledger.active);
         ledger.admitted += 1;
-        ledger.epoch += 1;
-        let job = ledger.next_job;
-        ledger.next_job += 1;
-        PoolLease {
-            pool: self.clone(),
-            job,
-        }
+        PoolLease { pool: self.clone() }
     }
 
-    /// Commits job `job`'s per-worker partition loads (what its current
-    /// code assigns each worker — [`hetgc::RoundEngine::worker_loads`]).
-    /// Loads are normalized to the job's heaviest worker, so one tenant
-    /// contributes at most `1.0` contention per worker.
-    pub fn commit_load(&self, job: JobId, loads: &[usize]) {
-        let peak = loads.iter().copied().max().unwrap_or(0).max(1) as f64;
-        let frac: Vec<f64> = {
-            let mut f: Vec<f64> = loads.iter().map(|&l| l as f64 / peak).collect();
-            f.resize(self.workers(), 0.0);
-            f
-        };
+    fn release(&self) {
         let mut ledger = self.inner.ledger.lock().expect("pool poisoned");
-        ledger.loads.insert(job, frac);
-        ledger.epoch += 1;
-    }
-
-    /// The throughput worker `w` effectively offers job `job` right now:
-    /// the base rate divided by `1 +` the load fractions every *other*
-    /// tenant has committed on `w`. A worker fully claimed by one other
-    /// tenant looks half as fast; an uncontended worker keeps its base
-    /// rate. This is the contention model a rebalancing tenant rebuilds
-    /// its allocation against.
-    pub fn effective_rates_for(&self, job: JobId) -> Vec<f64> {
-        let ledger = self.inner.ledger.lock().expect("pool poisoned");
-        (0..self.workers())
-            .map(|w| {
-                let contention: f64 = ledger
-                    .loads
-                    .iter()
-                    .filter(|(&j, _)| j != job)
-                    .map(|(_, frac)| frac.get(w).copied().unwrap_or(0.0))
-                    .sum();
-                self.inner.base_rates[w] / (1.0 + contention)
-            })
-            .collect()
-    }
-
-    fn release(&self, job: JobId) {
-        let mut ledger = self.inner.ledger.lock().expect("pool poisoned");
-        ledger.loads.remove(&job);
         ledger.active -= 1;
-        ledger.epoch += 1;
         drop(ledger);
         self.inner.freed.notify_all();
     }
 }
 
 /// One job's admission into a [`SharedWorkerPool`]: holds a concurrency
-/// slot and the job's identity until dropped.
+/// slot until dropped.
 #[derive(Debug)]
 pub struct PoolLease {
     pool: SharedWorkerPool,
-    job: JobId,
-}
-
-impl PoolLease {
-    /// This lease's job identifier.
-    pub fn job_id(&self) -> JobId {
-        self.job
-    }
-
-    /// The pool this lease was granted by.
-    pub fn pool(&self) -> &SharedWorkerPool {
-        &self.pool
-    }
-
-    /// Commits this job's per-worker loads
-    /// (see [`SharedWorkerPool::commit_load`]).
-    pub fn commit_load(&self, loads: &[usize]) {
-        self.pool.commit_load(self.job, loads);
-    }
-
-    /// The rates this job should build (or rebuild) its allocation from
-    /// (see [`SharedWorkerPool::effective_rates_for`]).
-    pub fn effective_rates(&self) -> Vec<f64> {
-        self.pool.effective_rates_for(self.job)
-    }
 }
 
 impl Drop for PoolLease {
     fn drop(&mut self) {
-        self.pool.release(self.job);
+        self.pool.release();
     }
 }
 
@@ -294,36 +189,6 @@ impl Drop for PoolLease {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn contention_halves_a_fully_claimed_worker() {
-        let pool = SharedWorkerPool::new(vec![4.0, 4.0]);
-        let a = pool.lease();
-        a.commit_load(&[4, 0]);
-        let b = pool.lease();
-        // Worker 0 carries tenant A's full load: B sees it at half rate.
-        assert_eq!(pool.effective_rates_for(b.job_id()), vec![2.0, 4.0]);
-        // A itself never counts its own load as contention.
-        assert_eq!(a.effective_rates(), vec![4.0, 4.0]);
-        // Releasing A restores B's view.
-        drop(a);
-        assert_eq!(b.effective_rates(), vec![4.0, 4.0]);
-    }
-
-    #[test]
-    fn epoch_moves_on_admission_commit_and_release() {
-        let pool = SharedWorkerPool::new(vec![1.0]);
-        let e0 = pool.epoch();
-        let lease = pool.lease();
-        let e1 = pool.epoch();
-        assert!(e1 > e0, "admission bumps the epoch");
-        lease.commit_load(&[3]);
-        let e2 = pool.epoch();
-        assert!(e2 > e1, "a load commit bumps the epoch");
-        drop(lease);
-        assert!(pool.epoch() > e2, "release bumps the epoch");
-        assert_eq!(pool.admitted(), 1);
-    }
 
     #[test]
     fn max_concurrent_gates_admission() {
@@ -344,19 +209,6 @@ mod tests {
         assert!(peak_seen.load(Ordering::SeqCst) <= 2, "cap respected");
         assert_eq!(pool.admitted(), 6, "every job eventually admitted");
         assert!(pool.peak_active() <= 2);
-    }
-
-    #[test]
-    fn loads_normalize_to_the_heaviest_worker() {
-        let pool = SharedWorkerPool::new(vec![2.0, 2.0, 2.0]);
-        let a = pool.lease();
-        a.commit_load(&[1, 2, 4]);
-        let b = pool.lease();
-        let rates = b.effective_rates();
-        // frac = [0.25, 0.5, 1.0] → rates 2/(1+frac).
-        assert!((rates[0] - 2.0 / 1.25).abs() < 1e-12);
-        assert!((rates[1] - 2.0 / 1.5).abs() < 1e-12);
-        assert!((rates[2] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! [`SchedulerReport`]: the jobs' outcomes, whose round records are the
 //! batch's one round history (rounds, escalations and round times are
 //! read off them), plus what the records do not carry — the shared
-//! decode-plan cache's reuse counters, the rebalance total and the
-//! batch's peak concurrency.
+//! decode-plan cache's reuse counters and the batch's peak concurrency.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use hetgc::{
-    scheme_from_estimates, synthetic, DriverConfig, LinearRegression, PipelinedDriver, RoundEngine,
-    SchemeKind, Sgd, ThreadedEngine, TrainDriver, TrainOutcome,
+    scheme_from_estimates, synthetic, DriverConfig, LinearRegression, RoundEngine, SchemeKind, Sgd,
+    ThreadedEngine, TrainDriver, TrainOutcome,
 };
 use hetgc_coding::{CodecBackend, EscalationPolicy};
 use hetgc_obs::{MetricsRegistry, RunObserver};
@@ -22,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::pool::SharedWorkerPool;
-use crate::LeasedEngine;
 
 type BoxError = Box<dyn std::error::Error + Send + Sync>;
 
@@ -54,14 +52,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Evaluate the training loss every this many rounds.
     pub eval_every: usize,
-    /// Drive the job through the double-buffered [`PipelinedDriver`]
-    /// instead of the sequential [`TrainDriver`].
-    pub pipelined: bool,
-    /// React to pool-epoch changes by rebuilding the allocation against
-    /// the pool's effective rates. Sequential driver only: the scheduler
-    /// refuses a [`JobSpec::pipelined`] job that sets it (see
-    /// [`LeasedEngine::with_rebalancing`]).
-    pub rebalance: bool,
     /// SGD learning rate.
     pub learning_rate: f64,
 }
@@ -82,8 +72,6 @@ impl JobSpec {
             samples: 64,
             seed: 7,
             eval_every: 1,
-            pipelined: false,
-            rebalance: false,
             learning_rate: 0.1,
         }
     }
@@ -124,19 +112,6 @@ impl JobSpec {
         self.seed = seed;
         self
     }
-
-    /// Drives the job through the pipelined (double-buffered) loop.
-    pub fn pipelined(mut self) -> Self {
-        self.pipelined = true;
-        self
-    }
-
-    /// Enables epoch-driven rebalancing for this job (not combinable
-    /// with [`JobSpec::pipelined`]).
-    pub fn with_rebalancing(mut self) -> Self {
-        self.rebalance = true;
-        self
-    }
 }
 
 /// What one scheduler batch produced. Round counts, escalations and
@@ -157,9 +132,6 @@ pub struct SchedulerReport {
     /// tenants running identical schemes, strictly fewer than the
     /// lookups.
     pub cache_solves: u64,
-    /// Epoch-driven re-codes across every job — the one per-job number
-    /// the round records do not carry.
-    pub rebalances: usize,
     /// Most jobs that held leases at once during this batch.
     pub peak_concurrent: usize,
 }
@@ -194,11 +166,10 @@ impl SchedulerReport {
             times.get(rank).map_or(0.0, |t| t * 1e3)
         };
         format!(
-            "jobs={} rounds={rounds} esc={:.1}% rebalances={} round p50={:.2}ms p95={:.2}ms \
+            "jobs={} rounds={rounds} esc={:.1}% round p50={:.2}ms p95={:.2}ms \
              | wall={:.3}s jobs/s={:.2} peak={} cache: {}/{} hits, {} solves",
             self.outcomes.len(),
             100.0 * escalated as f64 / rounds.max(1) as f64,
-            self.rebalances,
             ms(0.5),
             ms(0.95),
             self.wall_seconds,
@@ -269,8 +240,7 @@ impl JobScheduler {
     ///
     /// # Errors
     ///
-    /// A job that is both [`JobSpec::pipelined`] and rebalancing, before
-    /// any lease is taken; otherwise the first job failure, verbatim.
+    /// The first job failure, verbatim.
     pub fn run(&self) -> Result<SchedulerReport, BoxError> {
         self.execute(true)
     }
@@ -287,19 +257,11 @@ impl JobScheduler {
     }
 
     fn execute(&self, concurrent: bool) -> Result<SchedulerReport, BoxError> {
-        if let Some(spec) = self.jobs.iter().find(|s| s.pipelined && s.rebalance) {
-            return Err(format!(
-                "job {:?}: the pipelined driver cannot rebalance (a round is always in \
-                 flight when the pool epoch moves); drop `pipelined()` or `with_rebalancing()`",
-                spec.name
-            )
-            .into());
-        }
         let cache = self.pool.shared_plans();
         let (lookups0, hits0, solves0) = (cache.lookups(), cache.hits(), cache.solves());
         self.pool.reset_peak();
         let started = Instant::now();
-        let runs: Vec<Result<(TrainOutcome, usize), String>> = if concurrent {
+        let runs: Vec<Result<TrainOutcome, String>> = if concurrent {
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .jobs
@@ -325,38 +287,33 @@ impl JobScheduler {
         };
         let wall_seconds = started.elapsed().as_secs_f64();
 
-        let mut outcomes = Vec::with_capacity(runs.len());
-        let mut rebalances = 0;
-        for run in runs {
-            let (outcome, job_rebalances) = run.map_err(BoxError::from)?;
-            rebalances += job_rebalances;
-            outcomes.push(outcome);
-        }
+        let outcomes = runs
+            .into_iter()
+            .collect::<Result<Vec<_>, String>>()
+            .map_err(BoxError::from)?;
         Ok(SchedulerReport {
             outcomes,
             wall_seconds,
             cache_lookups: cache.lookups() - lookups0,
             cache_hits: cache.hits() - hits0,
             cache_solves: cache.solves() - solves0,
-            rebalances,
             peak_concurrent: self.pool.peak_active(),
         })
     }
 }
 
-/// Runs one job end to end: admit → build scheme/workload → spawn the
-/// tenant cluster (shared-plan cache attached) → train. Returns the
-/// outcome and how many times the job rebalanced.
+/// Runs one job end to end: build scheme/workload → admit → spawn the
+/// tenant cluster (shared-plan cache attached) → train while the lease
+/// is held.
 fn run_job(
     pool: &SharedWorkerPool,
     spec: &JobSpec,
     metrics: Option<&MetricsRegistry>,
-) -> Result<(TrainOutcome, usize), BoxError> {
+) -> Result<TrainOutcome, BoxError> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    // The initial allocation targets the fleet's *base* rates — the spec
-    // every tenant knows at admission — so equal-seeded jobs build
-    // identical codes and share decode plans. Contention enters later,
-    // through rebalancing against the effective rates.
+    // The allocation targets the fleet's base rates, fixed for the run
+    // as the paper's sampled throughputs are, so equal-seeded jobs build
+    // identical codes and share decode plans.
     let scheme = scheme_from_estimates(
         spec.kind,
         pool.base_rates(),
@@ -378,34 +335,23 @@ fn run_job(
         shared_plans: Some(pool.shared_plans()),
     };
 
-    let lease = pool.lease();
-    let engine = ThreadedEngine::new(scheme.code, Arc::clone(&model), Arc::clone(&data), &config)?
-        .with_label(spec.name.clone())
-        .with_recoding(spec.kind, spec.stragglers);
-    let mut leased = LeasedEngine::new(engine, lease).with_rebalancing(spec.rebalance);
-
+    let _lease = pool.lease();
+    let mut engine =
+        ThreadedEngine::new(scheme.code, Arc::clone(&model), Arc::clone(&data), &config)?
+            .with_label(spec.name.clone());
     let driver_cfg = DriverConfig {
         eval_every: spec.eval_every,
         ..DriverConfig::default()
     }
     .with_job_id(spec.name.clone());
-    let observer = metrics.map(|r| RunObserver::new(r, spec.name.as_str(), leased.workers()));
-    let outcome = if spec.pipelined {
-        let mut driver =
-            PipelinedDriver::new(model.as_ref(), data.as_ref(), Sgd::new(spec.learning_rate))
-                .with_config(driver_cfg);
-        if let Some(obs) = observer {
-            driver = driver.with_observer(obs);
-        }
-        driver.run(&mut leased, spec.rounds, &mut rng)?
-    } else {
-        let mut driver =
-            TrainDriver::new(model.as_ref(), data.as_ref(), Sgd::new(spec.learning_rate))
-                .with_config(driver_cfg);
-        if let Some(obs) = observer {
-            driver = driver.with_observer(obs);
-        }
-        driver.run(&mut leased, spec.rounds, &mut rng)?
-    };
-    Ok((outcome, leased.rebalances()))
+    let mut driver = TrainDriver::new(model.as_ref(), data.as_ref(), Sgd::new(spec.learning_rate))
+        .with_config(driver_cfg);
+    if let Some(registry) = metrics {
+        driver = driver.with_observer(RunObserver::new(
+            registry,
+            spec.name.as_str(),
+            engine.workers(),
+        ));
+    }
+    driver.run(&mut engine, spec.rounds, &mut rng)
 }

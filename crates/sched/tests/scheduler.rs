@@ -5,20 +5,13 @@
 //! * cross-job decode-plan reuse visible in the shared cache's counters
 //!   (solves strictly below lookups, hits from every follower tenant);
 //! * per-job `job_id` attribution on every interleaved record, and a
-//!   report whose round numbers are read off those records;
-//! * deterministic epoch-driven rebalancing when a co-tenant commits
-//!   load, and a typed refusal where the driver cannot rebalance.
+//!   report whose round numbers are read off those records.
 
 use std::time::Duration;
 
-use hetgc::{
-    scheme_from_estimates, synthetic, CodecBackend, EscalationPolicy, LinearRegression, Model,
-    RoundEngine, SchemeKind, SimBspEngine, SimTrainConfig,
-};
+use hetgc::{CodecBackend, EscalationPolicy};
 use hetgc_runtime::WorkerBehavior;
-use hetgc_sched::{JobScheduler, JobSpec, LeasedEngine, SharedWorkerPool};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hetgc_sched::{JobScheduler, JobSpec, SharedWorkerPool};
 
 /// A 4-worker fleet whose rounds are sleep-dominated (every worker adds
 /// a fixed delay) with one consistent straggler, so concurrent jobs
@@ -101,7 +94,7 @@ fn records_carry_their_jobs_tag() {
     let pool = delay_pool(2);
     let report = JobScheduler::new(pool)
         .submit(JobSpec::new("alpha").with_rounds(3))
-        .submit(JobSpec::new("beta").with_rounds(3).with_seed(9).pipelined())
+        .submit(JobSpec::new("beta").with_rounds(3).with_seed(9))
         .run()
         .expect("batch");
     assert_eq!(report.outcomes.len(), 2);
@@ -118,7 +111,7 @@ fn records_carry_their_jobs_tag() {
             assert_eq!(&parsed, record);
         }
     }
-    // The pipelined tenant's rounds flowed through the collect path.
+    // The second tenant's rounds flowed through the collect path.
     let beta = report
         .outcomes
         .iter()
@@ -162,75 +155,4 @@ fn summary_reads_the_escalated_share_off_the_records() {
     let share = format!("esc={:.1}%", 100.0 * escalated as f64 / rounds as f64);
     assert!(summary.contains(&share), "{summary} lacks {share}");
     assert_eq!(summary.matches("jobs/s=").count(), 1, "{summary}");
-}
-
-#[test]
-fn pipelined_rebalancing_is_refused_before_any_lease() {
-    let pool = delay_pool(2);
-    let sched = JobScheduler::new(pool.clone())
-        .submit(JobSpec::new("plain"))
-        .submit(JobSpec::new("overlapped").pipelined().with_rebalancing());
-    for result in [sched.run(), sched.run_sequential()] {
-        let err = result.expect_err("the pipelined driver cannot rebalance");
-        assert!(err.to_string().contains("\"overlapped\""), "{err}");
-    }
-    assert_eq!(pool.admitted(), 0, "refused before any lease is taken");
-}
-
-#[test]
-fn co_tenant_load_commit_triggers_one_rebalance() {
-    // Deterministic, simulator-backed: tenant A runs rounds; tenant B
-    // arrives and commits load; A's next round must re-code against the
-    // pool's new effective rates, exactly once.
-    let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0]);
-    let lease = pool.lease();
-    let rates = lease.effective_rates();
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let scheme = scheme_from_estimates(SchemeKind::HeterAware, &rates, 1, None, &mut rng)
-        .expect("feasible scheme");
-    let model = LinearRegression::new(3);
-    let data = synthetic::linear_regression(96, 3, 0.01, &mut rng);
-    let engine = SimBspEngine::new(
-        &scheme,
-        &model,
-        &data,
-        &rates,
-        &SimTrainConfig::default(),
-        EscalationPolicy::follow_backend(),
-    )
-    .expect("sim engine");
-    let mut tenant_a = LeasedEngine::new(engine, lease).with_rebalancing(true);
-    assert!(
-        tenant_a.worker_loads().is_some(),
-        "the sim engine reports its loads to the ledger"
-    );
-
-    let params = model.init_params(&mut rng);
-    let first = tenant_a.round(1, &params, &mut rng).expect("round 1");
-    assert_eq!(tenant_a.rebalances(), 0, "no co-tenant yet: no rebalance");
-
-    // Tenant B arrives and claims worker 3 hard.
-    let lease_b = pool.lease();
-    lease_b.commit_load(&[0, 0, 0, 8]);
-    let contended = pool.effective_rates_for(tenant_a.lease().job_id());
-    assert!(contended[3] < 4.0, "worker 3 now looks slower to A");
-
-    let second = tenant_a.round(2, &params, &mut rng).expect("round 2");
-    assert_eq!(tenant_a.rebalances(), 1, "epoch change → one re-code");
-    // The rebuild's own ledger commit must not re-trigger.
-    let third = tenant_a.round(3, &params, &mut rng).expect("round 3");
-    assert_eq!(tenant_a.rebalances(), 1);
-
-    // Every round the tenant returned completed.
-    let completed = [first, second, third]
-        .iter()
-        .filter(|er| er.elapsed.is_some())
-        .count();
-    assert_eq!(completed, 3);
-
-    // B leaving moves the epoch again: A rebalances back.
-    drop(lease_b);
-    tenant_a.round(4, &params, &mut rng).expect("round 4");
-    assert_eq!(tenant_a.rebalances(), 2, "departure → another re-code");
 }
