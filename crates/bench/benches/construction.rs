@@ -1,10 +1,18 @@
 //! Construction cost of the coding strategies (ablation, not a paper
-//! figure): Algorithm 1 performs one `(s+1)×(s+1)` LU solve per partition,
-//! so cost should scale ≈ `k·(s+1)³`; the group-based construction adds
-//! the exact-cover search on top.
+//! figure): Algorithm 1 performs one `(s+1)×(s+1)` LU solve per run of
+//! partitions sharing a replica set; the group-based construction adds
+//! the exact-cover search on top, and `construct/compile` is the codec
+//! compile of the Cluster-D code.
+//!
+//! Measured, not derived: on a 2-vCPU x86-64 box Algorithm 1 grows
+//! linearly in `k`, at about 0.25–0.3 µs per partition for `s ≤ 2`
+//! (`k = 16`: 3.6 µs, `k = 64`: 17.5 µs) and 0.3–0.5 µs for the Cluster-D
+//! code (`k = 162`, `s = 3`: 46–80 µs). At `s + 1 ≤ 4` the `(s+1)³`
+//! factorization is a few dozen flops, so the per-partition draws, block
+//! copy and writes into `B` set the constant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetgc::{cyclic, group_based, heter_aware, ClusterSpec};
+use hetgc::{cyclic, group_based, heter_aware, ClusterSpec, CompiledCodec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,6 +30,25 @@ fn bench_heter_aware(c: &mut Criterion) {
             },
         );
     }
+    // The `sim-bsp-miss` ledger workload's code: Cluster-D, k = 162, s = 3.
+    let (rates, k, s) = (ClusterSpec::cluster_d().throughputs(), 162, 3);
+    group.bench_function("cluster_d_m58_k162_s3", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| heter_aware(&rates, k, s, &mut rng).expect("construct"));
+    });
+    group.finish();
+}
+
+/// `CompiledCodec::new` on the Cluster-D code: the CSR, the distinct
+/// columns and the fingerprint, plus a clone of `B` (58 × 162 `f64`) per
+/// iteration, which the compile consumes.
+fn bench_compile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construct/compile");
+    let rates = ClusterSpec::cluster_d().throughputs();
+    let code = heter_aware(&rates, 162, 3, &mut StdRng::seed_from_u64(1)).expect("construct");
+    group.bench_function("cluster_d_m58_k162_s3", |b| {
+        b.iter(|| CompiledCodec::new(code.clone()));
+    });
     group.finish();
 }
 
@@ -58,5 +85,11 @@ fn bench_group_based(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_heter_aware, bench_cyclic, bench_group_based);
+criterion_group!(
+    benches,
+    bench_heter_aware,
+    bench_compile,
+    bench_cyclic,
+    bench_group_based
+);
 criterion_main!(benches);

@@ -60,7 +60,9 @@
 //! # }
 //! ```
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -73,7 +75,7 @@ use crate::block::{BufferPool, GradientBlock};
 use crate::codec_approx::ApproxStage;
 use crate::codec_group::{GroupIndex, GroupTracker};
 use crate::error::CodingError;
-use crate::shared_cache::{scheme_fingerprint, PlanClass, SharedPlanCache};
+use crate::shared_cache::{PlanClass, SharedPlanCache};
 use crate::strategy::CodingMatrix;
 
 /// Default number of survivor patterns a [`CompiledCodec`] remembers.
@@ -428,29 +430,26 @@ pub(crate) struct RowStore {
 }
 
 impl RowStore {
-    /// One `O(mk)` pass at compile time: hash each column's bit pattern,
-    /// keep the first of every class.
-    fn from_code(code: &CodingMatrix) -> Self {
-        let (m, k) = (code.workers(), code.partitions());
-        let mut seen = HashSet::with_capacity(k);
-        let kept: Vec<usize> = (0..k)
-            .filter(|&j| {
-                seen.insert(
-                    (0..m)
-                        .map(|w| code.row(w)[j].to_bits())
-                        .collect::<Vec<u64>>(),
-                )
-            })
-            .collect();
-        let words = kept.len().div_ceil(64);
+    /// The rows over the distinct columns, from the CSR of `B`'s
+    /// nonzeros: `class[j]` is `Some(c)` when column `j` is the first of
+    /// distinct column `c`, and there are `distinct` of them.
+    fn new(
+        row_ptr: &[usize],
+        support: &[usize],
+        coeffs: &[f64],
+        class: &[Option<usize>],
+        distinct: usize,
+    ) -> Self {
+        let words = distinct.div_ceil(64);
+        let m = row_ptr.len() - 1;
         let mut rows = Runs::new(Vec::new());
         rows.masks = vec![0; m * words];
         let mut scales = Vec::with_capacity(m);
         for w in 0..m {
             let start = rows.idx.len();
-            for (c, &j) in kept.iter().enumerate() {
-                let v = code.row(w)[j];
-                if v != 0.0 {
+            let span = row_ptr[w]..row_ptr[w + 1];
+            for (&j, &v) in support[span.clone()].iter().zip(&coeffs[span]) {
+                if let Some(c) = class[j] {
                     rows.idx.push(c);
                     rows.vals.push(v);
                     rows.masks[w * words + c / 64] |= 1 << (c % 64);
@@ -462,8 +461,8 @@ impl RowStore {
         RowStore {
             rows,
             scales,
-            distinct: kept.len(),
-            partitions: k,
+            distinct,
+            partitions: class.len(),
         }
     }
 
@@ -481,6 +480,86 @@ impl RowStore {
     /// its column bitset.
     fn row(&self, w: usize) -> (&[usize], &[f64], &[u64]) {
         self.rows.run(w, self.distinct.div_ceil(64))
+    }
+}
+
+/// What compiling `B` takes from one pass over its entries whose bits
+/// are not `+0.0` — a `−0.0` is one of them: it makes a different code,
+/// though no term of the encoder's sum.
+struct CodeScan {
+    /// CSR row pointers: worker `w`'s nonzeros live at
+    /// `row_ptr[w]..row_ptr[w+1]`.
+    row_ptr: Vec<usize>,
+    /// Partition index of every nonzero, worker-major.
+    support: Vec<usize>,
+    /// The nonzeros, aligned with `support`.
+    coeffs: Vec<f64>,
+    /// The rows over the distinct columns.
+    store: RowStore,
+    /// See [`CompiledCodec::scheme_fingerprint`].
+    fingerprint: u64,
+}
+
+impl CodeScan {
+    /// The pass itself, then the distinct-column classes: each column is
+    /// its `(worker, bits)` list, hashed and confirmed by an exact
+    /// comparison, and the first column of each class is kept, in order.
+    /// The fingerprint hashes the dimensions and every `(partition,
+    /// worker, bits)` of the pass, in order.
+    fn of(code: &CodingMatrix) -> Self {
+        let (m, k) = (code.workers(), code.partitions());
+        let mut row_ptr = Vec::with_capacity(m + 1);
+        row_ptr.push(0);
+        let (mut support, mut coeffs) = (Vec::new(), Vec::new());
+        let mut entries = Vec::new();
+        let mut col_ptr = vec![0; k + 1];
+        for w in 0..m {
+            for (j, &v) in code.row(w).iter().enumerate() {
+                let bits = v.to_bits();
+                if bits == 0 {
+                    continue;
+                }
+                entries.push((j, w, bits));
+                col_ptr[j + 1] += 1;
+                if v != 0.0 {
+                    support.push(j);
+                    coeffs.push(v);
+                }
+            }
+            row_ptr.push(support.len());
+        }
+        let mut hasher = DefaultHasher::new();
+        (m, k, code.stragglers(), &entries).hash(&mut hasher);
+
+        // Column-major copy of the entries, each column in worker order.
+        for j in 0..k {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next = col_ptr.clone();
+        let mut cols = vec![(0, 0); entries.len()];
+        for &(j, w, bits) in &entries {
+            cols[next[j]] = (w, bits);
+            next[j] += 1;
+        }
+        let mut seen = HashSet::with_capacity(k);
+        let mut distinct = 0;
+        let class: Vec<Option<usize>> = (0..k)
+            .map(|j| {
+                seen.insert(&cols[col_ptr[j]..col_ptr[j + 1]]).then(|| {
+                    distinct += 1;
+                    distinct - 1
+                })
+            })
+            .collect();
+
+        let store = RowStore::new(&row_ptr, &support, &coeffs, &class, distinct);
+        CodeScan {
+            row_ptr,
+            support,
+            coeffs,
+            store,
+            fingerprint: hasher.finish(),
+        }
     }
 }
 
@@ -1125,28 +1204,19 @@ impl CompiledCodec {
     /// Panics if `capacity == 0`.
     pub fn with_cache_capacity(code: CodingMatrix, capacity: usize) -> Self {
         let plans = Arc::new(SharedPlanCache::with_shape(1, capacity));
-        let m = code.workers();
-        let mut row_ptr = Vec::with_capacity(m + 1);
-        let mut support = Vec::new();
-        let mut coeffs = Vec::new();
-        row_ptr.push(0);
-        for w in 0..m {
-            for (j, &v) in code.row(w).iter().enumerate() {
-                if v != 0.0 {
-                    support.push(j);
-                    coeffs.push(v);
-                }
-            }
-            row_ptr.push(support.len());
-        }
-        let store = Arc::new(RowStore::from_code(&code));
-        let fingerprint = scheme_fingerprint(&code);
+        let CodeScan {
+            row_ptr,
+            support,
+            coeffs,
+            store,
+            fingerprint,
+        } = CodeScan::of(&code);
         CompiledCodec {
             code,
             row_ptr,
             support,
             coeffs,
-            store,
+            store: Arc::new(store),
             plans,
             fleet: false,
             scratch: Mutex::default(),
@@ -1160,10 +1230,12 @@ impl CompiledCodec {
         }
     }
 
-    /// The scheme's stable content fingerprint (see
-    /// [`scheme_fingerprint`]): equal iff the coding matrices are
-    /// bitwise-identical, i.e. iff their decode plans are
-    /// interchangeable.
+    /// The scheme's stable 64-bit content fingerprint — dimensions,
+    /// straggler budget, and the position and bit pattern of every entry
+    /// that is not `+0.0` — the scheme half of the plan cache's key. Two
+    /// codecs get the same fingerprint iff their coding matrices are
+    /// bitwise-identical (`−0.0` included), the condition under which
+    /// their decode plans are interchangeable.
     pub fn scheme_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -1487,7 +1559,7 @@ impl GradientCodec for CodingMatrix {
     }
 
     fn session(&self) -> CodecSession {
-        CodecSession::new(Arc::new(RowStore::from_code(self)))
+        CodecSession::new(Arc::new(CodeScan::of(self).store))
     }
 }
 
@@ -1537,6 +1609,9 @@ pub(crate) fn solve_decode_dense(
     }
     Ok(a)
 }
+
+#[cfg(test)]
+mod compile_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1749,7 +1824,7 @@ mod tests {
         ])
         .unwrap();
         let code = CodingMatrix::from_matrix(dup, 0).unwrap();
-        let store = RowStore::from_code(&code);
+        let store = CodeScan::of(&code).store;
         assert_eq!((store.partitions, store.distinct_columns()), (5, 3));
         // Rows keep their nonzeros over the distinct columns only.
         assert_eq!(store.row(0), (&[0, 2][..], &[1.0, 2.0][..], &[0b101][..]));
@@ -1765,7 +1840,7 @@ mod tests {
         // `-0.0 == 0.0` but the bits differ: not a duplicate.
         let plain = Matrix::from_rows(&[&[1.0, 0.0, -0.0], &[0.0, 1.0, 1.0]]).unwrap();
         let code = CodingMatrix::from_matrix(plain, 0).unwrap();
-        assert_eq!(RowStore::from_code(&code).distinct_columns(), 3);
+        assert_eq!(CodeScan::of(&code).store.distinct_columns(), 3);
     }
 
     #[test]

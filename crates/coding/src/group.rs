@@ -150,9 +150,6 @@ pub fn find_all_groups(support: &SupportMatrix, config: GroupSearchConfig) -> Ve
             bits
         })
         .collect();
-    // Workers owning each partition, ascending.
-    let owners: Vec<Vec<usize>> = (0..k).map(|p| support.owners_of(p)).collect();
-
     let mut uncovered = vec![u64::MAX; words];
     // Mask off bits ≥ k in the last word.
     if !k.is_multiple_of(64) {
@@ -164,7 +161,7 @@ pub fn find_all_groups(support: &SupportMatrix, config: GroupSearchConfig) -> Ve
     let mut nodes = 0usize;
     dfs(
         &worker_bits,
-        &owners,
+        support,
         &mut uncovered,
         &mut chosen,
         &mut out,
@@ -193,7 +190,7 @@ fn subset_of(a: &[u64], b: &[u64]) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn dfs(
     worker_bits: &[Vec<u64>],
-    owners: &[Vec<usize>],
+    support: &SupportMatrix,
     uncovered: &mut Vec<u64>,
     chosen: &mut Vec<usize>,
     out: &mut Vec<Group>,
@@ -215,7 +212,8 @@ fn dfs(
             return; // would exceed the size bound before covering D
         }
     }
-    for &w in &owners[p] {
+    // Workers owning `p`, ascending.
+    for &w in support.owners_of(p) {
         if chosen.contains(&w) {
             continue;
         }
@@ -226,7 +224,7 @@ fn dfs(
             *u &= !wb;
         }
         chosen.push(w);
-        dfs(worker_bits, owners, uncovered, chosen, out, nodes, config);
+        dfs(worker_bits, support, uncovered, chosen, out, nodes, config);
         chosen.pop();
         for (u, &wb) in uncovered.iter_mut().zip(&worker_bits[w]) {
             *u |= wb;

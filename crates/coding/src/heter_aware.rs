@@ -29,8 +29,9 @@ use crate::support::SupportMatrix;
 /// *nearly* dependent, so we retry rather than return garbage coefficients.
 const MAX_REDRAWS: usize = 16;
 
-/// Relative pivot threshold below which a drawn `C_i` is considered too
-/// ill-conditioned and `C` is re-drawn.
+/// Per-dimension determinant threshold: a drawn `C_i` with
+/// `|det C_i| < CONDITION_EPS^(s+1)` is considered too ill-conditioned and
+/// `C` is re-drawn.
 const CONDITION_EPS: f64 = 1e-8;
 
 /// Builds the heterogeneity-aware coding matrix `B` (Algorithm 1) for a
@@ -75,28 +76,40 @@ pub fn heter_aware_from_support<R: Rng + ?Sized>(
     let k = support.partitions();
     let s = support.stragglers();
 
+    // One `(s+1)×(s+1)` factorization and one solution buffer, reused by
+    // every partition of every draw.
+    let mut lu = Matrix::identity(s + 1).lu()?;
+    let ones = vec![1.0; s + 1];
+    let mut d = vec![0.0; s + 1];
     'redraw: for _attempt in 0..MAX_REDRAWS {
         // Step 1: random C ∈ R^{(s+1)×m}, entries iid U(0,1).
         let c = Matrix::from_fn(s + 1, m, |_, _| rng.gen_range(0.0..1.0));
 
-        // Step 2: per-partition solves.
+        // Step 2: per-partition solves. Eq. 6 gives runs of consecutive
+        // partitions one replica set, hence one `C_i` and one `d_i`: a
+        // block is factored and solved only where the set changes.
         let mut b = Matrix::zeros(m, k);
+        let mut solved: Option<&[usize]> = None;
         for p in 0..k {
             let owners = support.owners_of(p);
             debug_assert_eq!(owners.len(), s + 1, "replication validated at construction");
-            let ci = c.select_cols(&owners)?;
-            let lu = ci.lu()?;
-            // Guard against ill-conditioned draws: |det| relative to the
-            // product of column norms must clear a modest threshold.
-            if lu.is_singular() || lu.determinant().abs() < CONDITION_EPS.powi(s as i32 + 1) {
-                continue 'redraw;
+            if solved != Some(owners) {
+                // C_i: the columns of C on the partition's replica workers.
+                lu.refactor(|i, j| c[(i, owners[j])]);
+                // Guard against ill-conditioned draws: the absolute
+                // |det C_i| must clear CONDITION_EPS^(s+1). It is not
+                // scaled by the column norms, and it bounds only this
+                // block, not the systems a straggler set's decode solves.
+                if lu.is_singular() || lu.determinant().abs() < CONDITION_EPS.powi(s as i32 + 1) {
+                    continue 'redraw;
+                }
+                if lu.solve_into(&ones, &mut d).is_err() {
+                    continue 'redraw;
+                }
+                solved = Some(owners);
             }
-            let d = match lu.solve(&vec![1.0; s + 1]) {
-                Ok(d) => d,
-                Err(_) => continue 'redraw,
-            };
-            for (owner, &value) in owners.iter().zip(&d) {
-                b[(*owner, p)] = value;
+            for (&owner, &value) in owners.iter().zip(&d) {
+                b[(owner, p)] = value;
             }
         }
         return CodingMatrix::from_matrix(b, s);

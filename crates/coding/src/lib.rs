@@ -94,8 +94,7 @@ pub use heter_aware::{heter_aware, heter_aware_from_support};
 /// `hetgc-linalg`.
 pub use hetgc_linalg::kernels;
 pub use shared_cache::{
-    scheme_fingerprint, PlanClass, SharedPlanCache, DEFAULT_SHARED_CAPACITY_PER_SHARD,
-    DEFAULT_SHARED_SHARDS,
+    PlanClass, SharedPlanCache, DEFAULT_SHARED_CAPACITY_PER_SHARD, DEFAULT_SHARED_SHARDS,
 };
 pub use strategy::CodingMatrix;
 pub use support::SupportMatrix;

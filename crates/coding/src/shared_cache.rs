@@ -36,7 +36,6 @@ use std::sync::{Condvar, Mutex};
 
 use crate::codec::DecodePlan;
 use crate::error::CodingError;
-use crate::strategy::CodingMatrix;
 
 /// Default shard count of a [`SharedPlanCache`].
 pub const DEFAULT_SHARED_SHARDS: usize = 16;
@@ -53,24 +52,6 @@ pub enum PlanClass {
     Exact,
     /// A ridge-stabilized least-squares plan with a positive residual.
     Approx,
-}
-
-/// A stable 64-bit fingerprint of a coding scheme: dimensions, straggler
-/// budget, and the bit patterns of every coefficient. Two
-/// [`CodingMatrix`] values get the same fingerprint iff they are
-/// bitwise-identical codes — the condition under which their decode
-/// plans are interchangeable.
-pub fn scheme_fingerprint(code: &CodingMatrix) -> u64 {
-    let mut h = DefaultHasher::new();
-    code.workers().hash(&mut h);
-    code.partitions().hash(&mut h);
-    code.stragglers().hash(&mut h);
-    for w in 0..code.workers() {
-        for &v in code.row(w) {
-            v.to_bits().hash(&mut h);
-        }
-    }
-    h.finish()
 }
 
 /// Full cache key: which scheme, which ladder rung, which survivors.
@@ -536,21 +517,22 @@ mod tests {
 
     #[test]
     fn scheme_fingerprint_is_content_addressed() {
+        use crate::codec::CompiledCodec;
         use crate::heter_aware::heter_aware;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
         let rates = [1.0, 2.0, 3.0, 4.0, 4.0];
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let a = heter_aware(&rates, 7, 1, &mut rng_a).unwrap();
-        let b = heter_aware(&rates, 7, 1, &mut rng_b).unwrap();
-        assert_eq!(scheme_fingerprint(&a), scheme_fingerprint(&b));
+        let print = |seed| {
+            let code = heter_aware(&rates, 7, 1, &mut StdRng::seed_from_u64(seed)).unwrap();
+            (CompiledCodec::new(code.clone()).scheme_fingerprint(), code)
+        };
+        let ((a, code_a), (b, _)) = (print(11), print(11));
+        assert_eq!(a, b);
 
-        let mut rng_c = StdRng::seed_from_u64(12);
-        let c = heter_aware(&rates, 7, 1, &mut rng_c).unwrap();
-        if c.matrix() != a.matrix() {
-            assert_ne!(scheme_fingerprint(&a), scheme_fingerprint(&c));
+        let (c, code_c) = print(12);
+        if code_c.matrix() != code_a.matrix() {
+            assert_ne!(a, c);
         }
     }
 

@@ -38,6 +38,10 @@ use crate::error::CodingError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupportMatrix {
     rows: Vec<Vec<usize>>,
+    /// Partition `p`'s `s+1` owners, ascending, at
+    /// `owners[p·(s+1)..(p+1)·(s+1)]`: the transpose of `rows`, built in
+    /// the pass that checks the replication.
+    owners: Vec<usize>,
     partitions: usize,
     stragglers: usize,
 }
@@ -61,13 +65,7 @@ impl SupportMatrix {
             rows.push(parts);
             offset += n;
         }
-        let support = SupportMatrix {
-            rows,
-            partitions: k,
-            stragglers: alloc.stragglers(),
-        };
-        support.validate_replication()?;
-        Ok(support)
+        SupportMatrix::indexed(rows, k, alloc.stragglers())
     }
 
     /// Builds a support from explicit per-worker partition lists.
@@ -102,13 +100,49 @@ impl SupportMatrix {
         for row in &mut sorted_rows {
             row.sort_unstable();
         }
-        let support = SupportMatrix {
-            rows: sorted_rows,
+        SupportMatrix::indexed(sorted_rows, partitions, stragglers)
+    }
+
+    /// Checks that every partition has exactly `s+1` owners and, in the
+    /// same pass over `rows` (sorted, in range, duplicate-free), lays the
+    /// owner lists out flat by partition.
+    fn indexed(
+        rows: Vec<Vec<usize>>,
+        partitions: usize,
+        stragglers: usize,
+    ) -> Result<Self, CodingError> {
+        let required = stragglers + 1;
+        // Exact replication has `k·(s+1)` entries in all. Any other total
+        // fails below, and must not size the index first.
+        let entries: usize = rows.iter().map(Vec::len).sum();
+        let stride = if partitions.checked_mul(required) == Some(entries) {
+            required
+        } else {
+            0
+        };
+        let mut counts = vec![0usize; partitions];
+        let mut owners = vec![0usize; partitions * stride];
+        for (w, row) in rows.iter().enumerate() {
+            for &p in row {
+                if counts[p] < stride {
+                    owners[p * stride + counts[p]] = w;
+                }
+                counts[p] += 1;
+            }
+        }
+        if let Some((partition, &found)) = counts.iter().enumerate().find(|(_, &n)| n != required) {
+            return Err(CodingError::BadReplication {
+                partition,
+                found,
+                required,
+            });
+        }
+        Ok(SupportMatrix {
+            rows,
+            owners,
             partitions,
             stragglers,
-        };
-        support.validate_replication()?;
-        Ok(support)
+        })
     }
 
     /// Number of workers `m`.
@@ -144,16 +178,17 @@ impl SupportMatrix {
         self.rows[w].len()
     }
 
-    /// The sorted workers holding partition `p` (the replica set).
+    /// The sorted workers holding partition `p` (the replica set, always
+    /// `s+1` long): a slice of the owner index built at construction, so
+    /// `O(1)` with no allocation.
     ///
     /// # Panics
     ///
     /// Panics if `p >= self.partitions()`.
-    pub fn owners_of(&self, p: usize) -> Vec<usize> {
+    pub fn owners_of(&self, p: usize) -> &[usize] {
         assert!(p < self.partitions, "partition {p} out of range");
-        (0..self.workers())
-            .filter(|&w| self.rows[w].binary_search(&p).is_ok())
-            .collect()
+        let r = self.stragglers + 1;
+        &self.owners[p * r..(p + 1) * r]
     }
 
     /// Returns `true` if worker `w` holds partition `p`.
@@ -164,26 +199,6 @@ impl SupportMatrix {
     /// Iterates over `(worker, partitions)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
         self.rows.iter().enumerate().map(|(w, r)| (w, r.as_slice()))
-    }
-
-    fn validate_replication(&self) -> Result<(), CodingError> {
-        let required = self.stragglers + 1;
-        let mut counts = vec![0usize; self.partitions];
-        for row in &self.rows {
-            for &p in row {
-                counts[p] += 1;
-            }
-        }
-        for (p, &found) in counts.iter().enumerate() {
-            if found != required {
-                return Err(CodingError::BadReplication {
-                    partition: p,
-                    found,
-                    required,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -290,6 +305,21 @@ mod tests {
                 partition: 2,
                 found: 0,
                 required: 1
+            }
+        ));
+    }
+
+    #[test]
+    fn from_rows_rejects_a_budget_beyond_the_workers() {
+        // Two workers cannot hold three copies of anything; the index is
+        // never sized for them.
+        let err = SupportMatrix::from_rows(vec![vec![0], vec![0]], 1, usize::MAX / 2).unwrap_err();
+        assert!(matches!(
+            err,
+            CodingError::BadReplication {
+                partition: 0,
+                found: 2,
+                ..
             }
         ));
     }

@@ -17,9 +17,10 @@ const PIVOT_EPS: f64 = 1e-12;
 ///
 /// Alg. 1 of the paper computes, for each data partition `i`, the vector
 /// `d_i = C_i^{-1}·1` where `C_i` is the `(s+1)×(s+1)` submatrix of the
-/// random matrix `C` restricted to the partition's replica workers. A single
-/// `Lu` per partition serves both that solve and (in tests) the
-/// determinant-based non-singularity check of property (P1).
+/// random matrix `C` restricted to the partition's replica workers. One
+/// `Lu`, re-factored in place per replica block ([`Lu::refactor`]),
+/// serves both that solve ([`Lu::solve_into`]) and the determinant guard
+/// against ill-conditioned draws.
 ///
 /// # Example
 ///
@@ -63,8 +64,38 @@ impl Lu {
         if n == 0 {
             return Err(LinalgError::Empty { op: "lu" });
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut lu = Lu {
+            lu: a.clone(),
+            perm: Vec::with_capacity(n),
+            perm_sign: 1.0,
+            min_pivot: f64::INFINITY,
+        };
+        lu.factor();
+        Ok(lu)
+    }
+
+    /// Re-factors in place as the LU of the `dim() × dim()` matrix whose
+    /// entry `(i, j)` is `entry(i, j)` (called row by row), reusing this
+    /// `Lu`'s storage: bitwise the `Lu` that
+    /// `Matrix::from_fn(n, n, entry).lu()` returns, with no allocation.
+    /// Alg. 1 factors every `(s+1)×(s+1)` replica block through a single
+    /// `Lu` this way.
+    pub fn refactor<F: FnMut(usize, usize) -> f64>(&mut self, mut entry: F) {
+        let n = self.dim();
+        for i in 0..n {
+            for j in 0..n {
+                self.lu[(i, j)] = entry(i, j);
+            }
+        }
+        self.factor();
+    }
+
+    /// Factors `self.lu` in place, from the identity permutation.
+    fn factor(&mut self) {
+        let n = self.dim();
+        let lu = &mut self.lu;
+        self.perm.clear();
+        self.perm.extend(0..n);
         let mut perm_sign = 1.0;
         let mut min_pivot = f64::INFINITY;
 
@@ -86,7 +117,7 @@ impl Lu {
                     lu[(col, j)] = lu[(pivot_row, j)];
                     lu[(pivot_row, j)] = tmp;
                 }
-                perm.swap(col, pivot_row);
+                self.perm.swap(col, pivot_row);
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(col, col)];
@@ -104,13 +135,8 @@ impl Lu {
                 }
             }
         }
-
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-            min_pivot,
-        })
+        self.perm_sign = perm_sign;
+        self.min_pivot = min_pivot;
     }
 
     /// Dimension of the factored matrix.
@@ -130,13 +156,29 @@ impl Lu {
     /// [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`;
     /// [`LinalgError::Singular`] if the matrix was singular.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = vec![0.0; self.dim()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Lu::solve`] into `x`, with the same bits and no allocation: the
+    /// forward substitution writes `x`, the back substitution overwrites
+    /// it from the last entry up.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] if `b` or `x` is not `dim()` long;
+    /// [`LinalgError::Singular`] if the matrix was singular.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(LinalgError::ShapeMismatch {
+                    op: "lu_solve",
+                    left: (n, n),
+                    right: (len, 1),
+                });
+            }
         }
         if self.is_singular() {
             return Err(LinalgError::Singular {
@@ -144,24 +186,22 @@ impl Lu {
             });
         }
         // Forward substitution with permuted b (L has unit diagonal).
-        let mut y = vec![0.0; n];
         for i in 0..n {
             let mut acc = b[self.perm[i]];
             for j in 0..i {
-                acc -= self.lu[(i, j)] * y[j];
+                acc -= self.lu[(i, j)] * x[j];
             }
-            y[i] = acc;
+            x[i] = acc;
         }
         // Back substitution on U.
-        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
-            let mut acc = y[i];
+            let mut acc = x[i];
             for j in (i + 1)..n {
                 acc -= self.lu[(i, j)] * x[j];
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Returns `A⁻¹` by solving against each basis vector.
@@ -308,6 +348,45 @@ mod tests {
                 .fold(0.0, f64::max);
             assert!(residual < 1e-8, "n={n} residual={residual}");
         }
+    }
+
+    #[test]
+    fn refactor_and_solve_into_match_a_fresh_lu_bitwise() {
+        // One reused `Lu` over blocks that pivot, are singular or nearly
+        // so must give what a fresh factor and `solve` give, bit for bit.
+        let blocks: [&[&[f64]]; 4] = [
+            &[&[0.0, 2.0, 1.0], &[1.0, 1.0, 3.0], &[4.0, -1.0, 0.5]],
+            &[&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0], &[0.1, 0.7, 0.3]],
+            &[&[0.3, 0.9, 0.2], &[0.8, 0.1, 0.4], &[0.5, 0.6, -0.0]],
+            &[&[1e-3, 1.0, 1.0], &[1.0, 1e-3, 1.0], &[1.0, 1.0, 1e-3]],
+        ];
+        let rhs = [1.0, -2.5, 0.75];
+        let mut reused = Matrix::identity(3).lu().unwrap();
+        let mut x = [f64::NAN; 3];
+        for rows in blocks {
+            let a = mat(rows);
+            let fresh = a.lu().unwrap();
+            reused.refactor(|i, j| a[(i, j)]);
+            assert_eq!(reused.perm, fresh.perm);
+            assert_eq!(reused.perm_sign.to_bits(), fresh.perm_sign.to_bits());
+            assert_eq!(reused.min_pivot.to_bits(), fresh.min_pivot.to_bits());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.lu), bits(&fresh.lu));
+            assert_eq!(reused.is_singular(), fresh.is_singular());
+            match fresh.solve(&rhs) {
+                Ok(want) => {
+                    reused.solve_into(&rhs, &mut x).unwrap();
+                    let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want);
+                }
+                Err(e) => assert_eq!(reused.solve_into(&rhs, &mut x), Err(e)),
+            }
+        }
+        assert!(matches!(
+            reused.solve_into(&rhs, &mut [0.0; 2]),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

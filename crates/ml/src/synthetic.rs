@@ -27,6 +27,7 @@
 
 use std::sync::OnceLock;
 
+use hetgc_coding::kernels;
 use rand::Rng;
 
 use crate::dataset::{Dataset, Targets};
@@ -115,12 +116,17 @@ pub fn linear_regression<R: Rng + ?Sized>(
     assert!(n > 0 && dim > 0, "need samples and features");
     let w_star: Vec<f64> = (0..dim).map(|_| standard_normal(rng)).collect();
     let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut eps = Vec::with_capacity(n);
+    for _ in 0..n {
         x.extend((0..dim).map(|_| standard_normal(rng)));
-        let xi = &x[i * dim..];
-        let target: f64 = w_star.iter().zip(xi).map(|(w, v)| w * v).sum::<f64>();
-        y.push(target + noise * standard_normal(rng));
+        eps.push(standard_normal(rng));
+    }
+    // The targets after the draws: `kernels::CHAINS` ordered folds side
+    // by side, each bitwise the serial `Σ w*_j · x_ij`.
+    let mut y = vec![0.0; n];
+    kernels::dot_ordered_each(&w_star, x.chunks_exact(dim), &mut y);
+    for (yi, e) in y.iter_mut().zip(eps) {
+        *yi += noise * e;
     }
     Dataset::new(x, Targets::Regression(y), dim)
 }
@@ -230,6 +236,46 @@ mod tests {
         assert_eq!(d.len(), 50);
         assert_eq!(d.dim(), 3);
         assert!(d.num_classes().is_none());
+    }
+
+    /// The generator as it was before its targets became a batched
+    /// ordered fold: one serial `.sum()` per sample, drawn in place.
+    fn linear_regression_serial(n: usize, dim: usize, noise: f64, rng: &mut StdRng) -> Dataset {
+        let w_star: Vec<f64> = (0..dim).map(|_| standard_normal(rng)).collect();
+        let mut x = Vec::with_capacity(n * dim);
+        let mut y = Vec::with_capacity(n);
+        for i in 0..n {
+            x.extend((0..dim).map(|_| standard_normal(rng)));
+            let xi = &x[i * dim..];
+            let target: f64 = w_star.iter().zip(xi).map(|(w, v)| w * v).sum::<f64>();
+            y.push(target + noise * standard_normal(rng));
+        }
+        Dataset::new(x, Targets::Regression(y), dim)
+    }
+
+    #[test]
+    fn linear_regression_is_bitwise_the_serial_fold() {
+        let bits = |d: &Dataset| -> Vec<u64> {
+            (0..d.len())
+                .flat_map(|i| {
+                    let target = d.regression_target(i);
+                    d.features_of(i).iter().copied().chain([target])
+                })
+                .map(f64::to_bits)
+                .collect()
+        };
+        // Every `n % CHAINS` tail, `n < CHAINS` included, at dims on both
+        // sides of a chunk edge.
+        for dim in [1, 3, 4, 5, 64, 129] {
+            for n in [1, 2, 3, 4, 5, 6, 7, 13, 64] {
+                for (seed, noise) in [(3, 0.1), (4, 0.0), (5, 2.5)] {
+                    let want =
+                        linear_regression_serial(n, dim, noise, &mut StdRng::seed_from_u64(seed));
+                    let got = linear_regression(n, dim, noise, &mut StdRng::seed_from_u64(seed));
+                    assert_eq!(bits(&got), bits(&want), "n={n} dim={dim} seed={seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl JobScheduler {
         self
     }
 
-    /// The pool this scheduler admits jobs onto.
-    pub fn pool(&self) -> &SharedWorkerPool {
-        &self.pool
-    }
-
     /// Runs every submitted job concurrently (one thread per job; the
     /// pool's admission cap gates how many hold leases at once).
     ///
