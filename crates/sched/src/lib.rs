@@ -24,6 +24,17 @@
 //! plans are solved **once fleet-wide** (the shared cache's
 //! singleflight) — `tests/scheduler.rs` asserts both that reuse and the
 //! scheduled batch's throughput edge over the sequential baseline.
+//! Tenants of one batch whose seed, scheme kind, straggler budget, sample
+//! count and dimension are all equal go further: the first of them to
+//! start builds the code and the synthetic dataset, outside any lease,
+//! and the others share that dataset and clone the code and the rng it
+//! left, so each trains bitwise as it would alone. A tenant with no
+//! equal builds its own and pays what it paid before.
+//!
+//! A spec no job could run (no samples, no dimension, a learning rate
+//! that is not positive and finite) fails the whole batch with
+//! [`JobError::InvalidSpec`] before anything starts, and a job whose
+//! thread panics fails it with [`JobError::Panicked`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,4 +43,4 @@ mod pool;
 mod scheduler;
 
 pub use pool::{PoolLease, SharedWorkerPool};
-pub use scheduler::{JobScheduler, JobSpec, SchedulerReport};
+pub use scheduler::{JobError, JobScheduler, JobSpec, SchedulerReport};

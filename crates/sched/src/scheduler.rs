@@ -7,14 +7,16 @@
 //! read off them), plus what the records do not carry — the shared
 //! decode-plan cache's reuse counters and the batch's peak concurrency.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 use hetgc::{
-    scheme_from_estimates, synthetic, DriverConfig, LinearRegression, RoundEngine, SchemeKind, Sgd,
-    ThreadedEngine, TrainDriver, TrainOutcome,
+    scheme_from_estimates, synthetic, CodingMatrix, Dataset, DriverConfig, LinearRegression,
+    RoundEngine, SchemeKind, Sgd, ThreadedEngine, TrainDriver, TrainOutcome,
 };
-use hetgc_coding::{CodecBackend, EscalationPolicy};
+use hetgc_coding::{CodecBackend, CodingError, EscalationPolicy};
 use hetgc_obs::{MetricsRegistry, RunObserver};
 use hetgc_runtime::RuntimeConfig;
 use rand::rngs::StdRng;
@@ -48,7 +50,11 @@ pub struct JobSpec {
     /// Seed for the job's scheme construction, data synthesis and
     /// training loop — two specs with equal seeds (and kinds/budgets)
     /// build bitwise-identical codes, which is what lets tenants share
-    /// decode plans through the pool's fleet-wide cache.
+    /// decode plans through the pool's fleet-wide cache. Tenants of one
+    /// batch whose seed, kind, straggler budget, sample count and
+    /// dimension are all equal build their code and dataset once and
+    /// share them, bitwise what each would build alone; a tenant with no
+    /// equal builds its own, as it would alone.
     pub seed: u64,
     /// Evaluate the training loss every this many rounds.
     pub eval_every: usize,
@@ -111,6 +117,24 @@ impl JobSpec {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The spec's first field no job could run with, as
+    /// [`JobError::InvalidSpec`].
+    fn check(&self) -> Result<(), JobError> {
+        let reason = if self.samples == 0 {
+            "the workload needs at least one sample"
+        } else if self.dim == 0 {
+            "the model needs at least one dimension"
+        } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            "the learning rate must be positive and finite"
+        } else {
+            return Ok(());
+        };
+        Err(JobError::InvalidSpec {
+            job: self.name.clone(),
+            reason,
+        })
     }
 }
 
@@ -235,7 +259,9 @@ impl JobScheduler {
     ///
     /// # Errors
     ///
-    /// The first job failure, verbatim.
+    /// [`JobError::InvalidSpec`] for the first spec no job could run,
+    /// before anything starts; otherwise the first job failure: its
+    /// scheme or training error verbatim, or [`JobError::Panicked`].
     pub fn run(&self) -> Result<SchedulerReport, BoxError> {
         self.execute(true)
     }
@@ -252,40 +278,17 @@ impl JobScheduler {
     }
 
     fn execute(&self, concurrent: bool) -> Result<SchedulerReport, BoxError> {
+        for spec in &self.jobs {
+            spec.check()?;
+        }
         let cache = self.pool.shared_plans();
         let (lookups0, hits0, solves0) = (cache.lookups(), cache.hits(), cache.solves());
         self.pool.reset_peak();
         let started = Instant::now();
-        let runs: Vec<Result<TrainOutcome, String>> = if concurrent {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .jobs
-                    .iter()
-                    .map(|spec| {
-                        let pool = &self.pool;
-                        let metrics = self.metrics.as_ref();
-                        s.spawn(move || run_job(pool, spec, metrics).map_err(|e| e.to_string()))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("job thread panicked"))
-                    .collect()
-            })
-        } else {
-            self.jobs
-                .iter()
-                .map(|spec| {
-                    run_job(&self.pool, spec, self.metrics.as_ref()).map_err(|e| e.to_string())
-                })
-                .collect()
-        };
+        let runs = self.run_jobs(&SharedBuilds::new(&self.jobs), concurrent);
         let wall_seconds = started.elapsed().as_secs_f64();
 
-        let outcomes = runs
-            .into_iter()
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(BoxError::from)?;
+        let outcomes = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(SchedulerReport {
             outcomes,
             wall_seconds,
@@ -295,16 +298,145 @@ impl JobScheduler {
             peak_concurrent: self.pool.peak_active(),
         })
     }
+
+    /// Runs every job on its own scoped thread — all at once, or each
+    /// joined before the next starts — with a thread's panic returned as
+    /// that job's [`JobError::Panicked`].
+    fn run_jobs(
+        &self,
+        builds: &SharedBuilds,
+        concurrent: bool,
+    ) -> Vec<Result<TrainOutcome, BoxError>> {
+        std::thread::scope(|s| {
+            let spawn = |job: usize| {
+                let (pool, spec, metrics) = (&self.pool, &self.jobs[job], self.metrics.as_ref());
+                s.spawn(move || run_job(pool, spec, builds.get(pool, spec, job), metrics))
+            };
+            let join = |job: usize, handle: ScopedJoinHandle<'_, _>| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(JobError::Panicked {
+                        job: self.jobs[job].name.clone(),
+                        message: panic_message(payload.as_ref()),
+                    }
+                    .into())
+                })
+            };
+            if concurrent {
+                let handles: Vec<_> = (0..self.jobs.len()).map(spawn).collect();
+                handles
+                    .into_iter()
+                    .enumerate()
+                    .map(|(job, handle)| join(job, handle))
+                    .collect()
+            } else {
+                (0..self.jobs.len())
+                    .map(|job| join(job, spawn(job)))
+                    .collect()
+            }
+        })
+    }
 }
 
-/// Runs one job end to end: build scheme/workload → admit → spawn the
-/// tenant cluster (shared-plan cache attached) → train while the lease
-/// is held.
-fn run_job(
-    pool: &SharedWorkerPool,
-    spec: &JobSpec,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<TrainOutcome, BoxError> {
+/// Why a job produced no outcome, besides its own scheme or training
+/// error (which the batch returns verbatim).
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobError {
+    /// The spec describes no job that could run. Every spec of a batch is
+    /// checked before anything is built, leased or spawned.
+    InvalidSpec {
+        /// The job's name.
+        job: String,
+        /// Which field is out of range.
+        reason: &'static str,
+    },
+    /// The job's thread panicked; the batch still joined every other job.
+    Panicked {
+        /// The job's name.
+        job: String,
+        /// The panic's message.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::InvalidSpec { job, reason } => write!(f, "job `{job}`: {reason}"),
+            JobError::Panicked { job, message } => write!(f, "job `{job}` panicked: {message}"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
+}
+
+/// What the tenants of one build key share: the code, the dataset, and
+/// the rng's state after both were drawn, which seeds each tenant's
+/// training stream.
+#[derive(Debug, Clone)]
+struct Built {
+    code: CodingMatrix,
+    data: Arc<Dataset>,
+    rng: StdRng,
+}
+
+/// One build per distinct build key of a batch: everything a job's code
+/// and dataset are drawn from on the batch's one pool (seed, scheme kind,
+/// straggler budget, sample count, dimension). The first job of a key to
+/// ask draws them on its own thread, outside any lease; the others of
+/// that key wait on the cell and clone the result, error included.
+struct SharedBuilds {
+    /// Per job, the index of its key's cell.
+    cell_of: Vec<usize>,
+    cells: Vec<OnceLock<Result<Built, CodingError>>>,
+}
+
+impl SharedBuilds {
+    fn new(jobs: &[JobSpec]) -> Self {
+        let mut keys = Vec::new();
+        let cell_of = jobs
+            .iter()
+            .map(|spec| {
+                let key = (
+                    spec.seed,
+                    spec.kind,
+                    spec.stragglers,
+                    spec.samples,
+                    spec.dim,
+                );
+                keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                })
+            })
+            .collect();
+        SharedBuilds {
+            cell_of,
+            cells: keys.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn get(
+        &self,
+        pool: &SharedWorkerPool,
+        spec: &JobSpec,
+        job: usize,
+    ) -> Result<Built, CodingError> {
+        self.cells[self.cell_of[job]]
+            .get_or_init(|| build(pool, spec))
+            .clone()
+    }
+}
+
+/// Draws a job's code and dataset from a fresh rng seeded with its seed.
+fn build(pool: &SharedWorkerPool, spec: &JobSpec) -> Result<Built, CodingError> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     // The allocation targets the fleet's base rates, fixed for the run
     // as the paper's sampled throughputs are, so equal-seeded jobs build
@@ -316,13 +448,33 @@ fn run_job(
         None,
         &mut rng,
     )?;
-    let model = Arc::new(LinearRegression::new(spec.dim));
     let data = Arc::new(synthetic::linear_regression(
         spec.samples,
         spec.dim,
         0.01,
         &mut rng,
     ));
+    Ok(Built {
+        code: scheme.code,
+        data,
+        rng,
+    })
+}
+
+/// Runs one job end to end from its build: admit → spawn the tenant
+/// cluster (shared-plan cache attached) → train while the lease is held.
+fn run_job(
+    pool: &SharedWorkerPool,
+    spec: &JobSpec,
+    built: Result<Built, CodingError>,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<TrainOutcome, BoxError> {
+    let Built {
+        code,
+        data,
+        mut rng,
+    } = built?;
+    let model = Arc::new(LinearRegression::new(spec.dim));
     let config = RuntimeConfig {
         behaviors: pool.behaviors().to_vec(),
         backend: spec.backend,
@@ -331,9 +483,8 @@ fn run_job(
     };
 
     let _lease = pool.lease();
-    let mut engine =
-        ThreadedEngine::new(scheme.code, Arc::clone(&model), Arc::clone(&data), &config)?
-            .with_label(spec.name.clone());
+    let mut engine = ThreadedEngine::new(code, Arc::clone(&model), Arc::clone(&data), &config)?
+        .with_label(spec.name.clone());
     let driver_cfg = DriverConfig {
         eval_every: spec.eval_every,
         ..DriverConfig::default()
@@ -349,4 +500,199 @@ fn run_job(
         ));
     }
     driver.run(&mut engine, spec.rounds, &mut rng)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn pool() -> SharedWorkerPool {
+        SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0])
+    }
+
+    /// A job's code, dataset and rng as one tenant with no other of its
+    /// key draws them: scheme, then synthesis, from one seeded rng.
+    fn solo(pool: &SharedWorkerPool, spec: &JobSpec) -> Built {
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let code = scheme_from_estimates(
+            spec.kind,
+            pool.base_rates(),
+            spec.stragglers,
+            None,
+            &mut rng,
+        )
+        .expect("solo scheme")
+        .code;
+        let data = synthetic::linear_regression(spec.samples, spec.dim, 0.01, &mut rng);
+        Built {
+            code,
+            data: Arc::new(data),
+            rng,
+        }
+    }
+
+    fn bits(built: &Built) -> (Vec<u64>, Vec<u64>) {
+        let code = built.code.matrix().as_slice().iter().map(|v| v.to_bits());
+        let data = &built.data;
+        let samples = (0..data.len()).flat_map(|i| {
+            let x = data.features_of(i).iter().map(|v| v.to_bits());
+            x.chain(std::iter::once(data.regression_target(i).to_bits()))
+        });
+        (code.collect(), samples.collect())
+    }
+
+    /// Each job's build, asked for from every job's own thread at once.
+    fn built_concurrently(
+        pool: &SharedWorkerPool,
+        jobs: &[JobSpec],
+    ) -> (SharedBuilds, Vec<Result<Built, CodingError>>) {
+        let builds = SharedBuilds::new(jobs);
+        let (shared, start) = (&builds, &Barrier::new(jobs.len()));
+        let built = std::thread::scope(|s| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .enumerate()
+                .map(|(job, spec)| {
+                    s.spawn(move || {
+                        start.wait();
+                        shared.get(pool, spec, job)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        (builds, built)
+    }
+
+    fn ran(builds: &SharedBuilds) -> usize {
+        builds.cells.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    #[test]
+    fn equal_keys_build_once_and_share_the_dataset() {
+        // Only the build key is equal: name, rounds and learning rate are
+        // per tenant.
+        let jobs: Vec<JobSpec> = (0..4)
+            .map(|t| {
+                let mut spec = JobSpec::new(format!("tenant-{t}"))
+                    .with_rounds(2 + t)
+                    .with_seed(11);
+                spec.learning_rate = 0.05 * (t + 1) as f64;
+                spec
+            })
+            .collect();
+        let sched = jobs
+            .iter()
+            .cloned()
+            .fold(JobScheduler::new(pool()), JobScheduler::submit);
+        let builds = SharedBuilds::new(&sched.jobs);
+        let runs = sched.run_jobs(&builds, true);
+        for (run, t) in runs.iter().zip(0..) {
+            assert_eq!(run.as_ref().expect("tenant").rounds(), 2 + t);
+        }
+        assert_eq!((builds.cells.len(), ran(&builds)), (1, 1));
+
+        let (builds, built) = built_concurrently(&sched.pool, &jobs);
+        assert_eq!(ran(&builds), 1);
+        let first = built[0].as_ref().unwrap();
+        for other in &built[1..] {
+            assert!(Arc::ptr_eq(&first.data, &other.as_ref().unwrap().data));
+        }
+    }
+
+    #[test]
+    fn distinct_inputs_build_apart() {
+        let base = JobSpec::new("base").with_seed(11);
+        let mut group = base.clone();
+        group.kind = SchemeKind::GroupBased;
+        let jobs = vec![
+            base.clone(),
+            base.clone().with_seed(12),
+            base.clone().with_workload(64, 5),
+            base.clone().with_workload(72, 4),
+            base.clone().with_stragglers(2),
+            group,
+        ];
+        // Equal rates, so that s = 2 is feasible too.
+        let pool = SharedWorkerPool::new(vec![1.0; 4]);
+        let (builds, built) = built_concurrently(&pool, &jobs);
+        assert_eq!((builds.cells.len(), ran(&builds)), (6, 6));
+        for (i, a) in built.iter().enumerate() {
+            for b in &built[i + 1..] {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert!(!Arc::ptr_eq(&a.data, &b.data));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_builds_are_bitwise_solo_builds() {
+        let pool = pool();
+        let jobs: Vec<JobSpec> = [5, 5, 9, 5, 9]
+            .into_iter()
+            .map(|seed| JobSpec::new(format!("seed-{seed}")).with_seed(seed))
+            .collect();
+        let (builds, built) = built_concurrently(&pool, &jobs);
+        assert_eq!(ran(&builds), 2);
+        for (spec, built) in jobs.iter().zip(&built) {
+            let (built, alone) = (built.as_ref().unwrap(), solo(&pool, spec));
+            assert_eq!(built.code, alone.code, "{}", spec.name);
+            assert_eq!(bits(built), bits(&alone), "{}", spec.name);
+            assert_eq!(built.rng, alone.rng, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn a_failing_build_fails_every_tenant_of_its_key() {
+        // s = 4 on a 4-worker pool places no code.
+        let pool = pool();
+        let solo = scheme_from_estimates(
+            SchemeKind::HeterAware,
+            pool.base_rates(),
+            4,
+            None,
+            &mut StdRng::seed_from_u64(7),
+        )
+        .expect_err("s >= m builds no code")
+        .to_string();
+        let sched = JobScheduler::new(pool)
+            .submit(JobSpec::new("a").with_stragglers(4))
+            .submit(JobSpec::new("fine").with_rounds(1))
+            .submit(JobSpec::new("b").with_stragglers(4))
+            .submit(JobSpec::new("c").with_stragglers(4));
+        for concurrent in [true, false] {
+            let builds = SharedBuilds::new(&sched.jobs);
+            let runs = sched.run_jobs(&builds, concurrent);
+            assert_eq!(ran(&builds), 2);
+            for (run, spec) in runs.iter().zip(&sched.jobs) {
+                match run {
+                    Ok(_) => assert_eq!(spec.name, "fine"),
+                    Err(e) => assert_eq!(e.to_string(), solo, "{}", spec.name),
+                }
+            }
+            assert!(runs[1].is_ok());
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_its_own_error() {
+        // Past the spec check, zero samples panics in the synthesis on
+        // the job's thread; the batch still joins the other jobs.
+        let sched = JobScheduler::new(pool())
+            .submit(JobSpec::new("fine").with_rounds(1))
+            .submit(JobSpec::new("unchecked").with_workload(0, 4));
+        for concurrent in [true, false] {
+            let runs = sched.run_jobs(&SharedBuilds::new(&sched.jobs), concurrent);
+            assert!(runs[0].is_ok());
+            let err = runs[1].as_ref().expect_err("panicked");
+            match err.downcast_ref::<JobError>() {
+                Some(JobError::Panicked { job, message }) => {
+                    assert_eq!(job, "unchecked");
+                    assert!(message.contains("need samples"), "{message}");
+                }
+                other => panic!("expected a panicked job, got {other:?}"),
+            }
+        }
+    }
 }
