@@ -11,6 +11,8 @@
 //! * [`ThroughputEstimator`] — sampling/EWMA estimation of worker
 //!   throughput `c_i`, with controllable estimation noise. Inaccurate
 //!   estimates are the motivation for the paper's group-based scheme (§V).
+//! * [`RoundSample`] — what one worker did in one collect round, as the
+//!   master observed it: the unit the estimators are fed from.
 //!
 //! The model deliberately contains *no* simulation logic — that lives in
 //! `hetgc-sim` (discrete-event) and `hetgc-runtime` (real threads), both of
@@ -31,6 +33,7 @@
 mod error;
 mod estimate;
 mod partition;
+mod sample;
 mod spec;
 mod straggler;
 mod worker;
@@ -38,6 +41,7 @@ mod worker;
 pub use error::ClusterError;
 pub use estimate::{EstimationNoise, EwmaEstimator, SamplingEstimator, ThroughputEstimator};
 pub use partition::PartitionAssignment;
+pub use sample::RoundSample;
 pub use spec::ClusterSpec;
 pub use straggler::{DelayDistribution, StragglerEvent, StragglerModel};
 pub use worker::{WorkerId, WorkerSpec};

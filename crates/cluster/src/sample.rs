@@ -1,8 +1,8 @@
 //! The observation unit: what one worker did in one collect round.
 
 /// One worker's contribution to one collect round, as observed by the
-/// master — the unit every `RoundEngine` (simulated or threaded) emits
-/// into the [`TelemetryHub`](crate::TelemetryHub).
+/// master — the unit every `RoundEngine` (simulated or threaded) reports
+/// and `hetgc-telemetry`'s `TelemetryHub` ingests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundSample {
     /// The worker.

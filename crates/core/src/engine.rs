@@ -38,9 +38,8 @@ use hetgc_coding::{
 };
 use hetgc_ml::{Dataset, Model, PartialSink};
 use hetgc_obs::{Phase, Recorder};
-use hetgc_runtime::{
-    ClusterRound, Master, RuntimeConfig, RuntimeError, ThreadedCluster, Transport,
-};
+pub use hetgc_runtime::EngineRound;
+use hetgc_runtime::{Master, RuntimeConfig, RuntimeError, ThreadedCluster, Transport};
 use hetgc_sim::{
     simulate_bsp_iteration_in, BspIterationConfig, NetworkModel, RateDrift, SspEngine,
 };
@@ -49,91 +48,6 @@ use rand::RngCore;
 
 use crate::scheme::{scheme_from_estimates, BoxError, SchemeInstance, SchemeKind};
 use crate::trainer::SimTrainConfig;
-
-/// What one engine round hands back to the driver.
-#[derive(Debug, Clone)]
-pub struct EngineRound {
-    /// Seconds this round took (simulated or wall-clock); `None` when the
-    /// round could not complete (undecodable and the ladder declined).
-    pub elapsed: Option<f64>,
-    /// Absolute completion time, for engines whose clock is not the sum
-    /// of round durations (the SSP event stream). `None` lets the driver
-    /// accumulate `elapsed`.
-    pub at: Option<f64>,
-    /// The decoded aggregated gradient over the *whole* dataset,
-    /// un-normalized (the driver divides by the sample count). `None`
-    /// for timing-only engines — the driver then skips the optimizer.
-    pub gradient: Option<Vec<f64>>,
-    /// Decode residual `‖aᵀB_I − 1‖₂`: 0 for exact rounds.
-    pub residual: f64,
-    /// Absolute gradient-error bound
-    /// ([`gradient_error_bound_l2`]) when the engine could compute it
-    /// (it needs the per-partition gradient norms); `None` otherwise —
-    /// the driver then falls back to a residual-only estimate.
-    pub error_bound: Option<f64>,
-    /// Worker results that carried decode weight.
-    pub results_used: usize,
-    /// Per-worker useful-compute seconds (empty when unknown).
-    pub busy: Vec<f64>,
-    /// Per-worker telemetry observations of this round (compute time,
-    /// arrival time, work units, straggled/failed) — what the adaptation
-    /// loop's `TelemetryHub` ingests. Empty when the engine has nothing
-    /// to report (e.g. a failed round).
-    pub samples: Vec<RoundSample>,
-    /// Data-plane bytes allocated this round (coded payload `Arc`s in the
-    /// threaded runtime, codec-session pool misses in the simulators);
-    /// `0` in steady state on the pooled path.
-    pub alloc_bytes: u64,
-    /// Buffer-pool hits this round (recycled data-plane buffers).
-    pub pool_hits: u64,
-    /// Wire bytes the master sent this round (parameter broadcasts and
-    /// control frames). `0` for in-process engines — the simulators and
-    /// the threaded runtime move `Arc`s, not bytes; only a socket data
-    /// plane reports real traffic.
-    pub bytes_sent: u64,
-    /// Wire bytes the master received this round (coded-gradient frames).
-    /// `0` for in-process engines, as with [`EngineRound::bytes_sent`].
-    pub bytes_received: u64,
-    /// Combined L2 quantization error the wire codecs introduced into
-    /// this round's coded results (worker-measured, see
-    /// `hetgc_comm::ErrorFeedback`). `0.0` for lossless transports —
-    /// in-process engines and full-width `f64` links.
-    pub wire_error: f64,
-    /// Payload bytes a lossy wire encoding saved this round versus
-    /// full-width `f64` traffic. `0` for lossless transports.
-    pub bytes_saved: u64,
-    /// `true` asks the driver to end the run after this round (a stalled
-    /// BSP run, a deterministic-failure timing sweep).
-    pub stop: bool,
-}
-
-impl EngineRound {
-    /// A round that never completed.
-    pub fn failed(stop: bool) -> Self {
-        EngineRound {
-            elapsed: None,
-            at: None,
-            gradient: None,
-            residual: 0.0,
-            error_bound: None,
-            results_used: 0,
-            busy: Vec::new(),
-            samples: Vec::new(),
-            alloc_bytes: 0,
-            pool_hits: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop,
-        }
-    }
-
-    /// Whether the round decoded through an approximate fallback.
-    pub fn is_approximate(&self) -> bool {
-        self.residual > 0.0
-    }
-}
 
 /// One collect-round producer: the pluggable half of the unified training
 /// loop. Implementations own their execution substrate (simulator event
@@ -836,7 +750,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
 /// engines. [`ThreadedEngine`] is this over `ThreadedCluster`;
 /// `hetgc-net`'s `SocketEngine` wraps it over `SocketCluster`.
 ///
-/// Telemetry comes from real wall-clock timings: each round's
+/// The master builds the round itself (`Master::round` /
+/// `Master::collect` return an [`EngineRound`]), so both trait methods
+/// forward. Telemetry comes from real wall-clock timings: each round's
 /// [`RoundSample`]s carry the per-worker compute durations the workers
 /// reported, with the transport's measured arrival time where it stamps
 /// one. With [`ClusterEngine::with_recoding`], confirmed drift rebuilds
@@ -846,9 +762,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
 /// whenever the escalation ladder can actually fire, as on
 /// [`SimBspEngine`].
 ///
-/// As on the simulated engines, an undecodable round (`Master::collect`
-/// returning `Ok(None)`) is reported as [`EngineRound::failed`] with
-/// `stop` set: the run ends stalled and keeps every earlier record.
+/// As on the simulated engines, an undecodable round is
+/// [`EngineRound::failed`] with `stop` set: the run ends stalled and
+/// keeps every earlier record.
 #[derive(Debug)]
 pub struct ClusterEngine<C> {
     cluster: C,
@@ -919,74 +835,6 @@ impl<C> ClusterEngine<C> {
     }
 }
 
-/// Converts a collected round into the driver's [`EngineRound`] — shared
-/// by the sequential [`RoundEngine::round`] and the split
-/// [`PipelinedEngine::collect`] paths. `None` (undecodable) is a failed
-/// round that stops the run.
-fn engine_round<M: Model, T: Transport>(
-    cluster: &Master<M, T>,
-    r: Option<ClusterRound>,
-) -> EngineRound {
-    let Some(r) = r else {
-        return EngineRound::failed(true);
-    };
-    // Real wall-clock telemetry: work units are the samples each
-    // worker owns; a worker with zero reported compute never replied
-    // in time this round.
-    let k = cluster.partitions();
-    let samples_per_partition = cluster.data().len() as f64 / k as f64;
-    let codec = cluster.codec();
-    let samples = r
-        .busy
-        .iter()
-        .enumerate()
-        .map(|(w, &compute)| {
-            let work = codec.load_of(w) as f64 * samples_per_partition;
-            let in_time = compute > 0.0;
-            let (compute, arrival) = if in_time {
-                // The transport's measured arrival (serialization
-                // and wire time included) when it stamps one; else
-                // arrival ≈ compute end, channel latency being the
-                // only gap the master cannot observe.
-                let stamped = r.arrivals[w];
-                (compute, if stamped > 0.0 { stamped } else { compute })
-            } else if r.late_busy[w] > 0.0 {
-                // A consistent straggler whose replies land after
-                // each decode: no gradient weight, but its timing is
-                // exactly the observation drift detection needs.
-                (r.late_busy[w], r.late_busy[w])
-            } else {
-                return RoundSample::failed(w, work);
-            };
-            let sample = RoundSample::completed(w, work, compute, arrival);
-            if in_time {
-                sample
-            } else {
-                sample.late()
-            }
-        })
-        .collect();
-    EngineRound {
-        elapsed: Some(r.elapsed.as_secs_f64()),
-        at: None,
-        gradient: Some(r.gradient),
-        residual: r.residual,
-        // The master only sees coded results; per-partition norms are
-        // unavailable, so the driver scales by residual/√k.
-        error_bound: None,
-        results_used: r.results_used,
-        busy: r.busy,
-        samples,
-        alloc_bytes: r.alloc_bytes,
-        pool_hits: r.pool_hits,
-        bytes_sent: r.bytes_sent,
-        bytes_received: r.bytes_received,
-        wire_error: r.wire_error,
-        bytes_saved: r.bytes_saved,
-        stop: false,
-    }
-}
-
 impl<C, M, T> RoundEngine for ClusterEngine<C>
 where
     C: DerefMut<Target = Master<M, T>>,
@@ -1011,8 +859,7 @@ where
         params: &[f64],
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.round(params)?;
-        Ok(engine_round(&self.cluster, r))
+        Ok(self.cluster.round(params)?)
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
@@ -1077,8 +924,7 @@ where
     }
 
     fn collect(&mut self, _round: usize) -> Result<EngineRound, BoxError> {
-        let r = self.cluster.collect()?;
-        Ok(engine_round(&self.cluster, r))
+        Ok(self.cluster.collect()?)
     }
 }
 

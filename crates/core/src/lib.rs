@@ -91,9 +91,7 @@ pub use hetgc_ml::{
     partial_gradients, partial_gradients_into, synthetic, Dataset, FillPartial, LinearRegression,
     Mlp, Model, Optimizer, Sgd, SoftmaxRegression, Targets,
 };
-pub use hetgc_runtime::{
-    ClusterRound, RuntimeConfig, RuntimeError, ThreadedCluster, WorkerBehavior,
-};
+pub use hetgc_runtime::{RuntimeConfig, RuntimeError, ThreadedCluster, WorkerBehavior};
 pub use hetgc_sim::{
     simulate_bsp_iteration, simulate_bsp_iteration_in, BspIteration, BspIterationConfig,
     IterationTrace, NetworkModel, RateDrift, ResourceUsage, SspEngine, SspEvent,

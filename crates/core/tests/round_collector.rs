@@ -135,10 +135,11 @@ fn mastered(codec: &EscalatingCodec, arrive: Arrivals<'_>) -> Ending {
     if arrive.iter().all(Option::is_none) {
         drop(queue);
     }
-    match master.collect().unwrap() {
+    let r = master.collect().unwrap();
+    match r.gradient {
         None => Ending::Stalled,
-        Some(r) => {
-            let plan = DecodePlan::from_dense_with_residual(&r.gradient, r.residual);
+        Some(gradient) => {
+            let plan = DecodePlan::from_dense_with_residual(&gradient, r.residual);
             if r.residual > 0.0 {
                 Ending::Escalated(plan)
             } else {

@@ -66,7 +66,8 @@ fn bench_socket(c: &mut Criterion, dim: usize, samples: usize) {
     group.sample_size(10);
     group.bench_function(format!("socket/{dim}"), |b| {
         b.iter(|| {
-            let round = socket.round(&f.params).unwrap().expect("decoded");
+            let round = socket.round(&f.params).unwrap();
+            assert!(round.gradient.is_some(), "decoded");
             black_box(round.results_used)
         })
     });
@@ -80,7 +81,8 @@ fn bench_round(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("threaded", |b| {
         b.iter(|| {
-            let round = threaded.round(&f.params).unwrap().expect("decoded");
+            let round = threaded.round(&f.params).unwrap();
+            assert!(round.gradient.is_some(), "decoded");
             black_box(round.results_used)
         })
     });

@@ -819,9 +819,10 @@ mod tests {
         for (chunk_len, frames_per_reply) in [(3, 4), (64, 2)] {
             let (mut cluster, threads) = start(2, chunk_len);
             for _ in 1..=3 {
-                let round = cluster.round(&params).expect("round").expect("decoded");
+                let round = cluster.round(&params).expect("round");
                 assert_eq!(round.results_used, 2);
-                for (got, want) in round.gradient.iter().zip(&direct) {
+                let gradient = round.gradient.expect("decoded");
+                for (got, want) in gradient.iter().zip(&direct) {
                     assert!(
                         (got - want).abs() <= 1e-9 * want.abs().max(1.0),
                         "chunk_len {chunk_len}: decoded {got}, direct {want}"
@@ -1026,10 +1027,11 @@ mod tests {
                     "{encoding:?}: one handshake per link"
                 );
             }
-            let round = cluster.round(&params).expect("round").expect("decoded");
+            let round = cluster.round(&params).expect("round");
             assert_eq!(round.results_used, 4);
-            assert_eq!(round.gradient.len(), PARAMS);
-            for (got, want) in round.gradient.iter().zip(&direct) {
+            let gradient = round.gradient.expect("decoded");
+            assert_eq!(gradient.len(), PARAMS);
+            for (got, want) in gradient.iter().zip(&direct) {
                 assert!(got.is_finite(), "{encoding:?}: decoded {got}");
                 if encoding == PayloadEncoding::F64 {
                     assert!(

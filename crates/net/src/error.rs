@@ -5,8 +5,8 @@
 //! transport and set-up failures. Rounds themselves run on
 //! `hetgc_runtime::Master` and fail with its `RuntimeError`
 //! (`WorkerLost`, …) on every transport — an undecodable round is not an
-//! error but `Ok(None)`; [`NetError::Runtime`] carries one across a
-//! `NetError` boundary (cluster start-up).
+//! error but a failed `EngineRound`; [`NetError::Runtime`] carries one
+//! across a `NetError` boundary (cluster start-up).
 
 use std::error::Error;
 use std::fmt;

@@ -181,14 +181,15 @@ fn all_workers_dead_is_a_typed_error_not_a_hang() {
 
     let params = vec![0.0; DIM + 1];
     let clean = cluster.round(&params).expect("clean round");
-    assert!(clean.is_some(), "the clean round decodes");
+    assert!(clean.gradient.is_some(), "the clean round decodes");
     fleet.kill(0);
     fleet.kill(1);
     std::thread::sleep(Duration::from_millis(50));
     // Either the send finds every link gone, or the round goes out and
     // nothing comes back: lost workers or an undecodable round.
     match cluster.round(&params) {
-        Err(RuntimeError::WorkerLost { .. }) | Ok(None) => {}
+        Err(RuntimeError::WorkerLost { .. }) => {}
+        Ok(round) if round.stop && round.gradient.is_none() => {}
         other => panic!("unexpected outcome: {other:?}"),
     }
 }

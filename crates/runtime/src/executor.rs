@@ -208,7 +208,8 @@ where
 mod tests {
     use super::*;
     use crate::config::WorkerBehavior;
-    use crate::master::ClusterRound;
+    use crate::round::EngineRound;
+    use hetgc_cluster::RoundSample;
     use hetgc_coding::{heter_aware, naive, EscalationPolicy};
     use hetgc_ml::{synthetic, LinearRegression, SoftmaxRegression};
     use rand::rngs::StdRng;
@@ -252,7 +253,8 @@ mod tests {
             stalled: false,
         };
         for _ in 0..iterations {
-            let Some(round) = cluster.round(&params)? else {
+            let round = cluster.round(&params)?;
+            let Some(gradient) = &round.gradient else {
                 run.stalled = true;
                 break;
             };
@@ -260,7 +262,7 @@ mod tests {
                 run.approx_rounds += 1;
             }
             run.results_used.push(round.results_used);
-            for (p, g) in params.iter_mut().zip(&round.gradient) {
+            for (p, g) in params.iter_mut().zip(gradient) {
                 *p -= lr * g / n;
             }
             run.losses
@@ -313,12 +315,12 @@ mod tests {
         assert_eq!(cluster.workers(), 3);
         let params = model.init_params(&mut rng);
         let n = data.len();
-        let round = cluster.round(&params).unwrap().expect("decoded");
+        let round = cluster.round(&params).unwrap();
         assert_eq!(round.residual, 0.0);
         assert!(round.results_used >= 2);
         // The decoded (un-normalized) gradient is the exact batch gradient.
         let direct = model.gradient(&params, &data, (0, n));
-        for (g, d) in round.gradient.iter().zip(&direct) {
+        for (g, d) in decoded(&round).iter().zip(&direct) {
             assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
         }
         cluster.shutdown();
@@ -346,9 +348,9 @@ mod tests {
             // Each "run" restarts at iteration 1 with different params.
             let params = vec![0.1 * (run + 1) as f64; model.num_params()];
             for iteration in 1..=2 {
-                let round = cluster.round(&params).unwrap().expect("decoded");
+                let round = cluster.round(&params).unwrap();
                 let direct = model.gradient(&params, &data, (0, n));
-                for (g, d) in round.gradient.iter().zip(&direct) {
+                for (g, d) in decoded(&round).iter().zip(&direct) {
                     assert!(
                         (g - d).abs() < 1e-6 * (1.0 + d.abs()),
                         "run {run} iter {iteration}: {g} vs {d}"
@@ -388,9 +390,9 @@ mod tests {
         ));
         // The master is free to do unrelated work here (the pipelined
         // overlap window) — the collect still decodes the exact gradient.
-        let round = cluster.collect().unwrap().expect("decoded");
+        let round = cluster.collect().unwrap();
         let direct = model.gradient(&params, &data, (0, n));
-        for (g, d) in round.gradient.iter().zip(&direct) {
+        for (g, d) in decoded(&round).iter().zip(&direct) {
             assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
         }
         // Each consumed reply accounts one payload allocation.
@@ -402,8 +404,11 @@ mod tests {
         );
         // The split cycle is repeatable.
         cluster.dispatch(&params).unwrap();
-        let again = cluster.collect().unwrap().expect("decoded");
-        assert_eq!(again.residual, 0.0);
+        let again = cluster.collect().unwrap();
+        assert_eq!(
+            (decoded(&again).len(), again.residual),
+            (model.num_params(), 0.0)
+        );
     }
 
     #[test]
@@ -424,8 +429,8 @@ mod tests {
         let params = model.init_params(&mut rng);
         let n = data.len();
         let direct = model.gradient(&params, &data, (0, n));
-        let before = cluster.round(&params).unwrap().expect("decoded");
-        for (g, d) in before.gradient.iter().zip(&direct) {
+        let before = cluster.round(&params).unwrap();
+        for (g, d) in decoded(&before).iter().zip(&direct) {
             assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()));
         }
 
@@ -433,9 +438,9 @@ mod tests {
         let new_code = heter_aware(&[2.0, 2.0, 1.0], 6, 1, &mut rng).unwrap();
         cluster.recode(new_code).unwrap();
         assert_eq!(cluster.partitions(), 6);
-        let after = cluster.round(&params).unwrap().expect("decoded");
+        let after = cluster.round(&params).unwrap();
         assert_eq!(after.residual, 0.0);
-        for (g, d) in after.gradient.iter().zip(&direct) {
+        for (g, d) in decoded(&after).iter().zip(&direct) {
             assert!(
                 (g - d).abs() < 1e-6 * (1.0 + d.abs()),
                 "decode wrong after recode: {g} vs {d}"
@@ -461,17 +466,29 @@ mod tests {
         (cluster, params, rng)
     }
 
+    /// `round`'s gradient; panics unless it decoded.
+    fn decoded(round: &EngineRound) -> &[f64] {
+        round.gradient.as_deref().expect("decoded")
+    }
+
+    /// Each row's late compute seconds this round (`0.0` unless its
+    /// sample is marked late).
+    fn late_timings(round: &EngineRound) -> Vec<f64> {
+        let late = |s: &RoundSample| if s.straggled { s.compute_seconds } else { 0.0 };
+        round.samples.iter().map(late).collect()
+    }
+
     /// `round` decoded the exact batch gradient at `params`.
     fn assert_exact(
         cluster: &ThreadedCluster<LinearRegression>,
-        round: &ClusterRound,
+        round: &EngineRound,
         params: &[f64],
     ) {
         let direct = cluster
             .model()
             .gradient(params, cluster.data(), (0, cluster.data().len()));
         assert_eq!(round.residual, 0.0);
-        for (g, d) in round.gradient.iter().zip(&direct) {
+        for (g, d) in decoded(round).iter().zip(&direct) {
             assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
         }
     }
@@ -479,7 +496,7 @@ mod tests {
     #[test]
     fn drop_does_not_wait_for_a_delayed_worker() {
         let (mut cluster, params, _) = delayed_cluster(35, Duration::from_secs(2));
-        let round = cluster.round(&params).unwrap().expect("decoded");
+        let round = cluster.round(&params).unwrap();
         assert_eq!(round.busy[0], 0.0, "worker 0 is still in its delay");
         let dropping = Instant::now();
         drop(cluster);
@@ -493,7 +510,7 @@ mod tests {
     #[test]
     fn recode_does_not_wait_for_a_delayed_worker() {
         let (mut cluster, params, mut rng) = delayed_cluster(36, Duration::from_secs(2));
-        cluster.round(&params).unwrap().expect("decoded");
+        decoded(&cluster.round(&params).unwrap());
         let recoding = Instant::now();
         let code = heter_aware(&[1.0; 4], 8, 1, &mut rng).unwrap();
         cluster.recode(code).unwrap();
@@ -504,7 +521,7 @@ mod tests {
         );
         assert_eq!(cluster.partitions(), 8);
         // Worker 0 still waits out round 1; the other three decode.
-        let round = cluster.round(&params).unwrap().expect("decoded");
+        let round = cluster.round(&params).unwrap();
         assert_exact(&cluster, &round, &params);
     }
 
@@ -523,7 +540,7 @@ mod tests {
             Err(RuntimeError::InvalidConfig { .. })
         ));
         assert_eq!((cluster.workers(), cluster.partitions()), (3, 4));
-        let round = cluster.round(&params).unwrap().expect("decoded");
+        let round = cluster.round(&params).unwrap();
         assert_exact(&cluster, &round, &params);
     }
 
@@ -533,15 +550,15 @@ mod tests {
         // reply lands after the recode — its timing is observed, its
         // payload carries no weight.
         let (mut cluster, params, mut rng) = delayed_cluster(38, Duration::from_millis(250));
-        let r1 = cluster.round(&params).unwrap().expect("decoded");
+        let r1 = cluster.round(&params).unwrap();
         assert_eq!(r1.busy[0], 0.0);
         let code = heter_aware(&[1.0; 4], 4, 1, &mut rng).unwrap();
         cluster.recode(code).unwrap();
         std::thread::sleep(Duration::from_millis(350));
-        let r2 = cluster.round(&params).unwrap().expect("decoded");
+        let r2 = cluster.round(&params).unwrap();
         assert_exact(&cluster, &r2, &params);
         assert_eq!(r2.busy[0], 0.0);
-        assert!(r2.late_busy[0] >= 0.25, "{:?}", r2.late_busy);
+        assert!(late_timings(&r2)[0] >= 0.25, "{:?}", r2.samples);
     }
 
     #[test]
@@ -565,15 +582,16 @@ mod tests {
             cluster.recode(code),
             Err(RuntimeError::InvalidConfig { .. })
         ));
-        let round = cluster.collect().unwrap().expect("decoded");
+        let round = cluster.collect().unwrap();
         assert_eq!(round.residual, 0.0);
+        decoded(&round);
     }
 
     #[test]
     fn late_replies_surface_their_timings_once() {
         // Worker 0's replies always land after the decode (the other
         // three form an exact decode immediately): its round-t timing
-        // must surface through round t+1's `late_busy` — and only once.
+        // must surface as a late sample of round t+1 — and only once.
         let mut rng = StdRng::seed_from_u64(33);
         let code = heter_aware(&[1.0; 4], 4, 1, &mut rng).unwrap();
         let model = Arc::new(LinearRegression::new(3));
@@ -585,26 +603,22 @@ mod tests {
         let mut cluster =
             ThreadedCluster::start(code, Arc::clone(&model), Arc::clone(&data), &config).unwrap();
         let params = model.init_params(&mut rng);
-        let r1 = cluster.round(&params).unwrap().expect("decoded");
+        let r1 = cluster.round(&params).unwrap();
         assert_eq!(r1.busy[0], 0.0, "straggler missed the decode");
-        assert_eq!(r1.late_busy, vec![0.0; 4], "nothing late yet");
+        assert_eq!(late_timings(&r1), vec![0.0; 4], "nothing late yet");
         // Let worker 0's round-1 reply land in the channel.
         std::thread::sleep(Duration::from_millis(350));
-        let r2 = cluster.round(&params).unwrap().expect("decoded");
+        let r2 = cluster.round(&params).unwrap();
+        let late = late_timings(&r2);
         assert!(
-            r2.late_busy[0] >= 0.25,
-            "round-1 timing must surface late: {:?}",
-            r2.late_busy
+            late[0] >= 0.25,
+            "round-1 timing must surface late: {late:?}"
         );
         // A fast worker whose round-1 reply was not needed for the decode
         // (this code can decode from 2 arrivals) may legitimately surface
         // a late timing too — but only its real, millisecond-scale
         // compute, never the straggler's injected 250 ms delay.
-        assert!(
-            r2.late_busy[1..].iter().all(|&b| b < 0.05),
-            "{:?}",
-            r2.late_busy
-        );
+        assert!(late[1..].iter().all(|&b| b < 0.05), "{late:?}");
     }
 
     #[test]
@@ -626,7 +640,7 @@ mod tests {
         cluster.set_timeout(Duration::from_millis(200));
         let params = model.init_params(&mut rng);
         let started = Instant::now();
-        let round = cluster.round(&params).unwrap().expect("decoded");
+        let round = cluster.round(&params).unwrap();
         // Auto backend may decode from an intact group (2 workers).
         assert!(round.results_used >= 2);
         assert_eq!(round.residual, 0.0, "exact decode, no escalation");
@@ -748,7 +762,8 @@ mod tests {
         let data = Arc::new(quick_data(4));
         let mut cluster = ThreadedCluster::start(code, Arc::clone(&model), data, &config).unwrap();
         let params = model.init_params(&mut rng);
-        assert!(matches!(cluster.round(&params), Ok(None)));
+        let round = cluster.round(&params).unwrap();
+        assert!(round.stop && round.gradient.is_none());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! * [`Master`] is the one round loop: broadcast → feed the replies,
 //!   ending at the deadline, to `hetgc_coding::collect_round`, the
-//!   decision the simulator runs too → combine the gradient. It
-//!   keeps iterating while injected workers are dead — the paper's
-//!   fault-tolerance claim made concrete — and hot-swaps rebuilt codes
-//!   between rounds.
+//!   decision the simulator runs too → combine the gradient. It returns
+//!   the same [`EngineRound`] every training engine returns, per-worker
+//!   telemetry included. It keeps iterating while injected workers are
+//!   dead — the paper's fault-tolerance claim made concrete — and
+//!   hot-swaps rebuilt codes between rounds.
 //! * [`Transport`] is what differs between worker pools: how a round is
 //!   sent, where [`Reply`]s arrive, how workers move to a new code, which
 //!   rows can still reply, what a round cost on the wire.
@@ -38,8 +39,9 @@
 //! let mut cluster =
 //!     ThreadedCluster::start(code, Arc::clone(&model), Arc::clone(&data), &RuntimeConfig::default())?;
 //! let params = model.init_params(&mut rng);
-//! let round = cluster.round(&params)?.expect("decodable within the budget");
-//! assert_eq!(round.gradient.len(), model.num_params());
+//! let round = cluster.round(&params)?;
+//! let gradient = round.gradient.expect("decodable within the budget");
+//! assert_eq!(gradient.len(), model.num_params());
 //! assert_eq!(round.residual, 0.0, "exact decode within the budget");
 //! # Ok(())
 //! # }
@@ -53,6 +55,7 @@ mod error;
 mod executor;
 mod master;
 mod message;
+mod round;
 mod worker;
 
 pub use config::{RuntimeConfig, WorkerBehavior};
@@ -61,6 +64,7 @@ pub use config::{RuntimeConfig, WorkerBehavior};
 pub use crossbeam::channel;
 pub use error::RuntimeError;
 pub use executor::{ChannelTransport, ThreadedCluster};
-pub use master::{build_codec, row_shards, ClusterRound, Master, RowShard, Transport};
+pub use master::{build_codec, row_shards, Master, RowShard, Transport};
 pub use message::{Reply, ToWorker};
+pub use round::EngineRound;
 pub use worker::{compute_coded, emulated_deadline};

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
-use hetgc_cluster::PartitionAssignment;
+use hetgc_cluster::{PartitionAssignment, RoundSample};
 use hetgc_coding::{
     collect_round, CodecSession, CodingMatrix, EscalatingCodec, GradientCodec, RoundEnd,
 };
@@ -29,51 +29,7 @@ use hetgc_obs::{Phase, Recorder};
 use crate::config::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::message::Reply;
-
-/// One completed collect round of a [`Master`].
-#[derive(Debug, Clone)]
-pub struct ClusterRound {
-    /// The decoded aggregated gradient `Σ_w a_w · g̃_w`, un-normalized
-    /// (the caller divides by the dataset size).
-    pub gradient: Vec<f64>,
-    /// Decode residual of the round: `0.0` for exact decodes, positive
-    /// when the escalation ladder's approximate stage rescued it.
-    pub residual: f64,
-    /// How many worker results carried decode weight.
-    pub results_used: usize,
-    /// Wall-clock duration of the round (dispatch → decoded gradient).
-    pub elapsed: Duration,
-    /// Per-worker (logical row) compute seconds reported this round (0
-    /// for workers whose result never arrived).
-    pub busy: Vec<f64>,
-    /// Per-worker compute seconds of *late* results — replies from an
-    /// earlier round that reached the master only after it had decoded
-    /// (0 when none). Late results carry no gradient weight, but their
-    /// timings are real observations: without them a consistent
-    /// within-budget straggler would be invisible to throughput
-    /// telemetry. Each late timing is reported exactly once.
-    pub late_busy: Vec<f64>,
-    /// Per-worker arrival offset in seconds from the dispatch, where the
-    /// transport stamped one ([`Reply::arrived`]); `0.0` otherwise —
-    /// approximate arrival by compute end then.
-    pub arrivals: Vec<f64>,
-    /// Bytes of coded-gradient payload this round consumed (one payload
-    /// per reply — the data plane's only steady-state allocation).
-    pub alloc_bytes: u64,
-    /// Decode-session buffer-pool hits this round.
-    pub pool_hits: u64,
-    /// Real bytes written to worker links this round (`0` in-process).
-    pub bytes_sent: u64,
-    /// Real bytes read from worker links this round.
-    pub bytes_received: u64,
-    /// Combined L2 quantization error of this round's lossy wire traffic
-    /// (`sqrt(Σ_w err_w²)` over the replies absorbed), as measured
-    /// worker-side. `0.0` when every reply was lossless.
-    pub wire_error: f64,
-    /// Payload bytes the wire encodings saved this round versus shipping
-    /// every serialized reply as full-width `f64`.
-    pub bytes_saved: u64,
-}
+use crate::round::EngineRound;
 
 /// One row's marching orders: the sample ranges of the partitions it
 /// holds, and the aligned coefficients of its row of `B`.
@@ -175,8 +131,8 @@ struct Slots<P> {
     received: Vec<Option<P>>,
     compute_seconds: Vec<f64>,
     /// Compute seconds from stale (earlier-round) replies observed while
-    /// waiting on the current round — surfaced once through
-    /// [`ClusterRound::late_busy`].
+    /// waiting on the current round — reported once, as a late
+    /// [`RoundSample`].
     late_compute_seconds: Vec<f64>,
     arrival_seconds: Vec<f64>,
     wire_errors: Vec<f64>,
@@ -381,13 +337,12 @@ impl<M: Model, T: Transport> Master<M, T> {
     }
 
     /// Runs one collect round: [`Master::dispatch`] then
-    /// [`Master::collect`]. `Ok(None)` is an undecodable round, as for
-    /// [`Master::collect`].
+    /// [`Master::collect`], whose round it returns.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::WorkerLost`] when the round cannot be sent.
-    pub fn round(&mut self, params: &[f64]) -> Result<Option<ClusterRound>, RuntimeError> {
+    pub fn round(&mut self, params: &[f64]) -> Result<EngineRound, RuntimeError> {
         self.dispatch(params)?;
         self.collect()
     }
@@ -430,13 +385,17 @@ impl<M: Model, T: Transport> Master<M, T> {
     /// once the deadline has passed and the queue is drained, or when
     /// every worker hung up.
     ///
-    /// Returns `Ok(None)` when the round stalls: not decoded when it
-    /// expired, and the escalation ladder declined.
+    /// The round reports one [`RoundSample`] per row: in time at the
+    /// transport's arrival stamp (at compute end when unstamped); late
+    /// when only an earlier round's reply came, whose timing is reported
+    /// this once; failed otherwise. A round that stalls — not decoded
+    /// when it expired, and the escalation ladder declined — is
+    /// [`EngineRound::failed`]`(true)`.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidConfig`] when no round is in flight.
-    pub fn collect(&mut self) -> Result<Option<ClusterRound>, RuntimeError> {
+    pub fn collect(&mut self) -> Result<EngineRound, RuntimeError> {
         let (tag, started) = self
             .inflight
             .take()
@@ -480,7 +439,7 @@ impl<M: Model, T: Transport> Master<M, T> {
         let plan = match &end {
             RoundEnd::Exact => self.session.decoded_plan().expect("exact round decoded"),
             RoundEnd::Escalated(plan) => plan,
-            RoundEnd::Stalled => return Ok(None),
+            RoundEnd::Stalled => return Ok(EngineRound::failed(true)),
         };
 
         // g = Σ a_w · g̃_w (un-normalized), applied straight over the
@@ -498,36 +457,55 @@ impl<M: Model, T: Transport> Master<M, T> {
         let alloc_bytes = received
             .map(|coded| std::mem::size_of_val(coded.as_ref()) as u64)
             .sum();
-        // Late timings are reported exactly once, and only for workers
-        // that did not also reply in time this round.
-        let mut late_busy = vec![0.0; slots.late_compute_seconds.len()];
-        for (w, late) in slots.late_compute_seconds.iter_mut().enumerate() {
-            if slots.compute_seconds[w] == 0.0 {
-                late_busy[w] = *late;
-            }
-            *late = 0.0;
-        }
+        // Work units are the samples each row owns. A row with zero
+        // compute did not reply in time; its late timing, if any, is a
+        // consistent straggler's real observation, reported exactly once.
+        let samples_per_partition = self.data.len() as f64 / self.codec.partitions() as f64;
+        let samples = (0..slots.compute_seconds.len())
+            .map(|w| {
+                let work = self.codec.load_of(w) as f64 * samples_per_partition;
+                let compute = slots.compute_seconds[w];
+                let late = std::mem::take(&mut slots.late_compute_seconds[w]);
+                if compute > 0.0 {
+                    // The transport's measured arrival (serialization and
+                    // wire time included) when it stamps one; else arrival
+                    // ≈ compute end, channel latency being the only gap
+                    // the master cannot observe.
+                    let stamped = slots.arrival_seconds[w];
+                    let arrival = if stamped > 0.0 { stamped } else { compute };
+                    RoundSample::completed(w, work, compute, arrival)
+                } else if compute == 0.0 && late > 0.0 {
+                    RoundSample::completed(w, work, late, late).late()
+                } else {
+                    RoundSample::failed(w, work)
+                }
+            })
+            .collect();
         let (bytes_sent, bytes_received) = self.transport.round_traffic();
         // Quantization errors combine in quadrature (independent lossy
         // links); savings compare each serialized reply's payload to the
         // f64 width it displaced.
         let full_width = (gradient.len() * 8) as u64;
         let serialized = slots.payload_bytes.iter().filter(|&&b| b > 0);
-        Ok(Some(ClusterRound {
-            gradient,
+        Ok(EngineRound {
+            elapsed: Some(started.elapsed().as_secs_f64()),
+            at: None,
             residual: plan.residual(),
+            gradient: Some(gradient),
+            // The master only sees coded results; per-partition norms are
+            // unavailable, so the driver scales by residual/√k.
+            error_bound: None,
             results_used: plan.len(),
-            elapsed: started.elapsed(),
             busy: slots.compute_seconds.clone(),
-            late_busy,
-            arrivals: slots.arrival_seconds.clone(),
+            samples,
             alloc_bytes,
             pool_hits: self.session.pool().hits() - pool_hits_before,
             bytes_sent,
             bytes_received,
             wire_error: slots.wire_errors.iter().map(|e| e * e).sum::<f64>().sqrt(),
             bytes_saved: serialized.map(|&b| full_width.saturating_sub(b)).sum(),
-        }))
+            stop: false,
+        })
     }
 }
 
@@ -633,12 +611,20 @@ mod tests {
                 .unwrap();
         }
 
-        fn assert_exact(&self, round: &ClusterRound) {
+        fn assert_exact(&self, round: &EngineRound) {
             assert_eq!(round.residual, 0.0);
-            for (g, d) in round.gradient.iter().zip(&self.direct) {
+            let gradient = round.gradient.as_ref().expect("decoded");
+            for (g, d) in gradient.iter().zip(&self.direct) {
                 assert!((g - d).abs() < 1e-9 * (1.0 + d.abs()), "{g} vs {d}");
             }
         }
+    }
+
+    /// Each row's late compute seconds this round (`0.0` unless its
+    /// sample is marked late).
+    fn late_timings(round: &EngineRound) -> Vec<f64> {
+        let late = |s: &RoundSample| if s.straggled { s.compute_seconds } else { 0.0 };
+        round.samples.iter().map(late).collect()
     }
 
     fn deadline(ms: u64, ceiling: CodecBackend) -> EscalationPolicy {
@@ -657,9 +643,10 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         // The deadline passed before collect entry, yet the queued set
         // decodes exactly: the ladder is not consulted.
-        let round = rig.master.collect().unwrap().expect("decoded");
+        let round = rig.master.collect().unwrap();
         rig.assert_exact(&round);
         assert_eq!(round.busy[0], 0.0);
+        assert!(round.samples[0].failed);
         assert!(round.results_used >= 2);
         assert_eq!((round.bytes_sent, round.bytes_saved), (0, 0));
     }
@@ -671,13 +658,14 @@ mod tests {
         exact.master.dispatch(&exact.params).unwrap();
         exact.reply(0, 1, 0.01);
         exact.reply(1, 1, 0.01);
-        assert!(matches!(exact.master.collect(), Ok(None)));
+        let stalled = exact.master.collect().unwrap();
+        assert!(stalled.stop && stalled.gradient.is_none());
 
         let mut approx = Rig::new(5, deadline(1, CodecBackend::Approx));
         approx.master.dispatch(&approx.params).unwrap();
         approx.reply(0, 1, 0.01);
         approx.reply(1, 1, 0.01);
-        let round = approx.master.collect().unwrap().expect("decoded");
+        let round = approx.master.collect().unwrap();
         assert!(round.residual > 0.0);
         assert!(round.results_used <= 2);
     }
@@ -690,16 +678,17 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 1, 0.01);
         }
-        let r1 = rig.master.collect().unwrap().expect("decoded");
-        assert_eq!(r1.late_busy, vec![0.0; 4]);
+        let r1 = rig.master.collect().unwrap();
+        assert_eq!(late_timings(&r1), vec![0.0; 4]);
         rig.reply(0, 1, 0.25);
 
         rig.master.dispatch(&rig.params).unwrap();
         for w in 1..4 {
             rig.reply(w, 2, 0.01);
         }
-        let r2 = rig.master.collect().unwrap().expect("decoded");
-        assert_eq!((r2.busy[0], r2.late_busy[0]), (0.0, 0.25));
+        let r2 = rig.master.collect().unwrap();
+        assert_eq!((r2.busy[0], late_timings(&r2)[0]), (0.0, 0.25));
+        assert_eq!(r2.samples[0].arrival_seconds, Some(0.25));
 
         // Row 1's stale reply is followed by its in-time one: the late
         // timing is superseded, and row 0's was already reported.
@@ -708,17 +697,18 @@ mod tests {
         for w in 1..4 {
             rig.reply(w, 3, 0.01);
         }
-        let r3 = rig.master.collect().unwrap().expect("decoded");
+        let r3 = rig.master.collect().unwrap();
         rig.assert_exact(&r3);
-        assert_eq!((r3.late_busy[0], r3.late_busy[1]), (0.0, 0.0));
+        assert_eq!(late_timings(&r3)[..2], [0.0, 0.0]);
         assert_eq!(r3.busy[1], 0.01);
+        assert!(r3.samples[0].failed);
 
         rig.master.dispatch(&rig.params).unwrap();
         for w in 1..4 {
             rig.reply(w, 4, 0.01);
         }
-        let r4 = rig.master.collect().unwrap().expect("decoded");
-        assert_eq!(r4.late_busy[1], 0.0);
+        let r4 = rig.master.collect().unwrap();
+        assert_eq!(late_timings(&r4)[1], 0.0);
     }
 
     #[test]
@@ -735,10 +725,10 @@ mod tests {
         for w in 0..3 {
             rig.reply(w, 1, 0.01);
         }
-        let round = rig.master.collect().unwrap().expect("decoded");
+        let round = rig.master.collect().unwrap();
         rig.assert_exact(&round);
         assert_eq!(round.busy.len(), 3);
-        assert_eq!(round.late_busy, vec![0.0; 3]);
+        assert_eq!(late_timings(&round), vec![0.0; 3]);
     }
 
     #[test]
@@ -753,7 +743,7 @@ mod tests {
             rig.master.dispatch(&rig.params).unwrap();
             rig.reply(0, seq, 0.01);
             rig.reply(1, seq, 0.01);
-            assert!(rig.master.collect().unwrap().expect("decoded").residual > 0.0);
+            assert!(rig.master.collect().unwrap().residual > 0.0);
             match registry
                 .snapshot()
                 .get("hetgc_plan_solves_total", &[("codec", "rig")])
@@ -804,7 +794,7 @@ mod tests {
         for w in 0..4 {
             rig.reply(w, 1, 0.01);
         }
-        let round = rig.master.collect().unwrap().expect("decoded");
+        let round = rig.master.collect().unwrap();
         rig.assert_exact(&round);
     }
 }

@@ -33,8 +33,10 @@
 //!
 //! A spec no job could run (no samples, no dimension, a learning rate
 //! that is not positive and finite) fails the whole batch with
-//! [`JobError::InvalidSpec`] before anything starts, and a job whose
-//! thread panics fails it with [`JobError::Panicked`].
+//! [`JobError::InvalidSpec`] before anything starts, a job whose
+//! thread panics fails it with [`JobError::Panicked`], and a job whose
+//! scheme or training fails fails it with [`JobError::Failed`], which
+//! names the job and keeps the job's error as its source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

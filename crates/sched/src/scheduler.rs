@@ -261,7 +261,8 @@ impl JobScheduler {
     ///
     /// [`JobError::InvalidSpec`] for the first spec no job could run,
     /// before anything starts; otherwise the first job failure: its
-    /// scheme or training error verbatim, or [`JobError::Panicked`].
+    /// scheme or training error as [`JobError::Failed`], or
+    /// [`JobError::Panicked`].
     pub fn run(&self) -> Result<SchedulerReport, BoxError> {
         self.execute(true)
     }
@@ -288,7 +289,22 @@ impl JobScheduler {
         let runs = self.run_jobs(&SharedBuilds::new(&self.jobs), concurrent);
         let wall_seconds = started.elapsed().as_secs_f64();
 
-        let outcomes = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let outcomes = runs
+            .into_iter()
+            .zip(&self.jobs)
+            .map(|(run, spec)| {
+                run.map_err(|source| -> BoxError {
+                    if source.is::<JobError>() {
+                        source // already names its job
+                    } else {
+                        Box::new(JobError::Failed {
+                            job: spec.name.clone(),
+                            source,
+                        })
+                    }
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SchedulerReport {
             outcomes,
             wall_seconds,
@@ -337,9 +353,8 @@ impl JobScheduler {
     }
 }
 
-/// Why a job produced no outcome, besides its own scheme or training
-/// error (which the batch returns verbatim).
-#[derive(Debug, Clone, PartialEq)]
+/// Why a job produced no outcome, named after the job.
+#[derive(Debug)]
 pub enum JobError {
     /// The spec describes no job that could run. Every spec of a batch is
     /// checked before anything is built, leased or spawned.
@@ -356,6 +371,14 @@ pub enum JobError {
         /// The panic's message.
         message: String,
     },
+    /// The job's scheme could not be built or its training failed; the
+    /// batch still joined every other job.
+    Failed {
+        /// The job's name.
+        job: String,
+        /// The job's own error, also its [`std::error::Error::source`].
+        source: BoxError,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -363,11 +386,19 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::InvalidSpec { job, reason } => write!(f, "job `{job}`: {reason}"),
             JobError::Panicked { job, message } => write!(f, "job `{job}` panicked: {message}"),
+            JobError::Failed { job, source } => write!(f, "job `{job}`: {source}"),
         }
     }
 }
 
-impl std::error::Error for JobError {}
+impl std::error::Error for JobError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            JobError::Failed { source, .. } => Some(source.as_ref()),
+            _ => None,
+        }
+    }
+}
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
@@ -672,6 +703,38 @@ mod tests {
                 }
             }
             assert!(runs[1].is_ok());
+        }
+    }
+
+    #[test]
+    fn a_failed_job_is_named_and_keeps_its_error() {
+        // s = 4 on a 4-worker pool places no code.
+        let pool = pool();
+        let solo = scheme_from_estimates(
+            SchemeKind::HeterAware,
+            pool.base_rates(),
+            4,
+            None,
+            &mut StdRng::seed_from_u64(7),
+        )
+        .expect_err("s >= m builds no code");
+        let sched = JobScheduler::new(pool)
+            .submit(JobSpec::new("fine").with_rounds(1))
+            .submit(JobSpec::new("too-many-stragglers").with_stragglers(4));
+        for err in [sched.run(), sched.run_sequential()].map(Result::unwrap_err) {
+            assert!(
+                matches!(
+                    err.downcast_ref::<JobError>(),
+                    Some(JobError::Failed { job, .. }) if job == "too-many-stragglers"
+                ),
+                "{err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("job `too-many-stragglers`: {solo}")
+            );
+            let source = err.source().expect("the job's own error");
+            assert_eq!(source.downcast_ref::<CodingError>(), Some(&solo));
         }
     }
 

@@ -1,10 +1,11 @@
 //! The assembled feedback loop: hub → detectors → decisions.
 
+use hetgc_cluster::RoundSample;
+
 use crate::deadline::DeadlineConfig;
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent};
 use crate::hub::TelemetryHub;
 use crate::recode::{RecodeConfig, RecodeController};
-use crate::sample::RoundSample;
 
 /// Everything the adaptation loop needs to know, in one plain-data
 /// config — the value a training driver carries in its `DriverConfig`.

@@ -1,37 +1,24 @@
 //! The ingestion point: per-round samples in, live estimates and
 //! arrival-history statistics out.
 
-use hetgc_cluster::{EwmaEstimator, ThroughputEstimator};
+use hetgc_cluster::{EwmaEstimator, RoundSample, ThroughputEstimator};
 
 use crate::quantile::QuantileWindow;
-use crate::sample::RoundSample;
 
 /// Collects [`RoundSample`]s from any round engine and maintains the
 /// online views the adaptation controllers consume:
 ///
-/// * a pluggable per-worker throughput estimator (default:
-///   [`hetgc_cluster::EwmaEstimator`], tracking drifting speeds);
+/// * a per-worker [`EwmaEstimator`] of throughput, tracking drifting
+///   speeds;
 /// * a windowed quantile sketch of round-completion times (the
 ///   arrival history behind the learned escalation deadline);
-/// * round/escalation counters.
+/// * a round counter.
+#[derive(Debug)]
 pub struct TelemetryHub {
     workers: usize,
-    estimator: Box<dyn ThroughputEstimator + Send>,
+    estimator: EwmaEstimator,
     round_times: QuantileWindow,
     rounds: usize,
-    escalated_rounds: usize,
-    samples_ingested: usize,
-}
-
-impl std::fmt::Debug for TelemetryHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryHub")
-            .field("workers", &self.workers)
-            .field("rounds", &self.rounds)
-            .field("escalated_rounds", &self.escalated_rounds)
-            .field("samples_ingested", &self.samples_ingested)
-            .finish_non_exhaustive()
-    }
 }
 
 impl TelemetryHub {
@@ -43,45 +30,26 @@ impl TelemetryHub {
     /// Panics unless `0 < alpha <= 1` and `window > 0` (delegated
     /// validation).
     pub fn new(workers: usize, alpha: f64, window: usize) -> Self {
-        TelemetryHub::with_estimator(
-            workers,
-            Box::new(EwmaEstimator::new(workers, alpha)),
-            window,
-        )
-    }
-
-    /// A hub over a caller-supplied estimator — the pluggable half: any
-    /// [`ThroughputEstimator`] (cumulative sampling, EWMA, something
-    /// custom) slots in.
-    pub fn with_estimator(
-        workers: usize,
-        estimator: Box<dyn ThroughputEstimator + Send>,
-        window: usize,
-    ) -> Self {
         TelemetryHub {
             workers,
-            estimator,
+            estimator: EwmaEstimator::new(workers, alpha),
             round_times: QuantileWindow::new(window),
             rounds: 0,
-            escalated_rounds: 0,
-            samples_ingested: 0,
         }
     }
 
-    /// Ingests one completed round: its wall time, its decode residual
-    /// (positive = the escalation ladder's approximate stage fired) and
-    /// the per-worker samples the engine observed.
-    pub fn ingest(&mut self, elapsed: f64, residual: f64, samples: &[RoundSample]) {
+    /// Ingests one completed round: its wall time and the per-worker
+    /// samples the engine observed. Only samples with a valid timing
+    /// ([`RoundSample::rate`]) reach the estimator. The decode residual
+    /// is not used here (escalated rounds are counted by
+    /// `hetgc_obs::RunObserver`).
+    pub fn ingest(&mut self, elapsed: f64, _residual: f64, samples: &[RoundSample]) {
         self.rounds += 1;
-        if residual > 0.0 {
-            self.escalated_rounds += 1;
-        }
         self.round_times.push(elapsed);
         for s in samples {
             if s.rate().is_some() {
                 self.estimator
                     .observe(s.worker, s.work_units, s.compute_seconds);
-                self.samples_ingested += 1;
             }
         }
     }
@@ -94,16 +62,6 @@ impl TelemetryHub {
     /// Completed rounds ingested so far.
     pub fn rounds(&self) -> usize {
         self.rounds
-    }
-
-    /// Rounds whose decode carried a positive residual.
-    pub fn escalated_rounds(&self) -> usize {
-        self.escalated_rounds
-    }
-
-    /// Valid per-worker samples ingested so far.
-    pub fn samples_ingested(&self) -> usize {
-        self.samples_ingested
     }
 
     /// The current throughput estimate for one worker, if it has been
@@ -145,7 +103,6 @@ impl TelemetryHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgc_cluster::SamplingEstimator;
 
     #[test]
     fn ingest_feeds_estimator_and_window() {
@@ -159,27 +116,30 @@ mod tests {
             ],
         );
         assert_eq!(hub.rounds(), 1);
-        assert_eq!(hub.samples_ingested(), 2);
         assert_eq!(hub.estimate(0), Some(5.0));
         assert_eq!(hub.estimate(1), Some(10.0));
         assert_eq!(hub.round_quantile(1.0), Some(2.0));
-        assert_eq!(hub.escalated_rounds(), 0);
     }
 
     #[test]
-    fn escalated_rounds_counted_and_failures_skipped() {
-        let mut hub = TelemetryHub::new(2, 0.5, 8);
-        hub.ingest(
-            3.0,
-            0.4,
-            &[
-                RoundSample::completed(0, 10.0, 2.0, 2.0),
-                RoundSample::failed(1, 10.0),
-            ],
-        );
-        assert_eq!(hub.escalated_rounds(), 1);
-        assert_eq!(hub.samples_ingested(), 1);
-        assert_eq!(hub.estimate(1), None);
+    fn failed_and_timingless_samples_never_reach_the_estimator() {
+        let mut hub = TelemetryHub::new(4, 0.5, 8);
+        let mut nan = RoundSample::completed(3, 10.0, 2.0, 2.0);
+        nan.compute_seconds = f64::NAN;
+        let round = [
+            RoundSample::completed(0, 10.0, 2.0, 2.0),
+            RoundSample::failed(1, 10.0),
+            RoundSample::completed(2, 10.0, 0.0, 0.0),
+            nan,
+        ];
+        hub.ingest(3.0, 0.4, &round);
+        assert_eq!(hub.estimate(0), Some(5.0));
+        assert_eq!((hub.estimate(1), hub.estimate(2)), (None, None));
+        assert_eq!(hub.estimate(3), None);
+        // A later invalid sample leaves an observed estimate untouched.
+        hub.ingest(3.0, 0.0, &[RoundSample::failed(0, 10.0)]);
+        assert_eq!(hub.estimate(0), Some(5.0));
+        assert_eq!(hub.rounds(), 2);
     }
 
     #[test]
@@ -202,15 +162,5 @@ mod tests {
         }
         assert_eq!(hub.round_quantile(0.5), Some(6.0));
         assert_eq!(hub.round_quantile(0.99), Some(10.0));
-    }
-
-    #[test]
-    fn pluggable_estimator() {
-        let mut hub = TelemetryHub::with_estimator(1, Box::new(SamplingEstimator::new(1)), 4);
-        hub.ingest(1.0, 0.0, &[RoundSample::completed(0, 2.0, 1.0, 1.0)]);
-        hub.ingest(1.0, 0.0, &[RoundSample::completed(0, 6.0, 1.0, 1.0)]);
-        // Cumulative: 8 work / 2 s.
-        assert_eq!(hub.estimate(0), Some(4.0));
-        assert!(format!("{hub:?}").contains("TelemetryHub"));
     }
 }

@@ -24,9 +24,10 @@
 //!        └──── AdaptationDecision ◀── RecodeController + DeadlineController
 //! ```
 //!
-//! * [`RoundSample`] — one worker's compute/arrival observation.
-//! * [`TelemetryHub`] — ingestion: pluggable
-//!   [`hetgc_cluster::ThroughputEstimator`] (EWMA by default) plus a
+//! * [`RoundSample`] — one worker's compute/arrival observation
+//!   (defined in `hetgc-cluster`, re-exported here).
+//! * [`TelemetryHub`] — ingestion: an
+//!   [`hetgc_cluster::EwmaEstimator`] of throughputs plus a
 //!   windowed quantile sketch of round times ([`QuantileWindow`]).
 //! * [`DriftDetector`] — per-worker CUSUM step detection and slow-drift
 //!   EWMA divergence against the allocation's noise envelope.
@@ -53,12 +54,11 @@ mod drift;
 mod hub;
 mod quantile;
 mod recode;
-mod sample;
 
 pub use adaptation::{Adaptation, AdaptationConfig, AdaptationDecision};
 pub use deadline::{DeadlineConfig, DeadlineController};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftKind};
+pub use hetgc_cluster::RoundSample;
 pub use hub::TelemetryHub;
 pub use quantile::QuantileWindow;
 pub use recode::{RecodeConfig, RecodeController};
-pub use sample::RoundSample;
