@@ -145,11 +145,26 @@ fn bench_encode(c: &mut Criterion) {
     });
 }
 
+/// Input synthesis at the shapes the ledger's workloads draw: `sim-bsp-miss`
+/// (648 × 128), `sched-batch` (1024 × 64) and `threaded-pipelined`
+/// (8 × 8192). Nearly all of it is the ziggurat's Gaussian draws.
+fn bench_synthesis(c: &mut Criterion) {
+    let mut group = c.benchmark_group("synthesis/linear_regression");
+    for (n, d) in [(648, 128), (1024, 64), (8, 8192)] {
+        let mut rng = StdRng::seed_from_u64(25);
+        group.bench_function(format!("{n}x{d}"), |b| {
+            b.iter(|| synthetic::linear_regression(n, d, 0.01, &mut rng));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mlp_gradient,
     bench_softmax_gradient,
     bench_linear_gradient,
-    bench_encode
+    bench_encode,
+    bench_synthesis
 );
 criterion_main!(benches);

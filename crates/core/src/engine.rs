@@ -548,7 +548,8 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
         else {
             return Ok(false); // infeasible estimates: keep the old code
         };
-        let Ok(base) = scheme.compile_backend(self.backend) else {
+        // The rebuilt scheme is ours: hand its code to the compile.
+        let Ok(base) = self.backend.compile(scheme.code, Some(&scheme.groups)) else {
             return Ok(false);
         };
         let codec = EscalatingCodec::new(base, self.codec.policy().clone());
