@@ -9,7 +9,10 @@
 //!
 //! [`CodecBackend`] names them for configuration surfaces (trainers,
 //! simulator drivers, the wall-clock master); [`CodecBackend::compile`] is
-//! the one place a name becomes a codec.
+//! the one place a name becomes a codec. The backend alone decides whether
+//! a round may escalate: only `Approx` has the fallback, and an
+//! [`EscalationPolicy`](crate::EscalationPolicy) budget replaces its
+//! default without ever switching the stage on.
 
 use crate::codec::CompiledCodec;
 use crate::codec_group::derive_groups;
@@ -30,7 +33,9 @@ pub enum CodecBackend {
     /// The intact-group stage ([`CompiledCodec::with_groups`]).
     Group,
     /// The bounded-error stage ([`CompiledCodec::with_approx`]) under its
-    /// default residual budget.
+    /// default residual budget, which an
+    /// [`EscalationPolicy`](crate::EscalationPolicy) budget replaces. The
+    /// only backend whose rounds escalate.
     Approx,
 }
 

@@ -7,9 +7,11 @@
 //! when it declines. A master cannot tell a straggler from a dead worker,
 //! so no other rule terminates without knowing which workers are alive.
 //!
-//! [`EscalationPolicy`] says how far up the ladder a round may climb,
-//! under what residual budget, after what deadline, and
-//! [`EscalatingCodec`] wires it onto a codec:
+//! [`EscalationPolicy`] says after what deadline a round stops waiting
+//! and under what residual budget, and [`EscalatingCodec`] wires it onto
+//! a codec. Whether a round may escalate at all is the codec's: the
+//! ladder is the codec's own stages, and the [`CodecBackend`] it was
+//! compiled with is the ladder's ceiling.
 //!
 //! 1. **Exact** — the streaming [`CodecSession`] decodes at the earliest
 //!    decodable prefix (always active).
@@ -17,43 +19,47 @@
 //!    group is intact (when the codec has its intact-group stage on; it
 //!    never *adds* decodability, it only completes rounds sooner).
 //! 3. **Approx** — the ridge-stabilized least-squares row rescues an
-//!    undecoded round with a bounded-error plan. A
-//!    [`CodecBackend::Approx`] ceiling switches this stage on in place
-//!    even on a codec compiled exact or group-aware.
+//!    undecoded round with a bounded-error plan (when the codec has its
+//!    approximate stage on: [`CodecBackend::Approx`]). The policy's
+//!    budget, when set, replaces the stage's own.
 //!
-//! The ladder is monotone: raising the ceiling never makes a round less
-//! decodable, and a decodable survivor set always yields a zero-residual
-//! plan.
+//! The ladder is monotone: a codec with more stages never makes a round
+//! less decodable, and a decodable survivor set always yields a
+//! zero-residual plan.
+//!
+//! [`CodecBackend`]: crate::CodecBackend
+//! [`CodecBackend::Approx`]: crate::CodecBackend::Approx
 
 use std::time::Duration;
 
-use crate::backend::CodecBackend;
 use crate::codec::{CodecSession, CompiledCodec, DecodePlan, GradientCodec};
 use crate::error::CodingError;
 
-/// How far a round may escalate when the exact decode does not
-/// materialize, and under what budget.
+/// When a round stops waiting for an exact decode, and under what
+/// residual budget its fallback may answer.
 ///
 /// # Example
 ///
 /// ```
-/// use hetgc_coding::{CodecBackend, EscalationPolicy};
+/// use std::time::Duration;
+/// use hetgc_coding::EscalationPolicy;
 ///
-/// // Full ladder: rescue >s-straggler rounds approximately, but only
-/// // when the decode residual stays below 0.5.
-/// let policy = EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(0.5);
-/// assert_eq!(policy.ceiling(), CodecBackend::Approx);
+/// // Give up waiting after 250 ms, and accept an approximate decode
+/// // only while its residual stays below 0.5.
+/// let policy = EscalationPolicy::follow_backend()
+///     .with_deadline(Duration::from_millis(250))
+///     .with_max_residual(0.5);
+/// assert_eq!(policy.max_residual(), Some(0.5));
 ///
-/// // The conservative default follows the configured backend: only a
-/// // codec compiled with its approximate stage on may fall back.
-/// assert_eq!(EscalationPolicy::default().ceiling(), CodecBackend::Auto);
+/// // The default waits for every reachable worker and keeps the
+/// // codec's own budget.
+/// assert_eq!(EscalationPolicy::default().deadline(), None);
+/// assert_eq!(EscalationPolicy::default().max_residual(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EscalationPolicy {
-    /// Highest rung of the ladder a round may reach.
-    ceiling: CodecBackend,
-    /// Residual budget for the approximate stage, applied on top of the
-    /// codec's own budget. `None` keeps the codec's.
+    /// Residual budget for the approximate stage, replacing the codec's
+    /// own. `None` keeps the codec's.
     max_residual: Option<f64>,
     /// How long the master waits for an exact decode before escalating:
     /// wall-clock in the threaded runtime, simulated seconds in the
@@ -61,47 +67,16 @@ pub struct EscalationPolicy {
     deadline: Option<Duration>,
 }
 
-impl Default for EscalationPolicy {
-    /// Follow the configured backend: only an approximate-backed codec
-    /// escalates — the pre-policy behaviour of both execution paths.
-    fn default() -> Self {
-        EscalationPolicy {
-            ceiling: CodecBackend::Auto,
-            max_residual: None,
-            deadline: None,
-        }
-    }
-}
-
 impl EscalationPolicy {
-    /// The default policy: the ladder stops wherever the configured
-    /// backend stops ([`CodecBackend::Auto`] ceiling).
+    /// The default policy: no deadline, and the codec's own residual
+    /// budget. Only a codec compiled with its approximate stage on
+    /// escalates.
     pub fn follow_backend() -> Self {
         EscalationPolicy::default()
     }
 
-    /// Never escalate: an undecodable round stays undecodable even on an
-    /// approximate-backed codec.
-    pub fn exact_only() -> Self {
-        EscalationPolicy::escalate_to(CodecBackend::Exact)
-    }
-
-    /// A policy whose ladder tops out at `ceiling`:
-    ///
-    /// * [`CodecBackend::Exact`] / [`CodecBackend::Group`] — exact decodes
-    ///   only (the group stage is a latency fast path, not extra
-    ///   decodability, so the two ceilings admit the same rounds);
-    /// * [`CodecBackend::Approx`] — the full ladder, the approximate stage
-    ///   switched on even for codecs compiled exact or group-aware;
-    /// * [`CodecBackend::Auto`] — follow the codec's own fallback.
-    pub fn escalate_to(ceiling: CodecBackend) -> Self {
-        EscalationPolicy {
-            ceiling,
-            ..EscalationPolicy::default()
-        }
-    }
-
-    /// Caps the decode residual the approximate stage may accept.
+    /// Sets the approximate stage's residual budget, replacing the
+    /// codec's own. Inert on a codec without the stage.
     ///
     /// # Panics
     ///
@@ -123,11 +98,6 @@ impl EscalationPolicy {
         self
     }
 
-    /// The configured ceiling.
-    pub fn ceiling(&self) -> CodecBackend {
-        self.ceiling
-    }
-
     /// The configured residual budget, if any.
     pub fn max_residual(&self) -> Option<f64> {
         self.max_residual
@@ -137,26 +107,12 @@ impl EscalationPolicy {
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
     }
-
-    /// Whether the ceiling stops below the approximate stage.
-    fn exact_only_ceiling(&self) -> bool {
-        matches!(self.ceiling, CodecBackend::Exact | CodecBackend::Group)
-    }
-
-    /// Whether a fallback plan passes the policy's residual budget.
-    fn admits(&self, plan: &DecodePlan) -> bool {
-        match self.max_residual {
-            Some(budget) => plan.residual() <= budget,
-            None => true,
-        }
-    }
 }
 
-/// A codec with the escalation ladder wired on: the codec's own stages
-/// serve the exact, group and approximate rungs, and the policy decides
-/// whether — and under what residual budget — a round may reach the last.
-/// Implements [`GradientCodec`] by delegation, overriding only
-/// [`GradientCodec::fallback_plan`] with the policy decision.
+/// A codec with the escalation policy wired on: the codec's own stages
+/// serve the exact, group and approximate rungs, and the policy's budget,
+/// when set, is the approximate stage's. Implements [`GradientCodec`] by
+/// delegation.
 #[derive(Debug, Clone)]
 pub struct EscalatingCodec {
     codec: CompiledCodec,
@@ -164,13 +120,12 @@ pub struct EscalatingCodec {
 }
 
 impl EscalatingCodec {
-    /// Wires `policy` onto `codec`. An [`CodecBackend::Approx`] ceiling
-    /// switches the codec's approximate stage on in place when it has
-    /// none, under the policy's residual budget (or the stage default);
-    /// a codec that already has the stage keeps its own budget.
+    /// Wires `policy` onto `codec`. A policy budget replaces the budget
+    /// of the codec's approximate stage; a codec without the stage stays
+    /// without it.
     pub fn new(mut codec: CompiledCodec, policy: EscalationPolicy) -> Self {
-        if policy.ceiling == CodecBackend::Approx && codec.max_residual().is_none() {
-            codec = codec.with_approx(policy.max_residual);
+        if let (Some(budget), Some(_)) = (policy.max_residual, codec.max_residual()) {
+            codec = codec.with_approx(Some(budget));
         }
         EscalatingCodec { codec, policy }
     }
@@ -185,10 +140,9 @@ impl EscalatingCodec {
         &self.policy
     }
 
-    /// Whether the approximate stage is actually reachable (the ceiling
-    /// allows it and the codec has the stage on).
+    /// Whether the codec has its approximate stage on.
     pub fn can_escalate(&self) -> bool {
-        !self.policy.exact_only_ceiling() && self.codec.max_residual().is_some()
+        self.codec.max_residual().is_some()
     }
 
     /// Installs every engine's learned deadline, `seconds` from round
@@ -251,16 +205,8 @@ impl GradientCodec for EscalatingCodec {
         self.codec.session()
     }
 
-    /// The one shared escalation decision: consulted by callers only once
-    /// no exact decode exists for the workers they still wait for. The
-    /// stage gates on its own residual budget; the policy budget stacks
-    /// on top.
     fn fallback_plan(&self, survivors: &[usize]) -> Option<DecodePlan> {
-        if self.policy.exact_only_ceiling() {
-            return None;
-        }
-        let plan = self.codec.fallback_plan(survivors)?;
-        self.policy.admits(&plan).then_some(plan)
+        self.codec.fallback_plan(survivors)
     }
 }
 
@@ -304,97 +250,123 @@ pub fn collect_round<C: GradientCodec + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CodecBackend;
     use crate::group::group_based;
     use crate::heter_aware::heter_aware;
+    use crate::strategy::CodingMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn exact_base(seed: u64) -> CompiledCodec {
+    /// Five workers at rates 1–4, `k = 7`, `s = 1`: at seed 1 the
+    /// survivors `[0, 1, 3]` have the approximate residual √3 ≈ 1.732,
+    /// under the stage's default budget 0.75·√7 ≈ 1.984.
+    fn code(seed: u64) -> CodingMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
-        let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        CompiledCodec::new(b)
+        heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap()
+    }
+
+    fn wired(backend: CodecBackend, seed: u64, policy: EscalationPolicy) -> EscalatingCodec {
+        EscalatingCodec::new(backend.compile(code(seed), Some(&[])).unwrap(), policy)
     }
 
     #[test]
     fn default_policy_follows_backend() {
-        let esc = EscalatingCodec::new(exact_base(1), EscalationPolicy::follow_backend());
-        // Exact base + Auto ceiling: no approximate stage, no fallback.
-        assert!(!esc.can_escalate());
-        assert!(esc.fallback_plan(&[0, 1, 3]).is_none());
-    }
+        let exact = wired(CodecBackend::Exact, 1, EscalationPolicy::follow_backend());
+        assert!(!exact.can_escalate());
+        assert!(exact.fallback_plan(&[0, 1, 3]).is_none());
 
-    #[test]
-    fn approx_ceiling_escalates_an_exact_base() {
-        let esc = EscalatingCodec::new(
-            exact_base(1),
-            EscalationPolicy::escalate_to(CodecBackend::Approx),
-        );
-        assert!(esc.can_escalate());
-        // Two stragglers exceed s = 1: the exact base had no fallback,
-        // the stage the ceiling switched on rescues the round.
-        let plan = esc.fallback_plan(&[0, 1, 3]).expect("stage must fire");
+        // Two stragglers exceed s = 1: the approximate stage rescues the
+        // round, under its own budget.
+        let approx = wired(CodecBackend::Approx, 1, EscalationPolicy::follow_backend());
+        assert!(approx.can_escalate());
+        let plan = approx.fallback_plan(&[0, 1, 3]).expect("stage must fire");
         assert!(plan.residual() > 0.0);
-        // Exact-decodable sets stay with the session/decode_plan path:
-        // the fallback is only *consulted* when exact decoding failed,
-        // and even then it reports the exact row (residual 0) if one
-        // exists.
-        let plan = esc.decode_plan(&[0, 1, 3, 4]).unwrap();
+        assert_eq!(approx.base().max_residual(), Some(0.75 * 7f64.sqrt()));
+        // An exact-decodable set decodes with residual 0 on either codec.
+        let plan = approx.decode_plan(&[0, 1, 3, 4]).unwrap();
         assert_eq!(plan.residual(), 0.0);
     }
 
     #[test]
     fn exact_and_group_ceilings_never_escalate() {
-        for ceiling in [CodecBackend::Exact, CodecBackend::Group] {
-            let esc = EscalatingCodec::new(exact_base(2), EscalationPolicy::escalate_to(ceiling));
+        // A policy budget is inert on a codec without the stage: it does
+        // not switch the stage on.
+        let policy = EscalationPolicy::follow_backend().with_max_residual(100.0);
+        for backend in [CodecBackend::Exact, CodecBackend::Group, CodecBackend::Auto] {
+            let esc = wired(backend, 2, policy.clone());
             assert!(!esc.can_escalate());
+            assert_eq!(esc.base().max_residual(), None);
             assert!(esc.fallback_plan(&[0, 1, 3]).is_none());
+            assert!(esc.decode_plan(&[0, 1, 3]).is_err());
         }
-        // Even over an approximate base, an Exact ceiling wins.
-        let mut rng = StdRng::seed_from_u64(3);
-        let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let base = CompiledCodec::new(b).with_approx(Some(3.0));
-        let esc = EscalatingCodec::new(base, EscalationPolicy::exact_only());
-        assert!(esc.fallback_plan(&[0, 1, 3]).is_none());
-    }
-
-    #[test]
-    fn policy_budget_stacks_on_the_backend_budget() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let b = heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
-        let base = CompiledCodec::new(b).with_approx(Some(3.0));
-        let loose = EscalatingCodec::new(base.clone(), EscalationPolicy::follow_backend());
-        let plan = loose.fallback_plan(&[0, 1, 3]).expect("within 3.0");
-        assert!(plan.residual() > 0.0);
-        // A tighter policy budget rejects the same plan.
-        let tight = EscalatingCodec::new(
-            base,
-            EscalationPolicy::follow_backend().with_max_residual(plan.residual() / 2.0),
-        );
-        assert!(tight.fallback_plan(&[0, 1, 3]).is_none());
-    }
-
-    #[test]
-    fn group_base_with_approx_ceiling_gets_an_arm() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = group_based(&[1.0; 6], 6, 1, &mut rng).unwrap();
-        let base = g.compile().unwrap();
-        let esc = EscalatingCodec::new(
-            base,
-            EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(3.0),
-        );
-        assert!(esc.can_escalate());
-        // Group sessions keep their fast path through delegation.
-        let session = esc.session();
-        assert_eq!(session.workers(), 6);
-        // A hopeless survivor set still escalates, on the same compile.
+        let g = group_based(&[1.0; 6], 6, 1, &mut StdRng::seed_from_u64(5)).unwrap();
+        let esc = EscalatingCodec::new(g.compile().unwrap(), policy);
         assert!(!esc.base().groups().is_empty());
-        assert_eq!(esc.base().max_residual(), Some(3.0));
-        assert!(esc.fallback_plan(&[0, 1]).is_some());
+        assert!(!esc.can_escalate());
+        assert!(esc.fallback_plan(&[0, 1]).is_none());
+    }
+
+    #[test]
+    fn policy_budget_replaces_the_stage_budget() {
+        let default = 0.75 * 7f64.sqrt();
+        let ridge = wired(CodecBackend::Approx, 1, EscalationPolicy::follow_backend())
+            .base()
+            .approximate_plan(&[0, 1])
+            .unwrap();
+        assert!(ridge.residual() > default, "{}", ridge.residual());
+        // Tighter than the default declines the probe set; looser than
+        // the default accepts a set the default declines.
+        for budget in [0.866, ridge.residual(), default, 17.3] {
+            let policy = EscalationPolicy::follow_backend().with_max_residual(budget);
+            let esc = wired(CodecBackend::Approx, 1, policy);
+            assert_eq!(esc.base().max_residual(), Some(budget));
+            let plan = esc.fallback_plan(&[0, 1, 3]);
+            assert_eq!(plan.is_some(), budget >= 3f64.sqrt(), "budget {budget}");
+            assert_eq!(
+                esc.fallback_plan(&[0, 1]).is_some(),
+                budget >= ridge.residual()
+            );
+        }
+    }
+
+    /// Every survivor set the exact decode declines: `decode_plan` and
+    /// `fallback_plan` accept the same ones with the same plan, whatever
+    /// the backend and the budget.
+    #[test]
+    fn decode_plan_and_fallback_plan_agree_under_a_policy_budget() {
+        let backends = [
+            CodecBackend::Auto,
+            CodecBackend::Exact,
+            CodecBackend::Group,
+            CodecBackend::Approx,
+        ];
+        let budgets = [None, Some(0.866), Some(1.8), Some(17.3)];
+        let exact = wired(CodecBackend::Exact, 1, EscalationPolicy::follow_backend());
+        for backend in backends {
+            for budget in budgets {
+                let mut policy = EscalationPolicy::follow_backend();
+                if let Some(budget) = budget {
+                    policy = policy.with_max_residual(budget);
+                }
+                let esc = wired(backend, 1, policy);
+                for mask in 1u32..(1 << 5) {
+                    let survivors: Vec<usize> = (0..5).filter(|w| mask >> w & 1 == 1).collect();
+                    if exact.decode_plan(&survivors).is_ok() {
+                        continue;
+                    }
+                    assert_eq!(
+                        esc.decode_plan(&survivors).ok(),
+                        esc.fallback_plan(&survivors),
+                        "{backend} {budget:?} {survivors:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn delegation_is_transparent() {
-        let base = exact_base(6);
+        let base = CompiledCodec::new(code(6)).with_approx(Some(3.0));
         let esc = EscalatingCodec::new(base.clone(), EscalationPolicy::default());
         assert_eq!(esc.workers(), base.workers());
         assert_eq!(esc.partitions(), base.partitions());
@@ -410,26 +382,30 @@ mod tests {
             esc.decode_plan(&[0, 1, 3, 4]).unwrap(),
             base.decode_plan(&[0, 1, 3, 4]).unwrap()
         );
+        assert_eq!(esc.fallback_plan(&[0, 1]), base.fallback_plan(&[0, 1]));
     }
 
     #[test]
     fn policy_accessors_and_builders() {
-        let p = EscalationPolicy::escalate_to(CodecBackend::Approx)
+        let p = EscalationPolicy::follow_backend()
             .with_max_residual(1.5)
             .with_deadline(Duration::from_millis(250));
-        assert_eq!(p.ceiling(), CodecBackend::Approx);
         assert_eq!(p.max_residual(), Some(1.5));
         assert_eq!(p.deadline(), Some(Duration::from_millis(250)));
+        assert_eq!(
+            EscalationPolicy::default(),
+            EscalationPolicy::follow_backend()
+        );
     }
 
     #[test]
     fn set_deadline_ignores_bad_values_and_exact_ceilings() {
-        let mut exact = EscalatingCodec::new(exact_base(7), EscalationPolicy::exact_only());
+        let policy = EscalationPolicy::follow_backend();
+        let mut exact = wired(CodecBackend::Exact, 7, policy.clone());
         exact.set_deadline(0.125);
         assert_eq!(exact.policy().deadline(), None, "the ladder cannot act");
 
-        let policy = EscalationPolicy::escalate_to(CodecBackend::Approx);
-        let mut esc = EscalatingCodec::new(exact_base(7), policy);
+        let mut esc = wired(CodecBackend::Approx, 7, policy);
         esc.set_deadline(0.125);
         assert_eq!(esc.policy().deadline(), Some(Duration::from_millis(125)));
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MAX] {
@@ -440,11 +416,8 @@ mod tests {
 
     #[test]
     fn collect_round_decides_exact_escalated_or_stalled() {
-        let approx = EscalatingCodec::new(
-            exact_base(8),
-            EscalationPolicy::escalate_to(CodecBackend::Approx),
-        );
-        let exact = EscalatingCodec::new(exact_base(8), EscalationPolicy::exact_only());
+        let approx = wired(CodecBackend::Approx, 8, EscalationPolicy::follow_backend());
+        let exact = wired(CodecBackend::Exact, 8, EscalationPolicy::follow_backend());
         let mut session = approx.session();
         // m − s = 4 arrivals decode; an arrival after the decode is never
         // pushed.
@@ -455,7 +428,7 @@ mod tests {
         // The arrivals end after three: the fallback is asked once over
         // them.
         let Ok(RoundEnd::Escalated(plan)) = collect_round(&approx, &mut session, [3, 1, 0]) else {
-            panic!("the Approx ceiling escalates");
+            panic!("the Approx backend escalates");
         };
         assert_eq!(plan, approx.fallback_plan(&[0, 1, 3]).unwrap());
         // A decline stalls.

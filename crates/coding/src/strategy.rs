@@ -233,16 +233,27 @@ impl CodingMatrix {
     ///
     /// # Errors
     ///
-    /// [`CodingError::NotDecodable`] if even all non-stragglers cannot
-    /// decode (B is not robust to this pattern).
+    /// [`CodingError::InvalidParameter`] unless `times` holds one finite,
+    /// non-negative time per worker; [`CodingError::NotDecodable`] if even
+    /// all non-stragglers cannot decode (B is not robust to this pattern).
     pub fn completion_time_with_stragglers(
         &self,
         times: &[f64],
         stragglers: &[usize],
     ) -> Result<f64, CodingError> {
         let m = self.workers();
+        if times.len() != m {
+            return Err(CodingError::InvalidParameter {
+                reason: format!("expected {m} worker times, got {}", times.len()),
+            });
+        }
+        if times.iter().any(|t| !(t.is_finite() && *t >= 0.0)) {
+            return Err(CodingError::InvalidParameter {
+                reason: "worker times must be finite and non-negative".into(),
+            });
+        }
         let mut order: Vec<usize> = (0..m).filter(|w| !stragglers.contains(w)).collect();
-        order.sort_by(|&a, &b| times[a].partial_cmp(&times[b]).expect("finite times"));
+        order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
         let mut received: Vec<usize> = Vec::new();
         let ones = vec![1.0; self.partitions()];
         for &w in &order {
@@ -427,6 +438,33 @@ mod tests {
             .completion_time_with_stragglers(&[1.0, 2.0], &[0])
             .unwrap_err();
         assert!(matches!(err, CodingError::NotDecodable { .. }));
+    }
+
+    #[test]
+    fn completion_time_rejects_malformed_times() {
+        let cm = simple_b();
+        let invalid = |times: &[f64]| {
+            let err = cm.completion_time_with_stragglers(times, &[]).unwrap_err();
+            assert!(
+                matches!(err, CodingError::InvalidParameter { .. }),
+                "{times:?}: {err:?}"
+            );
+        };
+        // One time per worker, no fewer and no more.
+        invalid(&[1.0, 2.0]);
+        invalid(&[1.0, 2.0, 3.0, 4.0]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            invalid(&[1.0, bad, 3.0]);
+        }
+        // A straggler's time is validated too, and zero is a valid time.
+        let err = cm
+            .completion_time_with_stragglers(&[1.0, f64::NAN, 3.0], &[1])
+            .unwrap_err();
+        assert!(matches!(err, CodingError::InvalidParameter { .. }));
+        let t = cm
+            .completion_time_with_stragglers(&[0.0, 0.0, 3.0], &[])
+            .unwrap();
+        assert_eq!(t, 0.0);
     }
 
     #[test]

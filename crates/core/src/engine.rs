@@ -307,7 +307,9 @@ impl CodedPlane {
 
 /// The one simulated BSP engine: every round samples straggler events,
 /// simulates arrivals and decodes at the earliest decodable prefix (with
-/// the escalation ladder at the policy deadline or round end). An engine
+/// the codec's fallback at the policy deadline or round end; only the
+/// [`CodecBackend::Approx`](hetgc_coding::CodecBackend::Approx) backend
+/// has one). An engine
 /// built with [`SimBspEngine::new`] then applies the decode plan to `B`
 /// and folds the partitions' gradients with `aᵀB`: the master's decode up
 /// to reassociation, with no coded rows. The timing-only engine behind
@@ -353,7 +355,8 @@ pub struct SimBspEngine<'a, M: Model + ?Sized> {
 
 impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
     /// An engine for `scheme` over the given cluster rates, with the
-    /// simulation knobs of `cfg` and the escalation `policy` wired onto
+    /// simulation knobs of `cfg` and the escalation `policy` (deadline,
+    /// and a budget that replaces the approximate stage's own) wired onto
     /// the configured backend.
     ///
     /// # Errors
@@ -1043,16 +1046,22 @@ mod tests {
     #[test]
     fn learned_deadline_is_ignored_where_the_ladder_cannot_escalate() {
         let (rates, data, _, scheme, mut rng) = tiny_bsp();
-        let cfg = SimTrainConfig::default();
-        let timing = |policy| SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy);
-        let mut exact = timing(EscalationPolicy::follow_backend()).unwrap();
+        let timing = |backend| {
+            let cfg = SimTrainConfig {
+                backend,
+                ..SimTrainConfig::default()
+            };
+            let policy = EscalationPolicy::follow_backend();
+            SimBspEngine::timing(&scheme, data.len(), &rates, &cfg, policy)
+        };
+        let mut exact = timing(CodecBackend::Auto).unwrap();
         let t = exact.round(1, &[], &mut rng).unwrap().elapsed.unwrap();
         // Before every arrival: installed, it would stall an exact round.
         exact.set_deadline(t / 100.0);
         assert_eq!(exact.codec().policy().deadline(), None);
         assert_eq!(exact.round(2, &[], &mut rng).unwrap().elapsed, Some(t));
         // Where the ladder can act, it is installed and survives a recode.
-        let mut approx = timing(EscalationPolicy::escalate_to(CodecBackend::Approx)).unwrap();
+        let mut approx = timing(CodecBackend::Approx).unwrap();
         approx.set_deadline(t / 100.0);
         assert!(approx.recode(&rates, &mut rng).unwrap());
         let installed = std::time::Duration::from_secs_f64(t / 100.0);

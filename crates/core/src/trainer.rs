@@ -34,7 +34,9 @@ pub struct SimTrainConfig {
     /// [`CodecBackend::Auto`] picks the group-aware backend for
     /// group-based schemes and the generic exact backend otherwise;
     /// [`CodecBackend::Approx`] keeps training (with bounded gradient
-    /// error) when more than `s` workers straggle.
+    /// error) when more than `s` workers straggle; it is the only backend
+    /// whose rounds escalate. The engine's [`crate::EscalationPolicy`]
+    /// sets the round deadline and may replace the stage's budget.
     pub backend: CodecBackend,
 }
 

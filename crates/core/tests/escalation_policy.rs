@@ -2,11 +2,12 @@
 //! Exact → Group → Approx ladder):
 //!
 //! 1. **No gratuitous escalation** — whenever the survivor set decodes
-//!    exactly, the round's plan has residual 0 regardless of the policy
-//!    ceiling: the approximate stage is consulted only after exact
-//!    decoding is exhausted.
-//! 2. **Monotone ladder** — raising the ceiling never makes a round less
-//!    decodable: decodable(Exact) ⊆ decodable(Group) ⊆ decodable(Approx).
+//!    exactly, the round's plan has residual 0 whatever the backend: the
+//!    approximate stage is consulted only after exact decoding is
+//!    exhausted.
+//! 2. **Monotone ladder** — a backend with more stages never makes a
+//!    round less decodable:
+//!    decodable(Exact) ⊆ decodable(Group) ⊆ decodable(Approx).
 //! 3. **Residual-aware step scaling** — the effective learning rate
 //!    equals the base rate exactly on exact rounds, and is strictly
 //!    positive and strictly below the base on approximate rounds.
@@ -56,15 +57,15 @@ fn build_case(
     Some((scheme, survivors))
 }
 
-/// The ladder stages in escalation order.
-const CEILINGS: [CodecBackend; 3] = [
+/// The backends in ladder order.
+const BACKENDS: [CodecBackend; 3] = [
     CodecBackend::Exact,
     CodecBackend::Group,
     CodecBackend::Approx,
 ];
 
-/// Whether a survivor set completes a round under the given ceiling:
-/// exact decode first (the session path), then the policy fallback.
+/// Whether a survivor set completes a round on the given codec: exact
+/// decode first (the session path), then the fallback.
 fn decodable_under(esc: &EscalatingCodec, survivors: &[usize]) -> (bool, f64) {
     if let Ok(plan) = esc.decode_plan(survivors) {
         return (true, plan.residual());
@@ -91,24 +92,24 @@ fn check_invariants(vcpus: &[u32], s: usize, drop: usize, seed: u64) -> Result<(
             .is_ok();
 
         let mut prev_decodable = false;
-        for (stage, ceiling) in CEILINGS.iter().enumerate() {
+        for (stage, backend) in BACKENDS.iter().enumerate() {
             let base = scheme
-                .compile_backend(CodecBackend::Auto)
+                .compile_backend(*backend)
                 .map_err(|e| e.to_string())?;
-            let esc = EscalatingCodec::new(base, EscalationPolicy::escalate_to(*ceiling));
+            let esc = EscalatingCodec::new(base, EscalationPolicy::follow_backend());
             let (decodable, residual) = decodable_under(&esc, &survivors);
 
             // Invariant 1: an exact-decodable survivor set NEVER yields an
-            // approximate plan, whatever the ceiling.
+            // approximate plan, whatever the backend.
             if exact_decodable {
                 if !decodable {
                     return Err(format!(
-                        "{kind}: exact-decodable set {survivors:?} undecodable at {ceiling}"
+                        "{kind}: exact-decodable set {survivors:?} undecodable on {backend}"
                     ));
                 }
                 if residual != 0.0 {
                     return Err(format!(
-                        "{kind}: ceiling {ceiling} escalated an exact-decodable set \
+                        "{kind}: backend {backend} escalated an exact-decodable set \
                          {survivors:?} (residual {residual})"
                     ));
                 }
@@ -117,7 +118,7 @@ fn check_invariants(vcpus: &[u32], s: usize, drop: usize, seed: u64) -> Result<(
             // Invariant 2: monotone ladder.
             if prev_decodable && !decodable {
                 return Err(format!(
-                    "{kind}: set {survivors:?} decodable at stage {} but not at {ceiling}",
+                    "{kind}: set {survivors:?} decodable at stage {} but not on {backend}",
                     stage - 1,
                 ));
             }

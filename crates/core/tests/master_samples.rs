@@ -54,16 +54,15 @@ type Engine = ClusterEngine<Box<Master<LinearRegression, Scripted>>>;
 
 const SAMPLES: usize = 60;
 
-/// Three equal rows (`s = 1`: any two decode, one cannot) under an exact-only
-/// ladder with a 20 ms deadline, and the queue their replies go into.
+/// Three equal rows (`s = 1`: any two decode, one cannot) on the exact
+/// backend with a 20 ms deadline, and the queue their replies go into.
 fn engine() -> (Engine, Sender<Reply<Vec<f64>>>) {
     let mut rng = StdRng::seed_from_u64(7);
     let code = heter_aware(&[1.0; 3], 3, 1, &mut rng).unwrap();
     let config = RuntimeConfig::nominal(3)
         .with_backend(CodecBackend::Exact)
         .with_escalation(
-            EscalationPolicy::escalate_to(CodecBackend::Exact)
-                .with_deadline(Duration::from_millis(20)),
+            EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(20)),
         );
     let model = Arc::new(LinearRegression::new(3));
     let data = Arc::new(synthetic::linear_regression(SAMPLES, 3, 0.01, &mut rng));

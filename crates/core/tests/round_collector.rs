@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use hetgc::{
     group_based, heter_aware, simulate_bsp_iteration_in, synthetic, BspIterationConfig,
-    CodecBackend, CompiledCodec, DecodePlan, EscalatingCodec, EscalationPolicy, GradientCodec,
-    LinearRegression, NetworkModel, RuntimeConfig, RuntimeError, StragglerEvent,
+    CodecBackend, DecodePlan, EscalatingCodec, EscalationPolicy, GradientCodec, LinearRegression,
+    NetworkModel, RuntimeConfig, RuntimeError, StragglerEvent,
 };
 use hetgc_runtime::channel::{unbounded, Receiver};
 use hetgc_runtime::{Master, Reply, RowShard, Transport};
@@ -156,15 +156,17 @@ fn decide(codec: &EscalatingCodec, arrive: Arrivals<'_>) -> Ending {
     sim
 }
 
-/// A five-worker `s = 1` code under `policy`, with the shared deadline.
-fn five(policy: EscalationPolicy) -> EscalatingCodec {
+/// A five-worker `s = 1` code compiled `backend`, under `policy` with the
+/// shared deadline.
+fn five(backend: CodecBackend, policy: EscalationPolicy) -> EscalatingCodec {
     let code = heter_aware(&[1.0; 5], 5, 1, &mut StdRng::seed_from_u64(7)).unwrap();
-    EscalatingCodec::new(CompiledCodec::new(code), policy.with_deadline(DEADLINE))
+    let base = backend.compile(code, None).unwrap();
+    EscalatingCodec::new(base, policy.with_deadline(DEADLINE))
 }
 
 #[test]
 fn exact_before_the_deadline() {
-    let codec = five(EscalationPolicy::follow_backend());
+    let codec = five(CodecBackend::Exact, EscalationPolicy::follow_backend());
     let arrive = [Some(0.4), Some(0.1), None, Some(0.3), Some(0.2)];
     let Ending::Exact(plan) = decide(&codec, &arrive) else {
         panic!("m − s arrivals decode");
@@ -174,12 +176,12 @@ fn exact_before_the_deadline() {
 
 #[test]
 fn deadline_crossed_with_approx_accepting() {
-    let approx = EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(100.0);
-    let codec = five(approx);
+    let approx = EscalationPolicy::follow_backend().with_max_residual(100.0);
+    let codec = five(CodecBackend::Approx, approx);
     // Three arrive in time; the fourth, which would decode exactly, is late.
     let arrive = [Some(0.1), Some(0.5), Some(3.0), Some(0.2), None];
     let Ending::Escalated(plan) = decide(&codec, &arrive) else {
-        panic!("the Approx ceiling escalates at the deadline");
+        panic!("the Approx backend escalates at the deadline");
     };
     assert!(plan.workers().iter().all(|w| [0, 1, 3].contains(w)));
     assert_eq!(plan, codec.fallback_plan(&[0, 1, 3]).unwrap());
@@ -187,19 +189,19 @@ fn deadline_crossed_with_approx_accepting() {
 
 #[test]
 fn approx_over_budget_stalls_though_a_later_arrival_would_decode() {
-    let tight = EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(1e-3);
-    let codec = five(tight);
+    let tight = EscalationPolicy::follow_backend().with_max_residual(1e-3);
+    let codec = five(CodecBackend::Approx, tight);
     let arrive = [Some(0.1), Some(0.2), Some(1.5), Some(2.0), Some(2.5)];
     assert_eq!(decide(&codec, &arrive), Ending::Stalled);
-    // An exact ceiling stalls the same round the same way.
-    let exact = five(EscalationPolicy::exact_only());
+    // An exact backend stalls the same round the same way.
+    let exact = five(CodecBackend::Exact, EscalationPolicy::follow_backend());
     assert_eq!(decide(&exact, &arrive), Ending::Stalled);
 }
 
 #[test]
 fn all_workers_dead() {
-    let approx = EscalationPolicy::escalate_to(CodecBackend::Approx).with_max_residual(100.0);
-    let codec = five(approx);
+    let approx = EscalationPolicy::follow_backend().with_max_residual(100.0);
+    let codec = five(CodecBackend::Approx, approx);
     assert_eq!(decide(&codec, &[None; 5]), Ending::Stalled);
 }
 

@@ -1,14 +1,20 @@
-//! What every `CodecBackend` × escalation ceiling answers, frozen as
-//! values before the wrapper codecs were folded into `CompiledCodec`.
+//! What every `CodecBackend` × escalation budget answers, frozen as
+//! values. The backend is each codec's escalation ceiling: only `Approx`
+//! has the fallback, and a budget only replaces that stage's own.
 //!
-//! The constants were recorded on `e1c4da9` — the last commit where the
-//! group and approximate backends were wrapper types and an `Approx`
-//! ceiling compiled a second codec — with this very file: it reaches the
+//! The constants were recorded on `d90ee7e` — the last commit with an
+//! escalation ceiling, where a policy budget stacked on the stage's own —
+//! through each cell's equivalent there: `(X, no budget)` is itself,
+//! `(Approx, budget b)` was the Exact backend under an Approx ceiling
+//! with budget `b`, and `(Exact | Group | Auto, budget b)` was `X` under
+//! the backend-following ceiling with budget `b`. Every earlier record
+//! (back to `e1c4da9`, when the group and approximate backends were
+//! wrapper types) was made with this file's fold, which reaches the
 //! codecs only through `SchemeInstance::compile_backend`,
 //! `EscalatingCodec::new`, `hetgc_runtime::build_codec` and the
-//! `GradientCodec` trait, so it compiles unchanged on both sides of that
-//! change. (`base().as_compiled()`, the one accessor the frozen
-//! `benchmark/` also calls, is used to read the plan-cache counters.)
+//! `GradientCodec` trait. (`base().as_compiled()`, the one accessor the
+//! frozen `benchmark/` also calls, is used to read the plan-cache
+//! counters.)
 //!
 //! Like `tests/golden_contract.rs`, the values move with the vendored
 //! `rand` stream (scheme coefficients) and with nothing else.
@@ -29,7 +35,7 @@ const BACKENDS: [CodecBackend; 4] = [
 ];
 
 /// `(scheme, fold via compile_backend, fold via build_codec)` over every
-/// backend × ceiling. The two routes differ where `build_codec` derives
+/// backend × budget. The two routes differ where `build_codec` derives
 /// groups from the matrix that the `SchemeInstance` does not carry (see
 /// the second test): visibly for `frac-rep`; `naive`'s derived group is
 /// all `m` workers with unit weights, the plan the generic solve finds
@@ -37,28 +43,28 @@ const BACKENDS: [CodecBackend; 4] = [
 const STAGES: [(SchemeKind, u64, u64); 5] = [
     (
         SchemeKind::Naive,
-        0x0ddf_ebd1_f813_90d3,
-        0x0ddf_ebd1_f813_90d3,
+        0x201e_d58c_da65_c51b,
+        0x201e_d58c_da65_c51b,
     ),
     (
         SchemeKind::Cyclic,
-        0x999b_957e_4736_140b,
-        0x999b_957e_4736_140b,
+        0xcccf_a2e1_111d_6db6,
+        0xcccf_a2e1_111d_6db6,
     ),
     (
         SchemeKind::FractionalRepetition,
-        0x1060_34f4_bea6_e741,
-        0x9642_5f11_e9ab_395d,
+        0x4cf6_0628_357a_88bc,
+        0x23fe_d8e9_28ee_cdcd,
     ),
     (
         SchemeKind::HeterAware,
-        0xf60d_42e5_c8c7_f26a,
-        0xf60d_42e5_c8c7_f26a,
+        0xa3a1_b71f_3382_b23b,
+        0xa3a1_b71f_3382_b23b,
     ),
     (
         SchemeKind::GroupBased,
-        0x9af1_c918_27ee_3eaa,
-        0x9af1_c918_27ee_3eaa,
+        0xc5cd_d779_e3f1_fa5b,
+        0xc5cd_d779_e3f1_fa5b,
     ),
 ];
 
@@ -74,19 +80,14 @@ fn scheme(kind: SchemeKind) -> SchemeInstance {
         .unwrap()
 }
 
-/// The ceilings: follow the backend, never escalate, the full ladder,
-/// and the full ladder under a budget tighter (1.0) and looser (5.0) than
-/// the approximate backend's own `0.75·√k` — the loose one is where an
-/// `Approx`-backed codec (which keeps its own budget) and an escalated
-/// exact one (which gets the policy's) answer differently.
-fn ceilings() -> [EscalationPolicy; 5] {
-    let full = || EscalationPolicy::escalate_to(CodecBackend::Approx);
+/// The budgets: the stage's own `0.75·√k`, and one tighter (1.0) and one
+/// looser (5.0) than it. A budget installs on a codec that has the
+/// approximate stage and is inert on one that has not.
+fn policies() -> [EscalationPolicy; 3] {
     [
         EscalationPolicy::follow_backend(),
-        EscalationPolicy::escalate_to(CodecBackend::Exact),
-        full(),
-        full().with_max_residual(1.0),
-        full().with_max_residual(5.0),
+        EscalationPolicy::follow_backend().with_max_residual(1.0),
+        EscalationPolicy::follow_backend().with_max_residual(5.0),
     ]
 }
 
@@ -145,7 +146,7 @@ fn every_backend_and_ceiling_answers_as_recorded() {
         let m = scheme.code.workers();
         let (mut scheme_fold, mut runtime_fold) = (SEED, SEED);
         for backend in BACKENDS {
-            for policy in ceilings() {
+            for policy in policies() {
                 let base = scheme.compile_backend(backend).unwrap();
                 let codec = EscalatingCodec::new(base, policy.clone());
                 scheme_fold = observe(&codec, scheme_fold);

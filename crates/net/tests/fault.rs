@@ -31,9 +31,9 @@ fn engine() -> (SocketEngine<LinearRegression>, WorkerFleet) {
     // and some survivor triples decode with a residual above the approx
     // arm's default cap — the test is about completion, not accuracy.
     let config = RuntimeConfig::nominal(WORKERS)
-        .with_backend(CodecBackend::Exact)
+        .with_backend(CodecBackend::Approx)
         .with_escalation(
-            EscalationPolicy::escalate_to(CodecBackend::Approx)
+            EscalationPolicy::follow_backend()
                 .with_deadline(DEADLINE)
                 .with_max_residual(100.0),
         );
@@ -160,10 +160,8 @@ fn all_workers_dead_is_a_typed_error_not_a_hang() {
     let model = Arc::new(LinearRegression::new(DIM));
     let code = heter_aware(&[1.0; 2], 2, 0, &mut rng).expect("scheme");
     let config = RuntimeConfig::nominal(2)
-        .with_backend(CodecBackend::Exact)
-        .with_escalation(
-            EscalationPolicy::escalate_to(CodecBackend::Approx).with_deadline(DEADLINE),
-        );
+        .with_backend(CodecBackend::Approx)
+        .with_escalation(EscalationPolicy::follow_backend().with_deadline(DEADLINE));
 
     let listener = SocketListener::bind().expect("bind loopback");
     let addr = listener.addr().to_string();

@@ -137,21 +137,19 @@ pub struct RuntimeConfig {
     ///   iteration times out (or every worker disconnects) the master
     ///   decodes *approximately* from whatever arrived (bounded-error
     ///   least squares) instead of failing, surviving `>s` lost workers.
-    ///   With no deadline on
-    ///   [`RuntimeConfig::escalation`] and at least one live (but
+    ///   It is the only backend whose rounds escalate. With no deadline
+    ///   on [`RuntimeConfig::escalation`] and at least one live (but
     ///   straggling) worker, the master keeps waiting and the fallback
     ///   never triggers.
     pub backend: CodecBackend,
-    /// Per-round escalation policy. `None` (the default) follows the
-    /// configured backend and waits forever (safe only when at most `s`
-    /// workers can be missing). Set an explicit policy to give the round a
-    /// deadline ([`EscalationPolicy::with_deadline`]: how long the master
-    /// waits for results before escalating, or — when the ladder has
-    /// nothing left — declaring the round undecodable), to escalate an
-    /// exact or group backend to approximate decoding inside a round
-    /// ([`hetgc_coding::CodecBackend::Approx`] ceiling), or to cap the
-    /// accepted residual.
-    pub escalation: Option<EscalationPolicy>,
+    /// Per-round escalation policy. The default waits for every reachable
+    /// worker (safe only when at most `s` workers can be missing) and
+    /// keeps the backend's residual budget. Set a deadline
+    /// ([`EscalationPolicy::with_deadline`]: how long the master waits for
+    /// results before escalating, or — without the approximate stage —
+    /// declaring the round undecodable), or replace the approximate
+    /// stage's budget ([`EscalationPolicy::with_max_residual`]).
+    pub escalation: EscalationPolicy,
     /// A fleet-wide decode-plan cache to attach to the compiled codec —
     /// set by multi-job schedulers so tenants running the *same* scheme
     /// share dense solves (one solve per distinct survivor set across the
@@ -182,7 +180,7 @@ impl RuntimeConfig {
         RuntimeConfig {
             behaviors: vec![WorkerBehavior::nominal(); workers],
             backend: CodecBackend::Auto,
-            escalation: None,
+            escalation: EscalationPolicy::default(),
             shared_plans: None,
         }
     }
@@ -207,17 +205,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets an explicit per-round escalation policy (see
+    /// Sets the per-round escalation policy (see
     /// [`RuntimeConfig::escalation`]).
     pub fn with_escalation(mut self, policy: EscalationPolicy) -> Self {
-        self.escalation = Some(policy);
+        self.escalation = policy;
         self
-    }
-
-    /// The escalation policy in force: the explicit one, or the
-    /// backend-following default.
-    pub fn effective_escalation(&self) -> EscalationPolicy {
-        self.escalation.clone().unwrap_or_default()
     }
 }
 
@@ -312,10 +304,11 @@ mod tests {
         let deadline = Duration::from_secs(2);
         let cfg = RuntimeConfig::nominal(1)
             .with_escalation(EscalationPolicy::follow_backend().with_deadline(deadline));
-        assert_eq!(cfg.effective_escalation().deadline(), Some(deadline));
+        assert_eq!(cfg.escalation.deadline(), Some(deadline));
+        assert_eq!(RuntimeConfig::nominal(1).escalation.deadline(), None);
         assert_eq!(
-            RuntimeConfig::nominal(1).effective_escalation().deadline(),
-            None
+            RuntimeConfig::default().escalation,
+            EscalationPolicy::default()
         );
     }
 }

@@ -857,32 +857,38 @@ mod tests {
     }
 
     #[test]
-    fn escalation_policy_rescues_an_exact_backend() {
-        // Same >s fault as above, but the backend stays Exact and the
-        // POLICY escalates: the shared ladder rescues the round where the
-        // plain exact backend times out.
+    fn policy_budget_is_the_approx_backends_budget() {
+        // Same >s fault as above on the Approx backend: the policy's
+        // budget replaces the stage's own, so a loose one trains on
+        // bounded-error decodes and one below every residual stalls.
         let mut rng = StdRng::seed_from_u64(12);
         let code = heter_aware(&[1.0; 5], 5, 1, &mut rng).unwrap();
-        let config = RuntimeConfig::nominal(5)
-            .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
-            .set_behavior(3, WorkerBehavior::nominal().failing_from(1))
-            .with_backend(hetgc_coding::CodecBackend::Exact)
-            .with_escalation(
-                EscalationPolicy::escalate_to(hetgc_coding::CodecBackend::Approx)
-                    .with_deadline(Duration::from_millis(250)),
-            );
-        let report = train(
-            code,
-            LinearRegression::new(3),
-            quick_data(12),
-            0.05,
-            config,
-            3,
-            &mut StdRng::seed_from_u64(13),
-        )
-        .unwrap();
-        assert_eq!(report.losses.len(), 3);
-        assert_eq!(report.approx_rounds, 3);
+        let run = |budget: f64| {
+            let config = RuntimeConfig::nominal(5)
+                .set_behavior(1, WorkerBehavior::nominal().failing_from(1))
+                .set_behavior(3, WorkerBehavior::nominal().failing_from(1))
+                .with_backend(hetgc_coding::CodecBackend::Approx)
+                .with_escalation(
+                    EscalationPolicy::follow_backend()
+                        .with_deadline(Duration::from_millis(250))
+                        .with_max_residual(budget),
+                );
+            train(
+                code.clone(),
+                LinearRegression::new(3),
+                quick_data(12),
+                0.05,
+                config,
+                3,
+                &mut StdRng::seed_from_u64(13),
+            )
+            .unwrap()
+        };
+        let loose = run(100.0);
+        assert_eq!(loose.losses.len(), 3);
+        assert_eq!(loose.approx_rounds, 3);
+        let tight = run(1e-3);
+        assert!(tight.stalled && tight.losses.is_empty());
     }
 
     #[test]

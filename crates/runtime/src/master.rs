@@ -88,7 +88,7 @@ pub fn build_codec(
         .map_err(|e| RuntimeError::InvalidConfig {
             reason: format!("{} backend construction failed: {e}", config.backend),
         })?;
-    let mut codec = EscalatingCodec::new(base, config.effective_escalation());
+    let mut codec = EscalatingCodec::new(base, config.escalation.clone());
     if let Some(shared) = &config.shared_plans {
         codec.attach_shared_plans(Arc::clone(shared));
     }
@@ -559,13 +559,13 @@ mod tests {
     }
 
     impl Rig {
-        /// A master over `workers` equal-rate rows (`s = 1`, exact
-        /// backend) with the given escalation policy.
-        fn new(workers: usize, policy: EscalationPolicy) -> Self {
+        /// A master over `workers` equal-rate rows (`s = 1`) compiled
+        /// `backend`, with the given escalation policy.
+        fn new(workers: usize, backend: CodecBackend, policy: EscalationPolicy) -> Self {
             let mut rng = StdRng::seed_from_u64(7);
             let code = heter_aware(&vec![1.0; workers], workers, 1, &mut rng).unwrap();
             let config = RuntimeConfig::nominal(workers)
-                .with_backend(CodecBackend::Exact)
+                .with_backend(backend)
                 .with_escalation(policy);
             let model = Arc::new(LinearRegression::new(3));
             let data = Arc::new(synthetic::linear_regression(60, 3, 0.01, &mut rng));
@@ -627,15 +627,15 @@ mod tests {
         round.samples.iter().map(late).collect()
     }
 
-    fn deadline(ms: u64, ceiling: CodecBackend) -> EscalationPolicy {
-        EscalationPolicy::escalate_to(ceiling)
+    fn deadline(ms: u64) -> EscalationPolicy {
+        EscalationPolicy::follow_backend()
             .with_deadline(Duration::from_millis(ms))
             .with_max_residual(100.0)
     }
 
     #[test]
     fn expired_deadline_drains_a_queued_decodable_set() {
-        let mut rig = Rig::new(4, deadline(1, CodecBackend::Approx));
+        let mut rig = Rig::new(4, CodecBackend::Approx, deadline(1));
         rig.master.dispatch(&rig.params).unwrap();
         for w in 1..4 {
             rig.reply(w, 1, 0.01);
@@ -654,14 +654,14 @@ mod tests {
     #[test]
     fn expired_deadline_escalates_to_the_ceiling() {
         // Two of five rows cannot decode an s = 1 code.
-        let mut exact = Rig::new(5, deadline(1, CodecBackend::Exact));
+        let mut exact = Rig::new(5, CodecBackend::Exact, deadline(1));
         exact.master.dispatch(&exact.params).unwrap();
         exact.reply(0, 1, 0.01);
         exact.reply(1, 1, 0.01);
         let stalled = exact.master.collect().unwrap();
         assert!(stalled.stop && stalled.gradient.is_none());
 
-        let mut approx = Rig::new(5, deadline(1, CodecBackend::Approx));
+        let mut approx = Rig::new(5, CodecBackend::Approx, deadline(1));
         approx.master.dispatch(&approx.params).unwrap();
         approx.reply(0, 1, 0.01);
         approx.reply(1, 1, 0.01);
@@ -672,7 +672,7 @@ mod tests {
 
     #[test]
     fn stale_replies_surface_as_late_timings_exactly_once() {
-        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        let mut rig = Rig::new(4, CodecBackend::Exact, deadline(1));
         // Round 1 decodes without row 0, whose reply lands afterwards.
         rig.master.dispatch(&rig.params).unwrap();
         for w in 1..4 {
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn rows_outside_a_shrunk_code_are_ignored() {
-        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        let mut rig = Rig::new(4, CodecBackend::Exact, deadline(1));
         let smaller = heter_aware(&[1.0; 3], 3, 1, &mut StdRng::seed_from_u64(8)).unwrap();
         rig.master.recode(smaller).unwrap();
         assert_eq!(rig.master.live_rows(), vec![0, 1, 2]);
@@ -733,7 +733,7 @@ mod tests {
 
     #[test]
     fn codec_metrics_follow_the_codec_across_a_recode() {
-        let mut rig = Rig::new(5, deadline(1, CodecBackend::Approx));
+        let mut rig = Rig::new(5, CodecBackend::Approx, deadline(1));
         let registry = hetgc_obs::MetricsRegistry::new();
         rig.master
             .attach_codec_metrics(hetgc_obs::CodecMetrics::new(&registry, "rig"));
@@ -764,11 +764,12 @@ mod tests {
 
     #[test]
     fn learned_deadline_is_guarded_and_survives_a_recode() {
-        let mut exact = Rig::new(4, EscalationPolicy::exact_only());
+        let policy = EscalationPolicy::follow_backend();
+        let mut exact = Rig::new(4, CodecBackend::Exact, policy.clone());
         exact.master.set_timeout(Duration::from_millis(5));
         assert_eq!(exact.master.codec().policy().deadline(), None);
 
-        let mut approx = Rig::new(4, EscalationPolicy::escalate_to(CodecBackend::Approx));
+        let mut approx = Rig::new(4, CodecBackend::Approx, policy);
         approx.master.set_timeout(Duration::from_millis(5));
         let code = heter_aware(&[1.0; 4], 4, 1, &mut StdRng::seed_from_u64(11)).unwrap();
         approx.master.recode(code).unwrap();
@@ -778,7 +779,7 @@ mod tests {
 
     #[test]
     fn misordered_calls_are_typed_errors() {
-        let mut rig = Rig::new(4, deadline(1, CodecBackend::Exact));
+        let mut rig = Rig::new(4, CodecBackend::Exact, deadline(1));
         let invalid = |r: Result<(), RuntimeError>| {
             assert!(
                 matches!(r, Err(RuntimeError::InvalidConfig { .. })),

@@ -39,8 +39,10 @@ pub struct JobSpec {
     pub stragglers: usize,
     /// Codec backend the job's master decodes with.
     pub backend: CodecBackend,
-    /// Per-round escalation policy (`None` follows the backend).
-    pub escalation: Option<EscalationPolicy>,
+    /// Per-round escalation policy: its deadline, and the approximate
+    /// stage's budget when [`JobSpec::backend`] has that stage. The
+    /// default waits for every worker and keeps the backend's budget.
+    pub escalation: EscalationPolicy,
     /// Collect rounds to train for.
     pub rounds: usize,
     /// Model dimension of the synthetic linear-regression workload.
@@ -72,7 +74,7 @@ impl JobSpec {
             kind: SchemeKind::HeterAware,
             stragglers: 1,
             backend: CodecBackend::Auto,
-            escalation: None,
+            escalation: EscalationPolicy::default(),
             rounds: 6,
             dim: 4,
             samples: 64,
@@ -94,9 +96,9 @@ impl JobSpec {
         self
     }
 
-    /// Sets an explicit escalation policy.
+    /// Sets the escalation policy.
     pub fn with_escalation(mut self, policy: EscalationPolicy) -> Self {
-        self.escalation = Some(policy);
+        self.escalation = policy;
         self
     }
 

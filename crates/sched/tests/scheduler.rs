@@ -134,14 +134,14 @@ fn summary_reads_the_escalated_share_off_the_records() {
         fast,
         late,
     ]);
-    let deadline = EscalationPolicy::escalate_to(CodecBackend::Approx)
-        .with_deadline(Duration::from_millis(40));
+    let deadline = EscalationPolicy::follow_backend().with_deadline(Duration::from_millis(40));
     let report = JobScheduler::new(pool)
         .submit(JobSpec::new("exact").with_rounds(3))
         .submit(
             JobSpec::new("escalating")
                 .with_rounds(3)
                 .with_stragglers(0)
+                .with_backend(CodecBackend::Approx)
                 .with_escalation(deadline),
         )
         .run()

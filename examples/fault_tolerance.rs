@@ -84,19 +84,18 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         workers: vec![7, 6, 4],
     };
     let scheme = SchemeBuilder::new(&cluster, 2).build(SchemeKind::HeterAware, &mut rng)?;
-    for (label, policy) in [
-        ("exact-only", EscalationPolicy::exact_only()),
-        (
-            "escalated",
-            EscalationPolicy::escalate_to(CodecBackend::Approx),
-        ),
+    for (label, backend) in [
+        ("exact-only", CodecBackend::Exact),
+        ("escalated", CodecBackend::Approx),
     ] {
         let cfg = SimTrainConfig {
             iterations: 25,
             learning_rate: 0.3,
             stragglers: overload.clone(),
+            backend,
             ..SimTrainConfig::default()
         };
+        let policy = EscalationPolicy::follow_backend();
         let mut engine = SimBspEngine::new(&scheme, &model, &data, &rates, &cfg, policy)?;
         let out = TrainDriver::new(&model, &data, Sgd::new(cfg.learning_rate)).run(
             &mut engine,

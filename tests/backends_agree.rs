@@ -331,12 +331,12 @@ fn approx_backend_trains_where_exact_backends_stall() {
     );
 }
 
-/// Per-round escalation, simulated path: an EXACT backend with an
-/// Approx-ceiling policy completes the same `>s`-failure run the plain
-/// exact backend stalls on — the policy, not the backend, supplies the
-/// ladder.
+/// The one budget, simulated path: on the Approx backend the policy's
+/// residual budget replaces the stage's own. A loose one completes the
+/// same `>s`-failure run the exact backend stalls on; one below every
+/// residual stalls it as the exact backend does.
 #[test]
-fn escalation_policy_rescues_exact_backend_in_simulation() {
+fn policy_budget_is_the_approx_backends_budget_in_simulation() {
     let cluster = ClusterSpec::from_vcpu_rows("etest", &[(5, 2)], 100.0).unwrap();
     let rates = cluster.throughputs();
     let data = synthetic::linear_regression(100, 3, 0.02, &mut StdRng::seed_from_u64(61));
@@ -350,7 +350,7 @@ fn escalation_policy_rescues_exact_backend_in_simulation() {
         stragglers: hetgc::StragglerModel::Failures {
             workers: vec![0, 2],
         },
-        backend: CodecBackend::Exact,
+        backend: CodecBackend::Approx,
         ..Default::default()
     };
 
@@ -362,10 +362,10 @@ fn escalation_policy_rescues_exact_backend_in_simulation() {
             .unwrap()
     };
 
-    let exact_only = run(EscalationPolicy::follow_backend());
-    assert!(exact_only.stalled, "exact backend alone must stall");
+    let tight = run(EscalationPolicy::follow_backend().with_max_residual(1e-3));
+    assert!(tight.stalled, "a budget below every residual must stall");
 
-    let escalated = run(EscalationPolicy::escalate_to(CodecBackend::Approx));
+    let escalated = run(EscalationPolicy::follow_backend().with_max_residual(100.0));
     assert!(!escalated.stalled);
     assert_eq!(escalated.rounds(), 20);
     assert_eq!(escalated.approx_rounds(), 20);
