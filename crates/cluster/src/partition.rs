@@ -86,19 +86,6 @@ impl PartitionAssignment {
         Ok((self.boundaries[p], self.boundaries[p + 1]))
     }
 
-    /// The partition containing sample index `i`, or `None` past the end.
-    pub fn partition_of(&self, i: usize) -> Option<usize> {
-        if i >= self.samples() {
-            return None;
-        }
-        // boundaries is sorted; binary search for the right range.
-        match self.boundaries.binary_search(&i) {
-            Ok(exact) if exact == self.boundaries.len() - 1 => None,
-            Ok(exact) => Some(exact),
-            Err(ins) => Some(ins - 1),
-        }
-    }
-
     /// Iterates over the `(start, end)` ranges in partition order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.boundaries.windows(2).map(|w| (w[0], w[1]))
@@ -140,16 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_of_lookup() {
-        let pa = PartitionAssignment::even(10, 3).unwrap(); // [0,4) [4,7) [7,10)
-        assert_eq!(pa.partition_of(0), Some(0));
-        assert_eq!(pa.partition_of(3), Some(0));
-        assert_eq!(pa.partition_of(4), Some(1));
-        assert_eq!(pa.partition_of(9), Some(2));
-        assert_eq!(pa.partition_of(10), None);
-    }
-
-    #[test]
     fn rejects_bad_shapes() {
         assert!(PartitionAssignment::even(5, 0).is_err());
         assert!(PartitionAssignment::even(3, 5).is_err());
@@ -166,6 +143,5 @@ mod tests {
     fn single_partition() {
         let pa = PartitionAssignment::even(5, 1).unwrap();
         assert_eq!(pa.range(0).unwrap(), (0, 5));
-        assert_eq!(pa.partition_of(4), Some(0));
     }
 }

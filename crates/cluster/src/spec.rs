@@ -100,16 +100,6 @@ impl ClusterSpec {
         ]
     }
 
-    /// A homogeneous cluster of `n` workers with `vcpus` each (for
-    /// baselines and tests).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::EmptyCluster`] if `n == 0`.
-    pub fn homogeneous(n: usize, vcpus: u32) -> Result<Self, ClusterError> {
-        Self::from_vcpu_rows("homogeneous", &[(n, vcpus)], 1.0)
-    }
-
     /// The cluster's display name.
     pub fn name(&self) -> &str {
         &self.name
@@ -272,12 +262,12 @@ mod tests {
             ClusterSpec::builder().build().unwrap_err(),
             ClusterError::EmptyCluster
         );
-        assert!(ClusterSpec::homogeneous(0, 2).is_err());
+        assert!(ClusterSpec::from_vcpu_rows("homogeneous", &[(0, 2)], 1.0).is_err());
     }
 
     #[test]
     fn worker_lookup() {
-        let c = ClusterSpec::homogeneous(3, 4).unwrap();
+        let c = ClusterSpec::from_vcpu_rows("homogeneous", &[(3, 4)], 1.0).unwrap();
         assert_eq!(c.worker(WorkerId(1)).unwrap().vcpus(), 4);
         assert!(matches!(
             c.worker(WorkerId(9)),
@@ -287,7 +277,7 @@ mod tests {
 
     #[test]
     fn homogeneous_has_ratio_one() {
-        let c = ClusterSpec::homogeneous(5, 8).unwrap();
+        let c = ClusterSpec::from_vcpu_rows("homogeneous", &[(5, 8)], 1.0).unwrap();
         assert_eq!(c.heterogeneity(), 1.0);
     }
 

@@ -33,20 +33,6 @@ proptest! {
         prop_assert!(max_len - min_len <= 1, "uneven: {min_len}..{max_len}");
     }
 
-    /// partition_of agrees with the ranges.
-    #[test]
-    fn partition_of_agrees_with_ranges(n in 1usize..200, k in 1usize..20, i in 0usize..200) {
-        prop_assume!(k <= n);
-        let pa = PartitionAssignment::even(n, k).unwrap();
-        match pa.partition_of(i) {
-            Some(p) => {
-                let (lo, hi) = pa.range(p).unwrap();
-                prop_assert!(lo <= i && i < hi);
-            }
-            None => prop_assert!(i >= n),
-        }
-    }
-
     /// The sampling estimator recovers a constant true rate exactly.
     #[test]
     fn sampling_estimator_recovers_constant_rate(

@@ -154,14 +154,6 @@ impl Allocation {
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
     }
-
-    /// The theoretical per-iteration completion time of the balanced
-    /// allocation, `(s+1)k / Σc` (Theorem 5's optimum), for the given
-    /// throughputs.
-    pub fn ideal_completion_time(&self, throughputs: &[f64]) -> f64 {
-        let sum: f64 = throughputs.iter().sum();
-        (self.stragglers as f64 + 1.0) * self.partitions as f64 / sum
-    }
 }
 
 fn validate_params(m: usize, k: usize, s: usize) -> Result<(), CodingError> {
@@ -283,16 +275,6 @@ mod tests {
         // m=1 is rejected earlier by s+1<=m. Construct per > k: m=2, k=3, s=3
         // invalid (s+1>m).
         assert!(Allocation::uniform(2, 2, 1).is_ok());
-    }
-
-    #[test]
-    fn ideal_completion_time_formula() {
-        // s = 0: T* = k/Σc = 4/4 = 1.
-        let a = Allocation::balanced(&[1.0, 3.0], 4, 0).unwrap();
-        assert!((a.ideal_completion_time(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        // s = 1 over three workers: T* = 2k/Σc.
-        let b = Allocation::balanced(&[1.0, 1.0, 2.0], 4, 1).unwrap();
-        assert!((b.ideal_completion_time(&[1.0, 1.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

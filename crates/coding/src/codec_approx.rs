@@ -59,8 +59,7 @@ impl ApproxStage {
 impl CompiledCodec {
     /// Switches the approximate stage on with the residual budget
     /// `max_residual` (`None`: [`DEFAULT_MAX_RESIDUAL_FRACTION`]` · √k`);
-    /// plans above it are rejected as [`CodingError::NotDecodable`]. See
-    /// the [module docs](self).
+    /// plans above it are rejected as [`CodingError::NotDecodable`].
     ///
     /// # Example
     ///

@@ -190,7 +190,7 @@ pub(crate) fn derive_groups(code: &CodingMatrix) -> Result<Vec<Group>, CodingErr
 impl CompiledCodec {
     /// Switches the intact-group stage on over `groups` (empty is
     /// allowed: the codec then answers exactly as it did without the
-    /// stage). See the [module docs](self).
+    /// stage).
     ///
     /// # Example
     ///

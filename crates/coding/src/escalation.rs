@@ -222,7 +222,7 @@ pub enum RoundEnd {
     Stalled,
 }
 
-/// Decides one round (see the [module docs](self)): resets `session` and
+/// Decides one round: resets `session` and
 /// pushes `arrivals` in order until they decode. The iterator ends where
 /// the round expires — at its deadline, or when no more results can come
 /// — and the fallback is then asked once over the session's arrivals.

@@ -64,7 +64,7 @@ impl Group {
 
     /// Returns `true` if every worker of the group is in `survivors`
     /// (given as a boolean mask of length `m`).
-    pub fn is_subset_of_mask(&self, survivors: &[bool]) -> bool {
+    fn is_subset_of_mask(&self, survivors: &[bool]) -> bool {
         self.workers
             .iter()
             .all(|&w| survivors.get(w).copied().unwrap_or(false))

@@ -198,21 +198,17 @@ impl SharedPlanCache {
 
     /// Plans currently resident across all shards.
     pub fn cached_plans(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").entries.len())
-            .sum()
+        self.shard_occupancy().sum()
     }
 
     /// Plans resident in each shard, in shard order — the occupancy view
     /// behind `hetgc_shared_cache_shard_plans{shard=...}`. A lopsided
-    /// vector means the survivor-pattern hash is clumping and capacity
+    /// sequence means the survivor-pattern hash is clumping and capacity
     /// is effectively smaller than `shards × per_shard_capacity`.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
+    fn shard_occupancy(&self) -> impl Iterator<Item = usize> + '_ {
         self.shards
             .iter()
             .map(|s| s.lock().expect("shard poisoned").entries.len())
-            .collect()
     }
 
     /// Publishes the cache's live statistics into `registry` as gauges
@@ -248,7 +244,7 @@ impl SharedPlanCache {
                 &[],
             )
             .set(self.cached_plans() as f64);
-        for (i, occupancy) in self.shard_occupancy().into_iter().enumerate() {
+        for (i, occupancy) in self.shard_occupancy().enumerate() {
             registry
                 .gauge(
                     "hetgc_shared_cache_shard_plans",

@@ -236,7 +236,7 @@ impl CodingMatrix {
     /// [`CodingError::InvalidParameter`] unless `times` holds one finite,
     /// non-negative time per worker; [`CodingError::NotDecodable`] if even
     /// all non-stragglers cannot decode (B is not robust to this pattern).
-    pub fn completion_time_with_stragglers(
+    fn completion_time_with_stragglers(
         &self,
         times: &[f64],
         stragglers: &[usize],

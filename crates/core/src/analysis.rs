@@ -10,33 +10,22 @@ pub fn theorem5_lower_bound(partitions: usize, stragglers: usize, throughputs: &
     (stragglers as f64 + 1.0) * partitions as f64 / sum
 }
 
-/// Worst-case completion time `T(B)` of Eq. 3 (exhaustive over straggler
-/// patterns — use on small/medium `m`), in the same normalized units as
-/// [`theorem5_lower_bound`].
-///
-/// # Errors
-///
-/// Propagates [`CodingError`] from the underlying enumeration (e.g. a
-/// non-robust `B`).
-pub fn worst_case_time(code: &CodingMatrix, throughputs: &[f64]) -> Result<f64, CodingError> {
-    code.worst_case_time(throughputs)
-}
-
-/// The optimality ratio `T(B) / bound ≥ 1`; equals 1 for the heter-aware
+/// The optimality ratio `T(B) / bound ≥ 1`, with `T(B)` from
+/// [`CodingMatrix::worst_case_time`]; equals 1 for the heter-aware
 /// scheme when Eq. 5 is integral (Theorem 5).
 ///
 /// # Errors
 ///
 /// Propagates [`CodingError`].
 pub fn optimality_ratio(code: &CodingMatrix, throughputs: &[f64]) -> Result<f64, CodingError> {
-    let t = worst_case_time(code, throughputs)?;
+    let t = code.worst_case_time(throughputs)?;
     let bound = theorem5_lower_bound(code.partitions(), code.stragglers(), throughputs);
     Ok(t / bound)
 }
 
 /// Whether Eq. 5 produces exactly integral `n_i` for these parameters
 /// (the precondition of Theorem 5's equality case).
-pub fn allocation_is_integral(throughputs: &[f64], partitions: usize, stragglers: usize) -> bool {
+fn allocation_is_integral(throughputs: &[f64], partitions: usize, stragglers: usize) -> bool {
     let sum: f64 = throughputs.iter().sum();
     throughputs.iter().all(|&c| {
         let q = (partitions * (stragglers + 1)) as f64 * c / sum;
@@ -58,8 +47,10 @@ pub fn speedup(slow: f64, fast: f64) -> Option<f64> {
 
 /// Load-balance quality of a strategy under given throughputs: the ratio
 /// of the slowest to the fastest worker's computation time (1.0 = perfectly
-/// balanced, as Eq. 5 achieves; large = consistent stragglers).
-pub fn balance_ratio(code: &CodingMatrix, throughputs: &[f64]) -> f64 {
+/// balanced, as Eq. 5 achieves; large = consistent stragglers). Indexes
+/// `throughputs` unchecked: [`optimality_report`] validates its length
+/// through `worst_case_time` first.
+fn balance_ratio(code: &CodingMatrix, throughputs: &[f64]) -> f64 {
     let times: Vec<f64> = (0..code.workers())
         .filter(|&w| code.load_of(w) > 0)
         .map(|w| code.load_of(w) as f64 / throughputs[w])
@@ -97,7 +88,7 @@ pub fn optimality_report(
     schemes
         .iter()
         .map(|(label, code)| {
-            let worst_case = worst_case_time(code, throughputs)?;
+            let worst_case = code.worst_case_time(throughputs)?;
             let bound = theorem5_lower_bound(code.partitions(), code.stragglers(), throughputs);
             Ok(OptimalityRow {
                 scheme: label.clone(),

@@ -35,8 +35,9 @@ pub struct DriverConfig {
     /// conventionally use `1`; per-event SSP runs use a larger stride.
     pub eval_every: usize,
     /// Residual-aware step scaling: shrink the effective step on
-    /// approximate rounds by [`residual_step_scale`] — exact rounds are
-    /// untouched by construction. Disable to reproduce the legacy
+    /// approximate rounds by
+    /// [`residual_step_scale`](crate::residual_step_scale) — exact rounds
+    /// are untouched by construction. Disable to reproduce the legacy
     /// full-step-on-approximate-rounds behaviour.
     pub residual_step_scaling: bool,
     /// The adaptation loop (learned escalation deadline + drift-triggered
@@ -163,7 +164,8 @@ pub struct RoundRecord {
     pub loss: Option<f64>,
     /// Decode residual (0 = exact).
     pub residual: f64,
-    /// The learning-rate multiplier applied ([`residual_step_scale`]);
+    /// The learning-rate multiplier applied
+    /// ([`residual_step_scale`](crate::residual_step_scale));
     /// exactly 1 on exact rounds.
     pub step_scale: f64,
     /// Worker results that carried decode weight.

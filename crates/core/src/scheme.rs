@@ -167,18 +167,10 @@ impl<'a> SchemeBuilder<'a> {
     }
 
     /// The estimates in effect (explicit or ground truth).
-    pub fn effective_estimates(&self) -> Vec<f64> {
+    fn effective_estimates(&self) -> Vec<f64> {
         self.estimates
             .clone()
             .unwrap_or_else(|| self.cluster.throughputs())
-    }
-
-    /// The partition count the heterogeneity-aware schemes will use.
-    pub fn effective_partitions(&self) -> usize {
-        let m = self.cluster.len();
-        self.partitions.unwrap_or_else(|| {
-            suggest_partition_count(&self.effective_estimates(), self.stragglers, m, 6 * m)
-        })
     }
 
     /// Constructs a scheme.
@@ -223,7 +215,7 @@ impl<'a> SchemeBuilder<'a> {
 /// `ClusterSpec` (whose ground-truth rates the live run cannot see).
 /// `partitions` overrides the suggested `k` for the
 /// heterogeneity-aware schemes; `None` re-derives it from the estimates
-/// the way [`SchemeBuilder::effective_partitions`] would.
+/// with `suggest_partition_count(estimates, s, m, 6m)`.
 ///
 /// This is Eq. 5 → Eq. 6 → Alg. 1 (or Algs. 2–3) evaluated at the
 /// estimates: exactly what [`SchemeBuilder::build`] does, minus the

@@ -23,18 +23,18 @@
 //!   `0 +`, the same products in the same order, then one multiply and
 //!   one add into the accumulator.
 //! * **The ordered multi-dot is bitwise-identical to its scalar
-//!   definition too.** [`dot_ordered`] runs `K` *independent* dot
-//!   products side by side, each one the strict left-to-right fold
+//!   definition too.** [`dot_ordered_each`] runs [`CHAINS`] *independent*
+//!   dot products side by side, each one the strict left-to-right fold
 //!   `s.iter().zip(r).map(|(x, y)| x * y).sum::<f64>()` — same identity,
 //!   same order, no lane accumulators — so every sum, NaN, `±∞` and
 //!   `−0.0` comes out as the scalar fold produces it. Interleaving the
 //!   chains hides the latency of the one dependent add per element that
-//!   bounds a single fold; it never reassociates one. [`dot_ordered_each`]
-//!   is the same over any number of rows, [`CHAINS`] at a time.
-//! * **Reductions reassociate.** [`dot`], [`norm2`] and [`norm_inf`]
-//!   accumulate in [`LANES`] independent partial accumulators (that is
-//!   what lets them vectorize) and are therefore *deterministic* but not
-//!   bitwise-equal to a left-to-right scalar fold — use [`dot_ordered`]
+//!   bounds a single fold; it never reassociates one. A row count that is
+//!   not a multiple of [`CHAINS`] ends in narrower ordered chains.
+//! * **Reductions reassociate.** [`dot`] and [`norm_inf`] accumulate in
+//!   [`LANES`] independent partial accumulators (that is what lets them
+//!   vectorize). [`dot`] is therefore *deterministic* but not
+//!   bitwise-equal to a left-to-right scalar fold — use [`dot_ordered_each`]
 //!   where the fold's bits are a contract. `max` is associative, so
 //!   [`norm_inf`] *is* scalar-identical.
 //! * **[`block_decode`] accumulates rows in argument order per element**,
@@ -229,7 +229,7 @@ pub const CHAINS: usize = 4;
 ///
 /// Panics if a row's length differs from `shared.len()`.
 #[inline]
-pub fn dot_ordered<const K: usize>(shared: &[f64], rows: [&[f64]; K]) -> [f64; K] {
+fn dot_ordered<const K: usize>(shared: &[f64], rows: [&[f64]; K]) -> [f64; K] {
     let n = shared.len();
     assert!(
         rows.iter().all(|r| r.len() == n),
@@ -250,7 +250,7 @@ pub fn dot_ordered<const K: usize>(shared: &[f64], rows: [&[f64]; K]) -> [f64; K
     acc
 }
 
-/// [`dot_ordered`] over any number of rows: `out[i]` is the ordered dot
+/// The ordered multi-dot over any number of rows: `out[i]` is the ordered dot
 /// product of `shared` and the `i`-th row, computed [`CHAINS`] rows at a
 /// time with narrower ordered chains (never a different fold) for the
 /// last `out.len() % CHAINS`.
@@ -289,27 +289,6 @@ where
     if !one.is_empty() {
         block::<1>(shared, &mut rows, one);
     }
-}
-
-/// Euclidean norm `|x|₂` over [`LANES`] partial accumulators
-/// (reassociated, like [`dot`]).
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    let mut acc = [0.0; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    for xl in xc.by_ref() {
-        for i in 0..LANES {
-            acc[i] += xl[i] * xl[i];
-        }
-    }
-    for (i, &xi) in xc.remainder().iter().enumerate() {
-        acc[i] += xi * xi;
-    }
-    let mut total = 0.0;
-    for lane in acc {
-        total += lane;
-    }
-    total.sqrt()
 }
 
 /// Maximum absolute component `|x|_∞`. `max` is associative, so this is
@@ -384,7 +363,7 @@ where
 }
 
 /// [`block_decode_threads`] with the automatic thread count: one thread
-/// per [`PAR_MIN_CHUNK`] of output, capped at the machine's available
+/// per `PAR_MIN_CHUNK` (2¹⁵ elements) of output, capped at the machine's available
 /// parallelism (sequential below [`PAR_MIN_DIM`]).
 pub fn block_decode<'a, F>(coeffs: &[f64], row_of: &F, out: &mut [f64])
 where
@@ -626,8 +605,6 @@ mod tests {
         scale(-2.0, &mut x);
         assert_eq!(x, vec![-2.0, 4.0, -6.0]);
         assert_eq!(norm_inf(&x), 6.0);
-        assert!((norm2(&[3.0_f64, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm2(&[]), 0.0);
         assert_eq!(norm_inf(&[]), 0.0);
         assert_eq!(dot(&[], &[]), 0.0);
     }

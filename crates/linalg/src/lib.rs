@@ -13,10 +13,8 @@
 //! * [`Lu`] — LU decomposition with partial pivoting ([`Matrix::lu`]),
 //!   powering [`Matrix::solve`], [`Matrix::inverse`] and
 //!   [`Matrix::determinant`].
-//! * [`Qr`] — Householder QR ([`Matrix::qr`]) powering least-squares solves
-//!   for decode vectors over non-square survivor sets.
-//! * Rank and span utilities ([`Matrix::rank`], [`in_span`],
-//!   [`Matrix::row_space_contains`]) used by the Condition-C1 checker.
+//! * Rank and span utilities ([`Matrix::rank`], [`in_span`], [`solve_any`])
+//!   used by the Condition-C1 checker and the one-shot decode solve.
 //! * The chunked, auto-vectorizable data-plane kernels in [`kernels`] —
 //!   the per-round encode/decode hot loops.
 //! * Slice helpers in [`vec_ops`] (`supp(b)`, `ℓ₀`, `max_abs_diff`).
@@ -35,7 +33,7 @@
 //! # }
 //! ```
 //!
-//! The *construction-time* routines ([`Matrix`], [`Lu`], [`Qr`]) are
+//! The *construction-time* routines ([`Matrix`], [`Lu`]) are
 //! `O(n³)` textbook implementations: the matrices involved in gradient
 //! coding are tiny (`m ≤` a few hundred workers, `s+1 ≤ m`), so clarity
 //! and numerical robustness (partial pivoting, explicit tolerance
@@ -50,12 +48,10 @@ mod error;
 pub mod kernels;
 mod lu;
 mod matrix;
-mod qr;
 mod rank;
 pub mod vec_ops;
 
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::{solve_min_norm, Qr};
 pub use rank::{in_span, solve_any, DEFAULT_TOLERANCE};

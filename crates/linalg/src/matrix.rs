@@ -3,7 +3,6 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 use crate::error::LinalgError;
 use crate::lu::Lu;
-use crate::qr::Qr;
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -100,22 +99,6 @@ impl Matrix {
             cols,
             data,
         })
-    }
-
-    /// Creates a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "from_vec",
-                left: (rows, cols),
-                right: (data.len(), 1),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
@@ -418,15 +401,6 @@ impl Matrix {
         Lu::new(self)
     }
 
-    /// Householder QR decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] for empty input.
-    pub fn qr(&self) -> Result<Qr, LinalgError> {
-        Qr::new(self)
-    }
-
     /// Solves `self * x = b` for square `self`.
     ///
     /// # Errors
@@ -470,14 +444,6 @@ impl Matrix {
     /// Numerical rank with tolerance `tol` (see the `rank` module internals).
     pub fn rank(&self, tol: f64) -> usize {
         crate::rank::rank(self, tol)
-    }
-
-    /// Tests whether `target` lies in the row space of `self`.
-    ///
-    /// This is exactly the membership test of the paper's Condition C1:
-    /// `1_{1×k} ∈ span({b_i : i ∈ I})`.
-    pub fn row_space_contains(&self, target: &[f64], tol: f64) -> bool {
-        crate::rank::in_span(self, target, tol)
     }
 }
 
@@ -634,12 +600,6 @@ mod tests {
             Matrix::from_rows(&[]),
             Err(LinalgError::Empty { .. })
         ));
-    }
-
-    #[test]
-    fn from_vec_checks_len() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
     }
 
     #[test]

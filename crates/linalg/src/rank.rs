@@ -80,8 +80,8 @@ pub(crate) fn rank(a: &Matrix, tol: f64) -> usize {
 /// `tol` (relative to the largest entry of `[A | b]`).
 ///
 /// Decoders use this to compute decode vectors: given survivor rows
-/// `M = B_I`, a decode vector is any solution of `Mᵀ·a = 1ᵀ`. Unlike an LU
-/// or QR solve, this handles square, overdetermined, underdetermined *and*
+/// `M = B_I`, a decode vector is any solution of `Mᵀ·a = 1ᵀ`. Unlike a
+/// square LU solve, this handles square, overdetermined, underdetermined *and*
 /// rank-deficient-but-consistent systems uniformly.
 ///
 /// # Example

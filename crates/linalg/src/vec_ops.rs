@@ -1,6 +1,6 @@
 //! Support and comparison helpers on `&[f64]` slices: `ℓ₀`, `supp(b)`
 //! and the largest componentwise difference. The data-plane arithmetic
-//! (`dot`, `axpy`, `scale`, the norms) lives in [`crate::kernels`].
+//! (`dot`, `axpy`, `scale`, `norm_inf`) lives in [`crate::kernels`].
 
 /// Number of non-zero entries — the `ℓ₀` "norm" `‖b‖₀` used throughout the
 /// paper to count how many partitions a worker computes.

@@ -80,7 +80,7 @@ impl PartialSink<'_> {
 ///
 /// An implementation may *interleave independent folds* — several
 /// samples, classes or hidden units side by side, which is what
-/// `hetgc_linalg::kernels::dot_ordered` does to hide the latency of a
+/// `hetgc_linalg::kernels::dot_ordered_each` does to hide the latency of a
 /// fold's one dependent add per feature — and may *fuse passes* over the
 /// coordinates (form `g_j` and add it to `acc_j` in one, as
 /// `kernels::axpy_rows_fold` does), but must never reassociate one: no

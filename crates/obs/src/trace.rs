@@ -149,7 +149,7 @@ impl Recorder {
     /// Opens a span on a worker track (`track = worker + 1`). When the
     /// recorder is disabled the guard is inert — no clock reads at open
     /// or drop, so a dormant recorder costs one atomic load per span.
-    pub fn span_on(&self, phase: Phase, track: u64) -> SpanGuard<'_> {
+    fn span_on(&self, phase: Phase, track: u64) -> SpanGuard<'_> {
         SpanGuard {
             recorder: self,
             phase,

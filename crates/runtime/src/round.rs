@@ -83,9 +83,4 @@ impl EngineRound {
             stop,
         }
     }
-
-    /// Whether the round decoded through an approximate fallback.
-    pub fn is_approximate(&self) -> bool {
-        self.residual > 0.0
-    }
 }

@@ -3,8 +3,7 @@
 //! The timeline of a round, per worker `w`:
 //!
 //! ```text
-//! t=0          broadcast done (parameter push is charged to the master
-//!              uniformly and folded into `broadcast_time`)
+//! t=0          round starts (the parameter push is not modelled)
 //! compute      load_w / rate_w × jitter   (the paper's t_w = ‖b_w‖₀ / c_w)
 //! + delay      injected straggler delay (∞ for failures)
 //! + network    latency + payload/bandwidth
@@ -37,7 +36,6 @@ pub struct BspIterationConfig<'a> {
     work_per_partition: f64,
     network: NetworkModel,
     payload_bytes: f64,
-    broadcast_time: f64,
     compute_jitter: f64,
     overlap_chunks: usize,
     fallback_deadline: Option<f64>,
@@ -47,14 +45,13 @@ impl<'a> BspIterationConfig<'a> {
     /// A configuration over true worker rates (work-units per second).
     ///
     /// Defaults: one work-unit per partition, LAN network, 4 KB payload,
-    /// zero broadcast time, no jitter.
+    /// no jitter.
     pub fn new(rates: &'a [f64]) -> Self {
         BspIterationConfig {
             rates,
             work_per_partition: 1.0,
             network: NetworkModel::lan(),
             payload_bytes: 4096.0,
-            broadcast_time: 0.0,
             compute_jitter: 0.0,
             overlap_chunks: 1,
             fallback_deadline: None,
@@ -78,12 +75,6 @@ impl<'a> BspIterationConfig<'a> {
     /// Sets the coded-gradient payload size in bytes.
     pub fn payload_bytes(mut self, bytes: f64) -> Self {
         self.payload_bytes = bytes;
-        self
-    }
-
-    /// Sets a fixed head-of-round cost (parameter broadcast, scheduling).
-    pub fn broadcast_time(mut self, seconds: f64) -> Self {
-        self.broadcast_time = seconds;
         self
     }
 
@@ -191,8 +182,8 @@ impl BspIteration {
 ///
 /// [`SimError::InvalidConfig`] when `rates`/`events` lengths disagree with
 /// the code's worker count, a rate or `work_per_partition` is not
-/// positive, `payload_bytes`, `broadcast_time` or `compute_jitter` is
-/// negative or not finite, or a [`StragglerEvent::Delayed`] delay is NaN
+/// positive, `payload_bytes` or `compute_jitter` is negative or not
+/// finite, or a [`StragglerEvent::Delayed`] delay is NaN
 /// or negative (`+∞` is valid: the worker never arrives).
 pub fn simulate_bsp_iteration<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
     codec: &C,
@@ -240,10 +231,10 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
             reason: "work_per_partition must be positive".into(),
         });
     }
-    let knobs = [cfg.payload_bytes, cfg.broadcast_time, cfg.compute_jitter];
+    let knobs = [cfg.payload_bytes, cfg.compute_jitter];
     if !knobs.iter().all(|v| v.is_finite() && *v >= 0.0) {
         return Err(SimError::InvalidConfig {
-            reason: "payload, broadcast time and jitter must be finite, ≥ 0".into(),
+            reason: "payload and jitter must be finite, ≥ 0".into(),
         });
     }
     // `Delayed(+∞)` is a worker that never arrives; a NaN or negative delay
@@ -268,7 +259,7 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
                 1.0
             };
             let delay = events[w].extra_delay();
-            let compute_end = cfg.broadcast_time + base * jitter + delay;
+            let compute_end = base * jitter + delay;
             let arrive = if compute_end.is_finite() {
                 compute_end + comm
             } else {
@@ -300,7 +291,7 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
         RoundEnd::Stalled => (None, DecodePlan::from_dense(&[])),
     };
     let busy = match completion {
-        Some(t) => arrivals_busy(&arrivals, t, cfg.broadcast_time, m),
+        Some(t) => arrivals_busy(&arrivals, t, m),
         None => vec![0.0; m],
     };
     Ok(BspIteration {
@@ -313,11 +304,10 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
 }
 
 /// Useful compute time per worker, capped at iteration completion.
-fn arrivals_busy(arrivals: &[Arrival], completion: f64, broadcast: f64, m: usize) -> Vec<f64> {
+fn arrivals_busy(arrivals: &[Arrival], completion: f64, m: usize) -> Vec<f64> {
     let mut busy = vec![0.0; m];
     for arr in arrivals {
-        let effective_end = arr.compute_end.min(completion);
-        busy[arr.worker] = (effective_end - broadcast).max(0.0);
+        busy[arr.worker] = arr.compute_end.min(completion);
     }
     busy
 }
@@ -472,16 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_time_shifts_everything() {
-        let code = heter_code(15);
-        let cfg = BspIterationConfig::new(&RATES)
-            .network(NetworkModel::instantaneous())
-            .broadcast_time(0.25);
-        let out = simulate_bsp_iteration(&code, &cfg, &no_events(5), &mut rng(16)).unwrap();
-        assert!((out.completion.unwrap() - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn busy_capped_at_completion() {
         let code = heter_code(17);
         let cfg = BspIterationConfig::new(&RATES).network(NetworkModel::instantaneous());
@@ -545,7 +525,6 @@ mod tests {
             base().payload_bytes(f64::NAN),
             instantaneous().payload_bytes(f64::INFINITY),
             base().payload_bytes(-1e9),
-            base().broadcast_time(f64::NAN),
             base().compute_jitter(f64::INFINITY),
         ] {
             assert!(matches!(

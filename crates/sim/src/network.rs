@@ -67,11 +67,6 @@ impl NetworkModel {
         self.latency
     }
 
-    /// Bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Time (seconds) to deliver a message of `bytes` bytes.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.bandwidth
@@ -94,7 +89,6 @@ mod tests {
         let n = NetworkModel::new(0.01, 100.0);
         assert!((n.transfer_time(50.0) - 0.51).abs() < 1e-12);
         assert_eq!(n.latency(), 0.01);
-        assert_eq!(n.bandwidth(), 100.0);
     }
 
     #[test]
