@@ -119,11 +119,6 @@ impl EwmaEstimator {
             current: vec![None; m],
         }
     }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl ThroughputEstimator for EwmaEstimator {
@@ -180,16 +175,6 @@ impl EstimationNoise {
             "sigma must be non-negative"
         );
         EstimationNoise { sigma, floor: 0.05 }
-    }
-
-    /// Exact estimates (σ = 0).
-    pub fn none() -> Self {
-        EstimationNoise::new(0.0)
-    }
-
-    /// The relative standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 
     /// Applies the noise to ground-truth throughputs.
@@ -266,7 +251,7 @@ mod tests {
         assert_eq!(e.estimate(0).unwrap(), 10.0);
         e.observe(0, 20.0, 1.0); // 0.5*10 + 0.5*20 = 15
         assert_eq!(e.estimate(0).unwrap(), 15.0);
-        assert_eq!(e.alpha(), 0.5);
+        assert_eq!(e.alpha, 0.5);
     }
 
     #[test]
@@ -288,7 +273,7 @@ mod tests {
     fn noise_zero_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
         let truth = vec![1.0, 2.0, 3.0];
-        assert_eq!(EstimationNoise::none().apply(&truth, &mut rng), truth);
+        assert_eq!(EstimationNoise::new(0.0).apply(&truth, &mut rng), truth);
     }
 
     #[test]
@@ -297,7 +282,7 @@ mod tests {
         let noise = EstimationNoise::new(2.0); // huge sigma
         let out = noise.apply(&vec![1.0; 200], &mut rng);
         assert!(out.iter().all(|&x| x > 0.0));
-        assert_eq!(noise.sigma(), 2.0);
+        assert_eq!(noise.sigma, 2.0);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl PartitionAssignment {
         self.boundaries.len() - 1
     }
 
-    /// Total number of samples `n`.
-    pub fn samples(&self) -> usize {
-        *self.boundaries.last().expect("non-empty boundaries")
-    }
-
     /// The `[start, end)` sample range of partition `p`.
     ///
     /// # Errors
@@ -100,7 +95,6 @@ mod tests {
     fn even_division() {
         let pa = PartitionAssignment::even(12, 4).unwrap();
         assert_eq!(pa.partitions(), 4);
-        assert_eq!(pa.samples(), 12);
         for (lo, hi) in pa.iter() {
             assert_eq!(hi - lo, 3);
         }

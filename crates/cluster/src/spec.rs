@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ClusterError;
-use crate::worker::{WorkerId, WorkerSpec};
+use crate::worker::WorkerSpec;
 
 /// A heterogeneous cluster: an ordered collection of [`WorkerSpec`]s plus a
 /// per-core throughput rate that converts vCPU counts into work-units per
@@ -12,13 +12,10 @@ use crate::worker::{WorkerId, WorkerSpec};
 /// # Example
 ///
 /// ```
-/// use hetgc_cluster::{ClusterSpec, WorkerSpec};
+/// use hetgc_cluster::ClusterSpec;
 ///
-/// let cluster = ClusterSpec::builder()
-///     .add_workers(2, WorkerSpec::new(2))
-///     .add_workers(1, WorkerSpec::new(8))
-///     .per_core_rate(100.0)
-///     .build()
+/// // Two 2-vCPU workers and one 8-vCPU worker at 100 units/s per core.
+/// let cluster = ClusterSpec::from_vcpu_rows("demo", &[(2, 2), (1, 8)], 100.0)
 ///     .expect("non-empty");
 /// assert_eq!(cluster.len(), 3);
 /// assert_eq!(cluster.throughputs(), vec![200.0, 200.0, 800.0]);
@@ -32,7 +29,7 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// Starts building a cluster.
-    pub fn builder() -> ClusterSpecBuilder {
+    pub(crate) fn builder() -> ClusterSpecBuilder {
         ClusterSpecBuilder::default()
     }
 
@@ -120,25 +117,6 @@ impl ClusterSpec {
         &self.workers
     }
 
-    /// The spec of one worker.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownWorker`] for out-of-range ids.
-    pub fn worker(&self, id: WorkerId) -> Result<&WorkerSpec, ClusterError> {
-        self.workers
-            .get(id.index())
-            .ok_or(ClusterError::UnknownWorker {
-                worker: id.index(),
-                size: self.workers.len(),
-            })
-    }
-
-    /// Per-core rate (work-units per second per vCPU).
-    pub fn per_core_rate(&self) -> f64 {
-        self.per_core_rate
-    }
-
     /// True throughputs `c_i` of all workers, in work-units per second.
     pub fn throughputs(&self) -> Vec<f64> {
         self.workers
@@ -172,19 +150,19 @@ pub struct ClusterSpecBuilder {
 
 impl ClusterSpecBuilder {
     /// Appends `count` copies of `spec`.
-    pub fn add_workers(mut self, count: usize, spec: WorkerSpec) -> Self {
+    pub(crate) fn add_workers(mut self, count: usize, spec: WorkerSpec) -> Self {
         self.workers.extend(std::iter::repeat_n(spec, count));
         self
     }
 
     /// Sets the per-core work rate (default 1.0).
-    pub fn per_core_rate(mut self, rate: f64) -> Self {
+    pub(crate) fn per_core_rate(mut self, rate: f64) -> Self {
         self.per_core_rate = Some(rate);
         self
     }
 
     /// Sets the cluster name (default `"custom"`).
-    pub fn name(mut self, name: &str) -> Self {
+    pub(crate) fn name(mut self, name: &str) -> Self {
         self.name = Some(name.to_owned());
         self
     }
@@ -194,7 +172,7 @@ impl ClusterSpecBuilder {
     /// # Errors
     ///
     /// [`ClusterError::EmptyCluster`] if no workers were added.
-    pub fn build(self) -> Result<ClusterSpec, ClusterError> {
+    pub(crate) fn build(self) -> Result<ClusterSpec, ClusterError> {
         if self.workers.is_empty() {
             return Err(ClusterError::EmptyCluster);
         }
@@ -233,7 +211,7 @@ mod tests {
         let a = ClusterSpec::from_vcpu_rows("x", &[(1, 2), (1, 4)], 10.0).unwrap();
         assert_eq!(a.throughputs(), vec![20.0, 40.0]);
         assert_eq!(a.total_throughput(), 60.0);
-        assert_eq!(a.per_core_rate(), 10.0);
+        assert_eq!(a.per_core_rate, 10.0);
     }
 
     #[test]
@@ -263,16 +241,6 @@ mod tests {
             ClusterError::EmptyCluster
         );
         assert!(ClusterSpec::from_vcpu_rows("homogeneous", &[(0, 2)], 1.0).is_err());
-    }
-
-    #[test]
-    fn worker_lookup() {
-        let c = ClusterSpec::from_vcpu_rows("homogeneous", &[(3, 4)], 1.0).unwrap();
-        assert_eq!(c.worker(WorkerId(1)).unwrap().vcpus(), 4);
-        assert!(matches!(
-            c.worker(WorkerId(9)),
-            Err(ClusterError::UnknownWorker { worker: 9, size: 3 })
-        ));
     }
 
     #[test]

@@ -9,13 +9,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct WorkerId(pub usize);
 
-impl WorkerId {
-    /// The dense index of this worker.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "W{}", self.0)
@@ -44,7 +37,7 @@ impl WorkerSpec {
     /// # Panics
     ///
     /// Panics if `vcpus == 0`.
-    pub fn new(vcpus: u32) -> Self {
+    pub(crate) fn new(vcpus: u32) -> Self {
         assert!(vcpus > 0, "a worker needs at least one vCPU");
         WorkerSpec { vcpus }
     }
@@ -59,7 +52,7 @@ impl WorkerSpec {
     /// The unit of "work" is defined by the consumer: the simulator uses
     /// samples/second, the coding layer partitions/second. Only ratios
     /// between workers matter to the schemes.
-    pub fn throughput(&self, per_core_rate: f64) -> f64 {
+    pub(crate) fn throughput(&self, per_core_rate: f64) -> f64 {
         f64::from(self.vcpus) * per_core_rate
     }
 }
@@ -78,7 +71,7 @@ mod tests {
     #[test]
     fn worker_id_display_and_conversions() {
         let id = WorkerId::from(3);
-        assert_eq!(id.index(), 3);
+        assert_eq!(id.0, 3);
         assert_eq!(id.to_string(), "W3");
         assert_eq!(WorkerId(3), id);
     }

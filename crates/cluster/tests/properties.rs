@@ -18,7 +18,6 @@ proptest! {
         prop_assume!(k <= n);
         let pa = PartitionAssignment::even(n, k).unwrap();
         prop_assert_eq!(pa.partitions(), k);
-        prop_assert_eq!(pa.samples(), n);
         let mut cursor = 0;
         let mut min_len = usize::MAX;
         let mut max_len = 0;

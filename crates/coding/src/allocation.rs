@@ -21,7 +21,7 @@ use crate::error::CodingError;
 /// // Example 1 of the paper: c = [1,2,3,4,4], k = 7, s = 1.
 /// let alloc = Allocation::balanced(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1)?;
 /// assert_eq!(alloc.counts(), &[1, 2, 3, 4, 4]);
-/// assert_eq!(alloc.total(), 14); // k(s+1)
+/// assert_eq!(alloc.counts().iter().sum::<usize>(), 14); // k(s+1)
 /// # Ok(())
 /// # }
 /// ```
@@ -71,7 +71,7 @@ impl Allocation {
         order.sort_by(|&a, &b| {
             let fa = quotas[a] - quotas[a].floor();
             let fb = quotas[b] - quotas[b].floor();
-            fb.partial_cmp(&fa).expect("finite quotas").then(a.cmp(&b))
+            fb.total_cmp(&fa).then(a.cmp(&b))
         });
         for &i in order.iter().take(total - assigned) {
             counts[i] += 1;
@@ -92,67 +92,24 @@ impl Allocation {
         })
     }
 
-    /// The uniform allocation used by the cyclic baseline of Tandon et al.:
-    /// every worker gets the same number of partitions. Requires
-    /// `m | k(s+1)`; the canonical choice in the paper is `k = m`, giving
-    /// `n_i = s+1`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::Divisibility`] if `m` does not divide `k(s+1)`, plus
-    /// the parameter checks of [`Allocation::balanced`].
-    pub fn uniform(
-        workers: usize,
-        partitions: usize,
-        stragglers: usize,
-    ) -> Result<Self, CodingError> {
-        validate_params(workers, partitions, stragglers)?;
-        let total = partitions * (stragglers + 1);
-        if !total.is_multiple_of(workers) {
-            return Err(CodingError::Divisibility {
-                reason: format!(
-                    "uniform allocation requires m | k(s+1): m={workers}, k(s+1)={total}"
-                ),
-            });
-        }
-        let per = total / workers;
-        if per > partitions {
-            return Err(CodingError::InfeasibleAllocation {
-                worker: 0,
-                assigned: per,
-                partitions,
-            });
-        }
-        Ok(Allocation {
-            counts: vec![per; workers],
-            partitions,
-            stragglers,
-        })
-    }
-
     /// Per-worker partition counts `n_i`.
     pub fn counts(&self) -> &[usize] {
         &self.counts
     }
 
     /// Number of workers `m`.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.counts.len()
     }
 
     /// Number of data partitions `k`.
-    pub fn partitions(&self) -> usize {
+    pub(crate) fn partitions(&self) -> usize {
         self.partitions
     }
 
     /// Designed straggler tolerance `s`.
-    pub fn stragglers(&self) -> usize {
+    pub(crate) fn stragglers(&self) -> usize {
         self.stragglers
-    }
-
-    /// Total copies distributed: always `k(s+1)`.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
     }
 }
 
@@ -204,6 +161,47 @@ pub fn suggest_partition_count(
 }
 
 #[cfg(test)]
+impl Allocation {
+    /// The uniform allocation used by the cyclic baseline of Tandon et al.:
+    /// every worker gets the same number of partitions. Requires
+    /// `m | k(s+1)`; the canonical choice in the paper is `k = m`, giving
+    /// `n_i = s+1`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodingError::Divisibility`] if `m` does not divide `k(s+1)`, plus
+    /// the parameter checks of [`Allocation::balanced`].
+    pub(crate) fn uniform(
+        workers: usize,
+        partitions: usize,
+        stragglers: usize,
+    ) -> Result<Self, CodingError> {
+        validate_params(workers, partitions, stragglers)?;
+        let total = partitions * (stragglers + 1);
+        if !total.is_multiple_of(workers) {
+            return Err(CodingError::Divisibility {
+                reason: format!(
+                    "uniform allocation requires m | k(s+1): m={workers}, k(s+1)={total}"
+                ),
+            });
+        }
+        let per = total / workers;
+        if per > partitions {
+            return Err(CodingError::InfeasibleAllocation {
+                worker: 0,
+                assigned: per,
+                partitions,
+            });
+        }
+        Ok(Allocation {
+            counts: vec![per; workers],
+            partitions,
+            stragglers,
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -211,7 +209,7 @@ mod tests {
     fn paper_example_1_allocation() {
         let a = Allocation::balanced(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1).unwrap();
         assert_eq!(a.counts(), &[1, 2, 3, 4, 4]);
-        assert_eq!(a.total(), 14);
+        assert_eq!(a.counts().iter().sum::<usize>(), 14);
         assert_eq!(a.workers(), 5);
         assert_eq!(a.partitions(), 7);
         assert_eq!(a.stragglers(), 1);
@@ -221,7 +219,7 @@ mod tests {
     fn balanced_sums_to_total_with_rounding() {
         // Non-integral quotas: 3 workers, k=5, s=1 → total 10, c=[1,1,1.5].
         let a = Allocation::balanced(&[1.0, 1.0, 1.5], 5, 1).unwrap();
-        assert_eq!(a.total(), 10);
+        assert_eq!(a.counts().iter().sum::<usize>(), 10);
         // Quotas: 2.857, 2.857, 4.286 → floors 2,2,4 (8), remainders
         // .857,.857,.286 → workers 0,1 get the extra seats.
         assert_eq!(a.counts(), &[3, 3, 4]);
@@ -234,7 +232,7 @@ mod tests {
         for w in 1..c.len() {
             assert!(c[w] >= c[w - 1], "{c:?} not monotone");
         }
-        assert_eq!(a.total(), 24);
+        assert_eq!(a.counts().iter().sum::<usize>(), 24);
         assert_eq!(c, &[2, 4, 8, 10]);
     }
 

@@ -4,7 +4,7 @@
 //! | [`CodecBackend`] | Stages on [`CompiledCodec`] | Decode behaviour |
 //! |------------------|-----------------------------|------------------|
 //! | `Exact` | none | exact, generic `m−s` survivor solves |
-//! | `Group` / `Auto` | [`CompiledCodec::with_groups`] | exact, short-circuits on intact groups (Algs. 2–3) |
+//! | `Group` / `Auto` | `CompiledCodec::with_groups` | exact, short-circuits on intact groups (Algs. 2–3) |
 //! | `Approx` | [`CompiledCodec::with_approx`] | exact, least-squares past the budget |
 //!
 //! [`CodecBackend`] names them for configuration surfaces (trainers,
@@ -30,7 +30,7 @@ pub enum CodecBackend {
     Auto,
     /// No stage: the generic exact codec.
     Exact,
-    /// The intact-group stage ([`CompiledCodec::with_groups`]).
+    /// The intact-group stage (`CompiledCodec::with_groups`).
     Group,
     /// The bounded-error stage ([`CompiledCodec::with_approx`]) under its
     /// default residual budget, which an
@@ -41,7 +41,7 @@ pub enum CodecBackend {
 
 impl CodecBackend {
     /// Short display name for reports and logs.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CodecBackend::Auto => "auto",
             CodecBackend::Exact => "exact",
@@ -62,7 +62,7 @@ impl CodecBackend {
     ///
     /// # Errors
     ///
-    /// The validation of [`CompiledCodec::with_groups`] (never fails for
+    /// The validation of `CompiledCodec::with_groups` (never fails for
     /// groups a scheme builder or the derivation produced), and — for
     /// [`CodecBackend::Group`] only — a failed derivation;
     /// [`CodecBackend::Auto`] degrades to the exact codec there.

@@ -45,7 +45,6 @@ use crate::error::CodingError;
 /// block.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(block.row(1), &[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(block.row(0), &[0.0; 4]);
-/// assert_eq!(block.as_slice().len(), 12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientBlock {
@@ -114,19 +113,9 @@ impl GradientBlock {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The whole block, row-major.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// The whole block, row-major, mutable.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Zeroes every entry (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Reshapes to `rows × dim`, zeroing the contents. Reuses the existing
@@ -185,11 +174,6 @@ impl BufferPool {
         }
     }
 
-    /// The buffer length this pool serves.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Checks a zeroed `dim`-length buffer out of the pool. Recycled
     /// buffers are re-zeroed here (never handed out dirty); an empty pool
     /// allocates (counted in [`BufferPool::alloc_bytes`]).
@@ -212,7 +196,7 @@ impl BufferPool {
     /// Checks out a buffer of an explicit length (instead of the pool's
     /// `dim`), zeroed — for callers with round-varying scratch sizes
     /// (e.g. a session's arrival-combination rows).
-    pub fn checkout_with_len(&mut self, len: usize) -> Vec<f64> {
+    pub(crate) fn checkout_with_len(&mut self, len: usize) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
                 self.hits += 1;
@@ -305,7 +289,7 @@ mod tests {
         b.row_mut(1).copy_from_slice(&[4.0, 5.0, 6.0]);
         assert_eq!(b.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(b.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(b.data, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(b.to_rows(), vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
     }
 
@@ -322,19 +306,11 @@ mod tests {
     fn block_reset_reuses_capacity() {
         let mut b = GradientBlock::new(4, 8);
         b.row_mut(3)[7] = 9.0;
-        let ptr = b.as_slice().as_ptr();
+        let ptr = b.data.as_ptr();
         b.reset(2, 16); // same total size: must not reallocate
-        assert_eq!(b.as_slice().as_ptr(), ptr);
+        assert_eq!(b.data.as_ptr(), ptr);
         assert_eq!((b.rows(), b.dim()), (2, 16));
-        assert!(b.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn block_clear_zeroes_in_place() {
-        let mut b = GradientBlock::new(2, 2);
-        b.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        b.clear();
-        assert_eq!(b.as_slice(), &[0.0; 4]);
+        assert!(b.data.iter().all(|&x| x == 0.0));
     }
 
     #[test]

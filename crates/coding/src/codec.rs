@@ -11,7 +11,7 @@
 //! | [`GradientCodec::decode_plan`] | the realtime `O(mk²)` decode-vector solve of §III-B |
 //! | [`CodecSession`] | the master's earliest-decodable-prefix loop (`T(B, S)` of §III-C) |
 //! | [`CompiledCodec`]'s plan cache | §III-B's hybrid storage: "A could be partially stored … for regular stragglers", realtime solves otherwise |
-//! | [`CompiledCodec::with_groups`] | Algs. 2–3: an intact group's indicator row `a` already satisfies `aB = 1` |
+//! | `CompiledCodec::with_groups` | Algs. 2–3: an intact group's indicator row `a` already satisfies `aB = 1` |
 //! | [`CompiledCodec::with_approx`] | past the budget `s`: one more row solve over the same `B`, least-squares instead of exact |
 //!
 //! # Why compile?
@@ -54,7 +54,7 @@
 //! assert!(session.push(0)?.is_none());
 //! assert!(session.push(3)?.is_none());
 //! let plan = session.push(1)?.expect("m − s arrivals decode");
-//! assert_eq!(plan.total_workers(), 5);
+//! assert_eq!(plan.to_dense().len(), 5);
 //! session.reset(); // next iteration, no reallocation
 //! # Ok(())
 //! # }
@@ -183,11 +183,6 @@ impl DecodePlan {
             .iter()
             .copied()
             .zip(self.coefficients.iter().copied())
-    }
-
-    /// Total worker count `m` of the code this plan belongs to.
-    pub fn total_workers(&self) -> usize {
-        self.total_workers
     }
 
     /// Number of workers with non-zero weight.
@@ -425,8 +420,6 @@ pub(crate) struct RowStore {
     scales: Vec<f64>,
     /// Number of distinct columns `k′`.
     distinct: usize,
-    /// The full partition count `k` of the code.
-    partitions: usize,
 }
 
 impl RowStore {
@@ -462,7 +455,6 @@ impl RowStore {
             rows,
             scales,
             distinct,
-            partitions: class.len(),
         }
     }
 
@@ -697,11 +689,6 @@ impl CodecSession {
     /// Number of workers `m`.
     pub fn workers(&self) -> usize {
         self.pushed.len()
-    }
-
-    /// Number of partitions `k`.
-    pub fn partitions(&self) -> usize {
-        self.store.partitions
     }
 
     /// Results received so far this round.
@@ -1123,7 +1110,7 @@ fn queue(cur: &mut u64, pending: &mut [u64], word: usize, row: usize) {
 /// the cache: same matrix, same fingerprint, interchangeable plans.
 ///
 /// Two optional stages ride on the same compile, both off by default:
-/// [`CompiledCodec::with_groups`] answers intact-group survivor sets with
+/// `CompiledCodec::with_groups` answers intact-group survivor sets with
 /// a precompiled indicator row before any solve, and
 /// [`CompiledCodec::with_approx`] answers past the straggler budget with
 /// a bounded-error least-squares row after the exact solve failed.
@@ -1230,16 +1217,6 @@ impl CompiledCodec {
         }
     }
 
-    /// The scheme's stable 64-bit content fingerprint — dimensions,
-    /// straggler budget, and the position and bit pattern of every entry
-    /// that is not `+0.0` — the scheme half of the plan cache's key. Two
-    /// codecs get the same fingerprint iff their coding matrices are
-    /// bitwise-identical (`−0.0` included), the condition under which
-    /// their decode plans are interchangeable.
-    pub fn scheme_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Swaps this codec's plan cache for the fleet's `cache`: every codec
     /// attached to the same cache — across jobs and threads — pays for
     /// each distinct survivor pattern once, and its sessions reuse and
@@ -1256,14 +1233,8 @@ impl CompiledCodec {
     /// spans) into `metrics`; intact-group answers never probe or solve,
     /// so they record nothing. The handles are pre-registered atomics, so
     /// the decode hot path stays lock- and allocation-free.
-    pub fn attach_metrics(&mut self, metrics: CodecMetrics) {
+    pub(crate) fn attach_metrics(&mut self, metrics: CodecMetrics) {
         self.obs = Some(metrics);
-    }
-
-    /// Builder form of [`CompiledCodec::attach_metrics`].
-    pub fn with_metrics(mut self, metrics: CodecMetrics) -> Self {
-        self.attach_metrics(metrics);
-        self
     }
 
     /// The attached metric bundle, if any.
@@ -1321,12 +1292,6 @@ impl CompiledCodec {
     /// Plan-cache misses so far (exact and approximate probes).
     pub fn cache_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of plans currently in this codec's cache — the fleet's,
-    /// once one is attached.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.cached_plans()
     }
 
     /// Exact and least-squares solves this codec actually performed.
@@ -1391,31 +1356,6 @@ impl CompiledCodec {
             self.observe_solve(started);
             Ok(plan)
         })
-    }
-
-    /// [`GradientCodec::decode_plan`] addressed by *stragglers* instead of
-    /// survivors (the paper's Eq. 2 indexing).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GradientCodec::decode_plan`], with
-    /// [`CodingError::InvalidParameter`] for a straggler index `>= m`.
-    pub fn decode_plan_for_stragglers(
-        &self,
-        stragglers: &[usize],
-    ) -> Result<DecodePlan, CodingError> {
-        let mut dead = stragglers.to_vec();
-        dead.sort_unstable();
-        dead.dedup();
-        if let Some(&w) = dead.last().filter(|&&w| w >= self.workers()) {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("straggler index {w} >= m={}", self.workers()),
-            });
-        }
-        let survivors: Vec<usize> = (0..self.workers())
-            .filter(|w| dead.binary_search(w).is_err())
-            .collect();
-        self.decode_plan(&survivors)
     }
 }
 
@@ -1614,6 +1554,20 @@ pub(crate) fn solve_decode_dense(
 mod compile_oracle;
 
 #[cfg(test)]
+impl CompiledCodec {
+    /// The scheme's content fingerprint, the scheme half of the plan
+    /// cache's key: equal iff the coding matrices are bitwise-identical.
+    pub(crate) fn scheme_fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Plans resident in this codec's cache (the fleet's, once attached).
+    pub(crate) fn cached_plans(&self) -> usize {
+        self.plans.cached_plans()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::heter_aware::heter_aware;
@@ -1736,27 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_plan_for_stragglers_complements() {
-        let b = code();
-        let codec = CompiledCodec::new(b.clone());
-        let by_straggler = codec.decode_plan_for_stragglers(&[2]).unwrap();
-        let by_survivors = codec.decode_plan(&[0, 1, 3, 4]).unwrap();
-        assert_eq!(by_straggler, by_survivors);
-        // Unsorted, duplicated straggler list canonicalizes.
-        let messy = codec.decode_plan_for_stragglers(&[2, 2]).unwrap();
-        assert_eq!(messy, by_survivors);
-        // An index no worker has is an error, not a silently ignored entry.
-        assert!(matches!(
-            codec.decode_plan_for_stragglers(&[99]),
-            Err(CodingError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            codec.decode_plan_for_stragglers(&[2, 5]),
-            Err(CodingError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_cache_capacity_panics() {
         CompiledCodec::with_cache_capacity(code(), 0);
@@ -1825,13 +1758,12 @@ mod tests {
         .unwrap();
         let code = CodingMatrix::from_matrix(dup, 0).unwrap();
         let store = CodeScan::of(&code).store;
-        assert_eq!((store.partitions, store.distinct_columns()), (5, 3));
+        assert_eq!(store.distinct_columns(), 3);
         // Rows keep their nonzeros over the distinct columns only.
         assert_eq!(store.row(0), (&[0, 2][..], &[1.0, 2.0][..], &[0b101][..]));
         assert_eq!(store.row(2), (&[1, 2][..], &[3.0, 1.0][..], &[0b110][..]));
         assert_eq!(store.scales, [2.0, 1.0, 3.0]);
         let mut session = GradientCodec::session(&code);
-        assert_eq!((session.partitions(), session.pool().dim()), (5, 3));
         assert!(session.push(2).unwrap().is_none());
         assert!(session.push(0).unwrap().is_none());
         let plan = session.push(1).unwrap().expect("full rank decodes");

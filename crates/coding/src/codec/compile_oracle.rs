@@ -57,7 +57,6 @@ fn reference_store(code: &CodingMatrix) -> (Vec<usize>, RowStore) {
         rows,
         scales,
         distinct: kept.len(),
-        partitions: k,
     };
     (kept, store)
 }
@@ -98,7 +97,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 fn assert_store_eq(got: &RowStore, want: &RowStore, what: &str) {
     assert_eq!(got.distinct, want.distinct, "{what}: k′");
-    assert_eq!(got.partitions, want.partitions, "{what}: k");
     assert_eq!(got.rows.ptr, want.rows.ptr, "{what}: row pointers");
     assert_eq!(got.rows.idx, want.rows.idx, "{what}: kept columns");
     assert_eq!(

@@ -101,7 +101,7 @@ impl CompiledCodec {
 
     /// The approximate stage's residual budget (`None` when the stage is
     /// off).
-    pub fn max_residual(&self) -> Option<f64> {
+    pub(crate) fn max_residual(&self) -> Option<f64> {
         self.approx.as_ref().map(|stage| stage.max_residual)
     }
 

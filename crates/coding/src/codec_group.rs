@@ -219,7 +219,7 @@ impl CompiledCodec {
     /// [`CodingError::InvalidParameter`] when a group references an
     /// out-of-range worker or its indicator row does not decode (`a·B ≠
     /// 1`) — both would indicate a corrupted construction.
-    pub fn with_groups(mut self, groups: Vec<Group>) -> Result<Self, CodingError> {
+    pub(crate) fn with_groups(mut self, groups: Vec<Group>) -> Result<Self, CodingError> {
         self.groups = if groups.is_empty() {
             None
         } else {

@@ -17,7 +17,6 @@ use crate::strategy::{enumerate_subsets, CodingMatrix};
 #[derive(Debug, Clone)]
 pub struct DecodingMatrix {
     rows: Vec<(Vec<usize>, Vec<f64>)>,
-    workers: usize,
 }
 
 impl DecodingMatrix {
@@ -39,27 +38,12 @@ impl DecodingMatrix {
             rows.push((stragglers.to_vec(), a));
             Ok(())
         })?;
-        Ok(DecodingMatrix { rows, workers: m })
-    }
-
-    /// Number of rows `S = C(m, s)`.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if there are no rows (never for a valid build).
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        Ok(DecodingMatrix { rows })
     }
 
     /// Iterates over `(straggler_pattern, decode_row)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[usize], &[f64])> {
         self.rows.iter().map(|(p, a)| (p.as_slice(), a.as_slice()))
-    }
-
-    /// Number of workers `m`.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 }
 
@@ -97,7 +81,10 @@ mod tests {
 
     /// The dense decode row for a straggler pattern, through the plan cache.
     fn decode_for(codec: &CompiledCodec, stragglers: &[usize]) -> Result<Vec<f64>, CodingError> {
-        Ok(codec.decode_plan_for_stragglers(stragglers)?.to_dense())
+        let survivors: Vec<usize> = (0..GradientCodec::workers(codec))
+            .filter(|w| !stragglers.contains(w))
+            .collect();
+        Ok(codec.decode_plan(&survivors)?.to_dense())
     }
 
     #[test]
@@ -206,9 +193,7 @@ mod tests {
     fn decoding_matrix_has_binomial_rows() {
         let b = code();
         let a = DecodingMatrix::build(&b).unwrap();
-        assert_eq!(a.len(), 5); // C(5,1)
-        assert!(!a.is_empty());
-        assert_eq!(a.workers(), 5);
+        assert_eq!(a.iter().count(), 5); // C(5,1)
         for (pattern, row) in a.iter() {
             assert_eq!(pattern.len(), 1);
             check_decode(&b, row);

@@ -49,12 +49,11 @@ use crate::error::CodingError;
 /// let policy = EscalationPolicy::follow_backend()
 ///     .with_deadline(Duration::from_millis(250))
 ///     .with_max_residual(0.5);
-/// assert_eq!(policy.max_residual(), Some(0.5));
+/// assert_eq!(policy.deadline(), Some(Duration::from_millis(250)));
 ///
 /// // The default waits for every reachable worker and keeps the
 /// // codec's own budget.
 /// assert_eq!(EscalationPolicy::default().deadline(), None);
-/// assert_eq!(EscalationPolicy::default().max_residual(), None);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EscalationPolicy {
@@ -96,11 +95,6 @@ impl EscalationPolicy {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// The configured residual budget, if any.
-    pub fn max_residual(&self) -> Option<f64> {
-        self.max_residual
     }
 
     /// The configured escalation deadline, if any.
@@ -390,7 +384,7 @@ mod tests {
         let p = EscalationPolicy::follow_backend()
             .with_max_residual(1.5)
             .with_deadline(Duration::from_millis(250));
-        assert_eq!(p.max_residual(), Some(1.5));
+        assert_eq!(p.max_residual, Some(1.5));
         assert_eq!(p.deadline(), Some(Duration::from_millis(250)));
         assert_eq!(
             EscalationPolicy::default(),

@@ -309,7 +309,7 @@ impl GroupCodingMatrix {
     ///
     /// # Errors
     ///
-    /// Propagates the validation of [`crate::CompiledCodec::with_groups`]
+    /// Propagates the validation of `crate::CompiledCodec::with_groups`
     /// (never fails for a matrix built by Alg. 3).
     pub fn compile(&self) -> Result<crate::CompiledCodec, CodingError> {
         crate::CompiledCodec::new(self.code.clone()).with_groups(self.groups.clone())
@@ -343,7 +343,7 @@ impl GroupCodingMatrix {
 ///
 /// Propagates construction errors from Alg. 1 (see
 /// [`heter_aware_from_support`]).
-pub fn group_based_from_support<R: Rng + ?Sized>(
+pub(crate) fn group_based_from_support<R: Rng + ?Sized>(
     support: &SupportMatrix,
     config: GroupSearchConfig,
     rng: &mut R,

@@ -7,7 +7,7 @@
 //! * [`heter_aware`] / [`heter_aware_from_support`] — Algorithm 1: the
 //!   load-balanced, randomized coding construction that is optimal for
 //!   accurately-estimated heterogeneous clusters (Theorem 5).
-//! * [`group_based`] / [`group_based_from_support`] — Algorithms 2–3: the
+//! * [`group_based`] — Algorithms 2–3: the
 //!   variant that decodes from *groups* (disjoint exact covers) so noisy
 //!   throughput estimates don't force waiting for `m−s` workers.
 //! * [`cyclic`] — the heterogeneity-blind baseline of Tandon et al. \[12\].
@@ -19,7 +19,7 @@
 //! unified [`GradientCodec`] API ([`CompiledCodec`], [`CodecSession`],
 //! [`DecodePlan`] — see the [`codec`] module) — one compiled codec with
 //! two optional stages, an intact-group fast path
-//! ([`CompiledCodec::with_groups`]) and bounded-error decoding past the
+//! (`CompiledCodec::with_groups`) and bounded-error decoding past the
 //! straggler budget ([`CompiledCodec::with_approx`]), picked by name via
 //! [`CodecBackend::compile`] — and robustness verification
 //! ([`verify_condition_c1`]).
@@ -84,8 +84,7 @@ pub use error::CodingError;
 pub use escalation::{collect_round, EscalatingCodec, EscalationPolicy, RoundEnd};
 pub use fractional::fractional_repetition;
 pub use group::{
-    find_all_groups, group_based, group_based_from_support, prune_groups, Group, GroupCodingMatrix,
-    GroupSearchConfig,
+    find_all_groups, group_based, prune_groups, Group, GroupCodingMatrix, GroupSearchConfig,
 };
 pub use heter_aware::{heter_aware, heter_aware_from_support};
 /// The data-plane kernels encode and decode run on, re-exported so that
@@ -98,6 +97,4 @@ pub use shared_cache::{
 };
 pub use strategy::CodingMatrix;
 pub use support::SupportMatrix;
-pub use verify::{
-    decodable_prefix_len, is_robust_to, verify_condition_c1, verify_condition_c1_sampled,
-};
+pub use verify::{decodable_prefix_len, verify_condition_c1, verify_condition_c1_sampled};

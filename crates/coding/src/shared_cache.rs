@@ -156,7 +156,7 @@ impl SharedPlanCache {
     /// # Panics
     ///
     /// Panics if either is zero.
-    pub fn with_shape(shards: usize, per_shard_capacity: usize) -> Self {
+    pub(crate) fn with_shape(shards: usize, per_shard_capacity: usize) -> Self {
         assert!(shards > 0, "shared plan cache needs at least one shard");
         assert!(
             per_shard_capacity > 0,
@@ -196,26 +196,19 @@ impl SharedPlanCache {
         self.solves.load(Ordering::Relaxed)
     }
 
-    /// Plans currently resident across all shards.
-    pub fn cached_plans(&self) -> usize {
-        self.shard_occupancy().sum()
-    }
-
-    /// Plans resident in each shard, in shard order — the occupancy view
-    /// behind `hetgc_shared_cache_shard_plans{shard=...}`. A lopsided
-    /// sequence means the survivor-pattern hash is clumping and capacity
-    /// is effectively smaller than `shards × per_shard_capacity`.
-    fn shard_occupancy(&self) -> impl Iterator<Item = usize> + '_ {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").entries.len())
-    }
-
     /// Publishes the cache's live statistics into `registry` as gauges
     /// (hits, misses, solves, resident plans, and per-shard occupancy).
     /// Call it from a scrape refresh hook so `/metrics` reads are
     /// current.
     pub fn export_metrics(&self, registry: &hetgc_obs::MetricsRegistry) {
+        // Plans resident in each shard: a lopsided spread means the
+        // survivor-pattern hash is clumping and capacity is effectively
+        // smaller than `shards × per_shard_capacity`.
+        let occupancy: Vec<usize> = self
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned").entries.len())
+            .collect();
         registry
             .gauge(
                 "hetgc_shared_cache_hits",
@@ -243,15 +236,15 @@ impl SharedPlanCache {
                 "Decode plans resident across all shards",
                 &[],
             )
-            .set(self.cached_plans() as f64);
-        for (i, occupancy) in self.shard_occupancy().enumerate() {
+            .set(occupancy.iter().sum::<usize>() as f64);
+        for (i, &plans) in occupancy.iter().enumerate() {
             registry
                 .gauge(
                     "hetgc_shared_cache_shard_plans",
                     "Decode plans resident per shard",
                     &[("shard", &i.to_string())],
                 )
-                .set(occupancy as f64);
+                .set(plans as f64);
         }
     }
 
@@ -395,6 +388,17 @@ impl SharedPlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.solves.fetch_add(1, Ordering::Relaxed);
         self.insert(fingerprint, class, survivors, plan);
+    }
+}
+
+#[cfg(test)]
+impl SharedPlanCache {
+    /// Plans resident across all shards.
+    pub(crate) fn cached_plans(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned").entries.len())
+            .sum()
     }
 }
 

@@ -88,7 +88,7 @@ impl CodingMatrix {
     /// # Panics
     ///
     /// Panics if `w >= self.workers()`.
-    pub fn support_of(&self, w: usize) -> Vec<usize> {
+    pub(crate) fn support_of(&self, w: usize) -> Vec<usize> {
         vec_ops::support(self.b.row(w))
     }
 

@@ -169,15 +169,6 @@ impl SupportMatrix {
         &self.rows[w]
     }
 
-    /// Number of partitions held by worker `w` (`‖b_w‖₀ = n_w`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w >= self.workers()`.
-    pub fn load_of(&self, w: usize) -> usize {
-        self.rows[w].len()
-    }
-
     /// The sorted workers holding partition `p` (the replica set, always
     /// `s+1` long): a slice of the owner index built at construction, so
     /// `O(1)` with no allocation.
@@ -189,16 +180,6 @@ impl SupportMatrix {
         assert!(p < self.partitions, "partition {p} out of range");
         let r = self.stragglers + 1;
         &self.owners[p * r..(p + 1) * r]
-    }
-
-    /// Returns `true` if worker `w` holds partition `p`.
-    pub fn holds(&self, w: usize, p: usize) -> bool {
-        w < self.workers() && self.rows[w].binary_search(&p).is_ok()
-    }
-
-    /// Iterates over `(worker, partitions)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.rows.iter().enumerate().map(|(w, r)| (w, r.as_slice()))
     }
 }
 
@@ -277,10 +258,9 @@ mod tests {
     #[test]
     fn holds_and_load() {
         let s = example1_support();
-        assert!(s.holds(3, 6));
-        assert!(!s.holds(0, 6));
-        assert!(!s.holds(99, 0));
-        assert_eq!(s.load_of(3), 4);
+        assert!(s.partitions_of(3).contains(&6));
+        assert!(!s.partitions_of(0).contains(&6));
+        assert_eq!(s.partitions_of(3).len(), 4);
     }
 
     #[test]
@@ -349,13 +329,5 @@ mod tests {
         let out = format!("{s}");
         assert!(out.contains("supp(B2x2)"));
         assert!(out.contains('?'));
-    }
-
-    #[test]
-    fn iter_yields_all_workers() {
-        let s = example1_support();
-        let collected: Vec<_> = s.iter().collect();
-        assert_eq!(collected.len(), 5);
-        assert_eq!(collected[0].1, &[0]);
     }
 }

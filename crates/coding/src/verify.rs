@@ -16,7 +16,7 @@ use crate::strategy::{enumerate_subsets, CodingMatrix};
 
 /// Returns `true` if the gradient can be decoded when exactly the given
 /// workers straggle (are lost entirely — the paper's full-straggler model).
-pub fn is_robust_to(code: &CodingMatrix, stragglers: &[usize]) -> bool {
+pub(crate) fn is_robust_to(code: &CodingMatrix, stragglers: &[usize]) -> bool {
     let m = code.workers();
     if stragglers.iter().any(|&w| w >= m) {
         return false;

@@ -103,7 +103,7 @@ proptest! {
         for p in 0..k {
             prop_assert_eq!(support.owners_of(p).len(), s + 1);
         }
-        prop_assert_eq!(alloc.total(), k * (s + 1));
+        prop_assert_eq!(alloc.counts().iter().sum::<usize>(), k * (s + 1));
     }
 
     /// Every straggler pattern of size ≤ s yields an exact decode vector.

@@ -25,11 +25,6 @@ impl ErrorFeedback {
         }
     }
 
-    /// The accumulator's dimension.
-    pub fn dim(&self) -> usize {
-        self.residual.len()
-    }
-
     /// The carried residual, for [`AnyWireCodec::encode_feedback`] to
     /// fold into this round's coded partial and overwrite with what the
     /// round failed to ship. A chunked reply passes matching chunks.
@@ -42,12 +37,6 @@ impl ErrorFeedback {
     /// L2 norm of the carried residual (diagnostics).
     pub fn residual_norm(&self) -> f64 {
         self.residual.iter().map(|r| r * r).sum::<f64>().sqrt()
-    }
-
-    /// Clears the accumulator (e.g. when a link renegotiates to a
-    /// lossless encoding).
-    pub fn reset(&mut self) {
-        self.residual.iter_mut().for_each(|r| *r = 0.0);
     }
 }
 

@@ -19,7 +19,7 @@
 //! This module is the *timing-only comparison harness* over that
 //! subsystem: [`run_with_drift`] / [`compare_static_vs_adaptive`] drive a
 //! model-less [`SimBspEngine`] under `SimBspEngine::with_drift` through
-//! the unified [`drive_timing_with`] loop with
+//! the unified `drive_timing_with` loop with
 //! [`DriverConfig::adaptation`] wired to an [`AdaptiveConfig`]. (Give the
 //! same engine a model and the driver an optimizer and the same adaptation
 //! composes with *real SGD training* — see `tests/adaptation.rs` and the
@@ -93,7 +93,7 @@ impl AdaptiveConfig {
     /// (`None` when `reestimate_every == 0`: the static baseline).
     /// Deadline learning is off — the harness compares *re-coding*, so
     /// both runs keep the wait-for-everyone master.
-    pub fn adaptation(&self) -> Option<AdaptationConfig> {
+    pub(crate) fn adaptation(&self) -> Option<AdaptationConfig> {
         (self.reestimate_every > 0).then(|| AdaptationConfig {
             ewma_alpha: self.ewma_alpha,
             learn_deadline: false,
@@ -107,7 +107,7 @@ impl AdaptiveConfig {
 }
 
 /// Runs one policy over a drifting cluster through the unified
-/// [`drive_timing_with`] loop.
+/// `drive_timing_with` loop.
 ///
 /// `reestimate_every = 0` gives the static baseline: the scheme is built
 /// once from the *pre-drift* rates and never touched again.

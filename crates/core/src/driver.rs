@@ -784,7 +784,7 @@ fn round_step_scale(er: &EngineRound, gradient: &[f64], partitions: usize) -> f6
 /// # Errors
 ///
 /// Propagates engine errors.
-pub fn drive_timing<E: RoundEngine + ?Sized>(
+pub(crate) fn drive_timing<E: RoundEngine + ?Sized>(
     engine: &mut E,
     rounds: usize,
     rng: &mut dyn RngCore,
@@ -800,7 +800,7 @@ pub fn drive_timing<E: RoundEngine + ?Sized>(
 /// # Errors
 ///
 /// Propagates engine errors.
-pub fn drive_timing_with<E: RoundEngine + ?Sized>(
+pub(crate) fn drive_timing_with<E: RoundEngine + ?Sized>(
     engine: &mut E,
     rounds: usize,
     rng: &mut dyn RngCore,

@@ -194,7 +194,7 @@ pub fn residual_step_scale(
 /// with the decode term in the denominator. A lossless round
 /// (`wire_error ≤ 0`) is bitwise the old path — socket runs over `f64`
 /// links train byte-identically to before compression existed.
-pub fn combined_step_scale(
+pub(crate) fn combined_step_scale(
     residual: f64,
     error_bound: Option<f64>,
     wire_error: f64,
@@ -426,11 +426,6 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
     /// The escalation-wrapped codec this engine decodes with.
     pub fn codec(&self) -> &EscalatingCodec {
         &self.codec
-    }
-
-    /// How many times [`RoundEngine::recode`] installed a rebuilt code.
-    pub fn recodes(&self) -> usize {
-        self.recodes
     }
 }
 
@@ -992,9 +987,9 @@ mod tests {
             .recode(&noisy, &mut rng)
             .expect("decline, not abort");
         assert!(!applied, "unpartitionable rebuild must be declined");
-        assert_eq!((training.recodes(), training.partitions()), (0, 14));
+        assert_eq!((training.recodes, training.partitions()), (0, 14));
         assert!(timing.recode(&noisy, &mut rng).unwrap());
-        assert_eq!((timing.recodes(), timing.partitions()), (1, 24));
+        assert_eq!((timing.recodes, timing.partitions()), (1, 24));
         let params = model.init_params(&mut rng);
         let er = training.round(1, &params, &mut rng).unwrap();
         assert!(er.elapsed.is_some() && er.gradient.is_some());

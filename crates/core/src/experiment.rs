@@ -20,7 +20,7 @@ use crate::trainer::{LossCurve, SimTrainConfig};
 /// Timing-only run of one scheme: `iterations` rounds of a
 /// [`SimBspEngine`] with no model — the engine Fig. 4 trains on, so the
 /// time axis of Figs. 2, 3, 5 and of the loss curves is one round — through
-/// the unified [`drive_timing`] loop.
+/// the unified `drive_timing` loop.
 ///
 /// Decoding is always the exact backend: Figs. 2, 3, 5 give every scheme
 /// the same wait-for-any-decodable-set master, so a group-based round does

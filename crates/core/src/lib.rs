@@ -60,13 +60,10 @@ pub mod report;
 mod scheme;
 mod trainer;
 
-pub use driver::{
-    drive_timing, drive_timing_with, AdaptationReport, DriverConfig, RoundRecord, TrainDriver,
-    TrainOutcome,
-};
+pub use driver::{AdaptationReport, DriverConfig, RoundRecord, TrainDriver, TrainOutcome};
 pub use engine::{
-    combined_step_scale, residual_step_scale, ClusterEngine, EngineRound, PipelinedEngine,
-    RoundEngine, SimBspEngine, SimSspEngine, ThreadedEngine,
+    residual_step_scale, ClusterEngine, EngineRound, PipelinedEngine, RoundEngine, SimBspEngine,
+    SimSspEngine, ThreadedEngine,
 };
 pub use pipeline::PipelinedDriver;
 pub use report::parse_round_records;
@@ -81,11 +78,11 @@ pub use hetgc_cluster::{
 };
 pub use hetgc_coding::{
     approximate_decode, cyclic, decodable_prefix_len, fractional_repetition,
-    gradient_error_bound_l2, group_based, heter_aware, is_robust_to, naive,
-    suggest_partition_count, under_replicated, verify_condition_c1, verify_condition_c1_sampled,
-    Allocation, ApproximateDecode, BufferPool, CodecBackend, CodecSession, CodingError,
-    CodingMatrix, CompiledCodec, DecodePlan, DecodingMatrix, EscalatingCodec, EscalationPolicy,
-    GradientBlock, GradientCodec, Group, GroupCodingMatrix, GroupSearchConfig, SupportMatrix,
+    gradient_error_bound_l2, group_based, heter_aware, naive, suggest_partition_count,
+    under_replicated, verify_condition_c1, verify_condition_c1_sampled, Allocation,
+    ApproximateDecode, BufferPool, CodecBackend, CodecSession, CodingError, CodingMatrix,
+    CompiledCodec, DecodePlan, DecodingMatrix, EscalatingCodec, EscalationPolicy, GradientBlock,
+    GradientCodec, Group, GroupCodingMatrix, GroupSearchConfig, SupportMatrix,
 };
 pub use hetgc_ml::{
     partial_gradients, partial_gradients_into, synthetic, Dataset, FillPartial, LinearRegression,
@@ -97,7 +94,6 @@ pub use hetgc_sim::{
     IterationTrace, NetworkModel, RateDrift, ResourceUsage, SspEngine, SspEvent,
 };
 pub use hetgc_telemetry::{
-    Adaptation, AdaptationConfig, AdaptationDecision, DeadlineConfig, DeadlineController,
-    DriftConfig, DriftDetector, DriftEvent, DriftKind, QuantileWindow, RecodeConfig,
-    RecodeController, RoundSample, TelemetryHub,
+    Adaptation, AdaptationConfig, AdaptationDecision, DeadlineConfig, DriftConfig, DriftDetector,
+    DriftEvent, DriftKind, RecodeConfig, RecodeController, RoundSample, TelemetryHub,
 };

@@ -76,11 +76,6 @@ pub struct SchemeInstance {
 }
 
 impl SchemeInstance {
-    /// Number of partitions `k` this scheme divides the dataset into.
-    pub fn partitions(&self) -> usize {
-        self.code.partitions()
-    }
-
     /// Designed straggler tolerance (0 for naive).
     pub fn stragglers(&self) -> usize {
         self.code.stragglers()
@@ -285,7 +280,7 @@ mod tests {
         let b = SchemeBuilder::new(&cluster, 1);
         let scheme = b.build(SchemeKind::HeterAware, &mut rng(1)).unwrap();
         // The smallest integral k is 12, making n_i = vcpus/2 exactly.
-        assert_eq!(scheme.partitions(), 12);
+        assert_eq!(scheme.code.partitions(), 12);
         let vcpus: Vec<usize> = cluster
             .workers()
             .iter()
@@ -304,7 +299,7 @@ mod tests {
             .build(SchemeKind::Naive, &mut rng(2))
             .unwrap();
         assert_eq!(scheme.stragglers(), 0);
-        assert_eq!(scheme.partitions(), 8);
+        assert_eq!(scheme.code.partitions(), 8);
     }
 
     #[test]

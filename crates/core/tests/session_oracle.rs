@@ -125,8 +125,9 @@ impl DenseSession {
         }
         if let Some(p) = pivot {
             let inv = 1.0 / row[p];
-            kernels::scale(inv, &mut row);
-            kernels::scale(inv, &mut combo);
+            for v in row.iter_mut().chain(combo.iter_mut()) {
+                *v *= inv;
+            }
             row[p] = 1.0;
             let factor = self.target[p];
             if factor != 0.0 {
@@ -149,13 +150,14 @@ impl DenseSession {
     }
 }
 
-/// A plan's bits: workers, coefficient bit patterns, residual bits, `m`.
+/// A plan's bits: workers, coefficient bit patterns, residual bits, and
+/// the dense vector's length `m`.
 fn bits(plan: &DecodePlan) -> (Vec<usize>, Vec<u64>, u64, usize) {
     (
         plan.workers().to_vec(),
         plan.coefficients().iter().map(|c| c.to_bits()).collect(),
         plan.residual().to_bits(),
-        plan.total_workers(),
+        plan.to_dense().len(),
     )
 }
 

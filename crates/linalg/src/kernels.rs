@@ -10,9 +10,9 @@
 //! # Kernel contract
 //!
 //! * **Elementwise kernels are bitwise-identical to their scalar
-//!   definitions.** [`axpy`], [`axpy_rows`] (several `axpy`s in one
-//!   pass, applied in argument order) and [`scale`] perform exactly one
-//!   multiply and (for the `axpy`s) one add per element, in index order, with
+//!   definitions.** [`axpy`] and [`axpy_rows`] (several `axpy`s in one
+//!   pass, applied in argument order) perform exactly one multiply and
+//!   one add per element, in index order, with
 //!   **no zero-coefficient shortcut**: `0 · NaN` is NaN and `0 · ∞` is
 //!   NaN, and those propagate exactly as a scalar loop would propagate
 //!   them. (An earlier `axpy` returned early on `alpha == 0.0`,
@@ -151,21 +151,6 @@ fn fused_axpys<const K: usize, const ZEROED: bool>(alpha: [f64; K], x: [&[f64]; 
             acc += alpha[c] * x[c][i];
         }
         *yi = acc;
-    }
-}
-
-/// In-place scaling `x[i] *= alpha`, bitwise-identical to the scalar
-/// loop.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    let mut xc = x.chunks_exact_mut(LANES);
-    for xl in xc.by_ref() {
-        for xi in xl {
-            *xi *= alpha;
-        }
-    }
-    for xi in xc.into_remainder() {
-        *xi *= alpha;
     }
 }
 
@@ -601,9 +586,7 @@ mod tests {
 
     #[test]
     fn scale_and_norms() {
-        let mut x = vec![1.0_f64, -2.0, 3.0];
-        scale(-2.0, &mut x);
-        assert_eq!(x, vec![-2.0, 4.0, -6.0]);
+        let x = [-2.0_f64, 4.0, -6.0];
         assert_eq!(norm_inf(&x), 6.0);
         assert_eq!(norm_inf(&[]), 0.0);
         assert_eq!(dot(&[], &[]), 0.0);

@@ -11,13 +11,12 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra.
 //! * [`Lu`] — LU decomposition with partial pivoting ([`Matrix::lu`]),
-//!   powering [`Matrix::solve`], [`Matrix::inverse`] and
-//!   [`Matrix::determinant`].
+//!   powering [`Matrix::solve`] and [`Matrix::determinant`].
 //! * Rank and span utilities ([`Matrix::rank`], [`in_span`], [`solve_any`])
 //!   used by the Condition-C1 checker and the one-shot decode solve.
 //! * The chunked, auto-vectorizable data-plane kernels in [`kernels`] —
 //!   the per-round encode/decode hot loops.
-//! * Slice helpers in [`vec_ops`] (`supp(b)`, `ℓ₀`, `max_abs_diff`).
+//! * Slice helpers in [`vec_ops`] (`supp(b)`, `ℓ₀`).
 //!
 //! # Example
 //!

@@ -122,7 +122,7 @@ impl Lu {
             }
             let pivot = lu[(col, col)];
             if pivot.abs() < PIVOT_EPS {
-                // Leave the column as-is; solve()/inverse() will report the
+                // Leave the column as-is; solve() will report the
                 // singularity. Continuing lets determinant() return ~0.
                 continue;
             }
@@ -140,7 +140,7 @@ impl Lu {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.nrows()
     }
 
@@ -204,26 +204,6 @@ impl Lu {
         Ok(())
     }
 
-    /// Returns `A⁻¹` by solving against each basis vector.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::Singular`] if the matrix was singular.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
-    }
-
     /// Determinant: product of U's diagonal times the permutation sign.
     ///
     /// Returns a value near zero (not an error) for singular matrices.
@@ -279,14 +259,22 @@ mod tests {
             lu.solve(&[1.0, 1.0]),
             Err(LinalgError::Singular { .. })
         ));
-        assert!(matches!(lu.inverse(), Err(LinalgError::Singular { .. })));
         assert!(lu.determinant().abs() < 1e-9);
     }
 
     #[test]
     fn inverse_roundtrip() {
+        // Solving against each identity column builds `A⁻¹` column by column.
         let a = mat(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = a.inverse().unwrap();
+        let lu = a.lu().unwrap();
+        let mut inv = Matrix::zeros(2, 2);
+        for j in 0..2 {
+            let mut e = vec![0.0; 2];
+            e[j] = 1.0;
+            for (i, x) in lu.solve(&e).unwrap().into_iter().enumerate() {
+                inv[(i, j)] = x;
+            }
+        }
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.approx_eq(&Matrix::identity(2), 1e-12), "{prod:?}");
     }

@@ -118,7 +118,7 @@ impl Matrix {
     }
 
     /// Creates a 1-row matrix from a slice.
-    pub fn row_vector(v: &[f64]) -> Self {
+    pub(crate) fn row_vector(v: &[f64]) -> Self {
         Matrix {
             rows: 1,
             cols: v.len(),
@@ -142,7 +142,7 @@ impl Matrix {
     }
 
     /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -163,36 +163,6 @@ impl Matrix {
             self.rows
         );
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.nrows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(
-            i < self.rows,
-            "row index {i} out of bounds ({} rows)",
-            self.rows
-        );
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a fresh `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.ncols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "col index {j} out of bounds ({} cols)",
-            self.cols
-        );
-        (0..self.rows)
-            .map(|i| self.data[i * self.cols + j])
-            .collect()
     }
 
     /// Iterates over the rows as slices.
@@ -290,7 +260,7 @@ impl Matrix {
     }
 
     /// Elementwise scaling by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
+    pub(crate) fn scale(&self, s: f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -355,7 +325,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
+    pub(crate) fn vstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols != other.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "vstack",
@@ -421,15 +391,6 @@ impl Matrix {
     /// ```
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.lu()?.solve(b)
-    }
-
-    /// Returns the inverse of a square, non-singular matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.lu()?.inverse()
     }
 
     /// Determinant of a square matrix.
@@ -694,7 +655,6 @@ mod tests {
     fn row_col_access() {
         let a = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0), vec![1.0, 3.0]);
         let rows: Vec<&[f64]> = a.rows_iter().collect();
         assert_eq!(rows.len(), 2);
     }
@@ -702,8 +662,8 @@ mod tests {
     #[test]
     fn row_mut_updates() {
         let mut a = Matrix::zeros(2, 2);
-        a.row_mut(1)[0] = 9.0;
-        assert_eq!(a[(1, 0)], 9.0);
+        a[(1, 0)] = 9.0;
+        assert_eq!(a.row(1), &[9.0, 0.0]);
         a[(0, 1)] = 5.0;
         assert_eq!(a[(0, 1)], 5.0);
     }

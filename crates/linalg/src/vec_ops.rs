@@ -17,19 +17,6 @@ pub fn support(x: &[f64]) -> Vec<usize> {
         .collect()
 }
 
-/// Maximum absolute componentwise difference between two vectors.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "max_abs_diff: length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,11 +28,5 @@ mod tests {
         assert_eq!(support(&v), vec![1, 3]);
         assert_eq!(l0_norm(&[]), 0);
         assert!(support(&[0.0, 0.0]).is_empty());
-    }
-
-    #[test]
-    fn max_abs_diff_works() {
-        assert_eq!(max_abs_diff(&[1.0, 5.0], &[1.5, 4.0]), 1.0);
-        assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }
 }

@@ -62,9 +62,19 @@ proptest! {
         });
     }
 
+    /// Solving against every identity column through one LU builds a
+    /// matrix that inverts `a` from both sides.
     #[test]
     fn inverse_is_two_sided(a in dominant_square(5)) {
-        let inv = a.inverse().unwrap();
+        let lu = a.lu().unwrap();
+        let mut inv = Matrix::zeros(5, 5);
+        for j in 0..5 {
+            let mut e = vec![0.0; 5];
+            e[j] = 1.0;
+            for (i, x) in lu.solve(&e).unwrap().into_iter().enumerate() {
+                inv[(i, j)] = x;
+            }
+        }
         let left = inv.matmul(&a).unwrap();
         let right = a.matmul(&inv).unwrap();
         let id = Matrix::identity(5);
@@ -193,21 +203,6 @@ proptest! {
             }
             prop_assert!(bits_eq(&got, &want), "zeroed {zeroed}: {got:?} vs {want:?}");
         }
-    }
-
-    /// Same pin for `scale`: elementwise, so chunking is layout-only.
-    #[test]
-    fn chunked_scale_bitwise_equals_scalar(
-        alpha in wild_f64(),
-        x in prop::collection::vec(wild_f64(), 0..70),
-    ) {
-        let mut chunked = x.clone();
-        let mut scalar = x;
-        kernels::scale(alpha, &mut chunked);
-        for v in scalar.iter_mut() {
-            *v *= alpha;
-        }
-        prop_assert!(bits_eq(&chunked, &scalar));
     }
 
     /// The ordered multi-dot is bitwise-identical to one scalar

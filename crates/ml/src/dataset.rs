@@ -126,7 +126,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics for regression datasets or out-of-range `i`.
-    pub fn class_of(&self, i: usize) -> usize {
+    pub(crate) fn class_of(&self, i: usize) -> usize {
         match &self.targets {
             Targets::Classes { labels, .. } => labels[i],
             Targets::Regression(_) => panic!("dataset has regression targets, not classes"),

@@ -51,7 +51,7 @@ mod testing;
 pub use dataset::{Dataset, Targets};
 pub use gradient::{partial_gradients, partial_gradients_into};
 pub use linear::LinearRegression;
-pub use loss::{cross_entropy_from_logits, log_sum_exp, softmax_in_place};
+pub use loss::log_sum_exp;
 pub use mlp::Mlp;
 pub use model::{numeric_gradient, FillPartial, Model, PartialSink};
 pub use optimizer::{Optimizer, Sgd};

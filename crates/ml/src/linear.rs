@@ -46,11 +46,6 @@ impl LinearRegression {
         LinearRegression { dim }
     }
 
-    /// The feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The residuals `(wᵀx_i + b) − y_i` of every sample of `ranges`, in
     /// order, into `out`: [`kernels::CHAINS`] predictions side by side,
     /// each its own left-to-right fold, the chains running on across
@@ -401,7 +396,7 @@ mod tests {
     #[test]
     fn accessors() {
         let m = LinearRegression::new(4);
-        assert_eq!(m.dim(), 4);
+        assert_eq!(m.dim, 4);
         assert_eq!(m.num_params(), 5);
     }
 }

@@ -45,16 +45,6 @@ impl SoftmaxRegression {
         SoftmaxRegression { dim, classes }
     }
 
-    /// The feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// `z_c = w_cᵀx + b_c`: the classes are independent folds over the
     /// features, run [`kernels::CHAINS`] side by side.
     fn logits(&self, params: &[f64], x: &[f64], out: &mut Vec<f64>) {
@@ -261,8 +251,8 @@ mod tests {
     #[test]
     fn accessors() {
         let m = SoftmaxRegression::new(4, 10);
-        assert_eq!(m.dim(), 4);
-        assert_eq!(m.classes(), 10);
+        assert_eq!(m.dim, 4);
+        assert_eq!(m.classes, 10);
         assert_eq!(m.num_params(), 50);
     }
 

@@ -16,7 +16,7 @@ pub fn log_sum_exp(x: &[f64]) -> f64 {
 }
 
 /// Converts logits to probabilities in place (stable softmax).
-pub fn softmax_in_place(logits: &mut [f64]) {
+pub(crate) fn softmax_in_place(logits: &mut [f64]) {
     let lse = log_sum_exp(logits);
     for l in logits.iter_mut() {
         *l = (*l - lse).exp();
@@ -29,7 +29,7 @@ pub fn softmax_in_place(logits: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if `label >= logits.len()`.
-pub fn cross_entropy_from_logits(logits: &[f64], label: usize) -> f64 {
+pub(crate) fn cross_entropy_from_logits(logits: &[f64], label: usize) -> f64 {
     assert!(label < logits.len(), "label {label} out of range");
     log_sum_exp(logits) - logits[label]
 }

@@ -63,11 +63,6 @@ impl Mlp {
         self.hidden
     }
 
-    /// The number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     fn w1(&self) -> usize {
         0
     }
@@ -292,9 +287,9 @@ mod tests {
     fn param_count() {
         let m = Mlp::new(10, 7, 3);
         assert_eq!(m.num_params(), 7 * 10 + 7 + 3 * 7 + 3);
-        assert_eq!(m.dim(), 10);
+        assert_eq!(m.dim, 10);
         assert_eq!(m.hidden(), 7);
-        assert_eq!(m.classes(), 3);
+        assert_eq!(m.classes, 3);
     }
 
     #[test]

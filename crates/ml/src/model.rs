@@ -20,7 +20,7 @@ pub enum PartialSink<'s> {
     /// `kernels::axpy(coef, g, acc)`: a worker's coded gradient, or the
     /// simulator's decoded one (`coef = (aᵀB)_j`). A model
     /// that forms `g` in one pass over the coordinates adds it here in
-    /// that pass; otherwise [`PartialSink::write_with`] writes `g` into
+    /// that pass; otherwise `PartialSink::write_with` writes `g` into
     /// `scratch` (same length as `acc`, contents ignored) first.
     Fold {
         /// The range's coefficient in the worker's row of `B`.
@@ -37,7 +37,7 @@ impl PartialSink<'_> {
     /// into `out`, or into `scratch` and then `axpy` into `acc`. The
     /// unfused path — the trait's default, and a model's fallback for
     /// ranges it cannot fold in one pass.
-    pub fn write_with(self, write: impl FnOnce(&mut [f64])) {
+    pub(crate) fn write_with(self, write: impl FnOnce(&mut [f64])) {
         match self {
             PartialSink::Write(out) => write(out),
             PartialSink::Fold { coef, acc, scratch } => {
@@ -149,7 +149,7 @@ pub trait Model {
     /// a coded gradient to fold it into.
     ///
     /// The default computes each range on its own, unfused
-    /// ([`PartialSink::write_with`]). A model overrides it when work can
+    /// (`PartialSink::write_with`). A model overrides it when work can
     /// be shared *across* ranges — with one sample per partition (`n = k`)
     /// a range alone has no second fold to interleave with, so
     /// `LinearRegression` predicts all the ranges' samples together first

@@ -509,11 +509,6 @@ where
         self.transport().traffic().0
     }
 
-    /// Total real bytes read from worker sockets since start.
-    pub fn bytes_received(&self) -> u64 {
-        self.transport().traffic().1
-    }
-
     /// Per physical link negotiated payload encoding, in accept order —
     /// the outcome of the `Hello` capability negotiation. A link shows
     /// [`PayloadEncoding::F64`] either because no compression was

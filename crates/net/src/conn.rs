@@ -3,7 +3,7 @@
 //!
 //! A [`Connection`] owns one persistent receive buffer with a consumed
 //! cursor: the socket is read straight into the buffer's tail and frames
-//! are parsed where they landed ([`Connection::recv_ref`] hands out a
+//! are parsed where they landed (`Connection::recv_ref` hands out a
 //! [`FrameRef`] borrowing it), so a payload is touched once between the
 //! kernel and whoever consumes it. A read that returns mid-frame (short
 //! read, timeout, nonblocking probe) never corrupts framing: the partial
@@ -46,14 +46,14 @@ pub struct Connection {
 
 impl Connection {
     /// Wraps an accepted/connected stream with fresh byte counters.
-    pub fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         Self::with_counters(stream, Arc::default(), Arc::default())
     }
 
     /// Wraps a stream, accounting traffic into the given shared counters
     /// — how a master aggregates all worker links into one pair of
     /// totals.
-    pub fn with_counters(
+    pub(crate) fn with_counters(
         stream: TcpStream,
         sent: Arc<AtomicU64>,
         received: Arc<AtomicU64>,
@@ -82,24 +82,14 @@ impl Connection {
     /// # Errors
     ///
     /// Propagates connect failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
+    pub(crate) fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
         Ok(Self::new(TcpStream::connect(addr)?))
     }
 
     /// The underlying stream (for `try_clone` and shutdown; receives set
     /// the read timeout themselves).
-    pub fn stream(&self) -> &TcpStream {
+    pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
-    }
-
-    /// Total bytes written so far (into the shared counter).
-    pub fn bytes_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes read so far (into the shared counter).
-    pub fn bytes_received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
     }
 
     /// Encodes and writes one frame.
@@ -108,7 +98,7 @@ impl Connection {
     ///
     /// Propagates write failures (a dead peer surfaces here as
     /// [`NetError::Io`]).
-    pub fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
         self.send_encoded(&frame.encode())
     }
 
@@ -118,7 +108,7 @@ impl Connection {
     /// # Errors
     ///
     /// As for [`Connection::send`].
-    pub fn send_encoded(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+    pub(crate) fn send_encoded(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.stream.write_all(bytes)?;
         self.sent.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -130,7 +120,7 @@ impl Connection {
     ///
     /// [`NetError::Closed`] on EOF, [`NetError::Wire`] on protocol
     /// violations, [`NetError::Io`] on transport failures.
-    pub fn recv(&mut self) -> Result<Frame, NetError> {
+    pub(crate) fn recv(&mut self) -> Result<Frame, NetError> {
         self.recv_deadline(None)
     }
 
@@ -141,7 +131,7 @@ impl Connection {
     /// # Errors
     ///
     /// As for [`Connection::recv`].
-    pub fn recv_ref(&mut self) -> Result<FrameRef<'_>, NetError> {
+    pub(crate) fn recv_ref(&mut self) -> Result<FrameRef<'_>, NetError> {
         let len = self.await_frame(None)?;
         self.take_frame(len)
     }
@@ -154,30 +144,21 @@ impl Connection {
     /// # Errors
     ///
     /// As for [`Connection::recv`], plus [`NetError::Timeout`].
-    pub fn recv_deadline(&mut self, deadline: Option<Duration>) -> Result<Frame, NetError> {
+    pub(crate) fn recv_deadline(&mut self, deadline: Option<Duration>) -> Result<Frame, NetError> {
         let len = self.await_frame(deadline)?;
         self.take_frame(len).map(FrameRef::into_owned)
     }
 
-    /// Nonblocking probe: returns a complete frame if one is available
-    /// (buffered or readable right now), `None` otherwise.
+    /// Nonblocking probe: a complete frame if one is available (buffered
+    /// or readable right now), `None` otherwise, borrowing the receive
+    /// buffer like `Connection::recv_ref`. Used by the worker's
+    /// fast-forward drain — catch up to the newest round instead of
+    /// replaying rounds the master already decoded without it.
     ///
     /// # Errors
     ///
     /// As for [`Connection::recv`]; `None` is *not* an error.
-    pub fn try_recv(&mut self) -> Result<Option<Frame>, NetError> {
-        Ok(self.try_recv_ref()?.map(FrameRef::into_owned))
-    }
-
-    /// [`Connection::try_recv`] without the copy (see
-    /// [`Connection::recv_ref`]). Used by the worker's fast-forward
-    /// drain — catch up to the newest round instead of replaying rounds
-    /// the master already decoded without it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Connection::try_recv`].
-    pub fn try_recv_ref(&mut self) -> Result<Option<FrameRef<'_>>, NetError> {
+    pub(crate) fn try_recv_ref(&mut self) -> Result<Option<FrameRef<'_>>, NetError> {
         match self.poll_frame()? {
             Some(len) => self.take_frame(len).map(Some),
             None => Ok(None),
@@ -337,12 +318,17 @@ mod tests {
         }
     }
 
+    /// The next complete frame if one is available right now, owned.
+    fn try_recv(conn: &mut Connection) -> Result<Option<Frame>, NetError> {
+        Ok(conn.try_recv_ref()?.map(FrameRef::into_owned))
+    }
+
     /// Polls `try_recv` until it yields a frame (loopback delivery is
     /// prompt, not instantaneous).
     fn try_recv_soon(conn: &mut Connection) -> Frame {
         let started = Instant::now();
         loop {
-            if let Some(frame) = conn.try_recv().expect("healthy stream") {
+            if let Some(frame) = try_recv(conn).expect("healthy stream") {
                 return frame;
             }
             assert!(
@@ -362,7 +348,7 @@ mod tests {
             let mut got = Vec::new();
             for piece in head.chunks(step) {
                 peer.write_all(piece).expect("dribble");
-                while let Some(frame) = conn.try_recv().expect("healthy stream") {
+                while let Some(frame) = try_recv(&mut conn).expect("healthy stream") {
                     got.push(frame);
                 }
             }
@@ -370,7 +356,7 @@ mod tests {
                 got.push(try_recv_soon(&mut conn));
             }
             assert_eq!(got, frames[..2], "step {step}");
-            assert!(conn.try_recv().expect("healthy stream").is_none());
+            assert!(try_recv(&mut conn).expect("healthy stream").is_none());
             dribble(&mut peer, &rest, step);
             assert_eq!(try_recv_soon(&mut conn), frames[2], "step {step}");
         }

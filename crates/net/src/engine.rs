@@ -35,11 +35,6 @@ impl<M> SocketEngine<M> {
         SocketEngine(ClusterEngine::over(cluster, "socket"))
     }
 
-    /// Overrides the curve label (default `"socket"`).
-    pub fn with_label(self, label: impl Into<String>) -> Self {
-        SocketEngine(self.0.with_label(label))
-    }
-
     /// Enables live re-coding: on [`RoundEngine::recode`] the engine
     /// rebuilds a `kind` scheme tolerating `stragglers` stragglers from
     /// the fresh estimates of the **surviving** workers and re-rows the

@@ -44,8 +44,8 @@
 //!   the buffer that consumes them); every validation — oversize and
 //!   count-vs-remaining before any allocation, trailing bytes, unknown
 //!   tag/encoding, presence bytes — lives there and nowhere else.
-//! * writing: [`append_round`], [`append_gradient_chunk`] and
-//!   [`append_encoded_chunk`] serialize straight from the `&[f64]` /
+//! * writing: `append_round`, [`append_gradient_chunk`] and
+//!   `append_encoded_chunk` serialize straight from the `&[f64]` /
 //!   `&[u8]` that produced the payload into a caller-held buffer, with
 //!   an exact `reserve` and a bulk little-endian conversion.
 //!   [`Frame::append_to`] is the one writer: its bulk arms *are* those
@@ -237,7 +237,7 @@ impl F64Le<'_> {
     }
 
     /// The elements as an owned vector.
-    pub fn to_vec(&self) -> Vec<f64> {
+    pub(crate) fn to_vec(self) -> Vec<f64> {
         self.0.chunks_exact(8).map(le_f64).collect()
     }
 }
@@ -544,7 +544,7 @@ impl Frame {
 
 /// Appends a [`Frame::Round`] serialized straight from the caller's
 /// parameter slice.
-pub fn append_round(out: &mut Vec<u8>, seq: u64, params: &[f64]) {
+pub(crate) fn append_round(out: &mut Vec<u8>, seq: u64, params: &[f64]) {
     let payload_len = ROUND_FIXED_LEN + 8 * params.len();
     put_frame(out, TAG_ROUND, payload_len, |out| {
         put_u64(out, seq);
@@ -573,7 +573,7 @@ pub fn append_gradient_chunk(
 }
 
 /// Appends a [`Frame::EncodedChunk`] around the wire codec's bytes.
-pub fn append_encoded_chunk(
+pub(crate) fn append_encoded_chunk(
     out: &mut Vec<u8>,
     seq: u64,
     worker: u32,

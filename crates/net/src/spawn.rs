@@ -55,16 +55,6 @@ impl WorkerFleet {
         Ok(())
     }
 
-    /// Number of workers originally spawned.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
     /// Fault injection: kill worker `i` (spawn order) with SIGKILL — a
     /// fail-stop crash, no goodbye frame. Idempotent; reaps the child so
     /// it does not linger as a zombie.

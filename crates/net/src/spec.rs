@@ -73,7 +73,7 @@ impl From<&WorkerBehavior> for BehaviorSpec {
 
 impl BehaviorSpec {
     /// Reconstructs the runtime behaviour on the worker side.
-    pub fn to_behavior(&self) -> WorkerBehavior {
+    pub(crate) fn to_behavior(&self) -> WorkerBehavior {
         WorkerBehavior {
             extra_delay: Duration::from_micros(self.extra_delay_micros),
             throttle_samples_per_sec: self.throttle,
@@ -109,7 +109,7 @@ impl ModelSpec {
     /// 0, fewer than two classes) or the model does not fit `data`
     /// (another feature dimension, other targets) — what the model's
     /// constructor and kernels would otherwise panic on.
-    pub fn build(&self, data: &Dataset) -> Result<AnyModel, String> {
+    pub(crate) fn build(&self, data: &Dataset) -> Result<AnyModel, String> {
         let (dim, classes) = match *self {
             ModelSpec::Linear { dim } => (dim as usize, None),
             ModelSpec::Softmax { dim, classes } => (dim as usize, Some(classes as usize)),
@@ -225,7 +225,7 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// Snapshots an in-memory dataset for the wire.
-    pub fn from_dataset(data: &Dataset) -> Self {
+    pub(crate) fn from_dataset(data: &Dataset) -> Self {
         let mut x = Vec::with_capacity(data.len() * data.dim());
         for i in 0..data.len() {
             x.extend_from_slice(data.features_of(i));
@@ -253,7 +253,7 @@ impl DatasetSpec {
     ///
     /// A human-readable message when the shapes are inconsistent (the
     /// wire decoder validates syntax, this validates semantics).
-    pub fn into_dataset(self) -> Result<Dataset, String> {
+    pub(crate) fn into_dataset(self) -> Result<Dataset, String> {
         let dim = self.dim as usize;
         if dim == 0 || !self.x.len().is_multiple_of(dim) {
             return Err(format!(

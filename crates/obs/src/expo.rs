@@ -83,7 +83,7 @@ fn labels_text_with(labels: &[(String, String)], extra_key: &str, extra_val: &st
 
 /// Renders a snapshot as Prometheus text exposition. Histograms emit
 /// cumulative `_bucket{le=...}` series over the shared
-/// [`bucket_bounds`] layout plus `_sum` and `_count`.
+/// `bucket_bounds` layout plus `_sum` and `_count`.
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for fam in &snapshot.families {

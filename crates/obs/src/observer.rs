@@ -124,12 +124,6 @@ impl RunObserver {
             h.observe(seconds);
         }
     }
-
-    /// The number of workers this observer registered arrival series
-    /// for.
-    pub fn workers(&self) -> usize {
-        self.arrivals.len()
-    }
 }
 
 /// Metric handles for one codec's decode-plan cache, labelled by the

@@ -22,7 +22,7 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// The shared bucket upper bounds: `1e-6 · 2^i` seconds for the first
 /// 39 buckets (1 µs up to ~76 hours), then `+Inf`.
-pub fn bucket_bounds() -> [f64; HISTOGRAM_BUCKETS] {
+pub(crate) fn bucket_bounds() -> [f64; HISTOGRAM_BUCKETS] {
     let mut bounds = [0.0; HISTOGRAM_BUCKETS];
     let mut b = 1e-6;
     for slot in bounds.iter_mut().take(HISTOGRAM_BUCKETS - 1) {
@@ -81,11 +81,6 @@ impl Counter {
             self.cell.value.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.cell.value.load(Ordering::Relaxed)
-    }
 }
 
 /// A last-write-wins gauge handle. Clones share the cell.
@@ -103,14 +98,9 @@ impl Gauge {
             self.cell.bits.store(v.to_bits(), Ordering::Relaxed);
         }
     }
-
-    /// The current value.
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.cell.bits.load(Ordering::Relaxed))
-    }
 }
 
-/// A log-scale histogram handle over the shared [`bucket_bounds`]
+/// A log-scale histogram handle over the shared `bucket_bounds`
 /// layout. Clones share the cell.
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -149,11 +139,6 @@ impl Histogram {
         }
     }
 
-    /// The number of observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the cell.
     pub fn snapshot(&self) -> HistogramSnapshot {
         snapshot_histogram(&self.cell)
@@ -185,7 +170,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The Prometheus `# TYPE` keyword.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -243,7 +228,7 @@ impl MetricsRegistry {
     }
 
     /// A registry whose handles record nothing until
-    /// [`set_enabled`](MetricsRegistry::set_enabled)`(true)` — handy for
+    /// `set_enabled(true)` — handy for
     /// measuring the disabled-path cost.
     pub fn disabled() -> Self {
         let r = MetricsRegistry::new();
@@ -253,13 +238,8 @@ impl MetricsRegistry {
 
     /// Turns recording on or off for every handle this registry has
     /// issued (one shared flag; takes effect immediately).
-    pub fn set_enabled(&self, enabled: bool) {
+    pub(crate) fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether handles currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Registers (or finds) a counter series. Re-registering the same
@@ -383,7 +363,7 @@ fn clone_cell(cell: &Cell) -> Cell {
 }
 
 /// A point-in-time histogram: per-bucket (non-cumulative) counts over
-/// [`bucket_bounds`], the observation count, and the running sum.
+/// `bucket_bounds`, the observation count, and the running sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Non-cumulative per-bucket counts, `HISTOGRAM_BUCKETS` long.
@@ -395,15 +375,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty histogram.
-    pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
     /// Folds `other` into `self`: element-wise bucket addition, count and
     /// sum addition. Lossless and order-independent (up to float
     /// summation order in `sum`).
@@ -520,20 +491,28 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    fn counter_value(c: &Counter) -> u64 {
+        c.cell.value.load(Ordering::Relaxed)
+    }
+
+    fn gauge_value(g: &Gauge) -> f64 {
+        f64::from_bits(g.cell.bits.load(Ordering::Relaxed))
+    }
+
     #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("hits_total", "hits", &[("job", "a")]);
         c.inc();
         c.add(4);
-        assert_eq!(c.value(), 5);
+        assert_eq!(counter_value(&c), 5);
         // Re-registration shares the cell.
         let c2 = reg.counter("hits_total", "hits", &[("job", "a")]);
         c2.inc();
-        assert_eq!(c.value(), 6);
+        assert_eq!(counter_value(&c), 6);
         let g = reg.gauge("depth", "queue depth", &[]);
         g.set(3.5);
-        assert_eq!(g.value(), 3.5);
+        assert_eq!(gauge_value(&g), 3.5);
     }
 
     #[test]
@@ -543,13 +522,13 @@ mod tests {
         let h = reg.histogram("h", "h", &[]);
         c.inc();
         h.observe(1.0);
-        assert_eq!(c.value(), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(counter_value(&c), 0);
+        assert_eq!(h.snapshot().count, 0);
         reg.set_enabled(true);
         c.inc();
         h.observe(1.0);
-        assert_eq!(c.value(), 1);
-        assert_eq!(h.count(), 1);
+        assert_eq!(counter_value(&c), 1);
+        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]

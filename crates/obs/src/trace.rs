@@ -130,7 +130,7 @@ impl Recorder {
     }
 
     /// Whether spans are currently recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
@@ -215,7 +215,7 @@ impl Recorder {
     /// `traceEvents` object format): duration events (`"ph":"X"`) for
     /// spans, instant events (`"ph":"i"`) for zero-duration marks.
     /// Timestamps and durations are microseconds, per the format.
-    pub fn export_chrome_trace(&self) -> String {
+    pub(crate) fn export_chrome_trace(&self) -> String {
         let events = self.events();
         let mut out = String::with_capacity(64 + events.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");

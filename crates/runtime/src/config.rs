@@ -109,7 +109,7 @@ impl WorkerBehavior {
 
     /// The throttle in force at iteration `iter` (1-based): the stepped
     /// rate once `throttle_step` has kicked in, the base throttle before.
-    pub fn throttle_at(&self, iter: usize) -> Option<f64> {
+    pub(crate) fn throttle_at(&self, iter: usize) -> Option<f64> {
         match self.throttle_step {
             Some((at, rate)) if iter >= at => Some(rate),
             _ => self.throttle_samples_per_sec,

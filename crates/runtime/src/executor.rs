@@ -137,8 +137,7 @@ impl Drop for ChannelTransport {
 /// A running coded worker pool: one OS thread per worker under a
 /// [`Master`], which it derefs to — [`Master::round`] runs one broadcast
 /// → collect → decode/escalate → combine cycle. Spawned by
-/// [`ThreadedCluster::start`]; threads are shut down and joined on drop
-/// (or explicitly via [`ThreadedCluster::shutdown`]).
+/// [`ThreadedCluster::start`]; threads are shut down and joined on drop.
 #[derive(Debug)]
 pub struct ThreadedCluster<M>(Master<M, ChannelTransport>)
 where
@@ -178,10 +177,6 @@ where
             codec, model, data, config, transport,
         )))
     }
-
-    /// Shuts the worker threads down and joins them. Equivalent to
-    /// dropping the cluster, but explicit.
-    pub fn shutdown(self) {}
 }
 
 impl<M> Deref for ThreadedCluster<M>
@@ -323,7 +318,7 @@ mod tests {
         for (g, d) in decoded(&round).iter().zip(&direct) {
             assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
         }
-        cluster.shutdown();
+        drop(cluster);
     }
 
     #[test]
@@ -446,7 +441,7 @@ mod tests {
                 "decode wrong after recode: {g} vs {d}"
             );
         }
-        cluster.shutdown();
+        drop(cluster);
     }
 
     /// Four equal rows (`s = 1`) whose worker 0 waits `delay` after every

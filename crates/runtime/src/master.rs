@@ -266,11 +266,6 @@ impl<M: Model, T: Transport> Master<M, T> {
         &self.model
     }
 
-    /// The training data.
-    pub fn data(&self) -> &Arc<Dataset> {
-        &self.data
-    }
-
     /// The worker pool's transport.
     pub fn transport(&self) -> &T {
         &self.transport
@@ -506,6 +501,14 @@ impl<M: Model, T: Transport> Master<M, T> {
             bytes_saved: serialized.map(|&b| full_width.saturating_sub(b)).sum(),
             stop: false,
         })
+    }
+}
+
+#[cfg(test)]
+impl<M: Model, T: Transport> Master<M, T> {
+    /// The training data the master evaluates against.
+    pub(crate) fn data(&self) -> &Arc<Dataset> {
+        &self.data
     }
 }
 

@@ -41,12 +41,10 @@ struct PoolInner {
 /// ```
 /// use hetgc_sched::SharedWorkerPool;
 ///
+/// // Four workers, at most two jobs training on them at once.
 /// let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0]).with_max_concurrent(2);
-/// let first = pool.lease();
-/// let second = pool.lease();
-/// assert_eq!(pool.peak_active(), 2);
-/// drop((first, second)); // a third `lease()` would have blocked until here
-/// assert_eq!(pool.admitted(), 2);
+/// let handle = pool.clone(); // every clone sees the same admission count
+/// assert_eq!(handle.admitted(), 0); // nothing leased until a job runs
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedWorkerPool {
@@ -101,7 +99,7 @@ impl SharedWorkerPool {
     }
 
     /// Caps how many jobs hold leases at once; further
-    /// [`SharedWorkerPool::lease`] calls block until a slot frees.
+    /// `SharedWorkerPool::lease` calls block until a slot frees.
     ///
     /// # Panics
     ///
@@ -116,25 +114,25 @@ impl SharedWorkerPool {
     }
 
     /// The per-worker throughputs every tenant allocates against.
-    pub fn base_rates(&self) -> &[f64] {
+    pub(crate) fn base_rates(&self) -> &[f64] {
         &self.inner.base_rates
     }
 
     /// The per-worker behaviours tenant clusters run under.
-    pub fn behaviors(&self) -> &[WorkerBehavior] {
+    pub(crate) fn behaviors(&self) -> &[WorkerBehavior] {
         &self.inner.behaviors
     }
 
     /// The fleet-wide decode-plan cache every tenant's codec attaches to
     /// (see [`hetgc_runtime::RuntimeConfig::shared_plans`]).
-    pub fn shared_plans(&self) -> Arc<SharedPlanCache> {
+    pub(crate) fn shared_plans(&self) -> Arc<SharedPlanCache> {
         Arc::clone(&self.inner.shared_plans)
     }
 
     /// The most jobs that held leases at once since the pool was built
     /// or a scheduler batch last started — the proof of actual
     /// concurrency a scheduler bench reports.
-    pub fn peak_active(&self) -> usize {
+    pub(crate) fn peak_active(&self) -> usize {
         self.inner.ledger.lock().expect("pool poisoned").peak_active
     }
 
@@ -153,7 +151,7 @@ impl SharedWorkerPool {
     /// Admits one job, blocking while
     /// [`SharedWorkerPool::with_max_concurrent`] jobs already hold
     /// leases. The returned lease releases its slot on drop.
-    pub fn lease(&self) -> PoolLease {
+    pub(crate) fn lease(&self) -> PoolLease {
         let mut ledger = self.inner.ledger.lock().expect("pool poisoned");
         while ledger.active >= self.inner.max_concurrent {
             ledger = self.inner.freed.wait(ledger).expect("pool poisoned");

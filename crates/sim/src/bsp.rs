@@ -272,7 +272,7 @@ pub fn simulate_bsp_iteration_in<C: GradientCodec + ?Sized, R: Rng + ?Sized>(
             }
         })
         .collect();
-    arrivals.sort_by(|a, b| a.arrive.partial_cmp(&b.arrive).expect("no NaN times"));
+    arrivals.sort_by(|a, b| a.arrive.total_cmp(&b.arrive));
 
     // The simulator's clock: the reachable results in time order, ending
     // at the deadline.

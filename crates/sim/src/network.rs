@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use hetgc_sim::NetworkModel;
 ///
-/// let net = NetworkModel::new(0.001, 1e9); // 1 ms, 1 GB/s
-/// assert!((net.transfer_time(4e6) - 0.005).abs() < 1e-12); // 4 MB → 5 ms
+/// let net = NetworkModel::lan(); // 0.5 ms, 1.25e8 B/s
+/// assert!((net.transfer_time(4e6) - 0.0325).abs() < 1e-12); // 4 MB → 32.5 ms
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkModel {
@@ -35,7 +35,7 @@ impl NetworkModel {
     /// # Panics
     ///
     /// Panics if `latency < 0` or `bandwidth <= 0`.
-    pub fn new(latency: f64, bandwidth: f64) -> Self {
+    pub(crate) fn new(latency: f64, bandwidth: f64) -> Self {
         assert!(
             latency >= 0.0 && latency.is_finite(),
             "latency must be non-negative"
@@ -62,11 +62,6 @@ impl NetworkModel {
         NetworkModel::new(5e-4, 1.25e8)
     }
 
-    /// One-way latency in seconds.
-    pub fn latency(&self) -> f64 {
-        self.latency
-    }
-
     /// Time (seconds) to deliver a message of `bytes` bytes.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.bandwidth
@@ -88,7 +83,7 @@ mod tests {
     fn transfer_time_formula() {
         let n = NetworkModel::new(0.01, 100.0);
         assert!((n.transfer_time(50.0) - 0.51).abs() < 1e-12);
-        assert_eq!(n.latency(), 0.01);
+        assert_eq!(n.latency, 0.01);
     }
 
     #[test]

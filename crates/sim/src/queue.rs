@@ -52,8 +52,7 @@ impl<T> Ord for Entry<T> {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other
             .time
-            .partial_cmp(&self.time)
-            .expect("NaN rejected at push")
+            .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -87,16 +86,6 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| (e.time, e.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -132,11 +121,11 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         assert_eq!(q.pop(), None);
         q.push(5.0, ());
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 1);
+        assert!(!q.heap.is_empty());
         assert_eq!(q.pop(), Some((5.0, ())));
     }
 
@@ -158,6 +147,6 @@ mod tests {
     #[test]
     fn default_is_empty() {
         let q: EventQueue<u8> = EventQueue::default();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 }

@@ -97,13 +97,8 @@ impl SspEngine {
     }
 
     /// Number of workers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.iter_times.len()
-    }
-
-    /// The staleness bound.
-    pub fn staleness(&self) -> usize {
-        self.staleness
     }
 
     /// Completed iteration counts per worker.
@@ -256,7 +251,7 @@ mod tests {
     fn accessors() {
         let ssp = SspEngine::new(vec![1.0, 2.0], 4).unwrap();
         assert_eq!(ssp.workers(), 2);
-        assert_eq!(ssp.staleness(), 4);
+        assert_eq!(ssp.staleness, 4);
         assert_eq!(ssp.progress(), &[0, 0]);
     }
 

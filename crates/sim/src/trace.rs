@@ -116,7 +116,7 @@ impl<'a> IterationTrace<'a> {
         for (at, note) in &self.notes {
             events.push((*at, format!("t={at:<8.3} {note}")));
         }
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite event times"));
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
         for (_, line) in &events {
             let _ = writeln!(out, "{line}");
         }
@@ -193,6 +193,20 @@ mod tests {
         }
         assert!(trace.contains("DECODE"));
         assert!(trace.contains("round starts"));
+    }
+
+    #[test]
+    fn nan_note_renders() {
+        // A caller's note at a NaN time still renders (after every finite
+        // event) instead of panicking the sort.
+        let it = iteration(None);
+        let trace = IterationTrace::new(&it)
+            .with_note(f64::NAN, "unknown instant")
+            .with_note(0.5, "half a second in")
+            .render();
+        assert!(trace.contains("unknown instant"));
+        assert!(trace.contains("half a second in"));
+        assert!(trace.contains("DECODE"));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Adaptation {
 
     /// Fresh per-worker throughput estimates, falling back to
     /// `fallback[w]` for workers never observed (see
-    /// [`TelemetryHub::estimates_or`]).
+    /// `TelemetryHub::estimates_or`).
     pub fn estimates_or(&self, fallback: &[f64]) -> Vec<f64> {
         self.hub.estimates_or(fallback)
     }
@@ -140,16 +140,6 @@ impl Adaptation {
     /// the cooldown, keep the drift flags armed for a retry.
     pub fn recode_rejected(&mut self) {
         self.recode.rejected();
-    }
-
-    /// The telemetry hub (estimates, quantiles, counters).
-    pub fn hub(&self) -> &TelemetryHub {
-        &self.hub
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &AdaptationConfig {
-        &self.cfg
     }
 }
 
@@ -177,7 +167,7 @@ mod tests {
         // p90 of constant 1.0 rounds × 1.25 margin.
         let d = last.deadline.expect("past warmup");
         assert!((d - 1.25).abs() < 1e-9, "{d}");
-        assert_eq!(a.hub().rounds(), 12);
+        assert_eq!(a.hub.rounds(), 12);
     }
 
     #[test]
@@ -237,6 +227,6 @@ mod tests {
             let d = a.observe_round(1.0, 0.0, &round_samples(&[4.0], 8.0));
             assert_eq!(d.deadline, None);
         }
-        assert!(a.config().recode_on_drift);
+        assert!(a.cfg.recode_on_drift);
     }
 }

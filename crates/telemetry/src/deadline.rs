@@ -1,7 +1,5 @@
 //! Learning the escalation deadline from arrival history.
 
-use crate::quantile::QuantileWindow;
-
 /// Tuning of the learned escalation deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadlineConfig {
@@ -48,11 +46,14 @@ impl DeadlineConfig {
         );
     }
 
-    /// The ONE deadline formula — `quantile × margin` once past warm-up —
-    /// shared by [`DeadlineController`] and any caller that already holds
-    /// a round-time quantile (the assembled `Adaptation` pipeline reads
-    /// its `TelemetryHub`'s window instead of keeping a duplicate).
-    pub fn learned(&self, round_quantile: Option<f64>, rounds_observed: usize) -> Option<f64> {
+    /// The ONE deadline formula — `quantile × margin` once past warm-up.
+    /// The assembled `Adaptation` pipeline feeds it the target quantile of
+    /// its `TelemetryHub`'s round-time window and the rounds ingested.
+    pub(crate) fn learned(
+        &self,
+        round_quantile: Option<f64>,
+        rounds_observed: usize,
+    ) -> Option<f64> {
         if rounds_observed < self.warmup_rounds {
             return None;
         }
@@ -60,74 +61,27 @@ impl DeadlineConfig {
     }
 }
 
-/// Learns the escalation deadline as a target quantile of observed
-/// round-completion times — replacing the static
-/// `EscalationPolicy::with_deadline` knob with a value that tracks what
-/// the cluster actually does. Feed every completed round's duration in;
-/// read [`DeadlineController::deadline`] out each round.
-#[derive(Debug, Clone)]
-pub struct DeadlineController {
-    cfg: DeadlineConfig,
-    window: QuantileWindow,
-    rounds: usize,
-}
-
-impl DeadlineController {
-    /// A controller with no observations yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target_quantile` is outside `[0, 1]`, `margin` is not
-    /// positive, or `window` is zero.
-    pub fn new(cfg: DeadlineConfig) -> Self {
-        cfg.validate();
-        let window = QuantileWindow::new(cfg.window);
-        DeadlineController {
-            cfg,
-            window,
-            rounds: 0,
-        }
-    }
-
-    /// Records one completed round's duration.
-    pub fn observe(&mut self, round_seconds: f64) {
-        if round_seconds.is_finite() && round_seconds > 0.0 {
-            self.rounds += 1;
-            self.window.push(round_seconds);
-        }
-    }
-
-    /// The learned deadline — `quantile(target) × margin` over the recent
-    /// window — or `None` during warm-up.
-    pub fn deadline(&self) -> Option<f64> {
-        self.cfg
-            .learned(self.window.quantile(self.cfg.target_quantile), self.rounds)
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &DeadlineConfig {
-        &self.cfg
-    }
-
-    /// Rounds observed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantile::QuantileWindow;
+
+    /// The deadline `Adaptation` learns after `times`: the target quantile
+    /// of a round-time window fed every round, through [`DeadlineConfig::learned`].
+    fn learned_after(cfg: &DeadlineConfig, times: &[f64]) -> Option<f64> {
+        cfg.validate();
+        let mut window = QuantileWindow::new(cfg.window);
+        for &t in times {
+            window.push(t);
+        }
+        cfg.learned(window.quantile(cfg.target_quantile), times.len())
+    }
 
     #[test]
     fn warmup_withholds_the_deadline() {
-        let mut c = DeadlineController::new(DeadlineConfig::default());
-        for _ in 0..7 {
-            c.observe(1.0);
-        }
-        assert_eq!(c.deadline(), None);
-        c.observe(1.0);
-        assert_eq!(c.deadline(), Some(1.25));
+        let cfg = DeadlineConfig::default();
+        assert_eq!(learned_after(&cfg, &[1.0; 7]), None);
+        assert_eq!(learned_after(&cfg, &[1.0; 8]), Some(1.25));
     }
 
     #[test]
@@ -138,12 +92,8 @@ mod tests {
             warmup_rounds: 1,
             window: 101,
         };
-        let mut c = DeadlineController::new(cfg);
-        for i in 0..101 {
-            c.observe(1.0 + i as f64); // 1..=101
-        }
-        assert_eq!(c.deadline(), Some(51.0));
-        assert_eq!(c.rounds(), 101);
+        let times: Vec<f64> = (0..101).map(|i| 1.0 + i as f64).collect(); // 1..=101
+        assert_eq!(learned_after(&cfg, &times), Some(51.0));
     }
 
     #[test]
@@ -154,35 +104,33 @@ mod tests {
             warmup_rounds: 1,
             window: 4,
         };
-        let mut c = DeadlineController::new(cfg);
-        for _ in 0..4 {
-            c.observe(10.0);
-        }
-        assert_eq!(c.deadline(), Some(10.0));
-        for _ in 0..4 {
-            c.observe(2.0);
-        }
-        assert_eq!(c.deadline(), Some(2.0), "old regime evicted");
+        assert_eq!(learned_after(&cfg, &[10.0; 4]), Some(10.0));
+        assert_eq!(
+            learned_after(&cfg, &[10.0, 10.0, 10.0, 10.0, 2.0, 2.0, 2.0, 2.0]),
+            Some(2.0),
+            "old regime evicted"
+        );
     }
 
     #[test]
     fn invalid_observations_ignored() {
-        let mut c = DeadlineController::new(DeadlineConfig {
+        // Non-finite round times never reach the window, so past warm-up
+        // there is still no quantile to learn from.
+        let cfg = DeadlineConfig {
             warmup_rounds: 1,
             ..DeadlineConfig::default()
-        });
-        c.observe(f64::INFINITY);
-        c.observe(-1.0);
-        assert_eq!(c.deadline(), None);
-        assert_eq!(c.config().warmup_rounds, 1);
+        };
+        assert_eq!(learned_after(&cfg, &[f64::INFINITY, f64::NAN]), None);
+        assert_eq!(learned_after(&cfg, &[f64::INFINITY, 2.0]), Some(2.5));
     }
 
     #[test]
     #[should_panic(expected = "target_quantile")]
     fn bad_quantile_rejected() {
-        DeadlineController::new(DeadlineConfig {
+        DeadlineConfig {
             target_quantile: 1.5,
             ..DeadlineConfig::default()
-        });
+        }
+        .validate();
     }
 }

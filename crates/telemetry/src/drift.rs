@@ -13,7 +13,7 @@
 //!   diverging from the slow baseline by more than `envelope` flags
 //!   gradual drift that individual CUSUM increments would under-count.
 //!
-//! A fired worker stays *flagged* until [`DriftDetector::rebaseline`]
+//! A fired worker stays *flagged* until `DriftDetector::rebaseline`
 //! re-anchors the baselines — which the adaptation loop calls after a
 //! successful re-code (the new allocation embodies the new rates, so the
 //! old reference is obsolete).
@@ -177,7 +177,7 @@ impl DriftDetector {
     }
 
     /// Whether any worker is currently flagged as drifting (sticky until
-    /// [`DriftDetector::rebaseline`]).
+    /// `DriftDetector::rebaseline`).
     pub fn drifting(&self) -> bool {
         self.states.iter().any(|s| s.flagged)
     }
@@ -185,7 +185,7 @@ impl DriftDetector {
     /// Re-anchors every worker's baseline to its current fast estimate
     /// and clears flags and CUSUM state — called after a successful
     /// re-code, when the new allocation already reflects the new rates.
-    pub fn rebaseline(&mut self) {
+    pub(crate) fn rebaseline(&mut self) {
         for st in &mut self.states {
             if let Some(fast) = st.fast {
                 st.baseline = Some(fast);

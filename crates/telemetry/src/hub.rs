@@ -54,20 +54,9 @@ impl TelemetryHub {
         }
     }
 
-    /// Number of workers the hub tracks.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Completed rounds ingested so far.
-    pub fn rounds(&self) -> usize {
+    pub(crate) fn rounds(&self) -> usize {
         self.rounds
-    }
-
-    /// The current throughput estimate for one worker, if it has been
-    /// observed.
-    pub fn estimate(&self, worker: usize) -> Option<f64> {
-        self.estimator.estimate(worker).ok()
     }
 
     /// Per-worker throughput estimates, substituting `fallback[w]` for
@@ -75,7 +64,7 @@ impl TelemetryHub {
     /// the allocation was originally built from). With `fallback` shorter
     /// than the worker count, unobserved workers past its end get the
     /// mean of the observed estimates.
-    pub fn estimates_or(&self, fallback: &[f64]) -> Vec<f64> {
+    pub(crate) fn estimates_or(&self, fallback: &[f64]) -> Vec<f64> {
         let observed: Vec<Option<f64>> = (0..self.workers)
             .map(|w| self.estimator.estimate(w).ok())
             .collect();
@@ -95,7 +84,7 @@ impl TelemetryHub {
     }
 
     /// The `q`-quantile of recent round-completion times.
-    pub fn round_quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn round_quantile(&self, q: f64) -> Option<f64> {
         self.round_times.quantile(q)
     }
 }
@@ -116,8 +105,8 @@ mod tests {
             ],
         );
         assert_eq!(hub.rounds(), 1);
-        assert_eq!(hub.estimate(0), Some(5.0));
-        assert_eq!(hub.estimate(1), Some(10.0));
+        assert_eq!(hub.estimator.estimate(0).ok(), Some(5.0));
+        assert_eq!(hub.estimator.estimate(1).ok(), Some(10.0));
         assert_eq!(hub.round_quantile(1.0), Some(2.0));
     }
 
@@ -133,12 +122,18 @@ mod tests {
             nan,
         ];
         hub.ingest(3.0, 0.4, &round);
-        assert_eq!(hub.estimate(0), Some(5.0));
-        assert_eq!((hub.estimate(1), hub.estimate(2)), (None, None));
-        assert_eq!(hub.estimate(3), None);
+        assert_eq!(hub.estimator.estimate(0).ok(), Some(5.0));
+        assert_eq!(
+            (
+                hub.estimator.estimate(1).ok(),
+                hub.estimator.estimate(2).ok()
+            ),
+            (None, None)
+        );
+        assert_eq!(hub.estimator.estimate(3).ok(), None);
         // A later invalid sample leaves an observed estimate untouched.
         hub.ingest(3.0, 0.0, &[RoundSample::failed(0, 10.0)]);
-        assert_eq!(hub.estimate(0), Some(5.0));
+        assert_eq!(hub.estimator.estimate(0).ok(), Some(5.0));
         assert_eq!(hub.rounds(), 2);
     }
 

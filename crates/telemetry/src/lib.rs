@@ -21,19 +21,19 @@
 //!   │  decision)   │◀─ deadline ───│  divergence)  │          └──────────────────┘
 //!   └──────────────┘               └───────────────┘   ▲ round times     │
 //!        ▲                                 │           └──────────────────┘
-//!        └──── AdaptationDecision ◀── RecodeController + DeadlineController
+//!        └──── AdaptationDecision ◀── RecodeController + DeadlineConfig
 //! ```
 //!
 //! * [`RoundSample`] — one worker's compute/arrival observation
 //!   (defined in `hetgc-cluster`, re-exported here).
 //! * [`TelemetryHub`] — ingestion: an
 //!   [`hetgc_cluster::EwmaEstimator`] of throughputs plus a
-//!   windowed quantile sketch of round times ([`QuantileWindow`]).
+//!   windowed quantile sketch of round times.
 //! * [`DriftDetector`] — per-worker CUSUM step detection and slow-drift
 //!   EWMA divergence against the allocation's noise envelope.
-//! * [`DeadlineController`] — learns the escalation deadline as a target
-//!   quantile of observed round-completion times, replacing the static
-//!   `EscalationPolicy::with_deadline` knob.
+//! * [`DeadlineConfig`] — the learned escalation deadline: a target
+//!   quantile of the hub's recent round-completion times times a margin,
+//!   replacing the static `EscalationPolicy::with_deadline` knob.
 //! * [`RecodeController`] — debounces confirmed drift into re-code
 //!   triggers with a cooldown; the consuming engine owns the actual
 //!   Eq. 5 → Eq. 6 → Alg. 1/3 rebuild and codec hot-swap.
@@ -56,9 +56,8 @@ mod quantile;
 mod recode;
 
 pub use adaptation::{Adaptation, AdaptationConfig, AdaptationDecision};
-pub use deadline::{DeadlineConfig, DeadlineController};
+pub use deadline::DeadlineConfig;
 pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftKind};
 pub use hetgc_cluster::RoundSample;
 pub use hub::TelemetryHub;
-pub use quantile::QuantileWindow;
 pub use recode::{RecodeConfig, RecodeController};

@@ -7,7 +7,7 @@
 /// track *recent* behaviour, and a sorted copy of ≤ a few hundred floats
 /// is cheaper than a streaming sketch at these sizes.
 #[derive(Debug, Clone)]
-pub struct QuantileWindow {
+pub(crate) struct QuantileWindow {
     values: Vec<f64>,
     capacity: usize,
     /// Next slot to overwrite once the window is full (ring behaviour).
@@ -20,7 +20,7 @@ impl QuantileWindow {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         QuantileWindow {
             values: Vec::with_capacity(capacity),
@@ -31,7 +31,7 @@ impl QuantileWindow {
 
     /// Records one observation, evicting the oldest once full. Non-finite
     /// values are ignored.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -43,25 +43,15 @@ impl QuantileWindow {
         }
     }
 
-    /// Number of observations currently held.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the window holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest rank over the current
     /// window (index `round(q·(n−1))`, so a half-index rounds up), or
     /// `None` when empty or `q` is out of range.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.values.is_empty() || !(0.0..=1.0).contains(&q) {
             return None;
         }
         let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        sorted.sort_by(f64::total_cmp);
         let idx = (q * (sorted.len() - 1) as f64).round() as usize;
         Some(sorted[idx])
     }
@@ -74,12 +64,12 @@ mod tests {
     #[test]
     fn quantiles_over_partial_window() {
         let mut w = QuantileWindow::new(8);
-        assert!(w.is_empty());
+        assert!(w.values.is_empty());
         assert_eq!(w.quantile(0.5), None);
         for v in [3.0, 1.0, 2.0] {
             w.push(v);
         }
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.values.len(), 3);
         assert_eq!(w.quantile(0.0), Some(1.0));
         assert_eq!(w.quantile(0.5), Some(2.0));
         assert_eq!(w.quantile(1.0), Some(3.0));
@@ -92,7 +82,7 @@ mod tests {
         for v in [10.0, 20.0, 30.0, 1.0] {
             w.push(v); // 10 evicted
         }
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.values.len(), 3);
         assert_eq!(w.quantile(0.0), Some(1.0));
         assert_eq!(w.quantile(1.0), Some(30.0));
         w.push(2.0); // 20 evicted
@@ -119,7 +109,7 @@ mod tests {
         let mut w = QuantileWindow::new(2);
         w.push(f64::INFINITY);
         w.push(f64::NAN);
-        assert!(w.is_empty());
+        assert!(w.values.is_empty());
     }
 
     #[test]

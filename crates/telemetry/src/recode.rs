@@ -37,7 +37,7 @@ pub struct RecodeController {
 
 impl RecodeController {
     /// A controller with no history.
-    pub fn new(cfg: RecodeConfig) -> Self {
+    pub(crate) fn new(cfg: RecodeConfig) -> Self {
         RecodeController {
             cfg,
             round: 0,
@@ -48,7 +48,7 @@ impl RecodeController {
 
     /// Advances one round with the detector's current drift verdict;
     /// returns `true` when a re-code should be attempted *now*.
-    pub fn observe(&mut self, drifting: bool) -> bool {
+    pub(crate) fn observe(&mut self, drifting: bool) -> bool {
         self.round += 1;
         if drifting {
             self.consecutive_drifting += 1;
@@ -65,7 +65,7 @@ impl RecodeController {
     }
 
     /// Records that the re-code fired and the new code was installed.
-    pub fn applied(&mut self) {
+    pub(crate) fn applied(&mut self) {
         self.last_attempt_round = Some(self.round);
         self.consecutive_drifting = 0;
     }
@@ -73,7 +73,7 @@ impl RecodeController {
     /// Records that the re-code fired but the rebuild was rejected
     /// (infeasible estimates, backend failure) — the run keeps the old
     /// code and the controller stays armed past the cooldown.
-    pub fn rejected(&mut self) {
+    pub(crate) fn rejected(&mut self) {
         self.last_attempt_round = Some(self.round);
     }
 }

@@ -5,7 +5,7 @@
 
 use hetgc_cluster::EstimationNoise;
 use hetgc_sim::RateDrift;
-use hetgc_telemetry::{DeadlineConfig, DeadlineController, DriftConfig, DriftDetector};
+use hetgc_telemetry::{Adaptation, AdaptationConfig, DeadlineConfig, DriftConfig, DriftDetector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +27,10 @@ fn stationary_times() -> impl Strategy<Value = (Vec<f64>, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// On stationary arrivals the learned deadline converges to the
-    /// empirical target quantile (× margin) of the recent window.
+    /// On stationary arrivals the deadline `Adaptation` learns
+    /// (`DeadlineConfig::learned` over the hub's round-time window)
+    /// converges to the empirical target quantile (× margin) of the
+    /// recent window.
     #[test]
     fn deadline_converges_to_target_quantile((times, _seed) in stationary_times()) {
         let cfg = DeadlineConfig {
@@ -37,11 +39,18 @@ proptest! {
             warmup_rounds: 8,
             window: 64,
         };
-        let mut ctl = DeadlineController::new(cfg);
+        let mut adaptation = Adaptation::new(
+            1,
+            AdaptationConfig {
+                deadline: cfg,
+                ..AdaptationConfig::default()
+            },
+        );
+        let mut learned = None;
         for &t in &times {
-            ctl.observe(t);
+            learned = adaptation.observe_round(t, 0.0, &[]).deadline;
         }
-        let learned = ctl.deadline().expect("past warmup");
+        let learned = learned.expect("past warmup");
         // Empirical nearest-rank p90 of the last 64 observations.
         let mut window: Vec<f64> = times[times.len() - 64..].to_vec();
         window.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -90,8 +90,9 @@ fn adaptive_run_with_cache_and_trace() {
         .build(SchemeKind::HeterAware, &mut rng)
         .unwrap();
     let codec = hetgc::CompiledCodec::with_cache_capacity(scheme.code.clone(), 8);
+    let survivors: Vec<usize> = (0..cluster.len()).filter(|&w| w != 1).collect();
     for _ in 0..5 {
-        codec.decode_plan_for_stragglers(&[1]).unwrap();
+        codec.decode_plan(&survivors).unwrap();
     }
     assert_eq!(codec.cache_hits(), 4);
     assert_eq!(codec.cache_misses(), 1);
