@@ -25,11 +25,11 @@
 //! singleflight) — `tests/scheduler.rs` asserts both that reuse and the
 //! scheduled batch's throughput edge over the sequential baseline.
 //! Tenants of one batch whose seed, scheme kind, straggler budget, sample
-//! count and dimension are all equal go further: the first of them to
-//! start builds the code and the synthetic dataset, outside any lease,
-//! and the others share that dataset and clone the code and the rng it
-//! left, so each trains bitwise as it would alone. A tenant with no
-//! equal builds its own and pays what it paid before.
+//! count and dimension are all equal go further: the batch builds their
+//! code and synthetic dataset once, on the calling thread before any job
+//! thread starts (so the datasets reuse the caller's malloc arena batch
+//! after batch), and they share that dataset and clone the code and the
+//! rng it left, so each trains bitwise as it would alone.
 //!
 //! A spec no job could run (no samples, no dimension, a learning rate
 //! that is not positive and finite) fails the whole batch with

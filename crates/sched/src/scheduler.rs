@@ -8,7 +8,7 @@
 //! decode-plan cache's reuse counters and the batch's peak concurrency.
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
@@ -288,7 +288,8 @@ impl JobScheduler {
         let (lookups0, hits0, solves0) = (cache.lookups(), cache.hits(), cache.solves());
         self.pool.reset_peak();
         let started = Instant::now();
-        let runs = self.run_jobs(&SharedBuilds::new(&self.jobs), concurrent);
+        let builds = SharedBuilds::new(&self.pool, &self.jobs);
+        let runs = self.run_jobs(&builds, concurrent);
         let wall_seconds = started.elapsed().as_secs_f64();
 
         let outcomes = runs
@@ -317,9 +318,9 @@ impl JobScheduler {
         })
     }
 
-    /// Runs every job on its own scoped thread — all at once, or each
-    /// joined before the next starts — with a thread's panic returned as
-    /// that job's [`JobError::Panicked`].
+    /// Runs every job from its key's build on its own scoped thread — all
+    /// at once, or each joined before the next starts — with a thread's
+    /// panic returned as that job's [`JobError::Panicked`].
     fn run_jobs(
         &self,
         builds: &SharedBuilds,
@@ -328,7 +329,8 @@ impl JobScheduler {
         std::thread::scope(|s| {
             let spawn = |job: usize| {
                 let (pool, spec, metrics) = (&self.pool, &self.jobs[job], self.metrics.as_ref());
-                s.spawn(move || run_job(pool, spec, builds.get(pool, spec, job), metrics))
+                let built = builds.get(job);
+                s.spawn(move || run_job(pool, spec, built, metrics))
             };
             let join = |job: usize, handle: ScopedJoinHandle<'_, _>| {
                 handle.join().unwrap_or_else(|payload| {
@@ -422,18 +424,21 @@ struct Built {
 
 /// One build per distinct build key of a batch: everything a job's code
 /// and dataset are drawn from on the batch's one pool (seed, scheme kind,
-/// straggler budget, sample count, dimension). The first job of a key to
-/// ask draws them on its own thread, outside any lease; the others of
-/// that key wait on the cell and clone the result, error included.
+/// straggler budget, sample count, dimension). Every key is built on the
+/// calling thread, one after another, before any job thread starts and
+/// outside any lease; each job then clones its key's build, error
+/// included. The datasets so come from the caller's malloc arena, which
+/// reuses their memory batch after batch, instead of from the arena of
+/// whichever job thread asked first, which keeps it resident once freed.
 struct SharedBuilds {
-    /// Per job, the index of its key's cell.
+    /// Per job, the index of its key's build.
     cell_of: Vec<usize>,
-    cells: Vec<OnceLock<Result<Built, CodingError>>>,
+    builds: Vec<Result<Built, CodingError>>,
 }
 
 impl SharedBuilds {
-    fn new(jobs: &[JobSpec]) -> Self {
-        let mut keys = Vec::new();
+    fn new(pool: &SharedWorkerPool, jobs: &[JobSpec]) -> Self {
+        let (mut keys, mut builds) = (Vec::new(), Vec::new());
         let cell_of = jobs
             .iter()
             .map(|spec| {
@@ -446,25 +451,16 @@ impl SharedBuilds {
                 );
                 keys.iter().position(|k| *k == key).unwrap_or_else(|| {
                     keys.push(key);
+                    builds.push(build(pool, spec));
                     keys.len() - 1
                 })
             })
             .collect();
-        SharedBuilds {
-            cell_of,
-            cells: keys.iter().map(|_| OnceLock::new()).collect(),
-        }
+        SharedBuilds { cell_of, builds }
     }
 
-    fn get(
-        &self,
-        pool: &SharedWorkerPool,
-        spec: &JobSpec,
-        job: usize,
-    ) -> Result<Built, CodingError> {
-        self.cells[self.cell_of[job]]
-            .get_or_init(|| build(pool, spec))
-            .clone()
+    fn get(&self, job: usize) -> Result<Built, CodingError> {
+        self.builds[self.cell_of[job]].clone()
     }
 }
 
@@ -538,7 +534,6 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
     fn pool() -> SharedWorkerPool {
         SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0])
@@ -575,38 +570,18 @@ mod tests {
         (code.collect(), samples.collect())
     }
 
-    /// Each job's build, asked for from every job's own thread at once.
-    fn built_concurrently(
-        pool: &SharedWorkerPool,
-        jobs: &[JobSpec],
-    ) -> (SharedBuilds, Vec<Result<Built, CodingError>>) {
-        let builds = SharedBuilds::new(jobs);
-        let (shared, start) = (&builds, &Barrier::new(jobs.len()));
-        let built = std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .iter()
-                .enumerate()
-                .map(|(job, spec)| {
-                    s.spawn(move || {
-                        start.wait();
-                        shared.get(pool, spec, job)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        (builds, built)
-    }
-
-    fn ran(builds: &SharedBuilds) -> usize {
-        builds.cells.iter().filter(|c| c.get().is_some()).count()
+    /// Every job's clone of its key's build.
+    fn per_job(builds: &SharedBuilds) -> Vec<Result<Built, CodingError>> {
+        (0..builds.cell_of.len())
+            .map(|job| builds.get(job))
+            .collect()
     }
 
     #[test]
     fn equal_keys_build_once_and_share_the_dataset() {
         // Only the build key is equal: name, rounds and learning rate are
         // per tenant.
-        let jobs: Vec<JobSpec> = (0..4)
+        let sched = (0..4)
             .map(|t| {
                 let mut spec = JobSpec::new(format!("tenant-{t}"))
                     .with_rounds(2 + t)
@@ -614,23 +589,18 @@ mod tests {
                 spec.learning_rate = 0.05 * (t + 1) as f64;
                 spec
             })
-            .collect();
-        let sched = jobs
-            .iter()
-            .cloned()
             .fold(JobScheduler::new(pool()), JobScheduler::submit);
-        let builds = SharedBuilds::new(&sched.jobs);
-        let runs = sched.run_jobs(&builds, true);
-        for (run, t) in runs.iter().zip(0..) {
-            assert_eq!(run.as_ref().expect("tenant").rounds(), 2 + t);
-        }
-        assert_eq!((builds.cells.len(), ran(&builds)), (1, 1));
-
-        let (builds, built) = built_concurrently(&sched.pool, &jobs);
-        assert_eq!(ran(&builds), 1);
+        let builds = SharedBuilds::new(&sched.pool, &sched.jobs);
+        assert_eq!((builds.builds.len(), &builds.cell_of[..]), (1, &[0; 4][..]));
+        let built = per_job(&builds);
         let first = built[0].as_ref().unwrap();
         for other in &built[1..] {
             assert!(Arc::ptr_eq(&first.data, &other.as_ref().unwrap().data));
+        }
+
+        let runs = sched.run_jobs(&builds, true);
+        for (run, t) in runs.iter().zip(0..) {
+            assert_eq!(run.as_ref().expect("tenant").rounds(), 2 + t);
         }
     }
 
@@ -648,9 +618,9 @@ mod tests {
             group,
         ];
         // Equal rates, so that s = 2 is feasible too.
-        let pool = SharedWorkerPool::new(vec![1.0; 4]);
-        let (builds, built) = built_concurrently(&pool, &jobs);
-        assert_eq!((builds.cells.len(), ran(&builds)), (6, 6));
+        let builds = SharedBuilds::new(&SharedWorkerPool::new(vec![1.0; 4]), &jobs);
+        assert_eq!(builds.builds.len(), 6);
+        let built = per_job(&builds);
         for (i, a) in built.iter().enumerate() {
             for b in &built[i + 1..] {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -666,9 +636,9 @@ mod tests {
             .into_iter()
             .map(|seed| JobSpec::new(format!("seed-{seed}")).with_seed(seed))
             .collect();
-        let (builds, built) = built_concurrently(&pool, &jobs);
-        assert_eq!(ran(&builds), 2);
-        for (spec, built) in jobs.iter().zip(&built) {
+        let builds = SharedBuilds::new(&pool, &jobs);
+        assert_eq!(builds.builds.len(), 2);
+        for (spec, built) in jobs.iter().zip(&per_job(&builds)) {
             let (built, alone) = (built.as_ref().unwrap(), solo(&pool, spec));
             assert_eq!(built.code, alone.code, "{}", spec.name);
             assert_eq!(bits(built), bits(&alone), "{}", spec.name);
@@ -695,9 +665,9 @@ mod tests {
             .submit(JobSpec::new("b").with_stragglers(4))
             .submit(JobSpec::new("c").with_stragglers(4));
         for concurrent in [true, false] {
-            let builds = SharedBuilds::new(&sched.jobs);
+            let builds = SharedBuilds::new(&sched.pool, &sched.jobs);
+            assert_eq!(builds.builds.len(), 2);
             let runs = sched.run_jobs(&builds, concurrent);
-            assert_eq!(ran(&builds), 2);
             for (run, spec) in runs.iter().zip(&sched.jobs) {
                 match run {
                     Ok(_) => assert_eq!(spec.name, "fine"),
@@ -742,19 +712,25 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_its_own_error() {
-        // Past the spec check, zero samples panics in the synthesis on
-        // the job's thread; the batch still joins the other jobs.
-        let sched = JobScheduler::new(pool())
-            .submit(JobSpec::new("fine").with_rounds(1))
-            .submit(JobSpec::new("unchecked").with_workload(0, 4));
+        // Both jobs share one valid build, but past the spec check a zero
+        // dimension panics in the model's constructor on the job's own
+        // thread; the batch still joins the other job.
+        let fine = JobSpec::new("fine").with_rounds(1);
+        let builds = SharedBuilds::new(&pool(), &[fine.clone(), fine.clone()]);
+        let unchecked = JobSpec {
+            name: "unchecked".into(),
+            dim: 0,
+            ..fine.clone()
+        };
+        let sched = JobScheduler::new(pool()).submit(fine).submit(unchecked);
         for concurrent in [true, false] {
-            let runs = sched.run_jobs(&SharedBuilds::new(&sched.jobs), concurrent);
+            let runs = sched.run_jobs(&builds, concurrent);
             assert!(runs[0].is_ok());
             let err = runs[1].as_ref().expect_err("panicked");
             match err.downcast_ref::<JobError>() {
                 Some(JobError::Panicked { job, message }) => {
                     assert_eq!(job, "unchecked");
-                    assert!(message.contains("need samples"), "{message}");
+                    assert!(message.contains("dimension must be positive"), "{message}");
                 }
                 other => panic!("expected a panicked job, got {other:?}"),
             }

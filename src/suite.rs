@@ -15,3 +15,8 @@ pub use hetgc_runtime as runtime;
 pub use hetgc_sched as sched;
 pub use hetgc_sim as sim;
 pub use hetgc_telemetry as telemetry;
+
+/// Compiles README's Rust examples as doc tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
