@@ -62,25 +62,10 @@ fn bench_online_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decode_matrix(c: &mut Criterion) {
-    // The offline A matrix enumerates C(m, s) patterns: viable for small m
-    // (the paper's storage-vs-solve tradeoff).
-    let mut group = c.benchmark_group("decode/full_matrix");
-    group.sample_size(10);
-    for m in [8usize, 12] {
-        let code = build(m, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(m), &code, |b, code| {
-            b.iter(|| hetgc::DecodingMatrix::build(code).expect("robust"));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_one_shot_decode,
     bench_cached_plan,
-    bench_online_decode,
-    bench_decode_matrix
+    bench_online_decode
 );
 criterion_main!(benches);

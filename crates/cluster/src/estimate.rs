@@ -6,9 +6,8 @@
 //! measured exactly because of tiny fluctuation in runtime", which is
 //! precisely why the group-based scheme exists. This module provides:
 //!
-//! * [`SamplingEstimator`] — cumulative work/time averaging.
-//! * [`EwmaEstimator`] — exponentially-weighted moving average, tracking
-//!   drifting speeds.
+//! * [`EwmaEstimator`] — exponentially-weighted moving average of observed
+//!   rates, tracking drifting speeds (the telemetry hub's estimator).
 //! * [`EstimationNoise`] — utility to corrupt ground-truth throughputs with
 //!   multiplicative noise, so experiments can sweep estimation quality.
 
@@ -16,89 +15,11 @@ use rand::Rng;
 
 use crate::error::ClusterError;
 
-/// Common interface of throughput estimators.
-///
-/// `observe(worker, work_done, elapsed)` records that `worker` completed
-/// `work_done` units (samples, partitions — any consistent unit) in
-/// `elapsed` seconds; `estimate(worker)` returns the current throughput
-/// estimate in units/second.
-pub trait ThroughputEstimator {
-    /// Records one timing sample for a worker.
-    fn observe(&mut self, worker: usize, work_done: f64, elapsed: f64);
-
-    /// Current estimate for one worker.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownWorker`] for out-of-range indices;
-    /// [`ClusterError::NoSamples`] before the first observation.
-    fn estimate(&self, worker: usize) -> Result<f64, ClusterError>;
-
-    /// Estimates for all workers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThroughputEstimator::estimate`] for the first failing
-    /// worker.
-    fn estimates(&self) -> Result<Vec<f64>, ClusterError>;
-}
-
-/// Cumulative sampling estimator: `ĉ_i = Σ work / Σ time`.
-///
-/// This is the estimator the paper implies ("estimated by sampling"): run a
-/// few profiling iterations, divide.
-#[derive(Debug, Clone)]
-pub struct SamplingEstimator {
-    work: Vec<f64>,
-    time: Vec<f64>,
-    samples: Vec<usize>,
-}
-
-impl SamplingEstimator {
-    /// An estimator for `m` workers with no observations yet.
-    pub fn new(m: usize) -> Self {
-        SamplingEstimator {
-            work: vec![0.0; m],
-            time: vec![0.0; m],
-            samples: vec![0; m],
-        }
-    }
-}
-
-impl ThroughputEstimator for SamplingEstimator {
-    fn observe(&mut self, worker: usize, work_done: f64, elapsed: f64) {
-        let valid_sample = elapsed > 0.0 && work_done >= 0.0; // false for NaN too
-        if worker >= self.work.len() || !valid_sample {
-            return; // ignore garbage samples rather than poisoning state
-        }
-        self.work[worker] += work_done;
-        self.time[worker] += elapsed;
-        self.samples[worker] += 1;
-    }
-
-    fn estimate(&self, worker: usize) -> Result<f64, ClusterError> {
-        if worker >= self.work.len() {
-            return Err(ClusterError::UnknownWorker {
-                worker,
-                size: self.work.len(),
-            });
-        }
-        if self.samples[worker] == 0 {
-            return Err(ClusterError::NoSamples { worker });
-        }
-        Ok(self.work[worker] / self.time[worker])
-    }
-
-    fn estimates(&self) -> Result<Vec<f64>, ClusterError> {
-        (0..self.work.len()).map(|w| self.estimate(w)).collect()
-    }
-}
-
 /// Exponentially-weighted moving-average estimator:
 /// `ĉ ← (1−α)·ĉ + α·(work/elapsed)`.
 ///
 /// Tracks drifting worker speeds (e.g. co-tenant interference that comes
-/// and goes) at the cost of more variance than [`SamplingEstimator`].
+/// and goes) at the cost of more variance than a cumulative average.
 #[derive(Debug, Clone)]
 pub struct EwmaEstimator {
     alpha: f64,
@@ -119,10 +40,12 @@ impl EwmaEstimator {
             current: vec![None; m],
         }
     }
-}
 
-impl ThroughputEstimator for EwmaEstimator {
-    fn observe(&mut self, worker: usize, work_done: f64, elapsed: f64) {
+    /// Records that `worker` completed `work_done` units (samples,
+    /// partitions — any consistent unit) in `elapsed` seconds. A sample
+    /// with `elapsed <= 0`, negative work (or NaN in either) or an
+    /// out-of-range worker is ignored rather than poisoning the state.
+    pub fn observe(&mut self, worker: usize, work_done: f64, elapsed: f64) {
         let valid_sample = elapsed > 0.0 && work_done >= 0.0; // false for NaN too
         if worker >= self.current.len() || !valid_sample {
             return;
@@ -134,7 +57,13 @@ impl ThroughputEstimator for EwmaEstimator {
         });
     }
 
-    fn estimate(&self, worker: usize) -> Result<f64, ClusterError> {
+    /// Current throughput estimate for one worker, in units/second.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::UnknownWorker`] for out-of-range indices;
+    /// [`ClusterError::NoSamples`] before the first observation.
+    pub fn estimate(&self, worker: usize) -> Result<f64, ClusterError> {
         match self.current.get(worker) {
             None => Err(ClusterError::UnknownWorker {
                 worker,
@@ -143,10 +72,6 @@ impl ThroughputEstimator for EwmaEstimator {
             Some(None) => Err(ClusterError::NoSamples { worker }),
             Some(Some(v)) => Ok(*v),
         }
-    }
-
-    fn estimates(&self) -> Result<Vec<f64>, ClusterError> {
-        (0..self.current.len()).map(|w| self.estimate(w)).collect()
     }
 }
 
@@ -202,17 +127,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn sampling_estimator_averages() {
-        let mut e = SamplingEstimator::new(2);
-        e.observe(0, 10.0, 2.0); // 5 u/s
-        e.observe(0, 30.0, 2.0); // cumulative: 40 work / 4 s = 10 u/s
-        assert_eq!(e.estimate(0).unwrap(), 10.0);
-    }
-
+    // `EwmaEstimator` is this crate's sampling estimator (§III-C): it is
+    // fed one sampled rate per worker per round.
     #[test]
     fn sampling_estimator_errors() {
-        let e = SamplingEstimator::new(2);
+        let e = EwmaEstimator::new(2, 0.5);
         assert!(matches!(
             e.estimate(0),
             Err(ClusterError::NoSamples { worker: 0 })
@@ -221,27 +140,19 @@ mod tests {
             e.estimate(5),
             Err(ClusterError::UnknownWorker { .. })
         ));
-        assert!(e.estimates().is_err());
     }
 
     #[test]
     fn sampling_estimator_ignores_garbage() {
-        let mut e = SamplingEstimator::new(1);
+        let mut e = EwmaEstimator::new(1, 0.5);
         e.observe(0, 10.0, 0.0); // zero elapsed: ignored
         e.observe(0, -1.0, 1.0); // negative work: ignored
+        e.observe(0, f64::NAN, 1.0); // NaN work: ignored
         e.observe(9, 10.0, 1.0); // out of range: ignored
         assert!(matches!(
             e.estimate(0),
             Err(ClusterError::NoSamples { worker: 0 })
         ));
-    }
-
-    #[test]
-    fn sampling_estimates_all() {
-        let mut e = SamplingEstimator::new(2);
-        e.observe(0, 4.0, 2.0);
-        e.observe(1, 9.0, 3.0);
-        assert_eq!(e.estimates().unwrap(), vec![2.0, 3.0]);
     }
 
     #[test]
@@ -298,12 +209,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn noise_rejects_negative_sigma() {
         EstimationNoise::new(-0.1);
-    }
-
-    #[test]
-    fn estimator_trait_objects_work() {
-        let mut est: Box<dyn ThroughputEstimator> = Box::new(SamplingEstimator::new(1));
-        est.observe(0, 2.0, 1.0);
-        assert_eq!(est.estimate(0).unwrap(), 2.0);
     }
 }

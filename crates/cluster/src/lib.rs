@@ -8,9 +8,11 @@
 //! * [`StragglerModel`] — transient-delay and fail-stop injection, mirroring
 //!   the paper's "add extra delay to any s random workers" methodology
 //!   (Fig. 2) and its transient-fluctuation model (Fig. 3).
-//! * [`ThroughputEstimator`] — sampling/EWMA estimation of worker
-//!   throughput `c_i`, with controllable estimation noise. Inaccurate
-//!   estimates are the motivation for the paper's group-based scheme (§V).
+//! * [`EwmaEstimator`] — online estimation of worker throughput `c_i`
+//!   from observed rounds, and [`EstimationNoise`] to corrupt the true
+//!   rates by a controlled amount (§III-C's sampled estimate, Fig. 3).
+//!   Inaccurate estimates are the motivation for the paper's group-based
+//!   scheme (§V).
 //! * [`RoundSample`] — what one worker did in one collect round, as the
 //!   master observed it: the unit the estimators are fed from.
 //!
@@ -39,9 +41,9 @@ mod straggler;
 mod worker;
 
 pub use error::ClusterError;
-pub use estimate::{EstimationNoise, EwmaEstimator, SamplingEstimator, ThroughputEstimator};
+pub use estimate::{EstimationNoise, EwmaEstimator};
 pub use partition::PartitionAssignment;
 pub use sample::RoundSample;
 pub use spec::ClusterSpec;
 pub use straggler::{DelayDistribution, StragglerEvent, StragglerModel};
-pub use worker::{WorkerId, WorkerSpec};
+pub use worker::WorkerSpec;

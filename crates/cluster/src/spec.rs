@@ -142,7 +142,7 @@ impl ClusterSpec {
 /// Builder for [`ClusterSpec`] (non-consuming terminal per the builder
 /// guideline: `build` borrows).
 #[derive(Debug, Clone, Default)]
-pub struct ClusterSpecBuilder {
+pub(crate) struct ClusterSpecBuilder {
     workers: Vec<WorkerSpec>,
     per_core_rate: Option<f64>,
     name: Option<String>,

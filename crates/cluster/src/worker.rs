@@ -1,25 +1,4 @@
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
-
-/// Identifier of a worker within a cluster (dense index, `0..m`).
-///
-/// A newtype rather than a bare `usize` so that worker indices, partition
-/// indices and iteration counters cannot be confused at API boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct WorkerId(pub usize);
-
-impl fmt::Display for WorkerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "W{}", self.0)
-    }
-}
-
-impl From<usize> for WorkerId {
-    fn from(i: usize) -> Self {
-        WorkerId(i)
-    }
-}
 
 /// Static description of one worker node.
 ///
@@ -67,19 +46,6 @@ impl Default for WorkerSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn worker_id_display_and_conversions() {
-        let id = WorkerId::from(3);
-        assert_eq!(id.0, 3);
-        assert_eq!(id.to_string(), "W3");
-        assert_eq!(WorkerId(3), id);
-    }
-
-    #[test]
-    fn worker_id_ordering() {
-        assert!(WorkerId(1) < WorkerId(2));
-    }
 
     #[test]
     fn spec_throughput_proportional_to_vcpus() {

@@ -2,8 +2,7 @@
 //! estimator convergence, straggler-model contracts.
 
 use hetgc_cluster::{
-    DelayDistribution, EstimationNoise, PartitionAssignment, SamplingEstimator, StragglerModel,
-    ThroughputEstimator,
+    DelayDistribution, EstimationNoise, EwmaEstimator, PartitionAssignment, StragglerModel,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,13 +31,16 @@ proptest! {
         prop_assert!(max_len - min_len <= 1, "uneven: {min_len}..{max_len}");
     }
 
-    /// The sampling estimator recovers a constant true rate exactly.
+    /// The sampling estimator (`EwmaEstimator`, fed one observation per
+    /// round) recovers a constant true rate, whatever its smoothing and
+    /// however the work is split into observations.
     #[test]
     fn sampling_estimator_recovers_constant_rate(
         rate in 0.5f64..100.0,
+        alpha in 0.01f64..1.0,
         observations in 1usize..20,
     ) {
-        let mut est = SamplingEstimator::new(1);
+        let mut est = EwmaEstimator::new(1, alpha);
         for i in 1..=observations {
             let elapsed = 0.1 * i as f64;
             est.observe(0, rate * elapsed, elapsed);

@@ -79,7 +79,7 @@ use crate::shared_cache::{PlanClass, SharedPlanCache};
 use crate::strategy::CodingMatrix;
 
 /// Default number of survivor patterns a [`CompiledCodec`] remembers.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------- plans
 
@@ -253,7 +253,7 @@ impl DecodePlan {
     ///
     /// All needed rows are validated (presence and dimension) before the
     /// kernel runs. Sequential decodes allocate nothing; for outputs of
-    /// [`kernels::PAR_MIN_DIM`] elements or more on multi-core hosts the
+    /// `kernels::PAR_MIN_DIM` elements or more on multi-core hosts the
     /// kernel spawns scoped threads across the `d` dimension (which
     /// allocates — large-`d` decodes trade the zero-allocation guarantee
     /// for the parallel win).
@@ -1221,7 +1221,7 @@ impl CompiledCodec {
     /// attached to the same cache — across jobs and threads — pays for
     /// each distinct survivor pattern once, and its sessions reuse and
     /// publish whole-round plans per arrival. Exact and least-squares
-    /// solves are keyed apart ([`PlanClass`]); intact-group answers never
+    /// solves are keyed apart (`PlanClass`); intact-group answers never
     /// solve, so they have nothing to share.
     pub fn attach_shared_plans(&mut self, cache: Arc<SharedPlanCache>) {
         self.plans = cache;

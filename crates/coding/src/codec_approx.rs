@@ -37,7 +37,7 @@ use crate::shared_cache::PlanClass;
 /// unless told otherwise: anything worse recovers so little of the
 /// gradient that SGD progress is no longer credible, and the round is
 /// better declared undecodable.
-pub const DEFAULT_MAX_RESIDUAL_FRACTION: f64 = 0.75;
+pub(crate) const DEFAULT_MAX_RESIDUAL_FRACTION: f64 = 0.75;
 
 /// The approximate stage's state on a [`CompiledCodec`]: its residual
 /// budget. Its least-squares plans live in the codec's one plan cache,
@@ -58,7 +58,7 @@ impl ApproxStage {
 
 impl CompiledCodec {
     /// Switches the approximate stage on with the residual budget
-    /// `max_residual` (`None`: [`DEFAULT_MAX_RESIDUAL_FRACTION`]` · √k`);
+    /// `max_residual` (`None`: `DEFAULT_MAX_RESIDUAL_FRACTION · √k`);
     /// plans above it are rejected as [`CodingError::NotDecodable`].
     ///
     /// # Example

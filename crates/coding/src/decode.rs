@@ -1,58 +1,14 @@
-//! [`DecodingMatrix`] — the fully-materialized decoding matrix `A` of
-//! Eq. 2, one decode row per straggler pattern — as an analysis type.
-//! Iterative callers decode through
-//! [`GradientCodec`](crate::GradientCodec) instead.
-
-use crate::codec::solve_decode_dense;
-use crate::error::CodingError;
-use crate::strategy::{enumerate_subsets, CodingMatrix};
-
-/// The offline decoding matrix `A ∈ R^{S×m}` of Eq. 2: one row per
-/// straggler pattern of size exactly `s`, `S = C(m, s)` rows total.
-///
-/// The paper notes `A` can be partially stored for "regular" stragglers and
-/// solved in realtime otherwise; this type is the fully-materialized
-/// variant used for analysis and tests. (The realtime/cached hybrid lives
-/// in [`CompiledCodec`](crate::CompiledCodec).)
-#[derive(Debug, Clone)]
-pub struct DecodingMatrix {
-    rows: Vec<(Vec<usize>, Vec<f64>)>,
-}
-
-impl DecodingMatrix {
-    /// Builds `A` by enumerating all `C(m, s)` straggler patterns.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::NotDecodable`] if any pattern cannot be decoded
-    /// (i.e. `B` violates Condition C1) — the offending pattern is the
-    /// complement of the reported survivors.
-    pub fn build(code: &CodingMatrix) -> Result<Self, CodingError> {
-        let m = code.workers();
-        let s = code.stragglers();
-        let mut rows = Vec::new();
-        let mut scratch = Vec::new();
-        enumerate_subsets(m, s, &mut scratch, &mut |stragglers| {
-            let survivors: Vec<usize> = (0..m).filter(|w| !stragglers.contains(w)).collect();
-            let a = solve_decode_dense(code, &survivors)?;
-            rows.push((stragglers.to_vec(), a));
-            Ok(())
-        })?;
-        Ok(DecodingMatrix { rows })
-    }
-
-    /// Iterates over `(straggler_pattern, decode_row)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[usize], &[f64])> {
-        self.rows.iter().map(|(p, a)| (p.as_slice(), a.as_slice()))
-    }
-}
+//! The decode paths' unit tests: the uncompiled `decode_plan`, the
+//! streaming [`CodecSession`](crate::CodecSession) and the compiled
+//! codec's plan cache, each checked against `a·B = 1` on one
+//! heterogeneity-aware code.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::codec::{CodecSession, CompiledCodec, GradientCodec};
+    use crate::error::CodingError;
     use crate::heter_aware::heter_aware;
-    use hetgc_linalg::Matrix;
+    use crate::strategy::CodingMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -187,35 +143,6 @@ mod tests {
             let a = decoded.expect("all five workers must decode");
             check_decode(&b, &a);
         }
-    }
-
-    #[test]
-    fn decoding_matrix_has_binomial_rows() {
-        let b = code();
-        let a = DecodingMatrix::build(&b).unwrap();
-        assert_eq!(a.iter().count(), 5); // C(5,1)
-        for (pattern, row) in a.iter() {
-            assert_eq!(pattern.len(), 1);
-            check_decode(&b, row);
-            assert_eq!(row[pattern[0]], 0.0);
-        }
-    }
-
-    #[test]
-    fn decoding_matrix_lookup() {
-        let b = code();
-        let a = DecodingMatrix::build(&b).unwrap();
-        let has = |key: &[usize]| a.iter().any(|(pattern, _)| pattern == key);
-        assert!(has(&[3]));
-        assert!(!has(&[0, 1]));
-    }
-
-    #[test]
-    fn decoding_matrix_detects_invalid_code() {
-        // Identity claims s=1 but is not robust.
-        let m = Matrix::identity(3);
-        let bad = CodingMatrix::from_matrix(m, 1).unwrap();
-        assert!(DecodingMatrix::build(&bad).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! plus the machinery they share: load-balanced allocation (Eq. 5,
 //! [`Allocation`]), cyclic supports (Eq. 6, [`SupportMatrix`]), the
 //! unified [`GradientCodec`] API ([`CompiledCodec`], [`CodecSession`],
-//! [`DecodePlan`] — see the [`codec`] module) — one compiled codec with
+//! [`DecodePlan`] — see the `codec` module) — one compiled codec with
 //! two optional stages, an intact-group fast path
 //! (`CompiledCodec::with_groups`) and bounded-error decoding past the
 //! straggler budget ([`CompiledCodec::with_approx`]), picked by name via
@@ -53,7 +53,7 @@ mod allocation;
 mod approx;
 mod backend;
 mod block;
-pub mod codec;
+pub(crate) mod codec;
 mod codec_approx;
 mod codec_group;
 mod cyclic;
@@ -74,12 +74,8 @@ pub use approx::{
 };
 pub use backend::CodecBackend;
 pub use block::{BufferPool, GradientBlock};
-pub use codec::{
-    CodecSession, CompiledCodec, DecodePlan, GradientCodec, DEFAULT_PLAN_CACHE_CAPACITY,
-};
-pub use codec_approx::DEFAULT_MAX_RESIDUAL_FRACTION;
+pub use codec::{CodecSession, CompiledCodec, DecodePlan, GradientCodec};
 pub use cyclic::{cyclic, cyclic_support, naive};
-pub use decode::DecodingMatrix;
 pub use error::CodingError;
 pub use escalation::{collect_round, EscalatingCodec, EscalationPolicy, RoundEnd};
 pub use fractional::fractional_repetition;
@@ -92,9 +88,7 @@ pub use heter_aware::{heter_aware, heter_aware_from_support};
 /// depends on this crate — shares them without an edge of its own to
 /// `hetgc-linalg`.
 pub use hetgc_linalg::kernels;
-pub use shared_cache::{
-    PlanClass, SharedPlanCache, DEFAULT_SHARED_CAPACITY_PER_SHARD, DEFAULT_SHARED_SHARDS,
-};
+pub use shared_cache::SharedPlanCache;
 pub use strategy::CodingMatrix;
 pub use support::SupportMatrix;
 pub use verify::{decodable_prefix_len, verify_condition_c1, verify_condition_c1_sampled};

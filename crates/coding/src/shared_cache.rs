@@ -38,16 +38,16 @@ use crate::codec::DecodePlan;
 use crate::error::CodingError;
 
 /// Default shard count of a [`SharedPlanCache`].
-pub const DEFAULT_SHARED_SHARDS: usize = 16;
+pub(crate) const DEFAULT_SHARED_SHARDS: usize = 16;
 
 /// Default number of plans each shard retains (LRU beyond it).
-pub const DEFAULT_SHARED_CAPACITY_PER_SHARD: usize = 64;
+pub(crate) const DEFAULT_SHARED_CAPACITY_PER_SHARD: usize = 64;
 
 /// Which rung of the escalation ladder produced a plan. An exact decode
 /// vector and the ridge least-squares row for the *same* survivor set are
 /// different objects; the class keeps them on separate cache lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanClass {
+pub(crate) enum PlanClass {
     /// An exact decode (`a·B = 1` to numerical precision).
     Exact,
     /// A ridge-stabilized least-squares plan with a positive residual.
@@ -145,8 +145,8 @@ impl Default for SharedPlanCache {
 }
 
 impl SharedPlanCache {
-    /// A cache with the default shape ([`DEFAULT_SHARED_SHARDS`] shards
-    /// of [`DEFAULT_SHARED_CAPACITY_PER_SHARD`] plans each).
+    /// A cache with the default shape (`DEFAULT_SHARED_SHARDS` shards
+    /// of `DEFAULT_SHARED_CAPACITY_PER_SHARD` plans each).
     pub fn new() -> Self {
         SharedPlanCache::with_shape(DEFAULT_SHARED_SHARDS, DEFAULT_SHARED_CAPACITY_PER_SHARD)
     }

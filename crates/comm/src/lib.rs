@@ -27,10 +27,11 @@ mod codec;
 mod encoding;
 mod error;
 mod feedback;
-#[cfg(test)]
-mod testing;
 
 pub use codec::{AnyWireCodec, F64Raw, Int8Quant, WireCodec};
 pub use encoding::PayloadEncoding;
 pub use error::CommError;
 pub use feedback::ErrorFeedback;
+
+#[cfg(test)]
+mod testing;

@@ -87,7 +87,7 @@ pub struct AdaptationReport {
     pub learned_deadline: Option<f64>,
     /// How many times the learned deadline changed (and was pushed into
     /// the engine).
-    pub deadline_updates: usize,
+    pub(crate) deadline_updates: usize,
 }
 
 impl AdaptationReport {
@@ -124,9 +124,7 @@ impl AdaptationState {
         engine: &mut E,
         rng: &mut dyn RngCore,
     ) -> Result<(), BoxError> {
-        let decision = self
-            .pipeline
-            .observe_round(elapsed, er.residual, &er.samples);
+        let decision = self.pipeline.observe_round(elapsed, &er.samples);
         if !decision.drift_events.is_empty() {
             self.report.drift_rounds.push(round);
         }

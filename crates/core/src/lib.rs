@@ -66,7 +66,6 @@ pub use engine::{
     SimSspEngine, ThreadedEngine,
 };
 pub use pipeline::PipelinedDriver;
-pub use report::parse_round_records;
 pub use scheme::{scheme_from_estimates, SchemeBuilder, SchemeInstance, SchemeKind};
 pub use trainer::{LossCurve, SimTrainConfig};
 
@@ -74,26 +73,20 @@ pub use trainer::{LossCurve, SimTrainConfig};
 // single dependency.
 pub use hetgc_cluster::{
     ClusterSpec, DelayDistribution, EstimationNoise, PartitionAssignment, StragglerEvent,
-    StragglerModel, WorkerId, WorkerSpec,
+    StragglerModel,
 };
 pub use hetgc_coding::{
-    approximate_decode, cyclic, decodable_prefix_len, fractional_repetition,
-    gradient_error_bound_l2, group_based, heter_aware, naive, suggest_partition_count,
-    under_replicated, verify_condition_c1, verify_condition_c1_sampled, Allocation,
-    ApproximateDecode, BufferPool, CodecBackend, CodecSession, CodingError, CodingMatrix,
-    CompiledCodec, DecodePlan, DecodingMatrix, EscalatingCodec, EscalationPolicy, GradientBlock,
-    GradientCodec, Group, GroupCodingMatrix, GroupSearchConfig, SupportMatrix,
+    approximate_decode, cyclic, group_based, heter_aware, naive, under_replicated,
+    verify_condition_c1, Allocation, BufferPool, CodecBackend, CodecSession, CodingMatrix,
+    CompiledCodec, EscalationPolicy, GradientBlock, GradientCodec, SupportMatrix,
 };
 pub use hetgc_ml::{
-    partial_gradients, partial_gradients_into, synthetic, Dataset, FillPartial, LinearRegression,
-    Mlp, Model, Optimizer, Sgd, SoftmaxRegression, Targets,
+    partial_gradients_into, synthetic, Dataset, FillPartial, LinearRegression, Mlp, Model, Sgd,
+    SoftmaxRegression,
 };
-pub use hetgc_runtime::{RuntimeConfig, RuntimeError, ThreadedCluster, WorkerBehavior};
+pub use hetgc_runtime::{RuntimeConfig, WorkerBehavior};
 pub use hetgc_sim::{
-    simulate_bsp_iteration, simulate_bsp_iteration_in, BspIteration, BspIterationConfig,
-    IterationTrace, NetworkModel, RateDrift, ResourceUsage, SspEngine, SspEvent,
+    simulate_bsp_iteration, simulate_bsp_iteration_in, BspIterationConfig, IterationTrace,
+    NetworkModel, RateDrift, ResourceUsage, SspEngine,
 };
-pub use hetgc_telemetry::{
-    Adaptation, AdaptationConfig, AdaptationDecision, DeadlineConfig, DriftConfig, DriftDetector,
-    DriftEvent, DriftKind, RecodeConfig, RecodeController, RoundSample, TelemetryHub,
-};
+pub use hetgc_telemetry::{AdaptationConfig, RoundSample, TelemetryHub};

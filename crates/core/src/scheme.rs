@@ -71,8 +71,6 @@ pub struct SchemeInstance {
     pub code: CodingMatrix,
     /// The pruned groups (non-empty only for [`SchemeKind::GroupBased`]).
     pub groups: Vec<Group>,
-    /// The throughput estimates the construction used (for diagnostics).
-    pub estimates: Vec<f64>,
 }
 
 impl SchemeInstance {
@@ -148,7 +146,7 @@ impl<'a> SchemeBuilder<'a> {
 
     /// Uses the given throughput estimates instead of ground truth
     /// (e.g. from `hetgc_cluster::EstimationNoise` or a
-    /// `ThroughputEstimator`).
+    /// `hetgc_cluster::EwmaEstimator`).
     pub fn estimates(mut self, estimates: Vec<f64>) -> Self {
         self.estimates = Some(estimates);
         self
@@ -244,16 +242,11 @@ pub fn scheme_from_estimates<R: Rng + ?Sized>(
             (g.into_code(), groups)
         }
     };
-    Ok(SchemeInstance {
-        kind,
-        code,
-        groups,
-        estimates: estimates.to_vec(),
-    })
+    Ok(SchemeInstance { kind, code, groups })
 }
 
 /// Boxed error alias used by the experiment layer.
-pub type BoxError = Box<dyn Error + Send + Sync>;
+pub(crate) type BoxError = Box<dyn Error + Send + Sync>;
 
 #[cfg(test)]
 mod tests {
@@ -350,7 +343,6 @@ mod tests {
         for w in 0..8 {
             assert_eq!(scheme.code.load_of(w), 2);
         }
-        assert_eq!(scheme.estimates, vec![1.0; 8]);
     }
 
     #[test]

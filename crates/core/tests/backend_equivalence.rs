@@ -21,9 +21,10 @@
 use std::collections::HashMap;
 
 use hetgc::{
-    ClusterSpec, CodecBackend, CompiledCodec, DecodePlan, GradientBlock, GradientCodec,
-    SchemeBuilder, SchemeKind,
+    ClusterSpec, CodecBackend, CompiledCodec, GradientBlock, GradientCodec, SchemeBuilder,
+    SchemeKind,
 };
+use hetgc_coding::DecodePlan;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

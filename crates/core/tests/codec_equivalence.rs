@@ -13,7 +13,8 @@
 
 use std::collections::HashMap;
 
-use hetgc::{ClusterSpec, DecodePlan, GradientBlock, GradientCodec, SchemeBuilder, SchemeKind};
+use hetgc::{ClusterSpec, GradientBlock, GradientCodec, SchemeBuilder, SchemeKind};
+use hetgc_coding::DecodePlan;
 
 /// `out = Σ_w a[w] · coded[w]` in ascending worker order: zero-fill, then
 /// one `axpy` per nonzero coefficient of the dense decode vector.

@@ -13,9 +13,10 @@
 use std::collections::HashMap;
 
 use hetgc::{
-    partial_gradients, partial_gradients_into, synthetic, ClusterSpec, CodecBackend, GradientBlock,
-    GradientCodec, LinearRegression, Model, SchemeBuilder, SchemeKind,
+    partial_gradients_into, synthetic, ClusterSpec, CodecBackend, GradientBlock, GradientCodec,
+    LinearRegression, Model, SchemeBuilder, SchemeKind,
 };
+use hetgc_ml::partial_gradients;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

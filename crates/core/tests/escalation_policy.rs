@@ -13,9 +13,10 @@
 //!    positive and strictly below the base on approximate rounds.
 
 use hetgc::{
-    residual_step_scale, ClusterSpec, CodecBackend, EscalatingCodec, EscalationPolicy,
-    GradientCodec, SchemeBuilder, SchemeKind,
+    residual_step_scale, ClusterSpec, CodecBackend, EscalationPolicy, GradientCodec, SchemeBuilder,
+    SchemeKind,
 };
+use hetgc_coding::EscalatingCodec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

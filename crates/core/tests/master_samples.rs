@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 use hetgc::{
     heter_aware, synthetic, ClusterEngine, CodecBackend, EngineRound, EscalationPolicy,
     GradientCodec, LinearRegression, Model, PipelinedEngine, RoundEngine, RoundSample,
-    RuntimeConfig, RuntimeError,
+    RuntimeConfig,
 };
 use hetgc_runtime::channel::{unbounded, Receiver, Sender};
+use hetgc_runtime::RuntimeError;
 use hetgc_runtime::{build_codec, Master, Reply, RowShard, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,10 +13,13 @@ use std::time::Duration;
 
 use hetgc::{
     group_based, heter_aware, simulate_bsp_iteration_in, synthetic, BspIterationConfig,
-    CodecBackend, DecodePlan, EscalatingCodec, EscalationPolicy, GradientCodec, LinearRegression,
-    NetworkModel, RuntimeConfig, RuntimeError, StragglerEvent,
+    CodecBackend, EscalationPolicy, GradientCodec, LinearRegression, NetworkModel, RuntimeConfig,
+    StragglerEvent,
 };
+use hetgc_coding::DecodePlan;
+use hetgc_coding::EscalatingCodec;
 use hetgc_runtime::channel::{unbounded, Receiver};
+use hetgc_runtime::RuntimeError;
 use hetgc_runtime::{Master, Reply, RowShard, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

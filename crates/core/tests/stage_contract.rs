@@ -20,9 +20,10 @@
 //! `rand` stream (scheme coefficients) and with nothing else.
 
 use hetgc::{
-    ClusterSpec, CodecBackend, EscalatingCodec, EscalationPolicy, GradientCodec, RuntimeConfig,
-    SchemeBuilder, SchemeInstance, SchemeKind,
+    ClusterSpec, CodecBackend, EscalationPolicy, GradientCodec, RuntimeConfig, SchemeBuilder,
+    SchemeInstance, SchemeKind,
 };
+use hetgc_coding::EscalatingCodec;
 use hetgc_runtime::build_codec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,7 +106,7 @@ fn observe(codec: &EscalatingCodec, mut h: u64) -> u64 {
     let (m, s) = (codec.workers(), codec.stragglers());
     // A fixed permutation of the workers (5 is coprime to every m here).
     let order: Vec<usize> = (0..m).map(|i| (i * 5 + 3) % m).collect();
-    let plan_fold = |h: u64, plan: &hetgc::DecodePlan| {
+    let plan_fold = |h: u64, plan: &hetgc_coding::DecodePlan| {
         let h = plan.workers().iter().fold(h, |h, &w| mix(h, w as u64));
         let h = plan
             .coefficients()

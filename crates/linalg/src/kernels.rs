@@ -32,7 +32,7 @@
 //!   bounds a single fold; it never reassociates one. A row count that is
 //!   not a multiple of [`CHAINS`] ends in narrower ordered chains.
 //! * **Reductions reassociate.** [`dot`] and [`norm_inf`] accumulate in
-//!   [`LANES`] independent partial accumulators (that is what lets them
+//!   `LANES` independent partial accumulators (that is what lets them
 //!   vectorize). [`dot`] is therefore *deterministic* but not
 //!   bitwise-equal to a left-to-right scalar fold — use [`dot_ordered_each`]
 //!   where the fold's bits are a contract. `max` is associative, so
@@ -50,7 +50,7 @@
 /// Eight covers an AVX-512 register of `f64` and keeps two AVX2 (or four
 /// SSE2) operations in flight per chunk for superscalar cores; the
 /// compiler re-tiles the chunk body to whatever the target offers.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Column-block width (elements) of [`block_decode`]: each block of the
 /// output stays L1-resident while every input row streams through it
@@ -59,7 +59,7 @@ pub const COL_BLOCK: usize = 1024;
 
 /// Output length (elements) below which [`block_decode`] never spawns
 /// threads: spawning costs more than the decode itself.
-pub const PAR_MIN_DIM: usize = 1 << 16;
+pub(crate) const PAR_MIN_DIM: usize = 1 << 16;
 
 /// Minimum elements of output per spawned thread.
 const PAR_MIN_CHUNK: usize = 1 << 15;
@@ -154,7 +154,7 @@ fn fused_axpys<const K: usize, const ZEROED: bool>(alpha: [f64; K], x: [&[f64]; 
     }
 }
 
-/// Dot product `Σ a_i·b_i` over [`LANES`] partial accumulators.
+/// Dot product `Σ a_i·b_i` over `LANES` partial accumulators.
 ///
 /// Deterministic, but reassociated relative to a scalar left-to-right
 /// fold (see the module contract).
@@ -306,7 +306,7 @@ pub fn norm_inf(x: &[f64]) -> f64 {
 /// flat arrival block, scattered `Arc` payloads, or a CSR-gathered
 /// subset without materializing a slice-of-slices. Spawns up to
 /// `max_threads` scoped threads across the `d` dimension when
-/// `out.len() ≥` [`PAR_MIN_DIM`]; pass `1` to force the sequential path
+/// `out.len() ≥ PAR_MIN_DIM`; pass `1` to force the sequential path
 /// (e.g. on a zero-allocation hot path — spawning allocates).
 ///
 /// Bitwise-identical to the equivalent sequence of full-length [`axpy`]
@@ -349,7 +349,7 @@ where
 
 /// [`block_decode_threads`] with the automatic thread count: one thread
 /// per `PAR_MIN_CHUNK` (2¹⁵ elements) of output, capped at the machine's available
-/// parallelism (sequential below [`PAR_MIN_DIM`]).
+/// parallelism (sequential below `PAR_MIN_DIM`).
 pub fn block_decode<'a, F>(coeffs: &[f64], row_of: &F, out: &mut [f64])
 where
     F: Fn(usize) -> &'a [f64] + Sync,

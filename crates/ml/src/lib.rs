@@ -45,8 +45,6 @@ mod mlp;
 mod model;
 mod optimizer;
 pub mod synthetic;
-#[cfg(test)]
-mod testing;
 
 pub use dataset::{Dataset, Targets};
 pub use gradient::{partial_gradients, partial_gradients_into};
@@ -58,3 +56,6 @@ pub use optimizer::{Optimizer, Sgd};
 
 mod logistic;
 pub use logistic::SoftmaxRegression;
+
+#[cfg(test)]
+mod testing;

@@ -15,8 +15,9 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetgc::{heter_aware, synthetic, LinearRegression, Model, RuntimeConfig};
-use hetgc_net::frame::append_gradient_chunk;
-use hetgc_net::{Frame, FrameRef, ModelSpec, SocketCluster, SocketListener, WorkerFleet};
+use hetgc_net::{
+    append_gradient_chunk, Frame, FrameRef, ModelSpec, SocketCluster, SocketListener, WorkerFleet,
+};
 use hetgc_runtime::ThreadedCluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -29,7 +29,7 @@ const RECV_BUF_LEN: usize = 4 * 1024;
 
 /// A framed, counted, blocking connection.
 #[derive(Debug)]
-pub struct Connection {
+pub(crate) struct Connection {
     stream: TcpStream,
     /// The receive buffer, always fully initialized: `buf[head..tail]`
     /// holds the bytes received but not yet consumed as complete frames,

@@ -65,7 +65,7 @@ use hetgc_comm::PayloadEncoding;
 
 /// Protocol magic carried by [`Frame::Hello`]: `"HGC1"` as a big-endian
 /// byte string, stored little-endian like every other integer.
-pub const MAGIC: u32 = 0x4847_4331;
+pub(crate) const MAGIC: u32 = 0x4847_4331;
 
 /// Protocol version carried by [`Frame::Hello`]. Bump on any layout
 /// change; the master rejects mismatched workers at the handshake.
@@ -93,11 +93,11 @@ const ENCODED_CHUNK_FIXED_LEN: usize = 8 + 4 + 4 + 4 + 1 + 4;
 /// The most parameters a `Round` frame can carry under
 /// [`MAX_FRAME_LEN`] (≈ 8.38 M). A larger model cannot be broadcast:
 /// every worker would reject the frame as [`WireError::Oversized`].
-pub const MAX_ROUND_PARAMS: usize = (MAX_FRAME_LEN as usize - ROUND_FIXED_LEN) / 8;
+pub(crate) const MAX_ROUND_PARAMS: usize = (MAX_FRAME_LEN as usize - ROUND_FIXED_LEN) / 8;
 
 /// The most `f64` coordinates one `GradientChunk` can carry under
 /// [`MAX_FRAME_LEN`].
-pub const MAX_CHUNK_LEN: usize = (MAX_FRAME_LEN as usize - GRADIENT_CHUNK_FIXED_LEN) / 8;
+pub(crate) const MAX_CHUNK_LEN: usize = (MAX_FRAME_LEN as usize - GRADIENT_CHUNK_FIXED_LEN) / 8;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_HANDSHAKE: u8 = 0x02;

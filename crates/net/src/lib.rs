@@ -4,28 +4,28 @@
 //!
 //! Layers, bottom up:
 //!
-//! * [`frame`] — the wire protocol: compact length-prefixed binary
+//! * `frame` — the wire protocol: compact length-prefixed binary
 //!   frames (handshake, per-round sequence-numbered coded-gradient
 //!   chunks, recode/shutdown control). Pure bytes, no I/O.
-//! * [`conn`] — blocking framed transport over `std::net::TcpStream`
+//! * `conn` — blocking framed transport over `std::net::TcpStream`
 //!   with persistent partial-frame buffering and shared byte counters.
-//! * [`spec`] — wire-shippable mirrors of the runtime configuration
+//! * `spec` — wire-shippable mirrors of the runtime configuration
 //!   (model, dataset, behaviour schedule, shard assignment) so a fresh
 //!   worker process can rebuild its entire state from the handshake.
-//! * [`worker`] / the `hetgc-worker` binary — the worker loop:
+//! * `worker` / the `hetgc-worker` binary — the worker loop:
 //!   newest-round fast-forward, the *identical* coded-gradient
 //!   arithmetic as the in-process worker thread, chunked streaming
 //!   replies.
-//! * [`cluster`] — [`TcpTransport`], the master's TCP transport (per-link
+//! * `cluster` — [`TcpTransport`], the master's TCP transport (per-link
 //!   reader threads, peer-loss demotion, re-rowing the surviving
 //!   connections, real per-round byte metering), and [`SocketCluster`],
 //!   a `hetgc_runtime::Master` over it plus the accept/handshake
 //!   constructors and link accessors.
-//! * [`engine`] — [`SocketEngine`]: `hetgc::ClusterEngine` over a
+//! * `engine` — [`SocketEngine`]: `hetgc::ClusterEngine` over a
 //!   `SocketCluster`, so `hetgc::TrainDriver` and
 //!   `hetgc::PipelinedDriver` drive TCP workers with no call-site
 //!   changes.
-//! * [`spawn`] — [`WorkerFleet`]: process lifecycle for tests and fault
+//! * `spawn` — [`WorkerFleet`]: process lifecycle for tests and fault
 //!   drills (spawn n workers, kill one mid-run, reap on drop).
 //!
 //! Because worker compute is operation-for-operation the threaded
@@ -36,23 +36,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod conn;
-pub mod engine;
-pub mod error;
-pub mod frame;
-pub mod spawn;
-pub mod spec;
-pub mod worker;
+mod cluster;
+mod conn;
+mod engine;
+mod error;
+mod frame;
+mod spawn;
+mod spec;
+mod worker;
 
 pub use cluster::{
     export_link_metrics, LinkStats, SocketCluster, SocketListener, TcpTransport, DEFAULT_CHUNK_LEN,
 };
-pub use conn::Connection;
 pub use engine::SocketEngine;
 pub use error::{NetError, WireError};
-pub use frame::{Frame, FrameRef, MAX_FRAME_LEN, VERSION};
+pub use frame::{append_gradient_chunk, Frame, FrameRef, HEADER_LEN, MAX_FRAME_LEN, VERSION};
 pub use hetgc_comm::PayloadEncoding;
 pub use spawn::WorkerFleet;
-pub use spec::{AnyModel, BehaviorSpec, DatasetSpec, Handshake, ModelSpec, TargetsSpec};
+pub use spec::{BehaviorSpec, DatasetSpec, Handshake, ModelSpec, TargetsSpec};
 pub use worker::{run_worker, run_worker_with_metrics};

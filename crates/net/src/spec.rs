@@ -135,7 +135,7 @@ impl ModelSpec {
 /// delegation so the worker loop computes the *identical* floating-point
 /// operations an in-process worker thread would.
 #[derive(Debug, Clone)]
-pub enum AnyModel {
+pub(crate) enum AnyModel {
     /// Linear least squares.
     Linear(LinearRegression),
     /// Softmax classification.

@@ -8,9 +8,10 @@ use std::time::Duration;
 
 use hetgc::{
     heter_aware, synthetic, CodecBackend, EscalationPolicy, LinearRegression, RoundEngine,
-    RuntimeConfig, RuntimeError, SchemeKind, Sgd, TrainDriver, WorkerBehavior,
+    RuntimeConfig, SchemeKind, Sgd, TrainDriver, WorkerBehavior,
 };
 use hetgc_net::{ModelSpec, SocketCluster, SocketEngine, SocketListener, WorkerFleet};
+use hetgc_runtime::RuntimeError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

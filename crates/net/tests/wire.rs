@@ -3,10 +3,9 @@
 //! unknown-tag, wrong-magic — maps to a typed [`WireError`] without
 //! panicking and without allocating beyond the (bounded) declared length.
 
-use hetgc_net::frame::HEADER_LEN;
 use hetgc_net::{
     BehaviorSpec, DatasetSpec, Frame, FrameRef, Handshake, ModelSpec, PayloadEncoding, TargetsSpec,
-    WireError, MAX_FRAME_LEN, VERSION,
+    WireError, HEADER_LEN, MAX_FRAME_LEN, VERSION,
 };
 use proptest::prelude::*;
 

@@ -28,8 +28,8 @@ mod trace;
 
 pub use observer::{CodecMetrics, RunObserver};
 pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricFamily, MetricKind, MetricValue,
-    MetricsRegistry, MetricsSnapshot, Series, HISTOGRAM_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
+    HISTOGRAM_BUCKETS,
 };
-pub use server::{MetricsServer, RefreshHook};
+pub use server::MetricsServer;
 pub use trace::{Phase, Recorder, SpanGuard, TraceEvent};

@@ -159,7 +159,7 @@ fn snapshot_histogram(cell: &HistogramCell) -> HistogramSnapshot {
 
 /// What kind of metric a family holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonic counter.
     Counter,
     /// Last-write-wins gauge.
@@ -407,11 +407,11 @@ impl HistogramSnapshot {
 
 /// One labelled series inside a family.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Series {
+pub(crate) struct Series {
     /// Sorted `(key, value)` label pairs.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// The sampled value.
-    pub value: MetricValue,
+    pub(crate) value: MetricValue,
 }
 
 /// A sampled metric value.
@@ -427,15 +427,15 @@ pub enum MetricValue {
 
 /// A named family of series sharing one kind and help string.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricFamily {
+pub(crate) struct MetricFamily {
     /// Metric name (Prometheus-style, e.g. `hetgc_rounds_total`).
-    pub name: String,
+    pub(crate) name: String,
     /// Help text for the `# HELP` line.
-    pub help: String,
+    pub(crate) help: String,
     /// Counter, gauge, or histogram.
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// The labelled series.
-    pub series: Vec<Series>,
+    pub(crate) series: Vec<Series>,
 }
 
 /// A point-in-time copy of a whole registry. Snapshots from different
@@ -443,7 +443,7 @@ pub struct MetricFamily {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Families in name order.
-    pub families: Vec<MetricFamily>,
+    pub(crate) families: Vec<MetricFamily>,
 }
 
 impl MetricsSnapshot {

@@ -20,7 +20,7 @@ use crate::trace::Recorder;
 
 /// A callback run before every scrape, for pull-model sources (shared
 /// cache occupancy, link byte counters) that set gauges on demand.
-pub type RefreshHook = Box<dyn Fn() + Send>;
+pub(crate) type RefreshHook = Box<dyn Fn() + Send>;
 
 /// A running exposition endpoint. Dropping it (or calling
 /// [`stop`](MetricsServer::stop)) shuts the listener down.

@@ -89,7 +89,7 @@ impl Transport for ChannelTransport {
     }
 
     /// Re-rows the running threads in place: exactly one shard per
-    /// thread, each sent as a [`ToWorker::Recode`] — nothing is respawned
+    /// thread, each sent as a `ToWorker::Recode` — nothing is respawned
     /// or joined, so a straggler mid-delay holds nothing up. The dataset
     /// is shared memory, so a new row is only new ranges and
     /// coefficients. Threads keep their behaviour, so its schedules stay

@@ -65,6 +65,6 @@ pub use crossbeam::channel;
 pub use error::RuntimeError;
 pub use executor::{ChannelTransport, ThreadedCluster};
 pub use master::{build_codec, row_shards, Master, RowShard, Transport};
-pub use message::{Reply, ToWorker};
+pub use message::Reply;
 pub use round::EngineRound;
 pub use worker::{compute_coded, emulated_deadline};

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 /// Master → worker messages.
 #[derive(Debug, Clone)]
-pub enum ToWorker {
+pub(crate) enum ToWorker {
     /// Start one computation round on the given parameters.
     Round {
         /// The global iteration number.

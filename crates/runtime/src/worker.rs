@@ -13,17 +13,17 @@ use crate::message::{FromWorker, ToWorker};
 /// Everything a worker thread needs, bundled so `executor` can spawn it
 /// with a single move closure.
 pub(crate) struct WorkerContext<M> {
-    pub index: usize,
-    pub model: Arc<M>,
-    pub data: Arc<Dataset>,
+    pub(crate) index: usize,
+    pub(crate) model: Arc<M>,
+    pub(crate) data: Arc<Dataset>,
     /// This worker's sample ranges, one per owned partition, aligned with
     /// `coefficients`. Both are replaced by [`ToWorker::Recode`].
-    pub ranges: Vec<(usize, usize)>,
+    pub(crate) ranges: Vec<(usize, usize)>,
     /// The non-zero entries of `b_w`, aligned with `ranges`.
-    pub coefficients: Vec<f64>,
-    pub behavior: WorkerBehavior,
-    pub inbox: Receiver<ToWorker>,
-    pub outbox: Sender<FromWorker>,
+    pub(crate) coefficients: Vec<f64>,
+    pub(crate) behavior: WorkerBehavior,
+    pub(crate) inbox: Receiver<ToWorker>,
+    pub(crate) outbox: Sender<FromWorker>,
 }
 
 /// The coded gradient of one worker, `coded = Σ_p coef_p · ∇L(params;

@@ -9,7 +9,7 @@
 //!
 //! * [`SharedWorkerPool`] — the logical fleet: base throughputs, worker
 //!   behaviours, the fleet-wide [`hetgc_coding::SharedPlanCache`] and an
-//!   admission cap. A [`PoolLease`] holds one admission slot.
+//!   admission cap. A `PoolLease` holds one admission slot.
 //! * [`JobScheduler`] — admits a batch of [`JobSpec`]s, runs each as a
 //!   `hetgc::ThreadedEngine` driven by `hetgc::TrainDriver` while its
 //!   lease is held, concurrently (or sequentially as the baseline), and
@@ -44,5 +44,5 @@
 mod pool;
 mod scheduler;
 
-pub use pool::{PoolLease, SharedWorkerPool};
+pub use pool::SharedWorkerPool;
 pub use scheduler::{JobError, JobScheduler, JobSpec, SchedulerReport};

@@ -173,7 +173,7 @@ impl SharedWorkerPool {
 /// One job's admission into a [`SharedWorkerPool`]: holds a concurrency
 /// slot until dropped.
 #[derive(Debug)]
-pub struct PoolLease {
+pub(crate) struct PoolLease {
     pool: SharedWorkerPool,
 }
 

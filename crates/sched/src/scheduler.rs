@@ -32,23 +32,23 @@ type BoxError = Box<dyn std::error::Error + Send + Sync>;
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The job's name — its curve label and its `job_id` record tag.
-    pub name: String,
+    pub(crate) name: String,
     /// Scheme family the job's allocation is built with.
-    pub kind: SchemeKind,
+    pub(crate) kind: SchemeKind,
     /// Designed straggler tolerance.
-    pub stragglers: usize,
+    pub(crate) stragglers: usize,
     /// Codec backend the job's master decodes with.
-    pub backend: CodecBackend,
+    pub(crate) backend: CodecBackend,
     /// Per-round escalation policy: its deadline, and the approximate
     /// stage's budget when [`JobSpec::backend`] has that stage. The
     /// default waits for every worker and keeps the backend's budget.
-    pub escalation: EscalationPolicy,
+    pub(crate) escalation: EscalationPolicy,
     /// Collect rounds to train for.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Model dimension of the synthetic linear-regression workload.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Sample count of the synthetic workload.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Seed for the job's scheme construction, data synthesis and
     /// training loop — two specs with equal seeds (and kinds/budgets)
     /// build bitwise-identical codes, which is what lets tenants share
@@ -57,7 +57,7 @@ pub struct JobSpec {
     /// dimension are all equal build their code and dataset once and
     /// share them, bitwise what each would build alone; a tenant with no
     /// equal builds its own, as it would alone.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Evaluate the training loss every this many rounds.
     pub eval_every: usize,
     /// SGD learning rate.

@@ -151,7 +151,7 @@ pub struct BspIteration {
     /// How many arrivals the master took in before it decided: the first
     /// `absorbed` of `arrivals`. On an exact decode the last of them
     /// completed the set.
-    pub absorbed: usize,
+    pub(crate) absorbed: usize,
     /// Per-worker *useful compute* seconds, capped at the completion time
     /// (workers are cancelled when the master moves on) — the numerator of
     /// the paper's resource-usage metric (Fig. 5).

@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceUsage {
     /// Total useful compute seconds across workers and iterations.
-    pub compute_seconds: f64,
+    pub(crate) compute_seconds: f64,
     /// Total wall-clock worker-seconds (m × Σ iteration times).
-    pub total_seconds: f64,
+    pub(crate) total_seconds: f64,
 }
 
 impl ResourceUsage {

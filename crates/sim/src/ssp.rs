@@ -27,7 +27,7 @@ pub struct SspEvent {
     /// The worker.
     pub worker: usize,
     /// The worker's local iteration number, starting at 1.
-    pub iteration: usize,
+    pub(crate) iteration: usize,
 }
 
 /// The SSP scheduler.

@@ -58,7 +58,7 @@ pub struct AdaptationDecision {
 /// The assembled observation-and-adaptation pipeline:
 /// [`TelemetryHub`] ingestion, [`DriftDetector`] over the per-sample
 /// rates, the learned deadline over the hub's round-time window and
-/// [`RecodeController`] cadence — one [`AdaptationDecision`] out per
+/// `RecodeController` cadence — one [`AdaptationDecision`] out per
 /// round. The driver owns acting on the decision (installing the
 /// deadline, asking its engine to re-code) and reports back through
 /// [`Adaptation::recode_applied`] / [`Adaptation::recode_rejected`].
@@ -90,13 +90,8 @@ impl Adaptation {
     }
 
     /// Observes one completed round and decides what to adapt.
-    pub fn observe_round(
-        &mut self,
-        elapsed: f64,
-        residual: f64,
-        samples: &[RoundSample],
-    ) -> AdaptationDecision {
-        self.hub.ingest(elapsed, residual, samples);
+    pub fn observe_round(&mut self, elapsed: f64, samples: &[RoundSample]) -> AdaptationDecision {
+        self.hub.ingest(elapsed, 0.0, samples);
         let mut events = Vec::new();
         for s in samples {
             if let Some(rate) = s.rate() {
@@ -160,7 +155,7 @@ mod tests {
         let mut a = Adaptation::new(2, AdaptationConfig::default());
         let mut last = AdaptationDecision::default();
         for _ in 0..12 {
-            last = a.observe_round(1.0, 0.0, &round_samples(&[4.0, 2.0], 8.0));
+            last = a.observe_round(1.0, &round_samples(&[4.0, 2.0], 8.0));
         }
         assert!(!last.recode);
         assert!(last.drift_events.is_empty());
@@ -174,11 +169,11 @@ mod tests {
     fn step_change_confirms_then_recodes_once_per_cooldown() {
         let mut a = Adaptation::new(2, AdaptationConfig::default());
         for _ in 0..10 {
-            a.observe_round(1.0, 0.0, &round_samples(&[4.0, 4.0], 8.0));
+            a.observe_round(1.0, &round_samples(&[4.0, 4.0], 8.0));
         }
         let mut fired_at = Vec::new();
         for i in 0..10 {
-            let d = a.observe_round(2.5, 0.0, &round_samples(&[4.0, 1.2], 8.0));
+            let d = a.observe_round(2.5, &round_samples(&[4.0, 1.2], 8.0));
             if d.recode {
                 fired_at.push(i);
                 a.recode_applied();
@@ -202,13 +197,11 @@ mod tests {
         };
         let mut a = Adaptation::new(1, cfg);
         for _ in 0..8 {
-            a.observe_round(1.0, 0.0, &round_samples(&[4.0], 8.0));
+            a.observe_round(1.0, &round_samples(&[4.0], 8.0));
         }
         let mut attempts = 0;
         for _ in 0..10 {
-            if a.observe_round(4.0, 0.0, &round_samples(&[0.8], 8.0))
-                .recode
-            {
+            if a.observe_round(4.0, &round_samples(&[0.8], 8.0)).recode {
                 attempts += 1;
                 a.recode_rejected();
             }
@@ -224,7 +217,7 @@ mod tests {
         };
         let mut a = Adaptation::new(1, cfg);
         for _ in 0..20 {
-            let d = a.observe_round(1.0, 0.0, &round_samples(&[4.0], 8.0));
+            let d = a.observe_round(1.0, &round_samples(&[4.0], 8.0));
             assert_eq!(d.deadline, None);
         }
         assert!(a.cfg.recode_on_drift);

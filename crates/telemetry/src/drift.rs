@@ -23,19 +23,19 @@
 pub struct DriftConfig {
     /// Observations per worker before the detectors judge (the first
     /// `min_samples` build the baseline).
-    pub min_samples: usize,
+    pub(crate) min_samples: usize,
     /// CUSUM dead-band: relative deviations below this are noise. Sized
     /// to the allocation's noise envelope (compute jitter / estimation
     /// noise σ), typically 1–2 σ.
-    pub slack: f64,
+    pub(crate) slack: f64,
     /// CUSUM firing threshold on the accumulated excess deviation.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Relative fast-vs-baseline EWMA divergence that flags slow drift.
-    pub envelope: f64,
+    pub(crate) envelope: f64,
     /// Smoothing of the fast (live) EWMA.
-    pub fast_alpha: f64,
+    pub(crate) fast_alpha: f64,
     /// Smoothing of the slow baseline EWMA.
-    pub slow_alpha: f64,
+    pub(crate) slow_alpha: f64,
 }
 
 impl Default for DriftConfig {
@@ -76,7 +76,7 @@ impl DriftConfig {
 
 /// What kind of drift fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftKind {
+pub(crate) enum DriftKind {
     /// Abrupt rate change caught by the CUSUM statistic.
     Step,
     /// Gradual divergence caught by the EWMA envelope.
@@ -89,10 +89,10 @@ pub struct DriftEvent {
     /// The drifting worker.
     pub worker: usize,
     /// Step or slow drift.
-    pub kind: DriftKind,
+    pub(crate) kind: DriftKind,
     /// Relative deviation `fast/baseline − 1` at firing time (negative =
     /// slowdown).
-    pub magnitude: f64,
+    pub(crate) magnitude: f64,
 }
 
 #[derive(Debug, Clone, Default)]

@@ -34,7 +34,7 @@
 //! * [`DeadlineConfig`] — the learned escalation deadline: a target
 //!   quantile of the hub's recent round-completion times times a margin,
 //!   replacing the static `EscalationPolicy::with_deadline` knob.
-//! * [`RecodeController`] — debounces confirmed drift into re-code
+//! * `RecodeController` — debounces confirmed drift into re-code
 //!   triggers with a cooldown; the consuming engine owns the actual
 //!   Eq. 5 → Eq. 6 → Alg. 1/3 rebuild and codec hot-swap.
 //! * [`Adaptation`] / [`AdaptationConfig`] — the assembled pipeline a
@@ -57,7 +57,7 @@ mod recode;
 
 pub use adaptation::{Adaptation, AdaptationConfig, AdaptationDecision};
 pub use deadline::DeadlineConfig;
-pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftKind};
+pub use drift::{DriftConfig, DriftDetector, DriftEvent};
 pub use hetgc_cluster::RoundSample;
 pub use hub::TelemetryHub;
-pub use recode::{RecodeConfig, RecodeController};
+pub use recode::RecodeConfig;

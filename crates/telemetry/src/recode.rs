@@ -28,7 +28,7 @@ impl Default for RecodeConfig {
 /// codec hot-swap). The controller debounces the drift signal, enforces a
 /// cooldown between attempts (the run report counts the outcomes).
 #[derive(Debug, Clone)]
-pub struct RecodeController {
+pub(crate) struct RecodeController {
     cfg: RecodeConfig,
     round: usize,
     consecutive_drifting: usize,

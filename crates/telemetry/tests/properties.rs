@@ -48,7 +48,7 @@ proptest! {
         );
         let mut learned = None;
         for &t in &times {
-            learned = adaptation.observe_round(t, 0.0, &[]).deadline;
+            learned = adaptation.observe_round(t, &[]).deadline;
         }
         let learned = learned.expect("past warmup");
         // Empirical nearest-rank p90 of the last 64 observations.

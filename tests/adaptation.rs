@@ -215,6 +215,6 @@ fn streaming_records_match_the_outcome() {
         .run(&mut engine, 12, &mut rng)
         .unwrap();
     let text = String::from_utf8(buf).unwrap();
-    let parsed = hetgc::parse_round_records(&text).unwrap();
+    let parsed = hetgc::report::parse_round_records(&text).unwrap();
     assert_eq!(parsed, out.records);
 }

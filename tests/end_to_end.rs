@@ -2,10 +2,11 @@
 //! pipeline recovers exact gradients across schemes, models and backends.
 
 use hetgc::{
-    ClusterSpec, DecodePlan, GradientBlock, GradientCodec, Mlp, Model, SchemeBuilder, SchemeKind,
+    ClusterSpec, GradientBlock, GradientCodec, Mlp, Model, SchemeBuilder, SchemeKind,
     SoftmaxRegression,
 };
 use hetgc_cluster::PartitionAssignment;
+use hetgc_coding::DecodePlan;
 use hetgc_ml::{partial_gradients_into, synthetic};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -154,7 +155,7 @@ fn all_clusters_all_schemes_robust() {
             let scheme = SchemeBuilder::new(&cluster, 1)
                 .build(kind, &mut rng)
                 .unwrap_or_else(|e| panic!("{} {kind}: {e}", cluster.name()));
-            hetgc::verify_condition_c1_sampled(&scheme.code, 25, &mut rng)
+            hetgc_coding::verify_condition_c1_sampled(&scheme.code, 25, &mut rng)
                 .unwrap_or_else(|e| panic!("{} {kind}: {e}", cluster.name()));
         }
     }

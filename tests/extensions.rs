@@ -6,10 +6,11 @@
 use hetgc::adaptive::{run_with_drift, AdaptiveConfig};
 use hetgc::RateDrift;
 use hetgc::{
-    gradient_error_bound_l2, simulate_bsp_iteration, under_replicated, BspIterationConfig,
-    ClusterSpec, CompiledCodec, GradientBlock, GradientCodec, IterationTrace, NetworkModel,
-    SchemeBuilder, SchemeKind, StragglerEvent,
+    simulate_bsp_iteration, under_replicated, BspIterationConfig, ClusterSpec, CompiledCodec,
+    GradientBlock, GradientCodec, IterationTrace, NetworkModel, SchemeBuilder, SchemeKind,
+    StragglerEvent,
 };
+use hetgc_coding::gradient_error_bound_l2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -155,7 +155,7 @@ fn group_based_decodes_from_fewer_workers() {
     assert!(!group.groups().is_empty());
 
     let order: Vec<usize> = group.groups()[0].workers().to_vec();
-    let group_prefix = hetgc::decodable_prefix_len(group.code(), &order).unwrap();
+    let group_prefix = hetgc_coding::decodable_prefix_len(group.code(), &order).unwrap();
     assert!(group_prefix <= order.len());
     assert!(
         group_prefix < 5,
@@ -169,7 +169,7 @@ fn group_based_decodes_from_fewer_workers() {
     // earlier — that case is covered by the group assertions above.)
     let heter = hetgc::heter_aware(&[1.0, 2.0, 3.0, 4.0, 4.0], 7, 1, &mut rng).unwrap();
     let full_order: Vec<usize> = (0..5).collect();
-    let heter_prefix = hetgc::decodable_prefix_len(&heter, &full_order).unwrap();
+    let heter_prefix = hetgc_coding::decodable_prefix_len(&heter, &full_order).unwrap();
     assert_eq!(heter_prefix, 4, "Alg.1 decodes at exactly m−s");
 }
 
@@ -181,7 +181,10 @@ fn no_scheme_beats_theorem5_bound() {
     let c = [2.0, 2.0, 4.0, 4.0, 8.0, 8.0];
     for (label, code) in [
         ("cyclic", hetgc::cyclic(6, 1, &mut rng).unwrap()),
-        ("frac", hetgc::fractional_repetition(6, 6, 1).unwrap()),
+        (
+            "frac",
+            hetgc_coding::fractional_repetition(6, 6, 1).unwrap(),
+        ),
         ("heter", hetgc::heter_aware(&c, 7, 1, &mut rng).unwrap()),
     ] {
         let t = code.worst_case_time(&c).unwrap();
