@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetgc::{Allocation, ClusterSpec, SupportMatrix};
-use hetgc_coding::{find_all_groups, prune_groups, GroupSearchConfig};
+use hetgc_coding::{find_all_groups, prune_groups};
 
 fn support_for(cluster: &ClusterSpec, s: usize) -> SupportMatrix {
     let c = cluster.throughputs();
@@ -20,7 +20,7 @@ fn bench_find_groups(c: &mut Criterion) {
             BenchmarkId::from_parameter(cluster.name().to_owned()),
             &support,
             |b, support| {
-                b.iter(|| find_all_groups(support, GroupSearchConfig::default()));
+                b.iter(|| find_all_groups(support));
             },
         );
     }
@@ -31,7 +31,7 @@ fn bench_prune_groups(c: &mut Criterion) {
     let mut group = c.benchmark_group("groups/prune");
     for cluster in [ClusterSpec::cluster_b(), ClusterSpec::cluster_c()] {
         let support = support_for(&cluster, 1);
-        let groups = find_all_groups(&support, GroupSearchConfig::default());
+        let groups = find_all_groups(&support);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{}_{}groups", cluster.name(), groups.len())),
             &groups,

@@ -13,7 +13,7 @@
 //! ```
 
 use hetgc::analysis::speedup;
-use hetgc::experiment::{fig2, Fig2Config};
+use hetgc::experiment::{fig2, Fig2Config, Fig2Row};
 use hetgc::report::{fmt_opt_secs, render_table};
 use hetgc::SchemeKind;
 use hetgc_bench::arg_or;
@@ -38,10 +38,15 @@ fn main() {
     );
 
     let rows = fig2(&cfg).expect("fig2 experiment");
-    let headers = ["delay (s)", "naive", "cyclic", "heter-aware", "group-based"];
+    // One column per scheme, named by the rows themselves.
+    let schemes =
+        |row: &Fig2Row| -> Vec<&str> { row.avg_times.iter().map(|(k, _)| k.name()).collect() };
+    let mut headers = vec!["delay (s)"];
+    headers.extend(rows.first().map(schemes).unwrap_or_default());
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
+            assert_eq!(schemes(row), headers[1..], "one scheme order in every row");
             let mut cells = vec![if row.delay.is_infinite() {
                 "fault".to_owned()
             } else {

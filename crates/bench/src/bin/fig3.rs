@@ -10,7 +10,7 @@
 //! cargo run --release -p hetgc-bench --bin fig3
 //! ```
 
-use hetgc::experiment::{fig3, Fig3Config};
+use hetgc::experiment::{fig3, Fig3Config, Fig3Row};
 use hetgc::report::{fmt_opt_secs, render_table};
 use hetgc_bench::arg_or;
 
@@ -35,10 +35,15 @@ fn main() {
     );
 
     let rows = fig3(&cfg).expect("fig3 experiment");
-    let headers = ["cluster", "naive", "cyclic", "heter-aware", "group-based"];
+    // One column per scheme, named by the rows themselves.
+    let schemes =
+        |row: &Fig3Row| -> Vec<&str> { row.avg_times.iter().map(|(k, _)| k.name()).collect() };
+    let mut headers = vec!["cluster"];
+    headers.extend(rows.first().map(schemes).unwrap_or_default());
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
+            assert_eq!(schemes(row), headers[1..], "one scheme order in every row");
             let mut cells = vec![row.cluster.clone()];
             for (_, t) in &row.avg_times {
                 cells.push(fmt_opt_secs(*t));

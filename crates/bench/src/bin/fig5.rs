@@ -22,7 +22,7 @@ fn main() {
 
     println!("Fig. 5: computing resource usage per scheme\n");
     let clusters = [ClusterSpec::cluster_a(), ClusterSpec::cluster_b()];
-    let headers = ["cluster", "naive", "cyclic", "heter-aware", "group-based"];
+    let mut headers = vec!["cluster"];
     let mut table = Vec::new();
     for cluster in clusters {
         let cfg = Fig5Config {
@@ -32,6 +32,12 @@ fn main() {
             ..Fig5Config::default()
         };
         let rows = fig5(&cfg).expect("fig5 experiment");
+        // One column per scheme, named by the rows themselves.
+        let schemes: Vec<&str> = rows.iter().map(|row| row.scheme.name()).collect();
+        if table.is_empty() {
+            headers.extend(&schemes);
+        }
+        assert_eq!(schemes, headers[1..], "one scheme order on every cluster");
         let mut cells = vec![cluster.name().to_owned()];
         for row in rows {
             cells.push(fmt_percent(row.usage));

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::codec::{CompiledCodec, DecodePlan};
 use crate::error::CodingError;
-use crate::group::{find_all_groups, prune_groups, Group, GroupSearchConfig};
+use crate::group::{find_all_groups, prune_groups, Group};
 use crate::strategy::CodingMatrix;
 
 /// Precompiled group metadata shared (via `Arc`) between a codec and its
@@ -168,12 +168,7 @@ pub(crate) fn derive_groups(code: &CodingMatrix) -> Result<Vec<Group>, CodingErr
         return Ok(Vec::new());
     }
     let support = code.to_support()?;
-    let s = support.stragglers();
-    let config = GroupSearchConfig {
-        max_group_size: Some(m.saturating_sub(s).max(1)),
-        ..GroupSearchConfig::default()
-    };
-    let mut groups = find_all_groups(&support, config);
+    let mut groups = find_all_groups(&support);
     // Only keep covers whose indicator rows actually decode (a mixed
     // matrix can have exact covers through non-all-ones rows), and do
     // it *before* pruning so invalid covers cannot crowd valid ones
@@ -337,12 +332,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(43);
-        let g = crate::group::group_based_from_support(
-            &support,
-            GroupSearchConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let g = crate::group::group_based_from_support(&support, &mut rng).unwrap();
         let codec = g.compile().unwrap();
         let survivors = [0usize, 1, 3, 5, 6];
         let plan = codec.decode_plan(&survivors).unwrap();
@@ -416,12 +406,7 @@ mod tests {
         let alloc = crate::Allocation::uniform(5, 5, 1).unwrap();
         let support = crate::SupportMatrix::cyclic(&alloc).unwrap();
         let mut rng = StdRng::seed_from_u64(46);
-        let g = crate::group::group_based_from_support(
-            &support,
-            GroupSearchConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let g = crate::group::group_based_from_support(&support, &mut rng).unwrap();
         let codec = g.compile().unwrap();
         assert!(codec.groups().is_empty());
         let survivors = [0usize, 1, 2, 3];

@@ -82,41 +82,26 @@ impl Group {
     }
 }
 
-/// Limits for the exact-cover search of [`find_all_groups`].
+/// The exact-cover search of [`find_all_groups`] stops after finding
+/// this many groups.
 ///
 /// The enumeration is worst-case exponential (it *is* exact cover); the
 /// cyclic supports of Eq. 6 keep it tiny in practice, but adversarial
-/// hand-built supports are capped by these budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupSearchConfig {
-    /// Stop after finding this many groups.
-    pub max_groups: usize,
-    /// Stop after visiting this many DFS nodes.
-    pub node_budget: usize,
-    /// Reject groups with more workers than this (the paper bounds groups
-    /// by `m − s` so that group decoding is never worse than generic
-    /// decoding). `None` disables the bound.
-    pub max_group_size: Option<usize>,
-}
-
-impl Default for GroupSearchConfig {
-    fn default() -> Self {
-        GroupSearchConfig {
-            max_groups: 128,
-            node_budget: 200_000,
-            max_group_size: None,
-        }
-    }
-}
+/// hand-built supports are capped by this and [`NODE_BUDGET`].
+const MAX_GROUPS: usize = 128;
+/// The search stops after visiting this many DFS nodes.
+const NODE_BUDGET: usize = 200_000;
 
 /// Enumerates all groups (exact covers of the partition set) in a support
 /// structure — Alg. 2's `FindAllGroups`, implemented as DFS on the lowest
-/// uncovered partition so each cover is produced exactly once.
+/// uncovered partition so each cover is produced exactly once. Groups of
+/// more than `m − s` workers are not searched: the paper bounds them so
+/// that group decoding is never worse than generic decoding.
 ///
 /// # Example
 ///
 /// ```
-/// use hetgc_coding::{find_all_groups, GroupSearchConfig, SupportMatrix};
+/// use hetgc_coding::{find_all_groups, SupportMatrix};
 ///
 /// # fn main() -> Result<(), hetgc_coding::CodingError> {
 /// // Example 2 of the paper: 7 workers, 4 partitions, s = 3.
@@ -128,14 +113,29 @@ impl Default for GroupSearchConfig {
 ///     4,
 ///     3,
 /// )?;
-/// let groups = find_all_groups(&support, GroupSearchConfig::default());
+/// let groups = find_all_groups(&support);
 /// // G1 = {W1,W2,W3}, G2 = {W3,W4}, G3 = {W2,W5} (0-indexed: {0,1,2},
 /// // {2,3}, {1,4}).
 /// assert_eq!(groups.len(), 3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn find_all_groups(support: &SupportMatrix, config: GroupSearchConfig) -> Vec<Group> {
+pub fn find_all_groups(support: &SupportMatrix) -> Vec<Group> {
+    let max_group_size = support
+        .workers()
+        .saturating_sub(support.stragglers())
+        .max(1);
+    search_groups(support, MAX_GROUPS, NODE_BUDGET, max_group_size)
+}
+
+/// [`find_all_groups`] under explicit budgets: at most `max_groups`
+/// groups, `node_budget` DFS nodes and `max_group_size` workers a group.
+fn search_groups(
+    support: &SupportMatrix,
+    max_groups: usize,
+    node_budget: usize,
+    max_group_size: usize,
+) -> Vec<Group> {
     let m = support.workers();
     let k = support.partitions();
     let words = k.div_ceil(64);
@@ -156,18 +156,18 @@ pub fn find_all_groups(support: &SupportMatrix, config: GroupSearchConfig) -> Ve
         uncovered[words - 1] = (1u64 << (k % 64)) - 1;
     }
 
-    let mut out = Vec::new();
-    let mut chosen = Vec::new();
-    let mut nodes = 0usize;
-    dfs(
-        &worker_bits,
+    let mut search = Search {
+        worker_bits,
         support,
-        &mut uncovered,
-        &mut chosen,
-        &mut out,
-        &mut nodes,
-        &config,
-    );
+        chosen: Vec::new(),
+        out: Vec::new(),
+        nodes: 0,
+        max_groups,
+        node_budget,
+        max_group_size,
+    };
+    search.dfs(&mut uncovered);
+    let mut out = search.out;
     for g in &mut out {
         g.workers.sort_unstable();
     }
@@ -187,47 +187,51 @@ fn subset_of(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(&x, &y)| x & !y == 0)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    worker_bits: &[Vec<u64>],
-    support: &SupportMatrix,
-    uncovered: &mut Vec<u64>,
-    chosen: &mut Vec<usize>,
-    out: &mut Vec<Group>,
-    nodes: &mut usize,
-    config: &GroupSearchConfig,
-) {
-    if out.len() >= config.max_groups || *nodes >= config.node_budget {
-        return;
-    }
-    *nodes += 1;
-    let Some(p) = lowest_set(uncovered) else {
-        out.push(Group {
-            workers: chosen.clone(),
-        });
-        return;
-    };
-    if let Some(max) = config.max_group_size {
-        if chosen.len() >= max {
+/// The state of one exact-cover search.
+struct Search<'a> {
+    /// Bitset of each worker's partitions.
+    worker_bits: Vec<Vec<u64>>,
+    support: &'a SupportMatrix,
+    chosen: Vec<usize>,
+    out: Vec<Group>,
+    nodes: usize,
+    max_groups: usize,
+    node_budget: usize,
+    max_group_size: usize,
+}
+
+impl Search<'_> {
+    fn dfs(&mut self, uncovered: &mut [u64]) {
+        if self.out.len() >= self.max_groups || self.nodes >= self.node_budget {
+            return;
+        }
+        self.nodes += 1;
+        let Some(p) = lowest_set(uncovered) else {
+            self.out.push(Group {
+                workers: self.chosen.clone(),
+            });
+            return;
+        };
+        if self.chosen.len() >= self.max_group_size {
             return; // would exceed the size bound before covering D
         }
-    }
-    // Workers owning `p`, ascending.
-    for &w in support.owners_of(p) {
-        if chosen.contains(&w) {
-            continue;
-        }
-        if !subset_of(&worker_bits[w], uncovered) {
-            continue; // overlaps something already covered: not disjoint
-        }
-        for (u, &wb) in uncovered.iter_mut().zip(&worker_bits[w]) {
-            *u &= !wb;
-        }
-        chosen.push(w);
-        dfs(worker_bits, support, uncovered, chosen, out, nodes, config);
-        chosen.pop();
-        for (u, &wb) in uncovered.iter_mut().zip(&worker_bits[w]) {
-            *u |= wb;
+        // Workers owning `p`, ascending.
+        for &w in self.support.owners_of(p) {
+            if self.chosen.contains(&w) {
+                continue;
+            }
+            if !subset_of(&self.worker_bits[w], uncovered) {
+                continue; // overlaps something already covered: not disjoint
+            }
+            for (u, &wb) in uncovered.iter_mut().zip(&self.worker_bits[w]) {
+                *u &= !wb;
+            }
+            self.chosen.push(w);
+            self.dfs(uncovered);
+            self.chosen.pop();
+            for (u, &wb) in uncovered.iter_mut().zip(&self.worker_bits[w]) {
+                *u |= wb;
+            }
         }
     }
 }
@@ -345,19 +349,13 @@ impl GroupCodingMatrix {
 /// [`heter_aware_from_support`]).
 pub(crate) fn group_based_from_support<R: Rng + ?Sized>(
     support: &SupportMatrix,
-    config: GroupSearchConfig,
     rng: &mut R,
 ) -> Result<GroupCodingMatrix, CodingError> {
     let m = support.workers();
     let k = support.partitions();
     let s = support.stragglers();
 
-    // Default the paper's size bound: groups larger than m−s don't help.
-    let effective = GroupSearchConfig {
-        max_group_size: config.max_group_size.or(Some(m.saturating_sub(s).max(1))),
-        ..config
-    };
-    let groups = prune_groups(find_all_groups(support, effective));
+    let groups = prune_groups(find_all_groups(support));
     let p = groups.len();
     debug_assert!(p <= s + 1, "disjoint exact covers cannot exceed s+1");
 
@@ -438,7 +436,7 @@ pub fn group_based<R: Rng + ?Sized>(
 ) -> Result<GroupCodingMatrix, CodingError> {
     let alloc = crate::Allocation::balanced(throughputs, partitions, stragglers)?;
     let support = SupportMatrix::cyclic(&alloc)?;
-    group_based_from_support(&support, GroupSearchConfig::default(), rng)
+    group_based_from_support(&support, rng)
 }
 
 #[cfg(test)]
@@ -467,7 +465,7 @@ mod tests {
 
     #[test]
     fn example2_groups_found() {
-        let groups = find_all_groups(&example2_support(), GroupSearchConfig::default());
+        let groups = find_all_groups(&example2_support());
         let sets: Vec<Vec<usize>> = groups.iter().map(|g| g.workers().to_vec()).collect();
         assert!(sets.contains(&vec![0, 1, 2]), "{sets:?}");
         assert!(sets.contains(&vec![2, 3]), "{sets:?}");
@@ -477,7 +475,7 @@ mod tests {
 
     #[test]
     fn example2_pruning_keeps_disjoint_pair() {
-        let groups = find_all_groups(&example2_support(), GroupSearchConfig::default());
+        let groups = find_all_groups(&example2_support());
         let pruned = prune_groups(groups);
         let sets: Vec<Vec<usize>> = pruned.iter().map(|g| g.workers().to_vec()).collect();
         // G1 = {0,1,2} intersects both others → removed.
@@ -489,9 +487,7 @@ mod tests {
     #[test]
     fn example2_full_construction_matches_paper_structure() {
         let mut rng = StdRng::seed_from_u64(41);
-        let g =
-            group_based_from_support(&example2_support(), GroupSearchConfig::default(), &mut rng)
-                .unwrap();
+        let g = group_based_from_support(&example2_support(), &mut rng).unwrap();
         let b = g.code();
         // Group workers (1,2,3,4 in 0-indexing) have all-one rows.
         for w in [1usize, 2, 3, 4] {
@@ -510,9 +506,7 @@ mod tests {
     #[test]
     fn example2_group_decodes_early() {
         let mut rng = StdRng::seed_from_u64(42);
-        let g =
-            group_based_from_support(&example2_support(), GroupSearchConfig::default(), &mut rng)
-                .unwrap();
+        let g = group_based_from_support(&example2_support(), &mut rng).unwrap();
         // Group {2,3} alone decodes: 2 workers ≪ m−s = 4.
         assert_eq!(decodable_prefix_len(g.code(), &[2, 3]), Some(2));
         // Group-first decoding returns its indicator row.
@@ -530,9 +524,7 @@ mod tests {
     #[test]
     fn example2_fallback_when_groups_broken() {
         let mut rng = StdRng::seed_from_u64(43);
-        let g =
-            group_based_from_support(&example2_support(), GroupSearchConfig::default(), &mut rng)
-                .unwrap();
+        let g = group_based_from_support(&example2_support(), &mut rng).unwrap();
         // Stragglers {2, 4} break both groups ({2,3} and {1,4}).
         assert!(g.group_decode_vector(&[0, 1, 3, 5, 6]).is_none());
         // Generic decode still works (s = 3 tolerance, only 2 stragglers).
@@ -571,7 +563,7 @@ mod tests {
         let alloc = crate::Allocation::uniform(5, 5, 1).unwrap();
         let support = SupportMatrix::cyclic(&alloc).unwrap();
         let mut rng = StdRng::seed_from_u64(46);
-        let g = group_based_from_support(&support, GroupSearchConfig::default(), &mut rng).unwrap();
+        let g = group_based_from_support(&support, &mut rng).unwrap();
         assert!(g.groups().is_empty());
         verify_condition_c1(g.code()).unwrap();
         assert!(g.group_decode_vector(&[0, 1, 2, 3, 4]).is_none());
@@ -603,37 +595,23 @@ mod tests {
     #[test]
     fn search_respects_budgets() {
         let support = example2_support();
-        let none = find_all_groups(
-            &support,
-            GroupSearchConfig {
-                max_groups: 0,
-                ..GroupSearchConfig::default()
-            },
-        );
-        assert!(none.is_empty());
-        let one = find_all_groups(
-            &support,
-            GroupSearchConfig {
-                max_groups: 1,
-                ..GroupSearchConfig::default()
-            },
-        );
-        assert_eq!(one.len(), 1);
+        assert!(search_groups(&support, 0, NODE_BUDGET, 4).is_empty());
+        assert_eq!(search_groups(&support, 1, NODE_BUDGET, 4).len(), 1);
+        assert!(search_groups(&support, MAX_GROUPS, 0, 4).is_empty());
     }
 
     #[test]
     fn search_respects_size_bound() {
         let support = example2_support();
-        let small = find_all_groups(
-            &support,
-            GroupSearchConfig {
-                max_group_size: Some(2),
-                ..GroupSearchConfig::default()
-            },
-        );
+        let small = search_groups(&support, MAX_GROUPS, NODE_BUDGET, 2);
         // Only the 2-worker groups remain reachable.
         assert!(small.iter().all(|g| g.len() <= 2));
         assert_eq!(small.len(), 2);
+        // `find_all_groups` derives the paper's bound, m − s = 4 here.
+        assert_eq!(
+            find_all_groups(&support),
+            search_groups(&support, MAX_GROUPS, NODE_BUDGET, 4)
+        );
     }
 
     #[test]

@@ -79,9 +79,7 @@ pub use cyclic::{cyclic, cyclic_support, naive};
 pub use error::CodingError;
 pub use escalation::{collect_round, EscalatingCodec, EscalationPolicy, RoundEnd};
 pub use fractional::fractional_repetition;
-pub use group::{
-    find_all_groups, group_based, prune_groups, Group, GroupCodingMatrix, GroupSearchConfig,
-};
+pub use group::{find_all_groups, group_based, prune_groups, Group, GroupCodingMatrix};
 pub use heter_aware::{heter_aware, heter_aware_from_support};
 /// The data-plane kernels encode and decode run on, re-exported so that
 /// `hetgc-ml` — which produces the gradients they consume and already

@@ -7,8 +7,7 @@
 
 use hetgc_coding::{
     cyclic, cyclic_support, find_all_groups, group_based, heter_aware_from_support, prune_groups,
-    suggest_partition_count, Allocation, CodingError, CodingMatrix, GroupSearchConfig,
-    SupportMatrix,
+    suggest_partition_count, Allocation, CodingError, CodingMatrix, SupportMatrix,
 };
 use hetgc_linalg::Matrix;
 use rand::rngs::mock::StepRng;
@@ -171,11 +170,7 @@ fn alg1_matches_the_reference_on_the_group_based_sub_code() {
         let alloc = Allocation::balanced(rates, k, s).unwrap();
         let support = SupportMatrix::cyclic(&alloc).unwrap();
         let m = support.workers();
-        let config = GroupSearchConfig {
-            max_group_size: Some(m - s),
-            ..GroupSearchConfig::default()
-        };
-        let groups = prune_groups(find_all_groups(&support, config));
+        let groups = prune_groups(find_all_groups(&support));
         let others: Vec<usize> = (0..m)
             .filter(|&w| !groups.iter().any(|g| g.workers().contains(&w)))
             .filter(|&w| !support.partitions_of(w).is_empty())

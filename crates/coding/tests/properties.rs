@@ -4,7 +4,7 @@
 use hetgc_coding::{
     approximate_decode, cyclic, find_all_groups, fractional_repetition, gradient_error_bound_l2,
     group_based, heter_aware, naive, prune_groups, verify_condition_c1, Allocation, CompiledCodec,
-    GradientCodec, GroupSearchConfig, SupportMatrix,
+    GradientCodec, SupportMatrix,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -218,7 +218,7 @@ proptest! {
     fn find_all_groups_returns_exact_covers((c, k, s, _seed) in cluster()) {
         let alloc = Allocation::balanced(&c, k, s).unwrap();
         let support = SupportMatrix::cyclic(&alloc).unwrap();
-        let groups = find_all_groups(&support, GroupSearchConfig::default());
+        let groups = find_all_groups(&support);
         let cover = check_exact_covers(&support, k, &groups);
         prop_assert!(cover.is_ok(), "{}", cover.unwrap_err());
         // No duplicate groups out of the DFS.
@@ -235,7 +235,7 @@ proptest! {
     fn prune_groups_yields_pairwise_disjoint((c, k, s, _seed) in cluster()) {
         let alloc = Allocation::balanced(&c, k, s).unwrap();
         let support = SupportMatrix::cyclic(&alloc).unwrap();
-        let all = find_all_groups(&support, GroupSearchConfig::default());
+        let all = find_all_groups(&support);
         let had_any = !all.is_empty();
         let pruned = prune_groups(all.clone());
         prop_assert!(pruned.len() <= all.len());
@@ -414,7 +414,7 @@ fn group_and_approx_invariants_exhaustive() {
         // proptests use.
         let alloc = Allocation::balanced(&c, k, s).unwrap();
         let support = SupportMatrix::cyclic(&alloc).unwrap();
-        let all = find_all_groups(&support, GroupSearchConfig::default());
+        let all = find_all_groups(&support);
         check_exact_covers(&support, k, &all).unwrap_or_else(|e| panic!("case {case}: {e}"));
         let pruned = prune_groups(all);
         check_pairwise_disjoint(&pruned).unwrap_or_else(|e| panic!("case {case}: {e}"));

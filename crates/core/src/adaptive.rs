@@ -10,9 +10,9 @@
 //!
 //! 1. every round's per-worker observations feed a `TelemetryHub`
 //!    (EWMA estimator + arrival-history quantiles),
-//! 2. a `DriftDetector` (CUSUM step detection + slow-drift EWMA
-//!    divergence) flags when the live rates leave the allocation's noise
-//!    envelope,
+//! 2. a `DriftDetector` (CUSUM step detection + slow-drift divergence
+//!    of the hub's estimate) flags when the live rates leave the
+//!    allocation's noise envelope,
 //! 3. on confirmed drift, the engine rebuilds the coding strategy from
 //!    the fresh estimates (Eq. 5 → Eq. 6 → Alg. 1/3) and hot-swaps it.
 //!
@@ -33,7 +33,7 @@
 
 use hetgc_cluster::{ClusterSpec, StragglerModel};
 use hetgc_coding::{CodecBackend, EscalationPolicy};
-use hetgc_telemetry::{AdaptationConfig, RecodeConfig};
+use hetgc_telemetry::AdaptationConfig;
 use rand::Rng;
 
 use crate::driver::{drive_timing_with, DriverConfig, TrainOutcome};
@@ -52,14 +52,9 @@ pub struct AdaptiveConfig {
     pub iterations: usize,
     /// Dataset size in work units.
     pub samples: usize,
-    /// Re-code cadence: the minimum rounds between rebuild attempts once
-    /// the drift detector confirms (0 disables adaptation entirely — the
-    /// static baseline). Before the telemetry subsystem this was a fixed
-    /// rebuild-every-N schedule; the detector now decides *whether*, this
-    /// knob only paces *how often*.
-    pub reestimate_every: usize,
-    /// EWMA smoothing factor for the throughput tracker.
-    pub ewma_alpha: f64,
+    /// Re-code on confirmed drift, at most once every 5 rounds (`false`
+    /// disables adaptation entirely — the static baseline).
+    pub recode: bool,
     /// Per-iteration compute jitter σ.
     pub jitter: f64,
     /// Transient straggler injection.
@@ -71,16 +66,14 @@ pub struct AdaptiveConfig {
 }
 
 impl Default for AdaptiveConfig {
-    /// Heter-aware, s = 1, 60 iterations, ≥5 rounds between re-codes,
-    /// α = 0.4.
+    /// Heter-aware, s = 1, 60 iterations, adaptive.
     fn default() -> Self {
         AdaptiveConfig {
             kind: SchemeKind::HeterAware,
             stragglers: 1,
             iterations: 60,
             samples: 48,
-            reestimate_every: 5,
-            ewma_alpha: 0.4,
+            recode: true,
             jitter: 0.03,
             straggler_model: StragglerModel::None,
             backend: CodecBackend::Auto,
@@ -90,18 +83,12 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// The telemetry pipeline this comparison harness runs
-    /// (`None` when `reestimate_every == 0`: the static baseline).
+    /// (`None` without `recode`: the static baseline).
     /// Deadline learning is off — the harness compares *re-coding*, so
     /// both runs keep the wait-for-everyone master.
     pub(crate) fn adaptation(&self) -> Option<AdaptationConfig> {
-        (self.reestimate_every > 0).then(|| AdaptationConfig {
-            ewma_alpha: self.ewma_alpha,
+        self.recode.then_some(AdaptationConfig {
             learn_deadline: false,
-            recode: RecodeConfig {
-                confirm_rounds: 2,
-                cooldown_rounds: self.reestimate_every,
-            },
-            ..AdaptationConfig::default()
         })
     }
 }
@@ -109,7 +96,7 @@ impl AdaptiveConfig {
 /// Runs one policy over a drifting cluster through the unified
 /// `drive_timing_with` loop.
 ///
-/// `reestimate_every = 0` gives the static baseline: the scheme is built
+/// `recode = false` gives the static baseline: the scheme is built
 /// once from the *pre-drift* rates and never touched again.
 ///
 /// # Errors
@@ -153,7 +140,7 @@ pub fn compare_static_vs_adaptive<R: Rng>(
     rng: &mut R,
 ) -> Result<(TrainOutcome, TrainOutcome), BoxError> {
     let static_cfg = AdaptiveConfig {
-        reestimate_every: 0,
+        recode: false,
         ..cfg.clone()
     };
     let static_run = run_with_drift(cluster, drift, &static_cfg, rng)?;
@@ -188,7 +175,6 @@ mod tests {
         };
         let cfg = AdaptiveConfig {
             iterations: 60,
-            reestimate_every: 5,
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(1);
@@ -215,7 +201,6 @@ mod tests {
         };
         let cfg = AdaptiveConfig {
             iterations: 60,
-            reestimate_every: 5,
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(7);
@@ -243,7 +228,6 @@ mod tests {
         };
         let cfg = AdaptiveConfig {
             iterations: 60,
-            reestimate_every: 5,
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
@@ -305,7 +289,6 @@ mod tests {
         };
         let cfg = AdaptiveConfig {
             iterations: 20,
-            reestimate_every: 2,
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(4);
@@ -320,12 +303,11 @@ mod tests {
     #[test]
     fn static_baseline_has_no_adaptation() {
         let cfg = AdaptiveConfig {
-            reestimate_every: 0,
+            recode: false,
             ..Default::default()
         };
         assert!(cfg.adaptation().is_none());
         let adaptive = AdaptiveConfig::default().adaptation().unwrap();
         assert!(!adaptive.learn_deadline);
-        assert_eq!(adaptive.recode.cooldown_rounds, 5);
     }
 }

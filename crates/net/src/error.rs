@@ -19,8 +19,8 @@ use std::io;
 pub enum WireError {
     /// The buffer ends before the declared frame does.
     Truncated,
-    /// The frame header declares a length above
-    /// [`crate::frame::MAX_FRAME_LEN`]; rejected *before* any allocation.
+    /// The frame header declares a payload length above the 64 MiB cap;
+    /// rejected *before* any allocation.
     Oversized {
         /// The declared payload length.
         declared: u64,

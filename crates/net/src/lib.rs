@@ -50,7 +50,7 @@ pub use cluster::{
 };
 pub use engine::SocketEngine;
 pub use error::{NetError, WireError};
-pub use frame::{append_gradient_chunk, Frame, FrameRef, HEADER_LEN, MAX_FRAME_LEN, VERSION};
+pub use frame::{append_gradient_chunk, Frame, FrameRef};
 pub use hetgc_comm::PayloadEncoding;
 pub use spawn::WorkerFleet;
 pub use spec::{BehaviorSpec, DatasetSpec, Handshake, ModelSpec, TargetsSpec};

@@ -20,44 +20,44 @@ use hetgc_runtime::WorkerBehavior;
 pub struct Handshake {
     /// The worker's logical row in the coding matrix (assignment order =
     /// accept order).
-    pub worker: u32,
+    pub(crate) worker: u32,
     /// Gradient dimension (`Model::num_params`), fixed for the run.
-    pub num_params: u32,
+    pub(crate) num_params: u32,
     /// How many `f64`s per [`crate::Frame::GradientChunk`] — the
     /// master's chosen chunking granularity.
-    pub chunk_len: u32,
+    pub(crate) chunk_len: u32,
     /// The worker's sample ranges, one per owned partition, aligned with
     /// `coefficients` (the codec's precompiled CSR row applied to the
     /// partition assignment).
-    pub ranges: Vec<(u32, u32)>,
+    pub(crate) ranges: Vec<(u32, u32)>,
     /// The non-zero entries of `b_w`, aligned with `ranges`.
-    pub coefficients: Vec<f64>,
+    pub(crate) coefficients: Vec<f64>,
     /// Straggler/heterogeneity emulation schedule.
-    pub behavior: BehaviorSpec,
+    pub(crate) behavior: BehaviorSpec,
     /// Which model to instantiate.
-    pub model: ModelSpec,
+    pub(crate) model: ModelSpec,
     /// The full training data (loopback-scale; a production data plane
     /// would ship a shard manifest instead).
-    pub dataset: DatasetSpec,
+    pub(crate) dataset: DatasetSpec,
     /// The payload encoding this link negotiated for gradient traffic.
     /// The master selects it from the worker's `Hello` capability set
     /// ([`PayloadEncoding::F64`] — the wire default — for peers that
     /// advertise nothing); the worker must ship its coded partials in
     /// exactly this encoding.
-    pub encoding: PayloadEncoding,
+    pub(crate) encoding: PayloadEncoding,
 }
 
 /// Wire form of [`WorkerBehavior`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorSpec {
     /// [`WorkerBehavior::extra_delay`] in microseconds.
-    pub extra_delay_micros: u64,
+    pub(crate) extra_delay_micros: u64,
     /// [`WorkerBehavior::throttle_samples_per_sec`].
-    pub throttle: Option<f64>,
+    pub(crate) throttle: Option<f64>,
     /// [`WorkerBehavior::throttle_step`] as `(iteration, rate)`.
-    pub throttle_step: Option<(u64, f64)>,
+    pub(crate) throttle_step: Option<(u64, f64)>,
     /// [`WorkerBehavior::fail_from_iteration`].
-    pub fail_from: Option<u64>,
+    pub(crate) fail_from: Option<u64>,
 }
 
 impl From<&WorkerBehavior> for BehaviorSpec {
@@ -216,11 +216,11 @@ pub enum TargetsSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Row-major features, `len × dim`.
-    pub x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// The targets.
-    pub targets: TargetsSpec,
+    pub(crate) targets: TargetsSpec,
     /// Feature dimension.
-    pub dim: u32,
+    pub(crate) dim: u32,
 }
 
 impl DatasetSpec {

@@ -2,41 +2,32 @@
 
 use hetgc_cluster::RoundSample;
 
-use crate::deadline::DeadlineConfig;
-use crate::drift::{DriftConfig, DriftDetector, DriftEvent};
+use crate::deadline;
+use crate::drift::{DriftDetector, DriftEvent};
 use crate::hub::TelemetryHub;
-use crate::recode::{RecodeConfig, RecodeController};
+use crate::recode::RecodeController;
 
-/// Everything the adaptation loop needs to know, in one plain-data
-/// config — the value a training driver carries in its `DriverConfig`.
+/// Smoothing of the hub's EWMA throughput estimate — the one rate
+/// estimate the drift detector judges and a re-code is built from.
+const EWMA_ALPHA: f64 = 0.4;
+
+/// The one switch of the adaptation loop — the value a training driver
+/// carries in its `DriverConfig`. Drift detection, the re-code cadence
+/// and the deadline formula are fixed (see the `hetgc-telemetry` crate
+/// docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationConfig {
-    /// EWMA smoothing of the throughput estimator.
-    pub ewma_alpha: f64,
     /// Learn the escalation deadline from arrival history and feed it to
     /// the engine each round. (Engines whose escalation ladder cannot
     /// fire ignore the learned deadline.)
     pub learn_deadline: bool,
-    /// Rebuild the code from fresh estimates when drift is confirmed.
-    pub recode_on_drift: bool,
-    /// Deadline-learning knobs.
-    pub deadline: DeadlineConfig,
-    /// Drift-detection knobs.
-    pub drift: DriftConfig,
-    /// Re-code cadence knobs.
-    pub recode: RecodeConfig,
 }
 
 impl Default for AdaptationConfig {
     /// Learn the deadline (p90 × 1.25) and re-code on confirmed drift.
     fn default() -> Self {
         AdaptationConfig {
-            ewma_alpha: 0.4,
             learn_deadline: true,
-            recode_on_drift: true,
-            deadline: DeadlineConfig::default(),
-            drift: DriftConfig::default(),
-            recode: RecodeConfig::default(),
         }
     }
 }
@@ -56,12 +47,13 @@ pub struct AdaptationDecision {
 }
 
 /// The assembled observation-and-adaptation pipeline:
-/// [`TelemetryHub`] ingestion, [`DriftDetector`] over the per-sample
-/// rates, the learned deadline over the hub's round-time window and
-/// `RecodeController` cadence — one [`AdaptationDecision`] out per
-/// round. The driver owns acting on the decision (installing the
-/// deadline, asking its engine to re-code) and reports back through
-/// [`Adaptation::recode_applied`] / [`Adaptation::recode_rejected`].
+/// [`TelemetryHub`] ingestion, a `DriftDetector` over the per-sample
+/// rates and the hub's estimates, the learned deadline over the hub's
+/// round-time window and `RecodeController` cadence — one
+/// [`AdaptationDecision`] out per round. The driver owns acting on the
+/// decision (installing the deadline, asking its engine to re-code) and
+/// reports back through [`Adaptation::recode_applied`] /
+/// [`Adaptation::recode_rejected`].
 #[derive(Debug)]
 pub struct Adaptation {
     cfg: AdaptationConfig,
@@ -72,47 +64,39 @@ pub struct Adaptation {
 
 impl Adaptation {
     /// A pipeline over `workers` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range sub-configurations (delegated validation).
     pub fn new(workers: usize, cfg: AdaptationConfig) -> Self {
-        cfg.deadline.validate();
         Adaptation {
             // The hub's round-time window doubles as the deadline
-            // learner's arrival history: one window, one sort, no
-            // duplicate state (see `DeadlineConfig::learned`).
-            hub: TelemetryHub::new(workers, cfg.ewma_alpha, cfg.deadline.window),
-            detector: DriftDetector::new(workers, cfg.drift.clone()),
-            recode: RecodeController::new(cfg.recode.clone()),
+            // learner's arrival history, and its EWMA as the detector's
+            // live rate: one window, one estimate, no duplicate state.
+            hub: TelemetryHub::new(workers, EWMA_ALPHA, deadline::WINDOW),
+            detector: DriftDetector::new(workers),
+            recode: RecodeController::default(),
             cfg,
         }
     }
 
     /// Observes one completed round and decides what to adapt.
     pub fn observe_round(&mut self, elapsed: f64, samples: &[RoundSample]) -> AdaptationDecision {
-        self.hub.ingest(elapsed, 0.0, samples);
         let mut events = Vec::new();
-        for s in samples {
-            if let Some(rate) = s.rate() {
-                if let Some(event) = self.detector.observe(s.worker, rate) {
-                    events.push(event);
-                }
-            }
-        }
-        let recode_now = self.recode.observe(self.detector.drifting());
+        let detector = &mut self.detector;
+        self.hub
+            .ingest_each(elapsed, samples, |worker, rate, estimate| {
+                events.extend(detector.observe(worker, rate, estimate));
+            });
+        let recode = self.recode.observe(self.detector.drifting());
         AdaptationDecision {
             deadline: self
                 .cfg
                 .learn_deadline
                 .then(|| {
-                    self.cfg.deadline.learned(
-                        self.hub.round_quantile(self.cfg.deadline.target_quantile),
+                    deadline::learned(
+                        self.hub.round_quantile(deadline::TARGET_QUANTILE),
                         self.hub.rounds(),
                     )
                 })
                 .flatten(),
-            recode: self.cfg.recode_on_drift && recode_now,
+            recode,
             drift_events: events,
         }
     }
@@ -128,7 +112,7 @@ impl Adaptation {
     /// to the current estimates and start the re-code cooldown.
     pub fn recode_applied(&mut self) {
         self.recode.applied();
-        self.detector.rebaseline();
+        self.detector.rebaseline(&self.hub);
     }
 
     /// The rebuild was rejected (infeasible estimates): count it, start
@@ -188,19 +172,12 @@ mod tests {
 
     #[test]
     fn rejected_rebuild_retries_after_cooldown() {
-        let cfg = AdaptationConfig {
-            recode: RecodeConfig {
-                confirm_rounds: 1,
-                cooldown_rounds: 2,
-            },
-            ..AdaptationConfig::default()
-        };
-        let mut a = Adaptation::new(1, cfg);
+        let mut a = Adaptation::new(1, AdaptationConfig::default());
         for _ in 0..8 {
             a.observe_round(1.0, &round_samples(&[4.0], 8.0));
         }
         let mut attempts = 0;
-        for _ in 0..10 {
+        for _ in 0..16 {
             if a.observe_round(4.0, &round_samples(&[0.8], 8.0)).recode {
                 attempts += 1;
                 a.recode_rejected();
@@ -210,16 +187,36 @@ mod tests {
     }
 
     #[test]
+    fn idle_worker_keeps_its_estimate_and_never_drifts() {
+        // Worker 1 holds no partition after a re-code: it reports zero
+        // work every round. Its estimate stays what it was measured at,
+        // so a later re-code can give it load again.
+        let mut a = Adaptation::new(2, AdaptationConfig::default());
+        for _ in 0..6 {
+            a.observe_round(1.0, &round_samples(&[4.0, 2.0], 8.0));
+        }
+        for _ in 0..20 {
+            let idle = [
+                RoundSample::completed(0, 8.0, 2.0, 2.0),
+                RoundSample::completed(1, 0.0, 0.5, 0.5),
+            ];
+            let d = a.observe_round(2.0, &idle);
+            assert!(d.drift_events.is_empty() && !d.recode, "{d:?}");
+        }
+        assert_eq!(a.estimates_or(&[1.0, 1.0]), vec![4.0, 2.0]);
+    }
+
+    #[test]
     fn deadline_learning_can_be_disabled() {
-        let cfg = AdaptationConfig {
-            learn_deadline: false,
-            ..AdaptationConfig::default()
-        };
-        let mut a = Adaptation::new(1, cfg);
+        let mut a = Adaptation::new(
+            1,
+            AdaptationConfig {
+                learn_deadline: false,
+            },
+        );
         for _ in 0..20 {
             let d = a.observe_round(1.0, &round_samples(&[4.0], 8.0));
             assert_eq!(d.deadline, None);
         }
-        assert!(a.cfg.recode_on_drift);
     }
 }

@@ -5,74 +5,39 @@
 //!
 //! * **CUSUM step detection** — two one-sided cumulative sums
 //!   `S⁺ ← max(0, S⁺ + d − slack)`, `S⁻ ← max(0, S⁻ − d − slack)` that
-//!   accumulate only deviations beyond the `slack` dead-band and fire at
-//!   `threshold`. A co-tenant landing (rate × 0.3) fires within a few
+//!   accumulate only deviations beyond the `SLACK` dead-band and fire at
+//!   `THRESHOLD`. A co-tenant landing (rate × 0.3) fires within a few
 //!   rounds; estimation-noise-level jitter stays inside the dead-band and
 //!   the sums keep resetting to zero.
-//! * **Slow-drift EWMA divergence** — a fast EWMA tracking the live rate
-//!   diverging from the slow baseline by more than `envelope` flags
-//!   gradual drift that individual CUSUM increments would under-count.
+//! * **Slow-drift EWMA divergence** — the hub's EWMA estimate of the
+//!   live rate diverging from the slow baseline by more than `ENVELOPE`
+//!   flags gradual drift that individual CUSUM increments would
+//!   under-count.
+//!
+//! The detector keeps no rate estimate of its own: it reads the
+//! [`TelemetryHub`]'s, sample by sample, so the estimate a re-code is
+//! built from is the one drift was judged against.
 //!
 //! A fired worker stays *flagged* until `DriftDetector::rebaseline`
 //! re-anchors the baselines — which the adaptation loop calls after a
 //! successful re-code (the new allocation embodies the new rates, so the
 //! old reference is obsolete).
 
-/// Tuning of the per-worker drift detectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftConfig {
-    /// Observations per worker before the detectors judge (the first
-    /// `min_samples` build the baseline).
-    pub(crate) min_samples: usize,
-    /// CUSUM dead-band: relative deviations below this are noise. Sized
-    /// to the allocation's noise envelope (compute jitter / estimation
-    /// noise σ), typically 1–2 σ.
-    pub(crate) slack: f64,
-    /// CUSUM firing threshold on the accumulated excess deviation.
-    pub(crate) threshold: f64,
-    /// Relative fast-vs-baseline EWMA divergence that flags slow drift.
-    pub(crate) envelope: f64,
-    /// Smoothing of the fast (live) EWMA.
-    pub(crate) fast_alpha: f64,
-    /// Smoothing of the slow baseline EWMA.
-    pub(crate) slow_alpha: f64,
-}
+use crate::hub::TelemetryHub;
 
-impl Default for DriftConfig {
-    /// Dead-band 0.15, threshold 1.2, envelope 0.3, fast α 0.4,
-    /// slow α 0.05, 3 warm-up samples — quiet under a few percent of
-    /// jitter, fires within ~3 rounds on a 2× step.
-    fn default() -> Self {
-        DriftConfig {
-            min_samples: 3,
-            slack: 0.15,
-            threshold: 1.2,
-            envelope: 0.3,
-            fast_alpha: 0.4,
-            slow_alpha: 0.05,
-        }
-    }
-}
-
-impl DriftConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a field is out of range (non-positive threshold /
-    /// envelope, alphas outside `(0, 1]`, negative slack).
-    fn validate(&self) {
-        assert!(self.slack >= 0.0, "slack must be non-negative");
-        assert!(self.threshold > 0.0, "threshold must be positive");
-        assert!(self.envelope > 0.0, "envelope must be positive");
-        for (name, a) in [
-            ("fast_alpha", self.fast_alpha),
-            ("slow_alpha", self.slow_alpha),
-        ] {
-            assert!(a > 0.0 && a <= 1.0, "{name} must be in (0, 1]");
-        }
-    }
-}
+/// Observations per worker before the detectors judge (the first
+/// `MIN_SAMPLES` build the baseline).
+const MIN_SAMPLES: usize = 3;
+/// CUSUM dead-band: relative deviations below this are noise — quiet
+/// under a few percent of jitter (1–2 σ of the allocation's noise).
+const SLACK: f64 = 0.15;
+/// CUSUM firing threshold on the accumulated excess deviation: a 2×
+/// step fires within ~3 rounds.
+const THRESHOLD: f64 = 1.2;
+/// Relative live-estimate-vs-baseline divergence that flags slow drift.
+const ENVELOPE: f64 = 0.3;
+/// Smoothing of the slow baseline EWMA.
+const SLOW_ALPHA: f64 = 0.05;
 
 /// What kind of drift fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +55,14 @@ pub struct DriftEvent {
     pub worker: usize,
     /// Step or slow drift.
     pub(crate) kind: DriftKind,
-    /// Relative deviation `fast/baseline − 1` at firing time (negative =
-    /// slowdown).
+    /// Relative deviation `estimate/baseline − 1` at firing time
+    /// (negative = slowdown).
     pub(crate) magnitude: f64,
 }
 
 #[derive(Debug, Clone, Default)]
 struct WorkerState {
     baseline: Option<f64>,
-    fast: Option<f64>,
     cusum_pos: f64,
     cusum_neg: f64,
     count: usize,
@@ -108,60 +72,52 @@ struct WorkerState {
 /// Per-worker CUSUM + EWMA-divergence drift detector (see the module
 /// docs).
 #[derive(Debug, Clone)]
-pub struct DriftDetector {
-    cfg: DriftConfig,
+pub(crate) struct DriftDetector {
     states: Vec<WorkerState>,
 }
 
 impl DriftDetector {
     /// A detector over `workers` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range [`DriftConfig`].
-    pub fn new(workers: usize, cfg: DriftConfig) -> Self {
-        cfg.validate();
+    pub(crate) fn new(workers: usize) -> Self {
         DriftDetector {
-            cfg,
             states: vec![WorkerState::default(); workers],
         }
     }
 
-    /// Feeds one throughput observation for `worker`; returns the event
-    /// if a detector fires on this observation. Out-of-range workers and
-    /// invalid rates are ignored.
-    pub fn observe(&mut self, worker: usize, rate: f64) -> Option<DriftEvent> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return None;
-        }
-        let cfg = self.cfg.clone();
+    /// Feeds one throughput observation `rate` for `worker`, with the
+    /// hub's EWMA `estimate` that already includes it (see
+    /// `TelemetryHub::ingest_each`); returns the event if a detector
+    /// fires on this observation. Out-of-range workers are ignored.
+    pub(crate) fn observe(
+        &mut self,
+        worker: usize,
+        rate: f64,
+        estimate: f64,
+    ) -> Option<DriftEvent> {
         let st = self.states.get_mut(worker)?;
         st.count += 1;
         let Some(baseline) = st.baseline else {
             st.baseline = Some(rate);
-            st.fast = Some(rate);
             return None;
         };
-        let fast = st.fast.unwrap_or(rate);
-        let fast = (1.0 - cfg.fast_alpha) * fast + cfg.fast_alpha * rate;
-        st.fast = Some(fast);
-        if st.count <= cfg.min_samples {
+        if st.count <= MIN_SAMPLES {
             // Still warming up: the baseline absorbs early observations
             // quickly so a noisy first sample is not the reference forever.
             st.baseline = Some(0.5 * baseline + 0.5 * rate);
             return None;
         }
         let d = rate / baseline - 1.0;
-        st.cusum_pos = (st.cusum_pos + d - cfg.slack).max(0.0);
-        st.cusum_neg = (st.cusum_neg - d - cfg.slack).max(0.0);
+        st.cusum_pos = (st.cusum_pos + d - SLACK).max(0.0);
+        st.cusum_neg = (st.cusum_neg - d - SLACK).max(0.0);
         // The baseline keeps (slowly) tracking so that, long after a
         // missed or tolerated change, deviations are judged against the
         // new normal.
-        st.baseline = Some((1.0 - cfg.slow_alpha) * baseline + cfg.slow_alpha * rate);
-        let magnitude = fast / st.baseline.expect("just set") - 1.0;
-        let fired = if st.cusum_pos > cfg.threshold || st.cusum_neg > cfg.threshold {
+        let baseline = (1.0 - SLOW_ALPHA) * baseline + SLOW_ALPHA * rate;
+        st.baseline = Some(baseline);
+        let magnitude = estimate / baseline - 1.0;
+        let fired = if st.cusum_pos > THRESHOLD || st.cusum_neg > THRESHOLD {
             Some(DriftKind::Step)
-        } else if magnitude.abs() > cfg.envelope {
+        } else if magnitude.abs() > ENVELOPE {
             Some(DriftKind::Slow)
         } else {
             None
@@ -178,17 +134,18 @@ impl DriftDetector {
 
     /// Whether any worker is currently flagged as drifting (sticky until
     /// `DriftDetector::rebaseline`).
-    pub fn drifting(&self) -> bool {
+    pub(crate) fn drifting(&self) -> bool {
         self.states.iter().any(|s| s.flagged)
     }
 
-    /// Re-anchors every worker's baseline to its current fast estimate
-    /// and clears flags and CUSUM state — called after a successful
-    /// re-code, when the new allocation already reflects the new rates.
-    pub(crate) fn rebaseline(&mut self) {
-        for st in &mut self.states {
-            if let Some(fast) = st.fast {
-                st.baseline = Some(fast);
+    /// Re-anchors every observed worker's baseline to its current `hub`
+    /// estimate and clears flags and CUSUM state — called after a
+    /// successful re-code, when the new allocation already reflects the
+    /// new rates.
+    pub(crate) fn rebaseline(&mut self, hub: &TelemetryHub) {
+        for (w, st) in self.states.iter_mut().enumerate() {
+            if let Some(estimate) = hub.estimate(w) {
+                st.baseline = Some(estimate);
             }
             st.cusum_pos = 0.0;
             st.cusum_neg = 0.0;
@@ -200,90 +157,108 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetgc_cluster::RoundSample;
 
-    fn feed(det: &mut DriftDetector, worker: usize, rates: &[f64]) -> Vec<DriftEvent> {
-        rates
-            .iter()
-            .filter_map(|&r| det.observe(worker, r))
-            .collect()
+    /// A detector reading a hub's estimates, fed as `Adaptation` feeds it.
+    struct Loop {
+        hub: TelemetryHub,
+        det: DriftDetector,
+    }
+
+    impl Loop {
+        fn new(workers: usize) -> Self {
+            Loop {
+                hub: TelemetryHub::new(workers, 0.4, 8),
+                det: DriftDetector::new(workers),
+            }
+        }
+
+        /// One sample per rate for `worker` (unit compute time, so the
+        /// sample's rate is the rate given).
+        fn feed(&mut self, worker: usize, rates: &[f64]) -> Vec<DriftEvent> {
+            let mut events = Vec::new();
+            for &r in rates {
+                let det = &mut self.det;
+                let sample = RoundSample::completed(worker, r, 1.0, 1.0);
+                self.hub.ingest_each(1.0, &[sample], |w, rate, estimate| {
+                    events.extend(det.observe(w, rate, estimate));
+                });
+            }
+            events
+        }
+
+        fn rebaseline(&mut self) {
+            self.det.rebaseline(&self.hub);
+        }
     }
 
     #[test]
     fn quiet_on_constant_rates() {
-        let mut det = DriftDetector::new(1, DriftConfig::default());
-        assert!(feed(&mut det, 0, &[4.0; 40]).is_empty());
-        assert!(!det.drifting());
+        let mut lp = Loop::new(1);
+        assert!(lp.feed(0, &[4.0; 40]).is_empty());
+        assert!(!lp.det.drifting());
     }
 
     #[test]
     fn fires_step_on_abrupt_slowdown() {
-        let mut det = DriftDetector::new(2, DriftConfig::default());
-        feed(&mut det, 0, &[4.0; 10]);
-        let events = feed(&mut det, 0, &[1.2; 6]); // 0.3× step
+        let mut lp = Loop::new(2);
+        lp.feed(0, &[4.0; 10]);
+        let events = lp.feed(0, &[1.2; 6]); // 0.3× step
         assert_eq!(events.len(), 1, "fires once, then stays flagged");
         assert_eq!(events[0].worker, 0);
         assert!(events[0].magnitude < -0.2, "{:?}", events[0]);
-        assert!(det.drifting());
+        assert!(lp.det.drifting());
     }
 
     #[test]
     fn fires_on_speedup_too() {
-        let mut det = DriftDetector::new(1, DriftConfig::default());
-        feed(&mut det, 0, &[2.0; 10]);
-        let events = feed(&mut det, 0, &[6.0; 6]);
+        let mut lp = Loop::new(1);
+        lp.feed(0, &[2.0; 10]);
+        let events = lp.feed(0, &[6.0; 6]);
         assert_eq!(events.len(), 1);
         assert!(events[0].magnitude > 0.2);
     }
 
     #[test]
     fn rebaseline_clears_and_accepts_new_normal() {
-        let mut det = DriftDetector::new(1, DriftConfig::default());
-        feed(&mut det, 0, &[4.0; 10]);
-        assert!(!feed(&mut det, 0, &[1.2; 8]).is_empty());
-        det.rebaseline();
-        assert!(!det.drifting());
+        let mut lp = Loop::new(1);
+        lp.feed(0, &[4.0; 10]);
+        assert!(!lp.feed(0, &[1.2; 8]).is_empty());
+        lp.rebaseline();
+        assert!(!lp.det.drifting());
         // The new normal is 1.2: no re-fire.
-        assert!(feed(&mut det, 0, &[1.2; 20]).is_empty());
+        assert!(lp.feed(0, &[1.2; 20]).is_empty());
     }
 
     #[test]
     fn small_jitter_stays_quiet() {
         // ±5 % alternation sits inside the dead-band forever.
-        let mut det = DriftDetector::new(1, DriftConfig::default());
+        let mut lp = Loop::new(1);
         let rates: Vec<f64> = (0..200)
             .map(|i| if i % 2 == 0 { 4.2 } else { 3.8 })
             .collect();
-        assert!(feed(&mut det, 0, &rates).is_empty());
+        assert!(lp.feed(0, &rates).is_empty());
     }
 
     #[test]
     fn slow_drift_eventually_flags() {
         // A gradual 1 %-per-round decay: individual deviations hide in
-        // the dead-band at first, but the fast/slow divergence catches it.
-        let mut det = DriftDetector::new(1, DriftConfig::default());
+        // the dead-band at first, but the estimate/baseline divergence
+        // catches it.
+        let mut lp = Loop::new(1);
         let rates: Vec<f64> = (0..120).map(|i| 4.0 * 0.99f64.powi(i)).collect();
-        let events = feed(&mut det, 0, &rates);
+        let events = lp.feed(0, &rates);
         assert!(!events.is_empty(), "slow drift must eventually flag");
     }
 
     #[test]
     fn invalid_observations_ignored() {
-        let mut det = DriftDetector::new(1, DriftConfig::default());
-        assert!(det.observe(0, f64::NAN).is_none());
-        assert!(det.observe(0, -1.0).is_none());
-        assert!(det.observe(5, 1.0).is_none()); // out of range
-        assert!(!det.drifting());
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn bad_config_rejected() {
-        DriftDetector::new(
-            1,
-            DriftConfig {
-                threshold: 0.0,
-                ..DriftConfig::default()
-            },
-        );
+        // NaN, negative and zero rates and out-of-range workers never
+        // leave the hub.
+        let mut lp = Loop::new(1);
+        assert!(lp.feed(0, &[f64::NAN, -1.0, 0.0]).is_empty());
+        assert!(lp.feed(5, &[1.0]).is_empty());
+        assert_eq!(lp.det.states[0].count, 0);
+        assert!(!lp.det.drifting());
     }
 }

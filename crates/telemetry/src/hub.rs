@@ -39,21 +39,45 @@ impl TelemetryHub {
     }
 
     /// Ingests one completed round: its wall time and the per-worker
-    /// samples the engine observed. Only samples with a valid timing
-    /// ([`RoundSample::rate`]) reach the estimator. The decode residual
+    /// samples the engine observed. Only samples with a positive, finite
+    /// rate ([`RoundSample::rate`] over nonzero work) reach the
+    /// estimator: a worker that held no partition measured nothing, and
+    /// a zero rate would drag its estimate toward 0. The decode residual
     /// is not used here (escalated rounds are counted by
     /// `hetgc_obs::RunObserver`); the argument stays because the frozen
     /// benchmark harness (`benchmark/src/probes.rs`) calls this
     /// three-argument form.
     pub fn ingest(&mut self, elapsed: f64, _residual: f64, samples: &[RoundSample]) {
+        self.ingest_each(elapsed, samples, |_, _, _| {});
+    }
+
+    /// [`TelemetryHub::ingest`], calling `each(worker, rate, estimate)`
+    /// after every sample the estimator takes, with the worker's EWMA
+    /// estimate including it — the one stream the drift detector reads.
+    pub(crate) fn ingest_each(
+        &mut self,
+        elapsed: f64,
+        samples: &[RoundSample],
+        mut each: impl FnMut(usize, f64, f64),
+    ) {
         self.rounds += 1;
         self.round_times.push(elapsed);
         for s in samples {
-            if s.rate().is_some() {
-                self.estimator
-                    .observe(s.worker, s.work_units, s.compute_seconds);
+            let Some(rate) = s.rate().filter(|r| r.is_finite() && *r > 0.0) else {
+                continue;
+            };
+            self.estimator
+                .observe(s.worker, s.work_units, s.compute_seconds);
+            if let Some(estimate) = self.estimate(s.worker) {
+                each(s.worker, rate, estimate);
             }
         }
+    }
+
+    /// One worker's EWMA throughput estimate, `None` before its first
+    /// observation or out of range.
+    pub(crate) fn estimate(&self, worker: usize) -> Option<f64> {
+        self.estimator.estimate(worker).ok()
     }
 
     /// Completed rounds ingested so far.
@@ -67,9 +91,7 @@ impl TelemetryHub {
     /// than the worker count, unobserved workers past its end get the
     /// mean of the observed estimates.
     pub(crate) fn estimates_or(&self, fallback: &[f64]) -> Vec<f64> {
-        let observed: Vec<Option<f64>> = (0..self.workers)
-            .map(|w| self.estimator.estimate(w).ok())
-            .collect();
+        let observed: Vec<Option<f64>> = (0..self.workers).map(|w| self.estimate(w)).collect();
         let mean = {
             let known: Vec<f64> = observed.iter().filter_map(|e| *e).collect();
             if known.is_empty() {
@@ -137,6 +159,44 @@ mod tests {
         hub.ingest(3.0, 0.0, &[RoundSample::failed(0, 10.0)]);
         assert_eq!(hub.estimator.estimate(0).ok(), Some(5.0));
         assert_eq!(hub.rounds(), 2);
+    }
+
+    #[test]
+    fn zero_work_samples_leave_the_estimates_alone() {
+        // A worker that held no partition reports zero work in a positive
+        // time: rate 0, which must not drag its estimate toward 0.
+        let mut hub = TelemetryHub::new(2, 0.4, 8);
+        hub.ingest(1.0, 0.0, &[RoundSample::completed(0, 8.0, 2.0, 2.0)]);
+        let before = hub.estimates_or(&[1.0, 3.0]);
+        hub.ingest(
+            1.0,
+            0.0,
+            &[
+                RoundSample::completed(0, 0.0, 2.0, 2.0),
+                RoundSample::completed(1, 0.0, 1.0, 1.0),
+            ],
+        );
+        assert_eq!(hub.estimates_or(&[1.0, 3.0]), before);
+        assert_eq!(before, vec![4.0, 3.0]);
+    }
+
+    #[test]
+    fn ingest_each_reports_the_running_estimate_per_sample() {
+        // Two samples for one worker in one round (a late reply and the
+        // current one): the callback sees the estimate after each, so a
+        // reader of the stream sees what a per-sample EWMA would.
+        let mut hub = TelemetryHub::new(2, 0.5, 8);
+        let mut seen = Vec::new();
+        let round = [
+            RoundSample::completed(0, 8.0, 2.0, 2.0).late(),
+            RoundSample::failed(1, 8.0),
+            RoundSample::completed(0, 8.0, 1.0, 1.0),
+        ];
+        hub.ingest_each(2.0, &round, |w, rate, estimate| {
+            seen.push((w, rate, estimate))
+        });
+        assert_eq!(seen, vec![(0, 4.0, 4.0), (0, 8.0, 6.0)]);
+        assert_eq!(hub.estimate(0), Some(6.0));
     }
 
     #[test]

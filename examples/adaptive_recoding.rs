@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     };
     let cfg = AdaptiveConfig {
         iterations: 60,
-        reestimate_every: 5,
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(11);
@@ -37,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let ta = adaptive_run.mean_round_seconds().unwrap_or(f64::NAN);
     println!("static  (code built once):        {ts:.3} s/iter");
     println!(
-        "adaptive (re-coded every {} iters): {ta:.3} s/iter  ({:.2}x, {} rebuilds)",
-        cfg.reestimate_every,
+        "adaptive (re-coded every 5 iters): {ta:.3} s/iter  ({:.2}x, {} rebuilds)",
         ts / ta,
         adaptive_run.adaptation.map_or(0, |a| a.recodes())
     );

@@ -143,12 +143,11 @@ fn threaded_run(adaptive: bool, seed: u64) -> (TrainOutcome, usize) {
     if adaptive {
         engine = engine.with_recoding(SchemeKind::HeterAware, 1);
     }
-    let adaptation = adaptive.then(|| AdaptationConfig {
+    let adaptation = adaptive.then_some(AdaptationConfig {
         // Wall-clock rounds are tens of ms; keep the learned deadline off
         // so the comparison isolates re-coding (the exact ladder cannot
         // escalate here anyway).
         learn_deadline: false,
-        ..AdaptationConfig::default()
     });
     let out = TrainDriver::new(&model, &data, Sgd::new(0.1))
         .with_config(DriverConfig {

@@ -69,7 +69,6 @@ fn adaptive_run_with_cache_and_trace() {
     };
     let cfg = AdaptiveConfig {
         iterations: 24,
-        reestimate_every: 6,
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(2);
