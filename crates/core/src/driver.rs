@@ -17,6 +17,8 @@
 //! estimates via [`RoundEngine::recode`]. The run's adaptation history is
 //! reported in [`TrainOutcome::adaptation`].
 
+use std::sync::Arc;
+
 use hetgc_ml::{Dataset, Model, Optimizer};
 use hetgc_obs::{Phase, RunObserver};
 use hetgc_sim::ResourceUsage;
@@ -61,14 +63,6 @@ impl Default for DriverConfig {
             adaptation: None,
             job_id: None,
         }
-    }
-}
-
-impl DriverConfig {
-    /// Builder form: tags every emitted record with `job_id`.
-    pub fn with_job_id(mut self, job_id: impl Into<String>) -> Self {
-        self.job_id = Some(job_id.into());
-        self
     }
 }
 
@@ -188,8 +182,8 @@ pub struct RoundRecord {
     /// Which job emitted this record, when the run was tagged
     /// ([`DriverConfig::job_id`]): the attribution key of interleaved
     /// multi-job JSONL streams. `None` for solo runs, and omitted from
-    /// the JSON entirely.
-    pub job_id: Option<String>,
+    /// the JSON entirely. Every record of a run shares one allocation.
+    pub job_id: Option<Arc<str>>,
 }
 
 impl RoundRecord {
@@ -293,7 +287,7 @@ impl RoundRecord {
             // The job tag joined the format with the multi-tenant
             // scheduler: absent means an untagged solo-run stream, same
             // tolerance as the counters above.
-            job_id: json_str_field(line, "job_id")?,
+            job_id: json_str_field(line, "job_id")?.map(Arc::from),
         })
     }
 }
@@ -475,13 +469,15 @@ fn json_str(s: &str) -> String {
 /// The ONE place where engine rounds become the run's [`TrainOutcome`].
 struct RoundLog {
     out: TrainOutcome,
-    /// Job tag stamped on every record ([`DriverConfig::job_id`]).
-    job_id: Option<String>,
+    /// Job tag stamped on every record ([`DriverConfig::job_id`]), one
+    /// allocation per run.
+    job_id: Option<Arc<str>>,
     clock: f64,
 }
 
 impl RoundLog {
-    fn tagged(label: String, job_id: Option<String>) -> Self {
+    /// A log that appends to `records`.
+    fn tagged(label: String, job_id: Option<Arc<str>>, records: Vec<RoundRecord>) -> Self {
         RoundLog {
             out: TrainOutcome {
                 curve: LossCurve {
@@ -489,7 +485,7 @@ impl RoundLog {
                     points: Vec::new(),
                 },
                 label,
-                records: Vec::new(),
+                records,
                 failed_rounds: 0,
                 params: Vec::new(),
                 stalled: false,
@@ -594,6 +590,8 @@ pub struct TrainDriver<'a, M: Model + ?Sized, O: Optimizer> {
     pub(crate) cfg: DriverConfig,
     record_writer: Option<&'a mut dyn std::io::Write>,
     observer: Option<RunObserver>,
+    /// Where the run's records go ([`TrainDriver::with_records`]).
+    records: Vec<RoundRecord>,
 }
 
 impl<M: Model + ?Sized, O: Optimizer + std::fmt::Debug> std::fmt::Debug for TrainDriver<'_, M, O> {
@@ -616,6 +614,7 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
             cfg: DriverConfig::default(),
             record_writer: None,
             observer: None,
+            records: Vec::new(),
         }
     }
 
@@ -632,6 +631,17 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// reads the stream back.
     pub fn with_record_writer(mut self, writer: &'a mut dyn std::io::Write) -> Self {
         self.record_writer = Some(writer);
+        self
+    }
+
+    /// Appends the run's records to `records`, which becomes the
+    /// outcome's [`TrainOutcome::records`], instead of to a vector the
+    /// run grows itself. A caller that sizes it to the round budget on
+    /// its own thread keeps the log's growth off the run's thread: no
+    /// reallocation round after round, and the memory comes from, and
+    /// goes back to, the caller's allocator arena.
+    pub fn with_records(mut self, records: Vec<RoundRecord>) -> Self {
+        self.records = records;
         self
     }
 
@@ -686,7 +696,9 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
             Some((model, ..)) => model.init_params(rng),
             None => Vec::new(),
         };
-        let mut log = RoundLog::tagged(engine.label().to_owned(), self.cfg.job_id.clone());
+        let job_id = self.cfg.job_id.as_deref().map(Arc::from);
+        let records = std::mem::take(&mut self.records);
+        let mut log = RoundLog::tagged(engine.label().to_owned(), job_id, records);
         let eval_every = self.cfg.eval_every.max(1);
         let mut adaptation = self
             .cfg
@@ -810,6 +822,7 @@ pub(crate) fn drive_timing_with<E: RoundEngine + ?Sized>(
         cfg: cfg.clone(),
         record_writer: None,
         observer: None,
+        records: Vec::new(),
     };
     driver.run(engine, rounds, rng)
 }
@@ -921,6 +934,38 @@ mod tests {
         assert_eq!(out.resource_usage().ratio().unwrap(), 1.0);
     }
 
+    /// A tagged run's records land in the caller's vector, appended in
+    /// place, and share one `job_id` allocation; the JSON still leads
+    /// with the tag.
+    #[test]
+    fn tagged_records_share_one_job_id_in_the_callers_log() {
+        let mut engine = FixedEngine::new(vec![ok_round(1.0, 0.0); 4]);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let data = hetgc_ml::synthetic::linear_regression(8, 2, 0.0, &mut rng);
+        let model = hetgc_ml::LinearRegression::new(2);
+        let log = Vec::with_capacity(4);
+        let allocation = log.as_ptr();
+        let cfg = DriverConfig {
+            job_id: Some("tenant-a".to_owned()),
+            ..DriverConfig::default()
+        };
+        let out = TrainDriver::new(&model, &data, hetgc_ml::Sgd::new(0.1))
+            .with_config(cfg)
+            .with_records(log)
+            .run(&mut engine, 4, &mut rng)
+            .unwrap();
+        assert_eq!(out.records.len(), 4);
+        assert_eq!(out.records.as_ptr(), allocation, "the caller's vector");
+        let first = out.records[0].job_id.as_ref().expect("tagged");
+        assert_eq!(&**first, "tenant-a");
+        for record in &out.records {
+            assert!(Arc::ptr_eq(first, record.job_id.as_ref().expect("tagged")));
+        }
+        assert!(out.records[3]
+            .to_json()
+            .starts_with("{\"job_id\":\"tenant-a\",\"round\":4,"));
+    }
+
     #[test]
     fn stop_on_failure_marks_stalled() {
         let mut engine = FixedEngine::new(vec![ok_round(1.0, 0.0), EngineRound::failed(true)]);
@@ -987,7 +1032,7 @@ mod tests {
                 bytes_sent: 2048,
                 bytes_received: 512,
                 wire_error: 0.125,
-                job_id: Some("job-a".to_owned()),
+                job_id: Some(Arc::from("job-a")),
             },
             RoundRecord {
                 round: 4,

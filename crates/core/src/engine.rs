@@ -773,7 +773,9 @@ pub struct ClusterEngine<C> {
 }
 
 /// The real multi-threaded runtime as an engine: one OS thread per
-/// worker, coded results over channels.
+/// worker, coded results over channels. [`ThreadedEngine::new`] starts
+/// threads of its own; [`ClusterEngine::over`] wraps a cluster that
+/// `ThreadedCluster::start_shared` put on threads other masters share.
 pub type ThreadedEngine<M> = ClusterEngine<ThreadedCluster<M>>;
 
 impl<M> ThreadedEngine<M>

@@ -194,7 +194,7 @@ mod tests {
                 bytes_sent: 1024 * i as u64,
                 bytes_received: 512 * i as u64,
                 wire_error: if i == 3 { 0.5 } else { 0.0 },
-                job_id: (i == 2).then(|| "job-b".to_owned()),
+                job_id: (i == 2).then(|| std::sync::Arc::from("job-b")),
             })
             .collect();
         let text: String = records.iter().map(|r| r.to_json() + "\n").collect();

@@ -1,69 +1,131 @@
 //! The threaded worker pool: [`ThreadedCluster`] is a [`Master`] whose
-//! transport is one OS thread per worker, connected by `crossbeam`
-//! channels. This is what the unified `hetgc::TrainDriver` loop drives
-//! through its `ThreadedEngine`.
+//! transport is a set of OS threads, one per worker, connected by
+//! `crossbeam` channels. This is what the unified `hetgc::TrainDriver`
+//! loop drives through its `ThreadedEngine`.
 //!
-//! The pool is spawned once. A recode re-rows the live threads in place
-//! with [`ToWorker::Recode`], as `hetgc-net` re-rows its links with
+//! A set of threads serves any number of masters:
+//! [`ThreadedCluster::start`] puts one master on a private set,
+//! [`ThreadedCluster::start_shared`] puts several on one set, as the
+//! paper's `m` fixed workers serve the master's rounds (§III). Each
+//! thread is row `w` of every master's code.
+//!
+//! The threads are spawned once. A recode re-rows them in place with
+//! [`ToWorker::Recode`], as `hetgc-net` re-rows its links with
 //! `Frame::Recode`, and a worker waits out its emulated delay on its
-//! inbox — so neither a recode nor a drop waits for a sleeping straggler.
+//! inbox — so neither a recode, a drop nor another master's round waits
+//! for a sleeping straggler.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetgc_coding::CodingMatrix;
+use hetgc_coding::{CodingMatrix, EscalatingCodec};
 use hetgc_ml::{Dataset, Model};
 
-use crate::config::RuntimeConfig;
+use crate::config::{RuntimeConfig, WorkerBehavior};
 use crate::error::RuntimeError;
 use crate::master::{build_codec, row_shards, Master, RowShard, Transport};
 use crate::message::{FromWorker, ToWorker};
-use crate::worker::{worker_main, WorkerContext};
+use crate::worker::{worker_main, Row, Tenant};
 
-/// The in-process [`Transport`]: parameters and coded gradients move as
-/// `Arc`s over channels, nothing is serialized, and every spawned worker
-/// stays reachable for the pool's whole life — so a failed send is a
-/// crashed worker thread, fatal to the round. Threads are shut down and
-/// joined on drop.
+/// The worker threads one or more masters share: one inbox per thread.
+/// The last master to go shuts them down and joins them.
 #[derive(Debug)]
-pub struct ChannelTransport {
-    to_workers: Vec<Sender<ToWorker>>,
-    from_rx: Receiver<FromWorker>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+struct WorkerThreads {
+    inboxes: Vec<Sender<ToWorker>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
+impl WorkerThreads {
+    /// Spawns thread `w` serving `tenants[w]` under `behaviors[w]`. The
+    /// tenants were allocated on the calling thread, so no thread
+    /// allocates, or is woken, before its first round.
+    fn spawn(tenants: Vec<Vec<Tenant>>, behaviors: &[WorkerBehavior]) -> Arc<Self> {
+        let (inboxes, handles) = tenants
+            .into_iter()
+            .zip(behaviors)
+            .enumerate()
+            .map(|(w, (tenants, behavior))| {
+                let (tx, rx) = unbounded::<ToWorker>();
+                let behavior = behavior.clone();
+                let handle = std::thread::spawn(move || worker_main(w, behavior, tenants, rx));
+                (tx, handle)
+            })
+            .unzip();
+        Arc::new(WorkerThreads { inboxes, handles })
+    }
+}
+
+impl Drop for WorkerThreads {
+    fn drop(&mut self) {
+        for tx in &self.inboxes {
+            let _ = tx.send(ToWorker::Shutdown);
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The in-process [`Transport`]: parameters and coded gradients move as
+/// `Arc`s over channels, nothing is serialized, and every worker thread
+/// stays reachable for the master's whole life — so a failed send, or a
+/// row its thread dropped (a panic in the model, a deadline no clock
+/// reaches), is a lost worker, fatal to the next round. On drop the
+/// master leaves its threads; the last master on them shuts them down and
+/// joins them.
+#[derive(Debug)]
+pub struct ChannelTransport {
+    /// This master's number on its threads.
+    tenant: usize,
+    threads: Arc<WorkerThreads>,
+    from_rx: Receiver<FromWorker>,
+    /// Per row, whether its thread dropped it.
+    lost: Vec<Arc<AtomicBool>>,
+}
+
+/// A master's rows handed to its threads: where its replies arrive, and
+/// per row whether its thread dropped it.
+type Joined = (Receiver<FromWorker>, Vec<Arc<AtomicBool>>);
+
 impl ChannelTransport {
-    /// Spawns one worker thread per shard.
-    fn spawn<M: Model + Send + Sync + 'static>(
+    /// Adds one master's rows, as tenant `tenant`, to what the threads
+    /// will serve: thread `w` gets row `w` of `shards`.
+    fn join(
+        threads: &mut [Vec<Tenant>],
+        tenant: usize,
         shards: Vec<RowShard>,
-        model: &Arc<M>,
+        model: Arc<dyn Model + Send + Sync>,
         data: &Arc<Dataset>,
-        config: &RuntimeConfig,
-    ) -> Self {
+    ) -> Joined {
         let (from_tx, from_rx) = unbounded();
-        let mut to_workers = Vec::with_capacity(shards.len());
-        let mut handles = Vec::with_capacity(shards.len());
-        for (w, (ranges, coefficients)) in shards.into_iter().enumerate() {
-            let (to_tx, to_rx) = unbounded::<ToWorker>();
-            to_workers.push(to_tx);
-            let ctx = WorkerContext {
-                index: w,
-                model: Arc::clone(model),
+        let mut lost = Vec::with_capacity(shards.len());
+        for (rows, (ranges, coefficients)) in threads.iter_mut().zip(shards) {
+            let row = Row {
+                model: Arc::clone(&model),
                 data: Arc::clone(data),
                 ranges,
                 coefficients,
-                behavior: config.behavior_of(w),
-                inbox: to_rx,
                 outbox: from_tx.clone(),
+                lost: Arc::default(),
             };
-            handles.push(std::thread::spawn(move || worker_main(ctx)));
+            lost.push(Arc::clone(&row.lost));
+            rows.push(Tenant::new(tenant, row));
         }
         // `from_tx` drops here: the master keeps only the receiver.
+        (from_rx, lost)
+    }
+
+    /// The transport of the master [`ChannelTransport::join`] added as
+    /// `tenant`, once `threads` run.
+    fn new(threads: &Arc<WorkerThreads>, tenant: usize, (from_rx, lost): Joined) -> Self {
         ChannelTransport {
-            to_workers,
+            tenant,
+            threads: Arc::clone(threads),
             from_rx,
-            handles,
+            lost,
         }
     }
 }
@@ -72,9 +134,13 @@ impl Transport for ChannelTransport {
     type Payload = Arc<[f64]>;
 
     fn send_round(&mut self, seq: u64, params: &[f64]) -> Result<(), RuntimeError> {
+        if let Some(worker) = self.lost.iter().position(|l| l.load(Ordering::Acquire)) {
+            return Err(RuntimeError::WorkerLost { worker });
+        }
         let shared = Arc::new(params.to_vec());
-        for (w, tx) in self.to_workers.iter().enumerate() {
+        for (w, tx) in self.threads.inboxes.iter().enumerate() {
             tx.send(ToWorker::Round {
+                tenant: self.tenant,
                 // Also what the workers' fail-stop behaviours count.
                 iteration: seq as usize,
                 params: Arc::clone(&shared),
@@ -95,17 +161,19 @@ impl Transport for ChannelTransport {
     /// coefficients. Threads keep their behaviour, so its schedules stay
     /// pinned to the thread, as on TCP they stay pinned to the process.
     fn rerow(&mut self, shards: Vec<RowShard>) -> Result<(), RuntimeError> {
-        if shards.len() != self.to_workers.len() {
+        let inboxes = &self.threads.inboxes;
+        if shards.len() != inboxes.len() {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
                     "recode matrix has {} rows but {} worker threads",
                     shards.len(),
-                    self.to_workers.len()
+                    inboxes.len()
                 ),
             });
         }
-        for (w, (tx, (ranges, coefficients))) in self.to_workers.iter().zip(shards).enumerate() {
+        for (w, (tx, (ranges, coefficients))) in inboxes.iter().zip(shards).enumerate() {
             tx.send(ToWorker::Recode {
+                tenant: self.tenant,
                 ranges,
                 coefficients,
             })
@@ -115,7 +183,7 @@ impl Transport for ChannelTransport {
     }
 
     fn live_rows(&self) -> Vec<usize> {
-        (0..self.to_workers.len()).collect()
+        (0..self.threads.inboxes.len()).collect()
     }
 
     fn round_traffic(&self) -> (u64, u64) {
@@ -125,31 +193,57 @@ impl Transport for ChannelTransport {
 
 impl Drop for ChannelTransport {
     fn drop(&mut self) {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        for tx in &self.threads.inboxes {
+            let _ = tx.send(ToWorker::Leave {
+                tenant: self.tenant,
+            });
         }
     }
 }
 
 /// A running coded worker pool: one OS thread per worker under a
 /// [`Master`], which it derefs to — [`Master::round`] runs one broadcast
-/// → collect → decode/escalate → combine cycle. Spawned by
-/// [`ThreadedCluster::start`]; threads are shut down and joined on drop.
+/// → collect → decode/escalate → combine cycle. Started by
+/// [`ThreadedCluster::start`] on threads of its own, or by
+/// [`ThreadedCluster::start_shared`] on threads it shares with other
+/// masters; the last master on a set of threads shuts them down and
+/// joins them on drop.
 #[derive(Debug)]
 pub struct ThreadedCluster<M>(Master<M, ChannelTransport>)
 where
     M: Model + Send + Sync + 'static;
 
+/// Every behaviour passes [`WorkerBehavior::validate`], as
+/// [`RuntimeError::InvalidConfig`] naming the first worker that does not.
+fn validate(behaviors: &[WorkerBehavior]) -> Result<(), RuntimeError> {
+    for (w, behavior) in behaviors.iter().enumerate() {
+        behavior
+            .validate()
+            .map_err(|reason| RuntimeError::InvalidConfig {
+                reason: format!("worker {w}: {reason}"),
+            })?;
+    }
+    Ok(())
+}
+
+/// `code` compiled as `config` asks, and its rows' shards of `data`.
+fn compile(
+    code: CodingMatrix,
+    data: &Dataset,
+    config: &RuntimeConfig,
+) -> Result<(EscalatingCodec, Vec<RowShard>), RuntimeError> {
+    let codec = build_codec(code, config)?;
+    let shards = row_shards(&codec, data.len())?;
+    Ok((codec, shards))
+}
+
 impl<M> ThreadedCluster<M>
 where
     M: Model + Send + Sync + 'static,
 {
-    /// Spawns the worker threads for `code` over `data`, compiling the
-    /// matrix into the backend named by [`RuntimeConfig::backend`] and
-    /// wiring [`RuntimeConfig::escalation`] on top.
+    /// Spawns one worker thread per row of `code` over `data`, compiling
+    /// the matrix into the backend named by [`RuntimeConfig::backend`]
+    /// and wiring [`RuntimeConfig::escalation`] on top.
     ///
     /// # Errors
     ///
@@ -163,19 +257,81 @@ where
         data: Arc<Dataset>,
         config: &RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
-        for (w, behavior) in config.behaviors.iter().enumerate() {
-            behavior
-                .validate()
-                .map_err(|reason| RuntimeError::InvalidConfig {
-                    reason: format!("worker {w}: {reason}"),
-                })?;
-        }
-        let codec = build_codec(code, config)?;
-        let shards = row_shards(&codec, data.len())?;
-        let transport = ChannelTransport::spawn(shards, &model, &data, config);
+        validate(&config.behaviors)?;
+        let (codec, shards) = compile(code, &data, config)?;
+        let behaviors: Vec<_> = (0..shards.len()).map(|w| config.behavior_of(w)).collect();
+        let mut tenants: Vec<_> = behaviors.iter().map(|_| Vec::with_capacity(1)).collect();
+        let rows = ChannelTransport::join(&mut tenants, 0, shards, Arc::clone(&model) as _, &data);
+        let threads = WorkerThreads::spawn(tenants, &behaviors);
+        let transport = ChannelTransport::new(&threads, 0, rows);
         Ok(ThreadedCluster(Master::new(
             codec, model, data, config, transport,
         )))
+    }
+
+    /// Starts one master per tenant on one set of worker threads, thread
+    /// `w` running `behaviors[w]` as row `w` of every tenant's code. A
+    /// tenant is `(code, model, data, config)`, compiled and partitioned
+    /// as [`ThreadedCluster::start`] does; its config's behaviours are not
+    /// read, the threads run `behaviors`. Each tenant's rounds are its
+    /// own: fail-stop and throttle steps count them, the throttle and the
+    /// delay run from that tenant's compute start, and while a thread
+    /// waits out one tenant's deadline it computes and replies for the
+    /// others. The threads live until the last of the returned masters is
+    /// dropped, which joins them.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when a behaviour fails
+    /// [`crate::WorkerBehavior::validate`]: nothing is started. A tenant
+    /// whose code does not have one row per thread, or that
+    /// [`ThreadedCluster::start`] would refuse, is that tenant's own
+    /// error, in its place in the returned list; the others start.
+    pub fn start_shared(
+        behaviors: &[WorkerBehavior],
+        tenants: Vec<(CodingMatrix, Arc<M>, Arc<Dataset>, RuntimeConfig)>,
+    ) -> Result<Vec<Result<Self, RuntimeError>>, RuntimeError> {
+        validate(behaviors)?;
+        let mut rows: Vec<_> = behaviors
+            .iter()
+            .map(|_| Vec::with_capacity(tenants.len()))
+            .collect();
+        let joined: Vec<_> = tenants
+            .into_iter()
+            .enumerate()
+            .map(|(tenant, (code, model, data, config))| {
+                let (codec, shards) = compile(code, &data, &config)?;
+                if shards.len() != behaviors.len() {
+                    return Err(RuntimeError::InvalidConfig {
+                        reason: format!(
+                            "a {}-row code on {} shared worker threads",
+                            shards.len(),
+                            behaviors.len()
+                        ),
+                    });
+                }
+                let joined = ChannelTransport::join(
+                    &mut rows,
+                    tenant,
+                    shards,
+                    Arc::clone(&model) as _,
+                    &data,
+                );
+                Ok((codec, model, data, config, joined))
+            })
+            .collect();
+        let threads = WorkerThreads::spawn(rows, behaviors);
+        Ok(joined
+            .into_iter()
+            .enumerate()
+            .map(|(tenant, joined)| {
+                let (codec, model, data, config, joined) = joined?;
+                let transport = ChannelTransport::new(&threads, tenant, joined);
+                Ok(ThreadedCluster(Master::new(
+                    codec, model, data, &config, transport,
+                )))
+            })
+            .collect())
     }
 }
 
@@ -971,5 +1127,130 @@ mod tests {
                 "{behavior:?}: {r:?}"
             );
         }
+    }
+
+    /// `LinearRegression` over 3 features, or — with `panics` — a model
+    /// that panics computing any gradient.
+    #[derive(Debug)]
+    struct Flaky {
+        inner: LinearRegression,
+        panics: bool,
+    }
+
+    impl Model for Flaky {
+        fn num_params(&self) -> usize {
+            self.inner.num_params()
+        }
+        fn loss(&self, params: &[f64], data: &Dataset, range: (usize, usize)) -> f64 {
+            self.inner.loss(params, data, range)
+        }
+        fn gradient(&self, params: &[f64], data: &Dataset, range: (usize, usize)) -> Vec<f64> {
+            assert!(!self.panics, "this tenant's model fails");
+            self.inner.gradient(params, data, range)
+        }
+        fn init_params(&self, rng: &mut dyn rand::RngCore) -> Vec<f64> {
+            self.inner.init_params(rng)
+        }
+    }
+
+    /// `count` equal-seeded tenants for [`ThreadedCluster::start_shared`]
+    /// on four equal rows (`s = 1`); tenant `t` panics when `panics(t)`.
+    fn tenants(
+        count: usize,
+        panics: impl Fn(usize) -> bool,
+    ) -> Vec<(CodingMatrix, Arc<Flaky>, Arc<Dataset>, RuntimeConfig)> {
+        (0..count)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(50);
+                let code = heter_aware(&[1.0; 4], 4, 1, &mut rng).unwrap();
+                let model = Flaky {
+                    inner: LinearRegression::new(3),
+                    panics: panics(t),
+                };
+                let config = RuntimeConfig::default();
+                (code, Arc::new(model), Arc::new(quick_data(50)), config)
+            })
+            .collect()
+    }
+
+    /// Two masters on one set of threads whose workers each delay 20 ms:
+    /// a worker waits out one master's delay while it computes the other
+    /// master's round, so the two 5-round runs overlap.
+    #[test]
+    fn two_masters_share_threads_and_overlap_their_rounds() {
+        let delay = Duration::from_millis(20);
+        let behaviors = vec![WorkerBehavior::nominal().with_delay(delay); 4];
+        let clusters = ThreadedCluster::start_shared(&behaviors, tenants(2, |_| false)).unwrap();
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            for cluster in clusters {
+                s.spawn(move || {
+                    let mut cluster = cluster.unwrap();
+                    let params = vec![0.1; cluster.model().num_params()];
+                    for _ in 0..5 {
+                        let round = cluster.round(&params).unwrap();
+                        assert_eq!(round.residual, 0.0);
+                        assert!(round.busy.iter().any(|&b| b >= 0.02), "{:?}", round.busy);
+                    }
+                });
+            }
+        });
+        let serialized = 2 * 5 * delay;
+        assert!(
+            started.elapsed() < serialized * 4 / 5,
+            "{:?} against {serialized:?} serialized",
+            started.elapsed()
+        );
+    }
+
+    /// One tenant's panicking model loses only its rows: its round stalls
+    /// (every row hung up), its neighbour on the same threads trains on.
+    #[test]
+    fn a_panicking_tenant_stalls_alone() {
+        let behaviors = vec![WorkerBehavior::nominal(); 4];
+        let mut clusters = ThreadedCluster::start_shared(&behaviors, tenants(2, |t| t == 0))
+            .unwrap()
+            .into_iter()
+            .map(Result::unwrap);
+        let (mut doomed, mut healthy) = (clusters.next().unwrap(), clusters.next().unwrap());
+        let params = vec![0.1; 4];
+        let round = doomed.round(&params).unwrap();
+        assert!(round.stop && round.gradient.is_none());
+        assert!(matches!(
+            doomed.round(&params),
+            Err(RuntimeError::WorkerLost { .. })
+        ));
+        for _ in 0..3 {
+            let round = healthy.round(&params).unwrap();
+            let direct = healthy.model().gradient(&params, &quick_data(50), (0, 60));
+            assert_eq!(round.residual, 0.0);
+            for (g, d) in decoded(&round).iter().zip(&direct) {
+                assert!((g - d).abs() < 1e-6 * (1.0 + d.abs()), "{g} vs {d}");
+            }
+        }
+    }
+
+    /// A bad behaviour starts nothing; a code with the wrong row count
+    /// is its own tenant's error, and the other tenants start.
+    #[test]
+    fn start_shared_refuses_bad_behaviours_and_misfit_codes() {
+        let mut behaviors = vec![WorkerBehavior::nominal(); 4];
+        behaviors[2].throttle_samples_per_sec = Some(f64::NAN);
+        let refused = ThreadedCluster::start_shared(&behaviors, tenants(2, |_| false));
+        assert!(
+            matches!(&refused, Err(RuntimeError::InvalidConfig { reason }) if reason.starts_with("worker 2")),
+            "{refused:?}"
+        );
+
+        let mut mixed = tenants(3, |_| false);
+        let mut rng = StdRng::seed_from_u64(51);
+        mixed[1].0 = heter_aware(&[1.0; 3], 3, 1, &mut rng).unwrap();
+        let started =
+            ThreadedCluster::start_shared(&vec![WorkerBehavior::nominal(); 4], mixed).unwrap();
+        assert!(started[0].is_ok() && started[2].is_ok());
+        assert!(matches!(
+            &started[1],
+            Err(RuntimeError::InvalidConfig { reason }) if reason.contains("3-row code on 4")
+        ));
     }
 }

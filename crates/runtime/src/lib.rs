@@ -13,12 +13,15 @@
 //! * [`Transport`] is what differs between worker pools: how a round is
 //!   sent, where [`Reply`]s arrive, how workers move to a new code, which
 //!   rows can still reply, what a round cost on the wire.
-//! * [`ThreadedCluster`] is the in-process pool: workers are OS threads
-//!   connected to the master by `crossbeam` channels
+//! * [`ThreadedCluster`] is the in-process pool: workers are OS threads,
+//!   one per row, connected to the master by `crossbeam` channels
 //!   ([`ChannelTransport`]); heterogeneity is emulated by rate
 //!   throttling, stragglers by per-worker delays and fail-stop at a
-//!   configured iteration. `hetgc-net`'s `SocketCluster` puts the same
-//!   master over TCP.
+//!   configured iteration. One worker loop serves the rows of any number
+//!   of masters: [`ThreadedCluster::start`] puts one master on threads of
+//!   its own, [`ThreadedCluster::start_shared`] several on one set, each
+//!   master's rounds counted and its delays run apart. `hetgc-net`'s
+//!   `SocketCluster` puts the same master over TCP.
 //!
 //! ```
 //! use std::sync::Arc;

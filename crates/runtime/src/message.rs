@@ -1,19 +1,23 @@
 //! The master ⇄ worker wire protocol.
 //!
 //! In the paper's deployment this is the parameter-server push/pull; here
-//! it is a pair of `crossbeam` channels per worker. Parameters travel in an
-//! `Arc` so an `m`-worker broadcast clones a pointer, not the vector —
-//! mirroring the zero-copy broadcast of a real transport.
+//! it is one `crossbeam` inbox per worker thread, shared by every master
+//! the thread serves, and one reply channel per master. Parameters travel
+//! in an `Arc` so an `m`-worker broadcast clones a pointer, not the
+//! vector — mirroring the zero-copy broadcast of a real transport.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Master → worker messages.
-#[derive(Debug, Clone)]
+/// Master → worker messages. Every message but `Shutdown` names the
+/// master it comes from, its `tenant` number on the thread.
+#[derive(Debug)]
 pub(crate) enum ToWorker {
     /// Start one computation round on the given parameters.
     Round {
-        /// The global iteration number.
+        /// The master's number on the thread.
+        tenant: usize,
+        /// The master's iteration number.
         iteration: usize,
         /// Current model parameters (shared, read-only).
         params: Arc<Vec<f64>>,
@@ -24,10 +28,17 @@ pub(crate) enum ToWorker {
     /// round sent after it, and replies to older rounds are filtered by
     /// their sequence tag.
     Recode {
+        /// The master's number on the thread.
+        tenant: usize,
         /// The sample ranges of the partitions the new row holds.
         ranges: Vec<(usize, usize)>,
         /// The non-zero entries of the new row, aligned with `ranges`.
         coefficients: Vec<f64>,
+    },
+    /// The master is gone: forget its row and any reply owed to it.
+    Leave {
+        /// The master's number on the thread.
+        tenant: usize,
     },
     /// Terminate the worker thread cleanly.
     Shutdown,
@@ -76,12 +87,14 @@ mod tests {
     fn round_shares_params() {
         let params = Arc::new(vec![1.0, 2.0]);
         let msg = ToWorker::Round {
+            tenant: 0,
             iteration: 1,
             params: Arc::clone(&params),
         };
         if let ToWorker::Round {
             params: p,
             iteration,
+            ..
         } = msg
         {
             assert_eq!(iteration, 1);

@@ -1,29 +1,35 @@
 //! The worker thread: compute partial gradients over owned partitions,
-//! encode with the worker's row of `B`, reply to the master.
+//! encode with the worker's row of `B`, reply to the master — for every
+//! master the thread serves. A thread is row `w` of each of its masters'
+//! codes; each master is one tenant of the thread, with its own model,
+//! dataset, row, round counter and reply channel.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hetgc_ml::{Dataset, Model, PartialSink};
 
 use crate::config::WorkerBehavior;
 use crate::message::{FromWorker, ToWorker};
 
-/// Everything a worker thread needs, bundled so `executor` can spawn it
-/// with a single move closure.
-pub(crate) struct WorkerContext<M> {
-    pub(crate) index: usize,
-    pub(crate) model: Arc<M>,
+/// One master's row on a worker thread: what the thread computes that
+/// master's coded gradient from, and where it replies.
+pub(crate) struct Row {
+    pub(crate) model: Arc<dyn Model + Send + Sync>,
     pub(crate) data: Arc<Dataset>,
-    /// This worker's sample ranges, one per owned partition, aligned with
+    /// This row's sample ranges, one per owned partition, aligned with
     /// `coefficients`. Both are replaced by [`ToWorker::Recode`].
     pub(crate) ranges: Vec<(usize, usize)>,
     /// The non-zero entries of `b_w`, aligned with `ranges`.
     pub(crate) coefficients: Vec<f64>,
-    pub(crate) behavior: WorkerBehavior,
-    pub(crate) inbox: Receiver<ToWorker>,
     pub(crate) outbox: Sender<FromWorker>,
+    /// Set when the thread drops this row (a panic in the model, a
+    /// deadline no clock reaches), so the master's next send reports the
+    /// worker lost instead of waiting on a row that never replies.
+    pub(crate) lost: Arc<AtomicBool>,
 }
 
 /// The coded gradient of one worker, `coded = Σ_p coef_p · ∇L(params;
@@ -69,8 +75,8 @@ pub fn compute_coded<M: Model + ?Sized>(
 /// `behavior` configures for it (with `throttle_step`, a drifting VM),
 /// then the injected delay is added — the master's telemetry observes
 /// the worker's *emulated* speed. A socket worker sleeps until the
-/// deadline; a worker thread waits on its inbox, so a shutdown or a
-/// recode is not held up by it.
+/// deadline; a worker thread waits on its inbox, so a shutdown, a recode
+/// or another master's round is not held up by it.
 ///
 /// `None` when the deadline lies beyond what `Instant` can represent: a
 /// throttle so slow, or a delay so long, that no clock reaches it. A
@@ -91,115 +97,254 @@ pub fn emulated_deadline(
     until.checked_add(behavior.extra_delay)
 }
 
-/// The newest round a worker thread has received and not yet served.
-type Held = Option<(usize, Arc<Vec<f64>>)>;
+/// A round a tenant sent and the thread has not served yet.
+struct Held {
+    /// The thread's arrival count when it came: held rounds are served
+    /// oldest first.
+    arrival: u64,
+    iteration: usize,
+    params: Arc<Vec<f64>>,
+}
 
-impl<M> WorkerContext<M> {
-    /// Takes one message in arrival order: a round replaces the held one
-    /// (the newest wins), a recode moves the worker onto its new row at
-    /// once. `false` on [`ToWorker::Shutdown`].
-    fn take(&mut self, msg: ToWorker, held: &mut Held) -> bool {
+/// A computed reply waiting out its emulated deadline.
+struct Waiting {
+    until: Instant,
+    started: Instant,
+    reply: FromWorker,
+}
+
+/// One tenant of a worker thread: its row and its round state.
+pub(crate) struct Tenant {
+    id: usize,
+    row: Row,
+    /// The newest round received and not yet served: a newer one replaces
+    /// it, so a tenant that fell behind joins its master's *current* round
+    /// instead of replaying rounds already decoded without it.
+    held: Option<Held>,
+    /// The tenant's reply to its last round until its deadline passes; no
+    /// other round of the tenant starts before it leaves.
+    waiting: Option<Waiting>,
+}
+
+impl Tenant {
+    /// Master `id`'s row, before any round.
+    pub(crate) fn new(id: usize, row: Row) -> Self {
+        Tenant {
+            id,
+            row,
+            held: None,
+            waiting: None,
+        }
+    }
+}
+
+/// Everything one worker thread keeps between messages.
+struct WorkerLoop {
+    index: usize,
+    behavior: WorkerBehavior,
+    tenants: Vec<Tenant>,
+    arrivals: u64,
+    /// Scratch of `compute_coded`, shared by the tenants: the only
+    /// data-plane allocation a round costs is freezing `coded` into the
+    /// `Arc<[f64]>` reply payload.
+    coded: Vec<f64>,
+    partial: Vec<f64>,
+}
+
+impl WorkerLoop {
+    /// Takes one message in arrival order: a round replaces its tenant's
+    /// held one (the newest wins), a recode moves the tenant onto its new
+    /// row at once, a leave forgets the tenant and any reply it was owed.
+    /// `false` on [`ToWorker::Shutdown`].
+    fn take(&mut self, msg: ToWorker) -> bool {
         match msg {
-            ToWorker::Round { iteration, params } => *held = Some((iteration, params)),
+            ToWorker::Round {
+                tenant,
+                iteration,
+                params,
+            } => {
+                if let Some(t) = self.tenants.iter_mut().find(|t| t.id == tenant) {
+                    t.held = Some(Held {
+                        arrival: self.arrivals,
+                        iteration,
+                        params,
+                    });
+                    self.arrivals += 1;
+                }
+            }
             ToWorker::Recode {
+                tenant,
                 ranges,
                 coefficients,
             } => {
-                self.ranges = ranges;
-                self.coefficients = coefficients;
+                if let Some(t) = self.tenants.iter_mut().find(|t| t.id == tenant) {
+                    t.row.ranges = ranges;
+                    t.row.coefficients = coefficients;
+                }
             }
+            ToWorker::Leave { tenant } => self.tenants.retain(|t| t.id != tenant),
             ToWorker::Shutdown => return false,
         }
         true
     }
+
+    /// Sends every reply whose deadline has passed. The compute seconds
+    /// are read at the send — native gradient time stretched by the
+    /// throttle and the injected delay — so the master's telemetry
+    /// observes the worker's emulated speed, exactly what a real master
+    /// would measure. A tenant whose master is gone is forgotten.
+    fn release_due(&mut self) {
+        let now = Instant::now();
+        self.tenants.retain_mut(|t| {
+            let Some(waiting) = t.waiting.take_if(|w| w.until <= now) else {
+                return true;
+            };
+            let mut reply = waiting.reply;
+            reply.compute_seconds = waiting.started.elapsed().as_secs_f64();
+            t.row.outbox.send(reply).is_ok()
+        });
+    }
+
+    /// The earliest deadline a reply is waiting out.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.tenants
+            .iter()
+            .filter_map(|t| t.waiting.as_ref().map(|w| w.until))
+            .min()
+    }
+
+    /// Computes the oldest held round of a tenant with no reply waiting.
+    /// `false` when there is none. A round from the tenant's fail-stop
+    /// iteration on is dropped unanswered (a dead VM still drains its
+    /// inbox, so the master's sends never block). A panic in the tenant's
+    /// model, or a deadline no clock reaches, loses that tenant's row on
+    /// this thread — its master's next send reports the worker lost —
+    /// and never the thread or its other tenants.
+    fn serve_oldest(&mut self) -> bool {
+        let next = self
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.waiting.is_none())
+            .filter_map(|(i, t)| t.held.as_ref().map(|h| (h.arrival, i)))
+            .min();
+        let Some((_, i)) = next else {
+            return false;
+        };
+        let WorkerLoop {
+            index,
+            behavior,
+            tenants,
+            coded,
+            partial,
+            ..
+        } = self;
+        let tenant = &mut tenants[i];
+        let Some(Held {
+            iteration, params, ..
+        }) = tenant.held.take()
+        else {
+            return false;
+        };
+        if !behavior.responds_at(iteration) {
+            return true;
+        }
+        let row = &tenant.row;
+        let started = Instant::now();
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            compute_coded(
+                &*row.model,
+                &row.data,
+                &row.ranges,
+                &row.coefficients,
+                &params,
+                coded,
+                partial,
+            );
+        }));
+        let until = computed
+            .ok()
+            .and_then(|()| emulated_deadline(behavior, &row.ranges, iteration, started));
+        let Some(until) = until else {
+            tenants.remove(i).row.lost.store(true, Ordering::Release);
+            return true;
+        };
+        tenant.waiting = Some(Waiting {
+            until,
+            started,
+            reply: FromWorker {
+                worker: *index,
+                seq: iteration as u64,
+                // The round's one data-plane allocation: freeze the scratch
+                // into a shared payload (the scratch itself is reused).
+                coded: Arc::from(coded.as_slice()),
+                compute_seconds: 0.0,
+                // No reader to stamp arrival, nothing serialized.
+                arrived: None,
+                wire_error: 0.0,
+                payload_bytes: 0,
+            },
+        });
+        true
+    }
 }
 
-/// The worker main loop. Returns when the master hangs up or sends
-/// [`ToWorker::Shutdown`] — at once, even mid-way through an emulated
-/// delay.
-pub(crate) fn worker_main<M: Model>(mut ctx: WorkerContext<M>) {
-    // Scratch of `compute_coded`: the only data-plane allocation a
-    // worker performs per round is freezing `coded` into the `Arc<[f64]>`
-    // reply payload.
-    let mut coded: Vec<f64> = Vec::new();
-    let mut partial: Vec<f64> = Vec::new();
-    let mut held: Held = None;
+/// The worker main loop: row `index` of every master in `tenants`, all
+/// under one `behavior`, each master's rounds counted by that master.
+/// The caller allocates `tenants`, so the thread allocates nothing before
+/// its first round.
+/// It takes every queued message, sends every reply whose deadline has
+/// passed, computes one held round, and repeats; with nothing to compute
+/// it blocks until the next message or the nearest deadline. So while
+/// one tenant's reply waits out its deadline, the thread still computes
+/// and replies for the others. Returns on [`ToWorker::Shutdown`] or when
+/// every sender to its inbox is gone — at once, even with replies still
+/// waiting.
+pub(crate) fn worker_main(
+    index: usize,
+    behavior: WorkerBehavior,
+    tenants: Vec<Tenant>,
+    inbox: Receiver<ToWorker>,
+) {
+    let mut worker = WorkerLoop {
+        index,
+        behavior,
+        tenants,
+        arrivals: 0,
+        coded: Vec::new(),
+        partial: Vec::new(),
+    };
     loop {
-        // Block for a message unless a round is already held, then
-        // fast-forward through everything queued: a worker that fell
-        // behind (delayed, throttled) joins the *current* round instead
-        // of replaying rounds the master already decoded without it.
-        if held.is_none() {
-            let Ok(msg) = ctx.inbox.recv() else {
-                return;
-            };
-            if !ctx.take(msg, &mut held) {
-                return;
-            }
-        }
-        while let Ok(msg) = ctx.inbox.try_recv() {
-            if !ctx.take(msg, &mut held) {
-                return;
-            }
-        }
-        let Some((iteration, params)) = held.take() else {
-            continue;
-        };
-        if !ctx.behavior.responds_at(iteration) {
-            // Fail-stop: keep draining messages (a dead VM doesn't block
-            // the master's sender) but never reply.
-            continue;
-        }
-        let started = Instant::now();
-        compute_coded(
-            &*ctx.model,
-            &ctx.data,
-            &ctx.ranges,
-            &ctx.coefficients,
-            &params,
-            &mut coded,
-            &mut partial,
-        );
-        // Wait out the emulated speed on the inbox rather than in a
-        // sleep: messages are taken as they land, in order.
-        // A deadline no clock reaches ends the worker: the master
-        // reports it lost.
-        let Some(until) = emulated_deadline(&ctx.behavior, &ctx.ranges, iteration, started) else {
-            return;
-        };
         loop {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match ctx.inbox.recv_timeout(left) {
+            match inbox.try_recv() {
                 Ok(msg) => {
-                    if !ctx.take(msg, &mut held) {
+                    if !worker.take(msg) {
                         return;
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
             }
         }
-        let reply = FromWorker {
-            worker: ctx.index,
-            seq: iteration as u64,
-            // The round's one data-plane allocation: freeze the scratch
-            // into a shared payload (the scratch itself is reused).
-            coded: Arc::from(coded.as_slice()),
-            // The *effective* compute duration — native gradient time
-            // stretched by throttling and injected delay — so the
-            // master's telemetry observes the worker's emulated speed,
-            // exactly what a real master would measure.
-            compute_seconds: started.elapsed().as_secs_f64(),
-            // No reader to stamp arrival, nothing serialized.
-            arrived: None,
-            wire_error: 0.0,
-            payload_bytes: 0,
+        worker.release_due();
+        if worker.serve_oldest() {
+            continue;
+        }
+        let msg = match worker.next_deadline() {
+            Some(until) => {
+                match inbox.recv_timeout(until.saturating_duration_since(Instant::now())) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            }
+            None => match inbox.recv() {
+                Ok(msg) => msg,
+                Err(_) => return,
+            },
         };
-        if ctx.outbox.send(reply).is_err() {
-            return; // master gone
+        if !worker.take(msg) {
+            return;
         }
     }
 }
@@ -212,6 +357,53 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A 10-sample regression row of `model` holding both halves at
+    /// coefficient `coef`, and where its replies arrive.
+    fn row(model: Arc<dyn Model + Send + Sync>, coef: f64) -> (Row, Receiver<FromWorker>) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let data = Arc::new(synthetic::linear_regression(10, 2, 0.0, &mut rng));
+        let (outbox, replies) = unbounded();
+        let row = Row {
+            model,
+            data,
+            ranges: vec![(0, 5), (5, 10)],
+            coefficients: vec![coef, coef],
+            outbox,
+            lost: Arc::default(),
+        };
+        (row, replies)
+    }
+
+    /// A worker thread, row 0 under `behavior`, serving `rows` as tenants
+    /// 0, 1, ….
+    fn spawn_rows(
+        behavior: WorkerBehavior,
+        rows: Vec<Row>,
+    ) -> (Sender<ToWorker>, std::thread::JoinHandle<()>) {
+        let tenants = rows.into_iter().enumerate();
+        let tenants = tenants.map(|(t, row)| Tenant::new(t, row)).collect();
+        let (tx, rx) = unbounded();
+        let handle = std::thread::spawn(move || worker_main(0, behavior, tenants, rx));
+        (tx, handle)
+    }
+
+    /// A worker thread, row 0 under `behavior`, serving one regression
+    /// tenant per coefficient (see [`row`]); each tenant's replies.
+    fn spawn_tenants(
+        behavior: WorkerBehavior,
+        coefs: &[f64],
+    ) -> (
+        Sender<ToWorker>,
+        Vec<Receiver<FromWorker>>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let model = || Arc::new(LinearRegression::new(2)) as Arc<dyn Model + Send + Sync>;
+        let (rows, replies) = coefs.iter().map(|&coef| row(model(), coef)).unzip();
+        let (tx, handle) = spawn_rows(behavior, rows);
+        (tx, replies, handle)
+    }
+
+    /// [`spawn_tenants`] with one tenant, number 0.
     fn spawn_worker(
         behavior: WorkerBehavior,
         coef: f64,
@@ -220,23 +412,8 @@ mod tests {
         Receiver<FromWorker>,
         std::thread::JoinHandle<()>,
     ) {
-        let mut rng = StdRng::seed_from_u64(3);
-        let data = Arc::new(synthetic::linear_regression(10, 2, 0.0, &mut rng));
-        let model = Arc::new(LinearRegression::new(2));
-        let (to_tx, to_rx) = unbounded();
-        let (from_tx, from_rx) = unbounded();
-        let ctx = WorkerContext {
-            index: 0,
-            model,
-            data,
-            ranges: vec![(0, 5), (5, 10)],
-            coefficients: vec![coef, coef],
-            behavior,
-            inbox: to_rx,
-            outbox: from_tx,
-        };
-        let handle = std::thread::spawn(move || worker_main(ctx));
-        (to_tx, from_rx, handle)
+        let (tx, mut replies, handle) = spawn_tenants(behavior, &[coef]);
+        (tx, replies.remove(0), handle)
     }
 
     /// `compute_coded` against the loop it replaced — `gradient_into`
@@ -474,7 +651,12 @@ mod tests {
     }
 
     fn round(iteration: usize, params: &Arc<Vec<f64>>) -> ToWorker {
+        round_of(0, iteration, params)
+    }
+
+    fn round_of(tenant: usize, iteration: usize, params: &Arc<Vec<f64>>) -> ToWorker {
         ToWorker::Round {
+            tenant,
             iteration,
             params: Arc::clone(params),
         }
@@ -484,11 +666,7 @@ mod tests {
     fn worker_computes_encoded_gradient() {
         let (tx, rx, handle) = spawn_worker(WorkerBehavior::nominal(), 2.0);
         let params = Arc::new(vec![0.1, -0.2, 0.05]);
-        tx.send(ToWorker::Round {
-            iteration: 1,
-            params: Arc::clone(&params),
-        })
-        .unwrap();
+        tx.send(round(1, &params)).unwrap();
         let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(reply.worker, 0);
         assert_eq!(reply.seq, 1);
@@ -499,22 +677,23 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Fail-stop counts each tenant's own rounds: the second tenant's
+    /// round 1 is answered after the first tenant's round 2 went silent.
     #[test]
     fn failed_worker_stays_silent() {
-        let (tx, rx, handle) = spawn_worker(WorkerBehavior::nominal().failing_from(2), 1.0);
+        let (tx, mut replies, handle) =
+            spawn_tenants(WorkerBehavior::nominal().failing_from(2), &[1.0, 1.0]);
+        let (rx, other) = (replies.remove(0), replies.remove(0));
         let params = Arc::new(vec![0.0; 3]);
-        tx.send(ToWorker::Round {
-            iteration: 1,
-            params: Arc::clone(&params),
-        })
-        .unwrap();
+        tx.send(round(1, &params)).unwrap();
         assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
-        tx.send(ToWorker::Round {
-            iteration: 2,
-            params,
-        })
-        .unwrap();
+        tx.send(round(2, &params)).unwrap();
         assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+        tx.send(round_of(1, 1, &params)).unwrap();
+        let reply = other.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(reply.seq, 1);
+        tx.send(round_of(1, 2, &params)).unwrap();
+        assert!(other.recv_timeout(Duration::from_millis(200)).is_err());
         tx.send(ToWorker::Shutdown).unwrap();
         handle.join().unwrap();
     }
@@ -531,11 +710,7 @@ mod tests {
         // 10 samples at 50 samples/sec → ≥ 200 ms.
         let (tx, rx, handle) = spawn_worker(WorkerBehavior::nominal().with_throttle(50.0), 1.0);
         let start = Instant::now();
-        tx.send(ToWorker::Round {
-            iteration: 1,
-            params: Arc::new(vec![0.0; 3]),
-        })
-        .unwrap();
+        tx.send(round(1, &Arc::new(vec![0.0; 3]))).unwrap();
         let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(
             start.elapsed() >= Duration::from_millis(180),
@@ -560,30 +735,55 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Each tenant fast-forwards to its own newest round, and a second
+    /// tenant's round is computed while the first one's reply waits out
+    /// its delay, not after it.
     #[test]
     fn rounds_sent_mid_wait_fast_forward_to_the_newest() {
-        let (tx, rx, handle) = spawn_worker(
-            WorkerBehavior::nominal().with_delay(Duration::from_millis(150)),
-            1.0,
-        );
+        let delay = Duration::from_millis(150);
+        let (tx, mut replies, handle) =
+            spawn_tenants(WorkerBehavior::nominal().with_delay(delay), &[1.0, 1.0]);
+        let (rx, other) = (replies.remove(0), replies.remove(0));
         let params = Arc::new(vec![0.1, -0.2, 0.05]);
         tx.send(round(1, &params)).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        let sent = Instant::now();
+        tx.send(round_of(1, 1, &params)).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         for iteration in 2..=4 {
             tx.send(round(iteration, &params)).unwrap();
         }
-        // Round 1 is served after its full delay, then round 4 — rounds
-        // 2 and 3 were superseded while the worker waited.
-        let mut replies = Vec::new();
-        while let Ok(reply) = rx.recv_timeout(Duration::from_millis(500)) {
-            replies.push((reply.seq, reply.compute_seconds));
+        for iteration in 2..=3 {
+            tx.send(round_of(1, iteration, &params)).unwrap();
         }
-        assert_eq!(
-            replies.iter().map(|r| r.0).collect::<Vec<_>>(),
-            [1, 4],
-            "{replies:?}"
+        let first = other.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(first.seq, 1);
+        // Served at once, not after tenant 0's reply left (≈ 270 ms).
+        assert!(
+            sent.elapsed() < delay + Duration::from_millis(90),
+            "{:?}",
+            sent.elapsed()
         );
-        assert!(replies.iter().all(|r| r.1 >= 0.15), "{replies:?}");
+        // Round 1 is served after its full delay, then round 4 — rounds
+        // 2 and 3 were superseded while the worker waited; likewise the
+        // second tenant's round 3 superseded its round 2.
+        let drain = |rx: &Receiver<FromWorker>| {
+            let mut replies = Vec::new();
+            while let Ok(reply) = rx.recv_timeout(Duration::from_millis(500)) {
+                replies.push((reply.seq, reply.compute_seconds));
+            }
+            replies
+        };
+        let mut second = vec![(first.seq, first.compute_seconds)];
+        second.extend(drain(&other));
+        for (replies, want) in [(drain(&rx), [1, 4]), (second, [1, 3])] {
+            assert_eq!(
+                replies.iter().map(|r| r.0).collect::<Vec<_>>(),
+                want,
+                "{replies:?}"
+            );
+            assert!(replies.iter().all(|r| r.1 >= 0.15), "{replies:?}");
+        }
         tx.send(ToWorker::Shutdown).unwrap();
         handle.join().unwrap();
     }
@@ -598,6 +798,7 @@ mod tests {
         tx.send(round(1, &params)).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         tx.send(ToWorker::Recode {
+            tenant: 0,
             ranges: vec![(0, 5), (5, 10)],
             coefficients: vec![3.0, 3.0],
         })
@@ -631,5 +832,79 @@ mod tests {
             stopping.elapsed()
         );
         assert!(rx.try_recv().is_err(), "no reply to the interrupted round");
+    }
+
+    /// A model that panics computing any gradient.
+    struct Panicking;
+
+    impl Model for Panicking {
+        fn num_params(&self) -> usize {
+            3
+        }
+        fn loss(&self, _: &[f64], _: &Dataset, _: (usize, usize)) -> f64 {
+            0.0
+        }
+        fn gradient(&self, _: &[f64], _: &Dataset, _: (usize, usize)) -> Vec<f64> {
+            panic!("no gradient here")
+        }
+        fn init_params(&self, _: &mut dyn rand::RngCore) -> Vec<f64> {
+            vec![0.0; 3]
+        }
+    }
+
+    /// A panic in one tenant's model drops that tenant's row (its reply
+    /// channel hangs up, its lost flag is set) and leaves the thread
+    /// serving the other.
+    #[test]
+    fn a_panicking_model_loses_only_its_tenants_row() {
+        let (fine, rx) = row(Arc::new(LinearRegression::new(2)), 1.0);
+        let (doomed, doomed_rx) = row(Arc::new(Panicking), 1.0);
+        let lost = Arc::clone(&doomed.lost);
+        let (tx, handle) = spawn_rows(WorkerBehavior::nominal(), vec![fine, doomed]);
+        let params = Arc::new(vec![0.1, -0.2, 0.05]);
+        tx.send(round_of(1, 1, &params)).unwrap();
+        assert!(matches!(
+            doomed_rx.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+        assert!(lost.load(Ordering::Acquire));
+        for iteration in 1..=2 {
+            tx.send(round(iteration, &params)).unwrap();
+            let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(reply.seq, iteration as u64);
+            assert_scaled_gradient(&reply, 1.0, &params);
+        }
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A deadline no clock reaches drops only the tenant it falls on: a
+    /// tenant holding no samples is not stretched and keeps replying.
+    #[test]
+    fn an_unreachable_deadline_loses_only_its_tenants_row() {
+        let endless = WorkerBehavior {
+            throttle_samples_per_sec: Some(1e-300),
+            ..WorkerBehavior::nominal()
+        };
+        let (stretched, rx) = row(Arc::new(LinearRegression::new(2)), 1.0);
+        let (mut idle, idle_rx) = row(Arc::new(LinearRegression::new(2)), 1.0);
+        (idle.ranges, idle.coefficients) = (Vec::new(), Vec::new());
+        let (tx, handle) = spawn_rows(endless, vec![stretched, idle]);
+        let params = Arc::new(vec![0.0; 3]);
+        tx.send(round(1, &params)).unwrap();
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+        for iteration in 1..=2 {
+            tx.send(round_of(1, iteration, &params)).unwrap();
+            let reply = idle_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                (reply.seq, &reply.coded[..]),
+                (iteration as u64, &[0.0; 3][..])
+            );
+        }
+        tx.send(ToWorker::Shutdown).unwrap();
+        handle.join().unwrap();
     }
 }

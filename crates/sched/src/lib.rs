@@ -7,10 +7,12 @@
 //!
 //! The pieces, bottom up:
 //!
-//! * [`SharedWorkerPool`] — the logical fleet: base throughputs, worker
+//! * [`SharedWorkerPool`] — the fleet: base throughputs, worker
 //!   behaviours, the fleet-wide [`hetgc_coding::SharedPlanCache`] and an
 //!   admission cap. A `PoolLease` holds one admission slot.
-//! * [`JobScheduler`] — admits a batch of [`JobSpec`]s, runs each as a
+//! * [`JobScheduler`] — admits a batch of [`JobSpec`]s, starts one OS
+//!   thread per pool worker and every job's master on those threads
+//!   (`hetgc_runtime::ThreadedCluster::start_shared`), runs each job as a
 //!   `hetgc::ThreadedEngine` driven by `hetgc::TrainDriver` while its
 //!   lease is held, concurrently (or sequentially as the baseline), and
 //!   reports one [`SchedulerReport`]: the per-job outcomes, whose round
@@ -29,7 +31,11 @@
 //! code and synthetic dataset once, on the calling thread before any job
 //! thread starts (so the datasets reuse the caller's malloc arena batch
 //! after batch), and they share that dataset and clone the code and the
-//! rng it left, so each trains bitwise as it would alone.
+//! rng it left, so each trains bitwise as it would alone. Each job's
+//! master and its round log, sized to the job's round budget, are
+//! allocated on the caller too; a 4-job batch on a 4-worker pool runs on
+//! 4 worker threads and 4 job threads, all joined before the batch
+//! returns.
 //!
 //! A spec no job could run (no samples, no dimension, a learning rate
 //! that is not positive and finite) fails the whole batch with

@@ -3,11 +3,16 @@
 //! throughputs, their injected behaviours, the fleet-wide decode-plan
 //! cache — and gates how many jobs hold it at once.
 //!
-//! The pool is *logical*: each job still drives its own
-//! `ThreadedCluster` (the OS time-slices the actual threads). Every
-//! tenant builds its allocation from the base rates once, as the paper
-//! does from its sampled throughputs (§III-C), so equal-seeded tenants
-//! build identical codes and share one decode-plan namespace.
+//! The pool's workers are threads: each scheduler batch starts one OS
+//! thread per pool worker (`hetgc_runtime::ThreadedCluster::start_shared`)
+//! and puts every tenant's master on them, as the paper's `m` fixed
+//! workers serve the master's rounds (§III). Thread `w` runs worker `w`'s
+//! behaviour for every tenant, counting each tenant's rounds apart, and
+//! computes one tenant's round while another's reply waits out its
+//! delay. The batch joins the threads before it returns. Every tenant
+//! builds its allocation from the base rates once, as the paper does
+//! from its sampled throughputs (§III-C), so equal-seeded tenants build
+//! identical codes and share one decode-plan namespace.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -18,7 +23,6 @@ use hetgc_runtime::WorkerBehavior;
 struct PoolLedger {
     active: usize,
     peak_active: usize,
-    admitted: u64,
 }
 
 #[derive(Debug)]
@@ -39,12 +43,24 @@ struct PoolInner {
 /// # Example
 ///
 /// ```
-/// use hetgc_sched::SharedWorkerPool;
+/// use std::time::Duration;
 ///
-/// // Four workers, at most two jobs training on them at once.
-/// let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0]).with_max_concurrent(2);
-/// let handle = pool.clone(); // every clone sees the same admission count
-/// assert_eq!(handle.admitted(), 0); // nothing leased until a job runs
+/// use hetgc_runtime::WorkerBehavior;
+/// use hetgc_sched::{JobScheduler, JobSpec, SharedWorkerPool};
+///
+/// // Four workers, the last one 6 ms late every round; at most two jobs
+/// // training on them at once.
+/// let mut behaviors = vec![WorkerBehavior::nominal(); 4];
+/// behaviors[3] = WorkerBehavior::nominal().with_delay(Duration::from_millis(6));
+/// let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0])
+///     .with_behaviors(behaviors)
+///     .with_max_concurrent(2);
+/// let handle = pool.clone(); // every clone is the same fleet
+/// let report = JobScheduler::new(handle)
+///     .submit(JobSpec::new("tenant-a").with_rounds(2))
+///     .run()
+///     .unwrap();
+/// assert_eq!(report.outcomes[0].rounds(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedWorkerPool {
@@ -80,7 +96,8 @@ impl SharedWorkerPool {
     }
 
     /// Replaces the per-worker behaviours (delays, throttles, failures)
-    /// every tenant's cluster runs under.
+    /// the worker threads run for every tenant. A scheduler batch checks
+    /// them with `WorkerBehavior::validate` before it starts anything.
     ///
     /// # Panics
     ///
@@ -118,7 +135,7 @@ impl SharedWorkerPool {
         &self.inner.base_rates
     }
 
-    /// The per-worker behaviours tenant clusters run under.
+    /// The per-worker behaviours the worker threads run.
     pub(crate) fn behaviors(&self) -> &[WorkerBehavior] {
         &self.inner.behaviors
     }
@@ -143,11 +160,6 @@ impl SharedWorkerPool {
         ledger.peak_active = ledger.active;
     }
 
-    /// Total leases granted over the pool's lifetime.
-    pub fn admitted(&self) -> u64 {
-        self.inner.ledger.lock().expect("pool poisoned").admitted
-    }
-
     /// Admits one job, blocking while
     /// [`SharedWorkerPool::with_max_concurrent`] jobs already hold
     /// leases. The returned lease releases its slot on drop.
@@ -158,7 +170,6 @@ impl SharedWorkerPool {
         }
         ledger.active += 1;
         ledger.peak_active = ledger.peak_active.max(ledger.active);
-        ledger.admitted += 1;
         PoolLease { pool: self.clone() }
     }
 
@@ -193,10 +204,12 @@ mod tests {
         let pool = SharedWorkerPool::new(vec![1.0, 1.0]).with_max_concurrent(2);
         let running = AtomicUsize::new(0);
         let peak_seen = AtomicUsize::new(0);
+        let admitted = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..6 {
                 s.spawn(|| {
                     let _lease = pool.lease();
+                    admitted.fetch_add(1, Ordering::SeqCst);
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak_seen.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(5));
@@ -205,7 +218,11 @@ mod tests {
             }
         });
         assert!(peak_seen.load(Ordering::SeqCst) <= 2, "cap respected");
-        assert_eq!(pool.admitted(), 6, "every job eventually admitted");
+        assert_eq!(
+            admitted.load(Ordering::SeqCst),
+            6,
+            "every job eventually admitted"
+        );
         assert!(pool.peak_active() <= 2);
     }
 

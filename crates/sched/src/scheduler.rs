@@ -13,12 +13,13 @@ use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 use hetgc::{
-    scheme_from_estimates, synthetic, CodingMatrix, Dataset, DriverConfig, LinearRegression,
-    RoundEngine, SchemeKind, Sgd, ThreadedEngine, TrainDriver, TrainOutcome,
+    scheme_from_estimates, synthetic, ClusterEngine, CodingMatrix, Dataset, DriverConfig,
+    LinearRegression, RoundEngine, RoundRecord, SchemeKind, Sgd, ThreadedEngine, TrainDriver,
+    TrainOutcome,
 };
 use hetgc_coding::{CodecBackend, CodingError, EscalationPolicy};
 use hetgc_obs::{MetricsRegistry, RunObserver};
-use hetgc_runtime::RuntimeConfig;
+use hetgc_runtime::{RuntimeConfig, RuntimeError, ThreadedCluster};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -289,7 +290,8 @@ impl JobScheduler {
         self.pool.reset_peak();
         let started = Instant::now();
         let builds = SharedBuilds::new(&self.pool, &self.jobs);
-        let runs = self.run_jobs(&builds, concurrent);
+        let tenants = self.start_tenants(&builds)?;
+        let runs = self.run_jobs(tenants, concurrent);
         let wall_seconds = started.elapsed().as_secs_f64();
 
         let outcomes = runs
@@ -318,19 +320,67 @@ impl JobScheduler {
         })
     }
 
-    /// Runs every job from its key's build on its own scoped thread — all
-    /// at once, or each joined before the next starts — with a thread's
-    /// panic returned as that job's [`JobError::Panicked`].
+    /// Starts every job whose build succeeded as one master on one set
+    /// of worker threads, one thread per pool worker, and allocates each
+    /// job's round log sized to its round budget — all on the calling
+    /// thread, so neither the masters nor the logs grow in a job
+    /// thread's malloc arena. The threads run the pool's behaviours and
+    /// are joined when the last job's engine is dropped. A job whose
+    /// build failed keeps its build's error.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when a pool behaviour fails
+    /// `WorkerBehavior::validate`: nothing is started.
+    fn start_tenants(&self, builds: &SharedBuilds) -> Result<Vec<Tenant>, RuntimeError> {
+        let mut inputs = Vec::new();
+        let mut rest = Vec::new();
+        for (job, spec) in self.jobs.iter().enumerate() {
+            rest.push(builds.get(job).map(|Built { code, data, rng }| {
+                let model = Arc::new(LinearRegression::new(spec.dim));
+                let config = RuntimeConfig {
+                    backend: spec.backend,
+                    escalation: spec.escalation.clone(),
+                    shared_plans: Some(self.pool.shared_plans()),
+                    ..RuntimeConfig::default()
+                };
+                inputs.push((code, model, Arc::clone(&data), config));
+                (data, rng)
+            }));
+        }
+        let mut clusters =
+            ThreadedCluster::start_shared(self.pool.behaviors(), inputs)?.into_iter();
+        Ok(rest
+            .into_iter()
+            .zip(&self.jobs)
+            .map(|(built, spec)| {
+                let (data, rng) = built?;
+                let cluster = clusters.next().ok_or("one master per started job")??;
+                let mut records = Vec::new();
+                // A budget too large to reserve grows with the run instead.
+                let _ = records.try_reserve_exact(spec.rounds);
+                Ok(Started {
+                    engine: ClusterEngine::over(cluster, spec.name.clone()),
+                    data,
+                    rng,
+                    records,
+                })
+            })
+            .collect())
+    }
+
+    /// Runs every job on its own scoped thread — all at once, or each
+    /// joined before the next starts — with a thread's panic returned as
+    /// that job's [`JobError::Panicked`].
     fn run_jobs(
         &self,
-        builds: &SharedBuilds,
+        tenants: Vec<Tenant>,
         concurrent: bool,
     ) -> Vec<Result<TrainOutcome, BoxError>> {
         std::thread::scope(|s| {
-            let spawn = |job: usize| {
+            let spawn = |(job, tenant): (usize, Tenant)| {
                 let (pool, spec, metrics) = (&self.pool, &self.jobs[job], self.metrics.as_ref());
-                let built = builds.get(job);
-                s.spawn(move || run_job(pool, spec, built, metrics))
+                s.spawn(move || run_job(pool, spec, tenant, metrics))
             };
             let join = |job: usize, handle: ScopedJoinHandle<'_, _>| {
                 handle.join().unwrap_or_else(|payload| {
@@ -341,16 +391,17 @@ impl JobScheduler {
                     .into())
                 })
             };
+            let tenants = tenants.into_iter().enumerate();
             if concurrent {
-                let handles: Vec<_> = (0..self.jobs.len()).map(spawn).collect();
+                let handles: Vec<_> = tenants.map(spawn).collect();
                 handles
                     .into_iter()
                     .enumerate()
                     .map(|(job, handle)| join(job, handle))
                     .collect()
             } else {
-                (0..self.jobs.len())
-                    .map(|job| join(job, spawn(job)))
+                tenants
+                    .map(|(job, tenant)| join(job, spawn((job, tenant))))
                     .collect()
             }
         })
@@ -490,37 +541,44 @@ fn build(pool: &SharedWorkerPool, spec: &JobSpec) -> Result<Built, CodingError> 
     })
 }
 
-/// Runs one job end to end from its build: admit → spawn the tenant
-/// cluster (shared-plan cache attached) → train while the lease is held.
+/// A job started on the batch's worker threads: its engine, its dataset,
+/// the rng its build left, and its round log, allocated on the calling
+/// thread with room for every round. Or why it could not start.
+type Tenant = Result<Started, BoxError>;
+
+#[derive(Debug)]
+struct Started {
+    engine: ThreadedEngine<LinearRegression>,
+    data: Arc<Dataset>,
+    rng: StdRng,
+    records: Vec<RoundRecord>,
+}
+
+/// Runs one started job end to end: admit → train while the lease is
+/// held, appending to the job's own round log.
 fn run_job(
     pool: &SharedWorkerPool,
     spec: &JobSpec,
-    built: Result<Built, CodingError>,
+    tenant: Tenant,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<TrainOutcome, BoxError> {
-    let Built {
-        code,
+    let Started {
+        mut engine,
         data,
         mut rng,
-    } = built?;
-    let model = Arc::new(LinearRegression::new(spec.dim));
-    let config = RuntimeConfig {
-        behaviors: pool.behaviors().to_vec(),
-        backend: spec.backend,
-        escalation: spec.escalation.clone(),
-        shared_plans: Some(pool.shared_plans()),
-    };
+        records,
+    } = tenant?;
+    let model = Arc::clone(engine.cluster().model());
 
     let _lease = pool.lease();
-    let mut engine = ThreadedEngine::new(code, Arc::clone(&model), Arc::clone(&data), &config)?
-        .with_label(spec.name.clone());
     let driver_cfg = DriverConfig {
         eval_every: spec.eval_every,
+        job_id: Some(spec.name.clone()),
         ..DriverConfig::default()
-    }
-    .with_job_id(spec.name.clone());
+    };
     let mut driver = TrainDriver::new(model.as_ref(), data.as_ref(), Sgd::new(spec.learning_rate))
-        .with_config(driver_cfg);
+        .with_config(driver_cfg)
+        .with_records(records);
     if let Some(registry) = metrics {
         driver = driver.with_observer(RunObserver::new(
             registry,
@@ -598,7 +656,7 @@ mod tests {
             assert!(Arc::ptr_eq(&first.data, &other.as_ref().unwrap().data));
         }
 
-        let runs = sched.run_jobs(&builds, true);
+        let runs = sched.run_jobs(sched.start_tenants(&builds).unwrap(), true);
         for (run, t) in runs.iter().zip(0..) {
             assert_eq!(run.as_ref().expect("tenant").rounds(), 2 + t);
         }
@@ -667,7 +725,7 @@ mod tests {
         for concurrent in [true, false] {
             let builds = SharedBuilds::new(&sched.pool, &sched.jobs);
             assert_eq!(builds.builds.len(), 2);
-            let runs = sched.run_jobs(&builds, concurrent);
+            let runs = sched.run_jobs(sched.start_tenants(&builds).unwrap(), concurrent);
             for (run, spec) in runs.iter().zip(&sched.jobs) {
                 match run {
                     Ok(_) => assert_eq!(spec.name, "fine"),
@@ -712,28 +770,105 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_its_own_error() {
-        // Both jobs share one valid build, but past the spec check a zero
-        // dimension panics in the model's constructor on the job's own
-        // thread; the batch still joins the other job.
+        // Both jobs share one valid build and start, but past the spec
+        // check a NaN learning rate panics in the optimizer's constructor
+        // on the job's own thread; the batch still joins the other job.
         let fine = JobSpec::new("fine").with_rounds(1);
         let builds = SharedBuilds::new(&pool(), &[fine.clone(), fine.clone()]);
         let unchecked = JobSpec {
             name: "unchecked".into(),
-            dim: 0,
+            learning_rate: f64::NAN,
             ..fine.clone()
         };
         let sched = JobScheduler::new(pool()).submit(fine).submit(unchecked);
         for concurrent in [true, false] {
-            let runs = sched.run_jobs(&builds, concurrent);
+            let runs = sched.run_jobs(sched.start_tenants(&builds).unwrap(), concurrent);
             assert!(runs[0].is_ok());
             let err = runs[1].as_ref().expect_err("panicked");
             match err.downcast_ref::<JobError>() {
                 Some(JobError::Panicked { job, message }) => {
                     assert_eq!(job, "unchecked");
-                    assert!(message.contains("dimension must be positive"), "{message}");
+                    assert!(
+                        message.contains("learning rate must be positive"),
+                        "{message}"
+                    );
                 }
                 other => panic!("expected a panicked job, got {other:?}"),
             }
         }
+    }
+
+    /// A spec no job could run is the caller's typed error, named after
+    /// the job and returned before anything is built, leased or spawned —
+    /// by [`JobScheduler::run`] and [`JobScheduler::run_sequential`]
+    /// alike.
+    fn assert_rejected(bad: JobSpec, reason: &str) {
+        let pool = SharedWorkerPool::new(vec![1.0, 2.0, 2.0, 4.0]);
+        let sched = JobScheduler::new(pool.clone())
+            .submit(JobSpec::new("fine"))
+            .submit(bad);
+        for concurrent in [true, false] {
+            let run = if concurrent {
+                sched.run()
+            } else {
+                sched.run_sequential()
+            };
+            let err = run.expect_err("a malformed spec fails the batch");
+            match err.downcast_ref::<JobError>() {
+                Some(JobError::InvalidSpec { job, reason: why }) => {
+                    assert_eq!(job, "bad");
+                    assert!(why.contains(reason), "{why}");
+                    assert!(err.to_string().contains("`bad`"), "{err}");
+                }
+                other => panic!("expected an invalid spec, got {other:?}: {err}"),
+            }
+        }
+        assert_eq!(pool.peak_active(), 0, "no job was admitted");
+    }
+
+    #[test]
+    fn zero_samples_is_rejected() {
+        assert_rejected(JobSpec::new("bad").with_workload(0, 4), "sample");
+    }
+
+    #[test]
+    fn zero_dimension_is_rejected() {
+        assert_rejected(JobSpec::new("bad").with_workload(64, 0), "dimension");
+    }
+
+    #[test]
+    fn a_nan_learning_rate_is_rejected() {
+        let mut bad = JobSpec::new("bad");
+        bad.learning_rate = f64::NAN;
+        assert_rejected(bad, "learning rate");
+    }
+
+    #[test]
+    fn a_non_positive_learning_rate_is_rejected() {
+        for lr in [0.0, -0.1, f64::INFINITY] {
+            let mut bad = JobSpec::new("bad");
+            bad.learning_rate = lr;
+            assert_rejected(bad, "learning rate");
+        }
+    }
+
+    /// The pool's behaviours are checked once per batch, before anything
+    /// is admitted: a rate no worker could run at is a typed error.
+    #[test]
+    fn a_bad_pool_behaviour_fails_the_batch_before_any_job_starts() {
+        let mut behaviors = vec![hetgc_runtime::WorkerBehavior::nominal(); 4];
+        behaviors[3].throttle_samples_per_sec = Some(-1.0);
+        let pool = SharedWorkerPool::new(vec![1.0; 4]).with_behaviors(behaviors);
+        let sched = JobScheduler::new(pool.clone()).submit(JobSpec::new("fine"));
+        for err in [sched.run(), sched.run_sequential()].map(Result::unwrap_err) {
+            assert!(
+                matches!(
+                    err.downcast_ref::<RuntimeError>(),
+                    Some(RuntimeError::InvalidConfig { reason }) if reason.starts_with("worker 3")
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!(pool.peak_active(), 0, "no job was admitted");
     }
 }

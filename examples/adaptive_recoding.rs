@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let ta = adaptive_run.mean_round_seconds().unwrap_or(f64::NAN);
     println!("static  (code built once):        {ts:.3} s/iter");
     println!(
-        "adaptive (re-coded every 5 iters): {ta:.3} s/iter  ({:.2}x, {} rebuilds)",
+        "adaptive (re-codes on confirmed drift, >= 5 iters apart): {ta:.3} s/iter  ({:.2}x, {} rebuilds)",
         ts / ta,
         adaptive_run.adaptation.map_or(0, |a| a.recodes())
     );
